@@ -83,6 +83,7 @@ use dronet_tile::{
     MergeConfig, SelectorConfig, TileGrid, TileMerger, TileSelector, TiledDetector,
     TiledDetectorConfig,
 };
+use rand::rngs::SplitMix64;
 use std::fmt::Write as _;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
@@ -679,12 +680,7 @@ fn run_replica_row(
         let sampler = scope.spawn(|| {
             let mut worst = 0u8;
             while !done.load(std::sync::atomic::Ordering::SeqCst) {
-                let h = match server.health() {
-                    dronet_detect::Health::Healthy => 0,
-                    dronet_detect::Health::Degraded => 1,
-                    dronet_detect::Health::Halted => 2,
-                };
-                worst = worst.max(h);
+                worst = worst.max(server.health() as u8);
                 std::thread::sleep(Duration::from_millis(20));
             }
             worst
@@ -946,18 +942,10 @@ struct TileRow {
     precision: f64,
 }
 
-/// SplitMix64: cheap deterministic hash for oracle jitter.
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Deterministic sub-pixel jitter and score noise for one (frame, object,
 /// tile) triple: `(dx_px, dy_px, unit)` with `dx/dy` in ±0.5 px.
 fn oracle_jitter(frame: u64, object: usize, tile: usize) -> (f32, f32, f32) {
-    let h = splitmix64(frame ^ ((object as u64) << 20) ^ ((tile as u64) << 42));
+    let h = SplitMix64::mix(frame ^ ((object as u64) << 20) ^ ((tile as u64) << 42));
     let u = |shift: u32| ((h >> shift) & 0xFFFF) as f32 / 65535.0;
     (u(0) - 0.5, u(16) - 0.5, u(32))
 }
@@ -1402,9 +1390,7 @@ fn main() {
     let frames: Vec<_> = (0..pipeline_frames)
         .map(|i| input_image(pipeline_input, 100 + i as u64))
         .collect();
-    let report =
-        VideoPipeline::run_source_traced(&mut detector, IterSource::new(frames), &obs, &tracer)
-            .expect("pipeline run");
+    let report = VideoPipeline::run(&mut detector, IterSource::new(frames)).expect("pipeline run");
     let frames_delta = obs
         .snapshot()
         .diff(&before)

@@ -104,7 +104,7 @@ impl From<NnError> for DetectError {
 
 /// Renders a `catch_unwind` payload as text so a panic can be carried
 /// inside [`DetectError::StageFailed`].
-pub(crate) fn panic_payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub fn panic_payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

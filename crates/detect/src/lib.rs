@@ -55,6 +55,7 @@ pub mod degrade;
 pub mod fault;
 pub mod nms;
 pub mod pipeline;
+mod pump;
 pub mod source;
 pub mod supervisor;
 pub mod track;
@@ -63,7 +64,7 @@ pub use canary::{canary_frame, check_canary, detections_bit_equal, CanaryVerdict
 pub use decode::Detection;
 pub use degrade::{DegradeAction, DegradeConfig, DegradeController};
 pub use detector::{DetectStage, Detector, DetectorBuilder};
-pub use error::DetectError;
+pub use error::{panic_payload_message, DetectError};
 pub use fault::{FaultConfig, FaultKind, FaultPlan, FaultyDetector, FaultyFrameSource};
 pub use pipeline::{FrameResult, PipelineReport, VideoPipeline};
 pub use source::{
@@ -71,7 +72,7 @@ pub use source::{
     ResizeFilter,
 };
 pub use supervisor::{
-    BlackBoxDump, FaultEvent, Health, StageFactory, Supervisor, SupervisorConfig, SupervisorReport,
+    FaultEvent, Health, StageFactory, Supervisor, SupervisorConfig, SupervisorReport,
 };
 
 /// Convenience alias for results returned by this crate.

@@ -3,36 +3,36 @@
 //! feed and pass it frame by frame to the processing board where the
 //! vehicles are detected").
 //!
-//! Two execution modes are provided:
+//! Two execution modes are provided, both over any [`FrameSource`] (an
+//! [`IterSource`](crate::IterSource) of tensors, the synthetic scene
+//! generator, a fault-injection wrapper, ...):
 //!
 //! * [`VideoPipeline::run`] — synchronous: every frame is processed, with
 //!   per-frame latency recorded; the report can then answer "how many
 //!   frames would a camera at X FPS have dropped?",
-//! * [`VideoPipeline::run_threaded`] — a producer thread feeds a bounded
+//! * [`VideoPipeline::run_threaded`] — the camera pump feeds a bounded
 //!   single-slot queue (the camera's frame buffer) while the detector
 //!   drains it; frames arriving while the detector is busy are dropped,
 //!   exactly like a real-time deployment whose camera outpaces compute.
 //!
-//! Both modes have `_observed` variants taking a [`Registry`] that record
-//! per-stage latency histograms (`pipeline.preprocess`, `pipeline.frame`),
-//! a `pipeline.queue_depth` gauge and `pipeline.frames` / `pipeline.dropped`
-//! counters; the plain entry points delegate to them with a noop registry,
-//! so the unobserved hot path pays only inert-handle checks. The `_traced`
-//! variants additionally take a [`Tracer`] and stamp every frame's journey
-//! (camera instant → `frame` span → detector stage spans → per-layer
-//! spans) with a monotonic `frame_id`, surfaced per row in
-//! [`FrameResult::frame_id`] and, for drops, in
-//! [`PipelineReport::dropped_ids`].
+//! Telemetry follows the detector: both modes record into the registry and
+//! flight recorder the [`Detector`] was built with
+//! ([`DetectorBuilder::observability`](crate::DetectorBuilder::observability)
+//! / [`tracing`](crate::DetectorBuilder::tracing)) — per-stage latency
+//! histograms (`pipeline.preprocess`, `pipeline.frame`), a
+//! `pipeline.queue_depth` gauge, `pipeline.frames` / `pipeline.dropped`
+//! counters, and every frame's journey (`camera.frame` instant → `frame`
+//! span → detector stage spans → per-layer spans) stamped with a monotonic
+//! `frame_id`, surfaced per row in [`FrameResult::frame_id`] and, for
+//! drops, in [`PipelineReport::dropped_ids`]. A detector built without
+//! either pays only inert-handle checks.
 
-use crate::error::panic_payload_message;
-use crate::source::{FrameSource, IterSource};
+use crate::pump::{CameraPump, Pumped};
+use crate::source::FrameSource;
 use crate::{DetectError, Detection, Detector, Result};
 use dronet_metrics::{Fps, FpsMeter};
-use dronet_obs::{Registry, Tracer};
+use dronet_obs::{Counter, Histogram, Tracer};
 use dronet_tensor::Tensor;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, TrySendError};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Result of processing one frame.
@@ -70,22 +70,22 @@ impl PipelineReport {
         self.frames.len()
     }
 
-    /// Sustained processing rate.
-    pub fn fps(&self) -> Fps {
+    fn meter(&self) -> FpsMeter {
         let mut meter = FpsMeter::new();
         for f in &self.frames {
             meter.record(f.latency);
         }
-        meter.fps()
+        meter
+    }
+
+    /// Sustained processing rate.
+    pub fn fps(&self) -> Fps {
+        self.meter().fps()
     }
 
     /// Mean per-frame latency.
     pub fn mean_latency(&self) -> Duration {
-        let mut meter = FpsMeter::new();
-        for f in &self.frames {
-            meter.record(f.latency);
-        }
-        meter.mean_latency()
+        self.meter().mean_latency()
     }
 
     /// Total detections across all processed frames.
@@ -100,342 +100,153 @@ impl PipelineReport {
     /// Non-positive or non-finite `camera_fps` (a camera that never
     /// produces a frame) and empty runs both estimate zero drops.
     pub fn estimated_drops_at(&self, camera_fps: f64) -> usize {
-        if !(camera_fps.is_finite() && camera_fps > 0.0) || self.frames.is_empty() {
-            return 0;
-        }
-        let frame_interval = 1.0 / camera_fps;
         self.frames
             .iter()
-            .map(|f| {
-                let missed = f.latency.as_secs_f64() / frame_interval;
-                (missed.ceil() as usize).saturating_sub(1)
-            })
+            .map(|f| estimated_drops(f.latency, camera_fps))
             .sum()
     }
+}
+
+/// Frames a camera producing at `camera_fps` emits, and loses, while one
+/// frame takes `latency` to process; zero for a camera that never produces
+/// (non-positive or non-finite rate).
+pub(crate) fn estimated_drops(latency: Duration, camera_fps: f64) -> usize {
+    if !(camera_fps.is_finite() && camera_fps > 0.0) {
+        return 0;
+    }
+    ((latency.as_secs_f64() * camera_fps).ceil() as usize).saturating_sub(1)
 }
 
 /// The frame-stream processor.
 #[derive(Debug, Default)]
 pub struct VideoPipeline;
 
+/// The consumer half both modes share: one detector pass per frame, timed
+/// into `pipeline.frame`, counted into `pipeline.frames`, wrapped in a
+/// `frame` span.
+struct FrameStage {
+    tracer: Tracer,
+    frame_hist: Histogram,
+    frames_counter: Counter,
+}
+
+impl FrameStage {
+    fn of(detector: &Detector) -> Self {
+        let obs = detector.network().observability();
+        FrameStage {
+            tracer: detector.network().tracing().clone(),
+            frame_hist: obs.histogram("pipeline.frame"),
+            frames_counter: obs.counter("pipeline.frames"),
+        }
+    }
+
+    fn process(
+        &self,
+        detector: &mut Detector,
+        frame_index: usize,
+        frame: &Tensor,
+    ) -> Result<FrameResult> {
+        let frame_id = frame_index as u64;
+        let t0 = Instant::now();
+        let frame_span = self.tracer.frame_span("frame", frame_id);
+        let span = self.frame_hist.start();
+        let detections = detector.detect(frame)?;
+        span.stop();
+        drop(frame_span);
+        self.frames_counter.inc();
+        Ok(FrameResult {
+            frame_index,
+            frame_id,
+            detections,
+            latency: t0.elapsed(),
+        })
+    }
+}
+
 impl VideoPipeline {
-    /// Processes every frame of `frames` through `detector` synchronously.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first detector error.
-    pub fn run(
-        detector: &mut Detector,
-        frames: impl IntoIterator<Item = Tensor>,
-    ) -> Result<PipelineReport> {
-        Self::run_observed(detector, frames, &Registry::noop())
-    }
-
-    /// Synchronous mode with telemetry: frame acquisition (the iterator's
-    /// `next()`, standing in for camera readout + preprocessing) is timed
-    /// into `pipeline.preprocess`, each detector pass into `pipeline.frame`,
-    /// and processed frames counted into `pipeline.frames`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first detector error.
-    pub fn run_observed(
-        detector: &mut Detector,
-        frames: impl IntoIterator<Item = Tensor>,
-        obs: &Registry,
-    ) -> Result<PipelineReport> {
-        Self::run_source_observed(detector, IterSource::new(frames), obs)
-    }
-
-    /// Synchronous strict mode over any [`FrameSource`] (a camera, the
-    /// synthetic scene generator, a fault-injection wrapper, ...).
+    /// Processes every frame of `source` through `detector` synchronously.
+    /// Frame acquisition (the source's `next_frame()`, standing in for
+    /// camera readout + preprocessing) is timed into `pipeline.preprocess`.
     ///
     /// # Errors
     ///
     /// Propagates the first acquisition or detector error. For fault
     /// tolerance instead of fail-fast semantics, use
     /// [`crate::Supervisor`].
-    pub fn run_source(detector: &mut Detector, source: impl FrameSource) -> Result<PipelineReport> {
-        Self::run_source_observed(detector, source, &Registry::noop())
-    }
-
-    /// [`VideoPipeline::run_source`] with telemetry, recording the same
-    /// metrics as [`VideoPipeline::run_observed`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first acquisition or detector error.
-    pub fn run_source_observed(
-        detector: &mut Detector,
-        source: impl FrameSource,
-        obs: &Registry,
-    ) -> Result<PipelineReport> {
-        Self::run_source_traced(detector, source, obs, &Tracer::noop())
-    }
-
-    /// [`VideoPipeline::run_source_observed`] plus the flight recorder:
-    /// each frame's trace context is set to its arrival index, a `frame`
-    /// span wraps the detector pass (the detector's own stage and
-    /// per-layer spans nest inside it), and a `camera.frame` instant marks
-    /// acquisition — so a [`dronet_obs::ChromeTrace`] export shows
-    /// camera → frame → stage → layer per frame id.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first acquisition or detector error.
-    pub fn run_source_traced(
-        detector: &mut Detector,
-        mut source: impl FrameSource,
-        obs: &Registry,
-        tracer: &Tracer,
-    ) -> Result<PipelineReport> {
-        let preprocess = obs.histogram("pipeline.preprocess");
-        let frame_hist = obs.histogram("pipeline.frame");
-        let frames_counter = obs.counter("pipeline.frames");
+    pub fn run(detector: &mut Detector, mut source: impl FrameSource) -> Result<PipelineReport> {
+        let stage = FrameStage::of(detector);
+        let preprocess = detector
+            .network()
+            .observability()
+            .histogram("pipeline.preprocess");
         let mut report = PipelineReport::default();
         for frame_index in 0.. {
-            let frame_id = frame_index as u64;
-            tracer.set_frame(frame_id);
+            stage.tracer.set_frame(frame_index as u64);
             let acquire = preprocess.start();
             let Some(item) = source.next_frame() else {
                 acquire.cancel();
                 break;
             };
             acquire.stop();
-            tracer.instant("camera.frame");
-            let frame = item?;
-            let t0 = Instant::now();
-            let frame_span = tracer.frame_span("frame", frame_id);
-            let span = frame_hist.start();
-            let detections = detector.detect(&frame)?;
-            span.stop();
-            drop(frame_span);
-            frames_counter.inc();
-            report.frames.push(FrameResult {
-                frame_index,
-                frame_id,
-                detections,
-                latency: t0.elapsed(),
-            });
+            stage.tracer.instant("camera.frame");
+            report
+                .frames
+                .push(stage.process(detector, frame_index, &item?)?);
         }
         Ok(report)
     }
 
-    /// Threaded latest-frame mode: a producer thread pushes frames into a
+    /// Threaded latest-frame mode: the camera pump pushes frames into a
     /// single-slot buffer as fast as it can; the detector always takes the
     /// newest available frame, and frames that arrive while it is busy are
-    /// counted as dropped.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first detector error; the producer thread is joined
-    /// either way.
-    pub fn run_threaded(
-        detector: &mut Detector,
-        frames: impl IntoIterator<Item = Tensor> + Send,
-    ) -> Result<PipelineReport> {
-        Self::run_threaded_observed(detector, frames, &Registry::noop())
-    }
-
-    /// Threaded mode with telemetry: in addition to the synchronous-mode
-    /// metrics, the producer records frame acquisition into
-    /// `pipeline.preprocess`, dropped frames into `pipeline.dropped`, and
-    /// the consumer mirrors buffer occupancy in `pipeline.queue_depth`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first detector error; the producer thread is joined
-    /// either way.
-    pub fn run_threaded_observed(
-        detector: &mut Detector,
-        frames: impl IntoIterator<Item = Tensor> + Send,
-        obs: &Registry,
-    ) -> Result<PipelineReport> {
-        // The source is built *inside* the producer thread: the
-        // IntoIterator is Send but its iterator need not be.
-        Self::run_source_threaded_impl(
-            detector,
-            move || IterSource::new(frames),
-            obs,
-            &Tracer::noop(),
-        )
-    }
-
-    /// Threaded latest-frame mode over any [`FrameSource`].
+    /// dropped, counted, and listed by id in the report.
     ///
     /// # Errors
     ///
     /// Propagates the first acquisition or detector error; a panicking
-    /// source surfaces as [`DetectError::StageFailed`] rather than
-    /// poisoning the join.
-    pub fn run_source_threaded(
+    /// source surfaces as [`DetectError::StageFailed`]. The producer thread
+    /// is joined either way.
+    pub fn run_threaded(
         detector: &mut Detector,
-        source: impl FrameSource + Send,
+        source: impl FrameSource + Send + 'static,
     ) -> Result<PipelineReport> {
-        Self::run_source_threaded_observed(detector, source, &Registry::noop())
-    }
-
-    /// [`VideoPipeline::run_source_threaded`] with telemetry, recording the
-    /// same metrics as [`VideoPipeline::run_threaded_observed`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first acquisition or detector error.
-    pub fn run_source_threaded_observed(
-        detector: &mut Detector,
-        source: impl FrameSource + Send,
-        obs: &Registry,
-    ) -> Result<PipelineReport> {
-        Self::run_source_threaded_impl(detector, move || source, obs, &Tracer::noop())
-    }
-
-    /// [`VideoPipeline::run_source_threaded_observed`] plus the flight
-    /// recorder. The producer thread writes `camera.frame` / `camera.drop`
-    /// instants under each frame's id (on its own ring shard), the
-    /// consumer wraps each detector pass in a `frame` span, and the report
-    /// lists exactly which ids the single-slot buffer dropped.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first acquisition or detector error.
-    pub fn run_source_threaded_traced(
-        detector: &mut Detector,
-        source: impl FrameSource + Send,
-        obs: &Registry,
-        tracer: &Tracer,
-    ) -> Result<PipelineReport> {
-        Self::run_source_threaded_impl(detector, move || source, obs, tracer)
-    }
-
-    fn run_source_threaded_impl<S: FrameSource>(
-        detector: &mut Detector,
-        make_source: impl FnOnce() -> S + Send,
-        obs: &Registry,
-        tracer: &Tracer,
-    ) -> Result<PipelineReport> {
-        let preprocess = obs.histogram("pipeline.preprocess");
-        let frame_hist = obs.histogram("pipeline.frame");
-        let frames_counter = obs.counter("pipeline.frames");
-        let dropped_counter = obs.counter("pipeline.dropped");
-        let queue_depth = obs.gauge("pipeline.queue_depth");
-
+        let stage = FrameStage::of(detector);
+        let pump = CameraPump::spawn(source, detector.network().observability(), &stage.tracer);
         let mut report = PipelineReport::default();
-        let mut first_error = None;
-        let dropped = AtomicUsize::new(0);
-        // Exact drop list, filled only on the (cold) buffer-full path.
-        let dropped_ids = Mutex::new(Vec::new());
-        std::thread::scope(|s| {
-            // Single-slot camera buffer, as in the paper's deployment: a
-            // frame arriving while the detector is still busy with the
-            // buffered one is lost.
-            let (tx, rx) = sync_channel::<(usize, Result<Tensor>)>(1);
-            let dropped_ref = &dropped;
-            let dropped_ids_ref = &dropped_ids;
-            let producer = s.spawn({
-                let preprocess = preprocess.clone();
-                let dropped_counter = dropped_counter.clone();
-                let queue_depth = queue_depth.clone();
-                let tracer = tracer.clone();
-                move || {
-                    let mut source = make_source();
-                    for i in 0.. {
-                        let acquire = preprocess.start();
-                        let Some(item) = source.next_frame() else {
-                            acquire.cancel();
-                            break;
-                        };
-                        acquire.stop();
-                        let frame_id = i as u64;
-                        match item {
-                            Ok(frame) => match tx.try_send((i, Ok(frame))) {
-                                Ok(()) => {
-                                    queue_depth.add(1.0);
-                                    tracer.instant_frame("camera.frame", frame_id);
-                                }
-                                Err(TrySendError::Full(_)) => {
-                                    dropped_ref.fetch_add(1, Ordering::Relaxed);
-                                    dropped_counter.inc();
-                                    tracer.instant_frame("camera.drop", frame_id);
-                                    dropped_ids_ref
-                                        .lock()
-                                        .expect("drop list lock poisoned")
-                                        .push(frame_id);
-                                }
-                                Err(TrySendError::Disconnected(_)) => break,
-                            },
-                            // Acquisition errors abort strict mode: block
-                            // until the consumer sees this one, never drop it.
-                            Err(e) => {
-                                if tx.send((i, Err(e))).is_err() {
-                                    break;
-                                }
-                                queue_depth.add(1.0);
-                            }
-                        }
-                    }
-                    // tx drops here, closing the stream.
+        let mut outcome = Ok(());
+        while let Ok(item) = pump.recv(None) {
+            let result = match item {
+                Pumped::Item(index, item) => {
+                    item.and_then(|frame| stage.process(detector, index, &frame))
                 }
-            });
-            for (frame_index, item) in rx.iter() {
-                queue_depth.sub(1.0);
-                let frame = match item {
-                    Ok(frame) => frame,
-                    Err(e) => {
-                        first_error = Some(e);
-                        break;
-                    }
-                };
-                let frame_id = frame_index as u64;
-                let t0 = Instant::now();
-                let frame_span = tracer.frame_span("frame", frame_id);
-                let span = frame_hist.start();
-                match detector.detect(&frame) {
-                    Ok(detections) => {
-                        span.stop();
-                        drop(frame_span);
-                        frames_counter.inc();
-                        report.frames.push(FrameResult {
-                            frame_index,
-                            frame_id,
-                            detections,
-                            latency: t0.elapsed(),
-                        });
-                    }
-                    Err(e) => {
-                        first_error = Some(e);
-                        break;
-                    }
-                }
-            }
-            // On error the loop exits with the channel still open: drop the
-            // receiver so the producer sees Disconnected and terminates,
-            // then join it before reading the drop count. A panicking
-            // source becomes a typed error instead of a pipeline panic.
-            drop(rx);
-            if let Err(payload) = producer.join() {
-                first_error.get_or_insert(DetectError::StageFailed {
+                Pumped::Crashed(msg) => Err(DetectError::StageFailed {
                     stage: "source",
-                    msg: panic_payload_message(payload),
-                });
+                    msg,
+                }),
+            };
+            match result {
+                Ok(frame) => report.frames.push(frame),
+                Err(e) => {
+                    outcome = Err(e);
+                    break;
+                }
             }
-            report.dropped = dropped.load(Ordering::Relaxed);
-        });
-        report.dropped_ids = dropped_ids.into_inner().expect("drop list lock poisoned");
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(report),
         }
+        report.dropped_ids = pump.finish(true);
+        report.dropped = report.dropped_ids.len();
+        outcome.map(|()| report)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DetectorBuilder;
+    use crate::{DetectorBuilder, IterSource};
     use dronet_nn::{Activation, Conv2d, Layer, Network, RegionConfig, RegionLayer};
+    use dronet_obs::Registry;
     use dronet_tensor::Shape;
 
-    fn tiny_detector() -> Detector {
+    fn tiny_network() -> Network {
         let mut net = Network::new(3, 16, 16);
         net.push(Layer::conv(
             Conv2d::new(3, 6, 3, 1, 1, Activation::Leaky, false).unwrap(),
@@ -447,13 +258,19 @@ mod tests {
             })
             .unwrap(),
         ));
-        DetectorBuilder::new(net).build().unwrap()
+        net
     }
 
-    fn frames(n: usize) -> Vec<Tensor> {
-        (0..n)
-            .map(|_| Tensor::zeros(Shape::nchw(1, 3, 16, 16)))
-            .collect()
+    fn tiny_detector() -> Detector {
+        DetectorBuilder::new(tiny_network()).build().unwrap()
+    }
+
+    fn frames(n: usize) -> IterSource<std::vec::IntoIter<Tensor>> {
+        IterSource::new(
+            (0..n)
+                .map(|_| Tensor::zeros(Shape::nchw(1, 3, 16, 16)))
+                .collect::<Vec<_>>(),
+        )
     }
 
     #[test]
@@ -524,9 +341,12 @@ mod tests {
 
     #[test]
     fn observed_sync_run_records_stage_metrics() {
-        let mut det = tiny_detector();
         let obs = Registry::new();
-        let report = VideoPipeline::run_observed(&mut det, frames(4), &obs).unwrap();
+        let mut det = DetectorBuilder::new(tiny_network())
+            .observability(&obs)
+            .build()
+            .unwrap();
+        let report = VideoPipeline::run(&mut det, frames(4)).unwrap();
         assert_eq!(report.processed(), 4);
         let snap = obs.snapshot();
         assert_eq!(snap.counter("pipeline.frames"), Some(4));
@@ -567,14 +387,14 @@ mod tests {
             ok: 2,
             panic_instead: false,
         };
-        let err = VideoPipeline::run_source(&mut det, src).unwrap_err();
+        let err = VideoPipeline::run(&mut det, src).unwrap_err();
         assert!(matches!(err, DetectError::CorruptFrame { .. }));
 
         let src = FaultyTail {
             ok: 2,
             panic_instead: false,
         };
-        let err = VideoPipeline::run_source_threaded(&mut det, src).unwrap_err();
+        let err = VideoPipeline::run_threaded(&mut det, src).unwrap_err();
         assert!(matches!(err, DetectError::CorruptFrame { .. }));
     }
 
@@ -585,7 +405,7 @@ mod tests {
             ok: 1,
             panic_instead: true,
         };
-        let err = VideoPipeline::run_source_threaded(&mut det, src).unwrap_err();
+        let err = VideoPipeline::run_threaded(&mut det, src).unwrap_err();
         match err {
             DetectError::StageFailed { stage, msg } => {
                 assert_eq!(stage, "source");
@@ -619,31 +439,17 @@ mod tests {
     }
 
     fn tiny_traced_detector(tracer: &Tracer) -> Detector {
-        let mut net = Network::new(3, 16, 16);
-        net.push(Layer::conv(
-            Conv2d::new(3, 6, 3, 1, 1, Activation::Leaky, false).unwrap(),
-        ));
-        net.push(Layer::region(
-            RegionLayer::new(RegionConfig {
-                anchors: vec![(1.0, 1.0)],
-                classes: 1,
-            })
-            .unwrap(),
-        ));
-        DetectorBuilder::new(net).tracing(tracer).build().unwrap()
+        DetectorBuilder::new(tiny_network())
+            .tracing(tracer)
+            .build()
+            .unwrap()
     }
 
     #[test]
     fn traced_sync_run_nests_frame_stage_layer() {
         let tracer = Tracer::new();
         let mut detector = tiny_traced_detector(&tracer);
-        let report = VideoPipeline::run_source_traced(
-            &mut detector,
-            IterSource::new(frames(3)),
-            &Registry::noop(),
-            &tracer,
-        )
-        .unwrap();
+        let report = VideoPipeline::run(&mut detector, frames(3)).unwrap();
         assert_eq!(report.processed(), 3);
         let snap = tracer.snapshot();
         for id in 0..3u64 {
@@ -678,13 +484,7 @@ mod tests {
         let tracer = Tracer::new();
         let mut det = tiny_traced_detector(&tracer);
         let n = 25;
-        let report = VideoPipeline::run_source_threaded_traced(
-            &mut det,
-            IterSource::new(frames(n)),
-            &Registry::noop(),
-            &tracer,
-        )
-        .unwrap();
+        let report = VideoPipeline::run_threaded(&mut det, frames(n)).unwrap();
         let snap = tracer.snapshot();
         let drops: Vec<u64> = snap
             .events
@@ -703,10 +503,13 @@ mod tests {
 
     #[test]
     fn observed_threaded_run_accounts_for_drops() {
-        let mut det = tiny_detector();
         let obs = Registry::new();
+        let mut det = DetectorBuilder::new(tiny_network())
+            .observability(&obs)
+            .build()
+            .unwrap();
         let n = 30;
-        let report = VideoPipeline::run_threaded_observed(&mut det, frames(n), &obs).unwrap();
+        let report = VideoPipeline::run_threaded(&mut det, frames(n)).unwrap();
         let snap = obs.snapshot();
         assert_eq!(
             snap.counter("pipeline.frames"),

@@ -5,8 +5,7 @@
 //! The paper's deployment (Fig. 5) is an *unattended* loop on an
 //! Odroid-XU4/RPi3; the plain [`crate::VideoPipeline`] aborts on the first
 //! error, which is the right behaviour for benchmarking and the wrong one
-//! mid-flight. [`Supervisor`] wraps the same producer/consumer structure
-//! with:
+//! mid-flight. [`Supervisor`] runs the same frame loop with:
 //!
 //! * **per-stage watchdogs** — the frame source and the detector each get
 //!   a deadline; a stalled camera is reported (and eventually halts the
@@ -17,58 +16,35 @@
 //! * **bounded retry with exponential backoff** — recoverable frame
 //!   errors ([`DetectError::is_recoverable`]) are retried a configurable
 //!   number of times before the frame is skipped,
-//! * **a health-state machine** — `Healthy → Degraded → Halted`,
-//!   exported as the `supervisor.health` gauge (0/1/2) through the obs
-//!   registry, with recovery back to `Healthy` after a clean streak,
+//! * **a health-state machine** — the workspace's one
+//!   `Healthy → Degraded → Halted` ratchet ([`dronet_obs::HealthCell`]),
+//!   exported as the `supervisor.health` gauge (0/1/2), with recovery back
+//!   to `Healthy` after a clean streak,
 //! * **graceful degradation** — an optional [`DegradeController`]
 //!   watches the queue-depth gauge and drop counter and walks the
 //!   detector down (and back up) the paper's 352–608 resolution ladder.
+//!
+//! There is one implementation of that policy (the private `supervise`)
+//! and two executors under it, which differ only in how a frame is fetched
+//! and how a stage call is executed: [`Supervisor::run`] fetches through
+//! the camera pump and calls the stage on a worker thread it can abandon
+//! at the deadline; [`Supervisor::run_sync`] does both inline, so nothing
+//! is pre-empted and the fault ledger is deterministic.
 
 use crate::degrade::{DegradeAction, DegradeController};
 use crate::detector::DetectStage;
-use crate::error::panic_payload_message as panic_message;
-use crate::pipeline::FrameResult;
+use crate::error::panic_payload_message;
+use crate::pipeline::{estimated_drops, FrameResult};
+use crate::pump::{CameraPump, Pumped};
 use crate::source::{conform_frame, FrameSource};
 use crate::{DetectError, Detection, Result};
-use dronet_obs::{Counter, Gauge, Histogram, Registry, TraceEvent, Tracer};
+use dronet_obs::{BlackBox, Counter, HealthCell, Histogram, Registry, Tracer};
 use dronet_tensor::Tensor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{
-    channel, sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError,
-};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::time::{Duration, Instant};
 
-/// Health of the supervised pipeline, exported as the `supervisor.health`
-/// gauge (`Healthy` = 0, `Degraded` = 1, `Halted` = 2).
-///
-/// Transitions: any fault, retry, restart or downshift moves `Healthy →
-/// Degraded`; a configurable streak of clean frames moves `Degraded →
-/// Healthy`; exhausting the restart budget or the camera-stall budget
-/// moves to the terminal `Halted`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Health {
-    /// Everything nominal.
-    #[default]
-    Healthy,
-    /// Running, but faults were observed recently or resolution is
-    /// downshifted; the pipeline is still producing detections.
-    Degraded,
-    /// The supervisor gave up: fault budgets exhausted. Terminal.
-    Halted,
-}
-
-impl Health {
-    /// The gauge encoding of this state.
-    pub fn as_metric(self) -> f64 {
-        match self {
-            Health::Healthy => 0.0,
-            Health::Degraded => 1.0,
-            Health::Halted => 2.0,
-        }
-    }
-}
+pub use dronet_obs::Health;
 
 /// One fault the supervisor observed and survived (or halted on).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,10 +82,6 @@ pub struct SupervisorConfig {
     /// overload (drops) from per-frame latency, since a synchronous run
     /// never physically drops frames.
     pub camera_fps: Option<f64>,
-    /// How many trailing flight-recorder events the black box dumps into
-    /// the report when a stage fails, a watchdog trips, or the run halts
-    /// (only with a live tracer attached via [`Supervisor::tracing`]).
-    pub black_box_events: usize,
 }
 
 impl Default for SupervisorConfig {
@@ -124,50 +96,7 @@ impl Default for SupervisorConfig {
             recovery_frames: 8,
             initial_input: 416,
             camera_fps: None,
-            black_box_events: 64,
         }
-    }
-}
-
-/// Flight-recorder excerpt captured automatically when the supervisor saw
-/// a failure: the crash black box.
-///
-/// Holds the most recent capture of a run (later failures overwrite
-/// earlier ones — the events leading up to the *final* failure are the
-/// ones a post-mortem needs). Empty `events` never happens for a live
-/// tracer: the capture sites all fire after at least one span was opened.
-#[derive(Debug, Clone, Default)]
-pub struct BlackBoxDump {
-    /// What tripped the capture (the failure's display form).
-    pub trigger: String,
-    /// The frame the failure is attributed to, when known.
-    pub frame_id: Option<u64>,
-    /// The last [`SupervisorConfig::black_box_events`] events at capture
-    /// time, sequence-ordered (oldest first).
-    pub events: Vec<TraceEvent>,
-}
-
-impl BlackBoxDump {
-    /// Renders the dump as a plain-text timeline for logs and reports.
-    pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "black box: {} (frame {:?}), {} events",
-            self.trigger,
-            self.frame_id,
-            self.events.len()
-        );
-        out.push_str(
-            &dronet_obs::TraceSnapshot {
-                events: self.events.clone(),
-                dropped: 0,
-                thread_names: Vec::new(),
-            }
-            .to_text(),
-        );
-        out
     }
 }
 
@@ -179,16 +108,20 @@ pub struct SupervisorReport {
     pub frames: Vec<FrameResult>,
     /// Frames dropped at the camera buffer (threaded mode).
     pub dropped: usize,
+    /// Frame ids of the dropped frames, in drop order; always `dropped`
+    /// entries long.
+    pub dropped_ids: Vec<u64>,
     /// Frames consumed but abandoned after faults exhausted their retries.
     pub skipped: usize,
-    /// Frame ids of the skipped frames, in occurrence order. Exact in
-    /// [`Supervisor::run_sync`]; empty in threaded mode, where only the
-    /// count is tracked (the worker owns the indices mid-flight).
+    /// Frame ids of the skipped frames, in occurrence order; always
+    /// `skipped` entries long.
     pub skipped_ids: Vec<u64>,
-    /// Crash black box: flight-recorder excerpt from the most recent stage
-    /// failure, watchdog trip, or halt. `None` when the run was clean or
-    /// no tracer was attached via [`Supervisor::tracing`].
-    pub black_box: Option<BlackBoxDump>,
+    /// Crash black box: the flight recorder's tail at the most recent stage
+    /// failure, watchdog trip, or halt (later captures overwrite earlier
+    /// ones — the events leading up to the *final* failure are the ones a
+    /// post-mortem reads). `None` when the run was clean or no tracer was
+    /// attached via [`Supervisor::tracing`].
+    pub black_box: Option<BlackBox>,
     /// Every fault observed, in occurrence order.
     pub faults: Vec<FaultEvent>,
     /// Detector stage restarts (panics, hangs, unexpected exits).
@@ -240,75 +173,13 @@ pub struct Supervisor {
     tracer: Tracer,
 }
 
-enum SourceItem {
-    Frame(usize, Tensor),
-    Error(usize, DetectError),
-    Crashed(String),
-}
-
-enum WorkerReply {
-    Done {
-        result: Result<Vec<Detection>>,
-        elapsed: Duration,
-    },
-    Panicked {
-        msg: String,
-    },
-}
-
-struct Worker {
-    work_tx: SyncSender<(usize, Tensor)>,
-    reply_rx: Receiver<WorkerReply>,
-}
-
-/// Moves `stage` onto its own thread. The thread exits when the work
-/// channel closes (orderly shutdown or abandonment after a hang) or after
-/// reporting a panic, since a stage that unwound mid-frame cannot be
-/// trusted with another one.
-fn spawn_stage(mut stage: Box<dyn DetectStage>, tracer: Tracer) -> Worker {
-    let (work_tx, work_rx) = sync_channel::<(usize, Tensor)>(1);
-    let (reply_tx, reply_rx) = channel();
-    std::thread::spawn(move || {
-        while let Ok((index, frame)) = work_rx.recv() {
-            tracer.set_frame(index as u64);
-            let span = tracer.frame_span("frame", index as u64);
-            let t0 = Instant::now();
-            let outcome = catch_unwind(AssertUnwindSafe(|| stage.detect_frame(&frame)));
-            match outcome {
-                Ok(result) => {
-                    drop(span);
-                    let reply = WorkerReply::Done {
-                        result,
-                        elapsed: t0.elapsed(),
-                    };
-                    if reply_tx.send(reply).is_err() {
-                        return; // supervisor abandoned this worker
-                    }
-                }
-                Err(payload) => {
-                    // Leave the frame span open in the ring: the dangling
-                    // begin is the black box's crash evidence.
-                    span.cancel();
-                    let _ = reply_tx.send(WorkerReply::Panicked {
-                        msg: panic_message(payload),
-                    });
-                    return;
-                }
-            }
-        }
-    });
-    Worker { work_tx, reply_rx }
-}
-
-/// Health/fault bookkeeping shared by the threaded and sync run modes.
+/// Health/fault bookkeeping of one run.
 struct Monitor {
     report: SupervisorReport,
-    health: Health,
+    health: HealthCell,
     clean_streak: u32,
     recovery_frames: u32,
     tracer: Tracer,
-    black_box_events: usize,
-    health_gauge: Gauge,
     faults_counter: Counter,
     retries_counter: Counter,
     restarts_counter: Counter,
@@ -317,26 +188,16 @@ struct Monitor {
 }
 
 impl Monitor {
-    fn new(
-        obs: &Registry,
-        recovery_frames: u32,
-        initial_input: usize,
-        tracer: &Tracer,
-        black_box_events: usize,
-    ) -> Self {
-        let health_gauge = obs.gauge("supervisor.health");
-        health_gauge.set(Health::Healthy.as_metric());
+    fn new(obs: &Registry, recovery_frames: u32, initial_input: usize, tracer: &Tracer) -> Self {
         Monitor {
             report: SupervisorReport {
                 resolution_history: vec![initial_input],
                 ..SupervisorReport::default()
             },
-            health: Health::Healthy,
+            health: HealthCell::new(obs.gauge("supervisor.health")),
             clean_streak: 0,
             recovery_frames,
             tracer: tracer.clone(),
-            black_box_events,
-            health_gauge,
             faults_counter: obs.counter("supervisor.faults"),
             retries_counter: obs.counter("supervisor.retries"),
             restarts_counter: obs.counter("supervisor.restarts"),
@@ -347,10 +208,7 @@ impl Monitor {
 
     fn mark_degraded(&mut self) {
         self.clean_streak = 0;
-        if self.health == Health::Healthy {
-            self.health = Health::Degraded;
-            self.health_gauge.set(self.health.as_metric());
-        }
+        self.health.degrade();
     }
 
     fn fault(&mut self, frame_index: Option<usize>, stage: &'static str, description: String) {
@@ -378,6 +236,15 @@ impl Monitor {
         );
     }
 
+    /// The source panicked: a fault, after which nothing more will arrive.
+    fn source_crashed(&mut self, msg: String) {
+        let e = DetectError::StageFailed {
+            stage: "source",
+            msg,
+        };
+        self.fault(None, "source", e.to_string());
+    }
+
     fn retry(&mut self) {
         self.report.retries += 1;
         self.retries_counter.inc();
@@ -390,35 +257,23 @@ impl Monitor {
         self.mark_degraded();
     }
 
-    fn skipped(&mut self, frame_id: Option<u64>) {
+    fn skipped(&mut self, index: usize) {
         self.report.skipped += 1;
-        if let Some(id) = frame_id {
-            self.report.skipped_ids.push(id);
-        }
+        self.report.skipped_ids.push(index as u64);
         self.skipped_counter.inc();
     }
 
-    /// Dumps the flight recorder's tail into the report. Later captures
-    /// overwrite earlier ones: the events leading up to the *final*
-    /// failure are the ones a post-mortem reads.
-    fn black_box(&mut self, trigger: &str, frame_id: Option<u64>) {
-        if !self.tracer.is_enabled() {
-            return;
+    fn black_box(&mut self, trigger: &str, frame_ids: &[u64]) {
+        if self.tracer.is_enabled() {
+            self.report.black_box = Some(BlackBox::capture(&self.tracer, trigger, frame_ids));
         }
-        let snapshot = self.tracer.snapshot();
-        self.report.black_box = Some(BlackBoxDump {
-            trigger: trigger.to_string(),
-            frame_id,
-            events: snapshot.tail(self.black_box_events).to_vec(),
-        });
     }
 
     fn clean_frame(&mut self) {
-        if self.health == Health::Degraded {
+        if self.health.get() == Health::Degraded {
             self.clean_streak += 1;
             if self.clean_streak >= self.recovery_frames {
-                self.health = Health::Healthy;
-                self.health_gauge.set(self.health.as_metric());
+                self.health.recover();
             }
         }
     }
@@ -426,15 +281,19 @@ impl Monitor {
     fn halt(&mut self, reason: String) {
         // Keep an earlier capture's frame attribution if the halt itself
         // has none (e.g. restart budget exhausted after a frame's panic).
-        let frame_id = self.report.black_box.as_ref().and_then(|b| b.frame_id);
-        self.black_box(&reason, frame_id);
+        let frame_ids = self
+            .report
+            .black_box
+            .take()
+            .map(|b| b.frame_ids)
+            .unwrap_or_default();
+        self.black_box(&reason, &frame_ids);
         self.fault(None, "supervisor", reason);
-        self.health = Health::Halted;
-        self.health_gauge.set(self.health.as_metric());
+        self.health.halt();
     }
 
     fn finish(mut self) -> SupervisorReport {
-        self.report.final_health = self.health;
+        self.report.final_health = self.health.get();
         self.report
     }
 }
@@ -443,148 +302,239 @@ fn backoff(base: Duration, attempt: u32) -> Duration {
     base.saturating_mul(1u32 << attempt.saturating_sub(1).min(10))
 }
 
-/// How one frame's dispatch ended.
-enum Disposition {
-    Done,
-    Halted,
+/// How one attempt at running the detector stage on a frame ended.
+enum StageCall {
+    /// The stage returned — detections or a typed error — after this long.
+    Returned(Result<Vec<Detection>>, Duration),
+    /// The stage is lost (panicked, hung past its deadline, or gone) and
+    /// must be rebuilt before anything else is dispatched.
+    Lost(DetectError),
 }
 
-/// Mutable state of a threaded run that the dispatch path needs together.
-struct RunState<'a> {
-    factory: &'a mut StageFactory<'a>,
+/// Runs `stage` on one frame inside a `frame` span, under `catch_unwind`.
+/// A panic leaves the span's begin dangling in the ring: it is the black
+/// box's crash evidence.
+fn call_stage(
+    stage: &mut dyn DetectStage,
+    tracer: &Tracer,
+    index: usize,
+    frame: &Tensor,
+) -> StageCall {
+    tracer.set_frame(index as u64);
+    let span = tracer.frame_span("frame", index as u64);
+    let t0 = Instant::now();
+    match catch_unwind(AssertUnwindSafe(|| stage.detect_frame(frame))) {
+        Ok(result) => {
+            let elapsed = t0.elapsed();
+            drop(span);
+            StageCall::Returned(result, elapsed)
+        }
+        Err(payload) => {
+            span.cancel();
+            StageCall::Lost(DetectError::StageFailed {
+                stage: "detect",
+                msg: panic_payload_message(payload),
+            })
+        }
+    }
+}
+
+/// The two things [`Supervisor::run`] and [`Supervisor::run_sync`] do
+/// differently: fetching a frame and executing a stage call.
+trait Executor {
+    /// Pulls the next camera item with its arrival index, recording any
+    /// stall it sat through. `None` ends the run: the stream is over, the
+    /// source crashed (recorded as a fault), or the stall budget ran out
+    /// (recorded as a halt).
+    fn fetch(
+        &mut self,
+        cfg: &SupervisorConfig,
+        monitor: &mut Monitor,
+    ) -> Option<(usize, Result<Tensor>)>;
+
+    /// Replaces the detector stage (after a crash, hang, or resolution
+    /// shift); the previous one is dropped or abandoned.
+    fn install(&mut self, stage: Box<dyn DetectStage>);
+
+    /// Runs the installed stage on one conformed frame.
+    fn call(&mut self, index: usize, frame: &Tensor, cfg: &SupervisorConfig) -> StageCall;
+
+    /// The overload observation for the degradation controller after one
+    /// consumed item: buffer depth and frames lost since the last call.
+    /// `latency` is the item's detector latency when it was processed.
+    fn load(&mut self, cfg: &SupervisorConfig, latency: Option<Duration>) -> (f64, u64);
+
+    /// Ends the run, returning the ids of frames dropped at the camera
+    /// buffer.
+    fn finish(self, halted: bool) -> Vec<u64>;
+}
+
+/// A stage moved onto its own thread. The thread exits when the work
+/// channel closes (orderly shutdown or abandonment after a hang) or after
+/// reporting a panic, since a stage that unwound mid-frame cannot be
+/// trusted with another one.
+struct Worker {
+    work_tx: SyncSender<(usize, Tensor)>,
+    reply_rx: Receiver<StageCall>,
+}
+
+impl Worker {
+    fn spawn(mut stage: Box<dyn DetectStage>, tracer: Tracer) -> Worker {
+        let (work_tx, work_rx) = sync_channel::<(usize, Tensor)>(1);
+        let (reply_tx, reply_rx) = channel();
+        std::thread::spawn(move || {
+            while let Ok((index, frame)) = work_rx.recv() {
+                let reply = call_stage(stage.as_mut(), &tracer, index, &frame);
+                let lost = matches!(reply, StageCall::Lost(_));
+                // A failed send means the supervisor abandoned this worker.
+                if reply_tx.send(reply).is_err() || lost {
+                    return;
+                }
+            }
+        });
+        Worker { work_tx, reply_rx }
+    }
+}
+
+/// [`Supervisor::run`]'s executor: camera on the pump thread, detector on
+/// a worker thread, both watched against pre-emptive deadlines.
+struct Threaded {
+    pump: CameraPump,
     worker: Worker,
-    stage_chw: (usize, usize, usize),
-    current_input: usize,
-    restarts_left: u32,
-    monitor: Monitor,
     tracer: Tracer,
-    frames_counter: Counter,
-    frame_hist: Histogram,
-    input_gauge: Gauge,
+    consecutive_stalls: u32,
+    last_drops: usize,
 }
 
-impl RunState<'_> {
-    /// Rebuilds the detector stage (same resolution) after a crash or
-    /// hang; `false` means the restart budget or the factory failed and
-    /// the run is halted.
-    fn respawn(&mut self) -> bool {
-        self.monitor.restart();
-        if self.restarts_left == 0 {
-            self.monitor
-                .halt("detector stage restart budget exhausted".to_string());
-            return false;
-        }
-        self.restarts_left -= 1;
-        match (self.factory)(self.current_input) {
-            Ok(stage) => {
-                self.stage_chw = stage.input_chw();
-                self.worker = spawn_stage(stage, self.tracer.clone());
-                true
-            }
-            Err(e) => {
-                self.monitor
-                    .halt(format!("detector stage rebuild failed: {e}"));
-                false
-            }
-        }
-    }
-
-    /// Rebuilds the detector stage at a new resolution after a controller
-    /// shift (does not consume the restart budget — this is policy, not
-    /// failure); `false` halts the run.
-    fn reshape(&mut self, input: usize) -> bool {
-        self.current_input = input;
-        self.input_gauge.set(input as f64);
-        self.monitor.report.resolution_history.push(input);
-        match (self.factory)(input) {
-            Ok(stage) => {
-                self.stage_chw = stage.input_chw();
-                self.worker = spawn_stage(stage, self.tracer.clone());
-                true
-            }
-            Err(e) => {
-                self.monitor
-                    .halt(format!("resolution-shift rebuild failed: {e}"));
-                false
-            }
-        }
-    }
-
-    /// Sends one conformed frame to the worker, enforcing the stage
-    /// watchdog and the retry/restart policy.
-    fn dispatch(&mut self, index: usize, frame: &Tensor, cfg: &SupervisorConfig) -> Disposition {
-        let mut attempt = 0u32;
+impl Executor for Threaded {
+    fn fetch(
+        &mut self,
+        cfg: &SupervisorConfig,
+        monitor: &mut Monitor,
+    ) -> Option<(usize, Result<Tensor>)> {
         loop {
-            if self.worker.work_tx.send((index, frame.clone())).is_err() {
-                // Worker gone (panicked on an earlier frame whose reply we
-                // already consumed): restart and re-dispatch.
-                if !self.respawn() {
-                    return Disposition::Halted;
+            match self.pump.recv(Some(cfg.source_timeout)) {
+                Ok(Pumped::Item(index, item)) => {
+                    self.consecutive_stalls = 0;
+                    return Some((index, item));
                 }
-                continue;
-            }
-            let failure = match self.worker.reply_rx.recv_timeout(cfg.stage_timeout) {
-                Ok(WorkerReply::Done {
-                    result: Ok(detections),
-                    elapsed,
-                }) => {
-                    self.frames_counter.inc();
-                    self.frame_hist.record(elapsed);
-                    self.monitor.report.frames.push(FrameResult {
-                        frame_index: index,
-                        frame_id: index as u64,
-                        detections,
-                        latency: elapsed,
-                    });
-                    self.monitor.clean_frame();
-                    return Disposition::Done;
+                Ok(Pumped::Crashed(msg)) => {
+                    monitor.source_crashed(msg);
+                    return None;
                 }
-                Ok(WorkerReply::Done {
-                    result: Err(e),
-                    elapsed: _,
-                }) => {
-                    if e.is_recoverable() && attempt < cfg.max_retries {
-                        attempt += 1;
-                        self.monitor.retry();
-                        std::thread::sleep(backoff(cfg.backoff_base, attempt));
-                        continue;
+                Err(RecvTimeoutError::Disconnected) => return None,
+                Err(RecvTimeoutError::Timeout) => {
+                    self.consecutive_stalls += 1;
+                    monitor.stall(cfg.source_timeout, cfg.source_timeout);
+                    if self.consecutive_stalls > cfg.max_consecutive_stalls {
+                        monitor.halt(format!(
+                            "camera stalled for {} consecutive watchdog periods",
+                            self.consecutive_stalls
+                        ));
+                        return None;
                     }
-                    self.monitor.fault(Some(index), "detect", e.to_string());
-                    self.monitor.skipped(None);
-                    return Disposition::Done;
                 }
-                Ok(WorkerReply::Panicked { msg }) => DetectError::StageFailed {
-                    stage: "detect",
-                    msg,
-                },
-                Err(RecvTimeoutError::Timeout) => DetectError::Timeout {
-                    stage: "detect",
-                    elapsed: cfg.stage_timeout,
-                    limit: cfg.stage_timeout,
-                },
-                Err(RecvTimeoutError::Disconnected) => DetectError::StageFailed {
-                    stage: "detect",
-                    msg: "detector stage terminated without replying".to_string(),
-                },
-            };
-            // Panic / hang / unexpected exit: isolate, restart, maybe
-            // retry. The black box is captured before the restart so the
-            // dump ends at the failing frame's events.
-            let description = failure.to_string();
-            self.monitor
-                .fault(Some(index), "detect", description.clone());
-            self.monitor.black_box(&description, Some(index as u64));
-            if !self.respawn() {
-                return Disposition::Halted;
-            }
-            if attempt < cfg.max_retries {
-                attempt += 1;
-                self.monitor.retry();
-            } else {
-                self.monitor.skipped(None);
-                return Disposition::Done;
             }
         }
+    }
+
+    fn install(&mut self, stage: Box<dyn DetectStage>) {
+        self.worker = Worker::spawn(stage, self.tracer.clone());
+    }
+
+    fn call(&mut self, index: usize, frame: &Tensor, cfg: &SupervisorConfig) -> StageCall {
+        let gone = || {
+            StageCall::Lost(DetectError::StageFailed {
+                stage: "detect",
+                msg: "detector stage terminated without replying".to_string(),
+            })
+        };
+        if self.worker.work_tx.send((index, frame.clone())).is_err() {
+            return gone();
+        }
+        match self.worker.reply_rx.recv_timeout(cfg.stage_timeout) {
+            Ok(reply) => reply,
+            Err(RecvTimeoutError::Timeout) => StageCall::Lost(DetectError::Timeout {
+                stage: "detect",
+                elapsed: cfg.stage_timeout,
+                limit: cfg.stage_timeout,
+            }),
+            Err(RecvTimeoutError::Disconnected) => gone(),
+        }
+    }
+
+    fn load(&mut self, _: &SupervisorConfig, _: Option<Duration>) -> (f64, u64) {
+        let drops = self.pump.drops();
+        let delta = drops - self.last_drops;
+        self.last_drops = drops;
+        (self.pump.queue_depth(), delta as u64)
+    }
+
+    fn finish(self, halted: bool) -> Vec<u64> {
+        // After a clean end the producer already ran to completion: reclaim
+        // it so the drop list is exact. On halt it may be wedged inside the
+        // camera, so it is abandoned instead.
+        self.pump.finish(!halted)
+    }
+}
+
+/// [`Supervisor::run_sync`]'s executor: everything on the calling thread.
+/// Deadlines are checked against measured latency after the fact, so
+/// stalls and slow stages are *recorded* but nothing is abandoned.
+struct Inline<S> {
+    source: S,
+    stage: Box<dyn DetectStage>,
+    next_index: usize,
+    preprocess: Histogram,
+    tracer: Tracer,
+}
+
+impl<S: FrameSource> Executor for Inline<S> {
+    fn fetch(
+        &mut self,
+        cfg: &SupervisorConfig,
+        monitor: &mut Monitor,
+    ) -> Option<(usize, Result<Tensor>)> {
+        let index = self.next_index;
+        self.next_index += 1;
+        self.tracer.set_frame(index as u64);
+        let t0 = Instant::now();
+        let item = match catch_unwind(AssertUnwindSafe(|| self.source.next_frame())) {
+            Ok(item) => item?,
+            Err(payload) => {
+                monitor.source_crashed(panic_payload_message(payload));
+                return None;
+            }
+        };
+        let acquisition = t0.elapsed();
+        self.tracer.instant("camera.frame");
+        self.preprocess.record(acquisition);
+        if acquisition > cfg.source_timeout {
+            monitor.stall(acquisition, cfg.source_timeout);
+        }
+        Some((index, item))
+    }
+
+    fn install(&mut self, stage: Box<dyn DetectStage>) {
+        self.stage = stage;
+    }
+
+    fn call(&mut self, index: usize, frame: &Tensor, _: &SupervisorConfig) -> StageCall {
+        call_stage(self.stage.as_mut(), &self.tracer, index, frame)
+    }
+
+    fn load(&mut self, cfg: &SupervisorConfig, latency: Option<Duration>) -> (f64, u64) {
+        // A synchronous run never drops frames; estimate the overload a
+        // camera at the nominal rate would have caused.
+        let drops = cfg
+            .camera_fps
+            .zip(latency)
+            .map_or(0, |(fps, latency)| estimated_drops(latency, fps));
+        (0.0, drops as u64)
+    }
+
+    fn finish(self, _: bool) -> Vec<u64> {
+        Vec::new()
     }
 }
 
@@ -600,8 +550,8 @@ impl Supervisor {
 
     /// Attaches a flight recorder: every processed frame gets a `frame`
     /// span (on the worker thread in threaded mode), and on stage
-    /// failures, watchdog trips, and halts the last
-    /// [`SupervisorConfig::black_box_events`] events are dumped into
+    /// failures, watchdog trips, and halts the recorder's last
+    /// [`dronet_obs::BLACK_BOX_EVENTS`] events are dumped into
     /// [`SupervisorReport::black_box`].
     pub fn tracing(mut self, tracer: &Tracer) -> Self {
         self.tracer = tracer.clone();
@@ -618,7 +568,7 @@ impl Supervisor {
         self
     }
 
-    /// Runs the supervised pipeline with the camera on a producer thread
+    /// Runs the supervised pipeline with the camera on the pump thread
     /// and the detector stage on a watchdog-monitored worker thread.
     ///
     /// `factory` builds (and rebuilds, after crashes or resolution shifts)
@@ -643,190 +593,13 @@ impl Supervisor {
     where
         S: FrameSource + Send + 'static,
     {
-        let cfg = &self.config;
-        let obs = &self.obs;
-        let mut controller = controller;
-        let current_input = controller
-            .as_ref()
-            .map_or(cfg.initial_input, DegradeController::current);
-        let stage = factory(current_input)?;
-
-        let preprocess = obs.histogram("pipeline.preprocess");
-        let dropped_counter = obs.counter("pipeline.dropped");
-        let queue_depth = obs.gauge("pipeline.queue_depth");
-        let input_gauge = obs.gauge("detect.input_size");
-        let downshift_counter = obs.counter("degrade.downshifts");
-        let upshift_counter = obs.counter("degrade.upshifts");
-        input_gauge.set(current_input as f64);
-
-        let mut state = RunState {
-            stage_chw: stage.input_chw(),
-            worker: spawn_stage(stage, self.tracer.clone()),
-            factory,
-            current_input,
-            restarts_left: cfg.max_restarts,
-            monitor: Monitor::new(
-                obs,
-                cfg.recovery_frames,
-                current_input,
-                &self.tracer,
-                cfg.black_box_events,
-            ),
+        self.supervise(factory, controller, |stage| Threaded {
+            pump: CameraPump::spawn(source, &self.obs, &self.tracer),
+            worker: Worker::spawn(stage, self.tracer.clone()),
             tracer: self.tracer.clone(),
-            frames_counter: obs.counter("pipeline.frames"),
-            frame_hist: obs.histogram("pipeline.frame"),
-            input_gauge,
-        };
-
-        let dropped = Arc::new(AtomicUsize::new(0));
-        let (tx, rx) = sync_channel::<SourceItem>(1);
-        let producer = {
-            let preprocess = preprocess.clone();
-            let dropped_counter = dropped_counter.clone();
-            let queue_depth = queue_depth.clone();
-            let dropped = Arc::clone(&dropped);
-            let tracer = self.tracer.clone();
-            let mut source = source;
-            std::thread::spawn(move || {
-                let mut index = 0usize;
-                loop {
-                    let acquire = preprocess.start();
-                    let item = catch_unwind(AssertUnwindSafe(|| source.next_frame()));
-                    let item = match item {
-                        Ok(Some(item)) => {
-                            acquire.stop();
-                            item
-                        }
-                        Ok(None) => {
-                            acquire.cancel();
-                            break;
-                        }
-                        Err(payload) => {
-                            acquire.cancel();
-                            let _ = tx.send(SourceItem::Crashed(panic_message(payload)));
-                            break;
-                        }
-                    };
-                    match item {
-                        // The single-slot camera buffer of the paper's
-                        // deployment: a frame arriving while the consumer
-                        // is busy is lost.
-                        Ok(frame) => match tx.try_send(SourceItem::Frame(index, frame)) {
-                            Ok(()) => {
-                                tracer.instant_frame("camera.frame", index as u64);
-                                queue_depth.add(1.0);
-                            }
-                            Err(TrySendError::Full(_)) => {
-                                tracer.instant_frame("camera.drop", index as u64);
-                                dropped.fetch_add(1, Ordering::Relaxed);
-                                dropped_counter.inc();
-                            }
-                            Err(TrySendError::Disconnected(_)) => break,
-                        },
-                        // Acquisition failures are never silently dropped:
-                        // block so the fault ledger stays exact.
-                        Err(e) => {
-                            if tx.send(SourceItem::Error(index, e)).is_err() {
-                                break;
-                            }
-                            queue_depth.add(1.0);
-                        }
-                    }
-                    index += 1;
-                }
-            })
-        };
-
-        let mut consecutive_stalls = 0u32;
-        let mut last_drops = 0usize;
-        let mut clean_end = false;
-        loop {
-            let item = match rx.recv_timeout(cfg.source_timeout) {
-                Ok(item) => {
-                    consecutive_stalls = 0;
-                    item
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    consecutive_stalls += 1;
-                    state.monitor.stall(cfg.source_timeout, cfg.source_timeout);
-                    if consecutive_stalls > cfg.max_consecutive_stalls {
-                        state.monitor.halt(format!(
-                            "camera stalled for {consecutive_stalls} consecutive watchdog periods"
-                        ));
-                        break;
-                    }
-                    continue;
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    clean_end = true;
-                    break;
-                }
-            };
-            match item {
-                SourceItem::Crashed(msg) => {
-                    let e = DetectError::StageFailed {
-                        stage: "source",
-                        msg,
-                    };
-                    state.monitor.fault(None, "source", e.to_string());
-                    // The producer is gone; nothing more will arrive.
-                    clean_end = true;
-                    break;
-                }
-                SourceItem::Error(index, e) => {
-                    queue_depth.sub(1.0);
-                    state.monitor.fault(Some(index), "source", e.to_string());
-                    state.monitor.skipped(None);
-                }
-                SourceItem::Frame(index, frame) => {
-                    queue_depth.sub(1.0);
-                    match conform_frame(frame, state.stage_chw, index) {
-                        Err(e) => {
-                            state.monitor.fault(Some(index), "source", e.to_string());
-                            state.monitor.skipped(None);
-                        }
-                        Ok(frame) => {
-                            if let Disposition::Halted = state.dispatch(index, &frame, cfg) {
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            // Feed the degradation controller one observation per consumed
-            // item, then apply any resolution shift it requests.
-            let drops_now = dropped.load(Ordering::Relaxed);
-            let delta = (drops_now - last_drops) as u64;
-            last_drops = drops_now;
-            if let Some(ctrl) = controller.as_mut() {
-                if let Some(action) = ctrl.observe_frame(queue_depth.get(), delta) {
-                    match action {
-                        DegradeAction::Downshift(_) => {
-                            state.monitor.report.downshifts += 1;
-                            downshift_counter.inc();
-                            state.monitor.mark_degraded();
-                        }
-                        DegradeAction::Upshift(_) => {
-                            state.monitor.report.upshifts += 1;
-                            upshift_counter.inc();
-                        }
-                    }
-                    if !state.reshape(action.target()) {
-                        break;
-                    }
-                }
-            }
-        }
-        if clean_end {
-            // The producer already ran to completion; reclaim it so the
-            // final drop count is exact. (On halt it is abandoned instead:
-            // it exits on its next send against the closed channel.)
-            let _ = producer.join();
-        }
-        drop(rx);
-        let mut report = state.monitor.finish();
-        report.dropped = dropped.load(Ordering::Relaxed);
-        Ok(report)
+            consecutive_stalls: 0,
+            last_drops: 0,
+        })
     }
 
     /// Single-threaded supervised run: same fault handling (panic
@@ -844,19 +617,35 @@ impl Supervisor {
     /// Returns an error only when the initial stage construction fails.
     pub fn run_sync(
         &self,
-        mut source: impl FrameSource,
+        source: impl FrameSource,
+        factory: &mut StageFactory<'_>,
+        controller: Option<DegradeController>,
+    ) -> Result<SupervisorReport> {
+        self.supervise(factory, controller, |stage| Inline {
+            source,
+            stage,
+            next_index: 0,
+            preprocess: self.obs.histogram("pipeline.preprocess"),
+            tracer: self.tracer.clone(),
+        })
+    }
+
+    /// The frame loop and its fault policy, over either executor.
+    fn supervise<E: Executor>(
+        &self,
         factory: &mut StageFactory<'_>,
         mut controller: Option<DegradeController>,
+        make_executor: impl FnOnce(Box<dyn DetectStage>) -> E,
     ) -> Result<SupervisorReport> {
         let cfg = &self.config;
         let obs = &self.obs;
         let mut current_input = controller
             .as_ref()
             .map_or(cfg.initial_input, DegradeController::current);
-        let mut stage = factory(current_input)?;
+        let stage = factory(current_input)?;
         let mut stage_chw = stage.input_chw();
+        let mut exec = make_executor(stage);
 
-        let preprocess = obs.histogram("pipeline.preprocess");
         let frame_hist = obs.histogram("pipeline.frame");
         let frames_counter = obs.counter("pipeline.frames");
         let input_gauge = obs.gauge("detect.input_size");
@@ -864,67 +653,51 @@ impl Supervisor {
         let upshift_counter = obs.counter("degrade.upshifts");
         input_gauge.set(current_input as f64);
 
-        let tracer = &self.tracer;
-        let mut monitor = Monitor::new(
-            obs,
-            cfg.recovery_frames,
-            current_input,
-            tracer,
-            cfg.black_box_events,
-        );
+        let mut monitor = Monitor::new(obs, cfg.recovery_frames, current_input, &self.tracer);
         let mut restarts_left = cfg.max_restarts;
-        let mut index = 0usize;
-        'stream: loop {
-            tracer.set_frame(index as u64);
-            let t0 = Instant::now();
-            let item = match catch_unwind(AssertUnwindSafe(|| source.next_frame())) {
-                Ok(item) => item,
-                Err(payload) => {
-                    let e = DetectError::StageFailed {
-                        stage: "source",
-                        msg: panic_message(payload),
-                    };
-                    monitor.fault(None, "source", e.to_string());
-                    break;
-                }
-            };
-            let acquisition = t0.elapsed();
-            let Some(item) = item else { break };
-            tracer.instant("camera.frame");
-            preprocess.record(acquisition);
-            if acquisition > cfg.source_timeout {
-                monitor.stall(acquisition, cfg.source_timeout);
+        // Builds a stage at `input` and installs it; a factory failure
+        // halts the run.
+        let mut rebuild = |exec: &mut E,
+                           monitor: &mut Monitor,
+                           stage_chw: &mut (usize, usize, usize),
+                           input: usize,
+                           what: &str| match factory(input) {
+            Ok(stage) => {
+                *stage_chw = stage.input_chw();
+                exec.install(stage);
+                true
             }
-            let mut frame_latency = None;
+            Err(e) => {
+                monitor.halt(format!("{what} rebuild failed: {e}"));
+                false
+            }
+        };
+
+        // Every exit from this loop other than the end of the stream goes
+        // through `monitor.halt`.
+        'stream: while let Some((index, item)) = exec.fetch(cfg, &mut monitor) {
+            let mut latency = None;
             match item.and_then(|frame| conform_frame(frame, stage_chw, index)) {
                 Err(e) => {
                     monitor.fault(Some(index), "source", e.to_string());
-                    monitor.skipped(Some(index as u64));
+                    monitor.skipped(index);
                 }
                 Ok(frame) => {
                     let mut attempt = 0u32;
                     loop {
-                        let span = tracer.frame_span("frame", index as u64);
-                        let t0 = Instant::now();
-                        let outcome = catch_unwind(AssertUnwindSafe(|| stage.detect_frame(&frame)));
-                        let elapsed = t0.elapsed();
-                        match outcome {
-                            Ok(Ok(detections)) => {
+                        let lost = match exec.call(index, &frame, cfg) {
+                            StageCall::Returned(Ok(detections), elapsed) => {
                                 if elapsed > cfg.stage_timeout {
-                                    monitor.fault(
-                                        Some(index),
-                                        "detect",
-                                        DetectError::Timeout {
-                                            stage: "detect",
-                                            elapsed,
-                                            limit: cfg.stage_timeout,
-                                        }
-                                        .to_string(),
-                                    );
+                                    let slow = DetectError::Timeout {
+                                        stage: "detect",
+                                        elapsed,
+                                        limit: cfg.stage_timeout,
+                                    };
+                                    monitor.fault(Some(index), "detect", slow.to_string());
                                 }
                                 frames_counter.inc();
                                 frame_hist.record(elapsed);
-                                frame_latency = Some(elapsed);
+                                latency = Some(elapsed);
                                 monitor.report.frames.push(FrameResult {
                                     frame_index: index,
                                     frame_id: index as u64,
@@ -934,8 +707,7 @@ impl Supervisor {
                                 monitor.clean_frame();
                                 break;
                             }
-                            Ok(Err(e)) => {
-                                span.cancel();
+                            StageCall::Returned(Err(e), _) => {
                                 if e.is_recoverable() && attempt < cfg.max_retries {
                                     attempt += 1;
                                     monitor.retry();
@@ -943,90 +715,80 @@ impl Supervisor {
                                     continue;
                                 }
                                 monitor.fault(Some(index), "detect", e.to_string());
-                                monitor.skipped(Some(index as u64));
+                                monitor.skipped(index);
                                 break;
                             }
-                            Err(payload) => {
-                                let e = DetectError::StageFailed {
-                                    stage: "detect",
-                                    msg: panic_message(payload),
-                                };
-                                let description = e.to_string();
-                                monitor.fault(Some(index), "detect", description.clone());
-                                // Capture while the frame span is still
-                                // open, then leave its begin dangling as
-                                // crash evidence.
-                                monitor.black_box(&description, Some(index as u64));
-                                span.cancel();
-                                monitor.restart();
-                                if restarts_left == 0 {
-                                    monitor.halt(
-                                        "detector stage restart budget exhausted".to_string(),
-                                    );
-                                    break 'stream;
-                                }
-                                restarts_left -= 1;
-                                match factory(current_input) {
-                                    Ok(s) => {
-                                        stage = s;
-                                        stage_chw = stage.input_chw();
-                                    }
-                                    Err(e) => {
-                                        monitor.halt(format!("detector stage rebuild failed: {e}"));
-                                        break 'stream;
-                                    }
-                                }
-                                if attempt < cfg.max_retries {
-                                    attempt += 1;
-                                    monitor.retry();
-                                } else {
-                                    monitor.skipped(Some(index as u64));
-                                    break;
-                                }
-                            }
+                            StageCall::Lost(e) => e,
+                        };
+                        // Panic / hang / unexpected exit: isolate, restart,
+                        // maybe retry. The black box is captured before the
+                        // restart so the dump ends at the failing frame's
+                        // events.
+                        let description = lost.to_string();
+                        monitor.fault(Some(index), "detect", description.clone());
+                        monitor.black_box(&description, &[index as u64]);
+                        monitor.restart();
+                        if restarts_left == 0 {
+                            monitor.halt("detector stage restart budget exhausted".to_string());
+                            break 'stream;
                         }
-                    }
-                }
-            }
-            // Synchronous mode never drops frames; estimate the overload a
-            // camera at the nominal rate would have caused.
-            let estimated_drops = match (cfg.camera_fps, frame_latency) {
-                (Some(fps), Some(latency)) if fps.is_finite() && fps > 0.0 => {
-                    ((latency.as_secs_f64() * fps).ceil() as u64).saturating_sub(1)
-                }
-                _ => 0,
-            };
-            if let Some(ctrl) = controller.as_mut() {
-                if let Some(action) = ctrl.observe_frame(0.0, estimated_drops) {
-                    match action {
-                        DegradeAction::Downshift(_) => {
-                            monitor.report.downshifts += 1;
-                            downshift_counter.inc();
-                            monitor.mark_degraded();
+                        restarts_left -= 1;
+                        if !rebuild(
+                            &mut exec,
+                            &mut monitor,
+                            &mut stage_chw,
+                            current_input,
+                            "detector stage",
+                        ) {
+                            break 'stream;
                         }
-                        DegradeAction::Upshift(_) => {
-                            monitor.report.upshifts += 1;
-                            upshift_counter.inc();
-                        }
-                    }
-                    current_input = action.target();
-                    input_gauge.set(current_input as f64);
-                    monitor.report.resolution_history.push(current_input);
-                    match factory(current_input) {
-                        Ok(s) => {
-                            stage = s;
-                            stage_chw = stage.input_chw();
-                        }
-                        Err(e) => {
-                            monitor.halt(format!("resolution-shift rebuild failed: {e}"));
+                        if attempt < cfg.max_retries {
+                            attempt += 1;
+                            monitor.retry();
+                        } else {
+                            monitor.skipped(index);
                             break;
                         }
                     }
                 }
             }
-            index += 1;
+            // Feed the degradation controller one observation per consumed
+            // item, then apply any resolution shift it requests (policy,
+            // not failure: it does not consume the restart budget).
+            let Some(ctrl) = controller.as_mut() else {
+                continue;
+            };
+            let (queue_depth, drops) = exec.load(cfg, latency);
+            if let Some(action) = ctrl.observe_frame(queue_depth, drops) {
+                match action {
+                    DegradeAction::Downshift(_) => {
+                        monitor.report.downshifts += 1;
+                        downshift_counter.inc();
+                        monitor.mark_degraded();
+                    }
+                    DegradeAction::Upshift(_) => {
+                        monitor.report.upshifts += 1;
+                        upshift_counter.inc();
+                    }
+                }
+                current_input = action.target();
+                input_gauge.set(current_input as f64);
+                monitor.report.resolution_history.push(current_input);
+                if !rebuild(
+                    &mut exec,
+                    &mut monitor,
+                    &mut stage_chw,
+                    current_input,
+                    "resolution-shift",
+                ) {
+                    break;
+                }
+            }
         }
-        Ok(monitor.finish())
+        let mut report = monitor.finish();
+        report.dropped_ids = exec.finish(report.final_health == Health::Halted);
+        report.dropped = report.dropped_ids.len();
+        Ok(report)
     }
 }
 
@@ -1036,6 +798,8 @@ mod tests {
     use crate::fault::{FaultKind, FaultPlan, FaultyDetector, FaultyFrameSource};
     use crate::source::IterSource;
     use dronet_tensor::Shape;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     /// A trivial stage: constant latency, no detections.
     struct NullStage;
@@ -1078,6 +842,29 @@ mod tests {
         assert!(report.faults.is_empty());
         assert_eq!(report.skipped, 0);
         assert_eq!(report.resolution_history, vec![8]);
+    }
+
+    #[test]
+    fn threaded_run_lists_dropped_and_skipped_ids() {
+        // Acquisition errors are never dropped at the buffer, so corrupting
+        // the first four frames pins the skip list regardless of scheduling;
+        // whatever the buffer then drops of the rest must be listed by id.
+        let n = 24;
+        let plan = FaultPlan::from_schedule(vec![Some(FaultKind::CorruptFrame); 4]);
+        let sup = Supervisor::new(quick_config());
+        let mut factory: Box<dyn FnMut(usize) -> Result<Box<dyn DetectStage>>> =
+            Box::new(|_| Ok(Box::new(NullStage)));
+        let source = FaultyFrameSource::new(IterSource::new(frames(n)), plan);
+        let report = sup.run(source, &mut factory, None).unwrap();
+        assert_eq!(report.skipped_ids, vec![0, 1, 2, 3]);
+        assert_eq!(report.skipped, 4);
+        assert_eq!(report.dropped_ids.len(), report.dropped);
+        // Processed, dropped and skipped ids partition the arrival order.
+        let mut all: Vec<u64> = report.frames.iter().map(|f| f.frame_id).collect();
+        all.extend(&report.dropped_ids);
+        all.extend(&report.skipped_ids);
+        all.sort_unstable();
+        assert_eq!(all, (0..n as u64).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1227,11 +1014,9 @@ mod tests {
             .iter()
             .all(|f| f.frame_id == f.frame_index as u64));
         let bb = report.black_box.as_ref().expect("panic captured black box");
-        assert_eq!(bb.frame_id, Some(2));
-        assert!(!bb.events.is_empty());
-        // Captured while frame 2's span was still open: the dump ends at
-        // the failing frame's dangling begin.
-        let last = bb.events.last().unwrap();
+        assert_eq!(bb.frame_ids, [2]);
+        // The dump ends at the failing frame's dangling span begin.
+        let last = bb.tail.events.last().unwrap();
         assert_eq!(last.kind, dronet_obs::TraceKind::Begin);
         assert_eq!(last.name, "frame");
         assert_eq!(last.frame_id, 2);
@@ -1283,8 +1068,8 @@ mod tests {
         assert_eq!(report.final_health, Health::Halted);
         let bb = report.black_box.as_ref().expect("halt captured black box");
         assert!(bb.trigger.contains("restart budget exhausted"));
-        assert_eq!(bb.frame_id, Some(0), "kept the failing frame's id");
-        assert!(!bb.events.is_empty());
+        assert_eq!(bb.frame_ids, [0], "kept the failing frame's id");
+        assert!(!bb.tail.events.is_empty());
     }
 
     #[test]
@@ -1307,8 +1092,12 @@ mod tests {
         // The injected panic hits frame 0, but a slow host can overwrite
         // the capture with a later watchdog trip; either way the dump is
         // attributed to a concrete frame whose span begin it contains.
-        let fid = bb.frame_id.expect("stage failures carry a frame id");
+        let fid = *bb
+            .frame_ids
+            .first()
+            .expect("stage failures carry a frame id");
         assert!(bb
+            .tail
             .events
             .iter()
             .any(|e| e.kind == dronet_obs::TraceKind::Begin

@@ -1,0 +1,206 @@
+//! The workspace's one supervision vocabulary: the `Healthy → Degraded →
+//! Halted` state, the gauge-mirrored ratchet cell that holds it, and the
+//! crash black box.
+//!
+//! Three supervisors speak it — `detect::Supervisor` (per-frame faults),
+//! `serve`'s watchdog/batcher/replica pool (worker wedges and deaths) and
+//! `train::Trainer` (divergence-sentry trips). Each keeps its own policy
+//! for *when* to degrade, recover or halt; what those words mean, how they
+//! are exported, and what a post-mortem capture looks like is defined once,
+//! here.
+
+use crate::{Gauge, TraceSnapshot, Tracer};
+use std::sync::atomic::{AtomicU8, Ordering};
+
+/// Trailing flight-recorder events a [`BlackBox`] keeps.
+pub const BLACK_BOX_EVENTS: usize = 64;
+
+/// Health of a supervised component, exported as a gauge (`Healthy` = 0,
+/// `Degraded` = 1, `Halted` = 2).
+///
+/// Transitions: a fault moves `Healthy → Degraded`; a clean streak (whose
+/// length is the supervisor's policy) moves `Degraded → Healthy`;
+/// exhausting a fault budget moves to the terminal `Halted`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Health {
+    /// Everything nominal.
+    #[default]
+    Healthy = 0,
+    /// Running, but faults were observed recently or quality is reduced.
+    Degraded = 1,
+    /// The supervisor gave up: fault budgets exhausted. Terminal.
+    Halted = 2,
+}
+
+impl Health {
+    /// The gauge encoding of this state.
+    pub fn as_metric(self) -> f64 {
+        f64::from(self as u8)
+    }
+}
+
+/// Lock-free holder of a [`Health`], mirrored into a gauge on every
+/// transition. The transitions are one-way ratchets: nothing leaves
+/// `Halted`, `degrade` only acts on `Healthy`, `recover` only on
+/// `Degraded`.
+#[derive(Debug)]
+pub struct HealthCell {
+    state: AtomicU8,
+    gauge: Gauge,
+}
+
+impl HealthCell {
+    /// A `Healthy` cell publishing into `gauge`.
+    pub fn new(gauge: Gauge) -> Self {
+        gauge.set(Health::Healthy.as_metric());
+        HealthCell {
+            state: AtomicU8::new(Health::Healthy as u8),
+            gauge,
+        }
+    }
+
+    /// The current state.
+    pub fn get(&self) -> Health {
+        match self.state.load(Ordering::SeqCst) {
+            0 => Health::Healthy,
+            1 => Health::Degraded,
+            _ => Health::Halted,
+        }
+    }
+
+    fn transition(&self, from: Health, to: Health) {
+        if self
+            .state
+            .compare_exchange(from as u8, to as u8, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
+        {
+            self.gauge.set(to.as_metric());
+        }
+    }
+
+    /// `Healthy → Degraded`; no effect in any other state.
+    pub fn degrade(&self) {
+        self.transition(Health::Healthy, Health::Degraded);
+    }
+
+    /// `Degraded → Healthy`; no effect in any other state.
+    pub fn recover(&self) {
+        self.transition(Health::Degraded, Health::Healthy);
+    }
+
+    /// Terminal: nothing leaves `Halted`.
+    pub fn halt(&self) {
+        self.state.store(Health::Halted as u8, Ordering::SeqCst);
+        self.gauge.set(Health::Halted.as_metric());
+    }
+}
+
+/// A crash black box: why a supervisor captured it, which frames were
+/// implicated, and the flight recorder's last [`BLACK_BOX_EVENTS`] events —
+/// enough to reconstruct the final moments without a debugger on the drone.
+#[derive(Debug, Clone, Default)]
+pub struct BlackBox {
+    /// What tripped the capture (the failure's display form).
+    pub trigger: String,
+    /// Frame ids in flight when the capture fired (empty when the failure
+    /// is not attributable to a frame).
+    pub frame_ids: Vec<u64>,
+    /// The flight recorder's tail at capture time, oldest event first.
+    pub tail: TraceSnapshot,
+}
+
+impl BlackBox {
+    /// Snapshots `tracer`'s tail under `trigger`.
+    pub fn capture(tracer: &Tracer, trigger: &str, frame_ids: &[u64]) -> BlackBox {
+        BlackBox {
+            trigger: trigger.to_string(),
+            frame_ids: frame_ids.to_vec(),
+            tail: tracer.snapshot().tail_snapshot(BLACK_BOX_EVENTS),
+        }
+    }
+
+    /// Renders the black box as a greppable plain-text timeline.
+    pub fn to_text(&self) -> String {
+        format!(
+            "=== black box ===\ntrigger: {}\nframes in flight: {:?}\n{}",
+            self.trigger,
+            self.frame_ids,
+            self.tail.to_text()
+        )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Registry;
+    use proptest::prelude::*;
+
+    #[test]
+    fn metric_encoding() {
+        assert_eq!(Health::Healthy.as_metric(), 0.0);
+        assert_eq!(Health::Degraded.as_metric(), 1.0);
+        assert_eq!(Health::Halted.as_metric(), 2.0);
+        assert_eq!(Health::default(), Health::Healthy);
+    }
+
+    #[test]
+    fn transitions_are_one_way_ratchets() {
+        let obs = Registry::new();
+        let cell = HealthCell::new(obs.gauge("health"));
+        assert_eq!(cell.get(), Health::Healthy);
+        cell.recover(); // no-op from Healthy
+        assert_eq!(cell.get(), Health::Healthy);
+        cell.degrade();
+        assert_eq!(cell.get(), Health::Degraded);
+        assert_eq!(obs.snapshot().gauge("health"), Some(1.0));
+        cell.recover();
+        assert_eq!(cell.get(), Health::Healthy);
+        cell.halt();
+        cell.degrade(); // halted is terminal
+        cell.recover();
+        assert_eq!(cell.get(), Health::Halted);
+        assert_eq!(obs.snapshot().gauge("health"), Some(2.0));
+    }
+
+    #[test]
+    fn black_box_keeps_the_newest_events() {
+        let tracer = Tracer::new();
+        for i in 0..(BLACK_BOX_EVENTS as u64 + 10) {
+            tracer.instant_frame("tick", i);
+        }
+        let bb = BlackBox::capture(&tracer, "boom", &[73]);
+        assert_eq!(bb.tail.events.len(), BLACK_BOX_EVENTS);
+        assert_eq!(bb.tail.events.last().unwrap().frame_id, 73);
+        let text = bb.to_text();
+        assert!(text.contains("trigger: boom") && text.contains("[73]"));
+        // A noop tracer captures an empty, still-renderable box.
+        assert!(BlackBox::capture(&Tracer::noop(), "x", &[])
+            .tail
+            .events
+            .is_empty());
+    }
+
+    proptest! {
+        /// Under any interleaving of the three operations, once halted the
+        /// cell never leaves `Halted`, and the gauge always mirrors `get()`.
+        #[test]
+        fn halted_is_terminal_and_gauge_mirrors_state(ops in prop::collection::vec(0u8..3, 0..64)) {
+            let obs = Registry::new();
+            let cell = HealthCell::new(obs.gauge("health"));
+            let mut halted = false;
+            for op in ops {
+                match op {
+                    0 => cell.degrade(),
+                    1 => cell.recover(),
+                    _ => {
+                        cell.halt();
+                        halted = true;
+                    }
+                }
+                prop_assert_eq!(halted, cell.get() == Health::Halted);
+                prop_assert_eq!(obs.snapshot().gauge("health"), Some(cell.get().as_metric()));
+            }
+        }
+    }
+}

@@ -24,6 +24,10 @@
 //!   `trace.json` via [`ChromeTrace`] or a plain-text timeline via
 //!   [`TraceSnapshot::to_text`]. `Tracer::noop()` is a single branch, so
 //!   instrumentation can stay in release builds.
+//! * [`Health`] / [`HealthCell`] / [`BlackBox`] — the supervision
+//!   vocabulary shared by the detect, serve and train supervisors: one
+//!   `Healthy → Degraded → Halted` ratchet mirrored into a gauge, one
+//!   crash-capture shape.
 //!
 //! # Example
 //!
@@ -54,6 +58,7 @@ pub mod alloc;
 mod chrome;
 mod diff;
 mod export;
+mod health;
 mod histogram;
 mod json;
 mod prom;
@@ -66,6 +71,7 @@ pub use alloc::{AllocDelta, AllocScope, AllocStats, CountingAlloc};
 pub use chrome::{ChromeEvent, ChromeTrace, CHROME_TRACE_PID};
 pub use diff::{CounterDelta, HistogramDelta, SnapshotDiff};
 pub use export::{CsvExporter, JsonExporter};
+pub use health::{BlackBox, Health, HealthCell, BLACK_BOX_EVENTS};
 pub use histogram::{Histogram, ScopedTimer, BUCKET_COUNT};
 pub use json::{JsonParseError, JsonValue};
 pub use prom::PromExporter;

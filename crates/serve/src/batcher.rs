@@ -24,10 +24,10 @@
 //! backlog rather than hanging it.
 
 use crate::error::ServeError;
-use crate::watchdog::{BlackBoxStore, HealthCell, Pool};
+use crate::watchdog::{BlackBoxStore, Pool};
 use dronet_detect::{resize_frame, Detection, Detector};
 use dronet_obs::window::{mono_now_ns, RollingWindow};
-use dronet_obs::{Counter, Gauge, Histogram, Registry, Tracer};
+use dronet_obs::{Counter, Gauge, HealthCell, Histogram, Registry, Tracer};
 use dronet_tensor::Tensor;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -16,44 +16,17 @@
 //! or the connection is closed cleanly, metrics stay consistent, and the
 //! server returns to Healthy once the storm passes.
 
+use rand::rngs::SplitMix64;
+use rand::RngCore;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// SplitMix64 — the repo's standard tiny deterministic generator (same
-/// recurrence the trainer uses for shuffling). Not cryptographic; just
-/// stable across platforms and dependency-free.
-#[derive(Debug, Clone)]
-pub struct ChaosRng(u64);
-
-impl ChaosRng {
-    /// A generator seeded for one plan.
-    pub fn new(seed: u64) -> Self {
-        ChaosRng(seed)
-    }
-
-    /// The next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform value in `0..n` (`n > 0`).
-    pub fn gen_range(&mut self, n: u64) -> u64 {
-        self.next_u64() % n.max(1)
-    }
-
-    /// Fills `buf` with pseudo-random bytes.
-    pub fn fill(&mut self, buf: &mut [u8]) {
-        for chunk in buf.chunks_mut(8) {
-            let v = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
-        }
-    }
+/// Uniform value in `0..n` (`n > 0`). Spelled out rather than borrowed
+/// from a range sampler: plans must stay byte-identical per seed.
+fn below(rng: &mut SplitMix64, n: u64) -> u64 {
+    rng.next_u64() % n.max(1)
 }
 
 /// One step of an adversarial client's schedule.
@@ -151,7 +124,7 @@ impl ChaosPlan {
     /// contributing `clients_per_scenario` clients with seeded
     /// per-client variation. Same seed + config → identical plan.
     pub fn generate(seed: u64, cfg: &ChaosPlanConfig) -> ChaosPlan {
-        let mut rng = ChaosRng::new(seed);
+        let mut rng = SplitMix64::new(seed);
         let mut clients = Vec::new();
         let request = detect_request(&cfg.frame, true);
         for i in 0..cfg.clients_per_scenario {
@@ -170,7 +143,7 @@ impl ChaosPlan {
             });
             // 2. Torn write: most of the body, then half-close.
             let keep =
-                request.len() - 1 - rng.gen_range(cfg.frame.len().max(2) as u64 / 2) as usize;
+                request.len() - 1 - below(&mut rng, cfg.frame.len().max(2) as u64 / 2) as usize;
             clients.push(ClientScript {
                 name: format!("torn_write_{i}"),
                 ops: vec![
@@ -182,14 +155,15 @@ impl ChaosPlan {
                 ],
             });
             // 3. Mid-body disconnect: partial request, then vanish.
-            let cut = request.len() / 2 + rng.gen_range((request.len() / 4).max(1) as u64) as usize;
+            let cut =
+                request.len() / 2 + below(&mut rng, (request.len() / 4).max(1) as u64) as usize;
             clients.push(ClientScript {
                 name: format!("mid_body_disconnect_{i}"),
                 ops: vec![ChaosOp::Send(request[..cut].to_vec())],
             });
             // 4. Garbage: random bytes that are not HTTP.
-            let mut garbage = vec![0u8; 64 + rng.gen_range(192) as usize];
-            rng.fill(&mut garbage);
+            let mut garbage = vec![0u8; 64 + below(&mut rng, 192) as usize];
+            rng.fill_bytes(&mut garbage);
             garbage[0] = 0x01; // never a valid method byte
             clients.push(ClientScript {
                 name: format!("garbage_{i}"),
@@ -300,13 +274,13 @@ impl ReplicaChaosPlan {
         count: usize,
         window: Duration,
     ) -> ReplicaChaosPlan {
-        let mut rng = ChaosRng::new(seed);
+        let mut rng = SplitMix64::new(seed);
         let mut kills = Vec::with_capacity(count * 2);
         let window_ms = window.as_millis().max(2) as u64;
         for _ in 0..count {
-            let at_ms = rng.gen_range(window_ms / 2);
-            let replica = rng.gen_range(replicas.max(1) as u64) as usize;
-            let kind = if rng.gen_range(2) == 0 {
+            let at_ms = below(&mut rng, window_ms / 2);
+            let replica = below(&mut rng, replicas.max(1) as u64) as usize;
+            let kind = if below(&mut rng, 2) == 0 {
                 ReplicaKillKind::Wedge
             } else {
                 ReplicaKillKind::Panic
@@ -317,7 +291,7 @@ impl ReplicaChaosPlan {
                 kind,
             });
             // Heal in the second half so the storm always passes.
-            let heal_ms = window_ms / 2 + rng.gen_range(window_ms / 2);
+            let heal_ms = window_ms / 2 + below(&mut rng, window_ms / 2);
             kills.push(ReplicaKill {
                 at: Duration::from_millis(heal_ms),
                 replica,
@@ -599,18 +573,41 @@ mod tests {
         assert_eq!(parse_one_response(b"HTTP/1.").unwrap(), None);
     }
 
+    /// Goldens captured before the generator moved to the shared
+    /// `rand::rngs::SplitMix64`: a chaos seed quoted in a bug report must
+    /// keep replaying the same storm.
     #[test]
-    fn chaos_rng_is_deterministic_and_fills_buffers() {
-        let mut a = ChaosRng::new(7);
-        let mut b = ChaosRng::new(7);
-        let seq_a: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
-        let seq_b: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
-        assert_eq!(seq_a, seq_b);
-        let mut buf = [0u8; 13];
-        a.fill(&mut buf);
-        assert!(buf.iter().any(|&x| x != 0));
-        for _ in 0..100 {
-            assert!(a.gen_range(5) < 5);
-        }
+    fn plans_are_bit_stable_per_seed() {
+        let cfg = ChaosPlanConfig {
+            frame: b"P6\n2 2\n255\n0123456789ab".to_vec(),
+            ..ChaosPlanConfig::default()
+        };
+        let plan = ChaosPlan::generate(7, &cfg);
+        assert_eq!(plan.clients.len(), 14);
+        assert_eq!(plan.clients.iter().map(|c| c.ops.len()).sum::<usize>(), 32);
+        let first_send = |name: &str| {
+            let client = plan.clients.iter().find(|c| c.name == name).unwrap();
+            match &client.ops[0] {
+                ChaosOp::Send(bytes) => bytes.clone(),
+                other => panic!("{name} starts with {other:?}"),
+            }
+        };
+        assert_eq!(first_send("torn_write_0").len(), 97);
+        assert_eq!(first_send("mid_body_disconnect_0").len(), 54);
+        assert_eq!(first_send("torn_write_1").len(), 96);
+        assert_eq!(first_send("mid_body_disconnect_1").len(), 74);
+        let garbage = first_send("garbage_0");
+        assert_eq!(garbage.len(), 130);
+        assert_eq!(
+            garbage[..16],
+            [1, 41, 62, 103, 112, 235, 58, 149, 218, 33, 30, 106, 102, 59, 211, 115]
+        );
+        assert_eq!(first_send("garbage_1").len(), 93);
+
+        let kills = ReplicaChaosPlan::generate(7, 3, 2, Duration::from_secs(4)).kills;
+        let at_ms: Vec<u128> = kills.iter().map(|k| k.at.as_millis()).collect();
+        assert_eq!(at_ms, [487, 1674, 2203, 3182]);
+        assert!(kills.iter().all(|k| k.replica == 0));
+        assert_eq!(kills[1].kind, ReplicaKillKind::Wedge);
     }
 }

@@ -56,7 +56,7 @@
 //!   a global connection cap shedding `503` + `Retry-After` at accept.
 //! * **Wedge watchdog** ([`watchdog`]) — workers stamp heartbeats around
 //!   each batch; a worker stuck past `wedge_timeout` has its jobs failed
-//!   with typed `500`s, its trace tail captured as a [`ServeBlackBox`]
+//!   with typed `500`s, its trace tail captured as a [`dronet_obs::BlackBox`]
 //!   (also served at `GET /debug/blackbox`), and a replacement spawned
 //!   under a bounded restart budget. Losing the last worker flips health
 //!   to Halted and fails the backlog — never a hang, never a panic.
@@ -131,7 +131,6 @@ pub use http::{HttpError, HttpLimits, Method, Request, Response, Version};
 pub use server::{
     BrownoutConfig, DetectorFactory, DrainReport, ServeConfig, Server, SizedDetectorFactory,
 };
-pub use watchdog::ServeBlackBox;
 
 /// Convenience alias for results returned by this crate.
 pub type Result<T> = std::result::Result<T, ServeError>;

@@ -34,10 +34,10 @@ use crate::batcher::{lock_recover, spawn_worker, BatchQueue, WorkerShared, Worke
 use crate::chaos::{ReplicaChaosPlan, ReplicaKillKind};
 use crate::error::ServeError;
 use crate::server::{BrownoutConfig, DetectorFactory, SizedDetectorFactory};
-use crate::watchdog::{spawn_watchdog, BlackBoxStore, HealthCell, ServeBlackBox, WatchdogConfig};
+use crate::watchdog::{spawn_watchdog, BlackBoxStore, WatchdogConfig};
 use dronet_detect::canary::{check_canary, golden_detections};
-use dronet_detect::{DegradeConfig, DegradeController, Detection, Detector, Health};
-use dronet_obs::{Counter, Gauge, Registry, Tracer};
+use dronet_detect::{DegradeConfig, DegradeController, Detection, Detector};
+use dronet_obs::{BlackBox, Counter, Gauge, Health, HealthCell, Registry, Tracer};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -129,7 +129,6 @@ pub(crate) struct ReplicaBuilder {
     pub max_wait: Duration,
     pub dispatch_delay: Duration,
     pub queue_capacity: usize,
-    pub black_box_events: usize,
     pub wedge_chaos: Option<crate::batcher::WedgePlan>,
     pub chaos_wedge_hold: Duration,
     pub watchdog_cfg: WatchdogConfig,
@@ -209,10 +208,7 @@ impl ReplicaBuilder {
             resolution_gauge,
             wedge: self.wedge_chaos.clone(),
             wedge_armed: AtomicBool::new(self.wedge_chaos.is_some()),
-            black_box: BlackBoxStore::new(
-                self.obs.counter("serve.black_box_captures"),
-                self.black_box_events,
-            ),
+            black_box: BlackBoxStore::new(self.obs.counter("serve.black_box_captures")),
             batch_size_hist: self.obs.histogram("serve.batch_size"),
             queue_wait_hist: self.obs.histogram("serve.queue_wait"),
             forward_hist: self.obs.histogram("serve.forward"),
@@ -471,7 +467,7 @@ impl ReplicaSet {
     }
 
     /// Crash black boxes from every core, in slot order.
-    pub fn black_boxes(&self) -> Vec<ServeBlackBox> {
+    pub fn black_boxes(&self) -> Vec<BlackBox> {
         self.slots
             .iter()
             .filter_map(|s| s.any_core())

@@ -18,9 +18,11 @@ use crate::error::ServeError;
 use crate::http::{parse_request, HttpError, HttpLimits, Method, Request, Response};
 use crate::json::detections_json;
 use crate::replica::{spawn_supervisor, ReplicaBuilder, ReplicaCore, ReplicaPolicy, ReplicaSet};
-use crate::watchdog::{ServeBlackBox, WatchdogConfig};
-use dronet_detect::{conform_frame, Detection, Detector, Health};
-use dronet_obs::{ChromeTrace, JsonExporter, PromExporter, Registry, SloSet, SloSpec, Tracer};
+use crate::watchdog::WatchdogConfig;
+use dronet_detect::{conform_frame, Detection, Detector};
+use dronet_obs::{
+    BlackBox, ChromeTrace, Health, JsonExporter, PromExporter, Registry, SloSet, SloSpec, Tracer,
+};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -128,8 +130,6 @@ pub struct ServeConfig {
     pub max_worker_restarts: usize,
     /// Quiet watchdog ticks before Degraded health recovers to Healthy.
     pub recovery_ticks: u32,
-    /// Flight-recorder events retained per crash black box.
-    pub black_box_events: usize,
     /// Adaptive-resolution brownout; requires [`Server::start_scalable`].
     /// With multiple replicas, each replica runs its *own* controller —
     /// an overloaded replica browns out alone.
@@ -187,7 +187,6 @@ impl Default for ServeConfig {
             wedge_timeout: Duration::from_secs(10),
             max_worker_restarts: 4,
             recovery_ticks: 20,
-            black_box_events: 64,
             brownout: None,
             wedge_chaos: None,
             replicas: 1,
@@ -518,7 +517,6 @@ impl Server {
             max_wait: config.max_wait,
             dispatch_delay: config.dispatch_delay,
             queue_capacity: config.queue_capacity,
-            black_box_events: config.black_box_events,
             wedge_chaos: config.wedge_chaos.clone(),
             chaos_wedge_hold: config.chaos_wedge_hold,
             watchdog_cfg: WatchdogConfig {
@@ -592,7 +590,7 @@ impl Server {
     }
 
     /// Crash black boxes captured so far, in replica order.
-    pub fn black_boxes(&self) -> Vec<ServeBlackBox> {
+    pub fn black_boxes(&self) -> Vec<BlackBox> {
         self.shared.replicas.black_boxes()
     }
 

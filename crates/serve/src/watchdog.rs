@@ -9,7 +9,7 @@
 //!    in-flight job record, fails those requests with
 //!    [`crate::ServeError::WorkerWedged`] (typed `500`s instead of
 //!    hung connections), captures the flight-recorder tail as a
-//!    [`ServeBlackBox`], and — under a bounded restart budget — spawns a
+//!    [`BlackBox`], and — under a bounded restart budget — spawns a
 //!    replacement worker with a fresh detector. The wedged thread finds
 //!    its slot abandoned whenever it wakes and exits silently.
 //! 2. **Brownout control** — when configured, a
@@ -29,81 +29,15 @@
 
 use crate::batcher::{lock_recover, spawn_worker, WorkerShared, WorkerSlot};
 use crate::error::ServeError;
-use dronet_detect::{DegradeAction, DegradeController, Health};
-use dronet_obs::{Counter, TraceSnapshot, Tracer};
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use dronet_detect::{DegradeAction, DegradeController};
+use dronet_obs::{BlackBox, Counter, Health, Tracer};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
 /// Most black boxes retained; older captures are dropped first.
 const MAX_BLACK_BOXES: usize = 16;
-
-/// Lock-free health cell mirrored into the `serve.health` gauge.
-pub(crate) struct HealthCell {
-    state: AtomicU8,
-    gauge: dronet_obs::Gauge,
-}
-
-impl HealthCell {
-    pub fn new(gauge: dronet_obs::Gauge) -> Self {
-        gauge.set(Health::Healthy.as_metric());
-        HealthCell {
-            state: AtomicU8::new(Health::Healthy.as_metric() as u8),
-            gauge,
-        }
-    }
-
-    pub fn get(&self) -> Health {
-        match self.state.load(Ordering::SeqCst) {
-            0 => Health::Healthy,
-            1 => Health::Degraded,
-            _ => Health::Halted,
-        }
-    }
-
-    fn set(&self, h: Health) {
-        self.state.store(h.as_metric() as u8, Ordering::SeqCst);
-        self.gauge.set(h.as_metric());
-    }
-
-    /// Healthy → Degraded (never un-halts).
-    pub fn degrade(&self) {
-        if self
-            .state
-            .compare_exchange(
-                Health::Healthy.as_metric() as u8,
-                Health::Degraded.as_metric() as u8,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            )
-            .is_ok()
-        {
-            self.gauge.set(Health::Degraded.as_metric());
-        }
-    }
-
-    /// Degraded → Healthy (never un-halts).
-    pub fn recover(&self) {
-        if self
-            .state
-            .compare_exchange(
-                Health::Degraded.as_metric() as u8,
-                Health::Healthy.as_metric() as u8,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            )
-            .is_ok()
-        {
-            self.gauge.set(Health::Healthy.as_metric());
-        }
-    }
-
-    /// Terminal: the server no longer serves detections.
-    pub fn halt(&self) {
-        self.set(Health::Halted);
-    }
-}
 
 /// The live worker registry: slots for the watchdog to scan, handles for
 /// shutdown to join, and the count of workers still alive.
@@ -157,66 +91,34 @@ impl Pool {
     }
 }
 
-/// A crash black box captured when a worker wedges or dies: the trigger,
-/// the frame ids it was holding, and the flight-recorder tail — enough
-/// to reconstruct the last moments without a debugger on the drone.
-#[derive(Debug, Clone)]
-pub struct ServeBlackBox {
-    /// Why the capture fired (e.g. `"worker 0 wedged after 210ms …"`).
-    pub trigger: String,
-    /// Frame ids in flight when the capture fired.
-    pub frame_ids: Vec<u64>,
-    /// The flight recorder's final events at capture time.
-    pub tail: TraceSnapshot,
-}
-
-impl ServeBlackBox {
-    /// Renders the black box as greppable plain text.
-    pub fn to_text(&self) -> String {
-        format!(
-            "=== serve black box ===\ntrigger: {}\nframes in flight: {:?}\n{}",
-            self.trigger,
-            self.frame_ids,
-            self.tail.to_text()
-        )
-    }
-}
-
-/// Bounded retention of [`ServeBlackBox`] captures plus the
+/// Bounded retention of [`BlackBox`] captures plus the
 /// `serve.black_box_captures` counter.
 pub(crate) struct BlackBoxStore {
-    boxes: Mutex<Vec<ServeBlackBox>>,
+    boxes: Mutex<Vec<BlackBox>>,
     captures: Counter,
-    /// Flight-recorder events kept per capture.
-    events: usize,
 }
 
 impl BlackBoxStore {
-    pub fn new(captures: Counter, events: usize) -> Self {
+    pub fn new(captures: Counter) -> Self {
         BlackBoxStore {
             boxes: Mutex::new(Vec::new()),
             captures,
-            events,
         }
     }
 
     /// Snapshots the tracer tail and retains it under `trigger`.
     pub fn capture(&self, tracer: &Tracer, trigger: &str, frame_ids: &[u64]) {
-        let tail = tracer.snapshot().tail_snapshot(self.events);
+        let captured = BlackBox::capture(tracer, trigger, frame_ids);
         let mut boxes = lock_recover(&self.boxes);
         if boxes.len() >= MAX_BLACK_BOXES {
             boxes.remove(0);
         }
-        boxes.push(ServeBlackBox {
-            trigger: trigger.to_string(),
-            frame_ids: frame_ids.to_vec(),
-            tail,
-        });
+        boxes.push(captured);
         self.captures.inc();
     }
 
     /// Every retained capture, oldest first.
-    pub fn all(&self) -> Vec<ServeBlackBox> {
+    pub fn all(&self) -> Vec<BlackBox> {
         lock_recover(&self.boxes).clone()
     }
 }
@@ -399,30 +301,10 @@ mod tests {
     use dronet_obs::Registry;
 
     #[test]
-    fn health_cell_transitions_are_one_way_ratchets() {
-        let obs = Registry::new();
-        let cell = HealthCell::new(obs.gauge("serve.health"));
-        assert!(matches!(cell.get(), Health::Healthy));
-        cell.recover(); // no-op from Healthy
-        assert!(matches!(cell.get(), Health::Healthy));
-        cell.degrade();
-        assert!(matches!(cell.get(), Health::Degraded));
-        assert_eq!(obs.snapshot().gauge("serve.health"), Some(1.0));
-        cell.recover();
-        assert!(matches!(cell.get(), Health::Healthy));
-        cell.halt();
-        assert!(matches!(cell.get(), Health::Halted));
-        cell.degrade(); // halted is terminal
-        cell.recover();
-        assert!(matches!(cell.get(), Health::Halted));
-        assert_eq!(obs.snapshot().gauge("serve.health"), Some(2.0));
-    }
-
-    #[test]
     fn black_box_store_caps_retention_and_counts_captures() {
         let obs = Registry::new();
         let tracer = Tracer::noop();
-        let store = BlackBoxStore::new(obs.counter("serve.black_box_captures"), 8);
+        let store = BlackBoxStore::new(obs.counter("serve.black_box_captures"));
         for i in 0..(MAX_BLACK_BOXES + 3) {
             store.capture(&tracer, &format!("trigger {i}"), &[i as u64]);
         }

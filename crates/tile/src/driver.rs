@@ -18,7 +18,7 @@ use crate::merge::{MergeConfig, TileMerger};
 use crate::selector::{SelectorConfig, TileSelector};
 use crate::{Result, TileError};
 use dronet_detect::track::{Tracker, TrackerConfig};
-use dronet_detect::{Detection, Detector, FaultKind, FaultPlan};
+use dronet_detect::{panic_payload_message, Detection, Detector, FaultKind, FaultPlan};
 use dronet_metrics::BBox;
 use dronet_nn::cost::network_cost;
 use dronet_obs::Tracer;
@@ -256,7 +256,7 @@ impl TiledDetector {
                 Ok(r) => r?,
                 Err(payload) => {
                     return Err(TileError::BatchPanicked {
-                        msg: panic_message(payload.as_ref()),
+                        msg: panic_payload_message(payload),
                     })
                 }
             };
@@ -274,18 +274,6 @@ impl TiledDetector {
             tiles_total: self.grid.len(),
             flops: self.per_tile_flops * n as f64,
         })
-    }
-}
-
-/// Renders a caught panic payload as text (panics carry `&str` or
-/// `String`; anything else gets a placeholder).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
     }
 }
 

@@ -61,5 +61,5 @@ pub use checkpoint::{
 pub use loss::{LossBreakdown, YoloLoss, YoloLossConfig};
 pub use optimizer::{Sgd, SgdState};
 pub use schedule::LrSchedule;
-pub use sentry::{DivergenceSentry, SentryConfig, TrainHealth, TripReason};
+pub use sentry::{DivergenceSentry, SentryConfig, TripReason};
 pub use trainer::{TrainConfig, TrainError, TrainEvent, TrainReport, Trainer, TRAIN_EVENT_TAIL};

@@ -11,35 +11,6 @@
 
 use std::fmt;
 
-/// Health of a training run, exported as the `train.health` gauge
-/// (`Healthy` = 0, `Degraded` = 1, `Halted` = 2).
-///
-/// Transitions: any sentry trip moves `Healthy → Degraded`; a clean streak
-/// of [`SentryConfig::recover_after`] accepted steps moves `Degraded →
-/// Healthy`; exhausting the rollback budget (or tripping with no
-/// checkpoint store to roll back to) moves to terminal `Halted`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TrainHealth {
-    /// Training normally.
-    #[default]
-    Healthy,
-    /// Recovering from a trip; at least one rollback happened recently.
-    Degraded,
-    /// Retry budget exhausted: the run stopped early (terminal).
-    Halted,
-}
-
-impl TrainHealth {
-    /// Numeric encoding for the `train.health` gauge.
-    pub fn as_metric(self) -> f64 {
-        match self {
-            TrainHealth::Healthy => 0.0,
-            TrainHealth::Degraded => 1.0,
-            TrainHealth::Halted => 2.0,
-        }
-    }
-}
-
 /// Why the sentry tripped on a step.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TripReason {
@@ -213,14 +184,6 @@ impl DivergenceSentry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn health_metric_encoding() {
-        assert_eq!(TrainHealth::Healthy.as_metric(), 0.0);
-        assert_eq!(TrainHealth::Degraded.as_metric(), 1.0);
-        assert_eq!(TrainHealth::Halted.as_metric(), 2.0);
-        assert_eq!(TrainHealth::default(), TrainHealth::Healthy);
-    }
 
     #[test]
     fn non_finite_loss_trips_immediately() {

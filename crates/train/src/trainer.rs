@@ -1,13 +1,14 @@
 use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointStore, OptimizerState};
 use crate::crash::{TrainFault, TrainFaultPlan};
-use crate::sentry::{DivergenceSentry, SentryConfig, TrainHealth};
+use crate::sentry::{DivergenceSentry, SentryConfig};
 use crate::{LrSchedule, Sgd, YoloLoss, YoloLossConfig};
 use dronet_data::augment::{AugmentConfig, Augmenter};
 use dronet_data::dataset::VehicleDataset;
 use dronet_metrics::BBox;
 use dronet_nn::{Network, NnError};
-use dronet_obs::{Registry, Tracer};
+use dronet_obs::{Gauge, Health, HealthCell, Registry, Tracer};
 use dronet_tensor::Tensor;
+use rand::rngs::SplitMix64;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::fmt;
@@ -143,9 +144,9 @@ pub struct TrainReport {
     /// Cumulative LR backoff multiplier at the end of the run (1.0 = the
     /// sentry never backed off).
     pub final_lr_scale: f32,
-    /// Health at the end of the run; [`TrainHealth::Halted`] means the
+    /// Health at the end of the run; [`Health::Halted`] means the
     /// sentry stopped the run early.
-    pub final_health: TrainHealth,
+    pub final_health: Health,
     /// Why the run halted, when it did.
     pub halt_reason: Option<String>,
     /// Black-box tail of the last [`TRAIN_EVENT_TAIL`] notable events
@@ -165,7 +166,7 @@ impl Default for TrainReport {
             sentry_trips: 0,
             rollbacks: 0,
             final_lr_scale: 1.0,
-            final_health: TrainHealth::Healthy,
+            final_health: Health::Healthy,
             halt_reason: None,
             events: Vec::new(),
         }
@@ -212,7 +213,7 @@ struct LoopState {
     lr_scale: f32,
     rollbacks: u64,
     trips: u64,
-    health: TrainHealth,
+    health: HealthCell,
     clean_streak: u64,
     checkpoints_written: usize,
     resumed_from: Option<u64>,
@@ -222,7 +223,7 @@ struct LoopState {
 }
 
 impl LoopState {
-    fn fresh() -> Self {
+    fn fresh(health_gauge: Gauge) -> Self {
         LoopState {
             step: 0,
             epoch: 0,
@@ -235,7 +236,7 @@ impl LoopState {
             lr_scale: 1.0,
             rollbacks: 0,
             trips: 0,
-            health: TrainHealth::Healthy,
+            health: HealthCell::new(health_gauge),
             clean_streak: 0,
             checkpoints_written: 0,
             resumed_from: None,
@@ -276,28 +277,23 @@ impl LoopState {
             sentry_trips: self.trips as usize,
             rollbacks: self.rollbacks as usize,
             final_lr_scale: self.lr_scale,
-            final_health: self.health,
+            final_health: self.health.get(),
             halt_reason: self.halt_reason,
             events: self.events,
         }
     }
 }
 
-/// SplitMix64 finaliser — the stream-derivation mixer behind per-epoch
-/// shuffles and per-batch augmentation seeds.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
+// Per-epoch shuffle and per-batch augmentation seeds are *derived* with
+// the SplitMix64 hash rather than drawn from one long-lived stream, so a
+// run resumed at any step reproduces them.
 fn epoch_shuffle_seed(seed: u64, epoch: usize) -> u64 {
-    mix(seed ^ mix(epoch as u64 ^ 0x5EED_E50C))
+    SplitMix64::mix(seed ^ SplitMix64::mix(epoch as u64 ^ 0x5EED_E50C))
 }
 
 fn batch_augment_seed(seed: u64, epoch: usize, batch_in_epoch: usize) -> u64 {
-    mix(seed ^ mix(((epoch as u64) << 32) | batch_in_epoch as u64) ^ 0xA0A0)
+    let position = ((epoch as u64) << 32) | batch_in_epoch as u64;
+    SplitMix64::mix(seed ^ SplitMix64::mix(position) ^ 0xA0A0)
 }
 
 impl Trainer {
@@ -341,7 +337,7 @@ impl Trainer {
     /// loss spikes roll the run back to the last good checkpoint with LR
     /// backoff, under `config.max_rollbacks` budget; the budget exhausted
     /// (or no [`CheckpointStore`] to roll back to) halts the run with
-    /// [`TrainHealth::Halted`] instead of erroring.
+    /// [`Health::Halted`] instead of erroring.
     ///
     /// # Panics
     ///
@@ -513,14 +509,12 @@ impl Trainer {
         let grad_gauge = self.obs.gauge("train.grad_norm");
         let steps_counter = self.obs.counter("train.steps");
         let images_counter = self.obs.counter("train.images");
-        let health_gauge = self.obs.gauge("train.health");
         let trips_counter = self.obs.counter("train.sentry.trips");
         let rollbacks_counter = self.obs.counter("train.rollbacks");
         let ckpt_counter = self.obs.counter("train.checkpoints");
 
         let mut sentry = self.sentry.clone().map(DivergenceSentry::new);
-        let mut st = LoopState::fresh();
-        health_gauge.set(st.health.as_metric());
+        let mut st = LoopState::fresh(self.obs.gauge("train.health"));
 
         // --- Resume, or anchor a base snapshot for the sentry. ---
         if let Some((store, _)) = ckpt {
@@ -641,7 +635,6 @@ impl Trainer {
                         let Some((store, _)) = ckpt else {
                             self.halt(
                                 &mut st,
-                                &health_gauge,
                                 format!("sentry tripped ({reason}) with no checkpoint store"),
                             );
                             return Ok(st.into_report());
@@ -649,7 +642,6 @@ impl Trainer {
                         if st.rollbacks >= u64::from(cfg.max_rollbacks) {
                             self.halt(
                                 &mut st,
-                                &health_gauge,
                                 format!(
                                     "rollback budget ({}) exhausted after {reason}",
                                     cfg.max_rollbacks
@@ -659,11 +651,7 @@ impl Trainer {
                         }
                         let recovery = store.latest_valid()?;
                         let Some((_, good)) = recovery.checkpoint else {
-                            self.halt(
-                                &mut st,
-                                &health_gauge,
-                                "no intact checkpoint to roll back to".to_string(),
-                            );
+                            self.halt(&mut st, "no intact checkpoint to roll back to".to_string());
                             return Ok(st.into_report());
                         };
                         self.restore_from(net, &mut opt, sentry.as_mut(), &good)?;
@@ -671,9 +659,8 @@ impl Trainer {
                         st.rollbacks += 1;
                         rollbacks_counter.inc();
                         st.lr_scale = (st.lr_scale * cfg.lr_backoff).max(cfg.min_lr_scale);
-                        st.health = TrainHealth::Degraded;
+                        st.health.degrade();
                         st.clean_streak = 0;
-                        health_gauge.set(st.health.as_metric());
                         st.push_event(
                             good.step,
                             "rollback",
@@ -713,15 +700,14 @@ impl Trainer {
                 st.batch_in_epoch += 1;
                 st.images_seen += chunk.len();
 
-                if st.health == TrainHealth::Degraded {
+                if st.health.get() == Health::Degraded {
                     st.clean_streak += 1;
                     let recover_after = sentry
                         .as_ref()
                         .map(|s| s.config().recover_after)
                         .unwrap_or(u64::MAX);
                     if st.clean_streak >= recover_after {
-                        st.health = TrainHealth::Healthy;
-                        health_gauge.set(st.health.as_metric());
+                        st.health.recover();
                         st.push_event(
                             st.step,
                             "recover",
@@ -779,9 +765,8 @@ impl Trainer {
         Ok(st.into_report())
     }
 
-    fn halt(&self, st: &mut LoopState, health_gauge: &dronet_obs::Gauge, reason: String) {
-        st.health = TrainHealth::Halted;
-        health_gauge.set(st.health.as_metric());
+    fn halt(&self, st: &mut LoopState, reason: String) {
+        st.health.halt();
         st.push_event(st.step, "halt", reason.clone());
         self.tracer.instant_aux("train.halt", st.step as i64);
         st.halt_reason = Some(reason);
@@ -876,6 +861,17 @@ mod tests {
     use dronet_data::scene::SceneConfig;
     use dronet_nn::{Activation, Conv2d, Layer, MaxPool2d, RegionConfig, RegionLayer};
 
+    /// Goldens captured before `mix` moved to the shared
+    /// `rand::rngs::SplitMix64`: data order and augmentation of a resumed
+    /// run must match checkpoints written by earlier builds.
+    #[test]
+    fn derived_seeds_are_bit_stable() {
+        assert_eq!(epoch_shuffle_seed(7, 0), 0xF252_1BBF_DF09_14E6);
+        assert_eq!(epoch_shuffle_seed(0xDEAD_BEEF, 3), 0x9415_2F49_FDBA_5DAB);
+        assert_eq!(batch_augment_seed(7, 0, 0), 0x216C_9DA0_0F1C_16C1);
+        assert_eq!(batch_augment_seed(0xDEAD_BEEF, 3, 5), 0x38CE_D3B3_DECB_3A23);
+    }
+
     /// A deliberately tiny detector so the test trains in seconds.
     fn micro_net(input: usize) -> Network {
         let mut net = Network::new(3, input, input);
@@ -952,7 +948,7 @@ mod tests {
         );
         assert!(report.epoch_losses.iter().all(|l| l.is_finite()));
         assert_eq!(report.images_seen, 6 * 9);
-        assert_eq!(report.final_health, TrainHealth::Healthy);
+        assert_eq!(report.final_health, Health::Healthy);
         assert_eq!(report.final_lr_scale, 1.0);
         assert_eq!(report.resumed_from_step, None);
     }

@@ -35,7 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .tracing(&tracer)
         .build()?;
 
-    // 2. Stream synthetic camera frames through both pipeline modes.
+    // 2. Stream synthetic camera frames through both pipeline modes; the
+    //    pipeline records into the registry and tracer the detector carries.
     let frames: Vec<_> = (0..6)
         .map(|i| {
             SceneGenerator::new(SceneConfig::default(), 100 + i)
@@ -45,24 +46,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .to_tensor()
         })
         .collect();
-    let report = VideoPipeline::run_source_traced(
-        &mut detector,
-        IterSource::new(frames.clone()),
-        &obs,
-        &tracer,
-    )?;
+    let report = VideoPipeline::run(&mut detector, IterSource::new(frames.clone()))?;
     println!(
         "synchronous pipeline: {} frames at {} ({:.1} ms mean)",
         report.processed(),
         report.fps(),
         report.mean_latency().as_secs_f64() * 1e3
     );
-    let report = VideoPipeline::run_source_threaded_traced(
-        &mut detector,
-        IterSource::new(frames),
-        &obs,
-        &tracer,
-    )?;
+    let report = VideoPipeline::run_threaded(&mut detector, IterSource::new(frames))?;
     println!(
         "threaded pipeline:    {} processed, {} dropped (ids {:?}, single-slot camera buffer)",
         report.processed(),

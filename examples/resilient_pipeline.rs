@@ -113,7 +113,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\n--- supervised run report ---");
     println!("processed   : {}", report.processed());
-    println!("skipped     : {}", report.skipped);
+    println!(
+        "skipped     : {} (frame ids {:?})",
+        report.skipped, report.skipped_ids
+    );
     println!("retries     : {}", report.retries);
     println!("restarts    : {}", report.restarts);
     println!("stalls      : {}", report.stalls);

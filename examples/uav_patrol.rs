@@ -17,7 +17,7 @@ use dronet::data::scene::SceneConfig;
 use dronet::detect::altitude::{AltitudeFilter, CameraModel};
 use dronet::detect::pipeline::VideoPipeline;
 use dronet::detect::track::{Tracker, TrackerConfig};
-use dronet::detect::DetectorBuilder;
+use dronet::detect::{DetectorBuilder, IterSource};
 use dronet::eval::realeval::estimate_anchors;
 use dronet::metrics::matching::match_detections;
 use dronet::metrics::BBox;
@@ -139,7 +139,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut tracker = Tracker::new(TrackerConfig::default());
     let frames: Vec<_> = flight.collect();
     let tensors: Vec<_> = frames.iter().map(|f| f.image.to_tensor()).collect();
-    let report = VideoPipeline::run(&mut detector, tensors)?;
+    let report = VideoPipeline::run(&mut detector, IterSource::new(tensors))?;
 
     let mut tp = 0usize;
     let mut fp = 0usize;

@@ -2,20 +2,35 @@
 
 use crate::{RngCore, SeedableRng};
 
-/// SplitMix64 — used to expand `u64` seeds into full generator state.
+/// SplitMix64 — the workspace's one tiny deterministic generator. It
+/// expands `u64` seeds into full [`StdRng`] state, and is used directly
+/// wherever a stream must stay bit-stable across platforms and releases:
+/// the canary frame, chaos plans, load-generator schedules and the
+/// trainer's per-epoch / per-batch seed derivation.
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {
     state: u64,
 }
 
 impl SplitMix64 {
-    /// Creates the expander from a raw state word.
+    /// Creates the generator from a raw state word.
     pub fn new(state: u64) -> Self {
         SplitMix64 { state }
     }
 
-    /// Next 64-bit output.
-    pub fn next_u64(&mut self) -> u64 {
+    /// Stateless hash of `z`: the first output of a generator seeded with
+    /// it. Used to derive independent streams from composite keys.
+    pub fn mix(z: u64) -> u64 {
+        SplitMix64::new(z).next_u64()
+    }
+}
+
+impl RngCore for SplitMix64 {
+    fn next_u32(&mut self) -> u32 {
+        (self.next_u64() >> 32) as u32
+    }
+
+    fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -30,7 +30,7 @@ fn full_stack_profile_round_trips_through_json() {
     let frames: Vec<_> = (0..3)
         .map(|_| Tensor::zeros(Shape::nchw(1, 3, 96, 96)))
         .collect();
-    let report = VideoPipeline::run_observed(&mut detector, frames, &obs).unwrap();
+    let report = VideoPipeline::run(&mut detector, IterSource::new(frames)).unwrap();
     assert_eq!(report.processed(), 3);
 
     // Observed training on a micro model.
@@ -235,9 +235,7 @@ fn traced_pipeline_chrome_trace_round_trips() {
     let frames: Vec<_> = (0..3)
         .map(|_| Tensor::zeros(Shape::nchw(1, 3, 96, 96)))
         .collect();
-    let report =
-        VideoPipeline::run_source_traced(&mut detector, IterSource::new(frames), &obs, &tracer)
-            .unwrap();
+    let report = VideoPipeline::run(&mut detector, IterSource::new(frames)).unwrap();
     assert_eq!(report.processed(), 3);
     assert!(report
         .frames

@@ -7,7 +7,7 @@ use dronet::data::flight::{Camera, FlightSimulator, Waypoint, World, WorldConfig
 use dronet::detect::altitude::{AltitudeFilter, CameraModel};
 use dronet::detect::pipeline::VideoPipeline;
 use dronet::detect::track::{Tracker, TrackerConfig};
-use dronet::detect::{Detection, DetectorBuilder};
+use dronet::detect::{Detection, DetectorBuilder, IterSource};
 use dronet::metrics::BBox;
 
 fn world() -> World {
@@ -44,7 +44,7 @@ fn flight_frames_flow_through_the_pipeline() {
         DetectorBuilder::new(zoo::micro_dronet(64, vec![(1.0, 1.0), (2.0, 2.0)]).unwrap())
             .build()
             .unwrap();
-    let report = VideoPipeline::run(&mut detector, tensors).unwrap();
+    let report = VideoPipeline::run(&mut detector, IterSource::new(tensors)).unwrap();
     assert_eq!(report.processed(), frames.len());
     assert!(report.fps().0 > 0.0);
 }
@@ -161,7 +161,7 @@ fn threaded_pipeline_handles_flight_stream() {
     let mut detector = DetectorBuilder::new(zoo::micro_dronet(64, vec![(1.0, 1.0)]).unwrap())
         .build()
         .unwrap();
-    let report = VideoPipeline::run_threaded(&mut detector, tensors).unwrap();
+    let report = VideoPipeline::run_threaded(&mut detector, IterSource::new(tensors)).unwrap();
     assert_eq!(report.processed() + report.dropped, n);
     assert!(report.processed() >= 1);
 }

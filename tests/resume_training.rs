@@ -8,10 +8,11 @@ use dronet::core::zoo;
 use dronet::data::dataset::VehicleDataset;
 use dronet::data::scene::SceneConfig;
 use dronet::nn::{weights, Network};
+use dronet::obs::Health;
 use dronet::train::crash::{write_checkpoint_with_fault, TrainFault, TrainFaultPlan, WriteFault};
 use dronet::train::{
     Checkpoint, CheckpointStore, LrSchedule, OptimizerState, SentryConfig, TrainConfig, TrainError,
-    TrainHealth, Trainer,
+    Trainer,
 };
 
 fn micro_net() -> Network {
@@ -213,7 +214,7 @@ fn sentry_rolls_back_on_injected_nan_and_still_converges() {
     assert_eq!(report.sentry_trips, 1);
     assert_eq!(report.rollbacks, 1);
     assert!(report.final_lr_scale < 1.0, "{}", report.final_lr_scale);
-    assert_eq!(report.final_health, TrainHealth::Healthy, "recovered");
+    assert_eq!(report.final_health, Health::Healthy, "recovered");
     assert_eq!(report.halt_reason, None);
     assert_eq!(report.epoch_losses.len(), 6, "run completed all epochs");
     assert!(report.epoch_losses.iter().all(|l| l.is_finite()));
@@ -259,7 +260,7 @@ fn exhausted_rollback_budget_halts_the_run() {
         .with_fault_plan(TrainFaultPlan::once_at(3, TrainFault::NanLoss))
         .train_resumable(&mut net, &dataset, &store, 2)
         .unwrap();
-    assert_eq!(report.final_health, TrainHealth::Halted);
+    assert_eq!(report.final_health, Health::Halted);
     assert!(report.halt_reason.is_some(), "halt must carry a reason");
     assert_eq!(report.rollbacks, 0);
     assert!(
