@@ -24,7 +24,7 @@ pub struct BatchNorm {
 }
 
 /// Folded inference coefficients (`-mean`, `gamma / sqrt(var + eps)`),
-/// computed lazily on the first [`BatchNorm::forward_infer`] and dropped by
+/// computed lazily by [`BatchNorm::infer_coefficients`] and dropped by
 /// every `&mut` path that can change them. Keeping them here makes the
 /// steady-state inference forward allocation-free.
 ///
@@ -147,13 +147,11 @@ impl BatchNorm {
         self.cache = None;
     }
 
-    /// Inference-mode forward using rolling statistics, in place.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tensor shape errors when `x` is not NCHW with the
-    /// configured channel count.
-    pub fn forward_infer(&self, x: &mut Tensor) -> Result<()> {
+    /// The folded inference coefficients `(−mean, gamma / sqrt(var + eps))`,
+    /// one pair per channel: inference computes `(x + −mean) · scale`, as
+    /// two separately rounded steps. Computed on first use and cached until
+    /// a parameter changes.
+    pub fn infer_coefficients(&self) -> (&[f32], &[f32]) {
         let (neg_mean, combined) = self.infer_cache.0.get_or_init(|| {
             let neg_mean = self.rolling_mean.iter().map(|&m| -m).collect();
             let combined = self
@@ -164,6 +162,17 @@ impl BatchNorm {
                 .collect();
             (neg_mean, combined)
         });
+        (neg_mean, combined)
+    }
+
+    /// Inference-mode forward using rolling statistics, in place.
+    ///
+    /// # Errors
+    ///
+    /// Propagates tensor shape errors when `x` is not NCHW with the
+    /// configured channel count.
+    pub fn forward_infer(&self, x: &mut Tensor) -> Result<()> {
+        let (neg_mean, combined) = self.infer_coefficients();
         ops::add_channel_bias(x, neg_mean)?;
         ops::scale_channels(x, combined)?;
         Ok(())

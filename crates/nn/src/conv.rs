@@ -1,13 +1,18 @@
 use crate::{Activation, ActivationPool, BatchNorm, NnError, Result};
-use dronet_tensor::im2col::{col2im, im2col, im2col_into, im2col_into_prezeroed, ConvGeometry};
+use dronet_tensor::im2col::{col2im, im2col, ConvGeometry};
+use dronet_tensor::packed::{self, ChannelEpilogue, PackedMatrix};
 use dronet_tensor::{gemm, ops, Shape, Tensor};
+use std::sync::OnceLock;
 
 /// A 2-D convolution layer with optional batch normalisation, bias and
 /// activation — the Darknet `[convolutional]` section.
 ///
-/// Weights are stored as a `[out_c, in_c*k*k]` matrix so the forward pass is
-/// a single GEMM against the im2col column matrix per image, exactly like
-/// Darknet's CPU path.
+/// Weights are stored as a `[out_c, in_c*k*k]` matrix. Inference multiplies
+/// a packed copy of it against taps read straight from the activation, with
+/// batch norm, bias and activation applied as each value is stored
+/// ([`dronet_tensor::packed::conv2d`]); training runs the same kernel as a
+/// GEMM against the im2col column matrix it keeps for the backward pass,
+/// like Darknet's CPU path. Both produce the same bits.
 ///
 /// # Example
 ///
@@ -36,6 +41,9 @@ pub struct Conv2d {
     weight_grad: Tensor,
     bias_grad: Vec<f32>,
     cache: Option<ConvCache>,
+    /// `weights` in the microkernel's panel order: built by the first
+    /// inference forward, dropped by every `&mut` path to `weights`.
+    packed: OnceLock<PackedMatrix>,
 }
 
 #[derive(Debug, Clone)]
@@ -107,6 +115,7 @@ impl Conv2d {
             batch_norm,
             bias_grad: vec![0.0; out_channels],
             cache: None,
+            packed: OnceLock::new(),
         })
     }
 
@@ -162,6 +171,7 @@ impl Conv2d {
 
     /// Mutable weight matrix, used by weight loading and optimizers.
     pub fn weights_mut(&mut self) -> &mut Tensor {
+        self.packed.take();
         &mut self.weights
     }
 
@@ -197,6 +207,7 @@ impl Conv2d {
 
     /// Re-initialises weights from the given RNG (Kaiming) and zeroes bias.
     pub fn init_weights(&mut self, rng: &mut impl rand::Rng) {
+        self.packed.take();
         let fan = self.in_channels * self.kernel * self.kernel;
         self.weights = dronet_tensor::init::kaiming(
             Shape::new(&[
@@ -239,9 +250,9 @@ impl Conv2d {
         self.forward_impl(x, false, None)
     }
 
-    /// Inference forward pass drawing its output and column scratch from a
-    /// recycled [`ActivationPool`] instead of fresh allocations — see the
-    /// pool's docs for why that matters for batched serving throughput.
+    /// Inference forward pass drawing its output from a recycled
+    /// [`ActivationPool`] instead of a fresh allocation — see the pool's
+    /// docs for why that matters for batched serving throughput.
     ///
     /// # Errors
     ///
@@ -278,94 +289,100 @@ impl Conv2d {
         geom.validate().map_err(NnError::from)?;
         let (oh, ow) = (geom.out_height(), geom.out_width());
 
-        let mut cols_cache: Vec<Tensor> = Vec::new();
-        let plane = oh * ow;
         let out_shape = Shape::nchw(n, self.out_channels, oh, ow);
-        let mut pool = pool;
-        // Pooled buffers arrive with stale contents; that is safe here
-        // because the GEMM below runs with beta = 0 (assigns, never reads
-        // C) over every output position.
-        let mut out = match pool.as_deref_mut() {
+        // Pooled buffers arrive with stale contents; that is safe because
+        // both paths assign every output position without reading it (the
+        // fused kernel's sums start in registers, the GEMM runs beta = 0).
+        let mut out = match pool {
             Some(p) => Tensor::from_vec(p.take(out_shape.len()), out_shape)?,
             None => Tensor::zeros(out_shape),
         };
         if train {
-            // Training keeps one column matrix per image for the backward
-            // pass, so each item allocates its own.
-            for b in 0..n {
-                let item = x.batch_item(b)?;
-                let cols = im2col(&item, &geom)?;
-                let base = b * self.out_channels * plane;
-                gemm::sgemm_slices(
-                    self.out_channels,
-                    plane,
-                    geom.col_rows(),
-                    1.0,
-                    self.weights.as_slice(),
-                    cols.as_slice(),
-                    0.0,
-                    &mut out.as_mut_slice()[base..base + self.out_channels * plane],
-                )?;
-                cols_cache.push(cols);
-            }
-        } else {
-            // Inference amortises the im2col setup across the batch: one
-            // column buffer is shared by every image (micro-batched
-            // requests split its allocation and all but the first zero
-            // fill — im2col's write set is geometry-fixed, so padding
-            // positions stay zero across items), each image is unrolled in
-            // place from the batched tensor, and the GEMM writes straight
-            // into the output tensor — no per-item clone or scratch matrix.
-            let cols_len = geom.col_rows() * geom.col_cols();
-            let mut cols = match pool.as_deref_mut() {
-                Some(p) => p.take(cols_len),
-                None => vec![0.0f32; cols_len],
-            };
-            for b in 0..n {
-                if b == 0 {
-                    // The buffer may hold a previous layer's stale columns.
-                    im2col_into(x, b, &geom, &mut cols)?;
-                } else {
-                    im2col_into_prezeroed(x, b, &geom, &mut cols)?;
-                }
-                let base = b * self.out_channels * plane;
-                gemm::sgemm_slices(
-                    self.out_channels,
-                    plane,
-                    geom.col_rows(),
-                    1.0,
-                    self.weights.as_slice(),
-                    &cols,
-                    0.0,
-                    &mut out.as_mut_slice()[base..base + self.out_channels * plane],
-                )?;
-            }
-            if let Some(p) = pool {
-                p.give(cols);
-            }
-        }
-
-        // Darknet order: batch-norm, then bias, then activation.
-        if let Some(bn) = self.batch_norm.as_mut() {
-            if train {
-                bn.forward_train(&mut out)?;
-            } else {
-                bn.forward_infer(&mut out)?;
-            }
-        }
-        ops::add_channel_bias(&mut out, &self.bias)?;
-
-        if train {
-            self.cache = Some(ConvCache {
-                cols: cols_cache,
-                pre_activation: out.clone(),
-                geom,
-            });
+            self.train_into(x, geom, &mut out)?;
         } else {
             self.cache = None;
+            self.infer_into(x, &geom, &mut out)?;
         }
-        self.activation.apply_in_place(out.as_mut_slice());
         Ok(out)
+    }
+
+    /// Inference: one fused implicit-GEMM call for the whole batch, straight
+    /// from the input tensor into the output tensor. No column matrix, no
+    /// separate batch-norm, bias or activation pass, and no scratch beyond
+    /// the kernel's own stack panels.
+    fn infer_into(&self, x: &Tensor, geom: &ConvGeometry, out: &mut Tensor) -> Result<()> {
+        // One kernel instantiation per activation, each calling `apply` on
+        // a constant so the `match` inside it folds away and the store loop
+        // carries no per-element dispatch.
+        use Activation::{Leaky, Linear, Logistic, Relu};
+        match self.activation {
+            Linear => self.infer_with(x, geom, out, |v| Linear.apply(v)),
+            Leaky => self.infer_with(x, geom, out, |v| Leaky.apply(v)),
+            Relu => self.infer_with(x, geom, out, |v| Relu.apply(v)),
+            Logistic => self.infer_with(x, geom, out, |v| Logistic.apply(v)),
+        }
+    }
+
+    fn infer_with(
+        &self,
+        x: &Tensor,
+        geom: &ConvGeometry,
+        out: &mut Tensor,
+        activation: impl Fn(f32) -> f32 + Copy + Send,
+    ) -> Result<()> {
+        let weights = self.packed.get_or_init(|| {
+            PackedMatrix::pack(self.weights.as_slice(), self.out_channels, geom.col_rows())
+                .expect("the weight matrix is out_c x in_c*k*k")
+        });
+        // Darknet order: batch-norm, then bias, then activation.
+        let channels = ChannelEpilogue {
+            batch_norm: self.batch_norm.as_ref().map(BatchNorm::infer_coefficients),
+            bias: &self.bias,
+        };
+        packed::conv2d(
+            x.as_slice(),
+            geom,
+            weights,
+            channels,
+            activation,
+            out.as_mut_slice(),
+        )?;
+        Ok(())
+    }
+
+    /// Training: keeps one column matrix per image for the backward pass,
+    /// uses batch statistics for BN and records the pre-activation output.
+    fn train_into(&mut self, x: &Tensor, geom: ConvGeometry, out: &mut Tensor) -> Result<()> {
+        let plane = geom.col_cols();
+        let mut cols_cache = Vec::with_capacity(x.shape().batch());
+        for b in 0..x.shape().batch() {
+            let item = x.batch_item(b)?;
+            let cols = im2col(&item, &geom)?;
+            let base = b * self.out_channels * plane;
+            gemm::sgemm_slices(
+                self.out_channels,
+                plane,
+                geom.col_rows(),
+                1.0,
+                self.weights.as_slice(),
+                cols.as_slice(),
+                0.0,
+                &mut out.as_mut_slice()[base..base + self.out_channels * plane],
+            )?;
+            cols_cache.push(cols);
+        }
+        // Darknet order: batch-norm, then bias, then activation.
+        if let Some(bn) = self.batch_norm.as_mut() {
+            bn.forward_train(out)?;
+        }
+        ops::add_channel_bias(out, &self.bias)?;
+        self.cache = Some(ConvCache {
+            cols: cols_cache,
+            pre_activation: out.clone(),
+            geom,
+        });
+        self.activation.apply_in_place(out.as_mut_slice());
+        Ok(())
     }
 
     /// Backward pass: accumulates weight/bias/BN gradients and returns the
@@ -457,6 +474,7 @@ impl Conv2d {
 
     /// Visits every (parameter slice, gradient slice) pair of this layer.
     pub fn visit_params_mut(&mut self, mut f: impl FnMut(&mut [f32], &mut [f32])) {
+        self.packed.take();
         f(self.weights.as_mut_slice(), self.weight_grad.as_mut_slice());
         f(&mut self.bias, &mut self.bias_grad);
         if let Some(bn) = self.batch_norm.as_mut() {
@@ -691,6 +709,109 @@ mod tests {
         let infer = conv.forward(&x).unwrap();
         let train = conv.forward_train(&x).unwrap();
         assert_eq!(infer.as_slice(), train.as_slice());
+    }
+
+    /// A layer of the same configuration that was handed `conv`'s parameters
+    /// and has never run: whatever it computes, it packs afresh.
+    fn fresh_copy(conv: &Conv2d) -> Conv2d {
+        let mut fresh = Conv2d::new(
+            conv.in_channels,
+            conv.out_channels,
+            conv.kernel,
+            conv.stride,
+            conv.pad,
+            conv.activation,
+            conv.has_batch_norm(),
+        )
+        .unwrap();
+        fresh
+            .weights_mut()
+            .as_mut_slice()
+            .copy_from_slice(conv.weights().as_slice());
+        fresh.bias_mut().copy_from_slice(conv.bias());
+        if let (Some(to), Some(from)) = (fresh.batch_norm_mut(), conv.batch_norm()) {
+            to.scales_mut().copy_from_slice(from.scales());
+            to.rolling_mean_mut().copy_from_slice(from.rolling_mean());
+            to.rolling_var_mut().copy_from_slice(from.rolling_var());
+        }
+        assert!(fresh.packed.get().is_none());
+        fresh
+    }
+
+    /// Stale packed weights would be a silent wrong answer: every `&mut`
+    /// route to the weight matrix must drop them.
+    #[test]
+    fn every_weight_mutation_path_drops_the_packed_weights() {
+        type Mutation = fn(&mut Conv2d);
+        let paths: [(&str, Mutation); 3] = [
+            ("weights_mut", |c| {
+                c.weights_mut().as_mut_slice()[5] += 0.25;
+            }),
+            ("init_weights", |c| c.init_weights(&mut rng(99))),
+            ("visit_params_mut", |c| {
+                // What an optimizer step, a checkpoint restore and a
+                // `.weights` load all do.
+                c.visit_params_mut(|p, _| p.iter_mut().for_each(|v| *v *= 1.5));
+            }),
+        ];
+        let x = init::uniform(Shape::nchw(2, 3, 7, 6), -1.0, 1.0, &mut rng(1));
+        for (name, mutate) in paths {
+            let mut conv = Conv2d::new(3, 5, 3, 1, 1, Activation::Leaky, true).unwrap();
+            let before = conv.forward(&x).unwrap();
+            assert!(conv.packed.get().is_some(), "{name}: forward packs");
+            mutate(&mut conv);
+            assert!(conv.packed.get().is_none(), "{name}: cache dropped");
+            let after = conv.forward(&x).unwrap();
+            assert_ne!(before, after, "{name}: the mutation is visible");
+            let want = fresh_copy(&conv).forward(&x).unwrap();
+            assert_eq!(after.as_slice(), want.as_slice(), "{name}");
+        }
+    }
+
+    /// `Clone` is derived: a clone carries a copy of the packed weights,
+    /// which match its copy of the weight matrix, and from there the two
+    /// layers' caches live separate lives.
+    #[test]
+    fn a_clone_owns_its_packed_weights() {
+        let x = init::uniform(Shape::nchw(1, 3, 6, 6), -1.0, 1.0, &mut rng(2));
+        let mut conv = Conv2d::new(3, 4, 3, 1, 1, Activation::Leaky, false).unwrap();
+        let original = conv.forward(&x).unwrap();
+        let mut clone = conv.clone();
+        assert_eq!(clone.forward(&x).unwrap(), original);
+        clone.weights_mut().as_mut_slice()[0] += 1.0;
+        let want = fresh_copy(&clone).forward(&x).unwrap();
+        assert_eq!(clone.forward(&x).unwrap().as_slice(), want.as_slice());
+        assert!(conv.packed.get().is_some(), "the original keeps its cache");
+        assert_eq!(conv.forward(&x).unwrap(), original);
+    }
+
+    /// Weights are packed at most once between mutations: a write that goes
+    /// behind the accessors' backs (only code in this module can do that) is
+    /// not seen until an accessor drops the cache — so the forwards in
+    /// between ran on the panels packed the first time.
+    #[test]
+    fn weights_are_packed_once_between_mutations() {
+        let x = init::uniform(Shape::nchw(1, 2, 5, 5), -1.0, 1.0, &mut rng(3));
+        let mut conv = Conv2d::new(2, 3, 3, 1, 1, Activation::Linear, false).unwrap();
+        assert!(conv.packed.get().is_none(), "construction packs nothing");
+        let first = conv.forward(&x).unwrap();
+        conv.weights.as_mut_slice()[0] += 1.0;
+        assert_eq!(conv.forward(&x).unwrap(), first, "no repack");
+        assert_eq!(
+            conv.forward_pooled(&x, &mut ActivationPool::default())
+                .unwrap(),
+            first
+        );
+        let _ = conv.weights_mut();
+        assert_ne!(
+            conv.forward(&x).unwrap(),
+            first,
+            "repacked after a mutation"
+        );
+        // Training never packs: it multiplies the weight matrix itself.
+        let _ = conv.weights_mut();
+        conv.forward_train(&x).unwrap();
+        assert!(conv.packed.get().is_none());
     }
 
     #[test]

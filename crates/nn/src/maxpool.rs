@@ -1,5 +1,5 @@
 use crate::{ActivationPool, NnError, Result};
-use dronet_tensor::{Shape, Tensor};
+use dronet_tensor::{parallel, Shape, Tensor};
 
 /// Max-pooling layer with Darknet's geometry semantics.
 ///
@@ -160,6 +160,22 @@ impl MaxPool2d {
         let src = x.as_slice();
         let in_plane = h * w;
         let out_plane = oh * ow;
+        // The zoo's downsampling pool at inference: aligned 2x2 windows that
+        // tile a non-empty plane exactly. Everything else — the `size=2
+        // stride=1` "same" pool, odd sizes, argmax tracking — takes the
+        // generic loop.
+        let tiles_2x2 = (self.size, self.stride) == (2, 2)
+            && offset == 0
+            && in_plane > 0
+            && h % 2 == 0
+            && w % 2 == 0;
+        if argmax.is_none() && tiles_2x2 {
+            parallel::par_chunks_mut(dst, n * c, out_plane, |planes, chunk| {
+                let src = &src[planes.start * in_plane..planes.end * in_plane];
+                pool_2x2_planes(src, w, chunk);
+            });
+            return;
+        }
         for b in 0..n {
             for ch in 0..c {
                 let in_base = (b * c + ch) * in_plane;
@@ -229,6 +245,29 @@ impl MaxPool2d {
     }
 }
 
+/// 2x2 stride-2 max pooling over whole planes of even width `w` and even
+/// height: each pair of input rows becomes one output row.
+///
+/// Keeps the generic kernel's comparison order (`v > best` from −∞ over the
+/// window in row-major order, so NaN never wins) and its rule that a window
+/// in which nothing beat −∞ yields 0.0; the results are the same bits.
+fn pool_2x2_planes(src: &[f32], w: usize, dst: &mut [f32]) {
+    let row_pairs = src.chunks_exact(2 * w);
+    for (pair, out_row) in row_pairs.zip(dst.chunks_exact_mut(w / 2)) {
+        let (top, bottom) = pair.split_at(w);
+        let windows = top.chunks_exact(2).zip(bottom.chunks_exact(2));
+        for (out, (t, b)) in out_row.iter_mut().zip(windows) {
+            let mut best = f32::NEG_INFINITY;
+            for v in [t[0], t[1], b[0], b[1]] {
+                if v > best {
+                    best = v;
+                }
+            }
+            *out = if best == f32::NEG_INFINITY { 0.0 } else { best };
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,6 +322,79 @@ mod tests {
         let mut pool = MaxPool2d::new(2, 2).unwrap();
         let y = pool.forward(&x).unwrap();
         assert!(y.as_slice().iter().all(|&v| v == -3.0));
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The 2x2 fast path against the generic kernel, which the training
+    /// forward always takes: the same bits, NaN and −∞ included. NaN never
+    /// wins a comparison, and a window in which nothing beat −∞ is 0.0.
+    #[test]
+    fn fast_2x2_path_matches_the_generic_kernel_bit_for_bit() {
+        use dronet_tensor::init;
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let (nan, ninf) = (f32::NAN, f32::NEG_INFINITY);
+        let mut x = init::uniform(Shape::nchw(2, 3, 6, 8), -2.0, 2.0, &mut rng);
+        let special = [
+            [nan, 1.0, -1.0, 0.5],    // NaN first: skipped
+            [0.5, nan, nan, -3.0],    // NaN in the middle
+            [nan, nan, nan, nan],     // all NaN: nothing beats −∞, so 0.0
+            [ninf, ninf, ninf, ninf], // all −∞: likewise 0.0
+            [ninf, nan, -7.0, ninf],  // one finite value among them
+            [nan, ninf, f32::INFINITY, 2.0],
+            [-0.0, 0.0, -0.0, -0.0], // signed zeros: first maximum wins
+            [0.0, -0.0, 0.0, 0.0],
+        ];
+        for (i, window) in special.iter().enumerate() {
+            let (oy, ox) = (i / 4, i % 4);
+            for (t, &v) in window.iter().enumerate() {
+                x.set(&[1, 2, 2 * oy + t / 2, 2 * ox + t % 2], v).unwrap();
+            }
+        }
+        let mut pool = MaxPool2d::new(2, 2).unwrap();
+        let fast = pool.forward(&x).unwrap();
+        let generic = pool.forward_train(&x).unwrap();
+        assert_eq!(fast.shape().dims(), &[2, 3, 3, 4]);
+        assert_eq!(bits(&fast), bits(&generic));
+        assert_eq!(fast.get(&[1, 2, 0, 2]).unwrap().to_bits(), 0.0f32.to_bits());
+        assert_eq!(fast.get(&[1, 2, 0, 3]).unwrap().to_bits(), 0.0f32.to_bits());
+        let pooled = pool
+            .forward_pooled(&x, &mut ActivationPool::default())
+            .unwrap();
+        assert_eq!(bits(&pooled), bits(&generic));
+    }
+
+    /// Geometries the fast path must leave alone: odd extents (the last
+    /// window hangs over the edge), the stride-1 "same" pool, bigger
+    /// windows, explicit padding that shifts the window origin.
+    #[test]
+    fn other_geometries_fall_back_to_the_generic_kernel() {
+        use dronet_tensor::init;
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+        for (size, stride, padding, h, w) in [
+            (2, 2, 1, 7, 8),
+            (2, 2, 1, 8, 7),
+            (2, 1, 1, 6, 6),
+            (3, 2, 2, 8, 8),
+            (2, 2, 2, 8, 8),
+            (2, 2, 3, 6, 6),
+        ] {
+            let x = init::uniform(Shape::nchw(1, 2, h, w), -1.0, 1.0, &mut rng);
+            let mut pool = MaxPool2d::with_padding(size, stride, padding).unwrap();
+            let infer = pool.forward(&x).unwrap();
+            let train = pool.forward_train(&x).unwrap();
+            let (oh, ow) = pool.output_hw(h, w);
+            assert_eq!(infer.shape().dims(), &[1, 2, oh, ow]);
+            assert_eq!(
+                bits(&infer),
+                bits(&train),
+                "size={size} stride={stride} pad={padding} {h}x{w}"
+            );
+        }
     }
 
     #[test]

@@ -13,10 +13,11 @@
 /// ~16 MiB activations the allocator happened to recycle for free.
 ///
 /// Buffers are handed out with **stale contents** (only grown tails are
-/// zero-filled); callers must fully overwrite what they take, as the conv
-/// GEMM (`beta = 0`) and im2col (via
-/// [`im2col_into`](dronet_tensor::im2col::im2col_into) on the first item)
-/// do.
+/// zero-filled); callers must fully overwrite what they take, as the fused
+/// convolution ([`conv2d`](dronet_tensor::packed::conv2d) assigns every
+/// output without reading it) and the pooling kernels do. Activations are
+/// all the pool holds: inference convolutions need no column matrix and no
+/// other heap scratch.
 #[derive(Debug, Default)]
 pub struct ActivationPool {
     bufs: Vec<Vec<f32>>,

@@ -1,7 +1,7 @@
 //! Property-based tests for the CNN engine: linearity of convolution,
 //! pooling invariances, cfg round-trips and weight-file integrity.
 
-use dronet_nn::{cfg, weights, Activation, Conv2d, Layer, MaxPool2d, Network};
+use dronet_nn::{cfg, weights, Activation, BatchNorm, Conv2d, Layer, MaxPool2d, Network};
 use dronet_tensor::{init, Shape, Tensor};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -162,5 +162,99 @@ proptest! {
             let from_batch = full.batch_item(b).unwrap();
             prop_assert!(single.max_abs_diff(&from_batch).unwrap() < 1e-5);
         }
+    }
+}
+
+/// The obvious convolution layer: for each output the sum over `(c, ky, kx)`
+/// ascending from +0.0 in `f32`, multiply and add rounded separately, then
+/// the three epilogue steps in Darknet's order — the numeric contract
+/// written down in `dronet_tensor::packed`.
+fn naive_conv_layer(conv: &Conv2d, x: &Tensor) -> Vec<f32> {
+    let s = x.shape();
+    let (n, cin, h, w) = (s.batch(), s.channels(), s.height(), s.width());
+    let (k, stride, pad) = (conv.kernel(), conv.stride(), conv.pad());
+    let (oh, ow) = conv.output_hw(h, w);
+    let (weights, bias, input) = (conv.weights().as_slice(), conv.bias(), x.as_slice());
+    let mut out = Vec::with_capacity(n * conv.out_channels() * oh * ow);
+    for b in 0..n {
+        for oc in 0..conv.out_channels() {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut v = 0.0f32;
+                    for c in 0..cin {
+                        for ky in 0..k {
+                            for kx in 0..k {
+                                let iy = (oy * stride + ky).wrapping_sub(pad);
+                                let ix = (ox * stride + kx).wrapping_sub(pad);
+                                let pixel = if iy < h && ix < w {
+                                    input[((b * cin + c) * h + iy) * w + ix]
+                                } else {
+                                    0.0
+                                };
+                                v += weights[((oc * cin + c) * k + ky) * k + kx] * pixel;
+                            }
+                        }
+                    }
+                    if let Some(bn) = conv.batch_norm() {
+                        v += -bn.rolling_mean()[oc];
+                        v *= bn.scales()[oc] / (bn.rolling_var()[oc] + BatchNorm::EPS).sqrt();
+                    }
+                    v += bias[oc];
+                    out.push(conv.activation().apply(v));
+                }
+            }
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The packed inference path against the oracle, on bits: output
+    /// channel counts that are no multiple of the register tile's height,
+    /// planes that are no multiple of its width, every kernel size, stride
+    /// and padding the cfg format can express, non-square images, batches,
+    /// batch norm on and off, every activation.
+    #[test]
+    fn packed_conv_matches_the_naive_oracle_bit_for_bit(
+        cin in 1usize..6,
+        cout in 1usize..20,
+        kernel in 0usize..4,
+        stride in 1usize..3,
+        pad in 0usize..3,
+        h in 5usize..14,
+        dw in 1usize..6,
+        batched in any::<bool>(),
+        bn in any::<bool>(),
+        activation in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        let kernel = [1, 2, 3, 5][kernel];
+        let activation = [
+            Activation::Linear,
+            Activation::Leaky,
+            Activation::Relu,
+            Activation::Logistic,
+        ][activation];
+        let (w, n) = (h + dw, if batched { 3 } else { 1 });
+        let mut r = rng(seed);
+        let mut conv = Conv2d::new(cin, cout, kernel, stride, pad, activation, bn).unwrap();
+        conv.init_weights(&mut r);
+        let channel_values = |lo: f32, hi: f32, r: &mut rand::rngs::StdRng| {
+            init::uniform(Shape::new(&[cout]), lo, hi, r).into_vec()
+        };
+        conv.bias_mut().copy_from_slice(&channel_values(-0.5, 0.5, &mut r));
+        if let Some(norm) = conv.batch_norm_mut() {
+            norm.scales_mut().copy_from_slice(&channel_values(0.5, 1.5, &mut r));
+            norm.rolling_mean_mut().copy_from_slice(&channel_values(-0.3, 0.3, &mut r));
+            norm.rolling_var_mut().copy_from_slice(&channel_values(0.2, 2.0, &mut r));
+        }
+        let x = init::uniform(Shape::nchw(n, cin, h, w), -1.0, 1.0, &mut r);
+
+        let want: Vec<u32> = naive_conv_layer(&conv, &x).iter().map(|v| v.to_bits()).collect();
+        let got = conv.forward(&x).unwrap();
+        let got: Vec<u32> = got.as_slice().iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(got, want);
     }
 }

@@ -1,22 +1,14 @@
-//! Blocked, multi-threaded single-precision matrix multiplication.
+//! Multi-threaded single-precision matrix multiplication: the BLAS-style
+//! entry points over the packed microkernel of [`crate::packed`].
 //!
-//! Convolution layers are lowered to GEMM via [`crate::im2col`], exactly as
-//! the Darknet framework used by the paper does, so this kernel dominates
-//! inference and training time. The implementation is safe Rust tuned for
-//! auto-vectorisation: an `i-k-j` loop order over cache-sized blocks with
-//! the inner `j` loop expressed as slice iteration.
-//!
-//! Transposed operands (needed for the backward passes `dW = dY * Xᵀ` and
-//! `dX = Wᵀ * dY`) are handled by materialising the transpose into a scratch
-//! buffer and reusing the fast `NN` kernel; for the matrix sizes CNN layers
-//! produce this is faster than a strided kernel in safe Rust.
+//! Training lowers convolution to GEMM via [`crate::im2col`], exactly as
+//! the Darknet framework used by the paper does (inference skips the column
+//! matrix; see [`crate::packed::conv2d`]). This module validates shapes and
+//! turns `trans_a` / `trans_b` into operand strides — the kernel packs both
+//! operands into panels anyway, so the transposes needed by the backward
+//! passes `dW = dY * Xᵀ` and `dX = Wᵀ * dY` cost no copy.
 
-use crate::{parallel, Result, Shape, Tensor, TensorError};
-
-/// Cache block size along the shared `k` dimension.
-const KC: usize = 256;
-/// Cache block size along the output column dimension.
-const NC: usize = 512;
+use crate::{packed, Result, Shape, Tensor, TensorError};
 
 /// Computes `C = alpha * op(A) * op(B) + beta * C` for row-major matrices.
 ///
@@ -79,23 +71,11 @@ pub fn sgemm(
         });
     }
 
-    // Materialise transposes so the hot loop is always the NN kernel.
-    let a_owned;
-    let a_data: &[f32] = if trans_a {
-        a_owned = a.transpose2d()?;
-        a_owned.as_slice()
-    } else {
-        a.as_slice()
-    };
-    let b_owned;
-    let b_data: &[f32] = if trans_b {
-        b_owned = b.transpose2d()?;
-        b_owned.as_slice()
-    } else {
-        b.as_slice()
-    };
-
-    gemm_nn_kernel(m, n, k_a, alpha, a_data, b_data, beta, c.as_mut_slice());
+    // Element (i, p) of op(A) and (p, j) of op(B) as (row, column) strides.
+    let (a_rs, a_cs) = if trans_a { (1, m) } else { (k_a, 1) };
+    let (b_rs, b_cs) = if trans_b { (1, k_a) } else { (n, 1) };
+    let (a, b, c) = (a.as_slice(), b.as_slice(), c.as_mut_slice());
+    packed::gemm(m, n, k_a, alpha, (a, a_rs, a_cs), (b, b_rs, b_cs), beta, c);
     Ok(())
 }
 
@@ -134,7 +114,7 @@ pub fn sgemm_slices(
             });
         }
     }
-    gemm_nn_kernel(m, n, k, alpha, a, b, beta, c);
+    packed::gemm(m, n, k, alpha, (a, k, 1), (b, n, 1), beta, c);
     Ok(())
 }
 
@@ -161,60 +141,6 @@ fn matrix_dims(op: &'static str, t: &Tensor) -> Result<(usize, usize)> {
         });
     }
     Ok((dims[0], dims[1]))
-}
-
-/// Row-major `C[m x n] = alpha * A[m x k] * B[k x n] + beta * C`,
-/// parallelised over blocks of output rows.
-#[allow(clippy::too_many_arguments)] // mirrors the BLAS sgemm signature
-fn gemm_nn_kernel(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    beta: f32,
-    c: &mut [f32],
-) {
-    if m == 0 || n == 0 {
-        return;
-    }
-    parallel::par_chunks_mut(c, m, n, |rows, c_chunk| {
-        let row0 = rows.start;
-        // beta pass
-        if beta == 0.0 {
-            c_chunk.fill(0.0);
-        } else if beta != 1.0 {
-            for x in c_chunk.iter_mut() {
-                *x *= beta;
-            }
-        }
-        if k == 0 || alpha == 0.0 {
-            return;
-        }
-        // Blocked i-k-j accumulation.
-        for kb in (0..k).step_by(KC) {
-            let k_end = (kb + KC).min(k);
-            for nb in (0..n).step_by(NC) {
-                let n_end = (nb + NC).min(n);
-                for i in rows.clone() {
-                    let li = i - row0;
-                    let c_row = &mut c_chunk[li * n + nb..li * n + n_end];
-                    let a_row = &a[i * k..(i + 1) * k];
-                    for (kk, &a_ik) in a_row[kb..k_end].iter().enumerate() {
-                        let scaled = alpha * a_ik;
-                        if scaled == 0.0 {
-                            continue;
-                        }
-                        let b_row = &b[(kb + kk) * n + nb..(kb + kk) * n + n_end];
-                        for (c_val, &b_val) in c_row.iter_mut().zip(b_row) {
-                            *c_val += scaled * b_val;
-                        }
-                    }
-                }
-            }
-        }
-    });
 }
 
 #[cfg(test)]
@@ -298,6 +224,83 @@ mod tests {
                 assert!(
                     c.max_abs_diff(&want).unwrap() < 1e-3,
                     "mismatch m={m} n={n} k={k} ta={ta} tb={tb}"
+                );
+            }
+        }
+    }
+
+    /// The kernel's contract in the order the retired `i-k-j` loop summed:
+    /// `c ← beta·c` (0 for `beta = 0`, untouched for `beta = 1`), then
+    /// `c += (alpha·a_ik)·b_kj` for `k` ascending. Unlike
+    /// [`reference_gemm`]'s `alpha·acc + beta·c` this is what the kernel
+    /// computes to the bit.
+    fn contract_gemm(
+        trans_a: bool,
+        trans_b: bool,
+        alpha: f32,
+        a: &Tensor,
+        b: &Tensor,
+        beta: f32,
+        c: &mut Tensor,
+    ) {
+        let (m, n) = (c.shape().dims()[0], c.shape().dims()[1]);
+        let (ar, ac) = (a.shape().dims()[0], a.shape().dims()[1]);
+        let bc = b.shape().dims()[1];
+        let k = if trans_a { ar } else { ac };
+        let (a, b, c) = (a.as_slice(), b.as_slice(), c.as_mut_slice());
+        for i in 0..m {
+            for j in 0..n {
+                let mut sum = match beta {
+                    0.0 => 0.0,
+                    1.0 => c[i * n + j],
+                    _ => beta * c[i * n + j],
+                };
+                for p in 0..k {
+                    let a_ip = if trans_a {
+                        a[p * ac + i]
+                    } else {
+                        a[i * ac + p]
+                    };
+                    let b_pj = if trans_b {
+                        b[j * bc + p]
+                    } else {
+                        b[p * bc + j]
+                    };
+                    sum += (alpha * a_ip) * b_pj;
+                }
+                c[i * n + j] = sum;
+            }
+        }
+    }
+
+    /// Bits, not a tolerance: every transpose combination and every `beta`
+    /// path, `k` crossing a K-block boundary of the kernel (256), `m` and
+    /// `n` multiples of neither side of its register tile.
+    #[test]
+    fn matches_the_contract_bit_for_bit() {
+        let (m, n, k) = (13, 21, 300);
+        for &(ta, tb) in &[(false, false), (true, false), (false, true), (true, true)] {
+            let a = if ta {
+                random_matrix(k, m, 7)
+            } else {
+                random_matrix(m, k, 7)
+            };
+            let b = if tb {
+                random_matrix(n, k, 8)
+            } else {
+                random_matrix(k, n, 8)
+            };
+            for &(alpha, beta) in &[(1.0, 0.0), (1.0, 1.0), (0.7, 0.3), (0.0, 1.0)] {
+                let mut c = random_matrix(m, n, 9);
+                let mut want = c.clone();
+                sgemm(ta, tb, alpha, &a, &b, beta, &mut c).unwrap();
+                contract_gemm(ta, tb, alpha, &a, &b, beta, &mut want);
+                let bits =
+                    |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&c),
+                    bits(&want),
+                    "ta={ta} tb={tb} alpha={alpha} beta={beta}"
                 );
             }
         }

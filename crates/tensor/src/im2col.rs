@@ -6,6 +6,10 @@
 //! `[in_channels*k*k, out_h*out_w]` column matrix. [`col2im`] is the exact
 //! adjoint (transpose) of that linear map and is used to propagate gradients
 //! back to the input. This mirrors Darknet's `im2col_cpu`/`col2im_cpu`.
+//!
+//! Training uses this lowering (the backward pass needs the column matrix);
+//! inference does not build it — [`crate::packed::conv2d`] reads the same
+//! values straight from the activation.
 
 use crate::{Result, Shape, Tensor, TensorError};
 
@@ -103,8 +107,7 @@ pub fn im2col(input: &Tensor, geom: &ConvGeometry) -> Result<Tensor> {
 /// an `[n, c, h, w]` tensor in place (no per-item copy, no allocation).
 ///
 /// The buffer is fully overwritten (padding positions are re-zeroed), so it
-/// can be reused across batch items and layers — this is what lets a
-/// batched convolution amortise its im2col setup across images.
+/// can be reused across batch items and layers.
 ///
 /// # Errors
 ///
@@ -125,37 +128,7 @@ pub fn im2col_into(
     Ok(())
 }
 
-/// [`im2col_into`] without the upfront zero fill, for buffers whose padding
-/// positions are already zero.
-///
-/// The set of column positions im2col writes depends only on the geometry,
-/// not on the batch item: data positions are fully overwritten on every
-/// call and padding positions are never touched. So once a buffer has been
-/// zero-initialised (e.g. freshly allocated with `vec![0.0; ..]` or passed
-/// through [`im2col_into`] once) it can be unrolled into repeatedly for the
-/// **same geometry** without re-zeroing — that fill is pure memory
-/// bandwidth, and skipping it for items 2..n is where a batched forward
-/// pass beats n single-image forwards on a memory-bound core.
-///
-/// Calling this with a dirty buffer or a different geometry leaves stale
-/// values at padding positions; it is validated for shape, not cleanliness.
-///
-/// # Errors
-///
-/// Same contract as [`im2col_into`].
-pub fn im2col_into_prezeroed(
-    input: &Tensor,
-    batch: usize,
-    geom: &ConvGeometry,
-    col: &mut [f32],
-) -> Result<()> {
-    check_into_args(input, batch, geom, col)?;
-    let item_stride = geom.channels * geom.height * geom.width;
-    unroll_item(input.as_slice(), batch * item_stride, geom, col);
-    Ok(())
-}
-
-/// Shared argument validation for [`im2col_into`] / [`im2col_into_prezeroed`].
+/// Argument validation for [`im2col_into`].
 fn check_into_args(input: &Tensor, batch: usize, geom: &ConvGeometry, col: &[f32]) -> Result<()> {
     geom.validate()?;
     let dims = input.shape().dims();
@@ -437,33 +410,6 @@ mod tests {
             let reference = im2col(&item, &geom).unwrap();
             assert_eq!(buf.as_slice(), reference.as_slice(), "item {b}");
         }
-    }
-
-    #[test]
-    fn im2col_into_prezeroed_reuses_buffer_bit_exactly() {
-        use crate::init;
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
-        // pad=1 so padding positions exist and would expose stale values.
-        let geom = geometry(3, 6, 5, 3, 1, 1);
-        let batch = init::uniform(Shape::nchw(4, 3, 6, 5), -1.0, 1.0, &mut rng);
-        // One dirty buffer, zeroed once by im2col_into for item 0, then
-        // reused for items 1..4 without re-zeroing.
-        let mut buf = vec![f32::NAN; geom.col_rows() * geom.col_cols()];
-        im2col_into(&batch, 0, &geom, &mut buf).unwrap();
-        for b in 0..4 {
-            if b > 0 {
-                im2col_into_prezeroed(&batch, b, &geom, &mut buf).unwrap();
-            }
-            let item = batch.batch_item(b).unwrap();
-            let reference = im2col(&item, &geom).unwrap();
-            assert_eq!(buf.as_slice(), reference.as_slice(), "item {b}");
-        }
-        // Same validation contract as the filling variant.
-        assert!(matches!(
-            im2col_into_prezeroed(&batch, 4, &geom, &mut buf),
-            Err(TensorError::IndexOutOfBounds { .. })
-        ));
     }
 
     #[test]

@@ -8,9 +8,13 @@
 //! * [`Tensor`] — an owned, contiguous, row-major N-dimensional array of
 //!   `f32` with NCHW-oriented helpers,
 //! * [`Shape`] — dimension/stride algebra,
-//! * [`gemm`] — a blocked, multi-threaded single-precision matrix multiply,
+//! * [`packed`] — the one register-tiled GEMM microkernel, and the
+//!   implicit-GEMM convolution (weights packed once, taps read straight
+//!   from the activation, batch-norm/bias/activation fused into the store)
+//!   that inference runs on,
+//! * [`gemm`] — the BLAS-style `sgemm` entry points over that kernel,
 //! * [`im2col`] — image-to-column lowering (and its adjoint
-//!   [`im2col::col2im`]) used to express convolution as GEMM,
+//!   [`im2col::col2im`]) that training uses to express convolution as GEMM,
 //! * [`ops`] — element-wise and reduction kernels (activations, softmax,
 //!   batch statistics),
 //! * [`init`] — reproducible random initialisers (uniform, normal, Kaiming).
@@ -33,9 +37,10 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)] // one exception, stated and budgeted in `dispatch`
 #![warn(missing_docs)]
 
+mod dispatch;
 mod error;
 mod shape;
 mod tensor;
@@ -44,6 +49,7 @@ pub mod gemm;
 pub mod im2col;
 pub mod init;
 pub mod ops;
+pub mod packed;
 pub mod parallel;
 
 pub use error::TensorError;

@@ -1,10 +1,13 @@
 //! Minimal data-parallel helpers built on `std` scoped threads.
 //!
-//! The GEMM and im2col kernels split their outermost loop across worker
-//! threads. We deliberately avoid a persistent thread pool: kernel
-//! invocations in this workspace are coarse (whole convolution layers), so
-//! scoped-thread spawn cost is negligible, and scoped threads keep the API
-//! free of `'static` bounds and shared mutable state.
+//! The packed GEMM / convolution kernel ([`crate::packed`]) shares its
+//! column strips out over [`worker_count`] threads, and row-wise kernels
+//! such as max pooling split their rows with [`par_chunks_mut`]; in both the
+//! calling thread works too, so `n` workers cost `n - 1` spawns. There is
+//! deliberately no persistent thread pool yet: scoped threads keep the API
+//! free of `'static` bounds and shared mutable state, at the price of a
+//! spawn (tens of microseconds) per parallel kernel call, which is why
+//! small calls stay on the calling thread.
 
 /// Returns the number of worker threads to use for data-parallel kernels.
 ///
@@ -74,20 +77,26 @@ where
     );
     let workers = worker_count();
     // Below this many elements the spawn overhead dominates; run inline.
-    const PAR_THRESHOLD: usize = 16 * 1024;
+    // Sized for the cheapest caller, 2x2 max pooling at about a nanosecond
+    // per output: a quarter of a millisecond of work, ten spawns' worth.
+    const PAR_THRESHOLD: usize = 256 * 1024;
     if workers <= 1 || out.len() < PAR_THRESHOLD || total_rows < 2 {
         f(0..total_rows, out);
         return;
     }
-    let ranges = split_ranges(total_rows, workers);
+    let mut ranges = split_ranges(total_rows, workers);
+    let last = ranges.pop().expect("total_rows >= 2 yields a range");
     std::thread::scope(|s| {
         let mut rest = out;
         for range in ranges {
-            let (chunk, tail) = rest.split_at_mut((range.end - range.start) * row_len);
+            let (chunk, tail) = rest.split_at_mut(range.len() * row_len);
             rest = tail;
             let f = &f;
             s.spawn(move || f(range, chunk));
         }
+        // The calling thread is a worker too: it takes the last chunk
+        // instead of idling in the join.
+        f(last, rest);
     });
 }
 
@@ -146,6 +155,30 @@ mod tests {
             chunk.fill(1.0);
         });
         assert_eq!(buf, vec![1.0; 4]);
+    }
+
+    /// `n` workers cost `n - 1` spawns: above the inline threshold the
+    /// caller still runs exactly one chunk itself (the only one, when the
+    /// machine has a single worker), and the chunks tile the rows.
+    #[test]
+    fn par_chunks_mut_runs_one_chunk_on_the_calling_thread() {
+        let rows = 512;
+        let row_len = 1024;
+        let mut buf = vec![-1.0f32; rows * row_len];
+        let threads = std::sync::Mutex::new(Vec::new());
+        par_chunks_mut(&mut buf, rows, row_len, |range, chunk| {
+            threads.lock().unwrap().push(std::thread::current().id());
+            for (row, values) in range.zip(chunk.chunks_exact_mut(row_len)) {
+                values.fill(row as f32);
+            }
+        });
+        let threads = threads.into_inner().unwrap();
+        assert_eq!(threads.len(), worker_count().min(rows));
+        let me = std::thread::current().id();
+        assert_eq!(threads.iter().filter(|&&id| id == me).count(), 1);
+        for (row, values) in buf.chunks_exact(row_len).enumerate() {
+            assert!(values.iter().all(|&v| v == row as f32), "row {row}");
+        }
     }
 
     #[test]

@@ -58,6 +58,45 @@ fn steady_state_dronet_forward_is_allocation_free() {
     assert_eq!(delta.bytes, 0);
 }
 
+/// Inference never builds a column matrix. Conv1's alone used to be
+/// 27 x 123 904 floats (13.4 MB) drawn from the pool; now the convolutions
+/// take no heap scratch at all, so everything a *cold* DroNet-352 forward
+/// allocates — every activation of the ladder plus the packed weights — is
+/// smaller than that one buffer, and so is what the layers leave in the
+/// pool they were handed.
+#[test]
+fn inference_takes_no_column_matrix_scratch() {
+    single_threaded();
+    const CONV1_COLUMN_MATRIX: usize = 27 * 352 * 352;
+    let mut net = zoo::build(ModelId::DroNet, 352).unwrap();
+    let x = Tensor::zeros(Shape::nchw(1, 3, 352, 352));
+    let mut pool = dronet::nn::ActivationPool::default();
+
+    let scope = AllocScope::begin();
+    for _ in 0..2 {
+        let mut current: Option<Tensor> = None;
+        for layer in net.layers_mut() {
+            let next = layer
+                .forward_pooled(current.as_ref().unwrap_or(&x), &mut pool)
+                .unwrap();
+            if let Some(consumed) = current.replace(next) {
+                pool.give(consumed.into_vec());
+            }
+        }
+        pool.give(current.unwrap().into_vec());
+    }
+    let allocated_floats = scope.delta().bytes as usize / std::mem::size_of::<f32>();
+    assert!(
+        allocated_floats < CONV1_COLUMN_MATRIX,
+        "two forwards allocated {allocated_floats} floats"
+    );
+    assert!(
+        pool.held() < CONV1_COLUMN_MATRIX,
+        "the pool holds {} floats",
+        pool.held()
+    );
+}
+
 /// With the allocator installed and a live registry, every layer gets
 /// `nn.forward.L{i}.{kind}.allocs` / `.alloc_bytes` counters and the
 /// joined profile grows allocs/f + bytes/f columns.

@@ -1,0 +1,148 @@
+//! Bit goldens for the compute kernels, captured at the commit *before* the
+//! packed implicit-GEMM convolution replaced the `im2col` + `i-k-j` GEMM
+//! lowering. A kernel change that keeps the numeric contract (sum in
+//! ascending `(c, ky, kx)` order from +0.0, multiply and add rounded
+//! separately, BN → bias → activation in that order) leaves every hash
+//! here unchanged; one that reorders a sum or fuses a multiply-add does
+//! not.
+
+use dronet::core::{zoo, ModelId};
+use dronet::metrics::BBox;
+use dronet::tensor::{init, Shape, Tensor};
+use dronet::train::{Sgd, YoloLoss, YoloLossConfig};
+use rand::SeedableRng;
+
+/// FNV-1a over the little-endian bytes of every value's bit pattern.
+fn fnv1a(values: &[f32]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for v in values {
+        for byte in v.to_bits().to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+fn rng(seed: u64) -> rand::rngs::StdRng {
+    rand::rngs::StdRng::seed_from_u64(seed)
+}
+
+/// Forward hash of a zoo model at 96² with weights from seed 7 and a
+/// seeded input batch.
+fn zoo_forward_hash(id: ModelId, batch: usize) -> u64 {
+    let mut net = zoo::build(id, 96).unwrap();
+    net.init_weights(&mut rng(7));
+    let x = init::uniform(Shape::nchw(batch, 3, 96, 96), 0.0, 1.0, &mut rng(11));
+    fnv1a(net.forward(&x).unwrap().as_slice())
+}
+
+#[test]
+fn dronet_96_forward_bits_are_unchanged() {
+    assert_eq!(
+        zoo_forward_hash(ModelId::DroNet, 1),
+        0x4cec_71d1_babd_73ab,
+        "batch 1"
+    );
+    assert_eq!(
+        zoo_forward_hash(ModelId::DroNet, 3),
+        0x7c35_2853_04dc_c7c6,
+        "batch 3"
+    );
+}
+
+/// TinyYoloVoc exercises what DroNet does not: the `size=2 stride=1`
+/// "same" pool and the K = 9216 convolutions.
+#[test]
+fn tiny_yolo_voc_96_forward_bits_are_unchanged() {
+    assert_eq!(
+        zoo_forward_hash(ModelId::TinyYoloVoc, 1),
+        0xa920_aeef_ae49_aa5c
+    );
+}
+
+/// Two SGD steps of MicroDroNet: `forward_train`, both backward GEMMs
+/// (`dW = dY·colsᵀ` accumulating, `dCols = Wᵀ·dY`), the optimizer, then
+/// the loss of a third forward — and an inference forward of the stepped
+/// network, so a stale packed-weight cache would show here too.
+#[test]
+fn micro_dronet_training_bits_are_unchanged() {
+    let mut net = zoo::micro_dronet(32, vec![(0.8, 0.8), (1.6, 1.6)]).unwrap();
+    net.init_weights(&mut rng(7));
+    let region = net.layers().last().unwrap().as_region().unwrap();
+    let loss = YoloLoss::new(region.config().clone(), YoloLossConfig::default());
+    let truths = vec![
+        vec![
+            BBox::new(0.31, 0.62, 0.22, 0.18),
+            BBox::new(0.72, 0.28, 0.15, 0.20),
+        ],
+        vec![BBox::new(0.50, 0.45, 0.30, 0.25)],
+    ];
+    let x = init::uniform(Shape::nchw(2, 3, 32, 32), 0.05, 0.95, &mut rng(13));
+    // Warm the inference path first so the packed weights exist before
+    // the optimizer mutates them.
+    net.forward(&x).unwrap();
+
+    let mut sgd = Sgd::new(1e-3);
+    for _ in 0..2 {
+        let out = net.forward_train(&x).unwrap();
+        let (_, grad) = loss.evaluate(&out, &truths).unwrap();
+        net.backward(&grad).unwrap();
+        sgd.step(&mut net, 2);
+        net.zero_grads();
+    }
+    let out = net.forward_train(&x).unwrap();
+    let (value, _) = loss.evaluate(&out, &truths).unwrap();
+    assert_eq!(value.total().to_bits(), 0x41cc_eece, "loss after 2 steps");
+
+    let infer: Tensor = net.forward(&x).unwrap();
+    assert_eq!(
+        fnv1a(infer.as_slice()),
+        0x1499_492c_91e1_d3ba,
+        "inference after 2 steps"
+    );
+}
+
+/// End to end: a detector whose convolutions have packed their weights
+/// takes a training step through `network_mut()`; its next detections are
+/// those of a network that loaded the stepped weights from a file and has
+/// never packed anything — not those of the stale panels.
+#[test]
+fn detector_sees_weights_stepped_by_the_optimizer() {
+    use dronet::detect::DetectorBuilder;
+    use dronet::nn::weights;
+
+    let anchors = vec![(0.8, 0.8), (1.6, 1.6)];
+    let mut net = zoo::micro_dronet(32, anchors.clone()).unwrap();
+    net.init_weights(&mut rng(7));
+    let region = net.layers().last().unwrap().as_region().unwrap();
+    let loss = YoloLoss::new(region.config().clone(), YoloLossConfig::default());
+    let truths = vec![vec![BBox::new(0.4, 0.5, 0.3, 0.25)]];
+    let image = init::uniform(Shape::nchw(1, 3, 32, 32), 0.05, 0.95, &mut rng(13));
+
+    let mut detector = DetectorBuilder::new(net)
+        .confidence_threshold(0.01)
+        .build()
+        .unwrap();
+    let before = detector.detect(&image).unwrap();
+    assert!(!before.is_empty(), "threshold low enough to see boxes");
+
+    let net = detector.network_mut();
+    let out = net.forward_train(&image).unwrap();
+    let (_, grad) = loss.evaluate(&out, &truths).unwrap();
+    net.backward(&grad).unwrap();
+    Sgd::new(1e-2).step(net, 1);
+    net.zero_grads();
+    let mut file = Vec::new();
+    weights::save(net, &mut file).unwrap();
+    let after = detector.detect(&image).unwrap();
+    assert_ne!(after, before, "the step moved the detections");
+
+    let mut reloaded = zoo::micro_dronet(32, anchors).unwrap();
+    weights::load(&mut reloaded, file.as_slice()).unwrap();
+    let mut fresh = DetectorBuilder::new(reloaded)
+        .confidence_threshold(0.01)
+        .build()
+        .unwrap();
+    assert_eq!(after, fresh.detect(&image).unwrap());
+}
