@@ -61,8 +61,9 @@
 //!
 //! `--alloc-grid` runs the steady-state-allocation grid instead
 //! (`BENCH_PR6.json`): this binary installs the counting allocator, and
-//! the grid pins `DRONET_THREADS=1` (scoped GEMM threads allocate their
-//! spawn state on the calling thread) before any forward caches the
+//! the grid pins `DRONET_THREADS=1` (with more workers a kernel that
+//! shares its work out builds the queue of shares on the calling thread,
+//! which allocates) before any forward caches the
 //! worker count, then reports allocs/bytes per warm pooled forward for
 //! DroNet-352 at batch 1 and 8 — expected to be exactly zero.
 

@@ -1,6 +1,9 @@
-//! Locks the speed-up of the packed implicit-GEMM convolution the way the
-//! roadmap asks for one: a before/after ratio on the same machine in the
-//! same run, not a number of milliseconds.
+//! Locks the speed-up of the packed implicit-GEMM convolution, and of the
+//! kernel pool's hand-off, the way the roadmap asks for one: a before/after
+//! ratio on the same machine in the same run, not a number of milliseconds.
+//! (The third ratio of the kind, AVX-512F against AVX2, needs to call the
+//! instantiations directly and so lives next to them, in
+//! `dronet_tensor::packed`'s unit tests.)
 //!
 //! "Before" is the lowering inference used until the packed kernel landed,
 //! rebuilt here from public pieces: `im2col_into` a column matrix, multiply
@@ -10,6 +13,7 @@
 
 use dronet_nn::{Activation, Conv2d};
 use dronet_tensor::im2col::{im2col_into, ConvGeometry};
+use dronet_tensor::parallel::{par_chunks_mut, worker_count};
 use dronet_tensor::{init, ops, Shape, Tensor};
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
@@ -80,4 +84,43 @@ fn packed_conv_beats_the_column_matrix_lowering() {
         );
         println!("{name}: packed path {ratio:.2}x the column-matrix lowering");
     }
+}
+
+/// Handing a job to the persistent kernel pool against what it replaced, a
+/// `thread::scope` spawn and join per call: the same do-nothing closure over
+/// the same two halves of a buffer, best of seven, interleaved. The pool
+/// measures 10-100x ahead (a helper that is still watching joins within a
+/// microsecond, a parked one is woken and not waited for); a third of the
+/// spawn's time is the bar.
+#[test]
+fn pool_hand_off_beats_a_scoped_spawn() {
+    if worker_count() < 2 {
+        println!("one worker: nothing is handed off");
+        return;
+    }
+    // Large enough for `par_chunks_mut` to share it out.
+    let (rows, row_len) = (64, 8 * 1024);
+    let mut buffer = vec![0.0f32; rows * row_len];
+    let job = |_: std::ops::Range<usize>, chunk: &mut [f32]| {
+        std::hint::black_box(chunk);
+    };
+    let (mut pool, mut spawn) = (Duration::MAX, Duration::MAX);
+    for _ in 0..7 {
+        let start = Instant::now();
+        par_chunks_mut(&mut buffer, rows, row_len, job);
+        pool = pool.min(start.elapsed());
+
+        let start = Instant::now();
+        let (front, back) = buffer.split_at_mut(rows / 2 * row_len);
+        std::thread::scope(|scope| {
+            scope.spawn(|| job(0..rows / 2, front));
+            job(rows / 2..rows, back);
+        });
+        spawn = spawn.min(start.elapsed());
+    }
+    println!("hand-off to the pool {pool:?}, scoped spawn and join {spawn:?}");
+    assert!(
+        pool * 3 <= spawn,
+        "pool {pool:?} against a scoped spawn's {spawn:?}"
+    );
 }

@@ -37,7 +37,7 @@
 //! # }
 //! ```
 
-#![deny(unsafe_code)] // one exception, stated and budgeted in `dispatch`
+#![deny(unsafe_code)] // two exceptions, stated and budgeted in `dispatch` and `parallel::pool`
 #![warn(missing_docs)]
 
 mod dispatch;

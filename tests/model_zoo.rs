@@ -57,6 +57,41 @@ fn forward_is_deterministic() {
     assert_eq!(a, b);
 }
 
+/// Four threads forwarding at once contend for the kernel pool's one slot —
+/// whoever finds it taken computes alone, the others race their hand-off
+/// against joining helpers — and every forward still has the bits of the
+/// same forward run with nobody else about. Batches of three, so that the
+/// first two convolutions are large enough to be shared out.
+#[test]
+fn concurrent_forwards_have_the_bits_of_sequential_ones() {
+    let bits = |t: Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let mut net = zoo::build(ModelId::DroNet, 96).unwrap();
+    net.init_weights(&mut rand::rngs::StdRng::seed_from_u64(7));
+    let inputs: Vec<Tensor> = (0..4)
+        .map(|i| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(20 + i);
+            init::uniform(Shape::nchw(3, 3, 96, 96), 0.0, 1.0, &mut rng)
+        })
+        .collect();
+    let sequential: Vec<_> = inputs
+        .iter()
+        .map(|x| bits(net.forward(x).unwrap()))
+        .collect();
+
+    let start = std::sync::Barrier::new(inputs.len());
+    std::thread::scope(|scope| {
+        for (x, want) in inputs.iter().zip(&sequential) {
+            let (mut net, start) = (net.clone(), &start);
+            scope.spawn(move || {
+                start.wait();
+                for round in 0..8 {
+                    assert_eq!(&bits(net.forward(x).unwrap()), want, "round {round}");
+                }
+            });
+        }
+    });
+}
+
 #[test]
 fn micro_dronet_matches_design_rules() {
     let net = zoo::micro_dronet(64, vec![(1.0, 1.0), (2.0, 2.0)]).unwrap();
