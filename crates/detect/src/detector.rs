@@ -329,6 +329,9 @@ impl Detector {
         let trace = self.tracer.span("detect.decode");
         let scope = self.alloc_spans.as_ref().map(|_| AllocScope::begin());
         let candidates = decode(&output, &self.region, 0, self.confidence_threshold)?;
+        // Decoded: the buffer goes back into the network's pool, or every
+        // frame would take one out of circulation and allocate another.
+        self.network.recycle(output);
         record_alloc(scope, self.alloc_spans.as_ref().map(|a| &a.decode));
         drop(trace);
         span.stop();
@@ -406,6 +409,7 @@ impl Detector {
             span.stop();
             all.push(kept);
         }
+        self.network.recycle(output);
         self.fps.stop();
         Ok(all)
     }

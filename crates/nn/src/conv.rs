@@ -1,4 +1,4 @@
-use crate::{Activation, ActivationPool, BatchNorm, NnError, Result};
+use crate::{Activation, ActivationPool, BatchNorm, MaxPool2d, NnError, Result};
 use dronet_tensor::im2col::{col2im, im2col, ConvGeometry};
 use dronet_tensor::packed::{self, ChannelEpilogue, PackedMatrix};
 use dronet_tensor::{gemm, ops, Shape, Tensor};
@@ -271,12 +271,46 @@ impl Conv2d {
         self.forward_impl(x, true, None)
     }
 
-    fn forward_impl(
+    /// Inference through this layer and the max pool `after` it as one
+    /// kernel that never writes this layer's own output
+    /// ([`packed::conv2d_pooled`]), or `None` — nothing done — when `after`
+    /// is not the plain 2x2 stride-2 downsampling pool or the kernel does
+    /// not take the layer. The bits are those of the two layers run one
+    /// after the other.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Conv2d::forward`].
+    pub(crate) fn forward_pooled_through(
         &mut self,
         x: &Tensor,
-        train: bool,
-        pool: Option<&mut ActivationPool>,
-    ) -> Result<Tensor> {
+        after: &mut MaxPool2d,
+        pool: &mut ActivationPool,
+    ) -> Result<Option<Tensor>> {
+        let geom = self.checked_geometry(x)?;
+        let (oh, ow) = (geom.out_height(), geom.out_width());
+        if !after.tiles_2x2(oh, ow) {
+            return Ok(None);
+        }
+        let shape = Shape::nchw(x.shape().batch(), self.out_channels, oh / 2, ow / 2);
+        // Drawn from the pool only once the kernel has taken the layer.
+        let mut out = None;
+        let slot = &mut out;
+        let taken = self.infer_into(x, &geom, true, move || {
+            let drawn = Tensor::from_vec(pool.take(shape.len()), shape);
+            slot.insert(drawn.expect("as long as its shape"))
+                .as_mut_slice()
+        })?;
+        if taken {
+            // Both layers have run an inference pass.
+            self.cache = None;
+            after.clear_cache();
+        }
+        Ok(out)
+    }
+
+    /// The geometry of this layer over the NCHW batch `x`.
+    fn checked_geometry(&self, x: &Tensor) -> Result<ConvGeometry> {
         let s = x.shape();
         if s.rank() != 4 || s.channels() != self.in_channels {
             return Err(NnError::BadInput {
@@ -284,10 +318,19 @@ impl Conv2d {
                 actual: s.dims().to_vec(),
             });
         }
-        let (n, h, w) = (s.batch(), s.height(), s.width());
-        let geom = self.geometry(h, w);
+        let geom = self.geometry(s.height(), s.width());
         geom.validate().map_err(NnError::from)?;
-        let (oh, ow) = (geom.out_height(), geom.out_width());
+        Ok(geom)
+    }
+
+    fn forward_impl(
+        &mut self,
+        x: &Tensor,
+        train: bool,
+        pool: Option<&mut ActivationPool>,
+    ) -> Result<Tensor> {
+        let geom = self.checked_geometry(x)?;
+        let (n, oh, ow) = (x.shape().batch(), geom.out_height(), geom.out_width());
 
         let out_shape = Shape::nchw(n, self.out_channels, oh, ow);
         // Pooled buffers arrive with stale contents; that is safe because
@@ -301,7 +344,7 @@ impl Conv2d {
             self.train_into(x, geom, &mut out)?;
         } else {
             self.cache = None;
-            self.infer_into(x, &geom, &mut out)?;
+            self.infer_into(x, &geom, false, || out.as_mut_slice())?;
         }
         Ok(out)
     }
@@ -309,27 +352,36 @@ impl Conv2d {
     /// Inference: one fused implicit-GEMM call for the whole batch, straight
     /// from the input tensor into the output tensor. No column matrix, no
     /// separate batch-norm, bias or activation pass, and no scratch beyond
-    /// the kernel's own stack panels.
-    fn infer_into(&self, x: &Tensor, geom: &ConvGeometry, out: &mut Tensor) -> Result<()> {
+    /// the kernel's own stack panels. With `pooled`, `out()` is the output of
+    /// the 2x2 stride-2 max pool behind this layer, and `false` comes back
+    /// — `out` not called — when the kernel leaves the pair to two passes.
+    fn infer_into<'o>(
+        &self,
+        x: &Tensor,
+        geom: &ConvGeometry,
+        pooled: bool,
+        out: impl FnOnce() -> &'o mut [f32],
+    ) -> Result<bool> {
         // One kernel instantiation per activation, each calling `apply` on
         // a constant so the `match` inside it folds away and the store loop
         // carries no per-element dispatch.
         use Activation::{Leaky, Linear, Logistic, Relu};
         match self.activation {
-            Linear => self.infer_with(x, geom, out, |v| Linear.apply(v)),
-            Leaky => self.infer_with(x, geom, out, |v| Leaky.apply(v)),
-            Relu => self.infer_with(x, geom, out, |v| Relu.apply(v)),
-            Logistic => self.infer_with(x, geom, out, |v| Logistic.apply(v)),
+            Linear => self.infer_with(x, geom, pooled, out, |v| Linear.apply(v)),
+            Leaky => self.infer_with(x, geom, pooled, out, |v| Leaky.apply(v)),
+            Relu => self.infer_with(x, geom, pooled, out, |v| Relu.apply(v)),
+            Logistic => self.infer_with(x, geom, pooled, out, |v| Logistic.apply(v)),
         }
     }
 
-    fn infer_with(
+    fn infer_with<'o>(
         &self,
         x: &Tensor,
         geom: &ConvGeometry,
-        out: &mut Tensor,
+        pooled: bool,
+        out: impl FnOnce() -> &'o mut [f32],
         activation: impl Fn(f32) -> f32 + Copy + Send,
-    ) -> Result<()> {
+    ) -> Result<bool> {
         let weights = self.packed.get_or_init(|| {
             PackedMatrix::pack(self.weights.as_slice(), self.out_channels, geom.col_rows())
                 .expect("the weight matrix is out_c x in_c*k*k")
@@ -339,15 +391,14 @@ impl Conv2d {
             batch_norm: self.batch_norm.as_ref().map(BatchNorm::infer_coefficients),
             bias: &self.bias,
         };
-        packed::conv2d(
-            x.as_slice(),
-            geom,
-            weights,
-            channels,
-            activation,
-            out.as_mut_slice(),
-        )?;
-        Ok(())
+        let x = x.as_slice();
+        if pooled {
+            return Ok(packed::conv2d_pooled(
+                x, geom, weights, channels, activation, out,
+            )?);
+        }
+        packed::conv2d(x, geom, weights, channels, activation, out())?;
+        Ok(true)
     }
 
     /// Training: keeps one column matrix per image for the backward pass,

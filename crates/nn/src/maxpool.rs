@@ -89,6 +89,25 @@ impl MaxPool2d {
         (oh, ow)
     }
 
+    /// Whether this is the zoo's downsampling pool over an `h x w` plane:
+    /// aligned 2x2 stride-2 windows that tile a non-empty plane exactly.
+    /// Such a pool has a fast kernel of its own at inference and can be
+    /// taken in the store of the convolution ahead of it; everything else —
+    /// the `size=2 stride=1` "same" pool, odd sizes — takes the generic
+    /// loop.
+    pub(crate) fn tiles_2x2(&self, h: usize, w: usize) -> bool {
+        (self.size, self.stride) == (2, 2)
+            && self.padding / 2 == 0
+            && h * w > 0
+            && h.is_multiple_of(2)
+            && w.is_multiple_of(2)
+    }
+
+    /// Forgets the last training pass, as an inference pass does.
+    pub(crate) fn clear_cache(&mut self) {
+        self.cache = None;
+    }
+
     /// Forward pass (inference): no cache is recorded and no argmax
     /// indices are tracked.
     ///
@@ -160,16 +179,7 @@ impl MaxPool2d {
         let src = x.as_slice();
         let in_plane = h * w;
         let out_plane = oh * ow;
-        // The zoo's downsampling pool at inference: aligned 2x2 windows that
-        // tile a non-empty plane exactly. Everything else — the `size=2
-        // stride=1` "same" pool, odd sizes, argmax tracking — takes the
-        // generic loop.
-        let tiles_2x2 = (self.size, self.stride) == (2, 2)
-            && offset == 0
-            && in_plane > 0
-            && h % 2 == 0
-            && w % 2 == 0;
-        if argmax.is_none() && tiles_2x2 {
+        if argmax.is_none() && self.tiles_2x2(h, w) {
             parallel::par_chunks_mut(dst, n * c, out_plane, |planes, chunk| {
                 let src = &src[planes.start * in_plane..planes.end * in_plane];
                 pool_2x2_planes(src, w, chunk);
@@ -355,6 +365,7 @@ mod tests {
             }
         }
         let mut pool = MaxPool2d::new(2, 2).unwrap();
+        assert!(pool.tiles_2x2(6, 8));
         let fast = pool.forward(&x).unwrap();
         let generic = pool.forward_train(&x).unwrap();
         assert_eq!(fast.shape().dims(), &[2, 3, 3, 4]);
@@ -367,9 +378,10 @@ mod tests {
         assert_eq!(bits(&pooled), bits(&generic));
     }
 
-    /// Geometries the fast path must leave alone: odd extents (the last
-    /// window hangs over the edge), the stride-1 "same" pool, bigger
-    /// windows, explicit padding that shifts the window origin.
+    /// Geometries the fast path — and a convolution that would take the
+    /// pool in its store — must leave alone: odd extents (the last window
+    /// hangs over the edge), the stride-1 "same" pool, bigger windows,
+    /// explicit padding that shifts the window origin, an empty plane.
     #[test]
     fn other_geometries_fall_back_to_the_generic_kernel() {
         use dronet_tensor::init;
@@ -385,6 +397,7 @@ mod tests {
         ] {
             let x = init::uniform(Shape::nchw(1, 2, h, w), -1.0, 1.0, &mut rng);
             let mut pool = MaxPool2d::with_padding(size, stride, padding).unwrap();
+            assert!(!pool.tiles_2x2(h, w));
             let infer = pool.forward(&x).unwrap();
             let train = pool.forward_train(&x).unwrap();
             let (oh, ow) = pool.output_hw(h, w);
@@ -395,6 +408,7 @@ mod tests {
                 "size={size} stride={stride} pad={padding} {h}x{w}"
             );
         }
+        assert!(!MaxPool2d::new(2, 2).unwrap().tiles_2x2(0, 8));
     }
 
     #[test]

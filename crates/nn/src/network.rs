@@ -266,18 +266,44 @@ impl Network {
         let mut pool = std::mem::take(&mut self.scratch);
         let mut cur: Option<Tensor> = None;
         let mut failed = None;
-        for (i, layer) in self.layers.iter_mut().enumerate() {
+        // Whether the previous layer, a convolution, has already stored this
+        // layer's output: a downsampling max pool is taken in the store of
+        // the convolution ahead of it where that pays. Training keeps the
+        // layers apart — the pool's backward pass needs its argmax.
+        let mut absorbed = false;
+        for i in 0..self.layers.len() {
+            let (done, rest) = self.layers.split_at_mut(i + 1);
+            let layer = &mut done[i];
+            // An absorbed layer records its (empty) sample like any other,
+            // the convolution's covers the pair.
             let span = self.forward_spans.get(i).map(Histogram::start);
             let trace_span = self.tracer.span_aux(kind_slug(layer.kind()), i as i64);
             let alloc_scope = (!self.alloc_spans.is_empty()).then(AllocScope::begin);
             // The first layer reads the caller's tensor directly — no
             // input clone.
-            match layer.forward_pooled(cur.as_ref().unwrap_or(x), &mut pool) {
-                Ok(next) => {
+            let input = cur.as_ref().unwrap_or(x);
+            let output = if std::mem::take(&mut absorbed) {
+                Ok(None)
+            } else {
+                let stored = match (&mut *layer, rest.first_mut()) {
+                    (Layer::Conv(conv), Some(Layer::MaxPool(after))) => {
+                        conv.forward_pooled_through(input, after, &mut pool)
+                    }
+                    _ => Ok(None),
+                };
+                absorbed = matches!(stored, Ok(Some(_)));
+                match stored {
+                    Ok(None) => layer.forward_pooled(input, &mut pool).map(Some),
+                    stored => stored,
+                }
+            };
+            match output {
+                Ok(Some(next)) => {
                     if let Some(prev) = cur.replace(next) {
                         pool.give(prev.into_vec());
                     }
                 }
+                Ok(None) => {}
                 Err(e) => {
                     failed = Some(at_layer(e, i));
                 }
@@ -587,6 +613,109 @@ mod tests {
         net.forward(&Tensor::zeros(Shape::nchw(1, 3, 16, 16)))
             .unwrap();
         assert_eq!(tracer.snapshot().events.len(), snap.events.len());
+    }
+
+    /// conv (large enough for its pool to be taken in the store) → pool →
+    /// conv (too small) → pool → 1x1 conv: layer by layer through
+    /// `Layer::forward` and through `Network::forward`.
+    fn front_end(first_pool: MaxPool2d) -> (Network, Tensor) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut net = Network::new(3, 176, 176);
+        for layer in [
+            Layer::conv(Conv2d::new(3, 8, 3, 1, 1, Activation::Leaky, true).unwrap()),
+            Layer::max_pool(first_pool),
+            Layer::conv(Conv2d::new(8, 12, 3, 1, 1, Activation::Leaky, true).unwrap()),
+            Layer::max_pool(MaxPool2d::new(2, 2).unwrap()),
+            Layer::conv(Conv2d::new(12, 6, 1, 1, 0, Activation::Linear, false).unwrap()),
+        ] {
+            net.push(layer);
+        }
+        net.init_weights(&mut rng);
+        let x = init::uniform(Shape::nchw(2, 3, 176, 176), -1.0, 1.0, &mut rng);
+        (net, x)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn layer_by_layer(net: &Network, x: &Tensor) -> Tensor {
+        let mut layers = net.layers().to_vec();
+        layers
+            .iter_mut()
+            .fold(x.clone(), |x, layer| layer.forward(&x).unwrap())
+    }
+
+    /// The first convolution's activation, 2 x 8 x 176 x 176 floats.
+    const FULL_RESOLUTION: usize = 2 * 8 * 176 * 176;
+
+    #[test]
+    fn a_pool_taken_in_the_store_leaves_bits_and_telemetry_alone() {
+        let (mut net, x) = front_end(MaxPool2d::new(2, 2).unwrap());
+        let (obs, tracer) = (Registry::new(), Tracer::new());
+        net.set_observability(&obs);
+        net.set_tracing(&tracer);
+        let y = net.forward(&x).unwrap();
+        assert_eq!(bits(&y), bits(&layer_by_layer(&net, &x)));
+        // The pool was taken in the store: the first convolution's own
+        // output was never anywhere, so no buffer that could hold it is.
+        net.recycle(y);
+        assert!(
+            net.scratch.held() < FULL_RESOLUTION,
+            "{}",
+            net.scratch.held()
+        );
+        // Every layer, the absorbed pool included, has its one sample and
+        // its one span, in order.
+        let snap = obs.snapshot();
+        for (i, layer) in net.layers().iter().enumerate() {
+            let name = forward_metric_name(i, layer.kind());
+            assert_eq!(snap.histogram(&name).unwrap().count, 1, "{name}");
+        }
+        let ends: Vec<(&str, i64)> = tracer
+            .snapshot()
+            .events
+            .iter()
+            .filter(|e| e.kind == dronet_obs::TraceKind::End)
+            .map(|e| (e.name, e.aux))
+            .collect();
+        let want = [
+            ("conv", 0),
+            ("maxpool", 1),
+            ("conv", 2),
+            ("maxpool", 3),
+            ("conv", 4),
+        ];
+        assert_eq!(ends[..5], want);
+        assert_eq!(ends.len(), 6, "{ends:?}");
+    }
+
+    #[test]
+    fn a_pool_that_is_not_the_downsampling_one_stays_a_layer() {
+        // Tiny-YOLO's "same" pool keeps the grid: nothing to take in a store.
+        let (mut net, x) = front_end(MaxPool2d::new(2, 1).unwrap());
+        let y = net.forward(&x).unwrap();
+        assert_eq!(bits(&y), bits(&layer_by_layer(&net, &x)));
+        net.recycle(y);
+        assert!(net.scratch.held() >= FULL_RESOLUTION);
+    }
+
+    /// A training pass in between changes nothing: it keeps the layers
+    /// apart, and the fused inference pass after it drops both caches.
+    #[test]
+    fn an_absorbed_pool_forgets_its_training_pass_like_any_other() {
+        let (mut net, x) = front_end(MaxPool2d::new(2, 2).unwrap());
+        let trained = net.forward_train(&x).unwrap();
+        let inferred = net.forward(&x).unwrap();
+        assert_eq!(inferred.shape(), trained.shape());
+        match net.backward(&Tensor::ones(*trained.shape())) {
+            Err(NnError::MissingForwardCache { layer_index }) => assert_eq!(layer_index, 4),
+            other => panic!("expected missing-cache error, got {other:?}"),
+        }
+        // The caches of layers 0 and 1 went with the fused pass.
+        let mut layers = net.layers().to_vec();
+        let grad = Tensor::ones(Shape::nchw(2, 8, 88, 88));
+        assert!(layers[1].backward(&grad).is_err());
     }
 
     #[test]

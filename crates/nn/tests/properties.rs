@@ -258,3 +258,72 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `Network::forward` — which takes a downsampling pool in the store of
+    /// the convolution ahead of it where the kernel has it that way — equals
+    /// chaining `Layer::forward` layer by layer, bit for bit: random stacks
+    /// of convolutions (every kernel size and stride, batch norm on and off)
+    /// with and without a pool behind them (the 2x2 stride-2 one, the "same"
+    /// pool, a 3x3 stride-2 one), over inputs from a few pixels to sizes
+    /// whose first activations are large enough to be fused, even and odd.
+    #[test]
+    fn network_forward_is_the_layers_chained_bit_for_bit(
+        layers in prop::collection::vec(
+            (4usize..17, 0usize..3, 0usize..4, any::<bool>(), 0usize..8),
+            1..4,
+        ),
+        large in 0usize..3,
+        h in 6usize..40,
+        dw in 0usize..4,
+        n in 1usize..3,
+        seed in any::<u64>(),
+    ) {
+        let large = large > 0;
+        let (h, w) = if large { (4 * h + 120, 4 * h + 120 + 2 * dw) } else { (h, h + dw) };
+        let mut r = rng(seed);
+        let mut net = Network::new(3, h, w);
+        let (mut c, mut side) = (3, h.min(w));
+        for &(filters, kernel, stride, bn, pool) in &layers {
+            let (kernel, mut stride) = ([1, 3, 5][kernel], [1, 1, 1, 2][stride]);
+            // A large input's first layer is the one the fused kernel is
+            // for: enough filters, and mostly stride 1, to get there.
+            let filters = if large { filters.max(8) } else { filters };
+            if large && net.is_empty() && !seed.is_multiple_of(4) {
+                stride = 1;
+            }
+            net.push(Layer::conv(
+                Conv2d::new(c, filters, kernel, stride, kernel / 2, Activation::Leaky, bn).unwrap(),
+            ));
+            (c, side) = (filters, side.div_ceil(stride));
+            let pool = match pool {
+                0..=4 => MaxPool2d::new(2, 2),
+                5 => MaxPool2d::new(2, 1),
+                6 => MaxPool2d::new(3, 2),
+                _ => continue,
+            };
+            if side < 4 {
+                break;
+            }
+            side /= pool.as_ref().unwrap().stride();
+            net.push(Layer::max_pool(pool.unwrap()));
+        }
+        net.init_weights(&mut r);
+        let x = init::uniform(Shape::nchw(n, 3, h, w), -1.0, 1.0, &mut r);
+
+        let mut chained = x.clone();
+        for layer in net.layers().to_vec().iter_mut() {
+            chained = layer.forward(&chained).unwrap();
+        }
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Twice: the second pass runs on recycled buffers with stale contents.
+        for _ in 0..2 {
+            let y = net.forward(&x).unwrap();
+            prop_assert_eq!(y.shape(), chained.shape());
+            prop_assert_eq!(bits(&y), bits(&chained));
+            net.recycle(y);
+        }
+    }
+}

@@ -3,13 +3,17 @@
 //! allocator, so every heap allocation in the process is counted.
 //!
 //! The headline guarantee: after warmup, a pooled DroNet-352 forward
-//! pass performs **zero** heap allocations — activations, conv scratch,
-//! and the returned output all cycle through the recycled
-//! `ActivationPool`. `DRONET_THREADS=1` keeps the GEMM on the calling
-//! thread (scoped-thread spawns allocate their stacks and closures, and
-//! [`AllocScope`] deliberately counts only the calling thread).
+//! pass performs **zero** heap allocations — activations and the returned
+//! output all cycle through the recycled `ActivationPool` — and so does
+//! the forward stage of the product's own loop, `Detector::detect`.
+//! `DRONET_THREADS=1` keeps every kernel on the calling thread, where it
+//! indexes its output directly: with more workers a layer that is shared
+//! out builds its queue of shares and their row tables on the heap, once
+//! per call (and [`AllocScope`] deliberately counts only the calling
+//! thread).
 
 use dronet::core::{zoo, ModelId};
+use dronet::detect::DetectorBuilder;
 use dronet::nn::profile::{alloc_metric_name, forward_metric_name, NetworkProfile};
 use dronet::nn::summary::NetworkSummary;
 use dronet::obs::{AllocScope, CountingAlloc, Registry};
@@ -56,6 +60,46 @@ fn steady_state_dronet_forward_is_allocation_free() {
         delta.allocs, delta.bytes
     );
     assert_eq!(delta.bytes, 0);
+}
+
+/// The same bar for the loop the product runs: a warm `Detector::detect`
+/// allocates nothing inside its forward stage, because the detector hands
+/// each decoded output back to the network's pool. (Before it did, every
+/// frame took the pool's smallest fitting buffer out of circulation for
+/// good and a later layer allocated its replacement.)
+#[test]
+fn steady_state_detect_allocates_nothing_in_its_forward_stage() {
+    single_threaded();
+    let obs = Registry::new();
+    let net = zoo::build(ModelId::DroNet, 352).unwrap();
+    let mut detector = DetectorBuilder::new(net)
+        .observability(&obs)
+        .build()
+        .unwrap();
+    let x = Tensor::zeros(Shape::nchw(1, 3, 352, 352));
+    for _ in 0..3 {
+        detector.detect(&x).unwrap();
+    }
+    let forward_allocs = || {
+        obs.snapshot()
+            .counter("detect.forward.allocs")
+            .expect("stage counters exist under CountingAlloc")
+    };
+    let warm = forward_allocs();
+    for _ in 0..4 {
+        detector.detect(&x).unwrap();
+    }
+    assert_eq!(forward_allocs(), warm, "a warm detect allocated in forward");
+    // Batches go the same way.
+    let batch = Tensor::zeros(Shape::nchw(2, 3, 352, 352));
+    for _ in 0..3 {
+        detector.detect_batch(&batch).unwrap();
+    }
+    let warm = forward_allocs();
+    for _ in 0..4 {
+        detector.detect_batch(&batch).unwrap();
+    }
+    assert_eq!(forward_allocs(), warm, "a warm detect_batch allocated");
 }
 
 /// Inference never builds a column matrix. Conv1's alone used to be
