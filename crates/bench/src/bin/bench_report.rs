@@ -1,15 +1,10 @@
-//! Bench-regression harness: times the zoo models across the paper's
-//! input-size ladder plus one traced pipeline run, and writes
-//! schema-stable JSON reports (`BENCH_PR3.json` for single-image forwards
-//! and the pipeline, `BENCH_PR4.json` for batched serving throughput) that
-//! CI archives and the in-tree JSON reader ([`dronet_obs::JsonValue`]) can
-//! parse back for regression diffing.
+//! Bench-report harness: three measurement grids that each write one
+//! schema-stable JSON report the in-tree JSON reader
+//! ([`dronet_obs::JsonValue`]) parses back and `tests/bench_report.rs`
+//! locks. How fast a forward is is not measured here: that is the repo
+//! benchmark's job (`bash benchmark/run.sh`, see `BENCHMARK.json`).
 //!
 //! ```text
-//! cargo run --release -p dronet-bench --bin bench_report \
-//!     [report.json [trace.json [batched_report.json]]]
-//! cargo run --release -p dronet-bench --bin bench_report -- \
-//!     --alloc-grid [BENCH_PR6.json]
 //! cargo run --release -p dronet-bench --bin bench_report -- \
 //!     --serve-grid [BENCH_PR8.json]
 //! cargo run --release -p dronet-bench --bin bench_report -- \
@@ -18,10 +13,9 @@
 //!     --replica-grid [BENCH_PR10.json]
 //! ```
 //!
-//! `DRONET_BENCH_ITERS` overrides the timed iterations per configuration
-//! (default 5); CI smoke runs set it to 1. The schema deliberately uses
-//! only objects, arrays, strings, and numbers — the subset the in-tree
-//! reader supports.
+//! Run with no mode, the binary prints this usage and exits non-zero. The
+//! schema deliberately uses only objects, arrays, strings, and numbers —
+//! the subset the in-tree reader supports.
 //!
 //! `--serve-grid` runs the serving-SLO grid (`BENCH_PR8.json`): for each
 //! input size × `max_batch`, an in-process server is driven by the
@@ -58,27 +52,16 @@
 //! merger and tracker; timing replays the recorded tile sets through the
 //! real CNN. `DRONET_TILE_SIZES` / `DRONET_TILE_FRAMES` shrink the grid
 //! for CI smoke runs.
-//!
-//! `--alloc-grid` runs the steady-state-allocation grid instead
-//! (`BENCH_PR6.json`): this binary installs the counting allocator, and
-//! the grid pins `DRONET_THREADS=1` (with more workers a kernel that
-//! shares its work out builds the queue of shares on the calling thread,
-//! which allocates) before any forward caches the
-//! worker count, then reports allocs/bytes per warm pooled forward for
-//! DroNet-352 at batch 1 and 8 — expected to be exactly zero.
 
 use dronet_bench::loadgen::{frame_corpus, run_plan, ArrivalPlan, LoadgenConfig, Phase};
 use dronet_bench::{input_image, model};
 use dronet_core::ModelId;
 use dronet_data::scene::{LargeSceneConfig, LargeSceneGenerator};
 use dronet_detect::track::{Tracker, TrackerConfig};
-use dronet_detect::{resize_frame_bilinear, Detection, DetectorBuilder, IterSource, VideoPipeline};
+use dronet_detect::{resize_frame_bilinear, Detection, DetectorBuilder};
 use dronet_metrics::matching::{match_detections, MatchResult, DEFAULT_IOU_THRESHOLD};
 use dronet_metrics::BBox;
-use dronet_nn::cost::network_cost;
-use dronet_nn::profile::NetworkProfile;
-use dronet_nn::summary::NetworkSummary;
-use dronet_obs::{AllocScope, ChromeTrace, CountingAlloc, JsonValue, Registry, Tracer};
+use dronet_obs::{JsonValue, Registry, Tracer};
 use dronet_serve::{DetectorFactory, ReplicaChaosPlan, ServeConfig, Server};
 use dronet_tile::{
     MergeConfig, SelectorConfig, TileGrid, TileMerger, TileSelector, TiledDetector,
@@ -91,254 +74,88 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc::new();
-
 /// The schema version stamped into the report; bump when a field changes
 /// meaning so regression tooling can refuse to compare across versions.
 const SCHEMA_VERSION: u64 = 1;
 
-/// The models × input-size grid of the report (the paper's Fig. 3 ladder,
-/// proposed model + accuracy baseline).
-const MODELS: [ModelId; 2] = [ModelId::DroNet, ModelId::TinyYoloVoc];
-const SIZES: [usize; 4] = [352, 416, 512, 608];
-
-/// The batched-throughput grid (`BENCH_PR4.json`): the serving micro-batch
-/// curve for the proposed model at its two real-time input sizes.
-const BATCH_INPUTS: [usize; 2] = [352, 416];
-const BATCH_SIZES: [usize; 4] = [1, 2, 4, 8];
-
-/// One timed configuration.
-struct ForwardRow {
-    model: &'static str,
-    input: usize,
-    iters: usize,
-    median_ms: f64,
-    p90_ms: f64,
-    mean_ms: f64,
-    static_gflops: f64,
-    achieved_gflops: f64,
+/// One value of a report field.
+enum Val {
+    Int(u64),
+    /// Written as a plain four-decimal number the in-tree reader
+    /// round-trips (Rust's `f64` Display never emits scientific notation).
+    Num(f64),
+    Str(&'static str),
 }
+use Val::{Int, Num, Str};
 
-/// Nearest-rank percentile of an already-sorted sample (exact, no
-/// interpolation surprises across harness versions).
-fn percentile_ms(sorted: &[f64], pct: f64) -> f64 {
-    assert!(!sorted.is_empty());
-    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
+/// The ordered `key: value` pairs of a report header, grid row or claims
+/// block.
+type Fields = Vec<(&'static str, Val)>;
 
-fn median_ms(sorted: &[f64]) -> f64 {
-    let n = sorted.len();
-    if n % 2 == 1 {
-        sorted[n / 2]
-    } else {
-        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
-    }
-}
-
-/// Times `iters` forward passes of one model at one input size.
-fn time_forward(id: ModelId, input: usize, iters: usize) -> ForwardRow {
-    let mut net = model(id, input);
-    let obs = Registry::new();
-    net.set_observability(&obs);
-    let summary = NetworkSummary::of(id.name(), &net);
-    let x = input_image(input, 42);
-    net.forward(&x).expect("warmup forward"); // warm caches, JIT-free
-    let mut samples_ms = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        std::hint::black_box(net.forward(&x).expect("timed forward").len());
-        samples_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    samples_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let profile = NetworkProfile::new(&summary, &obs.snapshot());
-    ForwardRow {
-        model: id.name(),
-        input,
-        iters,
-        median_ms: median_ms(&samples_ms),
-        p90_ms: percentile_ms(&samples_ms, 90.0),
-        mean_ms: samples_ms.iter().sum::<f64>() / samples_ms.len() as f64,
-        static_gflops: network_cost(&net).total_gflops(),
-        achieved_gflops: profile.achieved_gflops().unwrap_or(0.0),
-    }
-}
-
-/// One batched-throughput configuration.
-struct BatchRow {
-    model: &'static str,
-    input: usize,
-    batch: usize,
-    iters: usize,
-    median_batch_ms: f64,
-    per_image_median_ms: f64,
-    images_per_sec: f64,
-}
-
-/// Frames pushed through the network per timed iteration of the batch
-/// curve — the LCM of [`BATCH_SIZES`], so every batch size processes the
-/// identical workload and rows differ only in how it is coalesced.
-const FRAMES_PER_ITER: usize = 8;
-
-/// Times the whole batch curve at one input size on a fixed workload:
-/// every row pushes the same [`FRAMES_PER_ITER`] distinct frames through
-/// the network per iteration, coalesced as `FRAMES_PER_ITER / batch`
-/// forwards of `batch`-frame NCHW stacks. Two methodology points:
+/// The one report writer of the three grids: stamps the schema header,
+/// then `header`, the `grid` array with one line per row and, when there
+/// are any, a trailing `claims` object; parses the text back with the
+/// in-tree reader, checks the grid holds `expected_rows`, and only then
+/// writes `path`.
 ///
-/// - Timing one batch-1 forward of a single repeated frame would flatter
-///   batch-1 (its input stays warm in cache across iterations) and
-///   measure nothing a server ever does; this is the serving question —
-///   same traffic, different coalescing — answered directly.
-/// - Iterations are **interleaved** across batch sizes (round-robin, one
-///   shared network) rather than timed row after row, so slow machine
-///   phases — a shared box's noisy neighbours, frequency drift — land on
-///   every row equally instead of biasing whichever row they overlap.
-fn time_batch_curve(id: ModelId, input: usize, iters: usize) -> Vec<BatchRow> {
-    let mut net = model(id, input);
-    let frames: Vec<_> = (0..FRAMES_PER_ITER)
-        .map(|i| input_image(input, 42 + i as u64))
-        .collect();
-    let stacked: Vec<Vec<dronet_tensor::Tensor>> = BATCH_SIZES
-        .iter()
-        .map(|&batch| {
-            assert_eq!(FRAMES_PER_ITER % batch, 0, "batch must divide the workload");
-            frames
-                .chunks(batch)
-                .map(|chunk| dronet_tensor::Tensor::stack_batch(chunk).expect("stack batch"))
-                .collect()
-        })
-        .collect();
-    let mut samples_ms: Vec<Vec<f64>> = vec![Vec::with_capacity(iters); BATCH_SIZES.len()];
-    for round in 0..=iters {
-        for (bi, stacks) in stacked.iter().enumerate() {
-            let t0 = Instant::now();
-            for x in stacks {
-                std::hint::black_box(net.forward(x).expect("timed forward").len());
-            }
-            // Round 0 is warmup (buffers faulted in, pool warm) — discard.
-            if round > 0 {
-                samples_ms[bi].push(t0.elapsed().as_secs_f64() * 1e3);
-            }
+/// # Panics
+///
+/// On a non-finite [`Num`], naming the field: `NaN` and `inf` come from a
+/// broken row (a zero-duration division, an empty quantile) and must not
+/// reach a committed file looking like a measurement.
+fn write_report(
+    path: &str,
+    pr: &'static str,
+    header: Fields,
+    grid: &str,
+    rows: Vec<Fields>,
+    expected_rows: usize,
+    claims: Fields,
+) {
+    fn join(out: &mut String, fields: &Fields, indent: &str, sep: &str) {
+        for (i, (key, val)) in fields.iter().enumerate() {
+            let _ = write!(out, "{}{indent}\"{key}\": ", if i > 0 { sep } else { "" });
+            let _ = match val {
+                Int(v) => write!(out, "{v}"),
+                Num(v) => {
+                    assert!(v.is_finite(), "report field `{key}` is not finite: {v}");
+                    write!(out, "{v:.4}")
+                }
+                Str(v) => write!(out, "\"{v}\""),
+            };
         }
     }
-    BATCH_SIZES
-        .iter()
-        .zip(samples_ms.iter_mut())
-        .map(|(&batch, samples)| {
-            samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-            let median_iter_ms = median_ms(samples);
-            let forwards = (FRAMES_PER_ITER / batch) as f64;
-            BatchRow {
-                model: id.name(),
-                input,
-                batch,
-                iters,
-                median_batch_ms: median_iter_ms / forwards,
-                per_image_median_ms: median_iter_ms / FRAMES_PER_ITER as f64,
-                images_per_sec: FRAMES_PER_ITER as f64 / (median_iter_ms / 1e3),
-            }
-        })
-        .collect()
-}
-
-/// A JSON number that the in-tree reader round-trips: finite, plain
-/// decimal (Rust's `f64` Display never emits scientific notation).
-fn num(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value:.4}")
-    } else {
-        "0.0".to_string()
-    }
-}
-
-/// The steady-state-allocation grid (`BENCH_PR6.json`): batch sizes of
-/// the DroNet-352 pooled forward measured for heap allocations per pass
-/// after warmup.
-const ALLOC_INPUT: usize = 352;
-const ALLOC_BATCHES: [usize; 2] = [1, 8];
-const ALLOC_WARMUP: usize = 3;
-const ALLOC_MEASURED: usize = 5;
-
-struct AllocRow {
-    batch: usize,
-    allocs_per_forward: f64,
-    alloc_bytes_per_forward: f64,
-}
-
-/// Writes the steady-state allocation grid. Must run before any other
-/// forward in the process: it pins `DRONET_THREADS=1` so the GEMM stays
-/// on the calling thread, which [`AllocScope`] measures.
-fn alloc_grid_main(path: &str) {
-    std::env::set_var("DRONET_THREADS", "1");
-    assert!(
-        dronet_obs::alloc::installed(),
-        "bench_report must run under its CountingAlloc"
-    );
-    let mut rows = Vec::new();
-    for batch in ALLOC_BATCHES {
-        eprintln!("measuring DroNet @{ALLOC_INPUT} batch {batch} steady-state allocations...");
-        let mut net = model(ModelId::DroNet, ALLOC_INPUT);
-        let frames: Vec<_> = (0..batch)
-            .map(|i| input_image(ALLOC_INPUT, 7 + i as u64))
-            .collect();
-        let x = dronet_tensor::Tensor::stack_batch(&frames).expect("stack batch");
-        // Warmup populates the activation pool, folds batch-norm
-        // coefficients and sizes conv scratch; recycling each output
-        // mirrors a serving loop returning decoded results.
-        for _ in 0..ALLOC_WARMUP {
-            let y = net.forward(&x).expect("warmup forward");
-            net.recycle(y);
-        }
-        let scope = AllocScope::begin();
-        for _ in 0..ALLOC_MEASURED {
-            let y = net.forward(&x).expect("measured forward");
-            net.recycle(y);
-        }
-        let delta = scope.delta();
-        let row = AllocRow {
-            batch,
-            allocs_per_forward: delta.allocs as f64 / ALLOC_MEASURED as f64,
-            alloc_bytes_per_forward: delta.bytes as f64 / ALLOC_MEASURED as f64,
-        };
-        eprintln!(
-            "  {:.1} allocs/forward, {:.1} bytes/forward over {ALLOC_MEASURED} forwards",
-            row.allocs_per_forward, row.alloc_bytes_per_forward
-        );
-        rows.push(row);
-    }
-
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"dronet-bench-report\",");
-    let _ = writeln!(out, "  \"version\": {SCHEMA_VERSION},");
-    let _ = writeln!(out, "  \"pr\": \"PR6\",");
-    let _ = writeln!(out, "  \"threads\": 1,");
-    let _ = writeln!(out, "  \"warmup_forwards\": {ALLOC_WARMUP},");
-    let _ = writeln!(out, "  \"measured_forwards\": {ALLOC_MEASURED},");
-    out.push_str("  \"steady_state_alloc\": [\n");
+    let mut top: Fields = vec![
+        ("schema", Str("dronet-bench-report")),
+        ("version", Int(SCHEMA_VERSION)),
+        ("pr", Str(pr)),
+    ];
+    top.extend(header);
+    let mut out = String::from("{\n");
+    join(&mut out, &top, "  ", ",\n");
+    let _ = writeln!(out, ",\n  \"{grid}\": [");
     for (i, row) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"model\": \"DroNet\", \"input\": {ALLOC_INPUT}, \"batch\": {}, \
-             \"allocs_per_forward\": {}, \"alloc_bytes_per_forward\": {}}}",
-            row.batch,
-            num(row.allocs_per_forward),
-            num(row.alloc_bytes_per_forward),
-        );
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
+        out.push_str("    {");
+        join(&mut out, row, "", ", ");
+        out.push_str(if i + 1 < rows.len() { "},\n" } else { "}\n" });
     }
-    out.push_str("  ]\n}\n");
+    out.push_str("  ]");
+    if !claims.is_empty() {
+        out.push_str(",\n  \"claims\": {\n");
+        join(&mut out, &claims, "    ", ",\n");
+        out.push_str("\n  }");
+    }
+    out.push_str("\n}\n");
 
-    let parsed = JsonValue::parse(&out).expect("alloc report parses with the in-tree reader");
-    let grid = parsed
-        .get("steady_state_alloc")
+    let parsed = JsonValue::parse(&out).expect("report parses with the in-tree reader");
+    let parsed_rows = parsed
+        .get(grid)
         .and_then(JsonValue::as_array)
-        .expect("steady_state_alloc array");
-    assert_eq!(grid.len(), ALLOC_BATCHES.len());
+        .expect("grid array");
+    assert_eq!(parsed_rows.len(), expected_rows, "{grid} row count");
 
-    std::fs::write(path, &out).expect("write alloc report");
-    eprintln!("wrote {path} ({} alloc rows)", rows.len());
+    std::fs::write(path, &out).expect("write report");
+    eprintln!("wrote {path} ({} {grid} rows)", rows.len());
 }
 
 /// The serving grid (`BENCH_PR8.json`): input sizes × batch configs ×
@@ -521,55 +338,45 @@ fn serve_grid_main(path: &str) {
         }
     }
 
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"dronet-bench-report\",");
-    let _ = writeln!(out, "  \"version\": {SCHEMA_VERSION},");
-    let _ = writeln!(out, "  \"pr\": \"PR8\",");
-    let _ = writeln!(out, "  \"secs_per_row\": {},", num(secs));
-    let _ = writeln!(out, "  \"connections\": {connections},");
-    out.push_str("  \"serve_grid\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"model\": \"DroNet\", \"input\": {}, \"max_batch\": {}, \"load\": \"{}\", \
-             \"rate_hz\": {}, \"offered\": {}, \"ok\": {}, \"shed\": {}, \"errors\": {}, \
-             \"timeouts\": {}, \"dropped\": {}, \"goodput_rps\": {}, \"ok_p50_ms\": {}, \
-             \"ok_p99_ms\": {}, \"ok_p999_ms\": {}, \"slo_latency_breached\": {}, \
-             \"slo_availability_breached\": {}}}",
-            r.input,
-            r.max_batch,
-            r.load,
-            num(r.rate_hz),
-            r.offered,
-            r.ok,
-            r.shed,
-            r.errors,
-            r.timeouts,
-            r.dropped,
-            num(r.goodput_rps),
-            num(r.ok_p50_ms),
-            num(r.ok_p99_ms),
-            num(r.ok_p999_ms),
-            r.slo_latency_breached,
-            r.slo_availability_breached,
-        );
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-
-    let parsed = JsonValue::parse(&out).expect("serve grid parses with the in-tree reader");
-    let grid = parsed
-        .get("serve_grid")
-        .and_then(JsonValue::as_array)
-        .expect("serve_grid array");
-    assert_eq!(
-        grid.len(),
-        SERVE_INPUTS.len() * SERVE_BATCHES.len() * SERVE_LOADS.len()
+    let rows = rows
+        .iter()
+        .map(|r| {
+            vec![
+                ("model", Str("DroNet")),
+                ("input", Int(r.input as u64)),
+                ("max_batch", Int(r.max_batch as u64)),
+                ("load", Str(r.load)),
+                ("rate_hz", Num(r.rate_hz)),
+                ("offered", Int(r.offered)),
+                ("ok", Int(r.ok)),
+                ("shed", Int(r.shed)),
+                ("errors", Int(r.errors)),
+                ("timeouts", Int(r.timeouts)),
+                ("dropped", Int(r.dropped)),
+                ("goodput_rps", Num(r.goodput_rps)),
+                ("ok_p50_ms", Num(r.ok_p50_ms)),
+                ("ok_p99_ms", Num(r.ok_p99_ms)),
+                ("ok_p999_ms", Num(r.ok_p999_ms)),
+                ("slo_latency_breached", Int(r.slo_latency_breached.into())),
+                (
+                    "slo_availability_breached",
+                    Int(r.slo_availability_breached.into()),
+                ),
+            ]
+        })
+        .collect();
+    write_report(
+        path,
+        "PR8",
+        vec![
+            ("secs_per_row", Num(secs)),
+            ("connections", Int(connections as u64)),
+        ],
+        "serve_grid",
+        rows,
+        SERVE_INPUTS.len() * SERVE_BATCHES.len() * SERVE_LOADS.len(),
+        Vec::new(),
     );
-
-    std::fs::write(path, &out).expect("write serve grid report");
-    eprintln!("wrote {path} ({} serve rows)", rows.len());
 }
 
 /// The replica grid's detector input: small enough that a 3-replica
@@ -827,84 +634,59 @@ fn replica_grid_main(path: &str) {
         "kill row forced one canary failure; the counter must show it"
     );
 
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"dronet-bench-report\",");
-    let _ = writeln!(out, "  \"version\": {SCHEMA_VERSION},");
-    let _ = writeln!(out, "  \"pr\": \"PR10\",");
-    let _ = writeln!(out, "  \"secs_per_row\": {},", num(secs));
-    let _ = writeln!(out, "  \"connections\": {connections},");
-    let _ = writeln!(out, "  \"seed\": {seed},");
-    let _ = writeln!(out, "  \"input\": {REPLICA_INPUT},");
-    let _ = writeln!(out, "  \"rate_hz\": {},", num(rate_hz));
-    out.push_str("  \"replica_grid\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"scenario\": \"{}\", \"replicas\": {}, \"rate_hz\": {}, \
-             \"offered\": {}, \"ok\": {}, \"shed\": {}, \"errors\": {}, \"timeouts\": {}, \
-             \"dropped\": {}, \"reset\": {}, \"goodput_rps\": {}, \"ok_p50_ms\": {}, \
-             \"ok_p99_ms\": {}, \"worst_health\": {}, \"hedge_issued\": {}, \
-             \"hedge_won\": {}, \"hedge_wasted\": {}, \"quarantine_entered\": {}, \
-             \"quarantine_readmitted\": {}, \"canary_failed\": {}}}",
-            r.scenario,
-            r.replicas,
-            num(r.rate_hz),
-            r.offered,
-            r.ok,
-            r.shed,
-            r.errors,
-            r.timeouts,
-            r.dropped,
-            r.reset,
-            num(r.goodput_rps),
-            num(r.ok_p50_ms),
-            num(r.ok_p99_ms),
-            r.worst_health,
-            r.hedge_issued,
-            r.hedge_won,
-            r.hedge_wasted,
-            r.quarantine_entered,
-            r.quarantine_readmitted,
-            r.canary_failed,
-        );
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"claims\": {\n");
-    let _ = writeln!(
-        out,
-        "    \"goodput_ratio_kill_vs_baseline\": {},",
-        num(goodput_ratio)
+    let claims = vec![
+        ("goodput_ratio_kill_vs_baseline", Num(goodput_ratio)),
+        ("goodput_ratio_min", Num(REPLICA_GOODPUT_MIN_RATIO)),
+        ("kill_halted_observed", Int(0)),
+        ("kill_quarantine_entered", Int(killed.quarantine_entered)),
+        (
+            "kill_quarantine_readmitted",
+            Int(killed.quarantine_readmitted),
+        ),
+        ("kill_canary_failed", Int(killed.canary_failed)),
+    ];
+    let rows = rows
+        .iter()
+        .map(|r| {
+            vec![
+                ("scenario", Str(r.scenario)),
+                ("replicas", Int(r.replicas as u64)),
+                ("rate_hz", Num(r.rate_hz)),
+                ("offered", Int(r.offered)),
+                ("ok", Int(r.ok)),
+                ("shed", Int(r.shed)),
+                ("errors", Int(r.errors)),
+                ("timeouts", Int(r.timeouts)),
+                ("dropped", Int(r.dropped)),
+                ("reset", Int(r.reset)),
+                ("goodput_rps", Num(r.goodput_rps)),
+                ("ok_p50_ms", Num(r.ok_p50_ms)),
+                ("ok_p99_ms", Num(r.ok_p99_ms)),
+                ("worst_health", Int(r.worst_health.into())),
+                ("hedge_issued", Int(r.hedge_issued)),
+                ("hedge_won", Int(r.hedge_won)),
+                ("hedge_wasted", Int(r.hedge_wasted)),
+                ("quarantine_entered", Int(r.quarantine_entered)),
+                ("quarantine_readmitted", Int(r.quarantine_readmitted)),
+                ("canary_failed", Int(r.canary_failed)),
+            ]
+        })
+        .collect();
+    write_report(
+        path,
+        "PR10",
+        vec![
+            ("secs_per_row", Num(secs)),
+            ("connections", Int(connections as u64)),
+            ("seed", Int(seed)),
+            ("input", Int(REPLICA_INPUT as u64)),
+            ("rate_hz", Num(rate_hz)),
+        ],
+        "replica_grid",
+        rows,
+        3,
+        claims,
     );
-    let _ = writeln!(
-        out,
-        "    \"goodput_ratio_min\": {},",
-        num(REPLICA_GOODPUT_MIN_RATIO)
-    );
-    let _ = writeln!(out, "    \"kill_halted_observed\": 0,");
-    let _ = writeln!(
-        out,
-        "    \"kill_quarantine_entered\": {},",
-        killed.quarantine_entered
-    );
-    let _ = writeln!(
-        out,
-        "    \"kill_quarantine_readmitted\": {},",
-        killed.quarantine_readmitted
-    );
-    let _ = writeln!(out, "    \"kill_canary_failed\": {}", killed.canary_failed);
-    out.push_str("  }\n}\n");
-
-    let parsed = JsonValue::parse(&out).expect("replica grid parses with the in-tree reader");
-    let grid = parsed
-        .get("replica_grid")
-        .and_then(JsonValue::as_array)
-        .expect("replica_grid array");
-    assert_eq!(grid.len(), 3);
-
-    std::fs::write(path, &out).expect("write replica grid report");
-    eprintln!("wrote {path} ({} replica rows)", rows.len());
 }
 
 /// The selective-tiling grid (`BENCH_PR9.json`): frame sizes × processing
@@ -1286,227 +1068,107 @@ fn tile_grid_main(path: &str) {
         );
     }
 
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"dronet-bench-report\",");
-    let _ = writeln!(out, "  \"version\": {SCHEMA_VERSION},");
-    let _ = writeln!(out, "  \"pr\": \"PR9\",");
-    let _ = writeln!(out, "  \"tile\": {TILE_INPUT},");
-    let _ = writeln!(out, "  \"overlap\": {TILE_OVERLAP},");
-    let _ = writeln!(out, "  \"min_detect_px\": {},", num(MIN_DETECT_PX as f64));
-    let _ = writeln!(out, "  \"frames_per_size\": {frames},");
-    out.push_str("  \"tile_grid\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"model\": \"DroNet\", \"frame_size\": {}, \"mode\": \"{}\", \
-             \"frames\": {}, \"tiles_per_frame\": {}, \"tiles_run\": {}, \"gflops\": {}, \
-             \"ms_per_frame\": {}, \"mean_iou\": {}, \"sensitivity\": {}, \"precision\": {}}}",
-            row.frame_size,
-            row.mode,
-            row.frames,
-            row.tiles_per_frame,
-            row.tiles_run,
-            num(row.gflops),
-            num(row.ms_per_frame),
-            num(row.mean_iou),
-            num(row.sensitivity),
-            num(row.precision),
-        );
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-
-    let parsed = JsonValue::parse(&out).expect("tile report parses with the in-tree reader");
-    let grid = parsed
-        .get("tile_grid")
-        .and_then(JsonValue::as_array)
-        .expect("tile_grid array");
-    assert_eq!(grid.len(), frame_sizes.len() * 3);
-
-    std::fs::write(path, &out).expect("write tile grid report");
-    eprintln!("wrote {path} ({} tile rows)", rows.len());
+    let rows = rows
+        .iter()
+        .map(|r| {
+            vec![
+                ("model", Str("DroNet")),
+                ("frame_size", Int(r.frame_size as u64)),
+                ("mode", Str(r.mode)),
+                ("frames", Int(r.frames as u64)),
+                ("tiles_per_frame", Int(r.tiles_per_frame as u64)),
+                ("tiles_run", Int(r.tiles_run as u64)),
+                ("gflops", Num(r.gflops)),
+                ("ms_per_frame", Num(r.ms_per_frame)),
+                ("mean_iou", Num(r.mean_iou)),
+                ("sensitivity", Num(r.sensitivity)),
+                ("precision", Num(r.precision)),
+            ]
+        })
+        .collect();
+    write_report(
+        path,
+        "PR9",
+        vec![
+            ("tile", Int(TILE_INPUT as u64)),
+            ("overlap", Int(TILE_OVERLAP as u64)),
+            ("min_detect_px", Num(MIN_DETECT_PX as f64)),
+            ("frames_per_size", Int(frames as u64)),
+        ],
+        "tile_grid",
+        rows,
+        frame_sizes.len() * 3,
+        Vec::new(),
+    );
 }
 
 fn main() {
-    let iters: usize = std::env::var("DRONET_BENCH_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(5);
     let mut args = std::env::args().skip(1);
-    let first = args.next();
-    if first.as_deref() == Some("--alloc-grid") {
-        let path = args.next().unwrap_or_else(|| "BENCH_PR6.json".to_string());
-        alloc_grid_main(&path);
-        return;
-    }
-    if first.as_deref() == Some("--serve-grid") {
-        let path = args.next().unwrap_or_else(|| "BENCH_PR8.json".to_string());
-        serve_grid_main(&path);
-        return;
-    }
-    if first.as_deref() == Some("--replica-grid") {
-        let path = args.next().unwrap_or_else(|| "BENCH_PR10.json".to_string());
-        replica_grid_main(&path);
-        return;
-    }
-    if first.as_deref() == Some("--tile-grid") {
-        let path = args.next().unwrap_or_else(|| "BENCH_PR9.json".to_string());
-        tile_grid_main(&path);
-        return;
-    }
-    let report_path = first.unwrap_or_else(|| "BENCH_PR3.json".to_string());
-    let trace_path = args
-        .next()
-        .unwrap_or_else(|| "bench_trace.json".to_string());
-    let batched_path = args.next().unwrap_or_else(|| "BENCH_PR4.json".to_string());
-
-    let mut rows = Vec::new();
-    for id in MODELS {
-        for input in SIZES {
-            eprintln!("timing {} @{input} ({iters} iters)...", id.name());
-            let row = time_forward(id, input, iters);
+    let (grid, default_path): (fn(&str), &str) = match args.next().as_deref() {
+        Some("--serve-grid") => (serve_grid_main, "BENCH_PR8.json"),
+        Some("--tile-grid") => (tile_grid_main, "BENCH_PR9.json"),
+        Some("--replica-grid") => (replica_grid_main, "BENCH_PR10.json"),
+        _ => {
             eprintln!(
-                "  median {:.2} ms, p90 {:.2} ms, {:.2} GFLOP/s achieved",
-                row.median_ms, row.p90_ms, row.achieved_gflops
+                "usage: bench_report --serve-grid [BENCH_PR8.json]\n       \
+                 bench_report --tile-grid [BENCH_PR9.json]\n       \
+                 bench_report --replica-grid [BENCH_PR10.json]\n\
+                 (a forward is timed by `bash benchmark/run.sh`, not here)"
             );
-            rows.push(row);
+            std::process::exit(2);
         }
+    };
+    grid(&args.next().unwrap_or_else(|| default_path.to_string()));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn temp_path(name: &str) -> String {
+        let path = std::env::temp_dir().join(format!("{name}.{}.json", std::process::id()));
+        path.to_string_lossy().into_owned()
     }
 
-    // One traced pipeline run: camera → frame → stage → layer spans land
-    // in the Chrome trace, and the before/after registry diff yields the
-    // pipeline counters for the report.
-    let pipeline_input = 352;
-    let pipeline_frames = 4;
-    let obs = Registry::new();
-    let tracer = Tracer::new();
-    let mut detector = DetectorBuilder::new(model(ModelId::DroNet, pipeline_input))
-        .observability(&obs)
-        .tracing(&tracer)
-        .build()
-        .expect("detector builds");
-    let before = obs.snapshot();
-    let frames: Vec<_> = (0..pipeline_frames)
-        .map(|i| input_image(pipeline_input, 100 + i as u64))
-        .collect();
-    let report = VideoPipeline::run(&mut detector, IterSource::new(frames)).expect("pipeline run");
-    let frames_delta = obs
-        .snapshot()
-        .diff(&before)
-        .counter("pipeline.frames")
-        .unwrap_or(0);
-    let snapshot = tracer.snapshot();
-    std::fs::write(&trace_path, ChromeTrace::to_string(&snapshot)).expect("write trace");
-    eprintln!(
-        "pipeline: {} frames, {} trace events -> {trace_path}",
-        report.processed(),
-        snapshot.events.len()
-    );
-
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"dronet-bench-report\",");
-    let _ = writeln!(out, "  \"version\": {SCHEMA_VERSION},");
-    let _ = writeln!(out, "  \"pr\": \"PR3\",");
-    let _ = writeln!(out, "  \"iters\": {iters},");
-    out.push_str("  \"forward\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"model\": \"{}\", \"input\": {}, \"iters\": {}, \"median_ms\": {}, \
-             \"p90_ms\": {}, \"mean_ms\": {}, \"gflops\": {}, \"achieved_gflops\": {}}}",
-            row.model,
-            row.input,
-            row.iters,
-            num(row.median_ms),
-            num(row.p90_ms),
-            num(row.mean_ms),
-            num(row.static_gflops),
-            num(row.achieved_gflops),
+    #[test]
+    fn report_layout_is_byte_stable() {
+        let path = temp_path("bench_report_layout");
+        write_report(
+            &path,
+            "PR0",
+            vec![("secs_per_row", Num(4.0)), ("connections", Int(128))],
+            "some_grid",
+            vec![
+                vec![("mode", Str("a")), ("ok", Int(3)), ("ms", Num(1.23456))],
+                vec![("mode", Str("b")), ("ok", Int(0)), ("ms", Num(0.5))],
+            ],
+            2,
+            vec![("ratio", Num(0.98134)), ("halted", Int(0))],
         );
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-    let mean_frame_ms = report.mean_latency().as_secs_f64() * 1e3;
-    let _ = writeln!(
-        out,
-        "  \"pipeline\": {{\"model\": \"DroNet\", \"input\": {pipeline_input}, \
-         \"frames\": {}, \"dropped\": {}, \"frames_delta\": {frames_delta}, \
-         \"mean_frame_ms\": {}, \"fps\": {}, \"trace_events\": {}}}",
-        report.processed(),
-        report.dropped,
-        num(mean_frame_ms),
-        num(report.fps().0),
-        snapshot.events.len(),
-    );
-    out.push_str("}\n");
-
-    // The report must stay parseable by the in-tree reader: fail loudly
-    // here rather than letting CI archive a malformed artifact.
-    let parsed = JsonValue::parse(&out).expect("report parses with the in-tree JSON reader");
-    let forward = parsed
-        .get("forward")
-        .and_then(JsonValue::as_array)
-        .expect("forward array");
-    assert_eq!(forward.len(), MODELS.len() * SIZES.len());
-
-    std::fs::write(&report_path, &out).expect("write report");
-    eprintln!("wrote {report_path} ({} forward rows)", rows.len());
-
-    // Batched serving throughput (BENCH_PR4.json): the micro-batch curve
-    // the serve crate's coalescing is justified by — measured, not
-    // asserted.
-    let mut batch_rows = Vec::new();
-    for input in BATCH_INPUTS {
-        eprintln!(
-            "timing DroNet @{input} batch curve {BATCH_SIZES:?} ({iters} interleaved iters)..."
+        let text = std::fs::read_to_string(&path).expect("report written");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(
+            text,
+            "{\n  \"schema\": \"dronet-bench-report\",\n  \"version\": 1,\n  \"pr\": \"PR0\",\n  \
+             \"secs_per_row\": 4.0000,\n  \"connections\": 128,\n  \"some_grid\": [\n    \
+             {\"mode\": \"a\", \"ok\": 3, \"ms\": 1.2346},\n    \
+             {\"mode\": \"b\", \"ok\": 0, \"ms\": 0.5000}\n  ],\n  \"claims\": {\n    \
+             \"ratio\": 0.9813,\n    \"halted\": 0\n  }\n}\n"
         );
-        for row in time_batch_curve(ModelId::DroNet, input, iters) {
-            eprintln!(
-                "  batch {}: median {:.2} ms/forward, {:.2} ms/image, {:.2} images/s",
-                row.batch, row.median_batch_ms, row.per_image_median_ms, row.images_per_sec
-            );
-            batch_rows.push(row);
-        }
     }
 
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"dronet-bench-report\",");
-    let _ = writeln!(out, "  \"version\": {SCHEMA_VERSION},");
-    let _ = writeln!(out, "  \"pr\": \"PR4\",");
-    let _ = writeln!(out, "  \"iters\": {iters},");
-    out.push_str("  \"batched_throughput\": [\n");
-    for (i, row) in batch_rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"model\": \"{}\", \"input\": {}, \"batch\": {}, \"iters\": {}, \
-             \"median_batch_ms\": {}, \"per_image_median_ms\": {}, \"images_per_sec\": {}}}",
-            row.model,
-            row.input,
-            row.batch,
-            row.iters,
-            num(row.median_batch_ms),
-            num(row.per_image_median_ms),
-            num(row.images_per_sec),
+    #[test]
+    #[should_panic(expected = "report field `goodput_rps` is not finite")]
+    fn report_refuses_a_non_finite_number() {
+        let path = temp_path("bench_report_non_finite");
+        write_report(
+            &path,
+            "PR0",
+            Vec::new(),
+            "some_grid",
+            vec![vec![("ok", Int(0)), ("goodput_rps", Num(f64::NAN))]],
+            1,
+            Vec::new(),
         );
-        out.push_str(if i + 1 < batch_rows.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
     }
-    out.push_str("  ]\n}\n");
-
-    let parsed = JsonValue::parse(&out).expect("batched report parses with the in-tree reader");
-    let throughput = parsed
-        .get("batched_throughput")
-        .and_then(JsonValue::as_array)
-        .expect("batched_throughput array");
-    assert_eq!(throughput.len(), BATCH_INPUTS.len() * BATCH_SIZES.len());
-
-    std::fs::write(&batched_path, &out).expect("write batched report");
-    eprintln!("wrote {batched_path} ({} batched rows)", batch_rows.len());
 }

@@ -2,9 +2,11 @@
 //!
 //! **What this is.** The paper trains all four architectures on its
 //! proprietary 350-image aerial dataset on a Titan Xp and reports their
-//! IoU/Sensitivity/Precision. We cannot re-run that training (no dataset,
-//! and full-resolution fp32 training in pure Rust exceeds any reasonable
-//! budget), so the *figure-generation* pipeline uses this response model:
+//! IoU/Sensitivity/Precision. We cannot re-run that training on its data
+//! (no dataset); training our own networks at scale is within reach — the
+//! inference kernel measures ≈ 57 GFLOP/s per core — but the training path
+//! does not use it yet (ROADMAP item 2), so until that measured sweep
+//! exists the *figure-generation* pipeline uses this response model:
 //! per-model accuracy anchors at the 416 reference resolution, taken from
 //! the paper's own reported deltas, combined with resolution-response
 //! curves whose exponents are fitted to the paper's two quantitative

@@ -26,7 +26,7 @@
 //!   the detector stage spans. Scopes nest: each sees its own deltas plus
 //!   those of any inner scope, because the counters are monotonic.
 //! * [`stats`] / [`report`] / [`stats_json`] — process-wide totals for the
-//!   `/debug/alloc` endpoint and `bench_report`'s steady-state grid.
+//!   `/debug/alloc` endpoint.
 //!
 //! When no `CountingAlloc` is installed every query returns zeros and
 //! [`installed`] is `false`, so instrumented call sites can stay

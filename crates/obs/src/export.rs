@@ -1,9 +1,8 @@
-//! Snapshot exporters: hand-rolled JSON and CSV writers (no serde — the
-//! build environment is offline, and the schema is small and stable).
+//! Snapshot exporter: a hand-rolled JSON writer (no serde — the build
+//! environment is offline, and the schema is small and stable).
 
 use crate::Snapshot;
 use std::fmt::Write as _;
-use std::io;
 
 /// Escapes a metric name for embedding in a JSON string literal.
 pub(crate) fn escape_json(s: &str, out: &mut String) {
@@ -111,75 +110,6 @@ impl JsonExporter {
         out.push_str("]\n}\n");
         out
     }
-
-    /// Writes the snapshot as JSON to `w`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `w`.
-    pub fn write(snapshot: &Snapshot, w: &mut impl io::Write) -> io::Result<()> {
-        w.write_all(Self::to_string(snapshot).as_bytes())
-    }
-}
-
-/// Escapes a CSV field (quotes fields containing separators or quotes).
-fn escape_csv(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
-/// Writes a [`Snapshot`] as a flat CSV table, one metric per row.
-///
-/// Columns: `kind,name,value,count,sum_ns,min_ns,max_ns,p50_ns,p90_ns,p99_ns`.
-/// Counter/gauge rows fill `value` and leave histogram columns empty;
-/// histogram rows do the opposite.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CsvExporter;
-
-impl CsvExporter {
-    /// Renders the snapshot as a CSV string.
-    pub fn to_string(snapshot: &Snapshot) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("kind,name,value,count,sum_ns,min_ns,max_ns,p50_ns,p90_ns,p99_ns\n");
-        for c in &snapshot.counters {
-            let _ = writeln!(out, "counter,{},{},,,,,,,", escape_csv(&c.name), c.value);
-        }
-        for g in &snapshot.gauges {
-            let _ = writeln!(
-                out,
-                "gauge,{},{},,,,,,,",
-                escape_csv(&g.name),
-                format_f64(g.value)
-            );
-        }
-        for h in &snapshot.histograms {
-            let _ = writeln!(
-                out,
-                "histogram,{},,{},{},{},{},{},{},{}",
-                escape_csv(&h.name),
-                h.count,
-                h.sum_ns,
-                h.min_ns,
-                h.max_ns,
-                h.p50_ns,
-                h.p90_ns,
-                h.p99_ns
-            );
-        }
-        out
-    }
-
-    /// Writes the snapshot as CSV to `w`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `w`.
-    pub fn write(snapshot: &Snapshot, w: &mut impl io::Write) -> io::Result<()> {
-        w.write_all(Self::to_string(snapshot).as_bytes())
-    }
 }
 
 #[cfg(test)]
@@ -214,27 +144,9 @@ mod tests {
     }
 
     #[test]
-    fn csv_has_one_row_per_metric() {
-        let csv = CsvExporter::to_string(&sample());
-        assert_eq!(csv.lines().count(), 4, "header + 3 metrics:\n{csv}");
-        assert!(csv.starts_with("kind,name,"));
-        assert!(csv.contains("counter,frames,12"));
-        assert!(csv.contains("histogram,stage.forward"));
-    }
-
-    #[test]
-    fn csv_escapes_awkward_names() {
-        let r = Registry::new();
-        r.counter("odd,\"name\"").inc();
-        let csv = CsvExporter::to_string(&r.snapshot());
-        assert!(csv.contains("\"odd,\"\"name\"\"\""));
-    }
-
-    #[test]
     fn empty_snapshot_exports_cleanly() {
         let snap = Snapshot::default();
         let json = JsonExporter::to_string(&snap);
         assert!(json.contains("\"counters\": []"));
-        assert_eq!(CsvExporter::to_string(&snap).lines().count(), 1);
     }
 }

@@ -14,10 +14,8 @@
 //!   histogram on drop; created via [`Registry::timer`] or
 //!   [`Histogram::start`].
 //! * [`Snapshot`] — a point-in-time copy of every metric, exported through
-//!   [`JsonExporter`] / [`CsvExporter`] / [`PromExporter`] (hand-rolled
-//!   writers, no serde), re-imported with [`Snapshot::from_json`] for
-//!   round-trip tests, and differenced with [`Snapshot::diff`] for
-//!   per-phase attribution.
+//!   [`JsonExporter`] / [`PromExporter`] (hand-rolled writers, no serde)
+//!   and re-imported with [`Snapshot::from_json`] for round-trip tests.
 //! * [`Tracer`] — the flight recorder: nested spans and instant events in
 //!   fixed-capacity per-thread ring buffers, each carrying a `frame_id`
 //!   trace context; merged snapshots export to Chrome/Perfetto
@@ -56,7 +54,6 @@
 
 pub mod alloc;
 mod chrome;
-mod diff;
 mod export;
 mod health;
 mod histogram;
@@ -69,8 +66,7 @@ pub mod window;
 
 pub use alloc::{AllocDelta, AllocScope, AllocStats, CountingAlloc};
 pub use chrome::{ChromeEvent, ChromeTrace, CHROME_TRACE_PID};
-pub use diff::{CounterDelta, HistogramDelta, SnapshotDiff};
-pub use export::{CsvExporter, JsonExporter};
+pub use export::JsonExporter;
 pub use health::{BlackBox, Health, HealthCell, BLACK_BOX_EVENTS};
 pub use histogram::{Histogram, ScopedTimer, BUCKET_COUNT};
 pub use json::{JsonParseError, JsonValue};

@@ -1,9 +1,8 @@
 //! Hand-written JSON rendering for detection responses.
 //!
-//! The workspace is zero-dependency, so responses are assembled with the
-//! same discipline as `bench_report`'s JSON emitter: a small `num`
-//! formatter plus string building, self-checked in tests by round-tripping
-//! through `obs::JsonValue::parse`.
+//! The workspace is zero-dependency, so responses are assembled by hand:
+//! a small `num` formatter plus string building, self-checked in tests by
+//! round-tripping through `obs::JsonValue::parse`.
 
 use dronet_detect::Detection;
 use std::fmt::Write as _;

@@ -18,7 +18,8 @@
 //!   whichever first), run a single shared `Network::forward`, and
 //!   de-multiplex per-image decode + NMS back to each waiting connection.
 //!   Batch-1 traffic pays full per-request setup; coalesced traffic
-//!   amortizes it — `BENCH_PR4.json` measures the curve.
+//!   amortizes it — the repo benchmark's `nn.batch_ms_per_image` and
+//!   `serve.batch_size_mean` measure by how much.
 //! * endpoints — `POST /detect` (binary P6 PPM body → JSON detections),
 //!   `GET /metrics` (Prometheus text exposition — `# HELP`/`# TYPE`,
 //!   cumulative series, and rolling 10-second `_window_rate` /

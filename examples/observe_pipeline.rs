@@ -1,7 +1,7 @@
 //! Observability tour: run an instrumented DroNet detection pipeline and a
 //! short training run, print the per-layer achieved-GFLOP/s breakdown, and
-//! dump the whole telemetry snapshot as JSON (plus CSV next to it) and the
-//! flight recorder as a Chrome/Perfetto trace (`trace.json`).
+//! dump the whole telemetry snapshot as JSON and the flight recorder as a
+//! Chrome/Perfetto trace (`trace.json`).
 //!
 //! ```text
 //! cargo run --release --example observe_pipeline [profile.json [trace.json]]
@@ -17,7 +17,7 @@ use dronet::data::scene::{SceneConfig, SceneGenerator};
 use dronet::detect::{DetectorBuilder, IterSource, VideoPipeline};
 use dronet::nn::profile::NetworkProfile;
 use dronet::nn::summary::NetworkSummary;
-use dronet::obs::{ChromeTrace, CsvExporter, JsonExporter, Registry, Tracer};
+use dronet::obs::{ChromeTrace, JsonExporter, Registry, Tracer};
 use dronet::train::{LrSchedule, TrainConfig, Trainer};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -108,19 +108,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let json_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "observe_pipeline.profile.json".to_string());
-    let csv_path = match json_path.strip_suffix(".json") {
-        Some(stem) => format!("{stem}.csv"),
-        None => format!("{json_path}.csv"),
-    };
     std::fs::write(&json_path, JsonExporter::to_string(&snapshot))?;
-    std::fs::write(&csv_path, CsvExporter::to_string(&snapshot))?;
     println!(
-        "\nwrote {} ({} counters, {} gauges, {} histograms) and {}",
+        "\nwrote {} ({} counters, {} gauges, {} histograms)",
         json_path,
         snapshot.counters.len(),
         snapshot.gauges.len(),
-        snapshot.histograms.len(),
-        csv_path
+        snapshot.histograms.len()
     );
 
     // 6. Flight recorder: Chrome/Perfetto trace of both pipeline runs

@@ -47,7 +47,7 @@ pub use dronet_eval as eval;
 pub use dronet_metrics as metrics;
 /// The CNN engine (`dronet-nn`).
 pub use dronet_nn as nn;
-/// Telemetry: counters, gauges, latency histograms, JSON/CSV exporters
+/// Telemetry: counters, gauges, latency histograms, JSON/Prometheus exporters
 /// (`dronet-obs`).
 pub use dronet_obs as obs;
 /// Embedded platform performance models (`dronet-platform`).

@@ -1,8 +1,8 @@
-//! The committed bench-regression reports (`BENCH_PR3.json` and
-//! `BENCH_PR4.json`, written by `cargo run --release -p dronet-bench --bin
+//! The committed grid reports (`BENCH_PR8.json`, `BENCH_PR9.json` and
+//! `BENCH_PR10.json`, written by the `--serve-grid`, `--tile-grid` and
+//! `--replica-grid` modes of `cargo run --release -p dronet-bench --bin
 //! bench_report`) must stay parseable by the in-tree JSON reader and
-//! schema-stable: regression tooling diffs these files across PRs, so
-//! shape drift is a break.
+//! schema-stable, and must keep the claims they were committed for.
 
 use dronet::obs::JsonValue;
 use std::path::Path;
@@ -15,227 +15,14 @@ fn load_named(name: &str) -> JsonValue {
         .unwrap_or_else(|e| panic!("{name} does not parse with the in-tree reader: {e:?}"))
 }
 
-fn load_report() -> JsonValue {
-    load_named("BENCH_PR3.json")
-}
-
-fn load_batched_report() -> JsonValue {
-    load_named("BENCH_PR4.json")
-}
-
-#[test]
-fn bench_report_is_schema_stable() {
-    let report = load_report();
+/// The header every report of the shared writer carries.
+fn assert_header(report: &JsonValue, pr: &str) {
     assert_eq!(
         report.get("schema").and_then(JsonValue::as_str),
         Some("dronet-bench-report")
     );
     assert_eq!(report.get("version").and_then(JsonValue::as_u64), Some(1));
-    assert_eq!(report.get("pr").and_then(JsonValue::as_str), Some("PR3"));
-    assert!(report.get("iters").and_then(JsonValue::as_u64).unwrap() >= 1);
-}
-
-#[test]
-fn bench_report_covers_the_model_resolution_grid() {
-    let report = load_report();
-    let rows = report
-        .get("forward")
-        .and_then(JsonValue::as_array)
-        .expect("forward array");
-    let mut models = std::collections::BTreeSet::new();
-    let mut inputs = std::collections::BTreeSet::new();
-    for row in rows {
-        let model = row.get("model").and_then(JsonValue::as_str).unwrap();
-        let input = row.get("input").and_then(JsonValue::as_u64).unwrap();
-        models.insert(model.to_string());
-        inputs.insert(input);
-        let median = row.get("median_ms").and_then(JsonValue::as_f64).unwrap();
-        let p90 = row.get("p90_ms").and_then(JsonValue::as_f64).unwrap();
-        assert!(median > 0.0, "{model}@{input} median");
-        assert!(p90 >= median, "{model}@{input} p90 >= median");
-        assert!(
-            row.get("achieved_gflops")
-                .and_then(JsonValue::as_f64)
-                .unwrap()
-                > 0.0,
-            "{model}@{input} achieved GFLOP/s from nn::profile"
-        );
-    }
-    assert!(models.len() >= 2, "at least two models: {models:?}");
-    assert!(inputs.len() >= 3, "at least three resolutions: {inputs:?}");
-}
-
-#[test]
-fn bench_report_pipeline_section_is_consistent() {
-    let report = load_report();
-    let pipeline = report.get("pipeline").expect("pipeline object");
-    let frames = pipeline.get("frames").and_then(JsonValue::as_u64).unwrap();
-    let delta = pipeline
-        .get("frames_delta")
-        .and_then(JsonValue::as_i64)
-        .unwrap();
-    assert!(frames > 0);
-    assert_eq!(delta, frames as i64, "registry diff matches the report");
-    assert!(
-        pipeline
-            .get("trace_events")
-            .and_then(JsonValue::as_u64)
-            .unwrap()
-            > 0,
-        "the pipeline run was flight-recorded"
-    );
-}
-
-#[test]
-fn batched_report_is_schema_stable() {
-    let report = load_batched_report();
-    assert_eq!(
-        report.get("schema").and_then(JsonValue::as_str),
-        Some("dronet-bench-report")
-    );
-    assert_eq!(report.get("version").and_then(JsonValue::as_u64), Some(1));
-    assert_eq!(report.get("pr").and_then(JsonValue::as_str), Some("PR4"));
-    assert!(report.get("iters").and_then(JsonValue::as_u64).unwrap() >= 1);
-}
-
-#[test]
-fn batched_report_covers_the_batch_grid() {
-    let report = load_batched_report();
-    let rows = report
-        .get("batched_throughput")
-        .and_then(JsonValue::as_array)
-        .expect("batched_throughput array");
-    let mut grid = std::collections::BTreeSet::new();
-    for row in rows {
-        assert_eq!(
-            row.get("model").and_then(JsonValue::as_str),
-            Some("DroNet"),
-            "the batch curve is for the proposed model"
-        );
-        let input = row.get("input").and_then(JsonValue::as_u64).unwrap();
-        let batch = row.get("batch").and_then(JsonValue::as_u64).unwrap();
-        grid.insert((input, batch));
-        let batch_ms = row
-            .get("median_batch_ms")
-            .and_then(JsonValue::as_f64)
-            .unwrap();
-        let image_ms = row
-            .get("per_image_median_ms")
-            .and_then(JsonValue::as_f64)
-            .unwrap();
-        let ips = row
-            .get("images_per_sec")
-            .and_then(JsonValue::as_f64)
-            .unwrap();
-        assert!(batch_ms > 0.0, "{input}@{batch} batch ms");
-        assert!(image_ms > 0.0, "{input}@{batch} per-image ms");
-        assert!(ips > 0.0, "{input}@{batch} images/s");
-        // Internal consistency of the derived fields (within rounding).
-        let derived_ips = batch as f64 / (batch_ms / 1e3);
-        assert!(
-            (ips - derived_ips).abs() / derived_ips < 0.01,
-            "{input}@{batch}: images_per_sec {ips} vs derived {derived_ips}"
-        );
-    }
-    for input in [352u64, 416] {
-        for batch in [1u64, 2, 4, 8] {
-            assert!(grid.contains(&(input, batch)), "missing {input}@{batch}");
-        }
-    }
-}
-
-#[test]
-fn batching_amortizes_at_352() {
-    // The acceptance bar for the serving micro-batcher: coalescing eight
-    // requests into one forward must not be slower per image than batch-1.
-    let report = load_batched_report();
-    let rows = report
-        .get("batched_throughput")
-        .and_then(JsonValue::as_array)
-        .expect("batched_throughput array");
-    let ips_at = |batch: u64| -> f64 {
-        rows.iter()
-            .find(|r| {
-                r.get("input").and_then(JsonValue::as_u64) == Some(352)
-                    && r.get("batch").and_then(JsonValue::as_u64) == Some(batch)
-            })
-            .and_then(|r| r.get("images_per_sec").and_then(JsonValue::as_f64))
-            .unwrap_or_else(|| panic!("no 352/batch-{batch} row"))
-    };
-    let (b1, b8) = (ips_at(1), ips_at(8));
-    assert!(
-        b8 >= b1,
-        "batch-8 throughput ({b8:.2} images/s) fell below batch-1 ({b1:.2})"
-    );
-}
-
-fn load_alloc_report() -> JsonValue {
-    load_named("BENCH_PR6.json")
-}
-
-#[test]
-fn alloc_report_is_schema_stable() {
-    let report = load_alloc_report();
-    assert_eq!(
-        report.get("schema").and_then(JsonValue::as_str),
-        Some("dronet-bench-report")
-    );
-    assert_eq!(report.get("version").and_then(JsonValue::as_u64), Some(1));
-    assert_eq!(report.get("pr").and_then(JsonValue::as_str), Some("PR6"));
-    assert_eq!(report.get("threads").and_then(JsonValue::as_u64), Some(1));
-    assert!(
-        report
-            .get("warmup_forwards")
-            .and_then(JsonValue::as_u64)
-            .unwrap()
-            >= 1
-    );
-    assert!(
-        report
-            .get("measured_forwards")
-            .and_then(JsonValue::as_u64)
-            .unwrap()
-            >= 1
-    );
-}
-
-#[test]
-fn steady_state_alloc_grid_is_allocation_flat() {
-    // The acceptance bar for the pooled inference path: after warmup a
-    // DroNet-352 forward performs zero heap allocations, at batch 1 and
-    // at the serving batch of 8. A regressing pool (or a layer quietly
-    // growing a per-forward Vec) shows up here as a nonzero row.
-    let report = load_alloc_report();
-    let rows = report
-        .get("steady_state_alloc")
-        .and_then(JsonValue::as_array)
-        .expect("steady_state_alloc array");
-    let mut batches = std::collections::BTreeSet::new();
-    for row in rows {
-        assert_eq!(row.get("model").and_then(JsonValue::as_str), Some("DroNet"));
-        assert_eq!(row.get("input").and_then(JsonValue::as_u64), Some(352));
-        let batch = row.get("batch").and_then(JsonValue::as_u64).unwrap();
-        batches.insert(batch);
-        let allocs = row
-            .get("allocs_per_forward")
-            .and_then(JsonValue::as_f64)
-            .unwrap();
-        let bytes = row
-            .get("alloc_bytes_per_forward")
-            .and_then(JsonValue::as_f64)
-            .unwrap();
-        assert_eq!(
-            allocs, 0.0,
-            "batch-{batch} steady-state forward allocates ({allocs}/forward)"
-        );
-        assert_eq!(
-            bytes, 0.0,
-            "batch-{batch} steady-state forward allocates ({bytes} bytes/forward)"
-        );
-    }
-    for batch in [1u64, 8] {
-        assert!(batches.contains(&batch), "missing batch-{batch} row");
-    }
+    assert_eq!(report.get("pr").and_then(JsonValue::as_str), Some(pr));
 }
 
 fn load_serve_report() -> JsonValue {
@@ -249,12 +36,7 @@ fn load_tile_report() -> JsonValue {
 #[test]
 fn serve_report_is_schema_stable() {
     let report = load_serve_report();
-    assert_eq!(
-        report.get("schema").and_then(JsonValue::as_str),
-        Some("dronet-bench-report")
-    );
-    assert_eq!(report.get("version").and_then(JsonValue::as_u64), Some(1));
-    assert_eq!(report.get("pr").and_then(JsonValue::as_str), Some("PR8"));
+    assert_header(&report, "PR8");
     assert!(
         report
             .get("secs_per_row")
@@ -339,12 +121,7 @@ fn serve_grid_covers_loads_and_stays_consistent() {
 #[test]
 fn tile_report_is_schema_stable() {
     let report = load_tile_report();
-    assert_eq!(
-        report.get("schema").and_then(JsonValue::as_str),
-        Some("dronet-bench-report")
-    );
-    assert_eq!(report.get("version").and_then(JsonValue::as_u64), Some(1));
-    assert_eq!(report.get("pr").and_then(JsonValue::as_str), Some("PR9"));
+    assert_header(&report, "PR9");
     assert_eq!(report.get("tile").and_then(JsonValue::as_u64), Some(352));
     let overlap = report.get("overlap").and_then(JsonValue::as_u64).unwrap();
     assert!(overlap > 0 && overlap < 352, "overlap {overlap} sane");
@@ -459,12 +236,7 @@ fn load_replica_report() -> JsonValue {
 #[test]
 fn replica_report_is_schema_stable() {
     let report = load_replica_report();
-    assert_eq!(
-        report.get("schema").and_then(JsonValue::as_str),
-        Some("dronet-bench-report")
-    );
-    assert_eq!(report.get("version").and_then(JsonValue::as_u64), Some(1));
-    assert_eq!(report.get("pr").and_then(JsonValue::as_str), Some("PR10"));
+    assert_header(&report, "PR10");
     assert!(
         report
             .get("secs_per_row")
