@@ -5,7 +5,7 @@ use dronet_bench::rng;
 use dronet_detect::nms::non_max_suppression;
 use dronet_detect::Detection;
 use dronet_metrics::BBox;
-use dronet_nn::{Activation, Conv2d, MaxPool2d};
+use dronet_nn::{Activation, ActivationPool, Conv2d, MaxPool2d};
 use dronet_tensor::im2col::{im2col, ConvGeometry};
 use dronet_tensor::{gemm, init, Shape, Tensor};
 use std::time::Duration;
@@ -67,7 +67,12 @@ fn bench_conv_layer(c: &mut Criterion) {
         conv.init_weights(&mut rng(3));
         let x = init::uniform(Shape::nchw(1, cin, hw, hw), -1.0, 1.0, &mut rng(4));
         group.bench_function(BenchmarkId::from_parameter(label), |b| {
-            b.iter(|| std::hint::black_box(conv.forward(&x).unwrap().len()))
+            b.iter(|| {
+                let y = conv
+                    .forward_pooled(&x, &mut ActivationPool::default())
+                    .unwrap();
+                std::hint::black_box(y.len())
+            })
         });
     }
     group.finish();
@@ -77,7 +82,12 @@ fn bench_maxpool(c: &mut Criterion) {
     let mut pool = MaxPool2d::new(2, 2).unwrap();
     let x = init::uniform(Shape::nchw(1, 16, 256, 256), -1.0, 1.0, &mut rng(5));
     c.bench_function("maxpool_2x2_16x256", |b| {
-        b.iter(|| std::hint::black_box(pool.forward(&x).unwrap().len()))
+        b.iter(|| {
+            let y = pool
+                .forward_pooled(&x, &mut ActivationPool::default())
+                .unwrap();
+            std::hint::black_box(y.len())
+        })
     });
 }
 

@@ -37,9 +37,9 @@
 //! goodput, degrades without ever halting, and re-admits the killed
 //! replica through the canary gate (one forced canary failure first) —
 //! and `tests/bench_report.rs` locks the committed report. Seeded end to
-//! end: same `DRONET_REPLICA_SEED` → same kill schedule and arrival
-//! plan. `DRONET_REPLICA_SECS` / `DRONET_REPLICA_CONNS` /
-//! `DRONET_REPLICA_RATE` shrink rows for CI smoke runs.
+//! end ([`REPLICA_SEED`]): the same kill schedule and arrival plan every
+//! run. `DRONET_REPLICA_SECS` / `DRONET_REPLICA_CONNS` shrink rows for CI
+//! smoke runs.
 //!
 //! `--tile-grid` runs the selective-tiling accuracy-vs-FLOPs grid
 //! (`BENCH_PR9.json`): synthetic large aerial frames are processed three
@@ -386,6 +386,8 @@ const REPLICA_INPUT: usize = 64;
 /// what one replica can serve alone, well under the 3-replica aggregate,
 /// so losing one replica hurts but must not collapse goodput.
 const REPLICA_LOAD_FACTOR: f64 = 1.5;
+/// Seed of the kill schedule and of the arrival plan.
+const REPLICA_SEED: u64 = 0xD0_0DCA4A;
 /// The headline claim: killing 1 of 3 replicas mid-storm keeps goodput
 /// at or above this fraction of the unkilled 3-replica baseline.
 const REPLICA_GOODPUT_MIN_RATIO: f64 = 0.6;
@@ -535,17 +537,8 @@ fn replica_grid_main(path: &str) {
         .and_then(|v| v.parse().ok())
         .filter(|&c| c > 0)
         .unwrap_or(64);
-    let seed: u64 = std::env::var("DRONET_REPLICA_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0xD0_0DCA4A);
-
     let capacity = measure_capacity_rps(REPLICA_INPUT, 10);
-    let rate_hz: f64 = std::env::var("DRONET_REPLICA_RATE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&r| r > 0.0)
-        .unwrap_or((capacity * REPLICA_LOAD_FACTOR).max(10.0));
+    let rate_hz = (capacity * REPLICA_LOAD_FACTOR).max(10.0);
     eprintln!(
         "DroNet @{REPLICA_INPUT}: ~{capacity:.0} forwards/s single-worker capacity, \
          storming at {rate_hz:.0} Hz for {secs}s per row"
@@ -556,7 +549,7 @@ fn replica_grid_main(path: &str) {
     // healed in the second half — the replica must quarantine, pass the
     // canary (after one forced failure), and rejoin.
     let window = Duration::from_secs_f64(secs * 0.9);
-    let kill_plan = ReplicaChaosPlan::generate(seed, 3, 1, window);
+    let kill_plan = ReplicaChaosPlan::generate(REPLICA_SEED, 3, 1, window);
     for k in &kill_plan.kills {
         eprintln!(
             "  kill plan: {:?} replica {} at {:?}",
@@ -569,7 +562,7 @@ fn replica_grid_main(path: &str) {
         secs,
         connections,
         frames: &frames,
-        seed,
+        seed: REPLICA_SEED,
     };
     let rows = [
         run_replica_row("single", 1, None, 0, &storm),
@@ -678,7 +671,7 @@ fn replica_grid_main(path: &str) {
         vec![
             ("secs_per_row", Num(secs)),
             ("connections", Int(connections as u64)),
-            ("seed", Int(seed)),
+            ("seed", Int(REPLICA_SEED)),
             ("input", Int(REPLICA_INPUT as u64)),
             ("rate_hz", Num(rate_hz)),
         ],

@@ -11,7 +11,6 @@
 //! | `fig4_score`         | Fig. 4 — weighted score harness |
 //! | `fig5_uav_deployment`| Fig. 5/§IV-B — platform projections + host anchor |
 //! | `tab_a_claims`       | §IV-A claim extraction |
-//! | `abl_quantization`   | §V future work — INT8 vs fp32 |
 //! | `abl_altitude`       | §III-D — altitude gating effect |
 //! | `abl_design_choices` | §III-C — DroNet design-rule ablation |
 //! | `micro_engine`       | engine kernels: GEMM, im2col, conv, pool, NMS |

@@ -8,11 +8,7 @@
 //! * [`ModelId`] / [`zoo`] — the four explored architectures
 //!   (**TinyYoloVoc**, **TinyYoloNet**, **SmallYoloV3**, **DroNet**) as
 //!   Darknet-style cfg files plus programmatic builders, parameterisable
-//!   by input resolution (the paper sweeps 352–608),
-//! * [`quant`] — INT8 post-training quantization of convolution layers,
-//!   implementing the "reduce bitwidth precisions" optimisation the paper
-//!   lists as future work (§V), with accuracy-vs-compression analysis
-//!   support.
+//!   by input resolution (the paper sweeps 352–608).
 //!
 //! # Example
 //!
@@ -34,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod quant;
 pub mod zoo;
 
 pub use zoo::ModelId;

@@ -45,11 +45,6 @@ impl VehicleDataset {
         VehicleDataset { scenes, train_len }
     }
 
-    /// A dataset shaped like the paper's: 350 scenes, 80/20 split.
-    pub fn paper_sized(config: SceneConfig, seed: u64) -> Self {
-        Self::generate(config, 350, 0.8, seed)
-    }
-
     /// Builds a dataset from pre-rendered scenes — e.g. frames captured
     /// from the [flight simulator](crate::flight), mirroring the paper's
     /// third data source ("collecting urban traffic video footage from a

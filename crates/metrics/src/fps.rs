@@ -18,15 +18,6 @@ impl Fps {
             Fps(f64::INFINITY)
         }
     }
-
-    /// Per-frame latency corresponding to this rate.
-    pub fn to_latency(self) -> Duration {
-        if self.0 > 0.0 {
-            Duration::from_secs_f64(1.0 / self.0)
-        } else {
-            Duration::MAX
-        }
-    }
 }
 
 impl fmt::Display for Fps {
@@ -132,7 +123,6 @@ mod tests {
     #[test]
     fn fps_from_latency() {
         assert!((Fps::from_latency(Duration::from_millis(50)).0 - 20.0).abs() < 1e-9);
-        assert!((Fps(4.0).to_latency().as_secs_f64() - 0.25).abs() < 1e-9);
         assert_eq!(Fps::from_latency(Duration::ZERO).0, f64::INFINITY);
     }
 

@@ -112,11 +112,6 @@ pub fn fmt3(v: f64) -> String {
     format!("{v:.3}")
 }
 
-/// Formats a ratio like `30.2x`.
-pub fn fmt_ratio(v: f64) -> String {
-    format!("{v:.1}x")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,6 +150,5 @@ mod tests {
     #[test]
     fn formatters() {
         assert_eq!(fmt3(0.12345), "0.123");
-        assert_eq!(fmt_ratio(29.96), "30.0x");
     }
 }

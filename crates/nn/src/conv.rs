@@ -17,12 +17,13 @@ use std::sync::OnceLock;
 /// # Example
 ///
 /// ```
-/// use dronet_nn::{Activation, Conv2d};
+/// use dronet_nn::{Activation, ActivationPool, Conv2d};
 /// use dronet_tensor::{Shape, Tensor};
 ///
 /// # fn main() -> Result<(), dronet_nn::NnError> {
 /// let mut conv = Conv2d::new(3, 16, 3, 1, 1, Activation::Leaky, true)?;
-/// let y = conv.forward(&Tensor::zeros(Shape::nchw(1, 3, 8, 8)))?;
+/// let x = Tensor::zeros(Shape::nchw(1, 3, 8, 8));
+/// let y = conv.forward_pooled(&x, &mut ActivationPool::default())?;
 /// assert_eq!(y.shape().dims(), &[1, 16, 8, 8]);
 /// # Ok(())
 /// # }
@@ -240,25 +241,24 @@ impl Conv2d {
         }
     }
 
-    /// Inference forward pass over an NCHW batch.
+    /// Inference forward pass over an NCHW batch, its output drawn from a
+    /// recycled [`ActivationPool`] instead of a fresh allocation — see the
+    /// pool's docs for why that matters for batched serving throughput.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::BadInput`] when the channel count disagrees and
     /// propagates tensor kernel errors.
-    pub fn forward(&mut self, x: &Tensor) -> Result<Tensor> {
-        self.forward_impl(x, false, None)
-    }
-
-    /// Inference forward pass drawing its output from a recycled
-    /// [`ActivationPool`] instead of a fresh allocation — see the pool's
-    /// docs for why that matters for batched serving throughput.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Conv2d::forward`].
     pub fn forward_pooled(&mut self, x: &Tensor, pool: &mut ActivationPool) -> Result<Tensor> {
-        self.forward_impl(x, false, Some(pool))
+        let geom = self.checked_geometry(x)?;
+        let shape = self.output_shape(x, &geom);
+        // Pooled buffers arrive with stale contents; that is safe because
+        // the fused kernel assigns every output position without reading it
+        // (its sums start in registers).
+        let mut out = Tensor::from_vec(pool.take(shape.len()), shape)?;
+        self.cache = None;
+        self.infer_into(x, &geom, false, || out.as_mut_slice())?;
+        Ok(out)
     }
 
     /// Training forward pass: uses batch statistics for BN and records the
@@ -266,9 +266,12 @@ impl Conv2d {
     ///
     /// # Errors
     ///
-    /// Same as [`Conv2d::forward`].
+    /// Same as [`Conv2d::forward_pooled`].
     pub fn forward_train(&mut self, x: &Tensor) -> Result<Tensor> {
-        self.forward_impl(x, true, None)
+        let geom = self.checked_geometry(x)?;
+        let mut out = Tensor::zeros(self.output_shape(x, &geom));
+        self.train_into(x, geom, &mut out)?;
+        Ok(out)
     }
 
     /// Inference through this layer and the max pool `after` it as one
@@ -280,7 +283,7 @@ impl Conv2d {
     ///
     /// # Errors
     ///
-    /// Same as [`Conv2d::forward`].
+    /// Same as [`Conv2d::forward_pooled`].
     pub(crate) fn forward_pooled_through(
         &mut self,
         x: &Tensor,
@@ -323,30 +326,10 @@ impl Conv2d {
         Ok(geom)
     }
 
-    fn forward_impl(
-        &mut self,
-        x: &Tensor,
-        train: bool,
-        pool: Option<&mut ActivationPool>,
-    ) -> Result<Tensor> {
-        let geom = self.checked_geometry(x)?;
-        let (n, oh, ow) = (x.shape().batch(), geom.out_height(), geom.out_width());
-
-        let out_shape = Shape::nchw(n, self.out_channels, oh, ow);
-        // Pooled buffers arrive with stale contents; that is safe because
-        // both paths assign every output position without reading it (the
-        // fused kernel's sums start in registers, the GEMM runs beta = 0).
-        let mut out = match pool {
-            Some(p) => Tensor::from_vec(p.take(out_shape.len()), out_shape)?,
-            None => Tensor::zeros(out_shape),
-        };
-        if train {
-            self.train_into(x, geom, &mut out)?;
-        } else {
-            self.cache = None;
-            self.infer_into(x, &geom, false, || out.as_mut_slice())?;
-        }
-        Ok(out)
+    /// The shape this layer gives the NCHW batch `x` of geometry `geom`.
+    fn output_shape(&self, x: &Tensor, geom: &ConvGeometry) -> Shape {
+        let (oh, ow) = (geom.out_height(), geom.out_width());
+        Shape::nchw(x.shape().batch(), self.out_channels, oh, ow)
     }
 
     /// Inference: one fused implicit-GEMM call for the whole batch, straight
@@ -553,6 +536,12 @@ mod tests {
         rand::rngs::StdRng::seed_from_u64(seed)
     }
 
+    /// An inference forward on a throwaway pool.
+    fn infer(conv: &mut Conv2d, x: &Tensor) -> Tensor {
+        conv.forward_pooled(x, &mut ActivationPool::default())
+            .unwrap()
+    }
+
     /// Direct (nested-loop) convolution used as the ground truth.
     fn reference_conv(x: &Tensor, conv: &Conv2d) -> Tensor {
         let s = x.shape();
@@ -605,7 +594,7 @@ mod tests {
                 *b = i as f32 * 0.1;
             }
             let x = init::uniform(Shape::nchw(2, cin, hw, hw), -1.0, 1.0, &mut r);
-            let got = conv.forward(&x).unwrap();
+            let got = infer(&mut conv, &x);
             let want = reference_conv(&x, &conv);
             assert!(
                 got.max_abs_diff(&want).unwrap() < 1e-4,
@@ -630,7 +619,8 @@ mod tests {
         assert!(Conv2d::new(3, 8, 3, 0, 1, Activation::Leaky, false).is_err());
         let mut conv = Conv2d::new(3, 8, 3, 1, 1, Activation::Leaky, false).unwrap();
         let bad = Tensor::zeros(Shape::nchw(1, 2, 8, 8));
-        assert!(matches!(conv.forward(&bad), Err(NnError::BadInput { .. })));
+        let got = conv.forward_pooled(&bad, &mut ActivationPool::default());
+        assert!(matches!(got, Err(NnError::BadInput { .. })));
     }
 
     #[test]
@@ -645,7 +635,7 @@ mod tests {
     fn backward_requires_training_forward() {
         let mut conv = Conv2d::new(1, 1, 3, 1, 1, Activation::Linear, false).unwrap();
         let x = Tensor::zeros(Shape::nchw(1, 1, 4, 4));
-        conv.forward(&x).unwrap(); // inference does not cache
+        infer(&mut conv, &x); // inference does not cache
         let g = Tensor::zeros(Shape::nchw(1, 1, 4, 4));
         assert!(matches!(
             conv.backward(&g),
@@ -679,8 +669,7 @@ mod tests {
         let dx = conv.backward(&target).unwrap();
 
         let eps = 1e-2f32;
-        let loss =
-            |c: &mut Conv2d, x: &Tensor| -> f32 { c.forward(x).unwrap().dot(&target).unwrap() };
+        let loss = |c: &mut Conv2d, x: &Tensor| -> f32 { infer(c, x).dot(&target).unwrap() };
 
         // dL/dx probes
         for probe in [0usize, 13, 49, 99] {
@@ -737,9 +726,9 @@ mod tests {
             let mut conv = Conv2d::new(3, 4, 3, 1, pad, Activation::Leaky, bn).unwrap();
             conv.init_weights(&mut r);
             let batch = init::uniform(Shape::nchw(4, 3, 6, 6), -1.0, 1.0, &mut r);
-            let batched = conv.forward(&batch).unwrap();
+            let batched = infer(&mut conv, &batch);
             for b in 0..4 {
-                let single = conv.forward(&batch.batch_item(b).unwrap()).unwrap();
+                let single = infer(&mut conv, &batch.batch_item(b).unwrap());
                 assert_eq!(
                     batched.batch_item(b).unwrap().as_slice(),
                     single.as_slice(),
@@ -757,9 +746,9 @@ mod tests {
         let mut conv = Conv2d::new(2, 3, 3, 2, 1, Activation::Linear, false).unwrap();
         conv.init_weights(&mut r);
         let x = init::uniform(Shape::nchw(3, 2, 7, 5), -1.0, 1.0, &mut r);
-        let infer = conv.forward(&x).unwrap();
-        let train = conv.forward_train(&x).unwrap();
-        assert_eq!(infer.as_slice(), train.as_slice());
+        let inferred = infer(&mut conv, &x);
+        let trained = conv.forward_train(&x).unwrap();
+        assert_eq!(inferred.as_slice(), trained.as_slice());
     }
 
     /// A layer of the same configuration that was handed `conv`'s parameters
@@ -808,13 +797,13 @@ mod tests {
         let x = init::uniform(Shape::nchw(2, 3, 7, 6), -1.0, 1.0, &mut rng(1));
         for (name, mutate) in paths {
             let mut conv = Conv2d::new(3, 5, 3, 1, 1, Activation::Leaky, true).unwrap();
-            let before = conv.forward(&x).unwrap();
+            let before = infer(&mut conv, &x);
             assert!(conv.packed.get().is_some(), "{name}: forward packs");
             mutate(&mut conv);
             assert!(conv.packed.get().is_none(), "{name}: cache dropped");
-            let after = conv.forward(&x).unwrap();
+            let after = infer(&mut conv, &x);
             assert_ne!(before, after, "{name}: the mutation is visible");
-            let want = fresh_copy(&conv).forward(&x).unwrap();
+            let want = infer(&mut fresh_copy(&conv), &x);
             assert_eq!(after.as_slice(), want.as_slice(), "{name}");
         }
     }
@@ -826,14 +815,14 @@ mod tests {
     fn a_clone_owns_its_packed_weights() {
         let x = init::uniform(Shape::nchw(1, 3, 6, 6), -1.0, 1.0, &mut rng(2));
         let mut conv = Conv2d::new(3, 4, 3, 1, 1, Activation::Leaky, false).unwrap();
-        let original = conv.forward(&x).unwrap();
+        let original = infer(&mut conv, &x);
         let mut clone = conv.clone();
-        assert_eq!(clone.forward(&x).unwrap(), original);
+        assert_eq!(infer(&mut clone, &x), original);
         clone.weights_mut().as_mut_slice()[0] += 1.0;
-        let want = fresh_copy(&clone).forward(&x).unwrap();
-        assert_eq!(clone.forward(&x).unwrap().as_slice(), want.as_slice());
+        let want = infer(&mut fresh_copy(&clone), &x);
+        assert_eq!(infer(&mut clone, &x).as_slice(), want.as_slice());
         assert!(conv.packed.get().is_some(), "the original keeps its cache");
-        assert_eq!(conv.forward(&x).unwrap(), original);
+        assert_eq!(infer(&mut conv, &x), original);
     }
 
     /// Weights are packed at most once between mutations: a write that goes
@@ -845,20 +834,11 @@ mod tests {
         let x = init::uniform(Shape::nchw(1, 2, 5, 5), -1.0, 1.0, &mut rng(3));
         let mut conv = Conv2d::new(2, 3, 3, 1, 1, Activation::Linear, false).unwrap();
         assert!(conv.packed.get().is_none(), "construction packs nothing");
-        let first = conv.forward(&x).unwrap();
+        let first = infer(&mut conv, &x);
         conv.weights.as_mut_slice()[0] += 1.0;
-        assert_eq!(conv.forward(&x).unwrap(), first, "no repack");
-        assert_eq!(
-            conv.forward_pooled(&x, &mut ActivationPool::default())
-                .unwrap(),
-            first
-        );
+        assert_eq!(infer(&mut conv, &x), first, "no repack");
         let _ = conv.weights_mut();
-        assert_ne!(
-            conv.forward(&x).unwrap(),
-            first,
-            "repacked after a mutation"
-        );
+        assert_ne!(infer(&mut conv, &x), first, "repacked after a mutation");
         // Training never packs: it multiplies the weight matrix itself.
         let _ = conv.weights_mut();
         conv.forward_train(&x).unwrap();

@@ -97,19 +97,6 @@ impl Layer {
         }
     }
 
-    /// Inference forward pass.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the wrapped layer's errors.
-    pub fn forward(&mut self, x: &Tensor) -> Result<Tensor> {
-        match self {
-            Layer::Conv(c) => c.forward(x),
-            Layer::MaxPool(p) => p.forward(x),
-            Layer::Region(r) => r.forward(x),
-        }
-    }
-
     /// Inference forward pass drawing scratch/output memory from a
     /// recycled [`ActivationPool`]. Every layer kind participates, so a
     /// steady-state forward with a warm pool performs no heap allocation.

@@ -108,23 +108,10 @@ impl MaxPool2d {
         self.cache = None;
     }
 
-    /// Forward pass (inference): no cache is recorded and no argmax
-    /// indices are tracked.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::BadInput`] for non-NCHW input.
-    pub fn forward(&mut self, x: &Tensor) -> Result<Tensor> {
-        self.cache = None;
-        let out_shape = self.checked_output_shape(x)?;
-        let mut out = Tensor::zeros(out_shape);
-        self.pool_into(x, out.as_mut_slice(), None);
-        Ok(out)
-    }
-
     /// Inference forward pass drawing the output buffer from a recycled
-    /// [`ActivationPool`]. Skips argmax tracking entirely, so the
-    /// steady-state path performs no heap allocation once the pool is warm.
+    /// [`ActivationPool`]. No cache is recorded and argmax tracking is
+    /// skipped entirely, so the steady-state path performs no heap
+    /// allocation once the pool is warm.
     ///
     /// # Errors
     ///
@@ -282,6 +269,12 @@ fn pool_2x2_planes(src: &[f32], w: usize, dst: &mut [f32]) {
 mod tests {
     use super::*;
 
+    /// An inference forward on a throwaway pool.
+    fn infer(pool: &mut MaxPool2d, x: &Tensor) -> Tensor {
+        pool.forward_pooled(x, &mut ActivationPool::default())
+            .unwrap()
+    }
+
     #[test]
     fn darknet_output_sizes() {
         let p22 = MaxPool2d::new(2, 2).unwrap();
@@ -305,7 +298,7 @@ mod tests {
         )
         .unwrap();
         let mut pool = MaxPool2d::new(2, 2).unwrap();
-        let y = pool.forward(&x).unwrap();
+        let y = infer(&mut pool, &x);
         // Darknet pad=1, offset=0: windows start at 0,2 -> plain 2x2 pooling.
         assert_eq!(y.shape().dims(), &[1, 1, 2, 2]);
         assert_eq!(y.as_slice(), &[4.0, 8.0, 12.0, 16.0]);
@@ -320,7 +313,7 @@ mod tests {
         )
         .unwrap();
         let mut pool = MaxPool2d::new(2, 1).unwrap();
-        let y = pool.forward(&x).unwrap();
+        let y = infer(&mut pool, &x);
         assert_eq!(y.shape().dims(), &[1, 1, 3, 3]);
         assert_eq!(y.as_slice(), &[5.0, 6.0, 6.0, 8.0, 9.0, 9.0, 8.0, 9.0, 9.0]);
     }
@@ -330,7 +323,7 @@ mod tests {
         // All-negative input: padding must NOT leak zeros into the max.
         let x = Tensor::full(Shape::nchw(1, 1, 4, 4), -3.0);
         let mut pool = MaxPool2d::new(2, 2).unwrap();
-        let y = pool.forward(&x).unwrap();
+        let y = infer(&mut pool, &x);
         assert!(y.as_slice().iter().all(|&v| v == -3.0));
     }
 
@@ -366,16 +359,12 @@ mod tests {
         }
         let mut pool = MaxPool2d::new(2, 2).unwrap();
         assert!(pool.tiles_2x2(6, 8));
-        let fast = pool.forward(&x).unwrap();
+        let fast = infer(&mut pool, &x);
         let generic = pool.forward_train(&x).unwrap();
         assert_eq!(fast.shape().dims(), &[2, 3, 3, 4]);
         assert_eq!(bits(&fast), bits(&generic));
         assert_eq!(fast.get(&[1, 2, 0, 2]).unwrap().to_bits(), 0.0f32.to_bits());
         assert_eq!(fast.get(&[1, 2, 0, 3]).unwrap().to_bits(), 0.0f32.to_bits());
-        let pooled = pool
-            .forward_pooled(&x, &mut ActivationPool::default())
-            .unwrap();
-        assert_eq!(bits(&pooled), bits(&generic));
     }
 
     /// Geometries the fast path — and a convolution that would take the
@@ -398,13 +387,13 @@ mod tests {
             let x = init::uniform(Shape::nchw(1, 2, h, w), -1.0, 1.0, &mut rng);
             let mut pool = MaxPool2d::with_padding(size, stride, padding).unwrap();
             assert!(!pool.tiles_2x2(h, w));
-            let infer = pool.forward(&x).unwrap();
-            let train = pool.forward_train(&x).unwrap();
+            let inferred = infer(&mut pool, &x);
+            let trained = pool.forward_train(&x).unwrap();
             let (oh, ow) = pool.output_hw(h, w);
-            assert_eq!(infer.shape().dims(), &[1, 2, oh, ow]);
+            assert_eq!(inferred.shape().dims(), &[1, 2, oh, ow]);
             assert_eq!(
-                bits(&infer),
-                bits(&train),
+                bits(&inferred),
+                bits(&trained),
                 "size={size} stride={stride} pad={padding} {h}x{w}"
             );
         }
@@ -455,6 +444,9 @@ mod tests {
     #[test]
     fn rejects_non_nchw_input() {
         let mut pool = MaxPool2d::new(2, 2).unwrap();
-        assert!(pool.forward(&Tensor::zeros(Shape::matrix(4, 4))).is_err());
+        let flat = Tensor::zeros(Shape::matrix(4, 4));
+        assert!(pool
+            .forward_pooled(&flat, &mut ActivationPool::default())
+            .is_err());
     }
 }

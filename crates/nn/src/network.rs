@@ -169,7 +169,7 @@ impl Network {
         &self.layers
     }
 
-    /// Mutable access to the layers (weight loading, quantisation).
+    /// Mutable access to the layers (weight loading).
     pub fn layers_mut(&mut self) -> &mut [Layer] {
         &mut self.layers
     }
@@ -617,7 +617,7 @@ mod tests {
 
     /// conv (large enough for its pool to be taken in the store) → pool →
     /// conv (too small) → pool → 1x1 conv: layer by layer through
-    /// `Layer::forward` and through `Network::forward`.
+    /// `Layer::forward_pooled` and through `Network::forward`.
     fn front_end(first_pool: MaxPool2d) -> (Network, Tensor) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         let mut net = Network::new(3, 176, 176);
@@ -641,9 +641,11 @@ mod tests {
 
     fn layer_by_layer(net: &Network, x: &Tensor) -> Tensor {
         let mut layers = net.layers().to_vec();
-        layers
-            .iter_mut()
-            .fold(x.clone(), |x, layer| layer.forward(&x).unwrap())
+        layers.iter_mut().fold(x.clone(), |x, layer| {
+            layer
+                .forward_pooled(&x, &mut ActivationPool::default())
+                .unwrap()
+        })
     }
 
     /// The first convolution's activation, 2 x 8 x 176 x 176 floats.

@@ -83,26 +83,15 @@ impl RegionLayer {
         &self.config
     }
 
-    /// Applies the region transform. See the type-level docs for layout.
+    /// Applies the region transform (see the type-level docs for layout),
+    /// drawing the output buffer from a recycled [`ActivationPool`]: the
+    /// input is copied into a pooled buffer and transformed in place, so the
+    /// steady-state path performs no heap allocation once the pool is warm.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::BadInput`] when the channel count is not
     /// `anchors * (5 + classes)`.
-    pub fn forward(&mut self, x: &Tensor) -> Result<Tensor> {
-        let out = self.transform(x)?;
-        self.cache = None;
-        Ok(out)
-    }
-
-    /// Inference forward drawing the output buffer from a recycled
-    /// [`ActivationPool`]: the input is copied into a pooled buffer and
-    /// transformed in place, so the steady-state path performs no heap
-    /// allocation once the pool is warm.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RegionLayer::forward`].
     pub fn forward_pooled(&mut self, x: &Tensor, pool: &mut ActivationPool) -> Result<Tensor> {
         self.cache = None;
         let shape = self.checked_shape(x)?;
@@ -117,9 +106,11 @@ impl RegionLayer {
     ///
     /// # Errors
     ///
-    /// Same as [`RegionLayer::forward`].
+    /// Same as [`RegionLayer::forward_pooled`].
     pub fn forward_train(&mut self, x: &Tensor) -> Result<Tensor> {
-        let out = self.transform(x)?;
+        let shape = self.checked_shape(x)?;
+        let mut out = x.clone();
+        self.transform_in_place(out.as_mut_slice(), &shape);
         self.cache = Some(out.clone());
         Ok(out)
     }
@@ -133,13 +124,6 @@ impl RegionLayer {
             });
         }
         Ok(*s)
-    }
-
-    fn transform(&self, x: &Tensor) -> Result<Tensor> {
-        let shape = self.checked_shape(x)?;
-        let mut out = x.clone();
-        self.transform_in_place(out.as_mut_slice(), &shape);
-        Ok(out)
     }
 
     fn transform_in_place(&self, data: &mut [f32], s: &Shape) {
@@ -231,6 +215,13 @@ mod tests {
     use dronet_tensor::{init, Shape};
     use rand::SeedableRng;
 
+    /// An inference forward on a throwaway pool.
+    fn infer(layer: &mut RegionLayer, x: &Tensor) -> Tensor {
+        layer
+            .forward_pooled(x, &mut ActivationPool::default())
+            .unwrap()
+    }
+
     fn layer(classes: usize, anchors: usize) -> RegionLayer {
         RegionLayer::new(RegionConfig {
             anchors: (0..anchors).map(|i| (1.0 + i as f32, 2.0)).collect(),
@@ -256,14 +247,15 @@ mod tests {
         .is_err());
         let mut l = layer(1, 2);
         let bad = Tensor::zeros(Shape::nchw(1, 5, 3, 3));
-        assert!(matches!(l.forward(&bad), Err(NnError::BadInput { .. })));
+        let got = l.forward_pooled(&bad, &mut ActivationPool::default());
+        assert!(matches!(got, Err(NnError::BadInput { .. })));
     }
 
     #[test]
     fn forward_applies_logistic_to_xy_and_obj() {
         let mut l = layer(1, 1);
         let x = Tensor::zeros(Shape::nchw(1, 6, 2, 2));
-        let y = l.forward(&x).unwrap();
+        let y = infer(&mut l, &x);
         // entries: x, y at sigmoid(0)=0.5; w,h raw 0; obj 0.5; class prob 1.
         let d = y.as_slice();
         let plane = 4;
@@ -282,7 +274,7 @@ mod tests {
         let mut l = layer(3, 2);
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let x = init::uniform(Shape::nchw(2, 16, 3, 3), -2.0, 2.0, &mut rng);
-        let y = l.forward(&x).unwrap();
+        let y = infer(&mut l, &x);
         let d = y.as_slice();
         let plane = 9;
         let entries = 8;
@@ -341,8 +333,8 @@ mod tests {
             xm.as_mut_slice()[probe] -= eps;
             let mut lp = layer(1, 1);
             let mut lm = layer(1, 1);
-            let fp = lp.forward(&xp).unwrap().dot(&r).unwrap();
-            let fm = lm.forward(&xm).unwrap().dot(&r).unwrap();
+            let fp = infer(&mut lp, &xp).dot(&r).unwrap();
+            let fm = infer(&mut lm, &xm).dot(&r).unwrap();
             let numeric = (fp - fm) / (2.0 * eps);
             let analytic = dx.as_slice()[probe];
             assert!(

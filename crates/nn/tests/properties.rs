@@ -1,7 +1,10 @@
 //! Property-based tests for the CNN engine: linearity of convolution,
 //! pooling invariances, cfg round-trips and weight-file integrity.
 
-use dronet_nn::{cfg, weights, Activation, BatchNorm, Conv2d, Layer, MaxPool2d, Network};
+use dronet_nn::{
+    cfg, weights, Activation, ActivationPool, BatchNorm, Conv2d, Layer, MaxPool2d, Network,
+    RegionConfig, RegionLayer,
+};
 use dronet_tensor::{init, Shape, Tensor};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -30,12 +33,12 @@ proptest! {
         let x = init::uniform(Shape::nchw(1, cin, hw, hw), -1.0, 1.0, &mut r);
         let y = init::uniform(Shape::nchw(1, cin, hw, hw), -1.0, 1.0, &mut r);
 
-        let fx = conv.forward(&x).unwrap();
-        let fy = conv.forward(&y).unwrap();
+        let fx = conv.forward_pooled(&x, &mut ActivationPool::default()).unwrap();
+        let fy = conv.forward_pooled(&y, &mut ActivationPool::default()).unwrap();
         let mut combo = x.clone();
         combo.scale(alpha);
         combo.axpy(1.0, &y).unwrap();
-        let f_combo = conv.forward(&combo).unwrap();
+        let f_combo = conv.forward_pooled(&combo, &mut ActivationPool::default()).unwrap();
 
         let mut expected = fx.clone();
         expected.scale(alpha);
@@ -53,10 +56,10 @@ proptest! {
     ) {
         let mut pool = MaxPool2d::new(2, 2).unwrap();
         let x = init::uniform(Shape::nchw(1, c, hw, hw), -1.0, 1.0, &mut rng(seed));
-        let a = pool.forward(&x).unwrap().map(|v| v * scale);
+        let a = pool.forward_pooled(&x, &mut ActivationPool::default()).unwrap().map(|v| v * scale);
         let mut scaled = x.clone();
         scaled.scale(scale);
-        let b = pool.forward(&scaled).unwrap();
+        let b = pool.forward_pooled(&scaled, &mut ActivationPool::default()).unwrap();
         prop_assert!(a.max_abs_diff(&b).unwrap() < 1e-4);
     }
 
@@ -70,7 +73,7 @@ proptest! {
     ) {
         let mut pool = MaxPool2d::new(size, stride).unwrap();
         let x = init::uniform(Shape::nchw(1, 2, hw, hw), -5.0, 5.0, &mut rng(seed));
-        let y = pool.forward(&x).unwrap();
+        let y = pool.forward_pooled(&x, &mut ActivationPool::default()).unwrap();
         for &v in y.as_slice() {
             prop_assert!(
                 x.as_slice().iter().any(|&xv| (xv - v).abs() < 1e-6),
@@ -253,7 +256,7 @@ proptest! {
         let x = init::uniform(Shape::nchw(n, cin, h, w), -1.0, 1.0, &mut r);
 
         let want: Vec<u32> = naive_conv_layer(&conv, &x).iter().map(|v| v.to_bits()).collect();
-        let got = conv.forward(&x).unwrap();
+        let got = conv.forward_pooled(&x, &mut ActivationPool::default()).unwrap();
         let got: Vec<u32> = got.as_slice().iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(got, want);
     }
@@ -264,7 +267,7 @@ proptest! {
 
     /// `Network::forward` — which takes a downsampling pool in the store of
     /// the convolution ahead of it where the kernel has it that way — equals
-    /// chaining `Layer::forward` layer by layer, bit for bit: random stacks
+    /// chaining `Layer::forward_pooled` layer by layer, bit for bit: random stacks
     /// of convolutions (every kernel size and stride, batch norm on and off)
     /// with and without a pool behind them (the 2x2 stride-2 one, the "same"
     /// pool, a 3x3 stride-2 one), over inputs from a few pixels to sizes
@@ -315,7 +318,7 @@ proptest! {
 
         let mut chained = x.clone();
         for layer in net.layers().to_vec().iter_mut() {
-            chained = layer.forward(&chained).unwrap();
+            chained = layer.forward_pooled(&chained, &mut ActivationPool::default()).unwrap();
         }
         let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         // Twice: the second pass runs on recycled buffers with stale contents.
@@ -325,5 +328,77 @@ proptest! {
             prop_assert_eq!(bits(&y), bits(&chained));
             net.recycle(y);
         }
+    }
+}
+
+/// The pool hands out buffers with stale contents, and every inference
+/// kernel is trusted to assign each output element without reading it. NaN
+/// is the stale content that cannot hide — anything computed from it is NaN
+/// — so a pool seeded with NaN-filled buffers, of exactly the length a layer
+/// asks for and of a larger capacity, must give the bits of a fresh pool.
+#[test]
+fn stale_pool_contents_never_reach_an_output() {
+    let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let stale = |len: usize| vec![f32::NAN; len];
+    let mut r = rng(23);
+    let conv = |kernel: usize, bn: bool, r: &mut rand::rngs::StdRng| {
+        let mut conv = Conv2d::new(3, 5, kernel, 1, kernel / 2, Activation::Leaky, bn).unwrap();
+        conv.init_weights(r);
+        Layer::conv(conv)
+    };
+    let region = |classes: usize| {
+        let anchors = vec![(1.0, 2.0), (3.0, 1.5)];
+        Layer::region(RegionLayer::new(RegionConfig { anchors, classes }).unwrap())
+    };
+    let cases = [
+        (conv(3, false, &mut r), Shape::nchw(2, 3, 9, 11)),
+        (conv(3, true, &mut r), Shape::nchw(2, 3, 9, 11)),
+        (conv(1, false, &mut r), Shape::nchw(2, 3, 9, 11)),
+        (conv(1, true, &mut r), Shape::nchw(2, 3, 9, 11)),
+        (
+            Layer::max_pool(MaxPool2d::new(2, 2).unwrap()),
+            Shape::nchw(2, 3, 8, 10),
+        ),
+        (
+            Layer::max_pool(MaxPool2d::new(2, 1).unwrap()),
+            Shape::nchw(2, 3, 7, 7),
+        ),
+        (region(1), Shape::nchw(2, 12, 5, 4)),
+        (region(3), Shape::nchw(2, 16, 5, 4)),
+    ];
+    for (i, (mut layer, shape)) in cases.into_iter().enumerate() {
+        let x = init::uniform(shape, -1.0, 1.0, &mut r);
+        let want = layer
+            .forward_pooled(&x, &mut ActivationPool::default())
+            .unwrap();
+        assert!(want.as_slice().iter().all(|v| v.is_finite()), "case {i}");
+        for extra in [0, 37] {
+            let mut pool = ActivationPool::default();
+            pool.give(stale(want.len() + extra));
+            let got = layer.forward_pooled(&x, &mut pool).unwrap();
+            assert_eq!(pool.held(), 0, "case {i}: the seeded buffer was drawn");
+            assert_eq!(bits(&got), bits(&want), "case {i}, {extra} spare");
+        }
+    }
+
+    // A conv + pool pair through `Network::forward`, whose private pool is
+    // seeded through `recycle`: at 160 px the pool is taken in the conv's
+    // store, at 12 px the two run as separate layers.
+    for side in [160, 12] {
+        let mut net = Network::new(3, side, side);
+        net.push(Layer::conv(
+            Conv2d::new(3, 8, 3, 1, 1, Activation::Leaky, true).unwrap(),
+        ));
+        net.push(Layer::max_pool(MaxPool2d::new(2, 2).unwrap()));
+        net.init_weights(&mut r);
+        let x = init::uniform(Shape::nchw(2, 3, side, side), -1.0, 1.0, &mut r);
+        let want = net.clone().forward(&x).unwrap();
+        assert!(want.as_slice().iter().all(|v| v.is_finite()), "{side} px");
+        // The pair's output, the convolution's own activation, and spare.
+        for len in [want.len(), 4 * want.len(), 4 * want.len() + 37] {
+            net.recycle(Tensor::from_vec(stale(len), Shape::new(&[len])).unwrap());
+        }
+        let got = net.forward(&x).unwrap();
+        assert_eq!(bits(&got), bits(&want), "{side} px");
     }
 }

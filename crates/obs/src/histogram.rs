@@ -319,11 +319,6 @@ impl Histogram {
     pub fn quantiles(&self, qs: &[f64]) -> Vec<Duration> {
         qs.iter().map(|&q| self.quantile(q)).collect()
     }
-
-    /// Whether this handle records anywhere.
-    pub fn is_active(&self) -> bool {
-        self.cell.is_some()
-    }
 }
 
 /// RAII span guard: records the time between creation and drop into its
@@ -491,7 +486,6 @@ mod tests {
         drop(_t);
         assert_eq!(h.count(), 0);
         assert_eq!(h.mean(), Duration::ZERO);
-        assert!(!h.is_active());
     }
 
     #[test]

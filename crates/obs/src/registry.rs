@@ -199,18 +199,6 @@ impl Registry {
         }
     }
 
-    /// Looks up the histogram `name` without creating it.
-    pub fn get_histogram(&self, name: &str) -> Option<Histogram> {
-        let inner = self.inner.as_ref()?;
-        let cell = inner
-            .histograms
-            .read()
-            .expect("obs registry lock poisoned")
-            .get(name)
-            .map(Arc::clone)?;
-        Some(Histogram { cell: Some(cell) })
-    }
-
     /// Starts a span recording into the histogram `name` on drop.
     pub fn timer(&self, name: &str) -> ScopedTimer {
         if self.is_enabled() {
@@ -290,13 +278,6 @@ impl Registry {
         {
             cell.attach_window(window, sub_buckets);
         }
-    }
-
-    /// Whether [`Registry::enable_windows`] has been called.
-    pub fn windows_enabled(&self) -> bool {
-        self.inner
-            .as_ref()
-            .is_some_and(|inner| inner.window_config.get().is_some())
     }
 
     /// Point-in-time windowed aggregates for every windowed metric, sorted

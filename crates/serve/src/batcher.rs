@@ -24,6 +24,7 @@
 //! backlog rather than hanging it.
 
 use crate::error::ServeError;
+use crate::server::ServeConfig;
 use crate::watchdog::{BlackBoxStore, Pool};
 use dronet_detect::{resize_frame, Detection, Detector};
 use dronet_obs::window::{mono_now_ns, RollingWindow};
@@ -123,9 +124,8 @@ pub struct Job {
 
 struct QueueState {
     jobs: VecDeque<Job>,
-    /// No new pushes are admitted (shutdown has begun).
-    draining: bool,
-    /// Workers exit once the remaining jobs are drained.
+    /// No new pushes are admitted, and workers exit once the remaining
+    /// jobs are drained.
     closed: bool,
 }
 
@@ -155,7 +155,6 @@ impl BatchQueue {
         Arc::new(BatchQueue {
             state: Mutex::new(QueueState {
                 jobs: VecDeque::with_capacity(capacity),
-                draining: false,
                 closed: false,
             }),
             cond: Condvar::new(),
@@ -172,10 +171,10 @@ impl BatchQueue {
     /// # Errors
     ///
     /// [`ServeError::Overloaded`] when the queue is at capacity,
-    /// [`ServeError::Draining`] once shutdown has begun.
+    /// [`ServeError::Draining`] once the queue is closed.
     pub fn push(&self, job: Job) -> Result<(), ServeError> {
         let mut s = lock_recover(&self.state);
-        if s.draining || s.closed {
+        if s.closed {
             return Err(ServeError::Draining);
         }
         if s.jobs.len() >= self.capacity {
@@ -279,16 +278,10 @@ impl BatchQueue {
         secs.clamp(floor, cap)
     }
 
-    /// Stops admitting new jobs; queued jobs still complete.
-    pub fn set_draining(&self) {
-        lock_recover(&self.state).draining = true;
-    }
-
     /// Stops admitting new jobs AND tells workers to exit once the backlog
     /// is drained.
     pub fn close(&self) {
         let mut s = lock_recover(&self.state);
-        s.draining = true;
         s.closed = true;
         self.cond.notify_all();
     }
@@ -433,11 +426,8 @@ pub(crate) struct WorkerShared {
     /// Resolution-aware factory: present when the server was started via
     /// `start_scalable`, enabling brownout rebuilds at ladder rungs.
     pub sized_factory: Option<Arc<dyn Fn(usize) -> dronet_detect::Result<Detector> + Send + Sync>>,
-    pub max_batch: usize,
-    pub max_wait: Duration,
-    /// Artificial pre-forward delay — a chaos/test knob that holds the
-    /// queue full so load shedding can be exercised deterministically.
-    pub dispatch_delay: Duration,
+    /// The server's configuration, read where it is used.
+    pub config: Arc<ServeConfig>,
     /// Pool-wide monotonic origin for heartbeat timestamps.
     pub epoch: Instant,
     pub pool: Pool,
@@ -447,8 +437,7 @@ pub(crate) struct WorkerShared {
     pub target_input: AtomicUsize,
     /// Gauge mirroring `target_input` (or the fixed size) for `/metrics`.
     pub resolution_gauge: Gauge,
-    pub wedge: Option<WedgePlan>,
-    /// One-shot arming latch for the wedge plan.
+    /// One-shot arming latch for `config.wedge_chaos`.
     pub wedge_armed: AtomicBool,
     pub black_box: BlackBoxStore,
     pub batch_size_hist: Histogram,
@@ -464,14 +453,12 @@ pub(crate) struct WorkerShared {
     /// a per-pool signal, unlike the name-shared registry counters.
     pub fault_events: AtomicU64,
     /// Replica-kill chaos: while set, every batch forward wedges for
-    /// `chaos_wedge_hold` — the supervisor flips this to simulate a
+    /// `config.chaos_wedge_hold` — the supervisor flips this to simulate a
     /// replica whose kernels stopped returning.
     pub chaos_wedge: AtomicBool,
     /// Replica-kill chaos: while set, every batch forward panics inside
     /// the catch_unwind boundary.
     pub chaos_panic: AtomicBool,
-    /// How long a chaos-wedged batch holds before proceeding.
-    pub chaos_wedge_hold: Duration,
     pub obs: Registry,
     pub tracer: Tracer,
 }
@@ -496,7 +483,10 @@ pub(crate) fn spawn_worker(
                     // jobs, and spawned a replacement: vanish quietly.
                     return;
                 }
-                let Some(batch) = shared.queue.pop_batch(shared.max_batch, shared.max_wait) else {
+                let Some(batch) = shared
+                    .queue
+                    .pop_batch(shared.config.max_batch, shared.config.max_wait)
+                else {
                     // Clean shutdown: the queue closed and drained.
                     slot.retire();
                     return;
@@ -624,10 +614,10 @@ fn run_batch(
         }
     }
 
-    if !shared.dispatch_delay.is_zero() {
-        thread::sleep(shared.dispatch_delay);
+    if !shared.config.dispatch_delay.is_zero() {
+        thread::sleep(shared.config.dispatch_delay);
     }
-    if let Some(plan) = &shared.wedge {
+    if let Some(plan) = &shared.config.wedge_chaos {
         if ids.contains(&plan.frame_id) && shared.wedge_armed.swap(false, Ordering::SeqCst) {
             thread::sleep(plan.hold);
         }
@@ -637,7 +627,7 @@ fn run_batch(
         // watchdog (or, below the wedge timeout, brownout pressure) takes
         // it from here. Sliced so teardown never waits out the hold.
         let held = Instant::now();
-        while held.elapsed() < shared.chaos_wedge_hold
+        while held.elapsed() < shared.config.chaos_wedge_hold
             && shared.chaos_wedge.load(Ordering::SeqCst)
             && !shared.queue.is_closed()
         {
@@ -761,16 +751,15 @@ mod tests {
     }
 
     #[test]
-    fn draining_queue_rejects_new_work_but_keeps_backlog() {
+    fn closed_queue_rejects_new_work_but_keeps_backlog() {
         let obs = Registry::new();
         let q = BatchQueue::new(4, &obs);
         let (tx, _rx) = mpsc::channel();
         q.push(job(1, &tx)).unwrap();
-        q.set_draining();
+        q.close();
         assert!(matches!(q.push(job(2, &tx)), Err(ServeError::Draining)));
         assert_eq!(q.len(), 1);
-        // Closing still lets a worker drain the backlog…
-        q.close();
+        // A worker still drains the backlog…
         let batch = q.pop_batch(8, Duration::ZERO).expect("backlog");
         assert_eq!(batch.len(), 1);
         // …and only then signals exit.

@@ -31,10 +31,10 @@
 //! degrades, only losing *everything* (with rebuilds exhausted) halts.
 
 use crate::batcher::{lock_recover, spawn_worker, BatchQueue, WorkerShared, WorkerSlot};
-use crate::chaos::{ReplicaChaosPlan, ReplicaKillKind};
+use crate::chaos::ReplicaKillKind;
 use crate::error::ServeError;
-use crate::server::{BrownoutConfig, DetectorFactory, SizedDetectorFactory};
-use crate::watchdog::{spawn_watchdog, BlackBoxStore, WatchdogConfig};
+use crate::server::{DetectorFactory, ServeConfig, SizedDetectorFactory};
+use crate::watchdog::{spawn_watchdog, BlackBoxStore};
 use dronet_detect::canary::{check_canary, golden_detections};
 use dronet_detect::{DegradeConfig, DegradeController, Detection, Detector};
 use dronet_obs::{BlackBox, Counter, Gauge, Health, HealthCell, Registry, Tracer};
@@ -124,15 +124,7 @@ impl ReplicaCore {
 pub(crate) struct ReplicaBuilder {
     pub factory: DetectorFactory,
     pub sized_factory: Option<SizedDetectorFactory>,
-    pub workers: usize,
-    pub max_batch: usize,
-    pub max_wait: Duration,
-    pub dispatch_delay: Duration,
-    pub queue_capacity: usize,
-    pub wedge_chaos: Option<crate::batcher::WedgePlan>,
-    pub chaos_wedge_hold: Duration,
-    pub watchdog_cfg: WatchdogConfig,
-    pub brownout: Option<BrownoutConfig>,
+    pub config: Arc<ServeConfig>,
     pub obs: Registry,
     pub tracer: Tracer,
 }
@@ -154,7 +146,7 @@ impl ReplicaBuilder {
     /// A fresh brownout controller for one core (each replica walks its
     /// own ladder — an overloaded replica browns out alone).
     fn build_brownout(&self) -> Result<Option<DegradeController>, ServeError> {
-        let Some(b) = &self.brownout else {
+        let Some(b) = &self.config.brownout else {
             return Ok(None);
         };
         let initial = *b.ladder.last().expect("validated non-empty");
@@ -180,16 +172,16 @@ impl ReplicaBuilder {
         first: Option<Detector>,
     ) -> Result<Arc<ReplicaCore>, ServeError> {
         let brownout_ctrl = self.build_brownout()?;
-        let mut detectors = Vec::with_capacity(self.workers);
+        let mut detectors = Vec::with_capacity(self.config.workers);
         if let Some(d) = first {
             detectors.push(d);
         }
-        while detectors.len() < self.workers {
+        while detectors.len() < self.config.workers {
             detectors.push(self.build_detector()?);
         }
         let base = detectors[0].input_chw().1;
 
-        let queue = BatchQueue::new(self.queue_capacity, &self.obs);
+        let queue = BatchQueue::new(self.config.queue_capacity, &self.obs);
         let initial_target = brownout_ctrl.as_ref().map_or(0, |c| c.current());
         let resolution_gauge = self.obs.gauge("serve.input_resolution");
         resolution_gauge.set(base as f64);
@@ -198,16 +190,13 @@ impl ReplicaBuilder {
             queue: Arc::clone(&queue),
             factory: Arc::clone(&self.factory),
             sized_factory: self.sized_factory.clone(),
-            max_batch: self.max_batch,
-            max_wait: self.max_wait,
-            dispatch_delay: self.dispatch_delay,
+            config: Arc::clone(&self.config),
             epoch: Instant::now(),
             pool: crate::watchdog::Pool::new(),
             health: HealthCell::new(self.obs.gauge(&format!("serve.replica.{id}.health"))),
             target_input: AtomicUsize::new(initial_target),
             resolution_gauge,
-            wedge: self.wedge_chaos.clone(),
-            wedge_armed: AtomicBool::new(self.wedge_chaos.is_some()),
+            wedge_armed: AtomicBool::new(self.config.wedge_chaos.is_some()),
             black_box: BlackBoxStore::new(self.obs.counter("serve.black_box_captures")),
             batch_size_hist: self.obs.histogram("serve.batch_size"),
             queue_wait_hist: self.obs.histogram("serve.queue_wait"),
@@ -217,7 +206,6 @@ impl ReplicaBuilder {
             fault_events: std::sync::atomic::AtomicU64::new(0),
             chaos_wedge: AtomicBool::new(false),
             chaos_panic: AtomicBool::new(false),
-            chaos_wedge_hold: self.chaos_wedge_hold,
             obs: self.obs.clone(),
             tracer: self.tracer.clone(),
         });
@@ -229,7 +217,6 @@ impl ReplicaBuilder {
         let watchdog_shutdown = Arc::new(AtomicBool::new(false));
         let watchdog = spawn_watchdog(
             Arc::clone(&worker),
-            self.watchdog_cfg.clone(),
             Arc::clone(&watchdog_shutdown),
             brownout_ctrl,
         );
@@ -242,20 +229,6 @@ impl ReplicaBuilder {
             latency: LatencyRing::new(),
         }))
     }
-}
-
-/// Quarantine and re-admission policy, from [`crate::ServeConfig`].
-pub(crate) struct ReplicaPolicy {
-    /// Number of replica slots.
-    pub replicas: usize,
-    /// Consecutive-tick fault accumulation at which an active replica is
-    /// quarantined (when it is not the last one standing).
-    pub quarantine_faults: u64,
-    /// Factory failures tolerated per slot before the slot is given up.
-    pub max_rebuild_failures: usize,
-    /// Forced canary failures remaining — a chaos knob proving the
-    /// canary gate actually gates.
-    pub canary_chaos: AtomicUsize,
 }
 
 /// Where a slot currently stands.
@@ -317,7 +290,10 @@ impl ReplicaSlot {
 pub(crate) struct ReplicaSet {
     pub slots: Vec<ReplicaSlot>,
     builder: ReplicaBuilder,
-    pub policy: ReplicaPolicy,
+    /// Forced canary failures remaining, counted down from
+    /// `canary_chaos_failures` — a chaos knob proving the canary gate
+    /// actually gates.
+    canary_chaos: AtomicUsize,
     /// The service-level health cell — owns the `serve.health` gauge.
     /// Mirrored from replica states by the supervisor: replica loss
     /// degrades, total loss halts.
@@ -339,7 +315,6 @@ pub(crate) struct ReplicaSet {
     active_gauge: Gauge,
     /// Serving start — the replica chaos plan's time origin.
     start: Instant,
-    chaos: Option<ReplicaChaosPlan>,
     /// Index of the next unapplied chaos event.
     chaos_cursor: AtomicUsize,
 }
@@ -347,11 +322,7 @@ pub(crate) struct ReplicaSet {
 impl ReplicaSet {
     /// Builds the full set: a reference detector for the golden canary
     /// output, then one core per slot (failing fast on any broken build).
-    pub fn new(
-        builder: ReplicaBuilder,
-        policy: ReplicaPolicy,
-        chaos: Option<ReplicaChaosPlan>,
-    ) -> Result<Arc<ReplicaSet>, ServeError> {
+    pub fn new(builder: ReplicaBuilder) -> Result<Arc<ReplicaSet>, ServeError> {
         let mut reference = builder.build_detector()?;
         let base_chw = reference.input_chw();
         let golden = golden_detections(&mut reference)
@@ -361,8 +332,9 @@ impl ReplicaSet {
         let mut first = Some(reference);
 
         let obs = builder.obs.clone();
-        let mut slots = Vec::with_capacity(policy.replicas);
-        for id in 0..policy.replicas {
+        let replicas = builder.config.replicas;
+        let mut slots = Vec::with_capacity(replicas);
+        for id in 0..replicas {
             let core = builder.build_core(id, first.take())?;
             slots.push(ReplicaSlot {
                 id,
@@ -378,10 +350,10 @@ impl ReplicaSet {
             });
         }
         let active_gauge = obs.gauge("serve.replicas_active");
-        active_gauge.set(policy.replicas as f64);
+        active_gauge.set(replicas as f64);
         Ok(Arc::new(ReplicaSet {
             slots,
-            policy,
+            canary_chaos: AtomicUsize::new(builder.config.canary_chaos_failures),
             service_health: HealthCell::new(obs.gauge("serve.health")),
             golden,
             base_chw,
@@ -394,10 +366,13 @@ impl ReplicaSet {
             canary_failed: obs.counter("serve.quarantine.canary_failed"),
             active_gauge,
             start: Instant::now(),
-            chaos,
             chaos_cursor: AtomicUsize::new(0),
             builder,
         }))
+    }
+
+    fn config(&self) -> &ServeConfig {
+        &self.builder.config
     }
 
     /// Every in-rotation core that still has workers serving (health not
@@ -487,7 +462,9 @@ impl ReplicaSet {
 
     /// Applies every due chaos event to its slot's *current* core.
     fn apply_chaos(&self) {
-        let Some(plan) = &self.chaos else { return };
+        let Some(plan) = &self.config().replica_chaos else {
+            return;
+        };
         let elapsed = self.start.elapsed();
         loop {
             let i = self.chaos_cursor.load(Ordering::SeqCst);
@@ -519,7 +496,7 @@ impl ReplicaSet {
     /// out of rotation. Single-replica sets never quarantine — they keep
     /// the single-pool semantics (terminal halt) exactly.
     fn scan_and_quarantine(&self) {
-        if self.policy.replicas <= 1 {
+        if self.config().replicas <= 1 {
             return;
         }
         for slot in &self.slots {
@@ -543,7 +520,7 @@ impl ReplicaSet {
                     s.recent_faults = 0;
                 }
                 let halted = matches!(core.worker.health.get(), Health::Halted);
-                let faulting = s.recent_faults >= self.policy.quarantine_faults;
+                let faulting = s.recent_faults >= self.config().quarantine_faults;
                 (core, halted, faulting)
             };
             // Never quarantine the last serviceable replica for mere
@@ -575,7 +552,7 @@ impl ReplicaSet {
             {
                 let s = lock_recover(&slot.state);
                 if s.status != SlotStatus::Quarantined
-                    || s.rebuild_failures > self.policy.max_rebuild_failures
+                    || s.rebuild_failures > self.config().max_rebuild_failures
                 {
                     continue;
                 }
@@ -583,7 +560,6 @@ impl ReplicaSet {
             // Chaos gate: force the next N canary probes to fail,
             // proving a bad rebuild cannot slip back into rotation.
             let forced_failure = self
-                .policy
                 .canary_chaos
                 .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
                 .is_ok();
@@ -657,7 +633,7 @@ impl ReplicaSet {
     /// serviceable with every rebuild budget spent → Halted (terminal);
     /// anything in between → Degraded.
     fn mirror_health(&self) {
-        if self.policy.replicas <= 1 {
+        if self.config().replicas <= 1 {
             let health = self
                 .slots
                 .first()
@@ -673,7 +649,7 @@ impl ReplicaSet {
         let active = self.active_cores();
         if active.is_empty() {
             let exhausted = self.slots.iter().all(|s| {
-                lock_recover(&s.state).rebuild_failures > self.policy.max_rebuild_failures
+                lock_recover(&s.state).rebuild_failures > self.config().max_rebuild_failures
             });
             if exhausted {
                 self.service_health.halt();
@@ -682,7 +658,7 @@ impl ReplicaSet {
             }
             return;
         }
-        let all_in = active.len() == self.policy.replicas;
+        let all_in = active.len() == self.config().replicas;
         let all_healthy = active
             .iter()
             .all(|c| matches!(c.worker.health.get(), Health::Healthy));
@@ -746,7 +722,7 @@ impl ReplicaSet {
         format!(
             "{{\"replicas_total\": {}, \"replicas_active\": {}, \"service_health\": {}, \
              \"replicas\": [{}]}}\n",
-            self.policy.replicas,
+            self.config().replicas,
             self.active_count(),
             self.service_health.get().as_metric(),
             rows.join(", ")
@@ -755,16 +731,15 @@ impl ReplicaSet {
 }
 
 /// Spawns the replica supervisor thread: one [`ReplicaSet::tick`] per
-/// `interval` until `shutdown`.
+/// `watchdog_interval` until `shutdown`.
 pub(crate) fn spawn_supervisor(
     set: Arc<ReplicaSet>,
-    interval: Duration,
     shutdown: Arc<AtomicBool>,
 ) -> thread::JoinHandle<()> {
     thread::Builder::new()
         .name("serve-replicas".to_string())
         .spawn(move || loop {
-            thread::sleep(interval);
+            thread::sleep(set.config().watchdog_interval);
             if shutdown.load(Ordering::SeqCst) {
                 return;
             }

@@ -17,8 +17,7 @@ use crate::chaos::ReplicaChaosPlan;
 use crate::error::ServeError;
 use crate::http::{parse_request, HttpError, HttpLimits, Method, Request, Response};
 use crate::json::detections_json;
-use crate::replica::{spawn_supervisor, ReplicaBuilder, ReplicaCore, ReplicaPolicy, ReplicaSet};
-use crate::watchdog::WatchdogConfig;
+use crate::replica::{spawn_supervisor, ReplicaBuilder, ReplicaCore, ReplicaSet};
 use dronet_detect::{conform_frame, Detection, Detector};
 use dronet_obs::{
     BlackBox, ChromeTrace, Health, JsonExporter, PromExporter, Registry, SloSet, SloSpec, Tracer,
@@ -239,7 +238,7 @@ struct Shared {
     base_chw: (usize, usize, usize),
     obs: Registry,
     tracer: Tracer,
-    config: ServeConfig,
+    config: Arc<ServeConfig>,
     /// Declared objectives, fed from `POST /detect` outcomes.
     slo: SloSet,
     /// In-flight `/debug/*` requests; bounded so a slow trace capture
@@ -442,7 +441,7 @@ impl Server {
                 ),
                 (
                     "serve.shed.draining",
-                    "Detect requests shed with 503: server draining",
+                    "Detect requests shed with 503: replica queue already closed",
                 ),
                 (
                     "serve.shed.halted",
@@ -509,33 +508,14 @@ impl Server {
                 obs.describe(name, help);
             }
         }
-        let builder = ReplicaBuilder {
+        let config = Arc::new(config);
+        let replicas = ReplicaSet::new(ReplicaBuilder {
             factory,
             sized_factory: sized,
-            workers: config.workers,
-            max_batch: config.max_batch,
-            max_wait: config.max_wait,
-            dispatch_delay: config.dispatch_delay,
-            queue_capacity: config.queue_capacity,
-            wedge_chaos: config.wedge_chaos.clone(),
-            chaos_wedge_hold: config.chaos_wedge_hold,
-            watchdog_cfg: WatchdogConfig {
-                interval: config.watchdog_interval,
-                wedge_timeout: config.wedge_timeout,
-                max_restarts: config.max_worker_restarts,
-                recovery_ticks: config.recovery_ticks,
-            },
-            brownout: config.brownout.clone(),
+            config: Arc::clone(&config),
             obs: obs.clone(),
             tracer: tracer.clone(),
-        };
-        let policy = ReplicaPolicy {
-            replicas: config.replicas,
-            quarantine_faults: config.quarantine_faults,
-            max_rebuild_failures: config.max_rebuild_failures,
-            canary_chaos: AtomicUsize::new(config.canary_chaos_failures),
-        };
-        let replicas = ReplicaSet::new(builder, policy, config.replica_chaos.clone())?;
+        })?;
         let base_chw = replicas.base_chw;
 
         let listener = TcpListener::bind(&config.addr)?;
@@ -543,11 +523,7 @@ impl Server {
         listener.set_nonblocking(true)?;
 
         let shutdown = Arc::new(AtomicBool::new(false));
-        let supervisor_handle = spawn_supervisor(
-            Arc::clone(&replicas),
-            config.watchdog_interval,
-            Arc::clone(&shutdown),
-        );
+        let supervisor_handle = spawn_supervisor(Arc::clone(&replicas), Arc::clone(&shutdown));
 
         let slo = SloSet::new(config.slos.clone());
         let shared = Arc::new(Shared {

@@ -1,7 +1,7 @@
 //! The serve-side supervisor: wedge detection, bounded worker restarts,
 //! brownout resolution control, and crash black boxes.
 //!
-//! One lightweight thread ticks every `interval`, doing three jobs:
+//! One lightweight thread ticks every `watchdog_interval`, doing three jobs:
 //!
 //! 1. **Wedge watch** — each worker stamps a heartbeat around its batch
 //!    forward ([`crate::batcher::WorkerSlot`]). A worker busy past
@@ -123,24 +123,9 @@ impl BlackBoxStore {
     }
 }
 
-/// Watchdog tuning, derived from [`crate::ServeConfig`].
-#[derive(Debug, Clone)]
-pub(crate) struct WatchdogConfig {
-    /// Tick period.
-    pub interval: Duration,
-    /// A worker busy past this is declared wedged.
-    pub wedge_timeout: Duration,
-    /// Replacement workers the watchdog may spawn over the server's life.
-    pub max_restarts: usize,
-    /// Quiet ticks (no panics/deaths/wedges, ladder at top) before
-    /// Degraded recovers to Healthy.
-    pub recovery_ticks: u32,
-}
-
 /// Spawns the supervisor thread.
 pub(crate) fn spawn_watchdog(
     shared: Arc<WorkerShared>,
-    cfg: WatchdogConfig,
     shutdown: Arc<AtomicBool>,
     mut brownout: Option<DegradeController>,
 ) -> thread::JoinHandle<()> {
@@ -148,6 +133,7 @@ pub(crate) fn spawn_watchdog(
         .name("serve-watchdog".to_string())
         .spawn(move || {
             shared.tracer.name_thread("serve-watchdog");
+            let cfg = &shared.config;
             let wedges = shared.obs.counter("serve.worker_wedges");
             let restarts = shared.obs.counter("serve.worker_restarts");
             let downshifts = shared.obs.counter("serve.brownout_downshifts");
@@ -160,7 +146,7 @@ pub(crate) fn spawn_watchdog(
             let mut last_activity = 0u64;
             let mut quiet_ticks = 0u32;
             while !shutdown.load(Ordering::SeqCst) {
-                thread::sleep(cfg.interval);
+                thread::sleep(cfg.watchdog_interval);
                 if shutdown.load(Ordering::SeqCst) {
                     return;
                 }
@@ -176,7 +162,6 @@ pub(crate) fn spawn_watchdog(
                                 &shared,
                                 &slot,
                                 busy,
-                                &cfg,
                                 &mut restarts_used,
                                 &wedges,
                                 &restarts,
@@ -227,12 +212,10 @@ pub(crate) fn spawn_watchdog(
 /// Declares `slot` wedged: steal its jobs, answer them with typed
 /// errors, black-box the trace tail, and spawn a replacement under the
 /// restart budget.
-#[allow(clippy::too_many_arguments)]
 fn handle_wedge(
     shared: &Arc<WorkerShared>,
     slot: &WorkerSlot,
     busy: Duration,
-    cfg: &WatchdogConfig,
     restarts_used: &mut usize,
     wedges: &Counter,
     restarts: &Counter,
@@ -258,7 +241,7 @@ fn handle_wedge(
     );
     let msg = format!(
         "worker {} stuck past {:.0?} deadline",
-        slot.index, cfg.wedge_timeout
+        slot.index, shared.config.wedge_timeout
     );
     for reply in &inflight.replies {
         reply.deliver(Err(ServeError::WorkerWedged(msg.clone())));
@@ -268,7 +251,7 @@ fn handle_wedge(
     }
     shared.pool.worker_gone();
     shared.health.degrade();
-    if *restarts_used < cfg.max_restarts {
+    if *restarts_used < shared.config.max_worker_restarts {
         let target = shared.target_input.load(Ordering::SeqCst);
         match crate::batcher::rebuild_detector(shared, target) {
             Ok(det) => {

@@ -37,13 +37,6 @@ pub fn leaky_relu_grad(x: f32) -> f32 {
     }
 }
 
-/// Applies leaky ReLU to a whole buffer in place.
-pub fn leaky_relu_in_place(data: &mut [f32]) {
-    for x in data {
-        *x = leaky_relu(*x);
-    }
-}
-
 /// Numerically-stable softmax over `logits`, written into a fresh vector.
 ///
 /// An empty slice yields an empty vector.
@@ -60,12 +53,6 @@ pub fn softmax(logits: &[f32]) -> Vec<f32> {
         }
     }
     out
-}
-
-/// Softmax applied in place over `data`.
-pub fn softmax_in_place(data: &mut [f32]) {
-    let out = softmax(data);
-    data.copy_from_slice(&out);
 }
 
 /// Per-channel mean over an NCHW tensor: returns `channels` values averaged
@@ -269,9 +256,6 @@ mod tests {
         assert_eq!(leaky_relu(-2.0), -0.2);
         assert_eq!(leaky_relu_grad(1.0), 1.0);
         assert_eq!(leaky_relu_grad(-1.0), 0.1);
-        let mut buf = [1.0, -1.0, 0.5];
-        leaky_relu_in_place(&mut buf);
-        assert_eq!(buf, [1.0, -0.1, 0.5]);
     }
 
     #[test]

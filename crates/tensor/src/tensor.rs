@@ -157,23 +157,6 @@ impl Tensor {
         Ok(self)
     }
 
-    /// Reshapes in place without consuming the tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] when the element counts differ.
-    pub fn reshape_in_place(&mut self, shape: impl Into<Shape>) -> Result<()> {
-        let shape = shape.into();
-        if shape.len() != self.data.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: shape.len(),
-                actual: self.data.len(),
-            });
-        }
-        self.shape = shape;
-        Ok(())
-    }
-
     /// Transposes a 2-D tensor (matrix).
     ///
     /// # Errors
@@ -208,13 +191,6 @@ impl Tensor {
         Tensor {
             data: self.data.iter().map(|&x| f(x)).collect(),
             shape: self.shape,
-        }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_in_place(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 

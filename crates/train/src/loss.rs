@@ -306,7 +306,7 @@ fn shape_iou(w1: f32, h1: f32, w2: f32, h2: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dronet_nn::RegionLayer;
+    use dronet_nn::{ActivationPool, RegionLayer};
     use dronet_tensor::{init, Shape};
     use rand::SeedableRng;
 
@@ -474,7 +474,9 @@ mod tests {
 
         let forward_loss = |raw: &Tensor| -> f32 {
             let mut layer = RegionLayer::new(region_cfg.clone()).unwrap();
-            let out = layer.forward(raw).unwrap();
+            let out = layer
+                .forward_pooled(raw, &mut ActivationPool::default())
+                .unwrap();
             loss.evaluate_with_classes(&out, &truths).unwrap().0.total()
         };
 

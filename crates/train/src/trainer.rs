@@ -6,7 +6,7 @@ use dronet_data::augment::{AugmentConfig, Augmenter};
 use dronet_data::dataset::VehicleDataset;
 use dronet_metrics::BBox;
 use dronet_nn::{Network, NnError};
-use dronet_obs::{Gauge, Health, HealthCell, Registry, Tracer};
+use dronet_obs::{Gauge, Health, HealthCell, Registry};
 use dronet_tensor::Tensor;
 use rand::rngs::SplitMix64;
 use rand::seq::SliceRandom;
@@ -194,7 +194,6 @@ impl TrainReport {
 pub struct Trainer {
     config: TrainConfig,
     obs: Registry,
-    tracer: Tracer,
     sentry: Option<SentryConfig>,
     fault_plan: Option<TrainFaultPlan>,
 }
@@ -308,7 +307,6 @@ impl Trainer {
         Trainer {
             config,
             obs: Registry::noop(),
-            tracer: Tracer::noop(),
             sentry: None,
             fault_plan: None,
         }
@@ -323,13 +321,6 @@ impl Trainer {
     /// unobserved training pays nothing for it.
     pub fn with_observability(mut self, obs: &Registry) -> Self {
         self.obs = obs.clone();
-        self
-    }
-
-    /// Attaches a flight recorder: checkpoints, sentry trips, rollbacks
-    /// and halts emit `train.*` instants carrying the global step.
-    pub fn with_tracing(mut self, tracer: &Tracer) -> Self {
-        self.tracer = tracer.clone();
         self
     }
 
@@ -535,7 +526,6 @@ impl Trainer {
                         recovery.rejected.len()
                     ),
                 );
-                self.tracer.instant_aux("train.resume", c.step as i64);
             } else {
                 self.write_checkpoint(store, net, &opt, &mut st, sentry.as_ref(), &ckpt_counter)?;
             }
@@ -630,7 +620,6 @@ impl Trainer {
                         trips_counter.inc();
                         st.trips += 1;
                         st.push_event(st.step, "trip", reason.to_string());
-                        self.tracer.instant_aux("train.sentry.trip", st.step as i64);
                         let cfg = sentry_ref.config().clone();
                         let Some((store, _)) = ckpt else {
                             self.halt(
@@ -666,7 +655,6 @@ impl Trainer {
                             "rollback",
                             format!("to step {} with lr scale {}", good.step, st.lr_scale),
                         );
-                        self.tracer.instant_aux("train.rollback", good.step as i64);
                         net.zero_grads();
                         continue 'training;
                     }
@@ -768,7 +756,6 @@ impl Trainer {
     fn halt(&self, st: &mut LoopState, reason: String) {
         st.health.halt();
         st.push_event(st.step, "halt", reason.clone());
-        self.tracer.instant_aux("train.halt", st.step as i64);
         st.halt_reason = Some(reason);
     }
 
@@ -809,7 +796,6 @@ impl Trainer {
         st.checkpoints_written += 1;
         ckpt_counter.inc();
         st.push_event(st.step, "checkpoint", path.display().to_string());
-        self.tracer.instant_aux("train.checkpoint", st.step as i64);
         Ok(())
     }
 

@@ -33,7 +33,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// The paper's model zoo and INT8 quantization (`dronet-core`).
+/// The paper's model zoo (`dronet-core`).
 pub use dronet_core as core;
 /// Synthetic aerial scenes, datasets and the flight simulator
 /// (`dronet-data`).

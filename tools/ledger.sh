@@ -1,0 +1,19 @@
+#!/usr/bin/env bash
+# Non-test line ledger (PR 14's method): for every .rs file under
+# crates/*/src, the lines before the first `#[cfg(test)]`, minus blank lines
+# and `//` comment lines; printed per crate and in total.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+total=0
+for crate in crates/*/; do
+    n=$(find "${crate}src" -name '*.rs' -print0 | xargs -0 awk '
+        FNR == 1 { in_tests = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+        in_tests || /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
+        { n++ }
+        END { print n + 0 }')
+    printf '%-10s %6d\n' "$(basename "$crate")" "$n"
+    total=$((total + n))
+done
+printf '%-10s %6d\n' total "$total"
