@@ -17,10 +17,9 @@ use crate::{DetectError, Result};
 #[derive(Debug, Clone)]
 pub struct DegradeConfig {
     /// The resolution ladder, ascending (e.g. the paper's 352–608 sweep;
-    /// see `dronet_core::zoo::resolution_ladder`).
+    /// see `dronet_core::zoo::resolution_ladder`). The controller starts
+    /// at the largest rung.
     pub ladder: Vec<usize>,
-    /// Starting rung (must be a ladder entry); typically the largest.
-    pub initial: usize,
     /// Queue depth at or above which a window counts as overloaded even
     /// without drops.
     pub overload_queue: f64,
@@ -36,13 +35,10 @@ pub struct DegradeConfig {
 }
 
 impl DegradeConfig {
-    /// A config over `ladder` starting at its largest rung, with
-    /// moderately patient hysteresis.
+    /// A config over `ladder` with moderately patient hysteresis.
     pub fn over_ladder(ladder: Vec<usize>) -> Self {
-        let initial = ladder.last().copied().unwrap_or(0);
         DegradeConfig {
             ladder,
-            initial,
             overload_queue: 1.0,
             overload_windows: 2,
             calm_windows: 4,
@@ -89,7 +85,7 @@ impl DegradeController {
     /// # Errors
     ///
     /// Returns [`DetectError::BadConfig`] for an empty or unsorted ladder,
-    /// an `initial` that is not a ladder entry, or a zero window size.
+    /// or a zero window size.
     pub fn new(config: DegradeConfig) -> Result<Self> {
         if config.ladder.is_empty() {
             return Err(DetectError::BadConfig {
@@ -103,15 +99,6 @@ impl DegradeController {
                 msg: format!("ladder {:?} must be strictly ascending", config.ladder),
             });
         }
-        let Some(rung) = config.ladder.iter().position(|&s| s == config.initial) else {
-            return Err(DetectError::BadConfig {
-                param: "initial",
-                msg: format!(
-                    "initial input {} is not on the ladder {:?}",
-                    config.initial, config.ladder
-                ),
-            });
-        };
         if config.window_frames == 0 {
             return Err(DetectError::BadConfig {
                 param: "window_frames",
@@ -119,8 +106,8 @@ impl DegradeController {
             });
         }
         Ok(DegradeController {
+            rung: config.ladder.len() - 1,
             config,
-            rung,
             frames_in_window: 0,
             window_hot: false,
             hot_streak: 0,
@@ -134,9 +121,9 @@ impl DegradeController {
         self.config.ladder[self.rung]
     }
 
-    /// Whether the controller sits below its starting rung.
+    /// Whether the controller sits below the top of its ladder.
     pub fn is_degraded(&self) -> bool {
-        self.current() < self.config.initial
+        self.rung + 1 < self.config.ladder.len()
     }
 
     /// Feeds one processed frame's load observation: the queue depth at
@@ -205,7 +192,6 @@ mod tests {
     fn controller(overload_windows: u32, calm_windows: u32, cooldown: u32) -> DegradeController {
         DegradeController::new(DegradeConfig {
             ladder: vec![352, 416, 480, 544, 608],
-            initial: 608,
             overload_queue: 1.0,
             overload_windows,
             calm_windows,
@@ -234,11 +220,6 @@ mod tests {
     #[test]
     fn validates_config() {
         assert!(DegradeController::new(DegradeConfig::over_ladder(vec![])).is_err());
-        assert!(DegradeController::new(DegradeConfig {
-            initial: 100,
-            ..DegradeConfig::over_ladder(vec![352, 416])
-        })
-        .is_err());
         assert!(DegradeController::new(DegradeConfig {
             ladder: vec![416, 352],
             ..DegradeConfig::over_ladder(vec![352, 416])

@@ -252,11 +252,6 @@ impl Detector {
         self.nms_threshold
     }
 
-    /// Replaces the altitude filter (e.g. as the UAV climbs).
-    pub fn set_altitude_filter(&mut self, filter: Option<AltitudeFilter>) {
-        self.altitude_filter = filter;
-    }
-
     /// Frame-rate statistics accumulated by [`Detector::detect`].
     pub fn fps_meter(&self) -> &FpsMeter {
         &self.fps
@@ -317,36 +312,8 @@ impl Detector {
                 ),
             });
         }
-        self.fps.start();
-        let span = self.forward_hist.start();
-        let trace = self.tracer.span("detect.forward");
-        let scope = self.alloc_spans.as_ref().map(|_| AllocScope::begin());
-        let output = self.network.forward(image)?;
-        record_alloc(scope, self.alloc_spans.as_ref().map(|a| &a.forward));
-        drop(trace);
-        span.stop();
-        let span = self.decode_hist.start();
-        let trace = self.tracer.span("detect.decode");
-        let scope = self.alloc_spans.as_ref().map(|_| AllocScope::begin());
-        let candidates = decode(&output, &self.region, 0, self.confidence_threshold)?;
-        // Decoded: the buffer goes back into the network's pool, or every
-        // frame would take one out of circulation and allocate another.
-        self.network.recycle(output);
-        record_alloc(scope, self.alloc_spans.as_ref().map(|a| &a.decode));
-        drop(trace);
-        span.stop();
-        let span = self.nms_hist.start();
-        let trace = self.tracer.span("detect.nms");
-        let scope = self.alloc_spans.as_ref().map(|_| AllocScope::begin());
-        let mut kept = non_max_suppression(candidates, self.nms_threshold);
-        if let Some(filter) = &self.altitude_filter {
-            kept.retain(|d| filter.is_feasible(&d.bbox));
-        }
-        record_alloc(scope, self.alloc_spans.as_ref().map(|a| &a.nms));
-        drop(trace);
-        span.stop();
-        self.fps.stop();
-        Ok(kept)
+        let mut all = self.detect_batch_frames(image, None)?;
+        Ok(all.pop().expect("one frame in, one detection list out"))
     }
 
     /// Runs detection on a whole batch, returning per-image detections.
@@ -396,19 +363,25 @@ impl Detector {
             let frame_id = frames.map_or_else(|| self.tracer.current_frame(), |ids| ids[b]);
             let span = self.decode_hist.start();
             let trace = self.tracer.frame_span("detect.decode", frame_id);
+            let scope = self.alloc_spans.as_ref().map(|_| AllocScope::begin());
             let candidates = decode(&output, &self.region, b, self.confidence_threshold)?;
+            record_alloc(scope, self.alloc_spans.as_ref().map(|a| &a.decode));
             drop(trace);
             span.stop();
             let span = self.nms_hist.start();
             let trace = self.tracer.frame_span("detect.nms", frame_id);
+            let scope = self.alloc_spans.as_ref().map(|_| AllocScope::begin());
             let mut kept = non_max_suppression(candidates, self.nms_threshold);
             if let Some(filter) = &self.altitude_filter {
                 kept.retain(|d| filter.is_feasible(&d.bbox));
             }
+            record_alloc(scope, self.alloc_spans.as_ref().map(|a| &a.nms));
             drop(trace);
             span.stop();
             all.push(kept);
         }
+        // Decoded: the buffer goes back into the network's pool, or every
+        // call would take one out of circulation and allocate another.
         self.network.recycle(output);
         self.fps.stop();
         Ok(all)
@@ -534,19 +507,16 @@ mod tests {
     #[test]
     fn altitude_filter_is_applied() {
         // Untrained nets emit arbitrary detections; instead verify wiring
-        // by toggling an impossible filter and checking output shrinks to
+        // with an impossible filter and checking output shrinks to
         // infeasible-free.
-        let mut det = DetectorBuilder::new(tiny_detector_net())
-            .confidence_threshold(0.0)
-            .build()
-            .unwrap();
+        let builder = || DetectorBuilder::new(tiny_detector_net()).confidence_threshold(0.0);
         let x = Tensor::zeros(Shape::nchw(1, 3, 32, 32));
-        let unfiltered = det.detect(&x).unwrap();
+        let unfiltered = builder().build().unwrap().detect(&x).unwrap();
         // A filter that rejects everything (expected size range far away).
         let camera = CameraModel::new(60f32.to_radians(), 32);
         let filter = AltitudeFilter::new(camera, 1_000_000.0, (4.0, 5.0), 0.5).unwrap();
-        det.set_altitude_filter(Some(filter));
-        let filtered = det.detect(&x).unwrap();
+        let mut gated = builder().altitude_filter(filter).build().unwrap();
+        let filtered = gated.detect(&x).unwrap();
         assert!(filtered.len() <= unfiltered.len());
         assert!(filtered.is_empty(), "million-metre altitude keeps nothing");
     }

@@ -81,14 +81,6 @@ impl Layer {
         }
     }
 
-    /// Mutable access to the wrapped convolution, when this is one.
-    pub fn as_conv_mut(&mut self) -> Option<&mut Conv2d> {
-        match self {
-            Layer::Conv(c) => Some(c),
-            _ => None,
-        }
-    }
-
     /// The wrapped region head, when this is one.
     pub fn as_region(&self) -> Option<&RegionLayer> {
         match self {

@@ -15,20 +15,19 @@
 //!
 //! Self-healing: every worker owns a [`WorkerSlot`] — a heartbeat cell
 //! stamped around each batch forward plus a *takeable* record of the
-//! in-flight jobs. The [`crate::watchdog`] reads the heartbeats; when a
-//! worker wedges past its deadline the watchdog steals the in-flight
-//! record, fails those jobs with typed errors, and spawns a replacement —
-//! the wedged thread, whenever it wakes, finds its slot abandoned and
-//! exits quietly. A failed detector rebuild retires the worker instead of
-//! panicking; losing the last worker flips health to Halted and fails the
-//! backlog rather than hanging it.
+//! in-flight jobs. The supervisor's tick (`crate::replica`) reads the
+//! heartbeats; when a worker wedges past its deadline the watchdog pass
+//! steals the in-flight record, fails those jobs with typed errors, and
+//! spawns a replacement — the wedged thread, whenever it wakes, finds its
+//! slot abandoned and exits quietly. A failed detector rebuild retires the
+//! worker instead of panicking; losing the last worker flips health to
+//! Halted and fails the backlog rather than hanging it.
 
 use crate::error::ServeError;
-use crate::server::ServeConfig;
-use crate::watchdog::{BlackBoxStore, Pool};
+use crate::replica::ReplicaBuilder;
 use dronet_detect::{resize_frame, Detection, Detector};
 use dronet_obs::window::{mono_now_ns, RollingWindow};
-use dronet_obs::{Counter, Gauge, HealthCell, Histogram, Registry, Tracer};
+use dronet_obs::{Counter, Gauge, HealthCell, Histogram, Registry};
 use dronet_tensor::Tensor;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -357,8 +356,6 @@ pub(crate) struct WorkerSlot {
     /// `0` means idle. Clamped to at least 1 so an instant start is
     /// never mistaken for idleness.
     busy_since_ns: AtomicU64,
-    /// Batches completed by this worker (watchdog activity signal).
-    pub batches_done: AtomicU64,
     /// Set by the watchdog after declaring this worker wedged; the
     /// worker exits at the next opportunity instead of touching the
     /// queue again.
@@ -372,7 +369,6 @@ impl WorkerSlot {
         Arc::new(WorkerSlot {
             index,
             busy_since_ns: AtomicU64::new(0),
-            batches_done: AtomicU64::new(0),
             abandoned: AtomicBool::new(false),
             alive: AtomicBool::new(true),
             inflight: Mutex::new(None),
@@ -418,28 +414,77 @@ impl WorkerSlot {
     }
 }
 
-/// Everything shared between the worker pool, the watchdog, and the
-/// server front end.
+/// The live worker registry: slots for the watchdog pass to scan, handles
+/// for shutdown to join, and the count of workers still alive.
+pub(crate) struct Pool {
+    slots: Mutex<Vec<Arc<WorkerSlot>>>,
+    handles: Mutex<Vec<thread::JoinHandle<()>>>,
+    alive: AtomicUsize,
+    next_index: AtomicUsize,
+}
+
+impl Pool {
+    pub fn new() -> Self {
+        Pool {
+            slots: Mutex::new(Vec::new()),
+            handles: Mutex::new(Vec::new()),
+            alive: AtomicUsize::new(0),
+            next_index: AtomicUsize::new(0),
+        }
+    }
+
+    /// A fresh, unique worker index.
+    pub fn next_index(&self) -> usize {
+        self.next_index.fetch_add(1, Ordering::SeqCst)
+    }
+
+    /// Adds a live worker (initial spawn or watchdog replacement).
+    pub fn register(&self, slot: Arc<WorkerSlot>, handle: thread::JoinHandle<()>) {
+        lock_recover(&self.slots).push(slot);
+        lock_recover(&self.handles).push(handle);
+        self.alive.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Accounts one worker's death; returns how many remain alive.
+    pub fn worker_gone(&self) -> usize {
+        self.alive.fetch_sub(1, Ordering::SeqCst).saturating_sub(1)
+    }
+
+    pub fn alive_count(&self) -> usize {
+        self.alive.load(Ordering::SeqCst)
+    }
+
+    /// A point-in-time copy of every slot ever registered (dead slots
+    /// included; callers filter on liveness).
+    pub fn slots_snapshot(&self) -> Vec<Arc<WorkerSlot>> {
+        lock_recover(&self.slots).clone()
+    }
+
+    /// Takes every join handle (shutdown joins them after queue close).
+    pub fn take_handles(&self) -> Vec<thread::JoinHandle<()>> {
+        std::mem::take(&mut lock_recover(&self.handles))
+    }
+}
+
+/// Everything shared between one replica's worker pool, the supervisor's
+/// watchdog pass, and the server front end.
 pub(crate) struct WorkerShared {
     pub queue: Arc<BatchQueue>,
-    pub factory: Arc<dyn Fn() -> dronet_detect::Result<Detector> + Send + Sync>,
-    /// Resolution-aware factory: present when the server was started via
-    /// `start_scalable`, enabling brownout rebuilds at ladder rungs.
-    pub sized_factory: Option<Arc<dyn Fn(usize) -> dronet_detect::Result<Detector> + Send + Sync>>,
-    /// The server's configuration, read where it is used.
-    pub config: Arc<ServeConfig>,
+    /// The server-wide parts: the detector factory, the configuration
+    /// (read where it is used), registry, tracer and black-box store.
+    pub builder: Arc<ReplicaBuilder>,
     /// Pool-wide monotonic origin for heartbeat timestamps.
     pub epoch: Instant,
     pub pool: Pool,
     pub health: HealthCell,
-    /// Brownout target input size; `0` means "fixed resolution" (no
-    /// brownout, workers never rebuild for size).
+    /// The input size workers serve at: the detector's own size, moved
+    /// along the ladder by brownout (workers rebuild when it differs from
+    /// the detector they hold).
     pub target_input: AtomicUsize,
-    /// Gauge mirroring `target_input` (or the fixed size) for `/metrics`.
+    /// Gauge mirroring `target_input` for `/metrics`.
     pub resolution_gauge: Gauge,
     /// One-shot arming latch for `config.wedge_chaos`.
     pub wedge_armed: AtomicBool,
-    pub black_box: BlackBoxStore,
     pub batch_size_hist: Histogram,
     pub queue_wait_hist: Histogram,
     /// Wall time of the shared batch forward, recorded once per request in
@@ -449,8 +494,9 @@ pub(crate) struct WorkerShared {
     pub panics: Counter,
     pub worker_deaths: Counter,
     /// Monotonic count of fault events in this pool (panics, deaths,
-    /// wedges). The replica supervisor reads deltas to decide quarantine —
-    /// a per-pool signal, unlike the name-shared registry counters.
+    /// wedges). The supervisor reads deltas to decide recovery and
+    /// quarantine — a per-pool signal, unlike the name-shared registry
+    /// counters.
     pub fault_events: AtomicU64,
     /// Replica-kill chaos: while set, every batch forward wedges for
     /// `config.chaos_wedge_hold` — the supervisor flips this to simulate a
@@ -459,8 +505,6 @@ pub(crate) struct WorkerShared {
     /// Replica-kill chaos: while set, every batch forward panics inside
     /// the catch_unwind boundary.
     pub chaos_panic: AtomicBool,
-    pub obs: Registry,
-    pub tracer: Tracer,
 }
 
 /// Spawns the worker loop on a new thread, moving `detector` into it.
@@ -475,7 +519,10 @@ pub(crate) fn spawn_worker(
         .spawn(move || {
             // Register with the flight recorder so Chrome-trace exports
             // label this lane ("serve-worker-N") instead of a bare tid.
-            shared.tracer.name_thread(&format!("serve-worker-{index}"));
+            shared
+                .builder
+                .tracer
+                .name_thread(&format!("serve-worker-{index}"));
             let mut detector = detector;
             loop {
                 if slot.abandoned.load(Ordering::SeqCst) {
@@ -483,10 +530,8 @@ pub(crate) fn spawn_worker(
                     // jobs, and spawned a replacement: vanish quietly.
                     return;
                 }
-                let Some(batch) = shared
-                    .queue
-                    .pop_batch(shared.config.max_batch, shared.config.max_wait)
-                else {
+                let config = &shared.builder.config;
+                let Some(batch) = shared.queue.pop_batch(config.max_batch, config.max_wait) else {
                     // Clean shutdown: the queue closed and drained.
                     slot.retire();
                     return;
@@ -500,27 +545,6 @@ pub(crate) fn spawn_worker(
         .expect("spawn worker thread")
 }
 
-/// Builds a fresh detector (at `target` when a sized factory exists and
-/// `target != 0`) and attaches the server's registry and tracer.
-pub(crate) fn rebuild_detector(shared: &WorkerShared, target: usize) -> Result<Detector, String> {
-    let built = match (&shared.sized_factory, target) {
-        (Some(sized), t) if t != 0 => sized(t),
-        _ => (shared.factory)(),
-    };
-    match built {
-        Ok(mut d) => {
-            if shared.obs.is_enabled() {
-                d.set_observability(&shared.obs);
-            }
-            if shared.tracer.is_enabled() {
-                d.set_tracing(&shared.tracer);
-            }
-            Ok(d)
-        }
-        Err(e) => Err(e.to_string()),
-    }
-}
-
 /// The typed replacement for the old `panic!` on rebuild failure: fails
 /// any jobs still held by the slot, retires the worker, and — when it
 /// was the last one — flips health to Halted, closes the queue, and
@@ -529,22 +553,16 @@ pub(crate) fn rebuild_detector(shared: &WorkerShared, target: usize) -> Result<D
 fn worker_dies(shared: &WorkerShared, slot: &WorkerSlot, reason: &str) -> Option<Detector> {
     shared.worker_deaths.inc();
     shared.fault_events.fetch_add(1, Ordering::SeqCst);
-    if let Some(inflight) = slot.take_inflight() {
-        shared.black_box.capture(
-            &shared.tracer,
-            &format!("worker {} died: {reason}", slot.index),
-            &inflight.frame_ids,
-        );
+    let inflight = slot.take_inflight();
+    shared.builder.black_box.capture(
+        &format!("worker {} died: {reason}", slot.index),
+        inflight.as_ref().map_or(&[], |i| &i.frame_ids),
+    );
+    if let Some(inflight) = inflight {
         let msg = format!("worker died: {reason}");
         for reply in &inflight.replies {
             reply.deliver(Err(ServeError::WorkerFailed(msg.clone())));
         }
-    } else {
-        shared.black_box.capture(
-            &shared.tracer,
-            &format!("worker {} died: {reason}", slot.index),
-            &[],
-        );
     }
     slot.finish_batch();
     if slot.retire() {
@@ -607,17 +625,18 @@ fn run_batch(
     // Brownout: the controller moved the ladder since our last batch —
     // rebuild at the new rung before forwarding.
     let target = shared.target_input.load(Ordering::SeqCst);
-    if target != 0 && detector.input_chw().1 != target {
-        match rebuild_detector(shared, target) {
+    if detector.input_chw().1 != target {
+        match shared.builder.build_detector(target) {
             Ok(fresh) => detector = fresh,
             Err(e) => return worker_dies(shared, slot, &format!("brownout rebuild failed: {e}")),
         }
     }
 
-    if !shared.config.dispatch_delay.is_zero() {
-        thread::sleep(shared.config.dispatch_delay);
+    let config = &shared.builder.config;
+    if !config.dispatch_delay.is_zero() {
+        thread::sleep(config.dispatch_delay);
     }
-    if let Some(plan) = &shared.config.wedge_chaos {
+    if let Some(plan) = &config.wedge_chaos {
         if ids.contains(&plan.frame_id) && shared.wedge_armed.swap(false, Ordering::SeqCst) {
             thread::sleep(plan.hold);
         }
@@ -627,7 +646,7 @@ fn run_batch(
         // watchdog (or, below the wedge timeout, brownout pressure) takes
         // it from here. Sliced so teardown never waits out the hold.
         let held = Instant::now();
-        while held.elapsed() < shared.config.chaos_wedge_hold
+        while held.elapsed() < config.chaos_wedge_hold
             && shared.chaos_wedge.load(Ordering::SeqCst)
             && !shared.queue.is_closed()
         {
@@ -645,7 +664,7 @@ fn run_batch(
         }
     }
 
-    let trace = shared.tracer.span_aux("serve.batch", n as i64);
+    let trace = shared.builder.tracer.span_aux("serve.batch", n as i64);
     let stacked = match Tensor::stack_batch(&frames) {
         Ok(t) => t,
         Err(e) => {
@@ -689,7 +708,6 @@ fn run_batch(
                 reply.deliver(Ok(dets));
             }
             slot.finish_batch();
-            slot.batches_done.fetch_add(1, Ordering::SeqCst);
             Some(det)
         }
         Ok((det, Err(e))) => {
@@ -698,7 +716,6 @@ fn run_batch(
                 reply.deliver(Err(ServeError::WorkerFailed(msg.clone())));
             }
             slot.finish_batch();
-            slot.batches_done.fetch_add(1, Ordering::SeqCst);
             Some(det)
         }
         Err(_) => {
@@ -707,6 +724,10 @@ fn run_batch(
             shared.panics.inc();
             shared.fault_events.fetch_add(1, Ordering::SeqCst);
             shared.health.degrade();
+            shared.builder.black_box.capture(
+                &format!("worker {} panicked during batch", slot.index),
+                &inflight.frame_ids,
+            );
             for reply in &inflight.replies {
                 reply.deliver(Err(ServeError::WorkerFailed(
                     "worker panicked during batch".to_string(),
@@ -714,7 +735,7 @@ fn run_batch(
             }
             slot.finish_batch();
             let target = shared.target_input.load(Ordering::SeqCst);
-            match rebuild_detector(shared, target) {
+            match shared.builder.build_detector(target) {
                 Ok(fresh) => Some(fresh),
                 Err(e) => worker_dies(shared, slot, &format!("post-panic rebuild failed: {e}")),
             }
@@ -919,6 +940,25 @@ mod tests {
         assert_eq!(b.local_drops(), 0, "b saw nothing");
         // The shared registry counter aggregates across queues.
         assert_eq!(obs.snapshot().counter("serve.admission_drops"), Some(1));
+    }
+
+    #[test]
+    fn pool_accounting_tracks_alive_workers() {
+        let pool = Pool::new();
+        assert_eq!(pool.alive_count(), 0);
+        let i0 = pool.next_index();
+        let i1 = pool.next_index();
+        assert_ne!(i0, i1, "indices are unique");
+        let slot = WorkerSlot::new(i0);
+        pool.register(Arc::clone(&slot), thread::spawn(|| {}));
+        assert_eq!(pool.alive_count(), 1);
+        assert_eq!(pool.slots_snapshot().len(), 1);
+        assert_eq!(pool.worker_gone(), 0);
+        assert_eq!(pool.alive_count(), 0);
+        for h in pool.take_handles() {
+            h.join().unwrap();
+        }
+        assert!(pool.take_handles().is_empty(), "handles taken once");
     }
 
     #[test]

@@ -55,13 +55,16 @@
 //! * **Connection hardening** — keep-alive with idle reaping, a header
 //!   deadline (slowloris defense), a body deadline, write timeouts, and
 //!   a global connection cap shedding `503` + `Retry-After` at accept.
-//! * **Wedge watchdog** ([`watchdog`]) — workers stamp heartbeats around
-//!   each batch; a worker stuck past `wedge_timeout` has its jobs failed
-//!   with typed `500`s, its trace tail captured as a [`dronet_obs::BlackBox`]
-//!   (also served at `GET /debug/blackbox`), and a replacement spawned
-//!   under a bounded restart budget. Losing the last worker flips health
-//!   to Halted and fails the backlog — never a hang, never a panic.
-//! * **Brownout** ([`Server::start_scalable`] + [`BrownoutConfig`]) —
+//! * **One supervisor tick** — a single thread, whatever the replica
+//!   count, makes every supervisory decision once per `watchdog_interval`.
+//!   Workers stamp heartbeats around each batch; a worker stuck past
+//!   `wedge_timeout` has its jobs failed with typed `500`s, its trace tail
+//!   captured as a [`dronet_obs::BlackBox`] (also served at
+//!   `GET /debug/blackbox`), and a replacement spawned under a bounded
+//!   restart budget. Losing the last worker flips health to Halted and
+//!   fails the backlog — never a hang, never a panic.
+//! * **Brownout** ([`Server::start_scalable`] +
+//!   [`dronet_detect::DegradeConfig`] in [`ServeConfig::brownout`]) —
 //!   sustained queue pressure walks the input-resolution ladder down
 //!   (the paper's 608→352 accuracy-vs-FPS sweep as a runtime knob) and
 //!   back up after calm, tracked by the `serve.input_resolution` gauge.
@@ -123,15 +126,12 @@ pub mod http;
 pub mod json;
 mod replica;
 mod server;
-pub mod watchdog;
 
 pub use batcher::{HedgeState, WedgePlan, HEDGE_LEG, PRIMARY_LEG};
 pub use chaos::{ReplicaChaosPlan, ReplicaKill, ReplicaKillKind};
 pub use error::ServeError;
 pub use http::{HttpError, HttpLimits, Method, Request, Response, Version};
-pub use server::{
-    BrownoutConfig, DetectorFactory, DrainReport, ServeConfig, Server, SizedDetectorFactory,
-};
+pub use server::{DetectorFactory, DrainReport, ServeConfig, Server, SizedDetectorFactory};
 
 /// Convenience alias for results returned by this crate.
 pub type Result<T> = std::result::Result<T, ServeError>;

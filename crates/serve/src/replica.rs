@@ -1,51 +1,75 @@
 //! Replicated detector pools with health-aware dispatch, quarantine, and
-//! canary re-admission.
+//! canary re-admission — and the one supervisor that watches them all.
 //!
 //! One [`ReplicaCore`] is a complete, private failure domain: its own
-//! admission queue, worker pool, watchdog, brownout controller, and
-//! health cell. Nothing is shared between replicas but the metric
-//! registry — a panic, wedge, or brownout on one replica cannot touch
-//! its peers.
+//! admission queue, worker pool, brownout controller, and health cell.
+//! Nothing is shared between replicas but the metric registry and the
+//! server's black-box store — a panic, wedge, or brownout on one replica
+//! cannot touch its peers.
 //!
-//! The [`ReplicaSet`] sits above the cores and makes three decisions:
+//! The [`ReplicaSet`] sits above the cores. Dispatch (`pick_primary`
+//! routes each request to the active replica with the shallowest queue,
+//! breaking ties by rolling p99 then id; `pick_hedge` picks the best
+//! *other* replica when a request is at deadline risk) runs on the
+//! connection threads; every supervisory decision happens on one thread,
+//! in one method, [`ReplicaSet::tick`], once per `watchdog_interval`:
 //!
-//! 1. **Dispatch** — `pick_primary` routes each request to the active
-//!    replica with the shallowest queue, breaking ties by rolling p99
-//!    then id; `pick_hedge` picks the best *other* replica when a
-//!    request is at deadline risk.
-//! 2. **Quarantine** — a supervisor thread watches each pool's private
-//!    fault count (panics + deaths + wedges). A replica that halts, or
-//!    keeps faulting across consecutive ticks, is taken out of rotation:
-//!    its queue is failed fast, its watchdog stopped, its threads sent
-//!    to the graveyard. The *last* active replica is never quarantined
-//!    for faulting — degraded service beats no service — and a
-//!    single-replica set keeps today's single-pool semantics exactly
-//!    (terminal halt, no quarantine dance).
+//! 1. **Watchdog pass** ([`ReplicaCore::supervise`], per active core) —
+//!    each worker stamps a heartbeat around its batch forward
+//!    ([`crate::batcher::WorkerSlot`]). A worker busy past `wedge_timeout`
+//!    is declared wedged: its in-flight job record is *stolen*, those
+//!    requests fail with [`ServeError::WorkerWedged`] (typed `500`s
+//!    instead of hung connections), the flight-recorder tail is captured
+//!    as a [`BlackBox`], and — under a bounded restart budget — a
+//!    replacement worker is spawned with a fresh detector. The wedged
+//!    thread finds its slot abandoned whenever it wakes and exits
+//!    silently. Then one brownout observation (queue depth +
+//!    admission-shed delta) feeds the core's
+//!    [`dronet_detect::DegradeController`]: sustained pressure walks the
+//!    input-resolution ladder down (the paper's 608→352 accuracy-vs-FPS
+//!    knob, applied as load shedding that still answers), sustained calm
+//!    walks it back up. Then recovery: after `recovery_ticks` ticks with
+//!    no new fault and the ladder back at the top, the core's health
+//!    returns Degraded → Healthy. Losing the last worker (restart budget
+//!    exhausted, or a rebuild failure) flips the core to Halted, closes
+//!    its queue, and fails the backlog — loud and typed, never a hang.
+//! 2. **Quarantine** — a replica that halts, or keeps faulting across
+//!    consecutive ticks, is taken out of rotation: its queue is failed
+//!    fast and its threads sent to the graveyard. The *last* active
+//!    replica is never quarantined for faulting — degraded service beats
+//!    no service — and a single-replica set never quarantines at all
+//!    (terminal halt, recoverable by a process restart).
 //! 3. **Re-admission** — a quarantined slot is rebuilt from the factory,
 //!    but serves nothing until the fresh detector reproduces the
 //!    reference *golden* canary detections bit-for-bit
 //!    ([`dronet_detect::canary`]). A rebuild that fails the canary is
 //!    dropped on the spot and retried next tick.
 //!
-//! Service health is the ratchet the tentpole promises: losing replicas
-//! degrades, only losing *everything* (with rebuilds exhausted) halts.
+//! Service health is a ratchet: losing replicas degrades, only losing
+//! *everything* (with rebuilds exhausted) halts.
 
-use crate::batcher::{lock_recover, spawn_worker, BatchQueue, WorkerShared, WorkerSlot};
+use crate::batcher::{lock_recover, spawn_worker, BatchQueue, Pool, WorkerShared, WorkerSlot};
 use crate::chaos::ReplicaKillKind;
 use crate::error::ServeError;
-use crate::server::{DetectorFactory, ServeConfig, SizedDetectorFactory};
-use crate::watchdog::{spawn_watchdog, BlackBoxStore};
+use crate::server::{ServeConfig, SizedDetectorFactory};
 use dronet_detect::canary::{check_canary, golden_detections};
-use dronet_detect::{DegradeConfig, DegradeController, Detection, Detector};
+use dronet_detect::{DegradeAction, DegradeController, Detection, Detector};
 use dronet_obs::{BlackBox, Counter, Gauge, Health, HealthCell, Registry, Tracer};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 /// Latency samples retained per replica for the rolling p99 estimate.
 const LATENCY_RING: usize = 256;
+
+/// Most black boxes retained per server; older captures are dropped first.
+const MAX_BLACK_BOXES: usize = 16;
+
+/// Factory failures tolerated per quarantined slot before the slot is
+/// abandoned; all slots abandoned ⇒ service Halted.
+const MAX_REBUILD_FAILURES: usize = 8;
 
 /// A small ring of recent end-to-end latencies, one per replica. Feeds
 /// the dispatcher's p99 tie-break — cheap, approximate, and local.
@@ -83,36 +107,205 @@ impl LatencyRing {
     }
 }
 
-/// One live replica: a private queue + worker pool + watchdog.
+/// The server's crash black boxes — one store for every replica, so a
+/// capture outlives the core it explains: bounded retention
+/// ([`MAX_BLACK_BOXES`] per server) plus the `serve.black_box_captures`
+/// counter.
+pub(crate) struct BlackBoxStore {
+    boxes: Mutex<Vec<BlackBox>>,
+    captures: Counter,
+    tracer: Tracer,
+}
+
+impl BlackBoxStore {
+    pub fn new(captures: Counter, tracer: Tracer) -> Self {
+        BlackBoxStore {
+            boxes: Mutex::new(Vec::new()),
+            captures,
+            tracer,
+        }
+    }
+
+    /// Snapshots the tracer tail and retains it under `trigger`.
+    pub fn capture(&self, trigger: &str, frame_ids: &[u64]) {
+        let captured = BlackBox::capture(&self.tracer, trigger, frame_ids);
+        let mut boxes = lock_recover(&self.boxes);
+        if boxes.len() >= MAX_BLACK_BOXES {
+            boxes.remove(0);
+        }
+        boxes.push(captured);
+        self.captures.inc();
+    }
+
+    /// Every retained capture, oldest first.
+    pub fn all(&self) -> Vec<BlackBox> {
+        lock_recover(&self.boxes).clone()
+    }
+}
+
+/// What one core's watchdog pass carries from tick to tick.
+#[derive(Default)]
+struct Watch {
+    /// This replica's own ladder walk (each replica has its own
+    /// controller — an overloaded replica browns out alone).
+    brownout: Option<DegradeController>,
+    /// Replacement workers spawned so far, against `max_worker_restarts`.
+    restarts_used: usize,
+    /// The queue's admission drops at the last tick. Brownout pressure
+    /// must come from *this* pool's queue, not the registry counter:
+    /// replicas share the counter name, and one overloaded replica must
+    /// not brown out its healthy peers.
+    last_drops: u64,
+    /// The pool's fault count at the last tick.
+    last_faults: u64,
+    /// Consecutive ticks without a new fault: recovery's clock.
+    quiet_ticks: u32,
+    /// Faults accumulated over consecutive ticks that each brought one:
+    /// quarantine's evidence. Whichever of the two grows, the other is 0.
+    fault_streak: u64,
+}
+
+/// One live replica: a private queue + worker pool, and the state of the
+/// watchdog pass over them.
 pub(crate) struct ReplicaCore {
     /// Slot id (stable across rebuilds).
     pub id: usize,
     pub queue: Arc<BatchQueue>,
     pub worker: Arc<WorkerShared>,
-    /// Private shutdown flag for *this core's* watchdog, so quarantining
-    /// one replica never stops a peer's supervisor machinery.
-    watchdog_shutdown: Arc<AtomicBool>,
-    watchdog: Mutex<Option<thread::JoinHandle<()>>>,
     pub latency: LatencyRing,
+    watch: Mutex<Watch>,
+    wedges: Counter,
+    restarts: Counter,
+    downshifts: Counter,
+    upshifts: Counter,
 }
 
 impl ReplicaCore {
     /// The input size this replica currently conforms frames to.
-    pub fn current_input(&self, base: usize) -> usize {
-        match self.worker.target_input.load(Ordering::SeqCst) {
-            0 => base,
-            t => t,
+    pub fn current_input(&self) -> usize {
+        self.worker.target_input.load(Ordering::SeqCst)
+    }
+
+    /// One watchdog pass: wedge scan, brownout observation, recovery.
+    /// Returns the faults (panics + deaths + wedges) accumulated over the
+    /// consecutive faulting ticks up to this one. Only the supervisor
+    /// thread calls this, so the `watch` lock is never contended.
+    fn supervise(&self) -> u64 {
+        let shared = &self.worker;
+        let cfg = &shared.builder.config;
+        let watch = &mut *lock_recover(&self.watch);
+
+        for slot in shared.pool.slots_snapshot() {
+            if !slot.is_alive() || slot.abandoned.load(Ordering::SeqCst) {
+                continue;
+            }
+            if let Some(busy) = slot.busy_for(shared.epoch) {
+                if busy >= cfg.wedge_timeout {
+                    self.handle_wedge(&slot, busy, &mut watch.restarts_used);
+                }
+            }
+        }
+
+        if let Some(ctrl) = watch.brownout.as_mut() {
+            let now_drops = self.queue.local_drops();
+            let delta = now_drops.saturating_sub(watch.last_drops);
+            watch.last_drops = now_drops;
+            if let Some(action) = ctrl.observe_frame(self.queue.len() as f64, delta) {
+                let target = action.target();
+                shared.target_input.store(target, Ordering::SeqCst);
+                shared.resolution_gauge.set(target as f64);
+                match action {
+                    DegradeAction::Downshift(_) => {
+                        self.downshifts.inc();
+                        shared.health.degrade();
+                    }
+                    DegradeAction::Upshift(_) => self.upshifts.inc(),
+                }
+            }
+        }
+
+        // Quiet for long enough, ladder at the top.
+        let faults = shared.fault_events.load(Ordering::SeqCst);
+        if faults == watch.last_faults {
+            watch.quiet_ticks = watch.quiet_ticks.saturating_add(1);
+            watch.fault_streak = 0;
+        } else {
+            watch.quiet_ticks = 0;
+            watch.fault_streak += faults - watch.last_faults;
+            watch.last_faults = faults;
+        }
+        let browned_out = watch.brownout.as_ref().is_some_and(|c| c.is_degraded());
+        if watch.quiet_ticks >= cfg.recovery_ticks
+            && !browned_out
+            && matches!(shared.health.get(), Health::Degraded)
+        {
+            shared.health.recover();
+        }
+        watch.fault_streak
+    }
+
+    /// Declares `slot` wedged: steal its jobs, answer them with typed
+    /// errors, black-box the trace tail, and spawn a replacement under the
+    /// restart budget.
+    fn handle_wedge(&self, slot: &WorkerSlot, busy: Duration, restarts_used: &mut usize) {
+        let shared = &self.worker;
+        let builder = &shared.builder;
+        slot.abandoned.store(true, Ordering::SeqCst);
+        let Some(inflight) = slot.take_inflight() else {
+            // The worker finished between our busy check and the steal: it
+            // holds the replies and will keep looping — un-abandon it.
+            slot.abandoned.store(false, Ordering::SeqCst);
+            return;
+        };
+        self.wedges.inc();
+        shared.fault_events.fetch_add(1, Ordering::SeqCst);
+        builder.black_box.capture(
+            &format!(
+                "worker {} wedged after {:.0?} holding {} job(s)",
+                slot.index,
+                busy,
+                inflight.frame_ids.len()
+            ),
+            &inflight.frame_ids,
+        );
+        let msg = format!(
+            "worker {} stuck past {:.0?} deadline",
+            slot.index, builder.config.wedge_timeout
+        );
+        for reply in &inflight.replies {
+            reply.deliver(Err(ServeError::WorkerWedged(msg.clone())));
+        }
+        if !slot.retire() {
+            return; // the worker's own death path already did the accounting
+        }
+        shared.pool.worker_gone();
+        shared.health.degrade();
+        if *restarts_used < builder.config.max_worker_restarts {
+            match builder.build_detector(self.current_input()) {
+                Ok(det) => {
+                    *restarts_used += 1;
+                    self.restarts.inc();
+                    let new_slot = WorkerSlot::new(shared.pool.next_index());
+                    let handle = spawn_worker(Arc::clone(shared), Arc::clone(&new_slot), det);
+                    shared.pool.register(new_slot, handle);
+                }
+                Err(e) => builder
+                    .black_box
+                    .capture(&format!("replacement rebuild failed: {e}"), &[]),
+            }
+        }
+        if shared.pool.alive_count() == 0 {
+            // No replacement and nobody left: fail loudly instead of hanging.
+            shared.health.halt();
+            self.queue.close();
+            self.queue.fail_pending();
         }
     }
 
-    /// Stops the watchdog, fails the backlog, halts the pool's health
-    /// cell, and returns the worker join handles (callers decide whether
-    /// joining is safe — a wedged worker may be mid-sleep).
+    /// Fails the backlog, halts the pool's health cell, and returns the
+    /// worker join handles. Joins nothing itself: callers decide whether
+    /// joining is safe — a wedged worker may be mid-sleep.
     fn tear_down(&self) -> Vec<thread::JoinHandle<()>> {
-        self.watchdog_shutdown.store(true, Ordering::SeqCst);
-        if let Some(h) = lock_recover(&self.watchdog).take() {
-            let _ = h.join();
-        }
         self.queue.close();
         self.queue.fail_pending();
         self.worker.health.halt();
@@ -120,20 +313,25 @@ impl ReplicaCore {
     }
 }
 
-/// Everything needed to build (and rebuild) a [`ReplicaCore`].
+/// The server-wide parts every core is built (and rebuilt) from, shared
+/// with the workers for their own detector rebuilds.
 pub(crate) struct ReplicaBuilder {
-    pub factory: DetectorFactory,
-    pub sized_factory: Option<SizedDetectorFactory>,
+    /// The one detector factory, by input size. A fixed-size factory
+    /// ([`crate::Server::start`]) ignores the size; without brownout it is
+    /// only ever asked for the size it builds anyway.
+    pub factory: SizedDetectorFactory,
     pub config: Arc<ServeConfig>,
     pub obs: Registry,
     pub tracer: Tracer,
+    pub black_box: BlackBoxStore,
 }
 
 impl ReplicaBuilder {
-    /// Builds a detector at the ladder top and attaches the server's
-    /// registry and tracer.
-    fn build_detector(&self) -> Result<Detector, ServeError> {
-        let mut det = (self.factory)()?;
+    /// Builds a detector at `size` and attaches the server's registry and
+    /// tracer — the one way serve makes a detector (startup, canary probe,
+    /// post-panic and brownout rebuilds, wedge replacements).
+    pub fn build_detector(&self, size: usize) -> dronet_detect::Result<Detector> {
+        let mut det = (self.factory)(size)?;
         if self.obs.is_enabled() {
             det.set_observability(&self.obs);
         }
@@ -143,90 +341,64 @@ impl ReplicaBuilder {
         Ok(det)
     }
 
-    /// A fresh brownout controller for one core (each replica walks its
-    /// own ladder — an overloaded replica browns out alone).
-    fn build_brownout(&self) -> Result<Option<DegradeController>, ServeError> {
-        let Some(b) = &self.config.brownout else {
-            return Ok(None);
-        };
-        let initial = *b.ladder.last().expect("validated non-empty");
-        DegradeController::new(DegradeConfig {
-            ladder: b.ladder.clone(),
-            initial,
-            overload_queue: b.overload_queue,
-            overload_windows: b.overload_windows,
-            calm_windows: b.calm_windows,
-            cooldown_windows: b.cooldown_windows,
-            window_frames: b.window_ticks,
-        })
-        .map(Some)
-        .map_err(|e| ServeError::Config(e.to_string()))
-    }
-
-    /// Builds one complete replica: detectors, queue, worker pool,
-    /// watchdog. `first` (when given) becomes worker 0's detector —
-    /// the canary-verified build on the re-admission path.
-    pub fn build_core(
-        &self,
+    /// Builds one complete replica around `first` (worker 0's detector —
+    /// the reference build at startup, the canary-verified one on
+    /// re-admission): queue, worker pool, and a watchdog state starting
+    /// at the top of the ladder.
+    fn build_core(
+        self: &Arc<Self>,
         id: usize,
-        first: Option<Detector>,
+        first: Detector,
     ) -> Result<Arc<ReplicaCore>, ServeError> {
-        let brownout_ctrl = self.build_brownout()?;
-        let mut detectors = Vec::with_capacity(self.config.workers);
-        if let Some(d) = first {
-            detectors.push(d);
-        }
+        let brownout = self.config.brownout.clone();
+        let brownout = brownout.map(DegradeController::new).transpose()?;
+        let base = first.input_chw().1;
+        let mut detectors = vec![first];
         while detectors.len() < self.config.workers {
-            detectors.push(self.build_detector()?);
+            detectors.push(self.build_detector(base)?);
         }
-        let base = detectors[0].input_chw().1;
 
-        let queue = BatchQueue::new(self.config.queue_capacity, &self.obs);
-        let initial_target = brownout_ctrl.as_ref().map_or(0, |c| c.current());
-        let resolution_gauge = self.obs.gauge("serve.input_resolution");
+        let obs = &self.obs;
+        let queue = BatchQueue::new(self.config.queue_capacity, obs);
+        let resolution_gauge = obs.gauge("serve.input_resolution");
         resolution_gauge.set(base as f64);
 
         let worker = Arc::new(WorkerShared {
             queue: Arc::clone(&queue),
-            factory: Arc::clone(&self.factory),
-            sized_factory: self.sized_factory.clone(),
-            config: Arc::clone(&self.config),
+            builder: Arc::clone(self),
             epoch: Instant::now(),
-            pool: crate::watchdog::Pool::new(),
-            health: HealthCell::new(self.obs.gauge(&format!("serve.replica.{id}.health"))),
-            target_input: AtomicUsize::new(initial_target),
+            pool: Pool::new(),
+            health: HealthCell::new(obs.gauge(&format!("serve.replica.{id}.health"))),
+            target_input: AtomicUsize::new(base),
             resolution_gauge,
             wedge_armed: AtomicBool::new(self.config.wedge_chaos.is_some()),
-            black_box: BlackBoxStore::new(self.obs.counter("serve.black_box_captures")),
-            batch_size_hist: self.obs.histogram("serve.batch_size"),
-            queue_wait_hist: self.obs.histogram("serve.queue_wait"),
-            forward_hist: self.obs.histogram("serve.forward"),
-            panics: self.obs.counter("serve.worker_panics"),
-            worker_deaths: self.obs.counter("serve.worker_deaths"),
-            fault_events: std::sync::atomic::AtomicU64::new(0),
+            batch_size_hist: obs.histogram("serve.batch_size"),
+            queue_wait_hist: obs.histogram("serve.queue_wait"),
+            forward_hist: obs.histogram("serve.forward"),
+            panics: obs.counter("serve.worker_panics"),
+            worker_deaths: obs.counter("serve.worker_deaths"),
+            fault_events: AtomicU64::new(0),
             chaos_wedge: AtomicBool::new(false),
             chaos_panic: AtomicBool::new(false),
-            obs: self.obs.clone(),
-            tracer: self.tracer.clone(),
         });
         for det in detectors {
             let slot = WorkerSlot::new(worker.pool.next_index());
             let handle = spawn_worker(Arc::clone(&worker), Arc::clone(&slot), det);
             worker.pool.register(slot, handle);
         }
-        let watchdog_shutdown = Arc::new(AtomicBool::new(false));
-        let watchdog = spawn_watchdog(
-            Arc::clone(&worker),
-            Arc::clone(&watchdog_shutdown),
-            brownout_ctrl,
-        );
         Ok(Arc::new(ReplicaCore {
             id,
             queue,
             worker,
-            watchdog_shutdown,
-            watchdog: Mutex::new(Some(watchdog)),
             latency: LatencyRing::new(),
+            watch: Mutex::new(Watch {
+                brownout,
+                ..Watch::default()
+            }),
+            wedges: obs.counter("serve.worker_wedges"),
+            restarts: obs.counter("serve.worker_restarts"),
+            downshifts: obs.counter("serve.brownout_downshifts"),
+            upshifts: obs.counter("serve.brownout_upshifts"),
         }))
     }
 }
@@ -257,10 +429,6 @@ struct SlotState {
     canary_failures: u64,
     /// Consecutive factory failures since the last successful rebuild.
     rebuild_failures: usize,
-    /// Fault events accumulated over consecutive faulting ticks.
-    recent_faults: u64,
-    /// The pool's fault counter at the last scan (delta baseline).
-    last_fault_events: u64,
 }
 
 /// One replica slot: a stable identity whose core is replaced across
@@ -289,7 +457,7 @@ impl ReplicaSlot {
 /// The replicated pool: slots, dispatch, quarantine, re-admission.
 pub(crate) struct ReplicaSet {
     pub slots: Vec<ReplicaSlot>,
-    builder: ReplicaBuilder,
+    builder: Arc<ReplicaBuilder>,
     /// Forced canary failures remaining, counted down from
     /// `canary_chaos_failures` — a chaos knob proving the canary gate
     /// actually gates.
@@ -323,7 +491,12 @@ impl ReplicaSet {
     /// Builds the full set: a reference detector for the golden canary
     /// output, then one core per slot (failing fast on any broken build).
     pub fn new(builder: ReplicaBuilder) -> Result<Arc<ReplicaSet>, ServeError> {
-        let mut reference = builder.build_detector()?;
+        let builder = Arc::new(builder);
+        // Serving starts at the top of the brownout ladder; a fixed-size
+        // factory ignores the size it is asked for.
+        let top = builder.config.brownout.as_ref();
+        let top = top.and_then(|b| b.ladder.last()).copied().unwrap_or(0);
+        let mut reference = builder.build_detector(top)?;
         let base_chw = reference.input_chw();
         let golden = golden_detections(&mut reference)
             .map_err(|e| ServeError::Config(format!("canary golden run failed: {e}")))?;
@@ -335,7 +508,11 @@ impl ReplicaSet {
         let replicas = builder.config.replicas;
         let mut slots = Vec::with_capacity(replicas);
         for id in 0..replicas {
-            let core = builder.build_core(id, first.take())?;
+            let first = match first.take() {
+                Some(det) => det,
+                None => builder.build_detector(base_chw.1)?,
+            };
+            let core = builder.build_core(id, first)?;
             slots.push(ReplicaSlot {
                 id,
                 state: Mutex::new(SlotState {
@@ -344,8 +521,6 @@ impl ReplicaSet {
                     generation: 0,
                     canary_failures: 0,
                     rebuild_failures: 0,
-                    recent_faults: 0,
-                    last_fault_events: 0,
                 }),
             });
         }
@@ -412,7 +587,7 @@ impl ReplicaSet {
     pub fn current_input(&self) -> usize {
         self.active_cores()
             .iter()
-            .map(|c| c.current_input(self.base_chw.1))
+            .map(|c| c.current_input())
             .max()
             .unwrap_or(self.base_chw.1)
     }
@@ -441,20 +616,25 @@ impl ReplicaSet {
             .sum()
     }
 
-    /// Crash black boxes from every core, in slot order.
+    /// Every retained crash black box, oldest first — those of cores
+    /// since quarantined or replaced included.
     pub fn black_boxes(&self) -> Vec<BlackBox> {
-        self.slots
-            .iter()
-            .filter_map(|s| s.any_core())
-            .flat_map(|c| c.worker.black_box.all())
-            .collect()
+        self.builder.black_box.all()
     }
 
-    /// One supervisor tick: chaos, quarantine scan, rebuilds, gauges,
-    /// service-health mirror.
+    /// One supervisor tick — every supervisory decision the server makes:
+    /// the watchdog pass over each core in rotation and its quarantine
+    /// verdict, then chaos, rebuilds, gauges, and the service-health
+    /// mirror. It never sleeps and nothing else decides any of this, so a
+    /// test can build a set without [`spawn_supervisor`] and drive it tick
+    /// by tick.
+    ///
+    /// A wedge is noticed within `wedge_timeout` + one `watchdog_interval`,
+    /// plus whatever the tick ahead of it spends building detectors on
+    /// this thread (wedge replacements, canary probes, core rebuilds).
     fn tick(&self) {
+        self.supervise_and_quarantine();
         self.apply_chaos();
-        self.scan_and_quarantine();
         self.try_rebuilds();
         self.publish_gauges();
         self.mirror_health();
@@ -492,57 +672,32 @@ impl ReplicaSet {
         }
     }
 
-    /// Accumulates per-replica fault deltas and pulls repeat offenders
-    /// out of rotation. Single-replica sets never quarantine — they keep
-    /// the single-pool semantics (terminal halt) exactly.
-    fn scan_and_quarantine(&self) {
-        if self.config().replicas <= 1 {
-            return;
-        }
+    /// Runs the watchdog pass over every core in rotation, and pulls out
+    /// of rotation a core that halted or keeps faulting. Single-replica
+    /// sets never quarantine: there a halt is terminal.
+    fn supervise_and_quarantine(&self) {
         for slot in &self.slots {
-            // Phase 1: fault accounting under the slot lock, decision
-            // inputs copied out (active_count locks peer slots, so it
-            // must not run while this slot's lock is held).
-            let (core, halted, faulting) = {
-                let mut s = lock_recover(&slot.state);
-                let Some(core) = (match s.status {
-                    SlotStatus::Active => s.core.clone(),
-                    SlotStatus::Quarantined => None,
-                }) else {
-                    continue;
-                };
-                let fe = core.worker.fault_events.load(Ordering::SeqCst);
-                let delta = fe.saturating_sub(s.last_fault_events);
-                s.last_fault_events = fe;
-                if delta > 0 {
-                    s.recent_faults += delta;
-                } else {
-                    s.recent_faults = 0;
-                }
-                let halted = matches!(core.worker.health.get(), Health::Halted);
-                let faulting = s.recent_faults >= self.config().quarantine_faults;
-                (core, halted, faulting)
+            let Some(core) = slot.active_core() else {
+                continue;
             };
+            let fault_streak = core.supervise();
+            if self.config().replicas <= 1 {
+                continue;
+            }
             // Never quarantine the last serviceable replica for mere
             // faulting; a halted core serves nothing either way.
-            let last_standing = self.active_count() <= 1;
-            if !(halted || (faulting && !last_standing)) {
+            let halted = matches!(core.worker.health.get(), Health::Halted);
+            let faulting = fault_streak >= self.config().quarantine_faults;
+            if !(halted || (faulting && self.active_count() > 1)) {
                 continue;
             }
             {
                 let mut s = lock_recover(&slot.state);
-                if s.status != SlotStatus::Active {
-                    continue;
-                }
                 s.core = None;
                 s.status = SlotStatus::Quarantined;
-                s.recent_faults = 0;
             }
             self.quarantine_entered.inc();
-            // Teardown outside the slot lock: joining the watchdog can
-            // take a tick, and dispatch must not block on it.
-            let orphans = core.tear_down();
-            lock_recover(&self.graveyard).extend(orphans);
+            lock_recover(&self.graveyard).extend(core.tear_down());
         }
     }
 
@@ -551,56 +706,48 @@ impl ReplicaSet {
         for slot in &self.slots {
             {
                 let s = lock_recover(&slot.state);
-                if s.status != SlotStatus::Quarantined
-                    || s.rebuild_failures > self.config().max_rebuild_failures
+                if s.status != SlotStatus::Quarantined || s.rebuild_failures > MAX_REBUILD_FAILURES
                 {
                     continue;
                 }
             }
-            // Chaos gate: force the next N canary probes to fail,
-            // proving a bad rebuild cannot slip back into rotation.
-            let forced_failure = self
-                .canary_chaos
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                .is_ok();
-            if forced_failure {
-                self.canary_failed.inc();
-                let mut s = lock_recover(&slot.state);
-                s.canary_failures += 1;
-                continue;
-            }
-            let mut probe = match self.builder.build_detector() {
-                Ok(d) => d,
-                Err(_) => {
-                    let mut s = lock_recover(&slot.state);
-                    s.rebuild_failures += 1;
-                    continue;
-                }
-            };
-            if !check_canary(&mut probe, &self.golden).passed {
-                self.canary_failed.inc();
-                let mut s = lock_recover(&slot.state);
-                s.canary_failures += 1;
-                continue;
-            }
-            match self.builder.build_core(slot.id, Some(probe)) {
-                Ok(core) => {
-                    let mut s = lock_recover(&slot.state);
+            let rebuilt = self.rebuild(slot.id);
+            let mut s = lock_recover(&slot.state);
+            match rebuilt {
+                Ok(Some(core)) => {
                     s.core = Some(core);
                     s.status = SlotStatus::Active;
                     s.generation += 1;
                     s.rebuild_failures = 0;
-                    s.recent_faults = 0;
-                    s.last_fault_events = 0;
-                    drop(s);
                     self.quarantine_readmitted.inc();
                 }
-                Err(_) => {
-                    let mut s = lock_recover(&slot.state);
-                    s.rebuild_failures += 1;
+                Ok(None) => {
+                    s.canary_failures += 1;
+                    self.canary_failed.inc();
                 }
+                Err(_) => s.rebuild_failures += 1,
             }
         }
+    }
+
+    /// A fresh core for slot `id` around a canary-verified detector:
+    /// `Ok(None)` when the probe failed the canary and was dropped on the
+    /// spot, `Err` when the factory failed.
+    fn rebuild(&self, id: usize) -> Result<Option<Arc<ReplicaCore>>, ServeError> {
+        // Chaos gate: force the next N canary probes to fail,
+        // proving a bad rebuild cannot slip back into rotation.
+        let forced_failure = self
+            .canary_chaos
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+            .is_ok();
+        if forced_failure {
+            return Ok(None);
+        }
+        let mut probe = self.builder.build_detector(self.base_chw.1)?;
+        if !check_canary(&mut probe, &self.golden).passed {
+            return Ok(None);
+        }
+        self.builder.build_core(id, probe).map(Some)
     }
 
     /// Publishes per-replica gauges and the active-count gauge.
@@ -613,7 +760,7 @@ impl ReplicaSet {
                     obs.gauge(&format!("{prefix}.queue_depth"))
                         .set(core.queue.len() as f64);
                     obs.gauge(&format!("{prefix}.input_resolution"))
-                        .set(core.current_input(self.base_chw.1) as f64);
+                        .set(core.current_input() as f64);
                     obs.gauge(&format!("{prefix}.p99_ms"))
                         .set(core.latency.p99_ns() as f64 / 1e6);
                 }
@@ -648,9 +795,10 @@ impl ReplicaSet {
         }
         let active = self.active_cores();
         if active.is_empty() {
-            let exhausted = self.slots.iter().all(|s| {
-                lock_recover(&s.state).rebuild_failures > self.config().max_rebuild_failures
-            });
+            let exhausted = self
+                .slots
+                .iter()
+                .all(|s| lock_recover(&s.state).rebuild_failures > MAX_REBUILD_FAILURES);
             if exhausted {
                 self.service_health.halt();
             } else {
@@ -705,7 +853,7 @@ impl ReplicaSet {
                     c.worker.health.get().as_metric(),
                     c.queue.len(),
                     c.worker.pool.alive_count(),
-                    c.current_input(self.base_chw.1),
+                    c.current_input(),
                     c.latency.p99_ns() as f64 / 1e6,
                 ),
                 None => (Health::Halted.as_metric(), 0, 0, 0, 0.0),
@@ -751,6 +899,49 @@ pub(crate) fn spawn_supervisor(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batcher::{Job, PRIMARY_LEG};
+    use dronet_core::{zoo, ModelId};
+    use dronet_detect::{DetectError, DetectorBuilder};
+    use dronet_tensor::{Shape, Tensor};
+    use std::sync::mpsc;
+
+    /// A set with no supervisor thread: the tests below are its clock.
+    fn unsupervised(config: ServeConfig, factory: SizedDetectorFactory) -> Arc<ReplicaSet> {
+        let obs = Registry::new();
+        ReplicaSet::new(ReplicaBuilder {
+            factory,
+            config: Arc::new(config),
+            black_box: BlackBoxStore::new(obs.counter("serve.black_box_captures"), Tracer::noop()),
+            obs,
+            tracer: Tracer::noop(),
+        })
+        .expect("build the replica set")
+    }
+
+    fn dronet_32(_size: usize) -> dronet_detect::Result<Detector> {
+        DetectorBuilder::new(zoo::build(ModelId::DroNet, 32)?).build()
+    }
+
+    type Answer = mpsc::Receiver<Result<Vec<Detection>, ServeError>>;
+
+    fn push(core: &ReplicaCore, frame_id: u64) -> Answer {
+        let (reply, answer) = mpsc::channel();
+        let job = Job {
+            frame_id,
+            frame: Tensor::zeros(Shape::nchw(1, 3, 32, 32)),
+            enqueued: Instant::now(),
+            reply,
+            hedge: None,
+            leg: PRIMARY_LEG,
+        };
+        core.queue.push(job).expect("queue has room");
+        answer
+    }
+
+    fn slot_state(set: &ReplicaSet, id: usize) -> (SlotStatus, u64, u64) {
+        let s = lock_recover(&set.slots[id].state);
+        (s.status, s.generation, s.canary_failures)
+    }
 
     #[test]
     fn latency_ring_p99_and_bounded_retention() {
@@ -765,5 +956,139 @@ mod tests {
             ring.record(Duration::from_nanos(1_000));
         }
         assert_eq!(ring.p99_ns(), 1_000);
+    }
+
+    #[test]
+    fn black_box_store_caps_retention_and_counts_captures() {
+        let obs = Registry::new();
+        let store = BlackBoxStore::new(obs.counter("serve.black_box_captures"), Tracer::noop());
+        for i in 0..(MAX_BLACK_BOXES + 3) {
+            store.capture(&format!("trigger {i}"), &[i as u64]);
+        }
+        let boxes = store.all();
+        assert_eq!(boxes.len(), MAX_BLACK_BOXES, "oldest captures dropped");
+        assert_eq!(boxes[0].trigger, "trigger 3");
+        assert!(boxes.last().unwrap().to_text().contains("trigger 18"));
+        assert_eq!(
+            obs.snapshot().counter("serve.black_box_captures"),
+            Some((MAX_BLACK_BOXES + 3) as u64)
+        );
+    }
+
+    #[test]
+    fn one_tick_fails_a_wedged_batch_and_registers_a_replacement() {
+        let config = ServeConfig {
+            wedge_timeout: Duration::ZERO,
+            ..ServeConfig::default()
+        };
+        let set = unsupervised(config, Arc::new(dronet_32));
+        let core = set.slots[0].active_core().expect("active");
+        core.worker.chaos_wedge.store(true, Ordering::SeqCst);
+        let answer = push(&core, 7);
+        let wedged = core.worker.pool.slots_snapshot().remove(0);
+        while wedged.busy_for(core.worker.epoch).is_none() {
+            thread::yield_now();
+        }
+
+        set.tick();
+
+        assert!(matches!(
+            answer.try_recv(),
+            Ok(Err(ServeError::WorkerWedged(_)))
+        ));
+        assert!(!wedged.is_alive());
+        let workers = core.worker.pool.slots_snapshot();
+        assert_eq!(workers.len(), 2, "a replacement was registered");
+        assert!(workers[1].is_alive());
+        assert_eq!(core.worker.pool.alive_count(), 1);
+        assert_eq!(core.worker.fault_events.load(Ordering::SeqCst), 1);
+        assert_eq!(set.black_boxes().len(), 1);
+        assert_eq!(set.service_health.get(), Health::Degraded);
+        set.shutdown();
+    }
+
+    #[test]
+    fn a_repeat_offender_is_quarantined_and_readmitted_through_the_canary() {
+        let config = ServeConfig {
+            replicas: 2,
+            quarantine_faults: 3,
+            canary_chaos_failures: 2,
+            ..ServeConfig::default()
+        };
+        let set = unsupervised(config, Arc::new(dronet_32));
+        let sick = set.slots[1].active_core().expect("active");
+        sick.worker.chaos_panic.store(true, Ordering::SeqCst);
+        for frame_id in 0..3 {
+            assert_eq!(slot_state(&set, 1).0, SlotStatus::Active);
+            // The fault is counted before the typed error is delivered.
+            let answer = push(&sick, frame_id);
+            assert!(matches!(
+                answer.recv(),
+                Ok(Err(ServeError::WorkerFailed(_)))
+            ));
+            set.tick();
+        }
+        // The third faulting tick quarantines, and its own rebuild attempt
+        // already meets the first forced canary failure.
+        assert_eq!(slot_state(&set, 1), (SlotStatus::Quarantined, 0, 1));
+        assert_eq!(set.active_count(), 1);
+        assert_eq!(set.service_health.get(), Health::Degraded);
+
+        set.tick();
+        assert_eq!(slot_state(&set, 1), (SlotStatus::Quarantined, 0, 2));
+        assert_eq!(set.canary_failed.get(), 2);
+
+        set.tick();
+        assert_eq!(slot_state(&set, 1), (SlotStatus::Active, 1, 2));
+        assert_eq!(set.active_count(), 2);
+        assert_eq!(set.quarantine_readmitted.get(), 1);
+        assert_eq!(set.service_health.get(), Health::Healthy);
+        assert!(
+            !set.black_boxes().is_empty(),
+            "the panics' black boxes stay"
+        );
+        set.shutdown();
+    }
+
+    #[test]
+    fn a_factory_that_stays_broken_spends_every_rebuild_budget_and_halts() {
+        let broken = Arc::new(AtomicBool::new(false));
+        let builds = Arc::new(AtomicUsize::new(0));
+        let factory: SizedDetectorFactory = {
+            let (broken, builds) = (Arc::clone(&broken), Arc::clone(&builds));
+            Arc::new(move |size| {
+                builds.fetch_add(1, Ordering::SeqCst);
+                if broken.load(Ordering::SeqCst) {
+                    return Err(DetectError::MissingRegionHead);
+                }
+                dronet_32(size)
+            })
+        };
+        let config = ServeConfig {
+            replicas: 2,
+            ..ServeConfig::default()
+        };
+        let set = unsupervised(config, factory);
+        broken.store(true, Ordering::SeqCst);
+        // A panic whose rebuild fails kills each replica's only worker.
+        for slot in &set.slots {
+            let core = slot.active_core().expect("active");
+            core.worker.chaos_panic.store(true, Ordering::SeqCst);
+            let _answer = push(&core, slot.id as u64);
+            while core.worker.health.get() != Health::Halted {
+                thread::yield_now();
+            }
+        }
+        for _ in 0..MAX_REBUILD_FAILURES {
+            set.tick();
+            assert_eq!(set.active_count(), 0);
+            assert_eq!(set.service_health.get(), Health::Degraded);
+        }
+        set.tick();
+        assert_eq!(set.service_health.get(), Health::Halted);
+        let spent = builds.load(Ordering::SeqCst);
+        set.tick();
+        assert_eq!(builds.load(Ordering::SeqCst), spent, "abandoned slots rest");
+        set.shutdown();
     }
 }

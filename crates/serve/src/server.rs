@@ -2,10 +2,10 @@
 //!
 //! Threading model — deliberately boring: one accept thread, one OS thread
 //! per connection (keep-alive, bounded requests per connection), a small
-//! worker pool that owns the detectors, and one watchdog thread
-//! supervising the pool ([`crate::watchdog`]). Connections never touch a
-//! detector; they parse, enqueue, and block on a reply channel. All
-//! batching cleverness lives in the [`crate::batcher`].
+//! worker pool per replica that owns the detectors, and one supervisor
+//! thread ticking over all of them (`crate::replica`). Connections never
+//! touch a detector; they parse, enqueue, and block on a reply channel.
+//! All batching cleverness lives in the [`crate::batcher`].
 //!
 //! The front door defends itself: a global connection cap sheds at accept
 //! time with `503` + `Retry-After`, per-connection deadlines bound the
@@ -17,8 +17,8 @@ use crate::chaos::ReplicaChaosPlan;
 use crate::error::ServeError;
 use crate::http::{parse_request, HttpError, HttpLimits, Method, Request, Response};
 use crate::json::detections_json;
-use crate::replica::{spawn_supervisor, ReplicaBuilder, ReplicaCore, ReplicaSet};
-use dronet_detect::{conform_frame, Detection, Detector};
+use crate::replica::{spawn_supervisor, BlackBoxStore, ReplicaBuilder, ReplicaCore, ReplicaSet};
+use dronet_detect::{conform_frame, DegradeConfig, DegradeController, Detection, Detector};
 use dronet_obs::{
     BlackBox, ChromeTrace, Health, JsonExporter, PromExporter, Registry, SloSet, SloSpec, Tracer,
 };
@@ -37,39 +37,6 @@ pub type DetectorFactory = Arc<dyn Fn() -> dronet_detect::Result<Detector> + Sen
 /// square input size. Required for brownout, which rebuilds workers at
 /// smaller ladder rungs under sustained load.
 pub type SizedDetectorFactory = Arc<dyn Fn(usize) -> dronet_detect::Result<Detector> + Send + Sync>;
-
-/// Brownout (adaptive-resolution) tuning. The ladder is the paper's
-/// 352–608 sweep; under sustained queue pressure the server walks down
-/// one rung at a time — answering every request a little coarser beats
-/// shedding them — and walks back up after a calm cooldown.
-#[derive(Debug, Clone)]
-pub struct BrownoutConfig {
-    /// Ascending input-size ladder; serving starts at the top rung.
-    pub ladder: Vec<usize>,
-    /// Queue depth at or above which a watchdog tick counts as overloaded.
-    pub overload_queue: f64,
-    /// Watchdog ticks per observation window.
-    pub window_ticks: u32,
-    /// Consecutive overloaded windows before a downshift.
-    pub overload_windows: u32,
-    /// Consecutive calm windows before an upshift.
-    pub calm_windows: u32,
-    /// Windows to hold still after any shift.
-    pub cooldown_windows: u32,
-}
-
-impl Default for BrownoutConfig {
-    fn default() -> Self {
-        BrownoutConfig {
-            ladder: vec![352, 416, 480, 544, 608],
-            overload_queue: 1.0,
-            window_ticks: 4,
-            overload_windows: 2,
-            calm_windows: 4,
-            cooldown_windows: 1,
-        }
-    }
-}
 
 /// Server tuning knobs. The defaults favour a small embedded host: tight
 /// limits, a short coalescing window, shallow queue.
@@ -130,9 +97,14 @@ pub struct ServeConfig {
     /// Quiet watchdog ticks before Degraded health recovers to Healthy.
     pub recovery_ticks: u32,
     /// Adaptive-resolution brownout; requires [`Server::start_scalable`].
-    /// With multiple replicas, each replica runs its *own* controller —
-    /// an overloaded replica browns out alone.
-    pub brownout: Option<BrownoutConfig>,
+    /// The ladder is the paper's 352–608 sweep: under sustained queue
+    /// pressure a replica walks down one rung at a time — answering every
+    /// request a little coarser beats shedding them — and back up after a
+    /// calm cooldown. One observation is one supervisor tick, so
+    /// `window_frames` counts ticks per window. With multiple replicas,
+    /// each runs its *own* controller — an overloaded replica browns out
+    /// alone.
+    pub brownout: Option<DegradeConfig>,
     /// Deterministic wedge injection — chaos/test knob.
     pub wedge_chaos: Option<WedgePlan>,
     /// Independent detector replicas. `1` (the default) keeps the
@@ -146,9 +118,6 @@ pub struct ServeConfig {
     /// Fault events (panics + deaths + wedges) accumulated over
     /// consecutive supervisor ticks at which a replica is quarantined.
     pub quarantine_faults: u64,
-    /// Factory failures tolerated per quarantined slot before the slot
-    /// is abandoned; all slots abandoned ⇒ service Halted.
-    pub max_rebuild_failures: usize,
     /// Chaos knob: force this many canary probes to fail before
     /// re-admission succeeds (proves the canary gate gates).
     pub canary_chaos_failures: usize,
@@ -191,7 +160,6 @@ impl Default for ServeConfig {
             replicas: 1,
             hedge_delay: None,
             quarantine_faults: 3,
-            max_rebuild_failures: 8,
             canary_chaos_failures: 0,
             replica_chaos: None,
             chaos_wedge_hold: Duration::from_secs(30),
@@ -217,11 +185,7 @@ impl ServeConfig {
             }
         }
         if let Some(b) = &self.brownout {
-            if b.ladder.is_empty() {
-                return Err(ServeError::Config(
-                    "brownout ladder must not be empty".to_string(),
-                ));
-            }
+            DegradeController::new(b.clone()).map_err(|e| ServeError::Config(e.to_string()))?;
         }
         Ok(())
     }
@@ -301,7 +265,7 @@ pub struct DrainReport {
 
 impl Server {
     /// Binds, builds one detector per worker (failing fast on a broken
-    /// factory), and starts the accept loop, worker pool, and watchdog.
+    /// factory), and starts the accept loop, worker pools, and supervisor.
     ///
     /// # Errors
     ///
@@ -315,7 +279,14 @@ impl Server {
         obs: &Registry,
         tracer: &Tracer,
     ) -> Result<Server, ServeError> {
-        Server::start_inner(factory, None, config, obs, tracer)
+        if config.brownout.is_some() {
+            return Err(ServeError::Config(
+                "brownout requires a resolution-aware factory; start the server with \
+                 Server::start_scalable"
+                    .to_string(),
+            ));
+        }
+        Server::start_inner(Arc::new(move |_| factory()), config, obs, tracer)
     }
 
     /// Like [`Server::start`], but with a resolution-aware factory so the
@@ -333,36 +304,21 @@ impl Server {
         obs: &Registry,
         tracer: &Tracer,
     ) -> Result<Server, ServeError> {
-        let Some(brownout) = &config.brownout else {
+        if config.brownout.is_none() {
             return Err(ServeError::Config(
                 "start_scalable requires ServeConfig::brownout".to_string(),
             ));
-        };
-        let Some(&initial) = brownout.ladder.last() else {
-            return Err(ServeError::Config(
-                "brownout ladder must not be empty".to_string(),
-            ));
-        };
-        let sized_for_plain = Arc::clone(&sized);
-        let factory: DetectorFactory = Arc::new(move || sized_for_plain(initial));
-        Server::start_inner(factory, Some(sized), config, obs, tracer)
+        }
+        Server::start_inner(sized, config, obs, tracer)
     }
 
     fn start_inner(
-        factory: DetectorFactory,
-        sized: Option<SizedDetectorFactory>,
+        factory: SizedDetectorFactory,
         config: ServeConfig,
         obs: &Registry,
         tracer: &Tracer,
     ) -> Result<Server, ServeError> {
         config.validate()?;
-        if config.brownout.is_some() && sized.is_none() {
-            return Err(ServeError::Config(
-                "brownout requires a resolution-aware factory; start the server with \
-                 Server::start_scalable"
-                    .to_string(),
-            ));
-        }
         if obs.is_enabled() {
             // Rolling 10-second windows next to every cumulative series
             // (`/metrics` gains `_window_rate` / `_window_p99_seconds`
@@ -511,10 +467,10 @@ impl Server {
         let config = Arc::new(config);
         let replicas = ReplicaSet::new(ReplicaBuilder {
             factory,
-            sized_factory: sized,
             config: Arc::clone(&config),
             obs: obs.clone(),
             tracer: tracer.clone(),
+            black_box: BlackBoxStore::new(obs.counter("serve.black_box_captures"), tracer.clone()),
         })?;
         let base_chw = replicas.base_chw;
 
@@ -565,7 +521,8 @@ impl Server {
         self.shared.replicas.service_health.get()
     }
 
-    /// Crash black boxes captured so far, in replica order.
+    /// Crash black boxes captured so far by any replica, oldest first
+    /// (the newest 16 per server; a quarantined replica's stay).
     pub fn black_boxes(&self) -> Vec<BlackBox> {
         self.shared.replicas.black_boxes()
     }
@@ -1044,7 +1001,7 @@ fn handle_detect(request: &Request, shared: &Shared) -> Response {
     };
     // Conform to the primary's brownout rung (workers re-resize
     // stragglers if the ladder moves between here and dispatch).
-    let size = primary.current_input(shared.base_chw.1);
+    let size = primary.current_input();
     let chw = (shared.base_chw.0, size, size);
     let frame = match conform_frame(image.to_tensor(), chw, frame_id as usize) {
         Ok(t) => t,

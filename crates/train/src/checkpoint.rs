@@ -33,7 +33,7 @@
 //! The WEIGHTS payload is the `nn::weights` DRNW bundle, so the legacy raw
 //! weight format stays loadable on its own.
 
-use crate::{AdamState, SgdState};
+use crate::SgdState;
 use dronet_nn::{weights, Network, NnError};
 use std::fmt;
 use std::io::Write;
@@ -264,8 +264,6 @@ pub enum OptimizerState {
     None,
     /// SGD momentum buffers.
     Sgd(SgdState),
-    /// Adam moment buffers plus the bias-correction timestep.
-    Adam(AdamState),
 }
 
 /// A complete training snapshot: everything needed to continue a run
@@ -652,7 +650,6 @@ fn parse_meta(payload: &[u8]) -> Result<Checkpoint, CheckpointError> {
 
 const OPT_NONE: u8 = 0;
 const OPT_SGD: u8 = 1;
-const OPT_ADAM: u8 = 2;
 
 fn optimizer_payload(state: &OptimizerState) -> Vec<u8> {
     let mut p = Vec::new();
@@ -661,12 +658,6 @@ fn optimizer_payload(state: &OptimizerState) -> Vec<u8> {
         OptimizerState::Sgd(s) => {
             p.push(OPT_SGD);
             write_groups(&mut p, &s.velocity);
-        }
-        OptimizerState::Adam(a) => {
-            p.push(OPT_ADAM);
-            p.extend_from_slice(&a.step_count.to_le_bytes());
-            write_groups(&mut p, &a.m);
-            write_groups(&mut p, &a.v);
         }
     }
     p
@@ -707,18 +698,6 @@ fn parse_optimizer(payload: &[u8]) -> Result<OptimizerState, CheckpointError> {
         OPT_SGD => OptimizerState::Sgd(SgdState {
             velocity: read_groups(&mut c)?,
         }),
-        OPT_ADAM => {
-            let step_count = c.u64()?;
-            let m = read_groups(&mut c)?;
-            let v = read_groups(&mut c)?;
-            if m.len() != v.len() {
-                return Err(CheckpointError::Malformed {
-                    section: "OPTIMIZER",
-                    msg: format!("Adam has {} m-groups but {} v-groups", m.len(), v.len()),
-                });
-            }
-            OptimizerState::Adam(AdamState { step_count, m, v })
-        }
         other => {
             return Err(CheckpointError::Malformed {
                 section: "OPTIMIZER",
@@ -1026,15 +1005,26 @@ mod tests {
     }
 
     #[test]
-    fn adam_state_roundtrips() {
-        let mut ckpt = sample_checkpoint();
-        ckpt.optimizer = OptimizerState::Adam(AdamState {
-            step_count: 17,
-            m: vec![vec![0.125; 4]],
-            v: vec![vec![0.5; 4]],
-        });
-        let back = Checkpoint::from_bytes(&ckpt.to_bytes()).unwrap();
-        assert_eq!(ckpt, back);
+    fn the_retired_adam_optimizer_kind_is_a_typed_rejection() {
+        // Kind 2 held Adam's timestep and two moment-group lists.
+        let ckpt = sample_checkpoint();
+        let mut optimizer = vec![2u8];
+        optimizer.extend_from_slice(&17u64.to_le_bytes());
+        write_groups(&mut optimizer, &[vec![0.125; 4]]);
+        write_groups(&mut optimizer, &[vec![0.5; 4]]);
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        write_section(&mut bytes, TAG_META, &ckpt.meta_payload());
+        write_section(&mut bytes, TAG_WEIGHTS, &ckpt.weights);
+        write_section(&mut bytes, TAG_OPTIMIZER, &optimizer);
+        write_section(&mut bytes, TAG_END, &[]);
+        assert!(matches!(
+            Checkpoint::from_bytes(&bytes),
+            Err(CheckpointError::Malformed {
+                section: "OPTIMIZER",
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -43,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod adam;
 mod checkpoint;
 mod loss;
 mod optimizer;
@@ -54,7 +53,6 @@ mod trainer;
 pub mod crash;
 pub mod gradcheck;
 
-pub use adam::{Adam, AdamState};
 pub use checkpoint::{
     crc32, Checkpoint, CheckpointError, CheckpointStore, OptimizerState, Recovery, CHECKPOINT_EXT,
 };

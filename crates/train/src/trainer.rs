@@ -812,12 +812,6 @@ impl Trainer {
         let state = match &c.optimizer {
             OptimizerState::Sgd(s) => s.clone(),
             OptimizerState::None => crate::SgdState::default(),
-            OptimizerState::Adam(_) => {
-                return Err(TrainError::Checkpoint(CheckpointError::Malformed {
-                    section: "OPTIMIZER",
-                    msg: "trainer uses SGD but the checkpoint holds Adam state".to_string(),
-                }))
-            }
         };
         if !state.velocity.is_empty() {
             let mut lens = Vec::new();

@@ -9,12 +9,10 @@
 //! (client outcomes + any captured black boxes) — CI uploads that
 //! directory as an artifact.
 
-use dronet::detect::{DetectorBuilder, Health};
+use dronet::detect::{DegradeConfig, DetectorBuilder, Health};
 use dronet::obs::{Registry, Tracer};
 use dronet::serve::chaos::{run_script, ChaosPlan, ChaosPlanConfig, ClientOutcome};
-use dronet::serve::{
-    BrownoutConfig, DetectorFactory, ServeConfig, Server, SizedDetectorFactory, WedgePlan,
-};
+use dronet::serve::{DetectorFactory, ServeConfig, Server, SizedDetectorFactory, WedgePlan};
 use dronet_core::{zoo, ModelId};
 use dronet_data::{ppm, Image};
 use std::io::{Read, Write};
@@ -321,7 +319,7 @@ fn exhausted_restart_budget_halts_instead_of_hanging() {
 fn brownout_walks_the_ladder_down_under_load_and_recovers() {
     let ladder = vec![32, 64, 96];
     let top = 96.0;
-    let brownout_cfg = |brownout: Option<BrownoutConfig>| ServeConfig {
+    let brownout_cfg = |brownout: Option<DegradeConfig>| ServeConfig {
         workers: 1,
         max_batch: 1,
         queue_capacity: 2,
@@ -368,10 +366,10 @@ fn brownout_walks_the_ladder_down_under_load_and_recovers() {
     let obs = Registry::new();
     let server = Server::start_scalable(
         sized_factory(),
-        brownout_cfg(Some(BrownoutConfig {
+        brownout_cfg(Some(DegradeConfig {
             ladder: ladder.clone(),
             overload_queue: 1.0,
-            window_ticks: 2,
+            window_frames: 2,
             overload_windows: 1,
             calm_windows: 3,
             cooldown_windows: 1,

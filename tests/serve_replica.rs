@@ -8,11 +8,11 @@
 //! overloaded replica browns out alone while its peer stays at full
 //! resolution; and every seeded kill schedule replays exactly.
 
-use dronet::detect::{DetectorBuilder, Health};
+use dronet::detect::{DegradeConfig, DetectorBuilder, Health};
 use dronet::obs::{JsonValue, Registry, Tracer};
 use dronet::serve::{
-    BrownoutConfig, DetectorFactory, ReplicaChaosPlan, ReplicaKill, ReplicaKillKind, ServeConfig,
-    Server, SizedDetectorFactory,
+    DetectorFactory, ReplicaChaosPlan, ReplicaKill, ReplicaKillKind, ServeConfig, Server,
+    SizedDetectorFactory,
 };
 use dronet_core::{zoo, ModelId};
 use dronet_data::{ppm, Image};
@@ -315,6 +315,18 @@ fn killed_replica_quarantines_and_readmits_through_the_canary_gate() {
         Some(1)
     );
 
+    // The black boxes that explain the quarantine outlived the core they
+    // were captured on (the rebuilt core has not panicked once).
+    assert!(
+        server
+            .black_boxes()
+            .iter()
+            .any(|b| b.trigger.contains("panicked")),
+        "quarantine must not throw away the replica's black boxes"
+    );
+    let (status, text) = http(addr, "GET", "/debug/blackbox", b"");
+    assert_eq!(status, 200, "black boxes are still served: {text}");
+
     // A rejoined fleet still serves.
     let (status, _) = post_detect(addr);
     assert_eq!(status, 200);
@@ -354,10 +366,10 @@ fn asymmetric_load_browns_out_one_replica_while_its_peer_holds_resolution() {
         chaos_wedge_hold: Duration::from_millis(80),
         quarantine_faults: u64::MAX,
         replica_chaos: Some(chaos),
-        brownout: Some(BrownoutConfig {
+        brownout: Some(DegradeConfig {
             ladder: ladder.clone(),
             overload_queue: 1.0,
-            window_ticks: 2,
+            window_frames: 2,
             overload_windows: 1,
             calm_windows: 3,
             cooldown_windows: 1,
