@@ -126,6 +126,15 @@ pub fn build(id: ModelId, input: usize) -> Result<Network> {
     Ok(net)
 }
 
+/// Builds a model at its paper-selected default input size.
+///
+/// # Errors
+///
+/// See [`build`].
+pub fn build_default(id: ModelId) -> Result<Network> {
+    build(id, id.default_input())
+}
+
 /// Builds **MicroDroNet**: a proportionally scaled-down DroNet for
 /// laptop-scale end-to-end training on the synthetic dataset.
 ///
@@ -282,6 +291,18 @@ pub fn resolution_ladder() -> Vec<usize> {
     input_sizes_sorted()
 }
 
+/// The next rung *below* `input` on the paper ladder, or `None` when
+/// already at (or below) the 352-pixel floor.
+pub fn step_down(input: usize) -> Option<usize> {
+    resolution_ladder().into_iter().rev().find(|&s| s < input)
+}
+
+/// The next rung *above* `input` on the paper ladder, or `None` when
+/// already at (or above) the 608-pixel ceiling.
+pub fn step_up(input: usize) -> Option<usize> {
+    resolution_ladder().into_iter().find(|&s| s > input)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,7 +390,7 @@ mod tests {
     #[test]
     fn defaults_match_paper_selection() {
         assert_eq!(ModelId::DroNet.default_input(), 512);
-        let net = build(ModelId::DroNet, ModelId::DroNet.default_input()).unwrap();
+        let net = build_default(ModelId::DroNet).unwrap();
         assert_eq!(net.input_chw(), (3, 512, 512));
     }
 
@@ -387,8 +408,25 @@ mod tests {
     }
 
     #[test]
-    fn the_ladder_is_the_sweep() {
+    fn ladder_steps_walk_the_sweep() {
         assert_eq!(resolution_ladder(), input_sizes_sorted());
+        assert_eq!(step_down(608), Some(576));
+        assert_eq!(step_down(416), Some(384));
+        assert_eq!(step_down(352), None, "floor of the ladder");
+        assert_eq!(step_up(352), Some(384));
+        assert_eq!(step_up(608), None, "ceiling of the ladder");
+        // Off-ladder sizes snap to the nearest rung in the step direction.
+        assert_eq!(step_down(500), Some(480));
+        assert_eq!(step_up(500), Some(512));
+        // Walking down from the top visits every rung exactly once.
+        let mut s = 608;
+        let mut visited = vec![s];
+        while let Some(next) = step_down(s) {
+            visited.push(next);
+            s = next;
+        }
+        visited.reverse();
+        assert_eq!(visited, resolution_ladder());
     }
 
     #[test]

@@ -332,6 +332,17 @@ impl LetterboxTransform {
             bbox.h * self.scale_y,
         )
     }
+
+    /// Maps a normalised box from canvas coordinates back to the original
+    /// image (the inverse of [`LetterboxTransform::to_canvas`]).
+    pub fn to_original(&self, bbox: &dronet_metrics::BBox) -> dronet_metrics::BBox {
+        dronet_metrics::BBox::new(
+            (bbox.cx - self.offset_x) / self.scale_x,
+            (bbox.cy - self.offset_y) / self.scale_y,
+            bbox.w / self.scale_x,
+            bbox.h / self.scale_y,
+        )
+    }
 }
 
 #[cfg(test)]
@@ -463,14 +474,16 @@ mod tests {
     }
 
     #[test]
-    fn letterbox_transform_squeezes_boxes_into_the_content_band() {
+    fn letterbox_transform_roundtrips_boxes() {
         let img = Image::new(10, 6, [0.0; 3]);
         let (_, t) = img.letterbox(16);
         let original = dronet_metrics::BBox::new(0.3, 0.7, 0.2, 0.4);
         let canvas = t.to_canvas(&original);
-        assert!((canvas.cx - original.cx).abs() < 1e-5, "full width kept");
-        assert!((canvas.w - original.w).abs() < 1e-5);
-        assert!((canvas.h - original.h * t.scale_y).abs() < 1e-5);
+        let back = t.to_original(&canvas);
+        assert!((back.cx - original.cx).abs() < 1e-5);
+        assert!((back.cy - original.cy).abs() < 1e-5);
+        assert!((back.w - original.w).abs() < 1e-5);
+        assert!((back.h - original.h).abs() < 1e-5);
         // Canvas box stays inside the content band.
         assert!(canvas.cy > t.offset_y && canvas.cy < 1.0 - t.offset_y);
     }

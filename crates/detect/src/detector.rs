@@ -252,6 +252,11 @@ impl Detector {
         self.nms_threshold
     }
 
+    /// Replaces the altitude filter (e.g. as the UAV climbs).
+    pub fn set_altitude_filter(&mut self, filter: Option<AltitudeFilter>) {
+        self.altitude_filter = filter;
+    }
+
     /// Frame-rate statistics accumulated by [`Detector::detect`].
     pub fn fps_meter(&self) -> &FpsMeter {
         &self.fps
@@ -507,16 +512,19 @@ mod tests {
     #[test]
     fn altitude_filter_is_applied() {
         // Untrained nets emit arbitrary detections; instead verify wiring
-        // with an impossible filter and checking output shrinks to
+        // by toggling an impossible filter and checking output shrinks to
         // infeasible-free.
-        let builder = || DetectorBuilder::new(tiny_detector_net()).confidence_threshold(0.0);
+        let mut det = DetectorBuilder::new(tiny_detector_net())
+            .confidence_threshold(0.0)
+            .build()
+            .unwrap();
         let x = Tensor::zeros(Shape::nchw(1, 3, 32, 32));
-        let unfiltered = builder().build().unwrap().detect(&x).unwrap();
+        let unfiltered = det.detect(&x).unwrap();
         // A filter that rejects everything (expected size range far away).
         let camera = CameraModel::new(60f32.to_radians(), 32);
         let filter = AltitudeFilter::new(camera, 1_000_000.0, (4.0, 5.0), 0.5).unwrap();
-        let mut gated = builder().altitude_filter(filter).build().unwrap();
-        let filtered = gated.detect(&x).unwrap();
+        det.set_altitude_filter(Some(filter));
+        let filtered = det.detect(&x).unwrap();
         assert!(filtered.len() <= unfiltered.len());
         assert!(filtered.is_empty(), "million-metre altitude keeps nothing");
     }

@@ -88,6 +88,11 @@ impl PipelineReport {
         self.meter().mean_latency()
     }
 
+    /// Total detections across all processed frames.
+    pub fn total_detections(&self) -> usize {
+        self.frames.iter().map(|f| f.detections.len()).sum()
+    }
+
     /// How many frames a camera producing at `camera_fps` would have
     /// dropped while each processed frame was being computed (synchronous
     /// mode's analytic equivalent of the threaded drop counter).
@@ -329,6 +334,7 @@ mod tests {
         let mut det = tiny_detector();
         let report = VideoPipeline::run(&mut det, frames(0)).unwrap();
         assert_eq!(report.processed(), 0);
+        assert_eq!(report.total_detections(), 0);
         let report = VideoPipeline::run_threaded(&mut det, frames(0)).unwrap();
         assert_eq!(report.processed(), 0);
     }

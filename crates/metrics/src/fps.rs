@@ -89,6 +89,21 @@ impl FpsMeter {
         total / self.frame_times.len() as u32
     }
 
+    /// Latency at the given percentile (e.g. `0.99`), zero when empty.
+    ///
+    /// `p` is clamped into `[0, 1]` (NaN clamps to 0), so callers feeding
+    /// computed fractions never panic or index out of bounds.
+    pub fn percentile_latency(&self, p: f64) -> Duration {
+        if self.frame_times.is_empty() {
+            return Duration::ZERO;
+        }
+        let p = if p.is_nan() { 0.0 } else { p.clamp(0.0, 1.0) };
+        let mut sorted = self.frame_times.clone();
+        sorted.sort();
+        let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
+        sorted[idx]
+    }
+
     /// Sustained frame rate implied by the mean latency.
     pub fn fps(&self) -> Fps {
         Fps::from_latency(self.mean_latency())
@@ -120,6 +135,8 @@ mod tests {
         assert_eq!(m.frames(), 4);
         assert_eq!(m.mean_latency(), Duration::from_millis(25));
         assert!((m.fps().0 - 40.0).abs() < 0.5);
+        assert_eq!(m.percentile_latency(1.0), Duration::from_millis(40));
+        assert_eq!(m.percentile_latency(0.0), Duration::from_millis(10));
         m.reset();
         assert_eq!(m.frames(), 0);
         assert_eq!(m.mean_latency(), Duration::ZERO);
@@ -136,6 +153,19 @@ mod tests {
         // stop without start is a no-op
         m.stop();
         assert_eq!(m.frames(), 1);
+    }
+
+    #[test]
+    fn out_of_range_percentiles_clamp() {
+        assert_eq!(FpsMeter::new().percentile_latency(1.5), Duration::ZERO);
+        assert_eq!(FpsMeter::new().percentile_latency(0.5), Duration::ZERO);
+        let mut m = FpsMeter::new();
+        for ms in [10u64, 20, 30] {
+            m.record(Duration::from_millis(ms));
+        }
+        assert_eq!(m.percentile_latency(1.5), Duration::from_millis(30));
+        assert_eq!(m.percentile_latency(-0.3), Duration::from_millis(10));
+        assert_eq!(m.percentile_latency(f64::NAN), Duration::from_millis(10));
     }
 
     #[test]

@@ -21,6 +21,11 @@ impl LayerTime {
     pub fn seconds(&self) -> f64 {
         self.compute_s.max(self.memory_s)
     }
+
+    /// Whether the layer is memory-bound under the model.
+    pub fn memory_bound(&self) -> bool {
+        self.memory_s > self.compute_s
+    }
 }
 
 /// Projected performance of a network on a platform.
@@ -246,10 +251,9 @@ mod tests {
         let projection = platform.project(&net);
         // Layer 1 is the first maxpool in the DroNet cfg.
         let pool_time = &projection.layers[1];
-        assert!(pool_time.memory_s > pool_time.compute_s);
+        assert!(pool_time.memory_bound());
         // Layer 0 (the first conv) is compute-bound.
-        let conv_time = &projection.layers[0];
-        assert!(conv_time.memory_s <= conv_time.compute_s);
+        assert!(!projection.layers[0].memory_bound());
     }
 
     #[test]

@@ -494,9 +494,8 @@ pub(crate) struct WorkerShared {
     pub panics: Counter,
     pub worker_deaths: Counter,
     /// Monotonic count of fault events in this pool (panics, deaths,
-    /// wedges). The supervisor reads deltas to decide recovery and
-    /// quarantine — a per-pool signal, unlike the name-shared registry
-    /// counters.
+    /// wedges). The supervisor reads deltas to decide quarantine — a
+    /// per-pool signal, unlike the name-shared registry counters.
     pub fault_events: AtomicU64,
     /// Replica-kill chaos: while set, every batch forward wedges for
     /// `config.chaos_wedge_hold` — the supervisor flips this to simulate a
@@ -724,10 +723,6 @@ fn run_batch(
             shared.panics.inc();
             shared.fault_events.fetch_add(1, Ordering::SeqCst);
             shared.health.degrade();
-            shared.builder.black_box.capture(
-                &format!("worker {} panicked during batch", slot.index),
-                &inflight.frame_ids,
-            );
             for reply in &inflight.replies {
                 reply.deliver(Err(ServeError::WorkerFailed(
                     "worker panicked during batch".to_string(),

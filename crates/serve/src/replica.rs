@@ -156,12 +156,16 @@ struct Watch {
     /// replicas share the counter name, and one overloaded replica must
     /// not brown out its healthy peers.
     last_drops: u64,
-    /// The pool's fault count at the last tick.
-    last_faults: u64,
-    /// Consecutive ticks without a new fault: recovery's clock.
+    /// Panics + deaths + wedges on the registry's counters at the last
+    /// tick, and the consecutive ticks since they last moved: recovery's
+    /// clock. Replicas share the counter names, so a faulting peer holds
+    /// this one's recovery back too.
+    last_activity: u64,
     quiet_ticks: u32,
-    /// Faults accumulated over consecutive ticks that each brought one:
-    /// quarantine's evidence. Whichever of the two grows, the other is 0.
+    /// This pool's own fault count at the last tick, and the faults
+    /// accumulated over consecutive ticks that each brought one:
+    /// quarantine's evidence.
+    last_faults: u64,
     fault_streak: u64,
 }
 
@@ -225,14 +229,12 @@ impl ReplicaCore {
         }
 
         // Quiet for long enough, ladder at the top.
-        let faults = shared.fault_events.load(Ordering::SeqCst);
-        if faults == watch.last_faults {
+        let activity = shared.panics.get() + shared.worker_deaths.get() + self.wedges.get();
+        if activity == watch.last_activity {
             watch.quiet_ticks = watch.quiet_ticks.saturating_add(1);
-            watch.fault_streak = 0;
         } else {
             watch.quiet_ticks = 0;
-            watch.fault_streak += faults - watch.last_faults;
-            watch.last_faults = faults;
+            watch.last_activity = activity;
         }
         let browned_out = watch.brownout.as_ref().is_some_and(|c| c.is_degraded());
         if watch.quiet_ticks >= cfg.recovery_ticks
@@ -240,6 +242,14 @@ impl ReplicaCore {
             && matches!(shared.health.get(), Health::Degraded)
         {
             shared.health.recover();
+        }
+
+        let faults = shared.fault_events.load(Ordering::SeqCst);
+        if faults == watch.last_faults {
+            watch.fault_streak = 0;
+        } else {
+            watch.fault_streak += faults - watch.last_faults;
+            watch.last_faults = faults;
         }
         watch.fault_streak
     }
@@ -316,9 +326,10 @@ impl ReplicaCore {
 /// The server-wide parts every core is built (and rebuilt) from, shared
 /// with the workers for their own detector rebuilds.
 pub(crate) struct ReplicaBuilder {
-    /// The one detector factory, by input size. A fixed-size factory
-    /// ([`crate::Server::start`]) ignores the size; without brownout it is
-    /// only ever asked for the size it builds anyway.
+    /// The one detector factory, by input size — always the size of a
+    /// detector it built before (serving's first one, or a ladder rung),
+    /// so a fixed-size factory ([`crate::Server::start`]) is only ever
+    /// asked for the size it builds anyway.
     pub factory: SizedDetectorFactory,
     pub config: Arc<ServeConfig>,
     pub obs: Registry,
@@ -327,18 +338,22 @@ pub(crate) struct ReplicaBuilder {
 }
 
 impl ReplicaBuilder {
-    /// Builds a detector at `size` and attaches the server's registry and
-    /// tracer — the one way serve makes a detector (startup, canary probe,
-    /// post-panic and brownout rebuilds, wedge replacements).
+    /// Builds a detector at `size`, instrumented — the one way serve makes
+    /// a detector once it is running (further workers and replicas, canary
+    /// probes, post-panic and brownout rebuilds, wedge replacements).
     pub fn build_detector(&self, size: usize) -> dronet_detect::Result<Detector> {
-        let mut det = (self.factory)(size)?;
+        Ok(self.instrument((self.factory)(size)?))
+    }
+
+    /// Attaches the server's registry and tracer to a factory build.
+    fn instrument(&self, mut det: Detector) -> Detector {
         if self.obs.is_enabled() {
             det.set_observability(&self.obs);
         }
         if self.tracer.is_enabled() {
             det.set_tracing(&self.tracer);
         }
-        Ok(det)
+        det
     }
 
     /// Builds one complete replica around `first` (worker 0's detector —
@@ -488,15 +503,16 @@ pub(crate) struct ReplicaSet {
 }
 
 impl ReplicaSet {
-    /// Builds the full set: a reference detector for the golden canary
-    /// output, then one core per slot (failing fast on any broken build).
-    pub fn new(builder: ReplicaBuilder) -> Result<Arc<ReplicaSet>, ServeError> {
+    /// Builds the full set around `reference`, the factory's build at the
+    /// size serving starts at: it gives the golden canary output and every
+    /// later build's size, then one core per slot is built (failing fast
+    /// on any broken build).
+    pub fn new(
+        builder: ReplicaBuilder,
+        reference: Detector,
+    ) -> Result<Arc<ReplicaSet>, ServeError> {
         let builder = Arc::new(builder);
-        // Serving starts at the top of the brownout ladder; a fixed-size
-        // factory ignores the size it is asked for.
-        let top = builder.config.brownout.as_ref();
-        let top = top.and_then(|b| b.ladder.last()).copied().unwrap_or(0);
-        let mut reference = builder.build_detector(top)?;
+        let mut reference = builder.instrument(reference);
         let base_chw = reference.input_chw();
         let golden = golden_detections(&mut reference)
             .map_err(|e| ServeError::Config(format!("canary golden run failed: {e}")))?;
@@ -908,14 +924,15 @@ mod tests {
     /// A set with no supervisor thread: the tests below are its clock.
     fn unsupervised(config: ServeConfig, factory: SizedDetectorFactory) -> Arc<ReplicaSet> {
         let obs = Registry::new();
-        ReplicaSet::new(ReplicaBuilder {
+        let first = factory(32).expect("first detector");
+        let builder = ReplicaBuilder {
             factory,
             config: Arc::new(config),
             black_box: BlackBoxStore::new(obs.counter("serve.black_box_captures"), Tracer::noop()),
             obs,
             tracer: Tracer::noop(),
-        })
-        .expect("build the replica set")
+        };
+        ReplicaSet::new(builder, first).expect("build the replica set")
     }
 
     fn dronet_32(_size: usize) -> dronet_detect::Result<Detector> {
@@ -1043,10 +1060,6 @@ mod tests {
         assert_eq!(set.active_count(), 2);
         assert_eq!(set.quarantine_readmitted.get(), 1);
         assert_eq!(set.service_health.get(), Health::Healthy);
-        assert!(
-            !set.black_boxes().is_empty(),
-            "the panics' black boxes stay"
-        );
         set.shutdown();
     }
 
@@ -1086,6 +1099,11 @@ mod tests {
         }
         set.tick();
         assert_eq!(set.service_health.get(), Health::Halted);
+        assert_eq!(
+            set.black_boxes().len(),
+            2,
+            "the deaths' boxes outlive the cores"
+        );
         let spent = builds.load(Ordering::SeqCst);
         set.tick();
         assert_eq!(builds.load(Ordering::SeqCst), spent, "abandoned slots rest");

@@ -286,7 +286,9 @@ impl Server {
                     .to_string(),
             ));
         }
-        Server::start_inner(Arc::new(move |_| factory()), config, obs, tracer)
+        config.validate()?;
+        let first = factory()?;
+        Server::start_inner(Arc::new(move |_| factory()), first, config, obs, tracer)
     }
 
     /// Like [`Server::start`], but with a resolution-aware factory so the
@@ -304,21 +306,25 @@ impl Server {
         obs: &Registry,
         tracer: &Tracer,
     ) -> Result<Server, ServeError> {
-        if config.brownout.is_none() {
+        config.validate()?;
+        let top = config.brownout.as_ref().and_then(|b| b.ladder.last());
+        let Some(&top) = top else {
             return Err(ServeError::Config(
                 "start_scalable requires ServeConfig::brownout".to_string(),
             ));
-        }
-        Server::start_inner(sized, config, obs, tracer)
+        };
+        let first = sized(top)?;
+        Server::start_inner(sized, first, config, obs, tracer)
     }
 
+    /// `first` is the factory's build at the size serving starts at.
     fn start_inner(
         factory: SizedDetectorFactory,
+        first: Detector,
         config: ServeConfig,
         obs: &Registry,
         tracer: &Tracer,
     ) -> Result<Server, ServeError> {
-        config.validate()?;
         if obs.is_enabled() {
             // Rolling 10-second windows next to every cumulative series
             // (`/metrics` gains `_window_rate` / `_window_p99_seconds`
@@ -465,13 +471,14 @@ impl Server {
             }
         }
         let config = Arc::new(config);
-        let replicas = ReplicaSet::new(ReplicaBuilder {
+        let builder = ReplicaBuilder {
             factory,
             config: Arc::clone(&config),
             obs: obs.clone(),
             tracer: tracer.clone(),
             black_box: BlackBoxStore::new(obs.counter("serve.black_box_captures"), tracer.clone()),
-        })?;
+        };
+        let replicas = ReplicaSet::new(builder, first)?;
         let base_chw = replicas.base_chw;
 
         let listener = TcpListener::bind(&config.addr)?;

@@ -12,7 +12,7 @@ use dronet::detect::{DegradeConfig, DetectorBuilder, Health};
 use dronet::obs::{JsonValue, Registry, Tracer};
 use dronet::serve::{
     DetectorFactory, ReplicaChaosPlan, ReplicaKill, ReplicaKillKind, ServeConfig, Server,
-    SizedDetectorFactory,
+    SizedDetectorFactory, WedgePlan,
 };
 use dronet_core::{zoo, ModelId};
 use dronet_data::{ppm, Image};
@@ -203,7 +203,10 @@ fn hedged_request_rescues_a_frame_stranded_on_a_wedged_replica() {
 fn killed_replica_quarantines_and_readmits_through_the_canary_gate() {
     // Replica 1's worker panics on every batch. Faults accumulate, the
     // supervisor quarantines it, the first re-admission canary is forced
-    // to fail, and the second rebuild passes and rejoins the fleet.
+    // to fail, and the second rebuild passes and rejoins the fleet. Its
+    // first frame also wedges once, which leaves a black box behind: the
+    // sequential driver's frame 1 lands on replica 0 (all ties), and from
+    // then on replica 1 — no latency sample yet — wins every tie.
     let chaos = ReplicaChaosPlan::from_events(vec![ReplicaKill {
         at: Duration::ZERO,
         replica: 1,
@@ -215,6 +218,11 @@ fn killed_replica_quarantines_and_readmits_through_the_canary_gate() {
         workers: 1,
         max_batch: 1,
         watchdog_interval: Duration::from_millis(10),
+        wedge_timeout: Duration::from_millis(100),
+        wedge_chaos: Some(WedgePlan {
+            frame_id: 2,
+            hold: Duration::from_millis(400),
+        }),
         quarantine_faults: 3,
         canary_chaos_failures: 1,
         replica_chaos: Some(chaos),
@@ -315,13 +323,13 @@ fn killed_replica_quarantines_and_readmits_through_the_canary_gate() {
         Some(1)
     );
 
-    // The black boxes that explain the quarantine outlived the core they
-    // were captured on (the rebuilt core has not panicked once).
+    // The black box captured on the quarantined core outlived it (the
+    // rebuilt core has not wedged once).
     assert!(
         server
             .black_boxes()
             .iter()
-            .any(|b| b.trigger.contains("panicked")),
+            .any(|b| b.trigger.contains("wedged")),
         "quarantine must not throw away the replica's black boxes"
     );
     let (status, text) = http(addr, "GET", "/debug/blackbox", b"");
