@@ -30,27 +30,23 @@ pub struct WorldVehicle {
     pub color: Color,
 }
 
+/// World side length in metres.
+pub const WORLD_SIZE_M: f32 = 400.0;
+/// Half-width of the road corridor in metres.
+const ROAD_HALF_WIDTH_M: f32 = 8.0;
+/// Fraction of vehicles placed on the road (the rest park off-road).
+const ON_ROAD_FRACTION: f32 = 0.7;
+
 /// Configuration of the simulated world.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorldConfig {
-    /// World side length in metres.
-    pub size_m: f32,
     /// Number of vehicles scattered over the world.
     pub vehicles: usize,
-    /// Half-width of the road corridor in metres.
-    pub road_half_width_m: f32,
-    /// Fraction of vehicles placed on the road (the rest park off-road).
-    pub on_road_fraction: f32,
 }
 
 impl Default for WorldConfig {
     fn default() -> Self {
-        WorldConfig {
-            size_m: 400.0,
-            vehicles: 60,
-            road_half_width_m: 8.0,
-            on_road_fraction: 0.7,
-        }
+        WorldConfig { vehicles: 60 }
     }
 }
 
@@ -67,7 +63,7 @@ impl World {
     /// Generates a world with `seed`-deterministic vehicle placement.
     pub fn generate(config: WorldConfig, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let road_y = config.size_m * 0.5;
+        let road_y = WORLD_SIZE_M * 0.5;
         let palette: &[Color] = &[
             [0.92, 0.92, 0.92],
             [0.75, 0.75, 0.78],
@@ -78,21 +74,18 @@ impl World {
         ];
         let mut vehicles = Vec::with_capacity(config.vehicles);
         for i in 0..config.vehicles {
-            let on_road = (i as f32 / config.vehicles.max(1) as f32) < config.on_road_fraction;
+            let on_road = (i as f32 / config.vehicles.max(1) as f32) < ON_ROAD_FRACTION;
             let (x, y, angle) = if on_road {
                 (
-                    rng.gen_range(0.0..config.size_m),
-                    road_y
-                        + rng.gen_range(
-                            -config.road_half_width_m * 0.8..config.road_half_width_m * 0.8,
-                        ),
+                    rng.gen_range(0.0..WORLD_SIZE_M),
+                    road_y + rng.gen_range(-ROAD_HALF_WIDTH_M * 0.8..ROAD_HALF_WIDTH_M * 0.8),
                     rng.gen_range(-0.1..0.1f32)
                         + if rng.gen() { 0.0 } else { std::f32::consts::PI },
                 )
             } else {
                 (
-                    rng.gen_range(0.0..config.size_m),
-                    rng.gen_range(0.0..config.size_m),
+                    rng.gen_range(0.0..WORLD_SIZE_M),
+                    rng.gen_range(0.0..WORLD_SIZE_M),
                     rng.gen_range(0.0..std::f32::consts::TAU),
                 )
             };
@@ -298,8 +291,8 @@ impl FlightSimulator {
 
         // Background: grass with the road corridor where it crosses the view.
         let mut image = Image::new(px, px, [0.30, 0.42, 0.24]);
-        let road_top = (self.world.road_y - self.world.config.road_half_width_m - origin_y) / mpp;
-        let road_h = 2.0 * self.world.config.road_half_width_m / mpp;
+        let road_top = (self.world.road_y - ROAD_HALF_WIDTH_M - origin_y) / mpp;
+        let road_h = 2.0 * ROAD_HALF_WIDTH_M / mpp;
         image.fill_rect(0.0, road_top, px as f32, road_h, [0.33, 0.33, 0.35]);
         // Centre line.
         let cy = road_top + road_h / 2.0;

@@ -23,6 +23,13 @@ pub enum SceneKind {
     Terrain,
 }
 
+/// Illumination gain range applied to the whole frame.
+const ILLUMINATION: (f32, f32) = (0.65, 1.25);
+/// Standard deviation of additive pixel noise (sensor grain).
+const NOISE_STD: f32 = 0.015;
+/// Probability that a vehicle is placed partially outside the frame.
+const EDGE_PROB: f32 = 0.10;
+
 /// Configuration for the scene generator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SceneConfig {
@@ -39,14 +46,8 @@ pub struct SceneConfig {
     /// matches the grid-cell scale the paper's 13x13–19x19 output grids
     /// resolve.
     pub vehicle_len_frac: (f32, f32),
-    /// Illumination gain range applied to the whole frame.
-    pub illumination: (f32, f32),
-    /// Standard deviation of additive pixel noise (sensor grain).
-    pub noise_std: f32,
     /// Per-vehicle probability of partial occlusion by foliage.
     pub occlusion_prob: f32,
-    /// Probability that a vehicle is placed partially outside the frame.
-    pub edge_prob: f32,
     /// Pedestrians per scene (0 in the paper's vehicle-only dataset; the
     /// paper's §V future work adds this class — see class index 1).
     pub max_pedestrians: usize,
@@ -60,10 +61,7 @@ impl Default for SceneConfig {
             min_vehicles: 4,
             max_vehicles: 14,
             vehicle_len_frac: (0.06, 0.14),
-            illumination: (0.65, 1.25),
-            noise_std: 0.015,
             occlusion_prob: 0.12,
-            edge_prob: 0.10,
             max_pedestrians: 0,
         }
     }
@@ -259,18 +257,13 @@ impl SceneGenerator {
         }
 
         // Global photometric variation: illumination gain + sensor noise.
-        let gain = self
-            .rng
-            .gen_range(self.config.illumination.0..self.config.illumination.1);
+        let gain = self.rng.gen_range(ILLUMINATION.0..ILLUMINATION.1);
         image.scale_brightness(gain);
-        if self.config.noise_std > 0.0 {
-            let std = self.config.noise_std;
-            let rng = &mut self.rng;
-            image.add_noise_with(|| {
-                // Cheap triangular noise approximating a Gaussian.
-                (rng.gen::<f32>() + rng.gen::<f32>() - 1.0) * std * 2.0
-            });
-        }
+        let rng = &mut self.rng;
+        image.add_noise_with(|| {
+            // Cheap triangular noise approximating a Gaussian.
+            (rng.gen::<f32>() + rng.gen::<f32>() - 1.0) * NOISE_STD * 2.0
+        });
 
         let annotations = all_objects
             .iter()
@@ -300,7 +293,7 @@ impl SceneGenerator {
                 * self
                     .rng
                     .gen_range(self.config.vehicle_len_frac.0..self.config.vehicle_len_frac.1);
-            let at_edge = self.rng.gen::<f32>() < self.config.edge_prob;
+            let at_edge = self.rng.gen::<f32>() < EDGE_PROB;
             let (cx, cy, angle) = match kind {
                 SceneKind::Road => {
                     // Road band runs horizontally through the middle third.
@@ -473,6 +466,11 @@ impl SceneGenerator {
     }
 }
 
+/// Per-frame per-vehicle random wander amplitude in pixels.
+const WANDER_PX: f32 = 1.5;
+/// Background speckle density per megapixel.
+const SPECKLE_PER_MPX: usize = 1500;
+
 /// Configuration for [`LargeSceneGenerator`] — the wide-area frame mode
 /// that gives selective tile processing structure to exploit: a big
 /// mostly-static canvas, a handful of vehicle clusters that drift
@@ -495,14 +493,6 @@ pub struct LargeSceneConfig {
     pub vehicle_len_px: (f32, f32),
     /// Per-frame cluster drift speed in pixels.
     pub speed_px: f32,
-    /// Per-frame per-vehicle random wander amplitude in pixels.
-    pub wander_px: f32,
-    /// Background speckle density per megapixel.
-    pub speckle_per_mpx: usize,
-    /// Standard deviation of per-frame additive sensor noise. Defaults to
-    /// zero: frame-difference saliency should respond to *motion*, and a
-    /// caller enabling noise is deliberately stress-testing that.
-    pub noise_std: f32,
 }
 
 impl Default for LargeSceneConfig {
@@ -515,9 +505,6 @@ impl Default for LargeSceneConfig {
             cluster_radius_frac: 0.06,
             vehicle_len_px: (11.0, 18.0),
             speed_px: 6.0,
-            wander_px: 1.5,
-            speckle_per_mpx: 1500,
-            noise_std: 0.0,
         }
     }
 }
@@ -550,13 +537,9 @@ impl LargeSceneConfig {
         }
         // Everything downstream multiplies these; prove it cannot
         // overflow once here, with checked arithmetic.
-        let area = self
-            .width
+        self.width
             .checked_mul(self.height)
             .ok_or_else(|| "canvas area overflows usize".to_string())?;
-        self.speckle_per_mpx
-            .checked_mul(area.div_ceil(1_000_000).max(1))
-            .ok_or_else(|| "speckle count overflows usize".to_string())?;
         let total_vehicles = self
             .clusters
             .checked_mul(self.vehicles_per_cluster)
@@ -583,14 +566,11 @@ impl LargeSceneConfig {
                 self.cluster_radius_frac
             ));
         }
-        for (name, v) in [
-            ("speed_px", self.speed_px),
-            ("wander_px", self.wander_px),
-            ("noise_std", self.noise_std),
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(format!("{name} {v} must be finite and >= 0"));
-            }
+        if !self.speed_px.is_finite() || self.speed_px < 0.0 {
+            return Err(format!(
+                "speed_px {} must be finite and >= 0",
+                self.speed_px
+            ));
         }
         Ok(())
     }
@@ -660,11 +640,12 @@ impl LargeSceneGenerator {
         let radius = min_dim * config.cluster_radius_frac;
 
         // Static terrain background, rendered once: per-frame differences
-        // come only from the vehicles (and optional sensor noise).
+        // come only from the vehicles, so frame-difference saliency
+        // responds to motion alone.
         let base = [0.30, 0.40, 0.22];
         let mut background = Image::new(config.width, config.height, base);
         let area_mpx = (config.width * config.height).div_ceil(1_000_000).max(1);
-        let speckles = config.speckle_per_mpx * area_mpx;
+        let speckles = SPECKLE_PER_MPX * area_mpx;
         let dark = [base[0] * 0.8, base[1] * 0.8, base[2] * 0.8];
         for _ in 0..speckles {
             let x = rng.gen_range(0.0..w);
@@ -741,12 +722,9 @@ impl LargeSceneGenerator {
                 cluster.vy = -cluster.vy;
                 cluster.cy = cluster.cy.clamp(0.0, h);
             }
-            let wander = self.config.wander_px;
-            if wander > 0.0 {
-                for v in &mut cluster.vehicles {
-                    v.dx += self.rng.gen_range(-wander..=wander);
-                    v.dy += self.rng.gen_range(-wander..=wander);
-                }
+            for v in &mut cluster.vehicles {
+                v.dx += self.rng.gen_range(-WANDER_PX..=WANDER_PX);
+                v.dy += self.rng.gen_range(-WANDER_PX..=WANDER_PX);
             }
         }
 
@@ -780,12 +758,6 @@ impl LargeSceneGenerator {
                     visibility,
                 });
             }
-        }
-
-        if self.config.noise_std > 0.0 {
-            let std = self.config.noise_std;
-            let rng = &mut self.rng;
-            image.add_noise_with(|| (rng.gen::<f32>() + rng.gen::<f32>() - 1.0) * std * 2.0);
         }
 
         self.frame_index += 1;

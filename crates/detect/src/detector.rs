@@ -2,7 +2,6 @@ use crate::altitude::AltitudeFilter;
 use crate::decode::{decode, Detection};
 use crate::nms::non_max_suppression;
 use crate::{DetectError, Result};
-use dronet_metrics::FpsMeter;
 use dronet_nn::{Network, RegionConfig};
 use dronet_obs::{AllocScope, Counter, Histogram, Registry, Tracer};
 use dronet_tensor::Tensor;
@@ -161,7 +160,6 @@ impl DetectorBuilder {
             confidence_threshold: self.confidence_threshold,
             nms_threshold: self.nms_threshold,
             altitude_filter: self.altitude_filter,
-            fps: FpsMeter::new(),
             // Stage handles are cached once here so the per-frame path
             // never touches the registry's lock (inert when unobserved).
             forward_hist: self.obs.histogram("detect.forward"),
@@ -215,7 +213,7 @@ impl DetectStage for Box<dyn DetectStage> {
 }
 
 /// The end-to-end vehicle detector: network forward, decode, NMS, optional
-/// altitude gating, with built-in frame timing.
+/// altitude gating.
 #[derive(Debug)]
 pub struct Detector {
     network: Network,
@@ -223,7 +221,6 @@ pub struct Detector {
     confidence_threshold: f32,
     nms_threshold: f32,
     altitude_filter: Option<AltitudeFilter>,
-    fps: FpsMeter,
     forward_hist: Histogram,
     decode_hist: Histogram,
     nms_hist: Histogram,
@@ -255,16 +252,6 @@ impl Detector {
     /// Replaces the altitude filter (e.g. as the UAV climbs).
     pub fn set_altitude_filter(&mut self, filter: Option<AltitudeFilter>) {
         self.altitude_filter = filter;
-    }
-
-    /// Frame-rate statistics accumulated by [`Detector::detect`].
-    pub fn fps_meter(&self) -> &FpsMeter {
-        &self.fps
-    }
-
-    /// Resets timing statistics.
-    pub fn reset_fps(&mut self) {
-        self.fps.reset();
     }
 
     /// Mutable access to the wrapped network (weight loading).
@@ -355,7 +342,6 @@ impl Detector {
                 });
             }
         }
-        self.fps.start();
         let span = self.forward_hist.start();
         let trace = self.tracer.span_aux("detect.forward", n as i64);
         let scope = self.alloc_spans.as_ref().map(|_| AllocScope::begin());
@@ -388,7 +374,6 @@ impl Detector {
         // Decoded: the buffer goes back into the network's pool, or every
         // call would take one out of circulation and allocate another.
         self.network.recycle(output);
-        self.fps.stop();
         Ok(all)
     }
 }
@@ -444,10 +429,6 @@ mod tests {
         let x = Tensor::zeros(Shape::nchw(1, 3, 32, 32));
         let _ = det.detect(&x).unwrap();
         let _ = det.detect(&x).unwrap();
-        assert_eq!(det.fps_meter().frames(), 2);
-        assert!(det.fps_meter().fps().0 > 0.0);
-        det.reset_fps();
-        assert_eq!(det.fps_meter().frames(), 0);
     }
 
     #[test]

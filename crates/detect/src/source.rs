@@ -75,47 +75,18 @@ pub fn resize_frame(frame: &Tensor, out_h: usize, out_w: usize) -> Tensor {
     out
 }
 
-/// Interpolation filter for [`resize_frame_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ResizeFilter {
-    /// Nearest-neighbour: what a camera ISP downscaler does cheaply.
-    /// The default, and what [`resize_frame`] uses, for compatibility
-    /// with existing callers.
-    #[default]
-    Nearest,
-    /// Bilinear: 2×2 weighted average, half-pixel-centre convention.
-    /// Preserves small objects better under aggressive downscales — a
-    /// 2-pixel vehicle survives averaging but can vanish entirely under
-    /// nearest-neighbour sampling.
-    Bilinear,
-}
-
-/// Resize of an NCHW frame to `out_h` × `out_w` with an explicit filter.
+/// Bilinear resize of an NCHW frame to `out_h` × `out_w`: a 2×2 weighted
+/// average. Preserves small objects better than [`resize_frame`] under
+/// aggressive downscales — a 2-pixel vehicle survives averaging but can
+/// vanish entirely under nearest-neighbour sampling.
 ///
-/// Bilinear uses the half-pixel-centre (align-corners = false) mapping
+/// Uses the half-pixel-centre (align-corners = false) mapping
 /// `src = (dst + 0.5) * in / out - 0.5`, clamped at the borders, and
 /// interpolates as `(1 - f) * a + f * b` — a convex combination, so
 /// outputs stay within the input's value range (up to f32 rounding) and
 /// hostile-magnitude inputs do not overflow the way the algebraically
 /// equal `a + f * (b - a)` can (`b - a` alone can exceed `f32::MAX`).
-pub fn resize_frame_with(
-    frame: &Tensor,
-    out_h: usize,
-    out_w: usize,
-    filter: ResizeFilter,
-) -> Tensor {
-    match filter {
-        ResizeFilter::Nearest => resize_frame(frame, out_h, out_w),
-        ResizeFilter::Bilinear => resize_bilinear(frame, out_h, out_w),
-    }
-}
-
-/// Bilinear resize of an NCHW frame; see [`ResizeFilter::Bilinear`].
 pub fn resize_frame_bilinear(frame: &Tensor, out_h: usize, out_w: usize) -> Tensor {
-    resize_bilinear(frame, out_h, out_w)
-}
-
-fn resize_bilinear(frame: &Tensor, out_h: usize, out_w: usize) -> Tensor {
     let s = frame.shape();
     let (n, c, in_h, in_w) = (s.batch(), s.channels(), s.height(), s.width());
     let mut out = Tensor::zeros(Shape::nchw(n, c, out_h, out_w));
@@ -234,7 +205,7 @@ mod tests {
         for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
             *v = i as f32;
         }
-        let same = resize_frame_with(&t, 4, 4, ResizeFilter::Bilinear);
+        let same = resize_frame_bilinear(&t, 4, 4);
         assert_eq!(same, t); // identity mapping has zero fractions
     }
 
@@ -269,9 +240,11 @@ mod tests {
         for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
             *v = i as f32;
         }
+        // `conform_frame`, the pipeline's resize, samples; it never averages.
         let a = resize_frame(&t, 2, 2);
-        let b = resize_frame_with(&t, 2, 2, ResizeFilter::default());
+        let b = conform_frame(t.clone(), (1, 2, 2), 0).unwrap();
         assert_eq!(a, b);
+        assert_ne!(a, resize_frame_bilinear(&t, 2, 2));
     }
 
     #[test]

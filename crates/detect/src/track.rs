@@ -24,12 +24,15 @@ pub struct Track {
     pub missed: usize,
 }
 
+/// Hits needed before a track is reported.
+const MIN_HITS: usize = 2;
+
 impl Track {
-    /// A track is *confirmed* once it has been seen `min_hits` times;
-    /// unconfirmed tracks are not reported (suppresses one-frame
-    /// flickers/false positives).
-    pub fn is_confirmed(&self, min_hits: usize) -> bool {
-        self.hits >= min_hits
+    /// A track is *confirmed* once it has been seen twice; unconfirmed
+    /// tracks are not reported (suppresses one-frame flickers/false
+    /// positives).
+    pub fn is_confirmed(&self) -> bool {
+        self.hits >= MIN_HITS
     }
 }
 
@@ -40,8 +43,6 @@ pub struct TrackerConfig {
     pub iou_threshold: f32,
     /// Track is dropped after this many consecutive missed frames.
     pub max_missed: usize,
-    /// Hits needed before a track is reported.
-    pub min_hits: usize,
     /// Detections smaller than this (normalised area) do not *spawn* new
     /// tracks — they can still extend existing ones. Clipped slivers at a
     /// tile or frame boundary otherwise birth a fresh ID every time an
@@ -60,7 +61,6 @@ impl Default for TrackerConfig {
         TrackerConfig {
             iou_threshold: 0.3,
             max_missed: 3,
-            min_hits: 2,
             min_box_area: 0.0,
             boundary_slack: 0.0,
         }
@@ -146,12 +146,12 @@ impl Tracker {
             if let Some((ti, _)) = best {
                 track_taken[ti] = true;
                 det_assigned[di] = true;
-                let was_confirmed = self.tracks[ti].is_confirmed(self.config.min_hits);
+                let was_confirmed = self.tracks[ti].is_confirmed();
                 let track = &mut self.tracks[ti];
                 track.bbox = *dbox;
                 track.hits += 1;
                 track.missed = 0;
-                if !was_confirmed && track.is_confirmed(self.config.min_hits) {
+                if !was_confirmed && track.is_confirmed() {
                     self.total_confirmed += 1;
                 }
             }
@@ -176,7 +176,6 @@ impl Tracker {
                 if det.bbox.area() < self.config.min_box_area {
                     continue;
                 }
-                let confirmed_at_birth = self.config.min_hits <= 1;
                 self.tracks.push(Track {
                     id: self.next_id,
                     bbox: det.bbox,
@@ -185,9 +184,6 @@ impl Tracker {
                     missed: 0,
                 });
                 self.next_id += 1;
-                if confirmed_at_birth {
-                    self.total_confirmed += 1;
-                }
             }
         }
 
@@ -196,8 +192,7 @@ impl Tracker {
 
     /// Active tracks that have reached the confirmation threshold.
     pub fn confirmed_tracks(&self) -> impl Iterator<Item = &Track> {
-        let min_hits = self.config.min_hits;
-        self.tracks.iter().filter(move |t| t.is_confirmed(min_hits))
+        self.tracks.iter().filter(|t| t.is_confirmed())
     }
 
     /// All active tracks, confirmed or not.

@@ -39,15 +39,15 @@ pub enum FpsResponse {
     PaperFlat,
 }
 
-/// Sweep configuration.
+/// Platform whose performance model provides FPS.
+const PLATFORM: PlatformId = PlatformId::IntelI5_2520M;
+
+/// Sweep configuration. Every sweep evaluates all four models
+/// ([`ModelId::ALL`]) on the i5-2520M.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepConfig {
-    /// Models to evaluate.
-    pub models: Vec<ModelId>,
     /// Square input sizes to evaluate.
     pub inputs: Vec<usize>,
-    /// Platform whose performance model provides FPS.
-    pub platform: PlatformId,
     /// Score weights for ranking (the paper's eq. 3 weights by default).
     pub weights: ScoreWeights,
     /// FPS-vs-resolution response.
@@ -60,9 +60,7 @@ impl SweepConfig {
     /// Figs. 3–4 as published).
     pub fn paper() -> Self {
         SweepConfig {
-            models: ModelId::ALL.to_vec(),
             inputs: zoo::input_sizes_sorted(),
-            platform: PlatformId::IntelI5_2520M,
             weights: ScoreWeights::paper(),
             fps_response: FpsResponse::PaperFlat,
         }
@@ -79,9 +77,7 @@ impl SweepConfig {
     /// A reduced sweep (3 sizes) for doctests and quick checks.
     pub fn quick() -> Self {
         SweepConfig {
-            models: ModelId::ALL.to_vec(),
             inputs: vec![352, 416, 512],
-            platform: PlatformId::IntelI5_2520M,
             weights: ScoreWeights::paper(),
             fps_response: FpsResponse::PaperFlat,
         }
@@ -116,16 +112,16 @@ pub struct SweepResult {
 }
 
 /// Runs the sweep, returning one result per (model, input) pair in
-/// `models`-major order.
+/// model-major order.
 ///
 /// # Panics
 ///
 /// Panics if the zoo fails to build a model (embedded cfgs are
 /// compile-time constants, so this indicates a corrupted build).
 pub fn cpu_sweep(config: &SweepConfig) -> Vec<SweepResult> {
-    let platform = Platform::preset(config.platform);
+    let platform = Platform::preset(PLATFORM);
     let mut points: Vec<(ModelId, usize, MetricVector, f64, f64)> = Vec::new();
-    for &model in &config.models {
+    for model in ModelId::ALL {
         // Build once and resize per sweep point (weights are irrelevant to
         // cost accounting, and construction dominates sweep time).
         let mut net = zoo::build(model, response::REFERENCE_INPUT)

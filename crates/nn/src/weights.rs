@@ -108,27 +108,33 @@ pub fn load<R: Read>(net: &mut Network, mut reader: R) -> Result<()> {
     }
 }
 
-/// Saves weights to a file path **atomically**: the bytes are written to a
-/// temporary sibling file, flushed and fsynced, then renamed over `path`.
-/// A crash at any byte of the write leaves either the old file or no file —
-/// never a torn one. The parent directory is fsynced best-effort so the
-/// rename itself is durable.
+/// Saves weights to a file path **atomically** (see [`atomic_write`]).
 ///
 /// # Errors
 ///
-/// See [`save`]; the temporary file is removed on failure.
+/// Returns [`NnError::Io`] on write failure.
 pub fn save_to_path(net: &Network, path: impl AsRef<std::path::Path>) -> Result<()> {
-    let path = path.as_ref();
+    let mut bytes = Vec::new();
+    save(net, &mut bytes)?;
+    atomic_write(path.as_ref(), &bytes).map_err(NnError::Io)
+}
+
+/// Writes `bytes` to `path` **atomically**: they go to a temporary sibling
+/// file, which is fsynced, then renamed over `path`. A crash at any byte of
+/// the write leaves either the old file or no file — never a torn one. The
+/// parent directory is fsynced best-effort so the rename itself is durable.
+/// The weights and checkpoint writers both use it.
+///
+/// # Errors
+///
+/// Returns the I/O error; the temporary file is removed on failure.
+pub fn atomic_write(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(format!(".tmp-{}", std::process::id()));
     let tmp = std::path::PathBuf::from(tmp);
     let result = (|| {
-        let file = std::fs::File::create(&tmp)?;
-        let mut writer = std::io::BufWriter::new(file);
-        save(net, &mut writer)?;
-        let file = writer
-            .into_inner()
-            .map_err(|e| NnError::Io(e.into_error()))?;
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(bytes)?;
         file.sync_all()?;
         std::fs::rename(&tmp, path)?;
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {

@@ -21,10 +21,14 @@ pub(crate) fn escape_json(s: &str, out: &mut String) {
     }
 }
 
-/// Formats an `f64` so it round-trips through our parser (always keeps a
-/// decimal point or exponent so the value re-parses as a float).
-pub(crate) fn format_f64(v: f64) -> String {
-    if v.is_finite() {
+/// Formats an `f32` or `f64` as a JSON number with that type's own
+/// shortest round-trip `Display`, always keeping a decimal point or
+/// exponent so the value re-parses as a float. Non-finite values (an
+/// untrained or NaN-poisoned network) render as `0.0`: JSON, like the
+/// in-tree `JsonValue` reader, has no NaN, and the workspace schema
+/// convention avoids `null`.
+pub fn format_f64<T: Copy + Into<f64> + std::fmt::Display>(v: T) -> String {
+    if v.into().is_finite() {
         let s = format!("{v}");
         if s.contains('.') || s.contains('e') || s.contains('E') {
             s

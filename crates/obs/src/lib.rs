@@ -66,7 +66,7 @@ pub mod window;
 
 pub use alloc::{AllocDelta, AllocScope, AllocStats, CountingAlloc};
 pub use chrome::{ChromeEvent, ChromeTrace, CHROME_TRACE_PID};
-pub use export::JsonExporter;
+pub use export::{format_f64, JsonExporter};
 pub use health::{BlackBox, Health, HealthCell, BLACK_BOX_EVENTS};
 pub use histogram::{Histogram, ScopedTimer, BUCKET_COUNT};
 pub use json::{JsonParseError, JsonValue};

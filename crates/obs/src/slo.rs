@@ -102,7 +102,17 @@ impl SloObjective {
     }
 }
 
-/// One declared objective plus its evaluation windows.
+/// Fast-signal window: confirms the problem is still happening.
+const SHORT_WINDOW: Duration = Duration::from_secs(10);
+/// Evidence window: confirms the problem is material.
+const LONG_WINDOW: Duration = Duration::from_secs(60);
+/// Ring sub-buckets per window.
+const SUB_BUCKETS: usize = 10;
+/// Burn-rate threshold; breach requires **both** windows at or above it.
+const BURN_ALERT: f64 = 2.0;
+
+/// One declared objective, evaluated over a 10 s short and a 60 s long
+/// window (10 sub-buckets each) with an alert at burn 2.0.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloSpec {
     /// Objective name; lives in gauge names (`slo.<name>.burn_rate_short`)
@@ -110,20 +120,10 @@ pub struct SloSpec {
     pub name: String,
     /// The promise itself.
     pub objective: SloObjective,
-    /// Fast-signal window: confirms the problem is still happening.
-    pub short_window: Duration,
-    /// Evidence window: confirms the problem is material.
-    pub long_window: Duration,
-    /// Ring sub-buckets per window.
-    pub sub_buckets: usize,
-    /// Burn-rate threshold; breach requires **both** windows at or above
-    /// it.
-    pub burn_alert: f64,
 }
 
 impl SloSpec {
-    /// Latency objective with serving-scale defaults: 10 s short / 60 s
-    /// long windows, 10 sub-buckets, alert at burn 2.0.
+    /// Latency objective.
     ///
     /// # Panics
     ///
@@ -132,8 +132,7 @@ impl SloSpec {
         SloSpec::with_defaults(name, SloObjective::LatencyUnder { threshold, target })
     }
 
-    /// Availability objective with the same defaults as
-    /// [`SloSpec::latency`].
+    /// Availability objective.
     ///
     /// # Panics
     ///
@@ -151,10 +150,6 @@ impl SloSpec {
         SloSpec {
             name: name.to_string(),
             objective,
-            short_window: Duration::from_secs(10),
-            long_window: Duration::from_secs(60),
-            sub_buckets: 10,
-            burn_alert: 2.0,
         }
     }
 
@@ -211,8 +206,8 @@ struct Slo {
 
 impl Slo {
     fn new(spec: SloSpec) -> Self {
-        let short = RollingWindow::new(spec.short_window, spec.sub_buckets);
-        let long = RollingWindow::new(spec.long_window, spec.sub_buckets);
+        let short = RollingWindow::new(SHORT_WINDOW, SUB_BUCKETS);
+        let long = RollingWindow::new(LONG_WINDOW, SUB_BUCKETS);
         Slo { spec, short, long }
     }
 
@@ -248,14 +243,13 @@ impl Slo {
     fn status_at(&self, now_ns: u64) -> SloStatus {
         let short = self.burn_at(&self.short, now_ns);
         let long = self.burn_at(&self.long, now_ns);
-        let alert = self.spec.burn_alert;
         SloStatus {
             name: self.spec.name.clone(),
             objective: self.spec.objective.describe(),
             target: self.spec.objective.target(),
             error_budget: self.spec.error_budget(),
-            burn_alert: alert,
-            breached: short.burn_rate >= alert && long.burn_rate >= alert,
+            burn_alert: BURN_ALERT,
+            breached: short.burn_rate >= BURN_ALERT && long.burn_rate >= BURN_ALERT,
             short,
             long,
         }

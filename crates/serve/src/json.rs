@@ -1,30 +1,12 @@
 //! Hand-written JSON rendering for detection responses.
 //!
 //! The workspace is zero-dependency, so responses are assembled by hand:
-//! a small `num` formatter plus string building, self-checked in tests by
+//! obs's number formatter plus string building, self-checked in tests by
 //! round-tripping through `obs::JsonValue::parse`.
 
 use dronet_detect::Detection;
+use dronet_obs::format_f64;
 use std::fmt::Write as _;
-
-/// Renders a finite float as a JSON number; non-finite values (an untrained
-/// or NaN-poisoned network) degrade to `0.0` rather than emitting invalid
-/// JSON — the in-tree `JsonValue` reader, like strict JSON, has no NaN, and
-/// the workspace schema convention avoids `null`.
-fn num(v: f32) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // `Display` omits the decimal point for integral floats; keep it so
-        // readers see a float-typed field.
-        if s.contains('.') || s.contains('e') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "0.0".to_string()
-    }
-}
 
 /// Renders the `POST /detect` response body for one frame.
 pub fn detections_json(frame_id: u64, detections: &[Detection]) -> String {
@@ -41,14 +23,14 @@ pub fn detections_json(frame_id: u64, detections: &[Detection]) -> String {
         let _ = write!(
             out,
             "{{\"cx\":{},\"cy\":{},\"w\":{},\"h\":{},\"objectness\":{},\"class\":{},\"class_prob\":{},\"score\":{}}}",
-            num(d.bbox.cx),
-            num(d.bbox.cy),
-            num(d.bbox.w),
-            num(d.bbox.h),
-            num(d.objectness),
+            format_f64(d.bbox.cx),
+            format_f64(d.bbox.cy),
+            format_f64(d.bbox.w),
+            format_f64(d.bbox.h),
+            format_f64(d.objectness),
             d.class,
-            num(d.class_prob),
-            num(d.score()),
+            format_f64(d.class_prob),
+            format_f64(d.score()),
         );
     }
     out.push_str("]}");
@@ -108,8 +90,49 @@ mod tests {
 
     #[test]
     fn integral_floats_keep_a_decimal_point() {
-        assert_eq!(num(1.0), "1.0");
-        assert_eq!(num(0.5), "0.5");
-        assert_eq!(num(-2.0), "-2.0");
+        assert_eq!(format_f64(1.0f32), "1.0");
+        assert_eq!(format_f64(0.5f32), "0.5");
+        assert_eq!(format_f64(-2.0f32), "-2.0");
+    }
+
+    /// The response bytes of a fixed detection list, captured before
+    /// serve's own formatter was folded into obs's: integral, fractional,
+    /// tiny, negative and non-finite values render exactly as they did.
+    #[test]
+    fn response_bytes_are_locked() {
+        let d = |bbox: BBox, objectness: f32, class: usize, class_prob: f32| Detection {
+            bbox,
+            objectness,
+            class,
+            class_prob,
+        };
+        let dets = [
+            d(BBox::new(0.5, 0.25, 1.0, 0.125), 1.0, 0, 1.0),
+            d(BBox::new(0.1, 0.333_333_34, 0.2, 0.7), 0.9, 2, 0.55),
+            d(
+                BBox::new(1e-7, 3e-30, f32::MIN_POSITIVE, 0.0),
+                1e-45,
+                1,
+                -2.0,
+            ),
+            d(
+                BBox::new(f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 123456.0),
+                f32::NAN,
+                7,
+                0.5,
+            ),
+        ];
+        let expected = concat!(
+            r#"{"frame_id":7,"count":4,"detections":["#,
+            r#"{"cx":0.5,"cy":0.25,"w":1.0,"h":0.125,"objectness":1.0,"class":0,"class_prob":1.0,"score":1.0},"#,
+            r#"{"cx":0.1,"cy":0.33333334,"w":0.2,"h":0.7,"objectness":0.9,"class":2,"class_prob":0.55,"score":0.495},"#,
+            r#"{"cx":0.0000001,"cy":0.000000000000000000000000000003,"#,
+            r#""w":0.000000000000000000000000000000000000011754944,"h":0.0,"#,
+            r#""objectness":0.000000000000000000000000000000000000000000001,"class":1,"class_prob":-2.0,"#,
+            r#""score":-0.000000000000000000000000000000000000000000003},"#,
+            r#"{"cx":0.0,"cy":0.0,"w":0.0,"h":123456.0,"objectness":0.0,"class":7,"class_prob":0.5,"score":0.0}"#,
+            "]}"
+        );
+        assert_eq!(detections_json(7, &dets), expected);
     }
 }

@@ -25,6 +25,13 @@ use dronet_detect::nms::non_max_suppression;
 use dronet_detect::Detection;
 use dronet_metrics::BBox;
 
+/// Minimum transverse overlap fraction (`overlap / min(extent)`) for two
+/// fragments to be considered the same object.
+const STITCH_ALIGN: f32 = 0.5;
+/// Drop a box when a higher-scoring same-class box covers at least this
+/// fraction of its area.
+const CONTAINMENT_THRESHOLD: f32 = 0.8;
+
 /// Tuning knobs for [`TileMerger`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MergeConfig {
@@ -34,12 +41,6 @@ pub struct MergeConfig {
     /// seam to count as "clipped", and the maximum gap bridged between
     /// two fragments.
     pub stitch_gap_px: f32,
-    /// Minimum transverse overlap fraction (`overlap / min(extent)`) for
-    /// two fragments to be considered the same object.
-    pub stitch_align: f32,
-    /// Drop a box when a higher-scoring same-class box covers at least
-    /// this fraction of its area.
-    pub containment_threshold: f32,
     /// Upper bound on stitch fixed-point iterations.
     pub max_passes: usize,
 }
@@ -49,8 +50,6 @@ impl Default for MergeConfig {
         MergeConfig {
             nms_threshold: 0.45,
             stitch_gap_px: 4.0,
-            stitch_align: 0.5,
-            containment_threshold: 0.8,
             max_passes: 4,
         }
     }
@@ -58,17 +57,11 @@ impl Default for MergeConfig {
 
 impl MergeConfig {
     fn validate(&self) -> Result<()> {
-        for (param, v) in [
-            ("nms_threshold", self.nms_threshold),
-            ("stitch_align", self.stitch_align),
-            ("containment_threshold", self.containment_threshold),
-        ] {
-            if !v.is_finite() || !(0.0..=1.0).contains(&v) {
-                return Err(TileError::BadConfig {
-                    param,
-                    msg: format!("{v} must be within [0, 1]"),
-                });
-            }
+        if !self.nms_threshold.is_finite() || !(0.0..=1.0).contains(&self.nms_threshold) {
+            return Err(TileError::BadConfig {
+                param: "nms_threshold",
+                msg: format!("{} must be within [0, 1]", self.nms_threshold),
+            });
         }
         if !self.stitch_gap_px.is_finite() || self.stitch_gap_px < 0.0 {
             return Err(TileError::BadConfig {
@@ -226,7 +219,7 @@ impl TileMerger {
         // Transverse (y) extents must align.
         let overlap_y = l.bbox.y1().min(r.bbox.y1()) - l.bbox.y0().max(r.bbox.y0());
         let min_h = l.bbox.h.min(r.bbox.h);
-        if min_h <= 0.0 || overlap_y / min_h < self.config.stitch_align {
+        if min_h <= 0.0 || overlap_y / min_h < STITCH_ALIGN {
             return None;
         }
         let _ = fh;
@@ -262,7 +255,7 @@ impl TileMerger {
         }
         let overlap_x = t.bbox.x1().min(btm.bbox.x1()) - t.bbox.x0().max(btm.bbox.x0());
         let min_w = t.bbox.w.min(btm.bbox.w);
-        if min_w <= 0.0 || overlap_x / min_w < self.config.stitch_align {
+        if min_w <= 0.0 || overlap_x / min_w < STITCH_ALIGN {
             return None;
         }
         let _ = fw;
@@ -285,7 +278,7 @@ impl TileMerger {
             if area > 0.0 {
                 for k in &kept {
                     if k.class == d.class
-                        && k.bbox.intersection(&d.bbox) / area >= self.config.containment_threshold
+                        && k.bbox.intersection(&d.bbox) / area >= CONTAINMENT_THRESHOLD
                     {
                         continue 'outer;
                     }

@@ -36,7 +36,6 @@
 use crate::SgdState;
 use dronet_nn::{weights, Network, NnError};
 use std::fmt;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 const MAGIC: [u8; 4] = *b"DRCP";
@@ -784,7 +783,7 @@ impl CheckpointStore {
     /// never corrupts existing snapshots.
     pub fn save(&self, ckpt: &Checkpoint) -> Result<PathBuf, CheckpointError> {
         let path = self.snapshot_path(ckpt.step);
-        atomic_write(&path, &ckpt.to_bytes())?;
+        weights::atomic_write(&path, &ckpt.to_bytes())?;
         self.rotate()?;
         Ok(path)
     }
@@ -796,7 +795,7 @@ impl CheckpointStore {
     /// Returns [`CheckpointError::Io`] on write failure.
     pub fn save_best(&self, ckpt: &Checkpoint) -> Result<PathBuf, CheckpointError> {
         let path = self.best_path();
-        atomic_write(&path, &ckpt.to_bytes())?;
+        weights::atomic_write(&path, &ckpt.to_bytes())?;
         Ok(path)
     }
 
@@ -904,34 +903,6 @@ fn parse_snapshot_step(path: &Path) -> Option<u64> {
         .strip_prefix("ckpt-")?
         .strip_suffix(&format!(".{CHECKPOINT_EXT}"))?;
     stem.parse().ok()
-}
-
-/// Temp-file → flush → fsync → rename write, the durability core of the
-/// store. Exposed for the crash harness, which wraps it with injected
-/// faults (see [`crate::crash`]).
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::Io`] on failure; the temp file is removed.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
-    let mut tmp_name = path.as_os_str().to_owned();
-    tmp_name.push(format!(".tmp-{}", std::process::id()));
-    let tmp = PathBuf::from(tmp_name);
-    let result = (|| {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-        std::fs::rename(&tmp, path)?;
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            // Durability of the rename, best-effort across platforms.
-            let _ = std::fs::File::open(dir).and_then(|d| d.sync_all());
-        }
-        Ok(())
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
 }
 
 #[cfg(test)]

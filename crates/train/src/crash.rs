@@ -19,7 +19,8 @@
 //!   replayed step runs clean — mirroring how a real transient (bad DMA,
 //!   cosmic bit flip) does not re-occur deterministically after a restart.
 
-use crate::checkpoint::{atomic_write, Checkpoint, CheckpointError, CheckpointStore};
+use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointStore};
+use dronet_nn::weights::atomic_write;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;

@@ -2,35 +2,31 @@ use dronet_metrics::BBox;
 use dronet_nn::{NnError, RegionConfig};
 use dronet_tensor::Tensor;
 
-/// Scales and thresholds of the YOLO region loss.
+/// Weight on the objectness term of matched anchors.
+const OBJECT_SCALE: f32 = 5.0;
+/// Weight on the objectness suppression of unmatched anchors.
+const NOOBJECT_SCALE: f32 = 1.0;
+/// Weight on the classification term.
+const CLASS_SCALE: f32 = 1.0;
+/// Predicted boxes overlapping ground truth above this IoU are exempt from
+/// no-object suppression.
+const IGNORE_THRESH: f32 = 0.6;
+
+/// Scales of the YOLO region loss.
 ///
-/// Defaults are Darknet's region-layer defaults (`object_scale=5`,
-/// `noobject_scale=1`, `coord_scale=1`, `class_scale=1`, ignore threshold
-/// 0.6), which is what the paper's training used.
+/// The default is Darknet's region-layer default (`coord_scale=1`); the
+/// other scales (`object_scale=5`, `noobject_scale=1`, `class_scale=1`,
+/// ignore threshold 0.6) are fixed at Darknet's values, which is what the
+/// paper's training used.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct YoloLossConfig {
     /// Weight on the coordinate regression terms.
     pub coord_scale: f32,
-    /// Weight on the objectness term of matched anchors.
-    pub object_scale: f32,
-    /// Weight on the objectness suppression of unmatched anchors.
-    pub noobject_scale: f32,
-    /// Weight on the classification term.
-    pub class_scale: f32,
-    /// Predicted boxes overlapping ground truth above this IoU are exempt
-    /// from no-object suppression.
-    pub ignore_thresh: f32,
 }
 
 impl Default for YoloLossConfig {
     fn default() -> Self {
-        YoloLossConfig {
-            coord_scale: 1.0,
-            object_scale: 5.0,
-            noobject_scale: 1.0,
-            class_scale: 1.0,
-            ignore_thresh: 0.6,
-        }
+        YoloLossConfig { coord_scale: 1.0 }
     }
 }
 
@@ -170,9 +166,9 @@ impl YoloLoss {
                         .iter()
                         .map(|(t, _)| pred.iou(t))
                         .fold(0.0f32, f32::max);
-                    if best_iou < cfg.ignore_thresh {
-                        breakdown.noobject += cfg.noobject_scale * obj * obj;
-                        g[obj_idx] += 2.0 * cfg.noobject_scale * obj;
+                    if best_iou < IGNORE_THRESH {
+                        breakdown.noobject += NOOBJECT_SCALE * obj * obj;
+                        g[obj_idx] += 2.0 * NOOBJECT_SCALE * obj;
                     }
                 }
             }
@@ -229,16 +225,16 @@ impl YoloLoss {
                     let pred =
                         self.decode_box(out, &at, b, best_anchor, cell, col, row, gw, gh, aw, ah);
                     let iou = pred.iou(bbox);
-                    iou >= cfg.ignore_thresh
+                    iou >= IGNORE_THRESH
                 };
                 if !noobj_exempt {
                     // Undo the suppression applied in pass 1.
-                    breakdown.noobject -= cfg.noobject_scale * obj * obj;
-                    g[oi] -= 2.0 * cfg.noobject_scale * obj;
+                    breakdown.noobject -= NOOBJECT_SCALE * obj * obj;
+                    g[oi] -= 2.0 * NOOBJECT_SCALE * obj;
                 }
                 let odiff = obj - 1.0;
-                breakdown.object += cfg.object_scale * odiff * odiff;
-                g[oi] += 2.0 * cfg.object_scale * odiff;
+                breakdown.object += OBJECT_SCALE * odiff * odiff;
+                g[oi] += 2.0 * OBJECT_SCALE * odiff;
                 breakdown.matched += 1;
 
                 // Classification: cross-entropy on the softmax output; the
@@ -249,9 +245,9 @@ impl YoloLoss {
                         let p = out[ci].clamp(1e-7, 1.0);
                         let t = if c == *class { 1.0 } else { 0.0 };
                         if c == *class {
-                            breakdown.class += -cfg.class_scale * p.ln();
+                            breakdown.class += -CLASS_SCALE * p.ln();
                         }
-                        g[ci] += cfg.class_scale * (p - t);
+                        g[ci] += CLASS_SCALE * (p - t);
                     }
                 }
                 // With a single class the softmax output is constant 1 and

@@ -42,25 +42,19 @@ impl fmt::Display for TripReason {
     }
 }
 
+/// EWMA smoothing factor in `(0, 1]`; higher = faster tracking.
+const EWMA_ALPHA: f32 = 0.2;
+
 /// Sentry thresholds and the recovery policy.
 #[derive(Debug, Clone)]
 pub struct SentryConfig {
-    /// EWMA smoothing factor in `(0, 1]`; higher = faster tracking.
-    pub ewma_alpha: f32,
     /// Trip when `loss > spike_factor * ewma` (after warm-up).
     pub spike_factor: f32,
     /// Global steps before the spike detector arms (the first batches of a
     /// run are legitimately noisy).
     pub warmup_steps: u64,
-    /// Clip the global gradient norm (over the raw accumulated gradients)
-    /// to this value; `None` disables clipping.
-    pub grad_clip: Option<f32>,
     /// Rollbacks allowed before the run halts.
     pub max_rollbacks: u32,
-    /// LR multiplier applied on every rollback (cumulative).
-    pub lr_backoff: f32,
-    /// Floor for the cumulative LR scale.
-    pub min_lr_scale: f32,
     /// Consecutive clean steps required to recover `Degraded → Healthy`.
     pub recover_after: u64,
 }
@@ -68,13 +62,9 @@ pub struct SentryConfig {
 impl Default for SentryConfig {
     fn default() -> Self {
         SentryConfig {
-            ewma_alpha: 0.2,
             spike_factor: 4.0,
             warmup_steps: 8,
-            grad_clip: Some(1e4),
             max_rollbacks: 3,
-            lr_backoff: 0.5,
-            min_lr_scale: 1e-3,
             recover_after: 16,
         }
     }
@@ -83,28 +73,10 @@ impl Default for SentryConfig {
 impl SentryConfig {
     fn validate(&self) {
         assert!(
-            self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0,
-            "ewma_alpha {} outside (0, 1]",
-            self.ewma_alpha
-        );
-        assert!(
             self.spike_factor > 1.0,
             "spike_factor {} must exceed 1",
             self.spike_factor
         );
-        assert!(
-            self.lr_backoff > 0.0 && self.lr_backoff < 1.0,
-            "lr_backoff {} outside (0, 1)",
-            self.lr_backoff
-        );
-        assert!(
-            self.min_lr_scale > 0.0 && self.min_lr_scale <= 1.0,
-            "min_lr_scale {} outside (0, 1]",
-            self.min_lr_scale
-        );
-        if let Some(clip) = self.grad_clip {
-            assert!(clip > 0.0, "grad_clip {clip} must be positive");
-        }
     }
 }
 
@@ -126,8 +98,7 @@ impl DivergenceSentry {
     ///
     /// # Panics
     ///
-    /// Panics when the configuration is out of range (zero alpha, spike
-    /// factor ≤ 1, backoff outside `(0, 1)`…).
+    /// Panics when the spike factor is ≤ 1.
     pub fn new(config: SentryConfig) -> Self {
         config.validate();
         DivergenceSentry { config, ewma: None }
@@ -174,7 +145,7 @@ impl DivergenceSentry {
             }
         }
         self.ewma = Some(match self.ewma {
-            Some(e) => e + self.config.ewma_alpha * (loss - e),
+            Some(e) => e + EWMA_ALPHA * (loss - e),
             None => loss,
         });
         None

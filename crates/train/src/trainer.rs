@@ -13,6 +13,14 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::fmt;
 
+/// LR multiplier applied on every sentry rollback (cumulative).
+const LR_BACKOFF: f32 = 0.5;
+/// Floor for the cumulative LR scale.
+const MIN_LR_SCALE: f32 = 1e-3;
+/// Under a sentry, the global gradient norm (over the raw accumulated
+/// gradients) is clipped to this value.
+const GRAD_CLIP: f64 = 1e4;
+
 /// Training-run configuration.
 #[derive(Debug, Clone)]
 pub struct TrainConfig {
@@ -591,8 +599,8 @@ impl Trainer {
                 }
 
                 // One pass over the gradients serves telemetry, the
-                // sentry's finite check and (optionally) global-norm
-                // clipping; unobserved, sentry-less training skips it.
+                // sentry's finite check and global-norm clipping;
+                // unobserved, sentry-less training skips it.
                 let mut grad_norm = 0.0f64;
                 if self.obs.is_enabled() || sentry.is_some() {
                     let mut sq = 0.0f64;
@@ -647,7 +655,7 @@ impl Trainer {
                         st.restore_position(&good);
                         st.rollbacks += 1;
                         rollbacks_counter.inc();
-                        st.lr_scale = (st.lr_scale * cfg.lr_backoff).max(cfg.min_lr_scale);
+                        st.lr_scale = (st.lr_scale * LR_BACKOFF).max(MIN_LR_SCALE);
                         st.health.degrade();
                         st.clean_streak = 0;
                         st.push_event(
@@ -658,16 +666,13 @@ impl Trainer {
                         net.zero_grads();
                         continue 'training;
                     }
-                    if let Some(clip) = sentry_ref.config().grad_clip {
-                        let clip = f64::from(clip);
-                        if grad_norm > clip {
-                            let scale = (clip / grad_norm) as f32;
-                            net.visit_params_mut(|_, g| {
-                                for v in g.iter_mut() {
-                                    *v *= scale;
-                                }
-                            });
-                        }
+                    if grad_norm > GRAD_CLIP {
+                        let scale = (GRAD_CLIP / grad_norm) as f32;
+                        net.visit_params_mut(|_, g| {
+                            for v in g.iter_mut() {
+                                *v *= scale;
+                            }
+                        });
                     }
                 }
 

@@ -9,6 +9,7 @@
 use dronet::core::{zoo, ModelId};
 use dronet::data::scene::{SceneConfig, SceneGenerator};
 use dronet::detect::DetectorBuilder;
+use dronet::metrics::FpsMeter;
 use dronet::nn::summary::NetworkSummary;
 use dronet::platform::{Platform, PlatformId};
 
@@ -46,11 +47,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let mut detector = DetectorBuilder::new(zoo::build(ModelId::DroNet, 256)?).build()?;
     let frame = scene.image.resize(256, 256).to_tensor();
+    let mut meter = FpsMeter::new();
+    meter.start();
     let detections = detector.detect(&frame)?;
+    meter.stop();
     println!(
         "untrained DroNet-256 inference: {} raw detections in {:.1} ms",
         detections.len(),
-        detector.fps_meter().mean_latency().as_secs_f64() * 1e3
+        meter.mean_latency().as_secs_f64() * 1e3
     );
     Ok(())
 }

@@ -70,10 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             lr: 1.2e-3,
             steps: vec![(700, 0.2), (1000, 0.5)],
         },
-        loss: YoloLossConfig {
-            coord_scale: 2.5,
-            ..YoloLossConfig::default()
-        },
+        loss: YoloLossConfig { coord_scale: 2.5 },
         augment: false,
         seed: 1,
         ..TrainConfig::default()

@@ -12,7 +12,7 @@
 
 use dronet::core::zoo;
 use dronet::data::dataset::VehicleDataset;
-use dronet::data::flight::{FlightSimulator, Waypoint, World, WorldConfig};
+use dronet::data::flight::{FlightSimulator, Waypoint, World, WorldConfig, WORLD_SIZE_M};
 use dronet::data::scene::SceneConfig;
 use dronet::detect::altitude::{AltitudeFilter, CameraModel};
 use dronet::detect::pipeline::VideoPipeline;
@@ -81,10 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             lr: 1.2e-3,
             steps: vec![(600, 0.3)],
         },
-        loss: YoloLossConfig {
-            coord_scale: 2.5,
-            ..YoloLossConfig::default()
-        },
+        loss: YoloLossConfig { coord_scale: 2.5 },
         augment: false,
         seed: 1,
         ..TrainConfig::default()
@@ -96,8 +93,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "world: {} vehicles over {:.0}x{:.0} m",
         world.vehicles().len(),
-        world.config().size_m,
-        world.config().size_m
+        WORLD_SIZE_M,
+        WORLD_SIZE_M
     );
     // Altitude chosen so ground sampling puts vehicles at the scale the
     // detector was trained on (~10 px at 64-px frames): footprint =

@@ -20,15 +20,21 @@ use dronet::nn::profile::{alloc_metric_name, forward_metric_name, NetworkProfile
 use dronet::nn::summary::NetworkSummary;
 use dronet::obs::{AllocScope, CountingAlloc, Registry};
 use dronet::tensor::{Shape, Tensor};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
 /// Pin the GEMM to the calling thread before any forward caches the
 /// worker count. Every test that runs a forward calls this first, so
-/// whichever runs first caches `1` for the whole binary.
-fn single_threaded() {
+/// whichever runs first caches `1` for the whole binary. The returned
+/// guard runs those tests one at a time, so the process-wide live-byte
+/// count moves only with the test that reads it.
+fn single_threaded() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    let guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     std::env::set_var("DRONET_THREADS", "1");
+    guard
 }
 
 /// The acceptance bar for the pooled inference path: a warm DroNet-352
@@ -37,7 +43,7 @@ fn single_threaded() {
 /// per-forward `Vec`) shows up here as a nonzero delta.
 #[test]
 fn steady_state_dronet_forward_is_allocation_free() {
-    single_threaded();
+    let _serial = single_threaded();
     assert!(
         dronet::obs::alloc::installed(),
         "this binary must run under CountingAlloc"
@@ -75,7 +81,7 @@ fn steady_state_dronet_forward_is_allocation_free() {
 /// good and a later layer allocated its replacement.)
 #[test]
 fn steady_state_detect_allocates_nothing_in_its_forward_stage() {
-    single_threaded();
+    let _serial = single_threaded();
     let obs = Registry::new();
     let net = zoo::build(ModelId::DroNet, 352).unwrap();
     let mut detector = DetectorBuilder::new(net)
@@ -108,6 +114,31 @@ fn steady_state_detect_allocates_nothing_in_its_forward_stage() {
     assert_eq!(forward_allocs(), warm, "a warm detect_batch allocated");
 }
 
+/// A detector keeps no per-call history: after warm-up, thousands of
+/// `detect` calls leave the live heap where it was.
+#[test]
+fn repeated_detect_does_not_grow_the_live_heap() {
+    let _serial = single_threaded();
+    let net = zoo::build(ModelId::DroNet, 64).unwrap();
+    let mut detector = DetectorBuilder::new(net).build().unwrap();
+    let x = Tensor::zeros(Shape::nchw(1, 3, 64, 64));
+    for _ in 0..64 {
+        detector.detect(&x).unwrap();
+    }
+    let before = dronet::obs::alloc::stats().live_bytes;
+    for _ in 0..4096 {
+        detector.detect(&x).unwrap();
+    }
+    let grown = dronet::obs::alloc::stats()
+        .live_bytes
+        .saturating_sub(before);
+    // Slack for the test harness's own bookkeeping on other threads.
+    assert!(
+        grown < 16 * 1024,
+        "4096 warm detects left {grown} more bytes live"
+    );
+}
+
 /// Inference never builds a column matrix. Conv1's alone used to be
 /// 27 x 123 904 floats (13.4 MB) drawn from the pool; now the convolutions
 /// take no heap scratch at all, so everything a *cold* DroNet-352 forward
@@ -116,7 +147,7 @@ fn steady_state_detect_allocates_nothing_in_its_forward_stage() {
 /// pool they were handed.
 #[test]
 fn inference_takes_no_column_matrix_scratch() {
-    single_threaded();
+    let _serial = single_threaded();
     const CONV1_COLUMN_MATRIX: usize = 27 * 352 * 352;
     let mut net = zoo::build(ModelId::DroNet, 352).unwrap();
     let x = Tensor::zeros(Shape::nchw(1, 3, 352, 352));
@@ -152,7 +183,7 @@ fn inference_takes_no_column_matrix_scratch() {
 /// joined profile grows allocs/f + bytes/f columns.
 #[test]
 fn per_layer_alloc_telemetry_joins_into_profile() {
-    single_threaded();
+    let _serial = single_threaded();
     let obs = Registry::new();
     let mut net = zoo::build(ModelId::DroNet, 96).unwrap();
     net.set_observability(&obs);

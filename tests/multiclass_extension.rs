@@ -19,7 +19,6 @@ fn multiclass_config(input: usize) -> SceneConfig {
         vehicle_len_frac: (0.12, 0.22),
         occlusion_prob: 0.0,
         max_pedestrians: 4,
-        ..SceneConfig::default()
     }
 }
 
@@ -83,10 +82,7 @@ fn multiclass_training_learns_and_detects_both_classes() {
         epochs: 40,
         batch_size: 8,
         schedule: LrSchedule::Constant { lr: 1.2e-3 },
-        loss: YoloLossConfig {
-            coord_scale: 2.5,
-            ..YoloLossConfig::default()
-        },
+        loss: YoloLossConfig { coord_scale: 2.5 },
         augment: false,
         seed: 1,
         ..TrainConfig::default()

@@ -57,10 +57,7 @@ fn train_detect_checkpoint() {
             lr: 1.2e-3,
             steps: vec![(600, 0.3)],
         },
-        loss: YoloLossConfig {
-            coord_scale: 2.5,
-            ..YoloLossConfig::default()
-        },
+        loss: YoloLossConfig { coord_scale: 2.5 },
         augment: false,
         seed: 1,
         ..TrainConfig::default()
