@@ -7,11 +7,14 @@
 //! outpaces compute (queue full, frames dropping), downshift the detector
 //! to the next-smaller input size; when the load clears and stays clear,
 //! upshift back. [`DegradeController`] implements that hysteresis as a
-//! pure, deterministic state machine over per-frame load observations; the
-//! supervisor feeds it the `pipeline.queue_depth` gauge and drop-counter
-//! deltas and rebuilds the detector when it emits an action.
+//! deterministic state machine over per-frame load observations, and
+//! [`DegradeController::step`] is the workspace's one brownout step: both
+//! `detect::Supervisor` (queue depth + camera drops per frame) and serve's
+//! replicas (queue depth + admission drops per tick) call it, then rebuild
+//! their detector at the size it returns.
 
 use crate::{DetectError, Result};
+use dronet_obs::{Counter, Gauge, HealthCell};
 
 /// Configuration of the degradation state machine.
 #[derive(Debug, Clone)]
@@ -66,7 +69,20 @@ impl DegradeAction {
     }
 }
 
-/// The degradation state machine. Pure: consumes load observations, emits
+/// Where a controller's shifts are published. Each caller names its own
+/// metrics (`degrade.*` / `detect.input_size` in detect,
+/// `serve.brownout_*` / `serve.input_resolution` in serve).
+#[derive(Debug, Clone)]
+pub struct ShiftMetrics {
+    /// Counts downshifts.
+    pub downshifts: Counter,
+    /// Counts upshifts.
+    pub upshifts: Counter,
+    /// The current input size.
+    pub input_size: Gauge,
+}
+
+/// The degradation state machine: consumes load observations, emits
 /// actions; the caller owns detector rebuilding.
 #[derive(Debug, Clone)]
 pub struct DegradeController {
@@ -148,13 +164,34 @@ impl DegradeController {
         self.observe_window(hot)
     }
 
-    /// Folds one whole pre-aggregated observation window into the
-    /// hysteresis streaks — the seam for callers that do their own
-    /// windowing (the serve-side brownout controller aggregates watchdog
-    /// ticks and hands the boolean verdict here). Equivalent to
-    /// `window_frames` calls to [`DegradeController::observe_frame`] whose
-    /// combined hotness is `hot`.
-    pub fn observe_window(&mut self, hot: bool) -> Option<DegradeAction> {
+    /// The one brownout step: feeds one observation (see
+    /// [`DegradeController::observe_frame`]) and applies the shift it asks
+    /// for — counts it, publishes the new input size, and degrades `health`
+    /// on a downshift. Returns the new input size, at which the caller must
+    /// rebuild its detector.
+    pub fn step(
+        &mut self,
+        queue_depth: f64,
+        drops_delta: u64,
+        metrics: &ShiftMetrics,
+        health: &HealthCell,
+    ) -> Option<usize> {
+        let action = self.observe_frame(queue_depth, drops_delta)?;
+        match action {
+            DegradeAction::Downshift(_) => {
+                metrics.downshifts.inc();
+                health.degrade();
+            }
+            DegradeAction::Upshift(_) => metrics.upshifts.inc(),
+        }
+        metrics.input_size.set(action.target() as f64);
+        Some(action.target())
+    }
+
+    /// Folds one whole observation window into the hysteresis streaks.
+    /// Equivalent to `window_frames` calls to
+    /// [`DegradeController::observe_frame`] whose combined hotness is `hot`.
+    fn observe_window(&mut self, hot: bool) -> Option<DegradeAction> {
         if hot {
             self.hot_streak += 1;
             self.calm_streak = 0;
@@ -302,6 +339,35 @@ mod tests {
             assert_eq!(frame_action, window_action);
             assert_eq!(by_frame.current(), by_window.current());
         }
+    }
+
+    #[test]
+    fn step_publishes_each_shift_and_degrades_on_the_way_down() {
+        let obs = dronet_obs::Registry::new();
+        let metrics = ShiftMetrics {
+            downshifts: obs.counter("down"),
+            upshifts: obs.counter("up"),
+            input_size: obs.gauge("input"),
+        };
+        let health = HealthCell::new(obs.gauge("health"));
+        let mut c = controller(1, 1, 0);
+        assert_eq!(c.step(0.0, 1, &metrics, &health), None, "mid-window");
+        assert_eq!(c.step(0.0, 0, &metrics, &health), Some(544));
+        assert_eq!(health.get(), dronet_obs::Health::Degraded);
+        health.recover();
+        c.step(0.0, 0, &metrics, &health);
+        assert_eq!(c.step(0.0, 0, &metrics, &health), Some(608));
+        assert_eq!(
+            health.get(),
+            dronet_obs::Health::Healthy,
+            "upshifts never degrade"
+        );
+        let snap = obs.snapshot();
+        assert_eq!(
+            (snap.counter("down"), snap.counter("up")),
+            (Some(1), Some(1))
+        );
+        assert_eq!(snap.gauge("input"), Some(608.0));
     }
 
     #[test]

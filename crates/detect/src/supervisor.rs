@@ -19,10 +19,12 @@
 //! * **a health-state machine** — the workspace's one
 //!   `Healthy → Degraded → Halted` ratchet ([`dronet_obs::HealthCell`]),
 //!   exported as the `supervisor.health` gauge (0/1/2), with recovery back
-//!   to `Healthy` after a clean streak,
+//!   to `Healthy` by the workspace's one [`RecoveryClock`] — a clean streak
+//!   of `recovery_frames` frames, with the ladder back at its top,
 //! * **graceful degradation** — an optional [`DegradeController`]
 //!   watches the queue-depth gauge and drop counter and walks the
 //!   detector down (and back up) the paper's 352–608 resolution ladder.
+//!   A run that ends below the top of its ladder reports `Degraded`.
 //!
 //! There is one implementation of that policy (the private `supervise`)
 //! and two executors under it, which differ only in how a frame is fetched
@@ -31,15 +33,18 @@
 //! at the deadline; [`Supervisor::run_sync`] does both inline, so nothing
 //! is pre-empted and the fault ledger is deterministic.
 
-use crate::degrade::{DegradeAction, DegradeController};
+use crate::degrade::{DegradeController, ShiftMetrics};
 use crate::detector::DetectStage;
 use crate::error::panic_payload_message;
 use crate::pipeline::{estimated_drops, FrameResult};
 use crate::pump::{CameraPump, Pumped};
 use crate::source::{conform_frame, FrameSource};
 use crate::{DetectError, Detection, Result};
-use dronet_obs::{BlackBox, Counter, HealthCell, Histogram, Registry, Tracer};
+use dronet_obs::{
+    BlackBox, Counter, HealthCell, Histogram, RecoveryClock, Registry, RestartBudget, Tracer,
+};
 use dronet_tensor::Tensor;
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::time::{Duration, Instant};
@@ -74,7 +79,8 @@ pub struct SupervisorConfig {
     pub max_restarts: u32,
     /// Consecutive source watchdog expiries before halting (threaded mode).
     pub max_consecutive_stalls: u32,
-    /// Clean frames required to recover from `Degraded` to `Healthy`.
+    /// Clean frames required to recover from `Degraded` to `Healthy` (with
+    /// the ladder at its top).
     pub recovery_frames: u32,
     /// Detector input size used when no degradation controller is given.
     pub initial_input: usize,
@@ -177,8 +183,7 @@ pub struct Supervisor {
 struct Monitor {
     report: SupervisorReport,
     health: HealthCell,
-    clean_streak: u32,
-    recovery_frames: u32,
+    recovery: RecoveryClock,
     tracer: Tracer,
     faults_counter: Counter,
     retries_counter: Counter,
@@ -195,8 +200,7 @@ impl Monitor {
                 ..SupervisorReport::default()
             },
             health: HealthCell::new(obs.gauge("supervisor.health")),
-            clean_streak: 0,
-            recovery_frames,
+            recovery: RecoveryClock::new(u64::from(recovery_frames)),
             tracer: tracer.clone(),
             faults_counter: obs.counter("supervisor.faults"),
             retries_counter: obs.counter("supervisor.retries"),
@@ -206,11 +210,6 @@ impl Monitor {
         }
     }
 
-    fn mark_degraded(&mut self) {
-        self.clean_streak = 0;
-        self.health.degrade();
-    }
-
     fn fault(&mut self, frame_index: Option<usize>, stage: &'static str, description: String) {
         self.report.faults.push(FaultEvent {
             frame_index,
@@ -218,7 +217,7 @@ impl Monitor {
             description,
         });
         self.faults_counter.inc();
-        self.mark_degraded();
+        self.recovery.fault(&self.health);
     }
 
     fn stall(&mut self, elapsed: Duration, limit: Duration) {
@@ -248,13 +247,14 @@ impl Monitor {
     fn retry(&mut self) {
         self.report.retries += 1;
         self.retries_counter.inc();
-        self.mark_degraded();
+        self.recovery.fault(&self.health);
     }
 
+    /// Counts a stage restart; the stage loss itself was already recorded
+    /// as a [`Monitor::fault`].
     fn restart(&mut self) {
         self.report.restarts += 1;
         self.restarts_counter.inc();
-        self.mark_degraded();
     }
 
     fn skipped(&mut self, index: usize) {
@@ -266,15 +266,6 @@ impl Monitor {
     fn black_box(&mut self, trigger: &str, frame_ids: &[u64]) {
         if self.tracer.is_enabled() {
             self.report.black_box = Some(BlackBox::capture(&self.tracer, trigger, frame_ids));
-        }
-    }
-
-    fn clean_frame(&mut self) {
-        if self.health.get() == Health::Degraded {
-            self.clean_streak += 1;
-            if self.clean_streak >= self.recovery_frames {
-                self.health.recover();
-            }
         }
     }
 
@@ -293,12 +284,16 @@ impl Monitor {
     }
 
     fn finish(mut self) -> SupervisorReport {
-        self.report.final_health = self.health.get();
+        let r = &mut self.report;
+        r.final_health = self.health.get();
+        let history = &r.resolution_history;
+        r.downshifts = history.windows(2).filter(|w| w[1] < w[0]).count() as u32;
+        r.upshifts = history.len() as u32 - 1 - r.downshifts;
         self.report
     }
 }
 
-fn backoff(base: Duration, attempt: u32) -> Duration {
+fn backoff(base: Duration, attempt: u64) -> Duration {
     base.saturating_mul(1u32 << attempt.saturating_sub(1).min(10))
 }
 
@@ -402,7 +397,9 @@ struct Threaded {
     pump: CameraPump,
     worker: Worker,
     tracer: Tracer,
-    consecutive_stalls: u32,
+    /// Consecutive source watchdog expiries, against
+    /// `max_consecutive_stalls`.
+    stalls: RestartBudget,
     last_drops: usize,
 }
 
@@ -415,7 +412,7 @@ impl Executor for Threaded {
         loop {
             match self.pump.recv(Some(cfg.source_timeout)) {
                 Ok(Pumped::Item(index, item)) => {
-                    self.consecutive_stalls = 0;
+                    self.stalls.reset();
                     return Some((index, item));
                 }
                 Ok(Pumped::Crashed(msg)) => {
@@ -424,12 +421,11 @@ impl Executor for Threaded {
                 }
                 Err(RecvTimeoutError::Disconnected) => return None,
                 Err(RecvTimeoutError::Timeout) => {
-                    self.consecutive_stalls += 1;
                     monitor.stall(cfg.source_timeout, cfg.source_timeout);
-                    if self.consecutive_stalls > cfg.max_consecutive_stalls {
+                    if !self.stalls.spend() {
                         monitor.halt(format!(
                             "camera stalled for {} consecutive watchdog periods",
-                            self.consecutive_stalls
+                            self.stalls.spent + 1
                         ));
                         return None;
                     }
@@ -597,7 +593,7 @@ impl Supervisor {
             pump: CameraPump::spawn(source, &self.obs, &self.tracer),
             worker: Worker::spawn(stage, self.tracer.clone()),
             tracer: self.tracer.clone(),
-            consecutive_stalls: 0,
+            stalls: RestartBudget::new(u64::from(self.config.max_consecutive_stalls)),
             last_drops: 0,
         })
     }
@@ -643,47 +639,46 @@ impl Supervisor {
             .as_ref()
             .map_or(cfg.initial_input, DegradeController::current);
         let stage = factory(current_input)?;
-        let mut stage_chw = stage.input_chw();
+        let stage_chw = Cell::new(stage.input_chw());
         let mut exec = make_executor(stage);
 
         let frame_hist = obs.histogram("pipeline.frame");
         let frames_counter = obs.counter("pipeline.frames");
-        let input_gauge = obs.gauge("detect.input_size");
-        let downshift_counter = obs.counter("degrade.downshifts");
-        let upshift_counter = obs.counter("degrade.upshifts");
-        input_gauge.set(current_input as f64);
+        let shifts = ShiftMetrics {
+            downshifts: obs.counter("degrade.downshifts"),
+            upshifts: obs.counter("degrade.upshifts"),
+            input_size: obs.gauge("detect.input_size"),
+        };
+        shifts.input_size.set(current_input as f64);
 
         let mut monitor = Monitor::new(obs, cfg.recovery_frames, current_input, &self.tracer);
-        let mut restarts_left = cfg.max_restarts;
+        let mut restarts = RestartBudget::new(u64::from(cfg.max_restarts));
         // Builds a stage at `input` and installs it; a factory failure
         // halts the run.
-        let mut rebuild = |exec: &mut E,
-                           monitor: &mut Monitor,
-                           stage_chw: &mut (usize, usize, usize),
-                           input: usize,
-                           what: &str| match factory(input) {
-            Ok(stage) => {
-                *stage_chw = stage.input_chw();
-                exec.install(stage);
-                true
-            }
-            Err(e) => {
-                monitor.halt(format!("{what} rebuild failed: {e}"));
-                false
-            }
-        };
+        let mut rebuild =
+            |exec: &mut E, monitor: &mut Monitor, input: usize, what: &str| match factory(input) {
+                Ok(stage) => {
+                    stage_chw.set(stage.input_chw());
+                    exec.install(stage);
+                    true
+                }
+                Err(e) => {
+                    monitor.halt(format!("{what} rebuild failed: {e}"));
+                    false
+                }
+            };
 
         // Every exit from this loop other than the end of the stream goes
         // through `monitor.halt`.
         'stream: while let Some((index, item)) = exec.fetch(cfg, &mut monitor) {
             let mut latency = None;
-            match item.and_then(|frame| conform_frame(frame, stage_chw, index)) {
+            match item.and_then(|frame| conform_frame(frame, stage_chw.get(), index)) {
                 Err(e) => {
                     monitor.fault(Some(index), "source", e.to_string());
                     monitor.skipped(index);
                 }
                 Ok(frame) => {
-                    let mut attempt = 0u32;
+                    let mut retries = RestartBudget::new(u64::from(cfg.max_retries));
                     loop {
                         let lost = match exec.call(index, &frame, cfg) {
                             StageCall::Returned(Ok(detections), elapsed) => {
@@ -704,14 +699,15 @@ impl Supervisor {
                                     detections,
                                     latency: elapsed,
                                 });
-                                monitor.clean_frame();
+                                let browned_out =
+                                    controller.as_ref().is_some_and(|c| c.is_degraded());
+                                monitor.recovery.clean(&monitor.health, !browned_out);
                                 break;
                             }
                             StageCall::Returned(Err(e), _) => {
-                                if e.is_recoverable() && attempt < cfg.max_retries {
-                                    attempt += 1;
+                                if e.is_recoverable() && retries.spend() {
                                     monitor.retry();
-                                    std::thread::sleep(backoff(cfg.backoff_base, attempt));
+                                    std::thread::sleep(backoff(cfg.backoff_base, retries.spent));
                                     continue;
                                 }
                                 monitor.fault(Some(index), "detect", e.to_string());
@@ -728,22 +724,14 @@ impl Supervisor {
                         monitor.fault(Some(index), "detect", description.clone());
                         monitor.black_box(&description, &[index as u64]);
                         monitor.restart();
-                        if restarts_left == 0 {
+                        if !restarts.spend() {
                             monitor.halt("detector stage restart budget exhausted".to_string());
                             break 'stream;
                         }
-                        restarts_left -= 1;
-                        if !rebuild(
-                            &mut exec,
-                            &mut monitor,
-                            &mut stage_chw,
-                            current_input,
-                            "detector stage",
-                        ) {
+                        if !rebuild(&mut exec, &mut monitor, current_input, "detector stage") {
                             break 'stream;
                         }
-                        if attempt < cfg.max_retries {
-                            attempt += 1;
+                        if retries.spend() {
                             monitor.retry();
                         } else {
                             monitor.skipped(index);
@@ -759,28 +747,10 @@ impl Supervisor {
                 continue;
             };
             let (queue_depth, drops) = exec.load(cfg, latency);
-            if let Some(action) = ctrl.observe_frame(queue_depth, drops) {
-                match action {
-                    DegradeAction::Downshift(_) => {
-                        monitor.report.downshifts += 1;
-                        downshift_counter.inc();
-                        monitor.mark_degraded();
-                    }
-                    DegradeAction::Upshift(_) => {
-                        monitor.report.upshifts += 1;
-                        upshift_counter.inc();
-                    }
-                }
-                current_input = action.target();
-                input_gauge.set(current_input as f64);
-                monitor.report.resolution_history.push(current_input);
-                if !rebuild(
-                    &mut exec,
-                    &mut monitor,
-                    &mut stage_chw,
-                    current_input,
-                    "resolution-shift",
-                ) {
+            if let Some(size) = ctrl.step(queue_depth, drops, &shifts, &monitor.health) {
+                current_input = size;
+                monitor.report.resolution_history.push(size);
+                if !rebuild(&mut exec, &mut monitor, size, "resolution-shift") {
                     break;
                 }
             }
@@ -1103,6 +1073,50 @@ mod tests {
             .any(|e| e.kind == dronet_obs::TraceKind::Begin
                 && e.name == "frame"
                 && e.frame_id == fid));
+    }
+
+    /// One 2 ms frame at a 1 kHz camera overloads a 1-frame window; the
+    /// rest are calm. A run that stays on the lower rung ends Degraded
+    /// however long its clean streak; one that walks back up ends Healthy.
+    #[test]
+    fn final_health_is_degraded_below_the_top_of_the_ladder() {
+        let run = |calm_windows| {
+            let plan = FaultPlan::from_schedule(vec![Some(FaultKind::SlowDetect(
+                Duration::from_millis(2),
+            ))]);
+            let sup = Supervisor::new(SupervisorConfig {
+                camera_fps: Some(1000.0),
+                ..quick_config()
+            });
+            let controller = DegradeController::new(crate::DegradeConfig {
+                overload_windows: 1,
+                calm_windows,
+                cooldown_windows: 0,
+                window_frames: 1,
+                ..crate::DegradeConfig::over_ladder(vec![4, 8])
+            })
+            .unwrap();
+            let calls = Arc::new(AtomicUsize::new(0));
+            let mut factory: Box<dyn FnMut(usize) -> Result<Box<dyn DetectStage>>> =
+                Box::new(|_| {
+                    Ok(Box::new(FaultyDetector::with_counter(
+                        NullStage,
+                        plan.clone(),
+                        Arc::clone(&calls),
+                    )))
+                });
+            sup.run_sync(IterSource::new(frames(10)), &mut factory, Some(controller))
+                .unwrap()
+        };
+        let stuck = run(100);
+        assert_eq!(stuck.resolution_history, vec![8, 4]);
+        assert!(stuck.faults.is_empty(), "a brownout is not a fault");
+        assert_eq!(stuck.final_health, Health::Degraded);
+
+        let back = run(2);
+        assert_eq!(back.resolution_history, vec![8, 4, 8]);
+        assert_eq!((back.downshifts, back.upshifts), (1, 1));
+        assert_eq!(back.final_health, Health::Healthy);
     }
 
     #[test]

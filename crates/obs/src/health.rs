@@ -1,13 +1,14 @@
-//! The workspace's one supervision vocabulary: the `Healthy → Degraded →
-//! Halted` state, the gauge-mirrored ratchet cell that holds it, and the
-//! crash black box.
+//! The workspace's one supervision policy: the `Healthy → Degraded →
+//! Halted` state, the gauge-mirrored ratchet cell that holds it, the one
+//! restart budget, the one recovery clock, and the crash black box.
 //!
-//! Three supervisors speak it — `detect::Supervisor` (per-frame faults),
+//! Three supervisors follow it — `detect::Supervisor` (per-frame faults),
 //! `serve`'s watchdog/batcher/replica pool (worker wedges and deaths) and
-//! `train::Trainer` (divergence-sentry trips). Each keeps its own policy
-//! for *when* to degrade, recover or halt; what those words mean, how they
-//! are exported, and what a post-mortem capture looks like is defined once,
-//! here.
+//! `train::Trainer` (divergence-sentry trips). They differ only in their
+//! triggers and in their unit of time (a frame, a tick, a step): when a
+//! restart is spent ([`RestartBudget`]), when Degraded recovers
+//! ([`RecoveryClock`]), what those words mean, how they are exported, and
+//! what a post-mortem capture looks like is defined once, here.
 
 use crate::{Gauge, TraceSnapshot, Tracer};
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -18,9 +19,9 @@ pub const BLACK_BOX_EVENTS: usize = 64;
 /// Health of a supervised component, exported as a gauge (`Healthy` = 0,
 /// `Degraded` = 1, `Halted` = 2).
 ///
-/// Transitions: a fault moves `Healthy → Degraded`; a clean streak (whose
-/// length is the supervisor's policy) moves `Degraded → Healthy`;
-/// exhausting a fault budget moves to the terminal `Halted`.
+/// Transitions: a fault moves `Healthy → Degraded`; a [`RecoveryClock`]
+/// streak moves `Degraded → Healthy`; exhausting a [`RestartBudget`] (or
+/// another fault budget) moves to the terminal `Halted`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Health {
     /// Everything nominal.
@@ -68,14 +69,15 @@ impl HealthCell {
         }
     }
 
-    fn transition(&self, from: Health, to: Health) {
-        if self
+    fn transition(&self, from: Health, to: Health) -> bool {
+        let moved = self
             .state
             .compare_exchange(from as u8, to as u8, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
+            .is_ok();
+        if moved {
             self.gauge.set(to.as_metric());
         }
+        moved
     }
 
     /// `Healthy → Degraded`; no effect in any other state.
@@ -83,15 +85,84 @@ impl HealthCell {
         self.transition(Health::Healthy, Health::Degraded);
     }
 
-    /// `Degraded → Healthy`; no effect in any other state.
-    pub fn recover(&self) {
-        self.transition(Health::Degraded, Health::Healthy);
+    /// `Degraded → Healthy`; no effect in any other state. Returns whether
+    /// the cell moved.
+    pub fn recover(&self) -> bool {
+        self.transition(Health::Degraded, Health::Healthy)
     }
 
     /// Terminal: nothing leaves `Halted`.
     pub fn halt(&self) {
         self.state.store(Health::Halted as u8, Ordering::SeqCst);
         self.gauge.set(Health::Halted.as_metric());
+    }
+}
+
+/// The one restart budget: how many restarts (or retries) a supervisor
+/// may spend — a detector stage rebuild, a frame retry, a replacement
+/// worker, a quarantined slot's rebuild, a training rollback — before it
+/// must give up.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RestartBudget {
+    limit: u64,
+    /// Restarts spent so far. Public so a caller can persist and restore
+    /// it (a training checkpoint's rollbacks) or report it.
+    pub spent: u64,
+}
+
+impl RestartBudget {
+    /// A budget of `limit` restarts, none spent.
+    pub fn new(limit: u64) -> Self {
+        RestartBudget { limit, spent: 0 }
+    }
+
+    /// Whether all `limit` restarts are spent.
+    pub fn is_exhausted(&self) -> bool {
+        self.spent >= self.limit
+    }
+
+    /// Spends one restart; `false`, spending nothing, once exhausted.
+    pub fn spend(&mut self) -> bool {
+        let ok = !self.is_exhausted();
+        self.spent += u64::from(ok);
+        ok
+    }
+
+    /// Gives every restart back (a rebuilt slot proved itself again).
+    pub fn reset(&mut self) {
+        self.spent = 0;
+    }
+}
+
+/// The one recovery rule: a fault moves `Healthy → Degraded` and restarts
+/// the clock; `after` consecutive fault-free units (frames in detect,
+/// ticks in serve, steps in train) move `Degraded → Healthy` — but only
+/// while the component's resolution ladder is at the top, since a lower
+/// rung is reduced quality and so still [`Health::Degraded`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RecoveryClock {
+    after: u64,
+    /// Fault-free units since the last fault (for reports).
+    pub streak: u64,
+}
+
+impl RecoveryClock {
+    /// A clock recovering after `after` clean units.
+    pub fn new(after: u64) -> Self {
+        RecoveryClock { after, streak: 0 }
+    }
+
+    /// A fault: degrades `health` and restarts the streak.
+    pub fn fault(&mut self, health: &HealthCell) {
+        self.streak = 0;
+        health.degrade();
+    }
+
+    /// One fault-free unit; `at_top` says the ladder (if any) is at its
+    /// top rung. Returns whether this unit recovered `health`.
+    pub fn clean(&mut self, health: &HealthCell, at_top: bool) -> bool {
+        self.streak = self.streak.saturating_add(1);
+        at_top && self.streak >= self.after && health.recover()
     }
 }
 
@@ -164,6 +235,26 @@ mod tests {
     }
 
     #[test]
+    fn restart_budget_spends_exhausts_and_resets() {
+        let mut budget = RestartBudget::new(2);
+        assert!(!budget.is_exhausted());
+        assert!(budget.spend() && budget.spend());
+        assert!(budget.is_exhausted());
+        assert!(!budget.spend(), "an exhausted budget refuses");
+        assert_eq!(budget.spent, 2, "a refused spend costs nothing");
+        budget.reset();
+        assert_eq!(budget.spent, 0);
+        assert!(budget.spend());
+        budget.spent = 7; // restored past the limit, as a checkpoint may be
+        assert!(budget.is_exhausted() && !budget.spend());
+        assert_eq!(budget.spent, 7);
+        assert!(
+            RestartBudget::new(0).is_exhausted(),
+            "a zero budget starts spent"
+        );
+    }
+
+    #[test]
     fn black_box_keeps_the_newest_events() {
         let tracer = Tracer::new();
         for i in 0..(BLACK_BOX_EVENTS as u64 + 10) {
@@ -192,7 +283,9 @@ mod tests {
             for op in ops {
                 match op {
                     0 => cell.degrade(),
-                    1 => cell.recover(),
+                    1 => {
+                        cell.recover();
+                    }
                     _ => {
                         cell.halt();
                         halted = true;
@@ -200,6 +293,36 @@ mod tests {
                 }
                 prop_assert_eq!(halted, cell.get() == Health::Halted);
                 prop_assert_eq!(obs.snapshot().gauge("health"), Some(cell.get().as_metric()));
+            }
+        }
+
+        /// The recovery clock against a plain counter oracle: a fault
+        /// always degrades and resets the streak; recovery happens exactly
+        /// when `after` clean units ran since the last fault, and never
+        /// below the top of the ladder.
+        #[test]
+        fn recovery_clock_matches_a_counter_oracle(
+            after in 1u64..6,
+            ops in prop::collection::vec(0u8..3, 0..96),
+        ) {
+            let cell = HealthCell::new(Registry::new().gauge("health"));
+            let mut clock = RecoveryClock::new(after);
+            let (mut streak, mut degraded) = (0u64, false);
+            for op in ops {
+                if op == 0 {
+                    clock.fault(&cell);
+                    (streak, degraded) = (0, true);
+                    prop_assert_eq!(cell.get(), Health::Degraded);
+                    continue;
+                }
+                let at_top = op == 1;
+                streak += 1;
+                let expect = degraded && at_top && streak >= after;
+                let recovered = clock.clean(&cell, at_top);
+                prop_assert_eq!(recovered, expect);
+                prop_assert!(!recovered || at_top, "recovered below the top");
+                degraded &= !recovered;
+                prop_assert_eq!(cell.get() == Health::Degraded, degraded);
             }
         }
     }

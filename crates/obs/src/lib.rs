@@ -67,7 +67,7 @@ pub mod window;
 pub use alloc::{AllocDelta, AllocScope, AllocStats, CountingAlloc};
 pub use chrome::{ChromeEvent, ChromeTrace, CHROME_TRACE_PID};
 pub use export::{format_f64, JsonExporter};
-pub use health::{BlackBox, Health, HealthCell, BLACK_BOX_EVENTS};
+pub use health::{BlackBox, Health, HealthCell, RecoveryClock, RestartBudget, BLACK_BOX_EVENTS};
 pub use histogram::{Histogram, ScopedTimer, BUCKET_COUNT};
 pub use json::{JsonParseError, JsonValue};
 pub use prom::PromExporter;

@@ -348,6 +348,15 @@ pub(crate) struct InFlight {
     pub replies: Vec<Reply>,
 }
 
+impl InFlight {
+    /// Answers every held job with the typed error `failed` builds.
+    pub fn fail(&self, failed: impl Fn() -> ServeError) {
+        for reply in &self.replies {
+            reply.deliver(Err(failed()));
+        }
+    }
+}
+
 /// Per-worker heartbeat + in-flight record, shared with the watchdog.
 pub(crate) struct WorkerSlot {
     /// Stable worker index (thread name, black-box triggers).
@@ -481,8 +490,6 @@ pub(crate) struct WorkerShared {
     /// along the ladder by brownout (workers rebuild when it differs from
     /// the detector they hold).
     pub target_input: AtomicUsize,
-    /// Gauge mirroring `target_input` for `/metrics`.
-    pub resolution_gauge: Gauge,
     /// One-shot arming latch for `config.wedge_chaos`.
     pub wedge_armed: AtomicBool,
     pub batch_size_hist: Histogram,
@@ -506,16 +513,17 @@ pub(crate) struct WorkerShared {
     pub chaos_panic: AtomicBool,
 }
 
-/// Spawns the worker loop on a new thread, moving `detector` into it.
-pub(crate) fn spawn_worker(
-    shared: Arc<WorkerShared>,
-    slot: Arc<WorkerSlot>,
-    detector: Detector,
-) -> thread::JoinHandle<()> {
+/// The one way a worker joins the pool (at startup, or replacing a wedged
+/// one): a fresh slot, registered, and the worker loop on a new thread
+/// with `detector` moved into it.
+pub(crate) fn spawn_worker(shared: &Arc<WorkerShared>, detector: Detector) {
+    let slot = WorkerSlot::new(shared.pool.next_index());
     let index = slot.index;
-    thread::Builder::new()
+    let (worker_shared, worker_slot) = (Arc::clone(shared), Arc::clone(&slot));
+    let handle = thread::Builder::new()
         .name(format!("serve-worker-{index}"))
         .spawn(move || {
+            let (shared, slot) = (worker_shared, worker_slot);
             // Register with the flight recorder so Chrome-trace exports
             // label this lane ("serve-worker-N") instead of a bare tid.
             shared
@@ -541,38 +549,62 @@ pub(crate) fn spawn_worker(
                 }
             }
         })
-        .expect("spawn worker thread")
+        .expect("spawn worker thread");
+    shared.pool.register(slot, handle);
 }
 
-/// The typed replacement for the old `panic!` on rebuild failure: fails
-/// any jobs still held by the slot, retires the worker, and — when it
-/// was the last one — flips health to Halted, closes the queue, and
-/// fails the backlog so nothing hangs. Returns `None` (the worker loop's
-/// exit signal).
+impl WorkerShared {
+    /// A fault in this pool (panic, death or wedge): counted under
+    /// `counter` and in `fault_events`, and the pool degraded.
+    pub fn fault(&self, counter: &Counter) {
+        counter.inc();
+        self.fault_events.fetch_add(1, Ordering::SeqCst);
+        self.health.degrade();
+    }
+
+    /// The one way a worker leaves the pool, dead or wedged: the `fault`,
+    /// the jobs it held failed with `failed()`, the trace tail black-boxed
+    /// under `trigger`, its slot retired; then `replace` may register a
+    /// successor, and a pool left with nobody halts — queue closed,
+    /// backlog failed — so nothing hangs. Whoever loses the race to retire
+    /// the slot (worker or watchdog) stops after the replies.
+    pub fn retire_worker(
+        &self,
+        slot: &WorkerSlot,
+        inflight: Option<InFlight>,
+        fault: &Counter,
+        trigger: &str,
+        failed: impl Fn() -> ServeError,
+        replace: impl FnOnce(),
+    ) {
+        self.fault(fault);
+        let frame_ids = inflight.as_ref().map_or(&[][..], |i| &i.frame_ids);
+        self.builder.black_box.capture(trigger, frame_ids);
+        if let Some(inflight) = &inflight {
+            inflight.fail(failed);
+        }
+        slot.finish_batch();
+        if !slot.retire() {
+            return;
+        }
+        self.pool.worker_gone();
+        replace();
+        if self.pool.alive_count() == 0 {
+            self.health.halt();
+            self.queue.close();
+            self.queue.fail_pending();
+        }
+    }
+}
+
+/// The typed replacement for the old `panic!` on rebuild failure: the
+/// worker leaves the pool ([`WorkerShared::retire_worker`]). Returns
+/// `None` (the worker loop's exit signal).
 fn worker_dies(shared: &WorkerShared, slot: &WorkerSlot, reason: &str) -> Option<Detector> {
-    shared.worker_deaths.inc();
-    shared.fault_events.fetch_add(1, Ordering::SeqCst);
-    let inflight = slot.take_inflight();
-    shared.builder.black_box.capture(
-        &format!("worker {} died: {reason}", slot.index),
-        inflight.as_ref().map_or(&[], |i| &i.frame_ids),
-    );
-    if let Some(inflight) = inflight {
-        let msg = format!("worker died: {reason}");
-        for reply in &inflight.replies {
-            reply.deliver(Err(ServeError::WorkerFailed(msg.clone())));
-        }
-    }
-    slot.finish_batch();
-    if slot.retire() {
-        if shared.pool.worker_gone() == 0 {
-            shared.health.halt();
-            shared.queue.close();
-            shared.queue.fail_pending();
-        } else {
-            shared.health.degrade();
-        }
-    }
+    let trigger = format!("worker {} died: {reason}", slot.index);
+    let failed = || ServeError::WorkerFailed(format!("worker died: {reason}"));
+    let deaths = &shared.worker_deaths;
+    shared.retire_worker(slot, slot.take_inflight(), deaths, &trigger, failed, || {});
     None
 }
 
@@ -669,10 +701,7 @@ fn run_batch(
         Err(e) => {
             drop(trace);
             if let Some(inflight) = slot.take_inflight() {
-                let msg = format!("stacking batch failed: {e}");
-                for reply in &inflight.replies {
-                    reply.deliver(Err(ServeError::WorkerFailed(msg.clone())));
-                }
+                inflight.fail(|| ServeError::WorkerFailed(format!("stacking batch failed: {e}")));
             }
             slot.finish_batch();
             return Some(detector);
@@ -689,11 +718,12 @@ fn run_batch(
     let forward_elapsed = forward_started.elapsed();
     drop(trace);
 
-    let Some(inflight) = slot.take_inflight() else {
+    let inflight = slot.take_inflight();
+    slot.finish_batch();
+    let Some(inflight) = inflight else {
         // The watchdog declared us wedged while we ran and already
         // failed the jobs and spawned a successor. It also did the pool
         // accounting; just disappear.
-        slot.finish_batch();
         return None;
     };
 
@@ -706,29 +736,17 @@ fn run_batch(
             for (reply, dets) in inflight.replies.iter().zip(all) {
                 reply.deliver(Ok(dets));
             }
-            slot.finish_batch();
             Some(det)
         }
         Ok((det, Err(e))) => {
-            let msg = e.to_string();
-            for reply in &inflight.replies {
-                reply.deliver(Err(ServeError::WorkerFailed(msg.clone())));
-            }
-            slot.finish_batch();
+            inflight.fail(|| ServeError::WorkerFailed(e.to_string()));
             Some(det)
         }
         Err(_) => {
             // The detector may hold poisoned state after a panic: isolate
             // the blast radius, mark the server degraded, rebuild.
-            shared.panics.inc();
-            shared.fault_events.fetch_add(1, Ordering::SeqCst);
-            shared.health.degrade();
-            for reply in &inflight.replies {
-                reply.deliver(Err(ServeError::WorkerFailed(
-                    "worker panicked during batch".to_string(),
-                )));
-            }
-            slot.finish_batch();
+            shared.fault(&shared.panics);
+            inflight.fail(|| ServeError::WorkerFailed("worker panicked during batch".to_string()));
             let target = shared.target_input.load(Ordering::SeqCst);
             match shared.builder.build_detector(target) {
                 Ok(fresh) => Some(fresh),

@@ -23,14 +23,15 @@
 //!    as a [`BlackBox`], and — under a bounded restart budget — a
 //!    replacement worker is spawned with a fresh detector. The wedged
 //!    thread finds its slot abandoned whenever it wakes and exits
-//!    silently. Then one brownout observation (queue depth +
-//!    admission-shed delta) feeds the core's
-//!    [`dronet_detect::DegradeController`]: sustained pressure walks the
+//!    silently. Then one brownout step (queue depth + admission-shed
+//!    delta, [`DegradeController::step`]): sustained pressure walks the
 //!    input-resolution ladder down (the paper's 608→352 accuracy-vs-FPS
 //!    knob, applied as load shedding that still answers), sustained calm
-//!    walks it back up. Then recovery: after `recovery_ticks` ticks with
-//!    no new fault and the ladder back at the top, the core's health
-//!    returns Degraded → Healthy. Losing the last worker (restart budget
+//!    walks it back up. Then the core's one fault clock — its own pool's
+//!    fault count, never a peer's — feeds both the quarantine streak and
+//!    the [`RecoveryClock`]: after `recovery_ticks` ticks with no new
+//!    fault and the ladder back at the top, the core's health returns
+//!    Degraded → Healthy. Losing the last worker (restart budget
 //!    exhausted, or a rebuild failure) flips the core to Halted, closes
 //!    its queue, and fails the backlog — loud and typed, never a hang.
 //! 2. **Quarantine** — a replica that halts, or keeps faulting across
@@ -53,8 +54,10 @@ use crate::chaos::ReplicaKillKind;
 use crate::error::ServeError;
 use crate::server::{ServeConfig, SizedDetectorFactory};
 use dronet_detect::canary::{check_canary, golden_detections};
-use dronet_detect::{DegradeAction, DegradeController, Detection, Detector};
-use dronet_obs::{BlackBox, Counter, Gauge, Health, HealthCell, Registry, Tracer};
+use dronet_detect::{DegradeController, Detection, Detector, ShiftMetrics};
+use dronet_obs::{
+    BlackBox, Counter, Gauge, Health, HealthCell, RecoveryClock, Registry, RestartBudget, Tracer,
+};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -67,9 +70,9 @@ const LATENCY_RING: usize = 256;
 /// Most black boxes retained per server; older captures are dropped first.
 const MAX_BLACK_BOXES: usize = 16;
 
-/// Factory failures tolerated per quarantined slot before the slot is
-/// abandoned; all slots abandoned ⇒ service Halted.
-const MAX_REBUILD_FAILURES: usize = 8;
+/// Factory failures tolerated per quarantined slot; one more abandons the
+/// slot, and all slots abandoned ⇒ service Halted.
+const MAX_REBUILD_FAILURES: u64 = 8;
 
 /// A small ring of recent end-to-end latencies, one per replica. Feeds
 /// the dispatcher's p99 tie-break — cheap, approximate, and local.
@@ -149,24 +152,20 @@ struct Watch {
     /// This replica's own ladder walk (each replica has its own
     /// controller — an overloaded replica browns out alone).
     brownout: Option<DegradeController>,
-    /// Replacement workers spawned so far, against `max_worker_restarts`.
-    restarts_used: usize,
+    /// Replacement workers spawned, against `max_worker_restarts`.
+    restarts: RestartBudget,
     /// The queue's admission drops at the last tick. Brownout pressure
     /// must come from *this* pool's queue, not the registry counter:
     /// replicas share the counter name, and one overloaded replica must
     /// not brown out its healthy peers.
     last_drops: u64,
-    /// Panics + deaths + wedges on the registry's counters at the last
-    /// tick, and the consecutive ticks since they last moved: recovery's
-    /// clock. Replicas share the counter names, so a faulting peer holds
-    /// this one's recovery back too.
-    last_activity: u64,
-    quiet_ticks: u32,
-    /// This pool's own fault count at the last tick, and the faults
-    /// accumulated over consecutive ticks that each brought one:
-    /// quarantine's evidence.
+    /// This pool's own fault count (never the name-shared registry
+    /// counters, which a faulting peer moves too) at the last tick, and
+    /// the faults accumulated over consecutive ticks that each brought
+    /// one: quarantine's evidence. The same ticks drive `recovery`.
     last_faults: u64,
     fault_streak: u64,
+    recovery: RecoveryClock,
 }
 
 /// One live replica: a private queue + worker pool, and the state of the
@@ -180,8 +179,7 @@ pub(crate) struct ReplicaCore {
     watch: Mutex<Watch>,
     wedges: Counter,
     restarts: Counter,
-    downshifts: Counter,
-    upshifts: Counter,
+    shifts: ShiftMetrics,
 }
 
 impl ReplicaCore {
@@ -190,13 +188,12 @@ impl ReplicaCore {
         self.worker.target_input.load(Ordering::SeqCst)
     }
 
-    /// One watchdog pass: wedge scan, brownout observation, recovery.
+    /// One watchdog pass: wedge scan, brownout step, fault clock.
     /// Returns the faults (panics + deaths + wedges) accumulated over the
     /// consecutive faulting ticks up to this one. Only the supervisor
     /// thread calls this, so the `watch` lock is never contended.
     fn supervise(&self) -> u64 {
         let shared = &self.worker;
-        let cfg = &shared.builder.config;
         let watch = &mut *lock_recover(&self.watch);
 
         for slot in shared.pool.slots_snapshot() {
@@ -204,8 +201,8 @@ impl ReplicaCore {
                 continue;
             }
             if let Some(busy) = slot.busy_for(shared.epoch) {
-                if busy >= cfg.wedge_timeout {
-                    self.handle_wedge(&slot, busy, &mut watch.restarts_used);
+                if busy >= shared.builder.config.wedge_timeout {
+                    self.handle_wedge(&slot, busy, &mut watch.restarts);
                 }
             }
         }
@@ -214,50 +211,31 @@ impl ReplicaCore {
             let now_drops = self.queue.local_drops();
             let delta = now_drops.saturating_sub(watch.last_drops);
             watch.last_drops = now_drops;
-            if let Some(action) = ctrl.observe_frame(self.queue.len() as f64, delta) {
-                let target = action.target();
-                shared.target_input.store(target, Ordering::SeqCst);
-                shared.resolution_gauge.set(target as f64);
-                match action {
-                    DegradeAction::Downshift(_) => {
-                        self.downshifts.inc();
-                        shared.health.degrade();
-                    }
-                    DegradeAction::Upshift(_) => self.upshifts.inc(),
-                }
+            let depth = self.queue.len() as f64;
+            if let Some(size) = ctrl.step(depth, delta, &self.shifts, &shared.health) {
+                shared.target_input.store(size, Ordering::SeqCst);
             }
-        }
-
-        // Quiet for long enough, ladder at the top.
-        let activity = shared.panics.get() + shared.worker_deaths.get() + self.wedges.get();
-        if activity == watch.last_activity {
-            watch.quiet_ticks = watch.quiet_ticks.saturating_add(1);
-        } else {
-            watch.quiet_ticks = 0;
-            watch.last_activity = activity;
-        }
-        let browned_out = watch.brownout.as_ref().is_some_and(|c| c.is_degraded());
-        if watch.quiet_ticks >= cfg.recovery_ticks
-            && !browned_out
-            && matches!(shared.health.get(), Health::Degraded)
-        {
-            shared.health.recover();
         }
 
         let faults = shared.fault_events.load(Ordering::SeqCst);
         if faults == watch.last_faults {
             watch.fault_streak = 0;
+            let at_top = !watch
+                .brownout
+                .as_ref()
+                .is_some_and(DegradeController::is_degraded);
+            watch.recovery.clean(&shared.health, at_top);
         } else {
             watch.fault_streak += faults - watch.last_faults;
             watch.last_faults = faults;
+            watch.recovery.fault(&shared.health);
         }
         watch.fault_streak
     }
 
-    /// Declares `slot` wedged: steal its jobs, answer them with typed
-    /// errors, black-box the trace tail, and spawn a replacement under the
-    /// restart budget.
-    fn handle_wedge(&self, slot: &WorkerSlot, busy: Duration, restarts_used: &mut usize) {
+    /// Declares `slot` wedged: steal its jobs and retire it (typed errors,
+    /// black box), spawning a replacement under the restart budget.
+    fn handle_wedge(&self, slot: &WorkerSlot, busy: Duration, restarts: &mut RestartBudget) {
         let shared = &self.worker;
         let builder = &shared.builder;
         slot.abandoned.store(true, Ordering::SeqCst);
@@ -267,49 +245,32 @@ impl ReplicaCore {
             slot.abandoned.store(false, Ordering::SeqCst);
             return;
         };
-        self.wedges.inc();
-        shared.fault_events.fetch_add(1, Ordering::SeqCst);
-        builder.black_box.capture(
-            &format!(
-                "worker {} wedged after {:.0?} holding {} job(s)",
-                slot.index,
-                busy,
-                inflight.frame_ids.len()
-            ),
-            &inflight.frame_ids,
+        let trigger = format!(
+            "worker {} wedged after {busy:.0?} holding {} job(s)",
+            slot.index,
+            inflight.frame_ids.len()
         );
         let msg = format!(
             "worker {} stuck past {:.0?} deadline",
             slot.index, builder.config.wedge_timeout
         );
-        for reply in &inflight.replies {
-            reply.deliver(Err(ServeError::WorkerWedged(msg.clone())));
-        }
-        if !slot.retire() {
-            return; // the worker's own death path already did the accounting
-        }
-        shared.pool.worker_gone();
-        shared.health.degrade();
-        if *restarts_used < builder.config.max_worker_restarts {
+        let spare = || {
+            if restarts.is_exhausted() {
+                return;
+            }
             match builder.build_detector(self.current_input()) {
                 Ok(det) => {
-                    *restarts_used += 1;
+                    restarts.spend();
                     self.restarts.inc();
-                    let new_slot = WorkerSlot::new(shared.pool.next_index());
-                    let handle = spawn_worker(Arc::clone(shared), Arc::clone(&new_slot), det);
-                    shared.pool.register(new_slot, handle);
+                    spawn_worker(shared, det);
                 }
                 Err(e) => builder
                     .black_box
                     .capture(&format!("replacement rebuild failed: {e}"), &[]),
             }
-        }
-        if shared.pool.alive_count() == 0 {
-            // No replacement and nobody left: fail loudly instead of hanging.
-            shared.health.halt();
-            self.queue.close();
-            self.queue.fail_pending();
-        }
+        };
+        let failed = || ServeError::WorkerWedged(msg.clone());
+        shared.retire_worker(slot, Some(inflight), &self.wedges, &trigger, failed, spare);
     }
 
     /// Fails the backlog, halts the pool's health cell, and returns the
@@ -375,8 +336,12 @@ impl ReplicaBuilder {
 
         let obs = &self.obs;
         let queue = BatchQueue::new(self.config.queue_capacity, obs);
-        let resolution_gauge = obs.gauge("serve.input_resolution");
-        resolution_gauge.set(base as f64);
+        let shifts = ShiftMetrics {
+            downshifts: obs.counter("serve.brownout_downshifts"),
+            upshifts: obs.counter("serve.brownout_upshifts"),
+            input_size: obs.gauge("serve.input_resolution"),
+        };
+        shifts.input_size.set(base as f64);
 
         let worker = Arc::new(WorkerShared {
             queue: Arc::clone(&queue),
@@ -385,7 +350,6 @@ impl ReplicaBuilder {
             pool: Pool::new(),
             health: HealthCell::new(obs.gauge(&format!("serve.replica.{id}.health"))),
             target_input: AtomicUsize::new(base),
-            resolution_gauge,
             wedge_armed: AtomicBool::new(self.config.wedge_chaos.is_some()),
             batch_size_hist: obs.histogram("serve.batch_size"),
             queue_wait_hist: obs.histogram("serve.queue_wait"),
@@ -397,9 +361,7 @@ impl ReplicaBuilder {
             chaos_panic: AtomicBool::new(false),
         });
         for det in detectors {
-            let slot = WorkerSlot::new(worker.pool.next_index());
-            let handle = spawn_worker(Arc::clone(&worker), Arc::clone(&slot), det);
-            worker.pool.register(slot, handle);
+            spawn_worker(&worker, det);
         }
         Ok(Arc::new(ReplicaCore {
             id,
@@ -408,12 +370,13 @@ impl ReplicaBuilder {
             latency: LatencyRing::new(),
             watch: Mutex::new(Watch {
                 brownout,
+                restarts: RestartBudget::new(self.config.max_worker_restarts as u64),
+                recovery: RecoveryClock::new(u64::from(self.config.recovery_ticks)),
                 ..Watch::default()
             }),
             wedges: obs.counter("serve.worker_wedges"),
             restarts: obs.counter("serve.worker_restarts"),
-            downshifts: obs.counter("serve.brownout_downshifts"),
-            upshifts: obs.counter("serve.brownout_upshifts"),
+            shifts,
         }))
     }
 }
@@ -443,7 +406,7 @@ struct SlotState {
     /// Cumulative canary probes failed on this slot.
     canary_failures: u64,
     /// Consecutive factory failures since the last successful rebuild.
-    rebuild_failures: usize,
+    rebuild_failures: RestartBudget,
 }
 
 /// One replica slot: a stable identity whose core is replaced across
@@ -454,17 +417,9 @@ pub(crate) struct ReplicaSlot {
 }
 
 impl ReplicaSlot {
-    /// The current core, if the slot is active.
+    /// The current core, if the slot is active: quarantine takes the core
+    /// out of the slot, so a quarantined slot has none.
     pub fn active_core(&self) -> Option<Arc<ReplicaCore>> {
-        let s = lock_recover(&self.state);
-        match s.status {
-            SlotStatus::Active => s.core.clone(),
-            SlotStatus::Quarantined => None,
-        }
-    }
-
-    /// The current core regardless of rotation status (debug surfaces).
-    fn any_core(&self) -> Option<Arc<ReplicaCore>> {
         lock_recover(&self.state).core.clone()
     }
 }
@@ -536,7 +491,7 @@ impl ReplicaSet {
                     status: SlotStatus::Active,
                     generation: 0,
                     canary_failures: 0,
-                    rebuild_failures: 0,
+                    rebuild_failures: RestartBudget::new(MAX_REBUILD_FAILURES + 1),
                 }),
             });
         }
@@ -627,7 +582,7 @@ impl ReplicaSet {
     pub fn workers_alive_total(&self) -> usize {
         self.slots
             .iter()
-            .filter_map(|s| s.any_core())
+            .filter_map(|s| s.active_core())
             .map(|c| c.worker.pool.alive_count())
             .sum()
     }
@@ -674,7 +629,7 @@ impl ReplicaSet {
             let Some(slot) = self.slots.get(kill.replica) else {
                 continue;
             };
-            let Some(core) = slot.any_core() else {
+            let Some(core) = slot.active_core() else {
                 continue;
             };
             match kill.kind {
@@ -722,8 +677,7 @@ impl ReplicaSet {
         for slot in &self.slots {
             {
                 let s = lock_recover(&slot.state);
-                if s.status != SlotStatus::Quarantined || s.rebuild_failures > MAX_REBUILD_FAILURES
-                {
+                if s.status != SlotStatus::Quarantined || s.rebuild_failures.is_exhausted() {
                     continue;
                 }
             }
@@ -734,14 +688,16 @@ impl ReplicaSet {
                     s.core = Some(core);
                     s.status = SlotStatus::Active;
                     s.generation += 1;
-                    s.rebuild_failures = 0;
+                    s.rebuild_failures.reset();
                     self.quarantine_readmitted.inc();
                 }
                 Ok(None) => {
                     s.canary_failures += 1;
                     self.canary_failed.inc();
                 }
-                Err(_) => s.rebuild_failures += 1,
+                Err(_) => {
+                    s.rebuild_failures.spend();
+                }
             }
         }
     }
@@ -771,7 +727,7 @@ impl ReplicaSet {
         let obs = &self.builder.obs;
         for slot in &self.slots {
             let prefix = format!("serve.replica.{}", slot.id);
-            match slot.any_core() {
+            match slot.active_core() {
                 Some(core) => {
                     obs.gauge(&format!("{prefix}.queue_depth"))
                         .set(core.queue.len() as f64);
@@ -789,45 +745,21 @@ impl ReplicaSet {
         self.active_gauge.set(self.active_count() as f64);
     }
 
-    /// Folds replica states into the service health cell.
-    ///
-    /// Single replica: mirror its pool health exactly (today's
-    /// semantics). Multiple: all active and healthy → Healthy; nothing
-    /// serviceable with every rebuild budget spent → Halted (terminal);
-    /// anything in between → Degraded.
+    /// Folds replica states into the service health cell: every replica
+    /// active and healthy → Healthy; nothing serviceable and nothing left
+    /// to rebuild → Halted (terminal); anything in between → Degraded. A
+    /// single replica is never rebuilt, so the service mirrors its pool.
     fn mirror_health(&self) {
-        if self.config().replicas <= 1 {
-            let health = self
-                .slots
-                .first()
-                .and_then(|s| s.any_core())
-                .map_or(Health::Halted, |c| c.worker.health.get());
-            match health {
-                Health::Healthy => self.service_health.recover(),
-                Health::Degraded => self.service_health.degrade(),
-                Health::Halted => self.service_health.halt(),
-            }
-            return;
-        }
+        let replicas = self.config().replicas;
         let active = self.active_cores();
-        if active.is_empty() {
-            let exhausted = self
-                .slots
-                .iter()
-                .all(|s| lock_recover(&s.state).rebuild_failures > MAX_REBUILD_FAILURES);
-            if exhausted {
-                self.service_health.halt();
-            } else {
-                self.service_health.degrade();
-            }
-            return;
-        }
-        let all_in = active.len() == self.config().replicas;
         let all_healthy = active
             .iter()
             .all(|c| matches!(c.worker.health.get(), Health::Healthy));
-        if all_in && all_healthy {
+        let rebuildable = |s: &ReplicaSlot| !lock_recover(&s.state).rebuild_failures.is_exhausted();
+        if active.len() == replicas && all_healthy {
             self.service_health.recover();
+        } else if active.is_empty() && (replicas <= 1 || !self.slots.iter().any(rebuildable)) {
+            self.service_health.halt();
         } else {
             self.service_health.degrade();
         }
@@ -861,10 +793,10 @@ impl ReplicaSet {
                     s.status,
                     s.generation,
                     s.canary_failures,
-                    s.rebuild_failures,
+                    s.rebuild_failures.spent,
                 )
             };
-            let (health, depth, alive, input, p99_ms) = match slot.any_core() {
+            let (health, depth, alive, input, p99_ms) = match slot.active_core() {
                 Some(c) => (
                     c.worker.health.get().as_metric(),
                     c.queue.len(),
@@ -917,7 +849,7 @@ mod tests {
     use super::*;
     use crate::batcher::{Job, PRIMARY_LEG};
     use dronet_core::{zoo, ModelId};
-    use dronet_detect::{DetectError, DetectorBuilder};
+    use dronet_detect::{DegradeConfig, DetectError, DetectorBuilder};
     use dronet_tensor::{Shape, Tensor};
     use std::sync::mpsc;
 
@@ -1107,6 +1039,84 @@ mod tests {
         let spent = builds.load(Ordering::SeqCst);
         set.tick();
         assert_eq!(builds.load(Ordering::SeqCst), spent, "abandoned slots rest");
+        set.shutdown();
+    }
+
+    #[test]
+    fn a_faulting_peer_does_not_hold_a_quiet_replica_degraded() {
+        let config = ServeConfig {
+            replicas: 2,
+            recovery_ticks: 3,
+            quarantine_faults: u64::MAX,
+            ..ServeConfig::default()
+        };
+        let set = unsupervised(config, Arc::new(dronet_32));
+        let quiet = set.slots[0].active_core().expect("active");
+        let sick = set.slots[1].active_core().expect("active");
+        quiet.worker.health.degrade(); // an old fault; no traffic since
+        sick.worker.chaos_panic.store(true, Ordering::SeqCst);
+        for frame_id in 0..3 {
+            // The fault is counted before the typed error is delivered.
+            let answer = push(&sick, frame_id);
+            assert!(matches!(
+                answer.recv(),
+                Ok(Err(ServeError::WorkerFailed(_)))
+            ));
+            set.tick();
+        }
+        // One panic per tick on replica 1 shares the `serve.worker_panics`
+        // name with replica 0, but not replica 0's own fault clock.
+        assert_eq!(quiet.worker.health.get(), Health::Healthy);
+        assert_eq!(sick.worker.health.get(), Health::Degraded);
+        assert_eq!(set.service_health.get(), Health::Degraded);
+        set.shutdown();
+    }
+
+    #[test]
+    fn a_held_queue_walks_the_ladder_down_and_recovery_waits_for_the_top() {
+        let config = ServeConfig {
+            brownout: Some(DegradeConfig {
+                overload_windows: 1,
+                calm_windows: 2,
+                cooldown_windows: 0,
+                window_frames: 1,
+                ..DegradeConfig::over_ladder(vec![16, 24, 32])
+            }),
+            recovery_ticks: 1,
+            ..ServeConfig::default()
+        };
+        let set = unsupervised(config, Arc::new(dronet_32));
+        let core = set.slots[0].active_core().expect("active");
+        // Hold the only worker mid-batch; the next job then sits queued.
+        core.worker.chaos_wedge.store(true, Ordering::SeqCst);
+        let held = push(&core, 0);
+        let worker = core.worker.pool.slots_snapshot().remove(0);
+        while worker.busy_for(core.worker.epoch).is_none() {
+            thread::yield_now();
+        }
+        let queued = push(&core, 1);
+        let mut walk = vec![core.current_input()];
+        for _ in 0..4 {
+            set.tick();
+            walk.push(core.current_input());
+            assert_eq!(core.worker.health.get(), Health::Degraded);
+        }
+        assert_eq!(walk, [32, 24, 16, 16, 16], "one rung per hot tick");
+
+        // Heal: the held batch and the queued job are both answered.
+        core.worker.chaos_wedge.store(false, Ordering::SeqCst);
+        assert!(matches!(held.recv(), Ok(Ok(_))));
+        assert!(matches!(queued.recv(), Ok(Ok(_))));
+        let mut walk = vec![core.current_input()];
+        while core.current_input() < 32 && walk.len() < 16 {
+            set.tick();
+            walk.push(core.current_input());
+            // No fault for many ticks, but Healthy only back at the top.
+            let healthy = core.worker.health.get() == Health::Healthy;
+            assert_eq!(healthy, core.current_input() == 32, "walk {walk:?}");
+        }
+        assert_eq!(walk, [16, 16, 24, 24, 32], "two calm ticks per rung");
+        assert_eq!(set.service_health.get(), Health::Healthy);
         set.shutdown();
     }
 }

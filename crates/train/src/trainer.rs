@@ -6,7 +6,7 @@ use dronet_data::augment::{AugmentConfig, Augmenter};
 use dronet_data::dataset::VehicleDataset;
 use dronet_metrics::BBox;
 use dronet_nn::{Network, NnError};
-use dronet_obs::{Gauge, Health, HealthCell, Registry};
+use dronet_obs::{Gauge, Health, HealthCell, RecoveryClock, Registry, RestartBudget};
 use dronet_tensor::Tensor;
 use rand::rngs::SplitMix64;
 use rand::seq::SliceRandom;
@@ -218,10 +218,10 @@ struct LoopState {
     epoch_batches: usize,
     best_loss: f32,
     lr_scale: f32,
-    rollbacks: u64,
+    rollbacks: RestartBudget,
     trips: u64,
     health: HealthCell,
-    clean_streak: u64,
+    recovery: RecoveryClock,
     checkpoints_written: usize,
     resumed_from: Option<u64>,
     events: Vec<TrainEvent>,
@@ -230,7 +230,7 @@ struct LoopState {
 }
 
 impl LoopState {
-    fn fresh(health_gauge: Gauge) -> Self {
+    fn fresh(health_gauge: Gauge, sentry: Option<&SentryConfig>) -> Self {
         LoopState {
             step: 0,
             epoch: 0,
@@ -241,10 +241,10 @@ impl LoopState {
             epoch_batches: 0,
             best_loss: f32::INFINITY,
             lr_scale: 1.0,
-            rollbacks: 0,
+            rollbacks: RestartBudget::new(sentry.map_or(0, |s| u64::from(s.max_rollbacks))),
             trips: 0,
             health: HealthCell::new(health_gauge),
-            clean_streak: 0,
+            recovery: RecoveryClock::new(sentry.map_or(u64::MAX, |s| s.recover_after)),
             checkpoints_written: 0,
             resumed_from: None,
             events: Vec::new(),
@@ -274,6 +274,14 @@ impl LoopState {
         self.epoch_batches = c.epoch_batches_partial as usize;
     }
 
+    /// Halts the run (the sentry gave up) and reports it.
+    fn halt(mut self, reason: String) -> TrainReport {
+        self.health.halt();
+        self.push_event(self.step, "halt", reason.clone());
+        self.halt_reason = Some(reason);
+        self.into_report()
+    }
+
     fn into_report(self) -> TrainReport {
         TrainReport {
             epoch_losses: self.epoch_losses,
@@ -282,7 +290,7 @@ impl LoopState {
             resumed_from_step: self.resumed_from,
             checkpoints_written: self.checkpoints_written,
             sentry_trips: self.trips as usize,
-            rollbacks: self.rollbacks as usize,
+            rollbacks: self.rollbacks.spent as usize,
             final_lr_scale: self.lr_scale,
             final_health: self.health.get(),
             halt_reason: self.halt_reason,
@@ -513,7 +521,7 @@ impl Trainer {
         let ckpt_counter = self.obs.counter("train.checkpoints");
 
         let mut sentry = self.sentry.clone().map(DivergenceSentry::new);
-        let mut st = LoopState::fresh(self.obs.gauge("train.health"));
+        let mut st = LoopState::fresh(self.obs.gauge("train.health"), self.sentry.as_ref());
 
         // --- Resume, or anchor a base snapshot for the sentry. ---
         if let Some((store, _)) = ckpt {
@@ -522,7 +530,7 @@ impl Trainer {
                 self.restore_from(net, &mut opt, sentry.as_mut(), &c)?;
                 st.restore_position(&c);
                 st.lr_scale = c.lr_scale;
-                st.rollbacks = c.rollbacks;
+                st.rollbacks.spent = c.rollbacks;
                 st.trips = c.trips;
                 st.resumed_from = Some(c.step);
                 st.push_event(
@@ -628,36 +636,24 @@ impl Trainer {
                         trips_counter.inc();
                         st.trips += 1;
                         st.push_event(st.step, "trip", reason.to_string());
-                        let cfg = sentry_ref.config().clone();
                         let Some((store, _)) = ckpt else {
-                            self.halt(
-                                &mut st,
-                                format!("sentry tripped ({reason}) with no checkpoint store"),
-                            );
-                            return Ok(st.into_report());
+                            let why = format!("sentry tripped ({reason}) with no checkpoint store");
+                            return Ok(st.halt(why));
                         };
-                        if st.rollbacks >= u64::from(cfg.max_rollbacks) {
-                            self.halt(
-                                &mut st,
-                                format!(
-                                    "rollback budget ({}) exhausted after {reason}",
-                                    cfg.max_rollbacks
-                                ),
-                            );
-                            return Ok(st.into_report());
+                        if st.rollbacks.is_exhausted() {
+                            let max = sentry_ref.config().max_rollbacks;
+                            let why = format!("rollback budget ({max}) exhausted after {reason}");
+                            return Ok(st.halt(why));
                         }
-                        let recovery = store.latest_valid()?;
-                        let Some((_, good)) = recovery.checkpoint else {
-                            self.halt(&mut st, "no intact checkpoint to roll back to".to_string());
-                            return Ok(st.into_report());
+                        let Some((_, good)) = store.latest_valid()?.checkpoint else {
+                            return Ok(st.halt("no intact checkpoint to roll back to".to_string()));
                         };
                         self.restore_from(net, &mut opt, sentry.as_mut(), &good)?;
                         st.restore_position(&good);
-                        st.rollbacks += 1;
+                        st.rollbacks.spend();
                         rollbacks_counter.inc();
                         st.lr_scale = (st.lr_scale * LR_BACKOFF).max(MIN_LR_SCALE);
-                        st.health.degrade();
-                        st.clean_streak = 0;
+                        st.recovery.fault(&st.health);
                         st.push_event(
                             good.step,
                             "rollback",
@@ -693,20 +689,10 @@ impl Trainer {
                 st.batch_in_epoch += 1;
                 st.images_seen += chunk.len();
 
-                if st.health.get() == Health::Degraded {
-                    st.clean_streak += 1;
-                    let recover_after = sentry
-                        .as_ref()
-                        .map(|s| s.config().recover_after)
-                        .unwrap_or(u64::MAX);
-                    if st.clean_streak >= recover_after {
-                        st.health.recover();
-                        st.push_event(
-                            st.step,
-                            "recover",
-                            format!("{} clean steps", st.clean_streak),
-                        );
-                    }
+                // Train has no ladder: it is always at the top.
+                if st.recovery.clean(&st.health, true) {
+                    let detail = format!("{} clean steps", st.recovery.streak);
+                    st.push_event(st.step, "recover", detail);
                 }
 
                 if let Some((store, every)) = ckpt {
@@ -758,12 +744,6 @@ impl Trainer {
         Ok(st.into_report())
     }
 
-    fn halt(&self, st: &mut LoopState, reason: String) {
-        st.health.halt();
-        st.push_event(st.step, "halt", reason.clone());
-        st.halt_reason = Some(reason);
-    }
-
     fn capture(
         &self,
         net: &Network,
@@ -779,7 +759,7 @@ impl Trainer {
         c.best_loss = st.best_loss;
         c.lr_scale = st.lr_scale;
         c.ewma_loss = sentry.and_then(|s| s.ewma());
-        c.rollbacks = st.rollbacks;
+        c.rollbacks = st.rollbacks.spent;
         c.trips = st.trips;
         c.epoch_losses = st.epoch_losses.clone();
         c.epoch_loss_partial = st.epoch_loss;
