@@ -1,4 +1,4 @@
-//! Bench-report harness: three measurement grids that each write one
+//! Bench-report harness: two serving grids that each write one
 //! schema-stable JSON report the in-tree JSON reader
 //! ([`dronet_obs::JsonValue`]) parses back and `tests/bench_report.rs`
 //! locks. How fast a forward is is not measured here: that is the repo
@@ -7,8 +7,6 @@
 //! ```text
 //! cargo run --release -p dronet-bench --bin bench_report -- \
 //!     --serve-grid [BENCH_PR8.json]
-//! cargo run --release -p dronet-bench --bin bench_report -- \
-//!     --tile-grid [BENCH_PR9.json]
 //! cargo run --release -p dronet-bench --bin bench_report -- \
 //!     --replica-grid [BENCH_PR10.json]
 //! ```
@@ -40,34 +38,13 @@
 //! end ([`REPLICA_SEED`]): the same kill schedule and arrival plan every
 //! run. `DRONET_REPLICA_SECS` / `DRONET_REPLICA_CONNS` shrink rows for CI
 //! smoke runs.
-//!
-//! `--tile-grid` runs the selective-tiling accuracy-vs-FLOPs grid
-//! (`BENCH_PR9.json`): synthetic large aerial frames are processed three
-//! ways — selective tiling (the `dronet-tile` pipeline), exhaustive
-//! all-tiles, and whole-frame downscale to the detector input — and each
-//! mode reports IoU/sensitivity/precision against ground truth plus FLOPs
-//! and ms/frame. Accuracy uses a geometric detectability oracle (vehicles
-//! below [`MIN_DETECT_PX`] apparent pixels are invisible to the network,
-//! per the paper's small-object argument) run through the *real* selector,
-//! merger and tracker; timing replays the recorded tile sets through the
-//! real CNN. `DRONET_TILE_SIZES` / `DRONET_TILE_FRAMES` shrink the grid
-//! for CI smoke runs.
 
 use dronet_bench::loadgen::{frame_corpus, run_plan, ArrivalPlan, LoadgenConfig, Phase};
 use dronet_bench::{input_image, model};
 use dronet_core::ModelId;
-use dronet_data::scene::{LargeSceneConfig, LargeSceneGenerator};
-use dronet_detect::track::{Tracker, TrackerConfig};
-use dronet_detect::{resize_frame_bilinear, Detection, DetectorBuilder};
-use dronet_metrics::matching::{match_detections, MatchResult, DEFAULT_IOU_THRESHOLD};
-use dronet_metrics::BBox;
+use dronet_detect::DetectorBuilder;
 use dronet_obs::{JsonValue, Registry, Tracer};
 use dronet_serve::{DetectorFactory, ReplicaChaosPlan, ServeConfig, Server};
-use dronet_tile::{
-    MergeConfig, SelectorConfig, TileGrid, TileMerger, TileSelector, TiledDetector,
-    TiledDetectorConfig,
-};
-use rand::rngs::SplitMix64;
 use std::fmt::Write as _;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
@@ -92,7 +69,7 @@ use Val::{Int, Num, Str};
 /// block.
 type Fields = Vec<(&'static str, Val)>;
 
-/// The one report writer of the three grids: stamps the schema header,
+/// The one report writer of the two grids: stamps the schema header,
 /// then `header`, the `grid` array with one line per row and, when there
 /// are any, a trailing `claims` object; parses the text back with the
 /// in-tree reader, checks the grid holds `expected_rows`, and only then
@@ -682,429 +659,14 @@ fn replica_grid_main(path: &str) {
     );
 }
 
-/// The selective-tiling grid (`BENCH_PR9.json`): frame sizes × processing
-/// modes, accuracy from a geometric detectability oracle and cost from the
-/// real CNN.
-///
-/// The detector tile is the paper's real-time input size; the overlap
-/// exceeds the largest rotated vehicle footprint (≈40 px) so every object
-/// is whole in at least one tile and the merge's stitch path is a safety
-/// net rather than a crutch.
-const TILE_INPUT: usize = 352;
-const TILE_OVERLAP: usize = 48;
-/// Minimum apparent size (pixels at detector input scale) for the oracle
-/// to consider an object detectable. DroNet's receptive field loses
-/// vehicles below ~8 px — the reason whole-frame downscale fails on large
-/// frames and the quantity this grid varies.
-const MIN_DETECT_PX: f32 = 8.0;
-/// Minimum fraction of an object's area that must fall inside a tile for
-/// the oracle to emit a detection from that tile (mirrors the dataset's
-/// half-visible annotation rule, relaxed for clipped fragments).
-const ORACLE_MIN_VISIBLE: f32 = 0.25;
-
-/// One row of the tile grid.
-struct TileRow {
-    frame_size: usize,
-    mode: &'static str,
-    frames: usize,
-    /// Tiles in the grid (1 for the downscale mode's single forward).
-    tiles_per_frame: usize,
-    /// Total tiles actually run across all frames.
-    tiles_run: usize,
-    gflops: f64,
-    ms_per_frame: f64,
-    mean_iou: f64,
-    sensitivity: f64,
-    precision: f64,
-}
-
-/// Deterministic sub-pixel jitter and score noise for one (frame, object,
-/// tile) triple: `(dx_px, dy_px, unit)` with `dx/dy` in ±0.5 px.
-fn oracle_jitter(frame: u64, object: usize, tile: usize) -> (f32, f32, f32) {
-    let h = SplitMix64::mix(frame ^ ((object as u64) << 20) ^ ((tile as u64) << 42));
-    let u = |shift: u32| ((h >> shift) & 0xFFFF) as f32 / 65535.0;
-    (u(0) - 0.5, u(16) - 0.5, u(32))
-}
-
-/// What the network would report for one tile, per the detectability
-/// model: every ground-truth fragment inside the tile that is at least
-/// [`ORACLE_MIN_VISIBLE`] of its object and at least [`MIN_DETECT_PX`]
-/// apparent pixels long. Tiles run at native resolution, so apparent size
-/// equals true pixel size. Boxes come back in tile-local normalised
-/// coordinates — exactly the shape `TileMerger` consumes — so seam
-/// clipping, duplicate suppression and re-projection are exercised by the
-/// real merge code, not simulated.
-fn oracle_tile_detections(
-    grid: &TileGrid,
-    tile_index: usize,
-    gt: &[BBox],
-    frame_id: u64,
-) -> Vec<Detection> {
-    let (fw, fh) = (grid.frame_width() as f32, grid.frame_height() as f32);
-    let t = grid.tile_size() as f32;
-    let tile = grid.tile(tile_index);
-    let (tx0, ty0) = (tile.x0 as f32, tile.y0 as f32);
-    let mut out = Vec::new();
-    for (oi, b) in gt.iter().enumerate() {
-        let (bx0, bx1) = (b.x0() * fw, b.x1() * fw);
-        let (by0, by1) = (b.y0() * fh, b.y1() * fh);
-        let (cx0, cx1) = (bx0.max(tx0), bx1.min(tx0 + t));
-        let (cy0, cy1) = (by0.max(ty0), by1.min(ty0 + t));
-        if cx1 <= cx0 || cy1 <= cy0 {
-            continue;
-        }
-        let (cw, ch) = (cx1 - cx0, cy1 - cy0);
-        let area = (bx1 - bx0) * (by1 - by0);
-        let visible = if area > 0.0 { cw * ch / area } else { 0.0 };
-        if visible < ORACLE_MIN_VISIBLE || cw.max(ch) < MIN_DETECT_PX {
-            continue;
-        }
-        let (jx, jy, ju) = oracle_jitter(frame_id, oi, tile_index);
-        // Fragments score below whole objects so containment suppression
-        // keeps the complete box, as a trained network's confidences do.
-        let score = (0.80 + 0.15 * ju) * (0.6 + 0.4 * visible.min(1.0));
-        out.push(Detection {
-            bbox: BBox::new(
-                ((cx0 + cx1) * 0.5 + jx - tx0) / t,
-                ((cy0 + cy1) * 0.5 + jy - ty0) / t,
-                cw / t,
-                ch / t,
-            ),
-            objectness: score.clamp(0.05, 0.999),
-            class: 0,
-            class_prob: 1.0,
-        });
-    }
-    out
-}
-
-/// What the network would report after downscaling the whole frame to
-/// [`TILE_INPUT`]: the same oracle, but apparent size shrinks by the
-/// downscale factor, so small vehicles fall below [`MIN_DETECT_PX`] and
-/// vanish — the failure mode selective tiling exists to avoid.
-fn oracle_downscale_detections(gt: &[BBox], frame_id: u64) -> Vec<(BBox, f32)> {
-    let scale = TILE_INPUT as f32;
-    let mut out = Vec::new();
-    for (oi, b) in gt.iter().enumerate() {
-        let apparent = (b.w * scale).max(b.h * scale);
-        if apparent < MIN_DETECT_PX {
-            continue;
-        }
-        let (jx, jy, ju) = oracle_jitter(frame_id, oi, usize::MAX);
-        out.push((
-            BBox::new(b.cx + jx / scale, b.cy + jy / scale, b.w, b.h),
-            0.80 + 0.15 * ju,
-        ));
-    }
-    out
-}
-
-/// The large-frame scene the grid renders, shared by the accuracy and
-/// timing passes so replayed tile sets line up with their frames.
-fn tile_scene_config(frame_size: usize) -> LargeSceneConfig {
-    LargeSceneConfig {
-        width: frame_size,
-        height: frame_size,
-        // Wider length spread than the default so whole-frame downscale
-        // keeps *some* of the largest vehicles at the smaller frame sizes
-        // — the comparison stays a gradient, not a cliff.
-        vehicle_len_px: (11.0, 34.0),
-        ..LargeSceneConfig::default()
-    }
-}
-
-/// The tiled-pipeline configuration under test. Thresholds are tuned for
-/// the synthetic scenes: the static background makes frame differencing
-/// near-noiseless, so the motion gate sits just above float dust.
-fn tile_pipeline_config() -> TiledDetectorConfig {
-    TiledDetectorConfig {
-        overlap: TILE_OVERLAP,
-        selector: SelectorConfig {
-            diff_threshold: 1e-4,
-            max_tiles: 5,
-            revisit_period: 16,
-            seed: 9,
-            ..SelectorConfig::default()
-        },
-        merge: MergeConfig::default(),
-        tracker: TrackerConfig {
-            // Clipped cluster boxes at frame edges churn IDs without the
-            // boundary slack; dust below ~3 px² is never a vehicle.
-            boundary_slack: 0.25,
-            min_box_area: 1e-5,
-            ..TrackerConfig::default()
-        },
-    }
-}
-
-/// Accuracy results for one frame size: per-mode matching totals, the
-/// selective tile sets chosen per frame (for timing replay), and the
-/// selective/exhaustive tile counts.
-struct TileAccuracy {
-    selective: MatchResult,
-    exhaustive: MatchResult,
-    downscale: MatchResult,
-    selective_tiles: Vec<Vec<usize>>,
-    tiles_run_selective: usize,
-    tiles_per_frame: usize,
-}
-
-/// Accuracy pass: runs the real selector → oracle → real merger → real
-/// tracker loop over a generated sequence, plus the exhaustive and
-/// downscale baselines on identical frames and ground truth.
-fn tile_accuracy_pass(frame_size: usize, frames: usize) -> TileAccuracy {
-    let config = tile_pipeline_config();
-    let grid = TileGrid::new(TILE_INPUT, config.overlap, frame_size, frame_size)
-        .expect("bench grid geometry is valid");
-    let mut selector = TileSelector::new(config.selector).expect("selector config");
-    let merger = TileMerger::new(config.merge).expect("merge config");
-    let mut tracker = Tracker::new(config.tracker);
-    let mut gen =
-        LargeSceneGenerator::new(tile_scene_config(frame_size), 42).expect("scene config");
-    let all_tiles: Vec<usize> = (0..grid.len()).collect();
-
-    let mut acc = TileAccuracy {
-        selective: MatchResult::default(),
-        exhaustive: MatchResult::default(),
-        downscale: MatchResult::default(),
-        selective_tiles: Vec::with_capacity(frames),
-        tiles_run_selective: 0,
-        tiles_per_frame: grid.len(),
-    };
-    for frame_id in 0..frames as u64 {
-        let scene = gen.next_frame();
-        let tensor = scene.image.to_tensor();
-        let gt: Vec<BBox> = scene.annotations.iter().map(|a| a.bbox).collect();
-
-        // Selective: the attention loop picks tiles, the oracle stands in
-        // for the per-tile network, and merged detections feed the
-        // tracker, closing the loop for the next frame's hot tiles.
-        let hot: Vec<BBox> = tracker.confirmed_tracks().map(|t| t.bbox).collect();
-        let selection = selector.select(&grid, &tensor, &hot).expect("select");
-        let per_tile: Vec<(usize, Vec<Detection>)> = selection
-            .tiles
-            .iter()
-            .map(|&ti| (ti, oracle_tile_detections(&grid, ti, &gt, frame_id)))
-            .collect();
-        let merged = merger.merge(&grid, &per_tile);
-        tracker.update(&merged);
-        let dets: Vec<(BBox, f32)> = merged.iter().map(|d| (d.bbox, d.score())).collect();
-        acc.selective
-            .merge(&match_detections(&dets, &gt, DEFAULT_IOU_THRESHOLD));
-        acc.tiles_run_selective += selection.tiles.len();
-        acc.selective_tiles.push(selection.tiles);
-
-        // Exhaustive: every tile, same oracle, same merge.
-        let per_tile: Vec<(usize, Vec<Detection>)> = all_tiles
-            .iter()
-            .map(|&ti| (ti, oracle_tile_detections(&grid, ti, &gt, frame_id)))
-            .collect();
-        let merged = merger.merge(&grid, &per_tile);
-        let dets: Vec<(BBox, f32)> = merged.iter().map(|d| (d.bbox, d.score())).collect();
-        acc.exhaustive
-            .merge(&match_detections(&dets, &gt, DEFAULT_IOU_THRESHOLD));
-
-        // Downscale: one whole-frame forward at the detector input size.
-        let dets = oracle_downscale_detections(&gt, frame_id);
-        acc.downscale
-            .merge(&match_detections(&dets, &gt, DEFAULT_IOU_THRESHOLD));
-    }
-    acc
-}
-
-/// Timing pass: replays the recorded selective tile sets (and the
-/// all-tiles baseline) through the real CNN via `run_tiles`, and times
-/// bilinear downscale + single forward for the whole-frame mode. Returns
-/// `(selective_ms, exhaustive_ms, downscale_ms)` per frame, plus the
-/// per-tile FLOPs of one forward.
-fn tile_timing_pass(frame_size: usize, selective_tiles: &[Vec<usize>]) -> (f64, f64, f64, f64) {
-    let config = tile_pipeline_config();
-    let detector = DetectorBuilder::new(model(ModelId::DroNet, TILE_INPUT))
-        // Random-init logits hover near the decode threshold; a high bar
-        // keeps decode/NMS box counts realistic so the forward dominates
-        // the measurement, as it does with trained weights.
-        .confidence_threshold(0.95)
-        .build()
-        .expect("tile detector builds");
-    let mut tiled =
-        TiledDetector::new(detector, (frame_size, frame_size), config).expect("tiled detector");
-    let per_tile_flops = tiled.per_tile_flops();
-    let mut downscale_detector = DetectorBuilder::new(model(ModelId::DroNet, TILE_INPUT))
-        .confidence_threshold(0.95)
-        .build()
-        .expect("downscale detector builds");
-    let all_tiles: Vec<usize> = (0..tiled.grid().len()).collect();
-    let mut gen =
-        LargeSceneGenerator::new(tile_scene_config(frame_size), 42).expect("scene config");
-
-    let frames = selective_tiles.len();
-    let (mut sel_ms, mut exh_ms, mut down_ms) = (0.0f64, 0.0f64, 0.0f64);
-    for (frame_id, tiles) in selective_tiles.iter().enumerate() {
-        let tensor = gen.next_frame().image.to_tensor();
-
-        let start = Instant::now();
-        tiled
-            .run_tiles(&tensor, tiles, frame_id as u64)
-            .expect("selective replay");
-        sel_ms += start.elapsed().as_secs_f64() * 1e3;
-
-        let start = Instant::now();
-        tiled
-            .run_tiles(&tensor, &all_tiles, frame_id as u64)
-            .expect("exhaustive replay");
-        exh_ms += start.elapsed().as_secs_f64() * 1e3;
-
-        let start = Instant::now();
-        let small = resize_frame_bilinear(&tensor, TILE_INPUT, TILE_INPUT);
-        downscale_detector.detect(&small).expect("downscale detect");
-        down_ms += start.elapsed().as_secs_f64() * 1e3;
-    }
-    let n = frames.max(1) as f64;
-    (sel_ms / n, exh_ms / n, down_ms / n, per_tile_flops)
-}
-
-/// Writes the accuracy-vs-FLOPs tile grid.
-fn tile_grid_main(path: &str) {
-    let frame_sizes: Vec<usize> = std::env::var("DRONET_TILE_SIZES")
-        .ok()
-        .map(|v| {
-            v.split(',')
-                .filter_map(|s| s.trim().parse().ok())
-                .collect::<Vec<usize>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1408, 2112]);
-    let frames: usize = std::env::var("DRONET_TILE_FRAMES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(6);
-
-    let mut rows: Vec<TileRow> = Vec::new();
-    for &frame_size in &frame_sizes {
-        eprintln!("tile grid @{frame_size}²: accuracy pass ({frames} frames)...");
-        let acc = tile_accuracy_pass(frame_size, frames);
-        eprintln!(
-            "  selective ran {}/{} tile-forwards",
-            acc.tiles_run_selective,
-            acc.tiles_per_frame * frames
-        );
-        eprintln!("tile grid @{frame_size}²: timing pass (real CNN replay)...");
-        let (sel_ms, exh_ms, down_ms, per_tile_flops) =
-            tile_timing_pass(frame_size, &acc.selective_tiles);
-        let gflop = per_tile_flops / 1e9;
-
-        let mut push = |mode: &'static str,
-                        result: &MatchResult,
-                        tiles_per_frame: usize,
-                        tiles_run: usize,
-                        ms_per_frame: f64| {
-            let stats = result.stats();
-            eprintln!(
-                "  {mode:>10}: sens {:.3}, prec {:.3}, iou {:.3}, {:.1} GFLOP, {:.1} ms/frame",
-                stats.sensitivity,
-                stats.precision,
-                result.mean_iou(),
-                tiles_run as f64 * gflop,
-                ms_per_frame
-            );
-            rows.push(TileRow {
-                frame_size,
-                mode,
-                frames,
-                tiles_per_frame,
-                tiles_run,
-                gflops: tiles_run as f64 * gflop,
-                ms_per_frame,
-                mean_iou: result.mean_iou() as f64,
-                sensitivity: stats.sensitivity as f64,
-                precision: stats.precision as f64,
-            });
-        };
-        push(
-            "selective",
-            &acc.selective,
-            acc.tiles_per_frame,
-            acc.tiles_run_selective,
-            sel_ms,
-        );
-        push(
-            "exhaustive",
-            &acc.exhaustive,
-            acc.tiles_per_frame,
-            acc.tiles_per_frame * frames,
-            exh_ms,
-        );
-        push("downscale", &acc.downscale, 1, frames, down_ms);
-
-        // The headline claims, asserted at generation time so a tuning
-        // regression can never write a report that contradicts them.
-        let sel = &rows[rows.len() - 3];
-        let exh = &rows[rows.len() - 2];
-        let down = &rows[rows.len() - 1];
-        assert!(
-            sel.gflops <= 0.5 * exh.gflops,
-            "@{frame_size}: selective spent {:.1} GFLOP, over half of exhaustive's {:.1}",
-            sel.gflops,
-            exh.gflops
-        );
-        assert!(
-            sel.sensitivity >= down.sensitivity,
-            "@{frame_size}: selective sensitivity {:.3} below downscale's {:.3}",
-            sel.sensitivity,
-            down.sensitivity
-        );
-        assert!(
-            sel.sensitivity > 0.5,
-            "@{frame_size}: selective sensitivity {:.3} — attention loop is losing vehicles",
-            sel.sensitivity
-        );
-    }
-
-    let rows = rows
-        .iter()
-        .map(|r| {
-            vec![
-                ("model", Str("DroNet")),
-                ("frame_size", Int(r.frame_size as u64)),
-                ("mode", Str(r.mode)),
-                ("frames", Int(r.frames as u64)),
-                ("tiles_per_frame", Int(r.tiles_per_frame as u64)),
-                ("tiles_run", Int(r.tiles_run as u64)),
-                ("gflops", Num(r.gflops)),
-                ("ms_per_frame", Num(r.ms_per_frame)),
-                ("mean_iou", Num(r.mean_iou)),
-                ("sensitivity", Num(r.sensitivity)),
-                ("precision", Num(r.precision)),
-            ]
-        })
-        .collect();
-    write_report(
-        path,
-        "PR9",
-        vec![
-            ("tile", Int(TILE_INPUT as u64)),
-            ("overlap", Int(TILE_OVERLAP as u64)),
-            ("min_detect_px", Num(MIN_DETECT_PX as f64)),
-            ("frames_per_size", Int(frames as u64)),
-        ],
-        "tile_grid",
-        rows,
-        frame_sizes.len() * 3,
-        Vec::new(),
-    );
-}
-
 fn main() {
     let mut args = std::env::args().skip(1);
     let (grid, default_path): (fn(&str), &str) = match args.next().as_deref() {
         Some("--serve-grid") => (serve_grid_main, "BENCH_PR8.json"),
-        Some("--tile-grid") => (tile_grid_main, "BENCH_PR9.json"),
         Some("--replica-grid") => (replica_grid_main, "BENCH_PR10.json"),
         _ => {
             eprintln!(
                 "usage: bench_report --serve-grid [BENCH_PR8.json]\n       \
-                 bench_report --tile-grid [BENCH_PR9.json]\n       \
                  bench_report --replica-grid [BENCH_PR10.json]\n\
                  (a forward is timed by `bash benchmark/run.sh`, not here)"
             );

@@ -1,23 +1,11 @@
 //! # dronet-bench
 //!
-//! Shared fixtures for the Criterion benchmark suite that regenerates the
-//! paper's tables and figures. Each bench target corresponds to one
-//! artifact of the evaluation section (see `DESIGN.md` §3):
-//!
-//! | bench | artifact |
-//! |-------|----------|
-//! | `fig1_architectures` | Fig. 1/2 — per-model forward latency + layer tables |
-//! | `fig3_design_space`  | Fig. 3 — input-size sweep, measured + projected |
-//! | `fig4_score`         | Fig. 4 — weighted score harness |
-//! | `fig5_uav_deployment`| Fig. 5/§IV-B — platform projections + host anchor |
-//! | `tab_a_claims`       | §IV-A claim extraction |
-//! | `abl_altitude`       | §III-D — altitude gating effect |
-//! | `abl_design_choices` | §III-C — DroNet design-rule ablation |
-//! | `micro_engine`       | engine kernels: GEMM, im2col, conv, pool, NMS |
-//! | `train_step`         | one SGD step of the training pipeline |
-//!
-//! Benches print the regenerated tables once (via `eprintln!`) before
-//! measuring, so `cargo bench` output doubles as the reproduction log.
+//! Shared fixtures for the serving grids of `bench_report`, the open-loop
+//! load generator ([`loadgen`]) and the one Criterion bench, `train_step`:
+//! one forward + loss + backward + SGD step of MicroDroNet, the only timer
+//! of training. A forward is timed by the repo benchmark
+//! (`bash benchmark/run.sh`); the paper's tables are printed by
+//! `examples/reproduce_paper` and `examples/architectures`.
 
 pub mod loadgen;
 
@@ -29,7 +17,7 @@ use dronet_tensor::{Shape, Tensor};
 use rand::SeedableRng;
 
 /// Deterministic RNG for benchmark inputs.
-pub fn rng(seed: u64) -> rand::rngs::StdRng {
+fn rng(seed: u64) -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(seed)
 }
 

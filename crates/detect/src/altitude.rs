@@ -6,8 +6,8 @@
 //! possible sizes of detected objects. [...] any objects that are not
 //! within this range can be discarded as false detections, based on their
 //! size and feasibility with respect to the UAV altitude and real object
-//! size." The paper leaves this as future work; we implement it and
-//! measure its precision benefit in the `abl_altitude` bench.
+//! size." The paper leaves this as future work; we implement it, and
+//! `tests/pipeline_integration.rs` asserts its precision benefit (ABL-ALT).
 
 use crate::{DetectError, Result};
 use dronet_metrics::BBox;

@@ -67,7 +67,7 @@ pub use detector::{DetectStage, Detector, DetectorBuilder};
 pub use error::{panic_payload_message, DetectError};
 pub use fault::{FaultConfig, FaultKind, FaultPlan, FaultyDetector, FaultyFrameSource};
 pub use pipeline::{FrameResult, PipelineReport, VideoPipeline};
-pub use source::{conform_frame, resize_frame, resize_frame_bilinear, FrameSource, IterSource};
+pub use source::{conform_frame, resize_frame, FrameSource, IterSource};
 pub use supervisor::{
     FaultEvent, Health, StageFactory, Supervisor, SupervisorConfig, SupervisorReport,
 };

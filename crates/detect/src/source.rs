@@ -75,65 +75,6 @@ pub fn resize_frame(frame: &Tensor, out_h: usize, out_w: usize) -> Tensor {
     out
 }
 
-/// Bilinear resize of an NCHW frame to `out_h` × `out_w`: a 2×2 weighted
-/// average. Preserves small objects better than [`resize_frame`] under
-/// aggressive downscales — a 2-pixel vehicle survives averaging but can
-/// vanish entirely under nearest-neighbour sampling.
-///
-/// Uses the half-pixel-centre (align-corners = false) mapping
-/// `src = (dst + 0.5) * in / out - 0.5`, clamped at the borders, and
-/// interpolates as `(1 - f) * a + f * b` — a convex combination, so
-/// outputs stay within the input's value range (up to f32 rounding) and
-/// hostile-magnitude inputs do not overflow the way the algebraically
-/// equal `a + f * (b - a)` can (`b - a` alone can exceed `f32::MAX`).
-pub fn resize_frame_bilinear(frame: &Tensor, out_h: usize, out_w: usize) -> Tensor {
-    let s = frame.shape();
-    let (n, c, in_h, in_w) = (s.batch(), s.channels(), s.height(), s.width());
-    let mut out = Tensor::zeros(Shape::nchw(n, c, out_h, out_w));
-    if in_h == 0 || in_w == 0 || out_h == 0 || out_w == 0 {
-        return out;
-    }
-    // Precompute the per-axis source index pairs and fractions once; they
-    // are identical for every row/column/channel.
-    let map_axis = |out_len: usize, in_len: usize| -> Vec<(usize, usize, f32)> {
-        let scale = in_len as f32 / out_len as f32;
-        (0..out_len)
-            .map(|d| {
-                let src = ((d as f32 + 0.5) * scale - 0.5).max(0.0);
-                let lo = (src as usize).min(in_len - 1);
-                let hi = (lo + 1).min(in_len - 1);
-                // A clamped pair (hi == lo) must interpolate exactly to
-                // the border pixel: zero the fraction so `(1-f)*a + f*a`
-                // cannot pick up f32 rounding error.
-                let f = if hi == lo { 0.0 } else { src - lo as f32 };
-                (lo, hi, f)
-            })
-            .collect()
-    };
-    let ys = map_axis(out_h, in_h);
-    let xs = map_axis(out_w, in_w);
-    let src = frame.as_slice();
-    let dst = out.as_mut_slice();
-    for b in 0..n {
-        for ch in 0..c {
-            let src_plane = (b * c + ch) * in_h * in_w;
-            let dst_plane = (b * c + ch) * out_h * out_w;
-            for (y, &(y0, y1, fy)) in ys.iter().enumerate() {
-                let row0 = src_plane + y0 * in_w;
-                let row1 = src_plane + y1 * in_w;
-                for (x, &(x0, x1, fx)) in xs.iter().enumerate() {
-                    // `(1-f)*a + f*b` keeps every intermediate inside
-                    // [min(a,b), max(a,b)]: no overflow even at ±3e38.
-                    let top = (1.0 - fx) * src[row0 + x0] + fx * src[row0 + x1];
-                    let bot = (1.0 - fx) * src[row1 + x0] + fx * src[row1 + x1];
-                    dst[dst_plane + y * out_w + x] = (1.0 - fy) * top + fy * bot;
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Validates a frame against the detector's expected `(c, h, w)` and
 /// resizes it when only the spatial size differs.
 ///
@@ -200,41 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn bilinear_identity_preserves_pixels() {
-        let mut t = Tensor::zeros(Shape::nchw(1, 2, 4, 4));
-        for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
-            *v = i as f32;
-        }
-        let same = resize_frame_bilinear(&t, 4, 4);
-        assert_eq!(same, t); // identity mapping has zero fractions
-    }
-
-    #[test]
-    fn bilinear_downscale_averages_blocks() {
-        let mut t = Tensor::zeros(Shape::nchw(1, 1, 4, 4));
-        for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
-            *v = i as f32;
-        }
-        let half = resize_frame_bilinear(&t, 2, 2);
-        // Half-pixel centres land exactly between 2x2 blocks: each output
-        // is the mean of its block (e.g. mean(0,1,4,5) = 2.5).
-        assert_eq!(half.as_slice(), &[2.5, 4.5, 10.5, 12.5]);
-    }
-
-    #[test]
-    fn bilinear_upscale_stays_in_range() {
-        let mut t = Tensor::zeros(Shape::nchw(1, 1, 2, 2));
-        t.as_mut_slice().copy_from_slice(&[0.0, 1.0, 2.0, 3.0]);
-        let up = resize_frame_bilinear(&t, 5, 5);
-        for &v in up.as_slice() {
-            assert!((0.0..=3.0).contains(&v), "{v} outside input range");
-        }
-        // Corners reproduce the border pixels (clamped mapping).
-        assert_eq!(up.as_slice()[0], 0.0);
-        assert_eq!(up.as_slice()[24], 3.0);
-    }
-
-    #[test]
     fn nearest_stays_the_default_filter() {
         let mut t = Tensor::zeros(Shape::nchw(1, 1, 4, 4));
         for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
@@ -244,7 +150,6 @@ mod tests {
         let a = resize_frame(&t, 2, 2);
         let b = conform_frame(t.clone(), (1, 2, 2), 0).unwrap();
         assert_eq!(a, b);
-        assert_ne!(a, resize_frame_bilinear(&t, 2, 2));
     }
 
     #[test]

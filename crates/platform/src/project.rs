@@ -92,46 +92,6 @@ impl Platform {
     pub fn project(&self, net: &Network) -> Projection {
         self.project_cost(&network_cost(net))
     }
-
-    /// Effective GFLOP/s implied by a measured execution (`cost` work done
-    /// in `elapsed`). Useful for calibrating a host measurement against
-    /// the model.
-    pub fn implied_gflops(cost: &CostReport, elapsed: Duration) -> f64 {
-        let secs = elapsed.as_secs_f64();
-        if secs > 0.0 {
-            cost.total_flops() / secs / 1e9
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// Rescales a host-measured latency to this platform by the ratio of
-    /// effective compute rates — the standard cross-platform projection
-    /// when only one machine is physically available.
-    pub fn scale_from_measurement(
-        &self,
-        cost: &CostReport,
-        host_elapsed: Duration,
-        host_effective_gflops: f64,
-    ) -> Duration {
-        let measured = host_elapsed.as_secs_f64();
-        // Split host time into per-layer shares by FLOPs, re-derate each
-        // share for this platform's cache behaviour, add overheads.
-        let total_flops = cost.total_flops().max(1.0);
-        let mut projected = 0.0f64;
-        for layer in &cost.layers {
-            let share = measured * (layer.flops / total_flops);
-            let spill = layer.weight_bytes > self.cache_bytes;
-            let gflops = if spill {
-                self.effective_gflops * self.cache_spill_factor
-            } else {
-                self.effective_gflops
-            };
-            projected += share * (host_effective_gflops / gflops);
-        }
-        projected += self.per_layer_overhead_s * cost.layers.len() as f64;
-        Duration::from_secs_f64(projected)
-    }
 }
 
 #[cfg(test)]
@@ -254,21 +214,5 @@ mod tests {
         assert!(pool_time.memory_bound());
         // Layer 0 (the first conv) is compute-bound.
         assert!(!projection.layers[0].memory_bound());
-    }
-
-    #[test]
-    fn implied_gflops_and_scaling_roundtrip() {
-        let net = zoo::build(ModelId::DroNet, 416).unwrap();
-        let cost = network_cost(&net);
-        let platform = Platform::preset(PlatformId::OdroidXu4);
-        // Pretend a host ran the model at exactly 10 GFLOP/s.
-        let host_time = Duration::from_secs_f64(cost.total_flops() / 10e9);
-        assert!((Platform::implied_gflops(&cost, host_time) - 10.0).abs() < 1e-6);
-        // Scaling that measurement to the Odroid should land near the
-        // analytic projection (same model, no spills for DroNet).
-        let scaled = platform.scale_from_measurement(&cost, host_time, 10.0);
-        let analytic = platform.project_cost(&cost).latency;
-        let ratio = scaled.as_secs_f64() / analytic.as_secs_f64();
-        assert!((0.8..=1.25).contains(&ratio), "ratio {ratio}");
     }
 }

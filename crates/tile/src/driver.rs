@@ -145,11 +145,6 @@ impl TiledDetector {
         &self.detector
     }
 
-    /// CNN FLOPs for a single tile forward pass.
-    pub fn per_tile_flops(&self) -> f64 {
-        self.per_tile_flops
-    }
-
     /// Attaches a tracer to both the tiling spans and the wrapped
     /// detector's spans.
     pub fn set_tracing(&mut self, tracer: &Tracer) {
@@ -321,7 +316,7 @@ mod tests {
         let out = tiled.detect_frame(&frame, 0).unwrap();
         assert!(out.tiles_selected.len() <= tiled.grid().len());
         assert_eq!(out.tiles_total, tiled.grid().len());
-        let expect = tiled.per_tile_flops() * out.tiles_selected.len() as f64;
+        let expect = tiled.per_tile_flops * out.tiles_selected.len() as f64;
         assert_eq!(out.flops, expect);
     }
 

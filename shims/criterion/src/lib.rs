@@ -5,18 +5,15 @@
 //! implements warm-up + timed measurement with mean/min reporting, but none
 //! of real Criterion's statistics (no outlier analysis, no HTML reports).
 //!
-//! Covered API: [`Criterion`] (`sample_size`, `warm_up_time`,
-//! `measurement_time`, `bench_function`, `benchmark_group`),
-//! [`BenchmarkGroup`], [`BenchmarkId`], [`Bencher::iter`], [`black_box`],
-//! [`criterion_group!`], [`criterion_main!`].
+//! Covered API, what the workspace's one bench (`train_step`) uses:
+//! [`Criterion`] (`sample_size`, `warm_up_time`, `measurement_time`,
+//! `bench_function`), [`Bencher::iter`], [`criterion_group!`] (the
+//! `name = ...; config = ...; targets = ...` form) and [`criterion_main!`].
 
 #![forbid(unsafe_code)]
 
-use std::fmt;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-/// Re-export so `criterion::black_box` works as upstream.
-pub use std::hint::black_box;
 
 /// Benchmark driver: holds measurement settings and prints results.
 #[derive(Debug, Clone)]
@@ -60,100 +57,6 @@ impl Criterion {
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, mut f: F) -> &mut Self {
         run_one(self, id, &mut f);
         self
-    }
-
-    /// Starts a named group of related benchmarks.
-    pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
-        BenchmarkGroup {
-            criterion: self,
-            name: name.to_string(),
-        }
-    }
-}
-
-/// A named benchmark group; ids are printed as `group/id`.
-pub struct BenchmarkGroup<'a> {
-    criterion: &'a mut Criterion,
-    name: String,
-}
-
-impl BenchmarkGroup<'_> {
-    /// Overrides the sample size for this group.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.criterion.sample_size = n.max(1);
-        self
-    }
-
-    /// Overrides the measurement time for this group.
-    pub fn measurement_time(&mut self, d: Duration) -> &mut Self {
-        self.criterion.measurement = d;
-        self
-    }
-
-    /// Overrides the warm-up time for this group.
-    pub fn warm_up_time(&mut self, d: Duration) -> &mut Self {
-        self.criterion.warm_up = d;
-        self
-    }
-
-    /// Runs one benchmark in the group.
-    pub fn bench_function<I: Into<BenchmarkId>, F: FnMut(&mut Bencher)>(
-        &mut self,
-        id: I,
-        mut f: F,
-    ) -> &mut Self {
-        let id = id.into();
-        let full = format!("{}/{}", self.name, id);
-        run_one(self.criterion, &full, &mut f);
-        self
-    }
-
-    /// Ends the group (upstream flushes reports here; this shim needs none).
-    pub fn finish(self) {}
-}
-
-/// Identifier of one benchmark within a group.
-#[derive(Debug, Clone)]
-pub struct BenchmarkId {
-    function: Option<String>,
-    parameter: Option<String>,
-}
-
-impl BenchmarkId {
-    /// Function name plus parameter value.
-    pub fn new(function: impl Into<String>, parameter: impl fmt::Display) -> Self {
-        BenchmarkId {
-            function: Some(function.into()),
-            parameter: Some(parameter.to_string()),
-        }
-    }
-
-    /// Parameter value only.
-    pub fn from_parameter(parameter: impl fmt::Display) -> Self {
-        BenchmarkId {
-            function: None,
-            parameter: Some(parameter.to_string()),
-        }
-    }
-}
-
-impl fmt::Display for BenchmarkId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match (&self.function, &self.parameter) {
-            (Some(func), Some(p)) => write!(f, "{func}/{p}"),
-            (Some(func), None) => write!(f, "{func}"),
-            (None, Some(p)) => write!(f, "{p}"),
-            (None, None) => write!(f, "?"),
-        }
-    }
-}
-
-impl From<&str> for BenchmarkId {
-    fn from(s: &str) -> Self {
-        BenchmarkId {
-            function: Some(s.to_string()),
-            parameter: None,
-        }
     }
 }
 
@@ -233,13 +136,6 @@ macro_rules! criterion_group {
             $( $target(&mut criterion); )+
         }
     };
-    ($name:ident, $($target:path),+ $(,)?) => {
-        $crate::criterion_group! {
-            name = $name;
-            config = $crate::Criterion::default();
-            targets = $($target),+
-        }
-    };
 }
 
 /// Declares the bench `main` running the given groups.
@@ -265,14 +161,5 @@ mod tests {
         let mut ran = 0u64;
         c.bench_function("smoke", |b| b.iter(|| ran += 1));
         assert!(ran > 0);
-        let mut group = c.benchmark_group("grp");
-        group.bench_function(BenchmarkId::from_parameter(42), |b| b.iter(|| ()));
-        group.finish();
-    }
-
-    #[test]
-    fn id_formats() {
-        assert_eq!(BenchmarkId::new("f", 3).to_string(), "f/3");
-        assert_eq!(BenchmarkId::from_parameter("x").to_string(), "x");
     }
 }

@@ -1,8 +1,8 @@
-//! The committed grid reports (`BENCH_PR8.json`, `BENCH_PR9.json` and
-//! `BENCH_PR10.json`, written by the `--serve-grid`, `--tile-grid` and
-//! `--replica-grid` modes of `cargo run --release -p dronet-bench --bin
-//! bench_report`) must stay parseable by the in-tree JSON reader and
-//! schema-stable, and must keep the claims they were committed for.
+//! The committed grid reports (`BENCH_PR8.json` and `BENCH_PR10.json`,
+//! written by the `--serve-grid` and `--replica-grid` modes of `cargo run
+//! --release -p dronet-bench --bin bench_report`) must stay parseable by
+//! the in-tree JSON reader and schema-stable, and must keep the claims
+//! they were committed for.
 
 use dronet::obs::JsonValue;
 use std::path::Path;
@@ -27,10 +27,6 @@ fn assert_header(report: &JsonValue, pr: &str) {
 
 fn load_serve_report() -> JsonValue {
     load_named("BENCH_PR8.json")
-}
-
-fn load_tile_report() -> JsonValue {
-    load_named("BENCH_PR9.json")
 }
 
 #[test]
@@ -116,117 +112,6 @@ fn serve_grid_covers_loads_and_stays_consistent() {
         rates.len() >= 3,
         "the grid needs at least three distinct arrival rates: {rates:?}"
     );
-}
-
-#[test]
-fn tile_report_is_schema_stable() {
-    let report = load_tile_report();
-    assert_header(&report, "PR9");
-    assert_eq!(report.get("tile").and_then(JsonValue::as_u64), Some(352));
-    let overlap = report.get("overlap").and_then(JsonValue::as_u64).unwrap();
-    assert!(overlap > 0 && overlap < 352, "overlap {overlap} sane");
-    assert!(
-        report
-            .get("frames_per_size")
-            .and_then(JsonValue::as_u64)
-            .unwrap()
-            >= 1
-    );
-}
-
-#[test]
-fn tile_grid_covers_modes_and_stays_consistent() {
-    let report = load_tile_report();
-    let rows = report
-        .get("tile_grid")
-        .and_then(JsonValue::as_array)
-        .expect("tile_grid array");
-    let mut sizes = std::collections::BTreeSet::new();
-    let mut modes = std::collections::BTreeSet::new();
-    for row in rows {
-        assert_eq!(row.get("model").and_then(JsonValue::as_str), Some("DroNet"));
-        let size = row.get("frame_size").and_then(JsonValue::as_u64).unwrap();
-        let mode = row.get("mode").and_then(JsonValue::as_str).unwrap();
-        sizes.insert(size);
-        modes.insert(mode.to_string());
-        let ctx = format!("@{size}/{mode}");
-        let frames = row.get("frames").and_then(JsonValue::as_u64).unwrap();
-        let per_frame = row
-            .get("tiles_per_frame")
-            .and_then(JsonValue::as_u64)
-            .unwrap();
-        let run = row.get("tiles_run").and_then(JsonValue::as_u64).unwrap();
-        assert!(frames > 0, "{ctx}: frames");
-        assert!(per_frame > 0, "{ctx}: tiles_per_frame");
-        assert!(
-            run <= per_frame * frames,
-            "{ctx}: ran {run} tiles out of a possible {}",
-            per_frame * frames
-        );
-        assert!(
-            row.get("gflops").and_then(JsonValue::as_f64).unwrap() > 0.0,
-            "{ctx}: gflops"
-        );
-        assert!(
-            row.get("ms_per_frame").and_then(JsonValue::as_f64).unwrap() > 0.0,
-            "{ctx}: ms_per_frame"
-        );
-        for field in ["mean_iou", "sensitivity", "precision"] {
-            let v = row.get(field).and_then(JsonValue::as_f64).unwrap();
-            assert!((0.0..=1.0).contains(&v), "{ctx}: {field} {v} in [0, 1]");
-        }
-        if mode == "exhaustive" {
-            assert_eq!(run, per_frame * frames, "{ctx}: exhaustive runs all tiles");
-        }
-    }
-    assert!(sizes.len() >= 2, "at least two frame sizes: {sizes:?}");
-    for mode in ["selective", "exhaustive", "downscale"] {
-        assert!(modes.contains(mode), "missing {mode} rows");
-    }
-}
-
-#[test]
-fn selective_tiling_halves_flops_without_losing_to_downscale() {
-    // The acceptance bar for the tiling subsystem (the sequel paper's
-    // core claim): at every frame size, attention-driven selection spends
-    // at most half of the exhaustive FLOPs while matching or beating the
-    // whole-frame-downscale baseline on sensitivity.
-    let report = load_tile_report();
-    let rows = report
-        .get("tile_grid")
-        .and_then(JsonValue::as_array)
-        .expect("tile_grid array");
-    let field = |size: u64, mode: &str, name: &str| -> f64 {
-        rows.iter()
-            .find(|r| {
-                r.get("frame_size").and_then(JsonValue::as_u64) == Some(size)
-                    && r.get("mode").and_then(JsonValue::as_str) == Some(mode)
-            })
-            .and_then(|r| r.get(name).and_then(JsonValue::as_f64))
-            .unwrap_or_else(|| panic!("no {mode}@{size} row with {name}"))
-    };
-    let sizes: std::collections::BTreeSet<u64> = rows
-        .iter()
-        .filter_map(|r| r.get("frame_size").and_then(JsonValue::as_u64))
-        .collect();
-    for size in sizes {
-        let sel_flops = field(size, "selective", "gflops");
-        let exh_flops = field(size, "exhaustive", "gflops");
-        assert!(
-            sel_flops <= 0.5 * exh_flops,
-            "@{size}: selective {sel_flops} GFLOP exceeds half of exhaustive {exh_flops}"
-        );
-        let sel_sens = field(size, "selective", "sensitivity");
-        let down_sens = field(size, "downscale", "sensitivity");
-        assert!(
-            sel_sens >= down_sens,
-            "@{size}: selective sensitivity {sel_sens} below downscale {down_sens}"
-        );
-        assert!(
-            sel_sens > 0.5,
-            "@{size}: selective sensitivity {sel_sens} — the attention loop lost the plot"
-        );
-    }
 }
 
 fn load_replica_report() -> JsonValue {
