@@ -10,12 +10,12 @@
 //!   and timing ([`DetectorBuilder`] configures it),
 //! * [`altitude`] — the paper's §III-D application-level optimisation:
 //!   discarding detections whose size is infeasible for the UAV's altitude,
-//! * [`pipeline`] — a frame-stream processing loop with latency/FPS
-//!   accounting, matching the paper's on-board deployment loop,
+//! * [`pipeline`] — the per-frame results of the paper's on-board
+//!   deployment loop, which [`Supervisor`] runs,
 //! * [`track`] — a lightweight IoU tracker for the road-traffic-monitoring
 //!   use case the paper motivates (vehicle counting),
-//! * [`source`] — the [`FrameSource`] camera abstraction the pipeline and
-//!   supervisor consume frames through,
+//! * [`source`] — the [`FrameSource`] camera abstraction the supervisor
+//!   consumes frames through,
 //! * [`fault`] — a deterministic, seeded fault-injection harness (stalls,
 //!   corrupt/NaN frames, transient errors, latency spikes, panics),
 //! * [`supervisor`] — the self-healing runner: watchdog timeouts, panic
@@ -66,7 +66,7 @@ pub use degrade::{DegradeAction, DegradeConfig, DegradeController, ShiftMetrics}
 pub use detector::{DetectStage, Detector, DetectorBuilder};
 pub use error::{panic_payload_message, DetectError};
 pub use fault::{FaultConfig, FaultKind, FaultPlan, FaultyDetector, FaultyFrameSource};
-pub use pipeline::{FrameResult, PipelineReport, VideoPipeline};
+pub use pipeline::FrameResult;
 pub use source::{conform_frame, resize_frame, FrameSource, IterSource};
 pub use supervisor::{
     FaultEvent, Health, StageFactory, Supervisor, SupervisorConfig, SupervisorReport,

@@ -1,10 +1,9 @@
-//! The camera pump: the one producer thread behind every threaded run.
+//! The camera pump: the producer thread behind [`crate::Supervisor::run`].
 //!
 //! A [`FrameSource`] is drained on its own thread into a single-slot
 //! buffer, as in the paper's deployment: a frame arriving while the
 //! consumer is still busy with the buffered one is lost, and the pump
-//! records exactly which. [`crate::VideoPipeline::run_threaded`] and
-//! [`crate::Supervisor::run`] both consume frames through it.
+//! records exactly which.
 
 use crate::error::panic_payload_message;
 use crate::source::FrameSource;
@@ -111,13 +110,10 @@ impl CameraPump {
         }
     }
 
-    /// The next buffered item, waiting at most `timeout` (forever when
-    /// `None`). `Disconnected` is the end of the stream.
-    pub fn recv(&self, timeout: Option<Duration>) -> std::result::Result<Pumped, RecvTimeoutError> {
-        let item = match timeout {
-            Some(t) => self.rx.recv_timeout(t)?,
-            None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected)?,
-        };
+    /// The next buffered item, waiting at most `timeout`. `Disconnected` is
+    /// the end of the stream.
+    pub fn recv(&self, timeout: Duration) -> std::result::Result<Pumped, RecvTimeoutError> {
+        let item = self.rx.recv_timeout(timeout)?;
         if matches!(item, Pumped::Item(..)) {
             self.queue_depth.sub(1.0);
         }
@@ -163,10 +159,11 @@ mod tests {
         let pump = CameraPump::spawn(IterSource::new(frames), &Registry::noop(), &Tracer::noop());
         // Frame 0 always makes the buffer; wait until the producer is done
         // so the drop list (frames 1 and 2) is final.
-        let Ok(Pumped::Item(0, Ok(_))) = pump.recv(None) else {
+        let wait = Duration::from_secs(10);
+        let Ok(Pumped::Item(0, Ok(_))) = pump.recv(wait) else {
             panic!("frame 0 is always delivered");
         };
-        while pump.recv(None).is_ok() {}
+        while pump.recv(wait).is_ok() {}
         let ids = Arc::clone(&pump.dropped_ids);
         let holder = std::thread::spawn(move || {
             let _guard = ids.lock().unwrap();

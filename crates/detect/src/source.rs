@@ -1,12 +1,12 @@
-//! The frame-acquisition abstraction extracted from [`crate::pipeline`].
+//! The frame-acquisition abstraction.
 //!
 //! The paper's Fig. 5 deployment reads frames from an on-board camera; in
 //! this repository frames can come from an iterator of tensors, the
 //! synthetic scene generator, or a fault-injection wrapper
 //! ([`crate::fault::FaultyFrameSource`]). [`FrameSource`] abstracts over
-//! all of them so the pipeline and the supervisor do not care where frames
-//! originate — and so acquisition failures (a truncated readout, a corrupt
-//! buffer) surface as typed per-frame errors instead of panics.
+//! all of them so the supervisor does not care where frames originate —
+//! and so acquisition failures (a truncated readout, a corrupt buffer)
+//! surface as typed per-frame errors instead of panics.
 
 use crate::{DetectError, Result};
 use dronet_tensor::{Shape, Tensor};
@@ -15,8 +15,7 @@ use dronet_tensor::{Shape, Tensor};
 ///
 /// `next_frame` returns `None` at end of stream. A `Some(Err(_))` item is a
 /// *per-frame* acquisition failure (e.g. [`DetectError::CorruptFrame`]);
-/// the stream itself remains usable and the caller decides whether to skip
-/// the frame (supervised mode) or abort (strict pipeline mode).
+/// the stream itself remains usable and the supervisor skips the frame.
 pub trait FrameSource {
     /// Pulls the next frame, blocking until the camera yields one.
     fn next_frame(&mut self) -> Option<Result<Tensor>>;

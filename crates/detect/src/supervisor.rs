@@ -3,9 +3,9 @@
 //! instead of dying.
 //!
 //! The paper's deployment (Fig. 5) is an *unattended* loop on an
-//! Odroid-XU4/RPi3; the plain [`crate::VideoPipeline`] aborts on the first
-//! error, which is the right behaviour for benchmarking and the wrong one
-//! mid-flight. [`Supervisor`] runs the same frame loop with:
+//! Odroid-XU4/RPi3: the camera's frames go one by one to the detector, and
+//! a fault mid-flight must cost a frame, not the flight. [`Supervisor`] is
+//! the workspace's one frame loop, with:
 //!
 //! * **per-stage watchdogs** — the frame source and the detector each get
 //!   a deadline; a stalled camera is reported (and eventually halts the
@@ -40,6 +40,7 @@ use crate::pipeline::{estimated_drops, FrameResult};
 use crate::pump::{CameraPump, Pumped};
 use crate::source::{conform_frame, FrameSource};
 use crate::{DetectError, Detection, Result};
+use dronet_metrics::{Fps, FpsMeter};
 use dronet_obs::{
     BlackBox, Counter, HealthCell, Histogram, RecoveryClock, Registry, RestartBudget, Tracer,
 };
@@ -150,6 +151,37 @@ impl SupervisorReport {
     /// Number of frames actually processed.
     pub fn processed(&self) -> usize {
         self.frames.len()
+    }
+
+    fn meter(&self) -> FpsMeter {
+        let mut meter = FpsMeter::new();
+        for f in &self.frames {
+            meter.record(f.latency);
+        }
+        meter
+    }
+
+    /// Sustained processing rate.
+    pub fn fps(&self) -> Fps {
+        self.meter().fps()
+    }
+
+    /// Mean per-frame latency.
+    pub fn mean_latency(&self) -> Duration {
+        self.meter().mean_latency()
+    }
+
+    /// How many frames a camera producing at `camera_fps` would have
+    /// dropped while each processed frame was being computed (synchronous
+    /// mode's analytic equivalent of the threaded drop counter).
+    ///
+    /// Non-positive or non-finite `camera_fps` (a camera that never
+    /// produces a frame) and empty runs both estimate zero drops.
+    pub fn estimated_drops_at(&self, camera_fps: f64) -> usize {
+        self.frames
+            .iter()
+            .map(|f| estimated_drops(f.latency, camera_fps))
+            .sum()
     }
 
     /// The fault ledger restricted to schedule-deterministic content
@@ -410,7 +442,7 @@ impl Executor for Threaded {
         monitor: &mut Monitor,
     ) -> Option<(usize, Result<Tensor>)> {
         loop {
-            match self.pump.recv(Some(cfg.source_timeout)) {
+            match self.pump.recv(cfg.source_timeout) {
                 Ok(Pumped::Item(index, item)) => {
                     self.stalls.reset();
                     return Some((index, item));
@@ -544,8 +576,10 @@ impl Supervisor {
         }
     }
 
-    /// Attaches a flight recorder: every processed frame gets a `frame`
-    /// span (on the worker thread in threaded mode), and on stage
+    /// Attaches a flight recorder: every acquired frame gets a
+    /// `camera.frame` instant (a dropped one `camera.drop`), every
+    /// processed frame a `frame` span (on the worker thread in threaded
+    /// mode) around the stage's own spans, and on stage
     /// failures, watchdog trips, and halts the recorder's last
     /// [`dronet_obs::BLACK_BOX_EVENTS`] events are dumped into
     /// [`SupervisorReport::black_box`].
@@ -605,8 +639,8 @@ impl Supervisor {
     /// measured latency exceeds the deadlines, but nothing is abandoned.
     ///
     /// Overload is estimated from per-frame latency against
-    /// [`SupervisorConfig::camera_fps`], mirroring
-    /// [`crate::PipelineReport::estimated_drops_at`].
+    /// [`SupervisorConfig::camera_fps`], as
+    /// [`SupervisorReport::estimated_drops_at`] estimates it after the run.
     ///
     /// # Errors
     ///
@@ -799,6 +833,49 @@ mod tests {
         }
     }
 
+    fn run_either<S: FrameSource + Send + 'static>(
+        sup: &Supervisor,
+        source: S,
+        factory: &mut StageFactory<'_>,
+        threaded: bool,
+    ) -> SupervisorReport {
+        let report = if threaded {
+            sup.run(source, factory, None)
+        } else {
+            sup.run_sync(source, factory, None)
+        };
+        report.unwrap()
+    }
+
+    /// `n` blank frames through a real one-conv [`crate::Detector`] over
+    /// 8x8 frames, with `obs` and `tracer` on both the detector and the
+    /// supervisor.
+    fn detector_run(n: usize, threaded: bool, obs: &Registry, tracer: &Tracer) -> SupervisorReport {
+        use dronet_nn::{Activation, Conv2d, Layer, Network, RegionConfig, RegionLayer};
+        let mut net = Network::new(3, 8, 8);
+        net.push(Layer::conv(
+            Conv2d::new(3, 6, 3, 1, 1, Activation::Leaky, false).unwrap(),
+        ));
+        net.push(Layer::region(
+            RegionLayer::new(RegionConfig {
+                anchors: vec![(1.0, 1.0)],
+                classes: 1,
+            })
+            .unwrap(),
+        ));
+        let mut factory = |_: usize| -> Result<Box<dyn DetectStage>> {
+            let detector = crate::DetectorBuilder::new(net.clone())
+                .observability(obs)
+                .tracing(tracer)
+                .build()?;
+            Ok(Box::new(detector))
+        };
+        let sup = Supervisor::new(quick_config())
+            .observability(obs)
+            .tracing(tracer);
+        run_either(&sup, IterSource::new(frames(n)), &mut factory, threaded)
+    }
+
     #[test]
     fn clean_run_processes_everything_and_stays_healthy() {
         let sup = Supervisor::new(quick_config());
@@ -835,6 +912,10 @@ mod tests {
         all.extend(&report.skipped_ids);
         all.sort_unstable();
         assert_eq!(all, (0..n as u64).collect::<Vec<_>>());
+        // Latest-frame semantics never reorders.
+        for pair in report.frames.windows(2) {
+            assert!(pair[1].frame_index > pair[0].frame_index);
+        }
     }
 
     #[test]
@@ -1134,5 +1215,170 @@ mod tests {
         assert_eq!(snap.counter("supervisor.faults"), Some(1));
         assert_eq!(snap.counter("supervisor.skipped"), Some(1));
         assert_eq!(snap.counter("pipeline.frames"), Some(5));
+    }
+
+    /// Yields two frames, then panics.
+    struct CrashAfterTwo(usize);
+    impl FrameSource for CrashAfterTwo {
+        fn next_frame(&mut self) -> Option<Result<Tensor>> {
+            if self.0 == 2 {
+                panic!("camera readout wedged");
+            }
+            self.0 += 1;
+            Some(Ok(Tensor::zeros(Shape::nchw(1, 3, 8, 8))))
+        }
+    }
+
+    #[test]
+    fn source_crash_is_one_fault_after_the_frames_it_delivered() {
+        let sup = Supervisor::new(quick_config());
+        for threaded in [false, true] {
+            let mut factory: Box<dyn FnMut(usize) -> Result<Box<dyn DetectStage>>> =
+                Box::new(|_| Ok(Box::new(NullStage)));
+            let report = run_either(&sup, CrashAfterTwo(0), &mut factory, threaded);
+            assert_eq!(report.faults.len(), 1, "threaded {threaded}");
+            assert_eq!(report.faults[0].stage, "source");
+            assert!(report.faults[0]
+                .description
+                .contains("camera readout wedged"));
+            assert_eq!(report.final_health, Health::Degraded, "threaded {threaded}");
+            let mut ids: Vec<u64> = report.frames.iter().map(|f| f.frame_id).collect();
+            if threaded {
+                // The single-slot buffer may drop frame 1.
+                ids.extend(&report.dropped_ids);
+                ids.sort_unstable();
+            }
+            assert_eq!(ids, [0, 1], "threaded {threaded}");
+        }
+    }
+
+    #[test]
+    fn synchronous_mode_processes_everything() {
+        let report = detector_run(5, false, &Registry::noop(), &Tracer::noop());
+        assert_eq!(report.processed(), 5);
+        assert_eq!(report.dropped, 0);
+        assert!(report.dropped_ids.is_empty());
+        assert!(report.fps().0 > 0.0);
+        assert!(report.mean_latency() > Duration::ZERO);
+        for (i, f) in report.frames.iter().enumerate() {
+            assert_eq!((f.frame_index, f.frame_id), (i, i as u64));
+        }
+    }
+
+    #[test]
+    fn drop_estimation_scales_with_camera_rate() {
+        let report = detector_run(4, false, &Registry::noop(), &Tracer::noop());
+        // An implausibly fast camera forces drops; a slow one doesn't.
+        assert!(report.estimated_drops_at(1e7) > 0);
+        assert_eq!(report.estimated_drops_at(0.001), 0);
+    }
+
+    #[test]
+    fn drop_estimation_handles_degenerate_camera_rates() {
+        let report = detector_run(2, false, &Registry::noop(), &Tracer::noop());
+        for fps in [0.0, -30.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(report.estimated_drops_at(fps), 0, "{fps}");
+        }
+        assert_eq!(SupervisorReport::default().estimated_drops_at(30.0), 0);
+    }
+
+    #[test]
+    fn empty_stream_is_fine() {
+        for threaded in [false, true] {
+            let report = detector_run(0, threaded, &Registry::noop(), &Tracer::noop());
+            assert_eq!(report.processed(), 0);
+            assert_eq!(report.final_health, Health::Healthy);
+        }
+    }
+
+    #[test]
+    fn observed_sync_run_records_stage_metrics() {
+        let obs = Registry::new();
+        let report = detector_run(4, false, &obs, &Tracer::noop());
+        assert_eq!(report.processed(), 4);
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter("pipeline.frames"), Some(4));
+        let frame = snap.histogram("pipeline.frame").unwrap();
+        assert_eq!(frame.count, 4);
+        assert!(frame.p99_ns >= frame.p50_ns);
+        // One acquisition per yielded frame (the end-of-stream probe is
+        // not recorded).
+        assert_eq!(snap.histogram("pipeline.preprocess").unwrap().count, 4);
+    }
+
+    #[test]
+    fn observed_threaded_run_accounts_for_drops() {
+        let obs = Registry::new();
+        let n = 30;
+        let report = detector_run(n, true, &obs, &Tracer::noop());
+        let snap = obs.snapshot();
+        assert_eq!(
+            snap.counter("pipeline.frames"),
+            Some(report.processed() as u64)
+        );
+        assert_eq!(
+            snap.counter("pipeline.dropped"),
+            Some(report.dropped as u64)
+        );
+        assert_eq!(
+            snap.histogram("pipeline.preprocess").unwrap().count,
+            n as u64
+        );
+        // Buffer fully drained at the end of the run.
+        assert_eq!(snap.gauge("pipeline.queue_depth"), Some(0.0));
+    }
+
+    #[test]
+    fn traced_sync_run_nests_frame_stage_layer() {
+        let tracer = Tracer::new();
+        let report = detector_run(3, false, &Registry::noop(), &tracer);
+        assert_eq!(report.processed(), 3);
+        let snap = tracer.snapshot();
+        for id in 0..3u64 {
+            let events = snap.for_frame(id);
+            let names: Vec<&str> = events.iter().map(|e| e.name).collect();
+            for expected in [
+                "camera.frame",
+                "frame",
+                "detect.forward",
+                "nn.forward",
+                "conv",
+            ] {
+                assert!(names.contains(&expected), "frame {id} missing {expected}");
+            }
+            // The frame span brackets the stage spans.
+            let frame_begin = events
+                .iter()
+                .find(|e| e.name == "frame" && e.kind == dronet_obs::TraceKind::Begin)
+                .unwrap();
+            let frame_end = events
+                .iter()
+                .find(|e| e.name == "frame" && e.kind == dronet_obs::TraceKind::End)
+                .unwrap();
+            for stage in events.iter().filter(|e| e.name == "detect.forward") {
+                assert!(stage.ts_ns >= frame_begin.ts_ns && stage.ts_ns <= frame_end.ts_ns);
+            }
+        }
+    }
+
+    #[test]
+    fn traced_threaded_run_records_camera_instants() {
+        let tracer = Tracer::new();
+        let n = 25;
+        let report = detector_run(n, true, &Registry::noop(), &tracer);
+        let snap = tracer.snapshot();
+        let drops: Vec<u64> = snap
+            .events
+            .iter()
+            .filter(|e| e.name == "camera.drop")
+            .map(|e| e.frame_id)
+            .collect();
+        assert_eq!(drops, report.dropped_ids, "trace and report agree on drops");
+        let camera_frames = snap
+            .events
+            .iter()
+            .filter(|e| e.name == "camera.frame")
+            .count();
+        assert_eq!(camera_frames + drops.len(), n);
     }
 }

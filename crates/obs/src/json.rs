@@ -302,68 +302,17 @@ impl<'a> Parser<'a> {
     }
 }
 
-fn get_u64(obj: &BTreeMap<String, JsonValue>, key: &str) -> Result<u64, JsonParseError> {
-    match obj.get(key) {
-        // Exact integer parse first: values above 2^53 are not
-        // representable in f64 and would silently lose low bits.
-        Some(JsonValue::Number(text)) => text
-            .parse::<u64>()
-            .or_else(|_| text.parse::<f64>().map(|v| v as u64))
-            .map_err(|_| JsonParseError {
-                msg: format!("bad numeric field '{key}'"),
-                offset: 0,
-            }),
-        _ => Err(JsonParseError {
-            msg: format!("missing numeric field '{key}'"),
-            offset: 0,
-        }),
-    }
-}
-
-fn get_f64(obj: &BTreeMap<String, JsonValue>, key: &str) -> Result<f64, JsonParseError> {
-    match obj.get(key) {
-        Some(JsonValue::Number(text)) => text.parse::<f64>().map_err(|_| JsonParseError {
-            msg: format!("bad numeric field '{key}'"),
-            offset: 0,
-        }),
-        _ => Err(JsonParseError {
-            msg: format!("missing numeric field '{key}'"),
-            offset: 0,
-        }),
-    }
-}
-
-fn get_str(obj: &BTreeMap<String, JsonValue>, key: &str) -> Result<String, JsonParseError> {
-    match obj.get(key) {
-        Some(JsonValue::String(s)) => Ok(s.clone()),
-        _ => Err(JsonParseError {
-            msg: format!("missing string field '{key}'"),
-            offset: 0,
-        }),
-    }
-}
-
-fn get_array<'v>(
-    obj: &'v BTreeMap<String, JsonValue>,
+/// `obj[key]` read through `read`; a missing or mistyped field is an error
+/// naming it.
+fn field<'v, T>(
+    obj: &'v JsonValue,
     key: &str,
-) -> Result<&'v [JsonValue], JsonParseError> {
-    match obj.get(key) {
-        Some(JsonValue::Array(items)) => Ok(items),
-        _ => Err(JsonParseError {
-            msg: format!("missing array field '{key}'"),
-            offset: 0,
-        }),
-    }
-}
-
-fn as_object(v: &JsonValue) -> Result<&BTreeMap<String, JsonValue>, JsonParseError> {
-    match v {
-        JsonValue::Object(map) => Ok(map),
-        _ => Err(JsonParseError {
-            msg: "expected an object".into(),
-            offset: 0,
-        }),
-    }
+    read: impl FnOnce(&'v JsonValue) -> Option<T>,
+) -> Result<T, JsonParseError> {
+    obj.get(key).and_then(read).ok_or_else(|| JsonParseError {
+        msg: format!("missing or mistyped field '{key}'"),
+        offset: 0,
+    })
 }
 
 impl Snapshot {
@@ -374,51 +323,43 @@ impl Snapshot {
     ///
     /// Returns [`JsonParseError`] on malformed input or a missing field.
     pub fn from_json(input: &str) -> Result<Snapshot, JsonParseError> {
-        let mut parser = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        let root = parser.value()?;
-        parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
-            return parser.err("trailing data after document");
-        }
-        let root = as_object(&root)?;
-
+        let root = JsonValue::parse(input)?;
+        let name = |v: &JsonValue| field(v, "name", |s| s.as_str().map(str::to_owned));
+        // `as_u64` parses exact integers first: values above 2^53 are not
+        // representable in f64 and would silently lose low bits.
+        let int = |v: &JsonValue, key: &str| field(v, key, JsonValue::as_u64);
         let mut snapshot = Snapshot::default();
-        for item in get_array(root, "counters")? {
-            let obj = as_object(item)?;
+        for c in field(&root, "counters", JsonValue::as_array)? {
             snapshot.counters.push(CounterSnapshot {
-                name: get_str(obj, "name")?,
-                value: get_u64(obj, "value")?,
+                name: name(c)?,
+                value: int(c, "value")?,
             });
         }
-        for item in get_array(root, "gauges")? {
-            let obj = as_object(item)?;
+        for g in field(&root, "gauges", JsonValue::as_array)? {
             snapshot.gauges.push(GaugeSnapshot {
-                name: get_str(obj, "name")?,
-                value: get_f64(obj, "value")?,
+                name: name(g)?,
+                value: field(g, "value", JsonValue::as_f64)?,
             });
         }
-        for item in get_array(root, "histograms")? {
-            let obj = as_object(item)?;
-            let mut buckets = Vec::new();
-            for b in get_array(obj, "buckets")? {
-                let b = as_object(b)?;
-                buckets.push(BucketCount {
-                    le_ns: get_u64(b, "le_ns")?,
-                    count: get_u64(b, "count")?,
-                });
-            }
+        for h in field(&root, "histograms", JsonValue::as_array)? {
+            let buckets = field(h, "buckets", JsonValue::as_array)?
+                .iter()
+                .map(|b| {
+                    Ok(BucketCount {
+                        le_ns: int(b, "le_ns")?,
+                        count: int(b, "count")?,
+                    })
+                })
+                .collect::<Result<_, JsonParseError>>()?;
             snapshot.histograms.push(HistogramSnapshot {
-                name: get_str(obj, "name")?,
-                count: get_u64(obj, "count")?,
-                sum_ns: get_u64(obj, "sum_ns")?,
-                min_ns: get_u64(obj, "min_ns")?,
-                max_ns: get_u64(obj, "max_ns")?,
-                p50_ns: get_u64(obj, "p50_ns")?,
-                p90_ns: get_u64(obj, "p90_ns")?,
-                p99_ns: get_u64(obj, "p99_ns")?,
+                name: name(h)?,
+                count: int(h, "count")?,
+                sum_ns: int(h, "sum_ns")?,
+                min_ns: int(h, "min_ns")?,
+                max_ns: int(h, "max_ns")?,
+                p50_ns: int(h, "p50_ns")?,
+                p90_ns: int(h, "p90_ns")?,
+                p99_ns: int(h, "p99_ns")?,
                 buckets,
             });
         }

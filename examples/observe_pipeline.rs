@@ -14,7 +14,7 @@
 use dronet::core::{zoo, ModelId};
 use dronet::data::dataset::VehicleDataset;
 use dronet::data::scene::{SceneConfig, SceneGenerator};
-use dronet::detect::{DetectorBuilder, IterSource, VideoPipeline};
+use dronet::detect::{DetectStage, DetectorBuilder, IterSource, Supervisor, SupervisorConfig};
 use dronet::nn::profile::NetworkProfile;
 use dronet::nn::summary::NetworkSummary;
 use dronet::obs::{ChromeTrace, JsonExporter, Registry, Tracer};
@@ -30,13 +30,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    for every stage under the current frame id.
     let net = zoo::build(ModelId::DroNet, input)?;
     let summary = NetworkSummary::of("DroNet-352", &net);
-    let mut detector = DetectorBuilder::new(net)
-        .observability(&obs)
-        .tracing(&tracer)
-        .build()?;
+    let mut factory = |_: usize| -> dronet::detect::Result<Box<dyn DetectStage>> {
+        let detector = DetectorBuilder::new(net.clone())
+            .observability(&obs)
+            .tracing(&tracer)
+            .build()?;
+        Ok(Box::new(detector))
+    };
 
-    // 2. Stream synthetic camera frames through both pipeline modes; the
-    //    pipeline records into the registry and tracer the detector carries.
+    // 2. Stream synthetic camera frames through both supervisor modes; the
+    //    loop records camera, queue and per-frame telemetry into the same
+    //    registry and tracer.
+    let supervisor = Supervisor::new(SupervisorConfig {
+        initial_input: input,
+        ..SupervisorConfig::default()
+    })
+    .observability(&obs)
+    .tracing(&tracer);
     let frames: Vec<_> = (0..6)
         .map(|i| {
             SceneGenerator::new(SceneConfig::default(), 100 + i)
@@ -46,14 +56,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .to_tensor()
         })
         .collect();
-    let report = VideoPipeline::run(&mut detector, IterSource::new(frames.clone()))?;
+    let report = supervisor.run_sync(IterSource::new(frames.clone()), &mut factory, None)?;
     println!(
         "synchronous pipeline: {} frames at {} ({:.1} ms mean)",
         report.processed(),
         report.fps(),
         report.mean_latency().as_secs_f64() * 1e3
     );
-    let report = VideoPipeline::run_threaded(&mut detector, IterSource::new(frames))?;
+    let report = supervisor.run(IterSource::new(frames), &mut factory, None)?;
     println!(
         "threaded pipeline:    {} processed, {} dropped (ids {:?}, single-slot camera buffer)",
         report.processed(),

@@ -1,6 +1,6 @@
 //! UAV patrol: the paper's Fig. 5 deployment scenario, end to end — a
 //! simulated DJI-class flight over a road corridor, frame-by-frame
-//! detection through the video pipeline, altitude-based size gating
+//! detection through the supervised frame loop, altitude-based size gating
 //! (paper §III-D) and IoU tracking for the road-traffic-monitoring use
 //! case that motivates the paper.
 //!
@@ -15,9 +15,8 @@ use dronet::data::dataset::VehicleDataset;
 use dronet::data::flight::{FlightSimulator, Waypoint, World, WorldConfig, WORLD_SIZE_M};
 use dronet::data::scene::SceneConfig;
 use dronet::detect::altitude::{AltitudeFilter, CameraModel};
-use dronet::detect::pipeline::VideoPipeline;
 use dronet::detect::track::{Tracker, TrackerConfig};
-use dronet::detect::{DetectorBuilder, IterSource};
+use dronet::detect::{DetectStage, DetectorBuilder, IterSource, Supervisor, SupervisorConfig};
 use dronet::eval::realeval::estimate_anchors;
 use dronet::metrics::matching::match_detections;
 use dronet::metrics::BBox;
@@ -126,22 +125,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 3. Detector with altitude gating (paper section III-D). ---
     let camera = CameraModel::new(60f32.to_radians(), INPUT);
     let filter = AltitudeFilter::new(camera, altitude, (3.5, 5.5), 0.45)?;
-    let mut detector = DetectorBuilder::new(net)
-        .confidence_threshold(0.4)
-        .nms_threshold(0.45)
-        .altitude_filter(filter)
-        .build()?;
+    let mut factory = |_: usize| -> dronet::detect::Result<Box<dyn DetectStage>> {
+        let detector = DetectorBuilder::new(net.clone())
+            .confidence_threshold(0.4)
+            .nms_threshold(0.45)
+            .altitude_filter(filter)
+            .build()?;
+        Ok(Box::new(detector))
+    };
 
-    // --- 4. Fly: pipeline + tracking + live accuracy accounting. ---
+    // --- 4. Fly: supervised frame loop + tracking + live accuracy
+    // accounting. A frame the supervisor skips has no result row, so rows
+    // are matched to ground truth by arrival index, and a skipped frame's
+    // vehicles count as misses. ---
     let mut tracker = Tracker::new(TrackerConfig::default());
     let frames: Vec<_> = flight.collect();
     let tensors: Vec<_> = frames.iter().map(|f| f.image.to_tensor()).collect();
-    let report = VideoPipeline::run(&mut detector, IterSource::new(tensors))?;
+    let supervisor = Supervisor::new(SupervisorConfig {
+        initial_input: INPUT,
+        ..SupervisorConfig::default()
+    });
+    let report = supervisor.run_sync(IterSource::new(tensors), &mut factory, None)?;
 
     let mut tp = 0usize;
     let mut fp = 0usize;
     let mut fn_ = 0usize;
-    for (frame, result) in frames.iter().zip(&report.frames) {
+    for result in &report.frames {
+        let frame = &frames[result.frame_index];
         let dets: Vec<(BBox, f32)> = result
             .detections
             .iter()
@@ -153,6 +163,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fp += m.false_positives;
         fn_ += m.false_negatives;
         tracker.update(&result.detections);
+    }
+    for &id in &report.skipped_ids {
+        fn_ += frames[id as usize].annotations.len();
     }
 
     println!("\npatrol results:");

@@ -5,14 +5,40 @@
 use dronet::core::{zoo, ModelId};
 use dronet::data::dataset::VehicleDataset;
 use dronet::data::scene::SceneConfig;
-use dronet::detect::IterSource;
-use dronet::detect::{DetectorBuilder, VideoPipeline};
+use dronet::detect::{DetectStage, DetectorBuilder, IterSource, Result};
+use dronet::detect::{Supervisor, SupervisorConfig, SupervisorReport};
 use dronet::nn::profile::{forward_metric_name, NetworkProfile};
 use dronet::nn::summary::NetworkSummary;
 use dronet::obs::{ChromeTrace, JsonExporter, Registry, Snapshot, TraceKind, Tracer};
 use dronet::tensor::{Shape, Tensor};
 use dronet::train::{LrSchedule, TrainConfig, Trainer};
 use std::time::{Duration, Instant};
+
+/// Runs `frames` through the supervisor's synchronous loop over a detector
+/// on `net`, with `obs` and `tracer` on both the detector and the loop.
+fn observed_run(
+    net: dronet::nn::Network,
+    frames: Vec<Tensor>,
+    obs: &Registry,
+    tracer: &Tracer,
+) -> SupervisorReport {
+    let initial_input = net.input_chw().2;
+    let mut factory = |_: usize| -> Result<Box<dyn DetectStage>> {
+        let detector = DetectorBuilder::new(net.clone())
+            .observability(obs)
+            .tracing(tracer)
+            .build()?;
+        Ok(Box::new(detector))
+    };
+    Supervisor::new(SupervisorConfig {
+        initial_input,
+        ..SupervisorConfig::default()
+    })
+    .observability(obs)
+    .tracing(tracer)
+    .run_sync(IterSource::new(frames), &mut factory, None)
+    .unwrap()
+}
 
 /// Detector + pipeline + trainer all recording into one registry, exported
 /// to JSON and re-parsed: every expected metric family must be present.
@@ -23,14 +49,10 @@ fn full_stack_profile_round_trips_through_json() {
     // Observed detection pipeline over a small DroNet.
     let net = zoo::build(ModelId::DroNet, 96).unwrap();
     let summary = NetworkSummary::of("DroNet-96", &net);
-    let mut detector = DetectorBuilder::new(net)
-        .observability(&obs)
-        .build()
-        .unwrap();
     let frames: Vec<_> = (0..3)
         .map(|_| Tensor::zeros(Shape::nchw(1, 3, 96, 96)))
         .collect();
-    let report = VideoPipeline::run(&mut detector, IterSource::new(frames)).unwrap();
+    let report = observed_run(net, frames, &obs, &Tracer::noop());
     assert_eq!(report.processed(), 3);
 
     // Observed training on a micro model.
@@ -227,15 +249,11 @@ fn disabled_tracer_overhead_under_two_percent() {
 fn traced_pipeline_chrome_trace_round_trips() {
     let obs = Registry::new();
     let tracer = Tracer::new();
-    let mut detector = DetectorBuilder::new(zoo::build(ModelId::DroNet, 96).unwrap())
-        .observability(&obs)
-        .tracing(&tracer)
-        .build()
-        .unwrap();
     let frames: Vec<_> = (0..3)
         .map(|_| Tensor::zeros(Shape::nchw(1, 3, 96, 96)))
         .collect();
-    let report = VideoPipeline::run(&mut detector, IterSource::new(frames)).unwrap();
+    let net = zoo::build(ModelId::DroNet, 96).unwrap();
+    let report = observed_run(net, frames, &obs, &tracer);
     assert_eq!(report.processed(), 3);
     assert!(report
         .frames

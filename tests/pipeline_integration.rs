@@ -5,13 +5,33 @@
 use dronet::core::zoo;
 use dronet::data::flight::{Camera, FlightSimulator, Waypoint, World, WorldConfig};
 use dronet::detect::altitude::{AltitudeFilter, CameraModel};
-use dronet::detect::pipeline::VideoPipeline;
 use dronet::detect::track::{Tracker, TrackerConfig};
-use dronet::detect::{Detection, DetectorBuilder, IterSource};
+use dronet::detect::{DetectStage, Detection, DetectorBuilder, IterSource, Result};
+use dronet::detect::{Supervisor, SupervisorConfig, SupervisorReport};
 use dronet::metrics::matching::{match_detections, MatchResult};
 use dronet::metrics::BBox;
+use dronet::nn::Network;
+use dronet::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Runs `frames` through the supervisor over a default detector on `net`,
+/// inline or with the camera on its own thread.
+fn run_pipeline(net: Network, frames: Vec<Tensor>, threaded: bool) -> SupervisorReport {
+    let sup = Supervisor::new(SupervisorConfig {
+        initial_input: net.input_chw().2,
+        ..SupervisorConfig::default()
+    });
+    let mut factory = |_: usize| -> Result<Box<dyn DetectStage>> {
+        Ok(Box::new(DetectorBuilder::new(net.clone()).build()?))
+    };
+    let report = if threaded {
+        sup.run(IterSource::new(frames), &mut factory, None)
+    } else {
+        sup.run_sync(IterSource::new(frames), &mut factory, None)
+    };
+    report.unwrap()
+}
 
 fn flight(world_seed: u64, altitude: f32, px: usize) -> FlightSimulator {
     FlightSimulator::new(
@@ -39,11 +59,8 @@ fn flight_frames_flow_through_the_pipeline() {
     let frames: Vec<_> = flight(5, 60.0, 64).collect();
     assert!(frames.len() > 20);
     let tensors: Vec<_> = frames.iter().map(|f| f.image.to_tensor()).collect();
-    let mut detector =
-        DetectorBuilder::new(zoo::micro_dronet(64, vec![(1.0, 1.0), (2.0, 2.0)]).unwrap())
-            .build()
-            .unwrap();
-    let report = VideoPipeline::run(&mut detector, IterSource::new(tensors)).unwrap();
+    let net = zoo::micro_dronet(64, vec![(1.0, 1.0), (2.0, 2.0)]).unwrap();
+    let report = run_pipeline(net, tensors, false);
     assert_eq!(report.processed(), frames.len());
     assert!(report.fps().0 > 0.0);
 }
@@ -209,10 +226,8 @@ fn threaded_pipeline_handles_flight_stream() {
         .map(|f| f.image.to_tensor())
         .collect();
     let n = tensors.len();
-    let mut detector = DetectorBuilder::new(zoo::micro_dronet(64, vec![(1.0, 1.0)]).unwrap())
-        .build()
-        .unwrap();
-    let report = VideoPipeline::run_threaded(&mut detector, IterSource::new(tensors)).unwrap();
+    let net = zoo::micro_dronet(64, vec![(1.0, 1.0)]).unwrap();
+    let report = run_pipeline(net, tensors, true);
     assert_eq!(report.processed() + report.dropped, n);
     assert!(report.processed() >= 1);
 }
