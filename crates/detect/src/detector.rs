@@ -2,8 +2,9 @@ use crate::altitude::AltitudeFilter;
 use crate::decode::{decode, Detection};
 use crate::nms::non_max_suppression;
 use crate::{DetectError, Result};
-use dronet_nn::{Network, RegionConfig};
+use dronet_nn::{Network, NnError, RegionConfig};
 use dronet_obs::{AllocScope, Counter, Histogram, Registry, Tracer};
+use dronet_tensor::packed::Views;
 use dronet_tensor::Tensor;
 
 /// Per-stage (allocation count, allocated bytes) counters, present only
@@ -323,17 +324,22 @@ impl Detector {
     /// batch size, then per-image `detect.decode` / `detect.nms` spans under
     /// each request's frame id.
     ///
+    /// `images` is a dense batch (`&Tensor`) or any other [`Views`] — tiles
+    /// read in place from a large frame, say, with no copy
+    /// ([`Network::forward_views`]).
+    ///
     /// # Errors
     ///
     /// Propagates network and decode errors; returns
     /// [`DetectError::BadConfig`] when `frames` is present but its length
     /// differs from the batch size.
-    pub fn detect_batch_frames(
+    pub fn detect_batch_frames<'a>(
         &mut self,
-        images: &Tensor,
+        images: impl Into<Views<'a>>,
         frames: Option<&[u64]>,
     ) -> Result<Vec<Vec<Detection>>> {
-        let n = images.shape().batch();
+        let images = images.into();
+        let n = images.shape().map_err(NnError::from)?.batch();
         if let Some(ids) = frames {
             if ids.len() != n {
                 return Err(DetectError::BadConfig {
@@ -345,7 +351,7 @@ impl Detector {
         let span = self.forward_hist.start();
         let trace = self.tracer.span_aux("detect.forward", n as i64);
         let scope = self.alloc_spans.as_ref().map(|_| AllocScope::begin());
-        let output = self.network.forward(images)?;
+        let output = self.network.forward_views(images)?;
         record_alloc(scope, self.alloc_spans.as_ref().map(|a| &a.forward));
         drop(trace);
         span.stop();

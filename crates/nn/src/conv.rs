@@ -1,6 +1,6 @@
 use crate::{Activation, ActivationPool, BatchNorm, MaxPool2d, NnError, Result};
 use dronet_tensor::im2col::{col2im, im2col, ConvGeometry};
-use dronet_tensor::packed::{self, ChannelEpilogue, PackedMatrix};
+use dronet_tensor::packed::{self, ChannelEpilogue, PackedMatrix, Views};
 use dronet_tensor::{gemm, ops, Shape, Tensor};
 use std::sync::OnceLock;
 
@@ -250,8 +250,18 @@ impl Conv2d {
     /// Returns [`NnError::BadInput`] when the channel count disagrees and
     /// propagates tensor kernel errors.
     pub fn forward_pooled(&mut self, x: &Tensor, pool: &mut ActivationPool) -> Result<Tensor> {
-        let geom = self.checked_geometry(x)?;
-        let shape = self.output_shape(x, &geom);
+        self.forward_views(Views::Batch(x), pool)
+    }
+
+    /// [`Conv2d::forward_pooled`] over a batch of [`Views`]: each image is
+    /// read where it lies, a window into a larger frame included.
+    pub(crate) fn forward_views(
+        &mut self,
+        x: Views<'_>,
+        pool: &mut ActivationPool,
+    ) -> Result<Tensor> {
+        let (geom, batch) = self.checked_geometry(&x)?;
+        let shape = self.output_shape(batch, &geom);
         // Pooled buffers arrive with stale contents; that is safe because
         // the fused kernel assigns every output position without reading it
         // (its sums start in registers).
@@ -268,8 +278,8 @@ impl Conv2d {
     ///
     /// Same as [`Conv2d::forward_pooled`].
     pub fn forward_train(&mut self, x: &Tensor) -> Result<Tensor> {
-        let geom = self.checked_geometry(x)?;
-        let mut out = Tensor::zeros(self.output_shape(x, &geom));
+        let (geom, batch) = self.checked_geometry(&Views::Batch(x))?;
+        let mut out = Tensor::zeros(self.output_shape(batch, &geom));
         self.train_into(x, geom, &mut out)?;
         Ok(out)
     }
@@ -286,16 +296,16 @@ impl Conv2d {
     /// Same as [`Conv2d::forward_pooled`].
     pub(crate) fn forward_pooled_through(
         &mut self,
-        x: &Tensor,
+        x: Views<'_>,
         after: &mut MaxPool2d,
         pool: &mut ActivationPool,
     ) -> Result<Option<Tensor>> {
-        let geom = self.checked_geometry(x)?;
+        let (geom, batch) = self.checked_geometry(&x)?;
         let (oh, ow) = (geom.out_height(), geom.out_width());
         if !after.tiles_2x2(oh, ow) {
             return Ok(None);
         }
-        let shape = Shape::nchw(x.shape().batch(), self.out_channels, oh / 2, ow / 2);
+        let shape = Shape::nchw(batch, self.out_channels, oh / 2, ow / 2);
         // Drawn from the pool only once the kernel has taken the layer.
         let mut out = None;
         let slot = &mut out;
@@ -312,9 +322,9 @@ impl Conv2d {
         Ok(out)
     }
 
-    /// The geometry of this layer over the NCHW batch `x`.
-    fn checked_geometry(&self, x: &Tensor) -> Result<ConvGeometry> {
-        let s = x.shape();
+    /// The geometry of this layer over the NCHW batch `x`, and its size.
+    fn checked_geometry(&self, x: &Views<'_>) -> Result<(ConvGeometry, usize)> {
+        let s = x.shape()?;
         if s.rank() != 4 || s.channels() != self.in_channels {
             return Err(NnError::BadInput {
                 expected: vec![0, self.in_channels, 0, 0],
@@ -323,24 +333,25 @@ impl Conv2d {
         }
         let geom = self.geometry(s.height(), s.width());
         geom.validate().map_err(NnError::from)?;
-        Ok(geom)
+        Ok((geom, s.batch()))
     }
 
-    /// The shape this layer gives the NCHW batch `x` of geometry `geom`.
-    fn output_shape(&self, x: &Tensor, geom: &ConvGeometry) -> Shape {
+    /// The shape this layer gives a batch of `batch` images of geometry
+    /// `geom`.
+    fn output_shape(&self, batch: usize, geom: &ConvGeometry) -> Shape {
         let (oh, ow) = (geom.out_height(), geom.out_width());
-        Shape::nchw(x.shape().batch(), self.out_channels, oh, ow)
+        Shape::nchw(batch, self.out_channels, oh, ow)
     }
 
     /// Inference: one fused implicit-GEMM call for the whole batch, straight
-    /// from the input tensor into the output tensor. No column matrix, no
+    /// from the input views into the output tensor. No column matrix, no
     /// separate batch-norm, bias or activation pass, and no scratch beyond
     /// the kernel's own stack panels. With `pooled`, `out()` is the output of
     /// the 2x2 stride-2 max pool behind this layer, and `false` comes back
     /// — `out` not called — when the kernel leaves the pair to two passes.
     fn infer_into<'o>(
         &self,
-        x: &Tensor,
+        x: Views<'_>,
         geom: &ConvGeometry,
         pooled: bool,
         out: impl FnOnce() -> &'o mut [f32],
@@ -359,7 +370,7 @@ impl Conv2d {
 
     fn infer_with<'o>(
         &self,
-        x: &Tensor,
+        x: Views<'_>,
         geom: &ConvGeometry,
         pooled: bool,
         out: impl FnOnce() -> &'o mut [f32],
@@ -374,7 +385,6 @@ impl Conv2d {
             batch_norm: self.batch_norm.as_ref().map(BatchNorm::infer_coefficients),
             bias: &self.bias,
         };
-        let x = x.as_slice();
         if pooled {
             return Ok(packed::conv2d_pooled(
                 x, geom, weights, channels, activation, out,

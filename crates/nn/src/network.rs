@@ -4,7 +4,8 @@ use crate::profile::{
 };
 use crate::{ActivationPool, Layer, NnError, Result};
 use dronet_obs::{AllocScope, Counter, Histogram, Registry, Tracer};
-use dronet_tensor::{Shape, Tensor};
+use dronet_tensor::packed::Views;
+use dronet_tensor::{Shape, Tensor, TensorError};
 
 /// A sequential CNN: the Darknet network model.
 ///
@@ -232,8 +233,8 @@ impl Network {
         Shape::nchw(n, c, h, w)
     }
 
-    fn check_input(&self, x: &Tensor) -> Result<()> {
-        let s = x.shape();
+    fn check_input(&self, x: &Views<'_>) -> Result<()> {
+        let s = x.shape()?;
         let ok = s.rank() == 4
             && s.channels() == self.input_c
             && s.height() == self.input_h
@@ -255,7 +256,21 @@ impl Network {
     /// Returns [`NnError::BadInput`] when `x` does not match the nominal
     /// input dimensions; propagates layer errors.
     pub fn forward(&mut self, x: &Tensor) -> Result<Tensor> {
-        self.check_input(x)?;
+        self.forward_views(Views::Batch(x))
+    }
+
+    /// [`Network::forward`] over a batch of [`Views`]: the first layer reads
+    /// each image where it lies — a tile read in place from a larger frame,
+    /// say — and every later layer reads the activations as usual. The bits
+    /// are those of a forward over the views' copies.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`Network::forward`]; and [`NnError::Tensor`] for invalid
+    /// views, or windows into a frame when the network does not begin with
+    /// a convolution (only a convolution reads a window).
+    pub fn forward_views(&mut self, x: Views<'_>) -> Result<Tensor> {
+        self.check_input(&x)?;
         let total = self.forward_total.start();
         let trace_total = self.tracer.span("nn.forward");
         // Activations flow through the recycled scratch pool: each layer
@@ -279,9 +294,9 @@ impl Network {
             let span = self.forward_spans.get(i).map(Histogram::start);
             let trace_span = self.tracer.span_aux(kind_slug(layer.kind()), i as i64);
             let alloc_scope = (!self.alloc_spans.is_empty()).then(AllocScope::begin);
-            // The first layer reads the caller's tensor directly — no
-            // input clone.
-            let input = cur.as_ref().unwrap_or(x);
+            // The first layer reads the caller's views directly — no input
+            // copy.
+            let input = cur.as_ref().map_or(x, Views::Batch);
             let output = if std::mem::take(&mut absorbed) {
                 Ok(None)
             } else {
@@ -292,9 +307,12 @@ impl Network {
                     _ => Ok(None),
                 };
                 absorbed = matches!(stored, Ok(Some(_)));
-                match stored {
-                    Ok(None) => layer.forward_pooled(input, &mut pool).map(Some),
-                    stored => stored,
+                match (stored, &mut *layer) {
+                    (Ok(None), Layer::Conv(conv)) => conv.forward_views(input, &mut pool).map(Some),
+                    (Ok(None), layer) => dense(input)
+                        .and_then(|x| layer.forward_pooled(x, &mut pool))
+                        .map(Some),
+                    (stored, _) => stored,
                 }
             };
             match output {
@@ -325,7 +343,10 @@ impl Network {
         }
         drop(trace_total);
         total.stop();
-        Ok(cur.unwrap_or_else(|| x.clone()))
+        match cur {
+            Some(y) => Ok(y),
+            None => dense(x).cloned(),
+        }
     }
 
     /// Returns a consumed forward output to the recycled scratch pool.
@@ -345,7 +366,7 @@ impl Network {
     ///
     /// Same as [`Network::forward`].
     pub fn forward_train(&mut self, x: &Tensor) -> Result<Tensor> {
-        self.check_input(x)?;
+        self.check_input(&Views::Batch(x))?;
         self.seen += x.shape().batch() as u64;
         let total = self.forward_total.start();
         let mut cur = x.clone();
@@ -407,6 +428,17 @@ impl Network {
                 conv.init_weights(rng);
             }
         }
+    }
+}
+
+/// What a layer other than a convolution reads: a dense batch.
+fn dense(x: Views<'_>) -> Result<&Tensor> {
+    match x {
+        Views::Batch(x) => Ok(x),
+        Views::Windows { .. } => Err(NnError::Tensor(TensorError::InvalidArgument {
+            op: "forward_views",
+            msg: "only a convolution reads windows into a frame".to_string(),
+        })),
     }
 }
 

@@ -10,9 +10,11 @@
 //! `KC x NR` panel of the right operand is packed on the worker's stack,
 //! and every A panel is multiplied against it in registers. For a
 //! convolution the right operand is never materialised: the packer reads
-//! the `NR` output pixels' taps **straight from the NCHW activation**, so
-//! the `[c*k*k, oh*ow]` column matrix of [`crate::im2col`] does not exist
-//! at inference, and batch-norm, bias and activation are applied as the
+//! the `NR` output pixels' taps **straight from the input, where it lies**
+//! ([`Views`]: a dense NCHW batch, or windows into a larger frame read
+//! through its row and plane pitch), so neither the `[c*k*k, oh*ow]` column
+//! matrix of [`crate::im2col`] nor a copy of a window exists at inference,
+//! and batch-norm, bias and activation are applied as the
 //! last block is stored — and so, for a thin full-resolution layer, is the
 //! 2x2 max pool behind it ([`conv2d_pooled`]): the kernel then walks pooled
 //! output rows, computes the two convolution rows above each as two tiles
@@ -45,7 +47,7 @@
 
 use crate::dispatch::{self, Kernel};
 use crate::im2col::ConvGeometry;
-use crate::{parallel, Result, TensorError};
+use crate::{parallel, Result, Shape, Tensor, TensorError};
 use std::ops::Range;
 
 /// Rows of the left operand (output channels) per register tile. The
@@ -161,33 +163,150 @@ impl PanelSource for MatrixSource<'_> {
     }
 }
 
+/// The input of [`conv2d`] and [`conv2d_pooled`]: a batch of `[c, h, w]`
+/// images, one view per batch item, each read where it lies in memory.
+///
+/// A view reads its pixel `(c, y, x)` at `origin + c·plane_pitch +
+/// y·row_pitch + x` inside its visible extent and zero outside it. The
+/// convolution's own zero padding surrounds the `h x w` view, whatever lies
+/// next to it in memory, so a window computes the bits of its copy.
+#[derive(Debug, Clone, Copy)]
+pub enum Views<'a> {
+    /// A dense `[n, c, h, w]` batch: item `i` at `i·c·h·w`, rows `w` apart,
+    /// all of it visible.
+    Batch(&'a Tensor),
+    /// Windows into the `[1, c, frame_h, frame_w]` tensor `frame`, one per
+    /// top-left corner `(y0, x0)` inside it: rows `frame_w` apart, planes
+    /// `frame_h·frame_w`. What of a window lies past the frame's right or
+    /// bottom edge reads as zero.
+    Windows {
+        /// The frame every window reads from.
+        frame: &'a Tensor,
+        /// `(h, w)` of every window.
+        size: (usize, usize),
+        /// Each window's top-left pixel `(y0, x0)` in the frame.
+        corners: &'a [(usize, usize)],
+    },
+}
+
+impl<'a> From<&'a Tensor> for Views<'a> {
+    fn from(batch: &'a Tensor) -> Self {
+        Views::Batch(batch)
+    }
+}
+
+impl<'a> Views<'a> {
+    /// The shape of the batch the views stand for: `[corners, c, h, w]` for
+    /// windows, the tensor's own (of whatever rank) for a dense batch.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidArgument`] for windows into anything
+    /// but a `[1, c, h, w]` frame, empty windows, or a corner outside the
+    /// frame.
+    pub fn shape(&self) -> Result<Shape> {
+        let (frame, (h, w), corners) = match *self {
+            Views::Batch(batch) => return Ok(*batch.shape()),
+            Views::Windows {
+                frame,
+                size,
+                corners,
+            } => (frame, size, corners),
+        };
+        let s = frame.shape();
+        let outside = |&&(y0, x0): &&(usize, usize)| y0 >= s.height() || x0 >= s.width();
+        let msg = if s.rank() != 4 || s.batch() != 1 {
+            format!("windows into a {s} tensor, not a [1, c, h, w] frame")
+        } else if h == 0 || w == 0 {
+            format!("{h}x{w} windows")
+        } else if let Some((y0, x0)) = corners.iter().find(outside) {
+            format!("corner ({y0}, {x0}) outside a {s} frame")
+        } else {
+            return Ok(Shape::nchw(corners.len(), s.channels(), h, w));
+        };
+        Err(TensorError::InvalidArgument { op: "views", msg })
+    }
+
+    /// Item `i` as the implicit column matrix of `geom`, a geometry that
+    /// agrees with [`Views::shape`].
+    fn source(&self, i: usize, geom: &ConvGeometry) -> ImageSource<'a> {
+        let (h, w) = (geom.height, geom.width);
+        match *self {
+            Views::Batch(batch) => {
+                let item = geom.channels * h * w;
+                ImageSource::dense(&batch.as_slice()[i * item..][..item], geom)
+            }
+            Views::Windows { frame, corners, .. } => {
+                let (fh, fw) = (frame.shape().height(), frame.shape().width());
+                let (y0, x0) = corners[i];
+                let image = &frame.as_slice()[y0 * fw + x0..];
+                let visible = ((fh - y0).min(h), (fw - x0).min(w));
+                ImageSource::new(image, geom, (fw, fh * fw), visible)
+            }
+        }
+    }
+}
+
 /// The implicit column matrix of a convolution: row `(c, ky, kx)`, column
-/// `oy * ow + ox` is the input pixel that tap sees there, or zero padding.
+/// `oy * ow + ox` is the input pixel that tap sees there, or zero — padding,
+/// or past the visible extent.
 #[derive(Clone, Copy)]
 struct ImageSource<'a> {
+    /// The image from its origin on: pixel `(c, y, x)` is
+    /// `image[c * plane_pitch + y * row_pitch + x]`.
     image: &'a [f32],
     geom: ConvGeometry,
     out_width: usize,
+    row_pitch: usize,
+    plane_pitch: usize,
+    /// The rows and columns of the `height x width` image that hold
+    /// pixels; past them it reads as zero, like the padding around it.
+    visible: (usize, usize),
 }
 
 impl<'a> ImageSource<'a> {
-    /// The implicit column matrix of one `[c, h, w]` image under `geom`.
-    fn new(image: &'a [f32], geom: &ConvGeometry) -> Self {
-        let flat = flattens(geom);
-        let geom = ConvGeometry {
-            height: if flat { 1 } else { geom.height },
-            width: if flat {
-                geom.height * geom.width
-            } else {
-                geom.width
-            },
-            ..*geom
+    /// The implicit column matrix of one `[c, h, w]` image under `geom`,
+    /// its rows and planes `(row, plane)` = `pitch` elements apart.
+    fn new(
+        image: &'a [f32],
+        geom: &ConvGeometry,
+        pitch: (usize, usize),
+        visible: (usize, usize),
+    ) -> Self {
+        let (h, w) = (geom.height, geom.width);
+        let (geom, pitch, visible) = match pitch == (w, h * w) && visible == (h, w) {
+            true if flattens(geom) => {
+                let flat = ConvGeometry {
+                    height: 1,
+                    width: h * w,
+                    ..*geom
+                };
+                (flat, (h * w, h * w), (1, h * w))
+            }
+            _ => (*geom, pitch, visible),
         };
         ImageSource {
             image,
             geom,
             out_width: geom.out_width(),
+            row_pitch: pitch.0,
+            plane_pitch: pitch.1,
+            visible,
         }
+    }
+
+    /// [`ImageSource::new`] for an image whose rows and planes lie back to
+    /// back, all of it visible.
+    fn dense(image: &'a [f32], geom: &ConvGeometry) -> Self {
+        let (h, w) = (geom.height, geom.width);
+        ImageSource::new(image, geom, (w, h * w), (h, w))
+    }
+
+    /// Channel `c`'s pixels, from the origin to its last visible one.
+    #[inline(always)]
+    fn plane(self, c: usize) -> &'a [f32] {
+        let (rows, cols) = self.visible;
+        &self.image[c * self.plane_pitch..][..(rows - 1) * self.row_pitch + cols]
     }
 }
 
@@ -237,13 +356,13 @@ impl PanelSource for ImageSource<'_> {
     #[inline(always)]
     fn pack<const NR: usize>(self, j0: usize, nv: usize, kb: usize, panel: &mut [[f32; NR]]) {
         let ConvGeometry {
-            height: h,
             width: w,
             kernel: k,
             stride,
             pad,
             ..
         } = self.geom;
+        let (rows, cols) = self.visible;
         let ow = self.out_width;
         let (oy0, ox0) = (j0 / ow, j0 % ow);
         if stride == 1 && nv == NR && ox0 + NR <= ow {
@@ -251,7 +370,7 @@ impl PanelSource for ImageSource<'_> {
             // reads NR consecutive input pixels per tap; under a 3x3 kernel,
             // away from the left and right borders, all three taps of a
             // `(c, ky)` group read them out of one NR + 2 pixel window.
-            if k == 3 && ox0 >= pad && ox0 - pad + NR + 2 <= w {
+            if k == 3 && ox0 >= pad && ox0 - pad + NR + 2 <= cols {
                 self.pack_interior_3x3(oy0, ox0 - pad, kb, panel);
             } else {
                 self.pack_in_row(oy0, ox0, kb, panel);
@@ -261,9 +380,9 @@ impl PanelSource for ImageSource<'_> {
         let mut tap = Tap::of_row(kb, k);
         // Where each column's window starts in the input; columns past `nv`
         // get a row that fails the bounds test under every tap. Coordinates
-        // left of / above the image wrap to huge values and fail the `< h` /
-        // `< w` tests like those on the far side.
-        let (mut iy0, mut ix0) = ([h; NR], [0usize; NR]);
+        // left of / above the image wrap to huge values and fail the
+        // `< rows` / `< cols` tests like those on the far side.
+        let (mut iy0, mut ix0) = ([rows; NR], [0usize; NR]);
         let (mut oy, mut ox) = (oy0, ox0);
         for (iy, ix) in iy0.iter_mut().zip(&mut ix0).take(nv) {
             *iy = (oy * stride).wrapping_sub(pad);
@@ -273,15 +392,17 @@ impl PanelSource for ImageSource<'_> {
                 (oy, ox) = (oy + 1, 0);
             }
         }
-        // When a stride-1 convolution's output is as wide as its input, a
-        // full strip that runs on into the next output row still reads NR
-        // consecutive input pixels per tap — the step to the next row is
-        // the same in both — except where a window hangs over a border.
-        let consecutive = stride == 1 && nv == NR && ow == w;
-        let origin = iy0[0].wrapping_mul(w).wrapping_add(ix0[0]);
+        // When a stride-1 convolution's output is as wide as its input and
+        // its rows lie back to back, a full strip that runs on into the next
+        // output row still reads NR consecutive input pixels per tap — the
+        // step to the next row is the same in both — except where a window
+        // hangs over a border.
+        let pitch = self.row_pitch;
+        let consecutive = stride == 1 && nv == NR && ow == w && pitch == w;
+        let origin = iy0[0].wrapping_mul(pitch).wrapping_add(ix0[0]);
         for dst in panel {
-            let plane = &self.image[tap.c * h * w..][..h * w];
-            let first = origin.wrapping_add(tap.ky * w + tap.kx);
+            let plane = self.plane(tap.c);
+            let first = origin.wrapping_add(tap.ky * pitch + tap.kx);
             let pixels = match consecutive {
                 true => plane.get(first..first.wrapping_add(NR)),
                 false => None,
@@ -290,9 +411,9 @@ impl PanelSource for ImageSource<'_> {
                 let iy = iy0[t].wrapping_add(tap.ky);
                 let ix = ix0[t].wrapping_add(tap.kx);
                 *d = match pixels {
-                    _ if iy >= h || ix >= w => 0.0,
+                    _ if iy >= rows || ix >= cols => 0.0,
                     Some(pixels) => pixels[t],
-                    None => plane[iy * w + ix],
+                    None => plane[iy * pitch + ix],
                 };
             }
             tap.advance(k);
@@ -314,22 +435,22 @@ impl<'a> ImageSource<'a> {
         kb: usize,
         panel: &mut [[f32; NR]],
     ) {
-        let geom = self.geom;
-        let (h, w, k, pad) = (geom.height, geom.width, geom.kernel, geom.pad);
+        let (k, pad, pitch) = (self.geom.kernel, self.geom.pad, self.row_pitch);
+        let (rows, cols) = self.visible;
         let mut tap = Tap::of_row(kb, k);
         for dst in panel {
-            let plane = &self.image[tap.c * h * w..][..h * w];
+            let plane = self.plane(tap.c);
             // Coordinates left of / above the image wrap to huge values and
-            // fail the `< h` / `< w` tests like those on the far side.
+            // fail the `< rows` / `< cols` tests like those on the far side.
             let iy = (oy0 + tap.ky).wrapping_sub(pad);
             let ix0 = (ox0 + tap.kx).wrapping_sub(pad);
-            if iy < h && ix0 < w && ix0 + NR <= w {
-                dst.copy_from_slice(&plane[iy * w + ix0..][..NR]);
+            if iy < rows && ix0 < cols && ix0 + NR <= cols {
+                dst.copy_from_slice(&plane[iy * pitch + ix0..][..NR]);
             } else {
                 for (t, d) in dst.iter_mut().enumerate() {
                     let ix = ix0.wrapping_add(t);
-                    *d = if iy < h && ix < w {
-                        plane[iy * w + ix]
+                    *d = if iy < rows && ix < cols {
+                        plane[iy * pitch + ix]
                     } else {
                         0.0
                     };
@@ -340,12 +461,13 @@ impl<'a> ImageSource<'a> {
     }
 
     /// [`ImageSource::pack_in_row`] specialised for a 3x3 kernel and a strip
-    /// whose taps all stay inside the image's columns, `left..left + NR + 2`
-    /// (`left` = the first output column less the padding): per `(c, ky)`
-    /// group one bounds-checked window of NR + 2 pixels and three copies out
-    /// of it — or three zero fills, for a row above or below the image —
-    /// with no per-tap bookkeeping. A panel that starts or ends inside a
-    /// group (`KC` is no multiple of 3) takes that group's remaining taps.
+    /// whose taps all stay inside the image's visible columns,
+    /// `left..left + NR + 2` (`left` = the first output column less the
+    /// padding): per `(c, ky)` group one bounds-checked window of NR + 2
+    /// pixels and three copies out of it — or three zero fills, for a row
+    /// above or below the visible rows — with no per-tap bookkeeping. A
+    /// panel that starts or ends inside a group (`KC` is no multiple of 3)
+    /// takes that group's remaining taps.
     #[inline(always)]
     fn pack_interior_3x3<const NR: usize>(
         self,
@@ -354,14 +476,14 @@ impl<'a> ImageSource<'a> {
         kb: usize,
         panel: &mut [[f32; NR]],
     ) {
-        let (h, w, pad) = (self.geom.height, self.geom.width, self.geom.pad);
+        let (rows, pitch, pad) = (self.visible.0, self.row_pitch, self.geom.pad);
         // The NR + 2 pixels of `plane` under kernel row `ky`, unless that
-        // row of the window is above or below the image.
+        // row of the window is above or below the visible rows.
         let window = |plane: &'a [f32], ky: usize| {
             let iy = (oy0 + ky).wrapping_sub(pad);
-            (iy < h).then(|| &plane[iy * w + left..][..NR + 2])
+            (iy < rows).then(|| &plane[iy * pitch + left..][..NR + 2])
         };
-        let plane = |c: usize| &self.image[c * h * w..][..h * w];
+        let plane = |c: usize| self.plane(c);
         // Rows from `first` of the column matrix one by one: the odd ends
         // of a panel that does not start or end with a channel.
         let some_rows = |first: usize, rows: &mut [[f32; NR]]| {
@@ -491,6 +613,11 @@ impl OutRows<'_> {
     }
 }
 
+/// A stack panel on a cache-line boundary: a 16-wide panel row then fills
+/// one 64-byte line instead of straddling two, on store and on reload.
+#[repr(align(64))]
+struct Aligned<T>(T);
+
 /// One thread's part of a product: every row, every `k`, the columns
 /// `cols`, strip by strip from `cols.start`.
 struct Share<'a, B, E> {
@@ -517,12 +644,12 @@ impl<B: PanelSource, E: Epilogue> Kernel for Share<'_, B, E> {
             mut out,
         } = self;
         debug_assert!(cols.end <= n);
-        let mut panel = [[0.0f32; NR]; KC];
+        let mut panel = Aligned([[0.0f32; NR]; KC]);
         for j0 in cols.clone().step_by(NR) {
             let nv = NR.min(cols.end - j0);
             for kb in (0..k).step_by(KC) {
                 let kc = KC.min(k - kb);
-                let panel = &mut panel[..kc];
+                let panel = &mut panel.0[..kc];
                 b.pack(j0, nv, kb, panel);
                 let from_zero = kb == 0 && !accumulate;
                 let last = kb + kc == k;
@@ -572,8 +699,8 @@ impl<E: Epilogue> Kernel for PooledShare<'_, E> {
         let (a, m, k, b, epilogue) = (p.a, p.m, p.k, p.b, p.epilogue);
         let (ow, pw) = (b.out_width, b.out_width / 2);
         debug_assert!(k <= KC && ow == 2 * pw && cols.start % pw == 0 && cols.end % pw == 0);
-        let (mut top, mut bottom) = ([[0.0f32; NR]; KC], [[0.0f32; NR]; KC]);
-        let (top, bottom) = (&mut top[..k], &mut bottom[..k]);
+        let (mut top, mut bottom) = (Aligned([[0.0f32; NR]; KC]), Aligned([[0.0f32; NR]; KC]));
+        let (top, bottom) = (&mut top.0[..k], &mut bottom.0[..k]);
         for py in cols.start / pw..cols.end / pw {
             // The two convolution rows this pooled row is the maximum of,
             // strip by strip: `ow` and `NR` are even, so no window straddles
@@ -817,18 +944,19 @@ fn gemm_split(
 /// · input[b][c][oy*s + ky − pad][ox*s + kx − pad]))`, to the bit as stated
 /// in the [module docs](self).
 ///
-/// `input` is `[batch, c, h, w]`, `weights` the packed `[out_c, c*k*k]`
-/// matrix, `out` the `[batch, out_c, oh, ow]` output; every element of
-/// `out` is assigned, so it may hold stale data on entry. The batch size is
-/// whatever `out` has room for.
+/// `input` is one `[c, h, w]` view per batch item, read where it lies
+/// ([`Views`]), `weights` the packed `[out_c, c*k*k]` matrix, `out` the
+/// `[batch, out_c, oh, ow]` output; every element of `out` is assigned, so
+/// it may hold stale data on entry. The batch size is whatever `out` has
+/// room for.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::InvalidArgument`] for invalid geometry and
-/// [`TensorError::ShapeMismatch`] / [`TensorError::LengthMismatch`] when a
-/// buffer disagrees with it.
+/// Returns [`TensorError::InvalidArgument`] for invalid geometry or views
+/// and [`TensorError::ShapeMismatch`] / [`TensorError::LengthMismatch`] when
+/// a buffer disagrees with the geometry.
 pub fn conv2d<A>(
-    input: &[f32],
+    input: Views<'_>,
     geom: &ConvGeometry,
     weights: &PackedMatrix,
     channels: ChannelEpilogue<'_>,
@@ -860,7 +988,7 @@ where
 ///
 /// Those of [`conv2d`].
 pub fn conv2d_pooled<'o, A>(
-    input: &[f32],
+    input: Views<'_>,
     geom: &ConvGeometry,
     weights: &PackedMatrix,
     channels: ChannelEpilogue<'_>,
@@ -896,7 +1024,7 @@ fn pool_fits_the_store(geom: &ConvGeometry) -> bool {
 /// layer's size.
 #[allow(clippy::too_many_arguments)]
 fn conv2d_split<A>(
-    input: &[f32],
+    input: Views<'_>,
     geom: &ConvGeometry,
     weights: &PackedMatrix,
     channels: ChannelEpilogue<'_>,
@@ -925,16 +1053,18 @@ where
     }
     // A valid geometry has at least one output pixel, so `m * n >= 1`.
     let batch = out.len() / (m * n);
+    let images = Shape::nchw(batch, geom.channels, geom.height, geom.width);
+    let shape = input.shape()?;
     for (op, expected, actual) in [
-        ("conv2d output", batch * m * n, out.len()),
-        ("conv2d input", batch * geom.channels * plane, input.len()),
-        ("conv2d weights", k, weights.cols),
+        ("conv2d output", &[batch * m * n][..], &[out.len()][..]),
+        ("conv2d input", images.dims(), shape.dims()),
+        ("conv2d weights", &[k], &[weights.cols]),
     ] {
         if expected != actual {
             return Err(TensorError::ShapeMismatch {
                 op,
-                lhs: vec![expected],
-                rhs: vec![actual],
+                lhs: expected.to_vec(),
+                rhs: actual.to_vec(),
             });
         }
     }
@@ -949,14 +1079,13 @@ where
             });
         }
     }
-    let images = input.chunks_exact(geom.channels * plane);
-    let jobs = images.zip(out.chunks_exact_mut(m * n)).map(|(image, out)| {
+    let jobs = out.chunks_exact_mut(m * n).enumerate().map(|(i, out)| {
         let product = Product {
             a: &weights.panels[..],
             m,
             n,
             k,
-            b: ImageSource::new(image, geom),
+            b: input.source(i, geom),
             accumulate: false,
             epilogue: Fused {
                 channels,
@@ -976,7 +1105,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{init, ops, Shape};
+    use crate::{init, ops};
     use rand::SeedableRng;
     use Instantiation::{Avx2, Avx512};
 
@@ -1002,6 +1131,13 @@ mod tests {
             stride: s,
             pad: p,
         }
+    }
+
+    /// `data` as a dense batch of `geom`'s `[c, h, w]` images.
+    fn batch_of(data: &[f32], geom: &ConvGeometry) -> Tensor {
+        let (c, h, w) = (geom.channels, geom.height, geom.width);
+        let shape = Shape::nchw(data.len() / (c * h * w), c, h, w);
+        Tensor::from_vec(data.to_vec(), shape).unwrap()
     }
 
     /// The contract, spelled out the slow way: `c ← beta·c`, then
@@ -1159,10 +1295,11 @@ mod tests {
             };
             let want = naive_conv(&input, &geom, &weights, channels, ops::leaky_relu);
             let packed = PackedMatrix::pack(&weights, m, k).unwrap();
+            let images = batch_of(&input, &geom);
             for split in [None, Some(0), Some(1), Some(2), Some(3), Some(7)] {
                 let mut out = vec![f32::NAN; want.len()];
                 conv2d_split(
-                    &input,
+                    Views::Batch(&images),
                     &geom,
                     &packed,
                     channels,
@@ -1344,7 +1481,7 @@ mod tests {
                         m,
                         n,
                         k,
-                        b: ImageSource::new(&image, &geom),
+                        b: ImageSource::dense(&image, &geom),
                         accumulate: false,
                         epilogue: Fused {
                             channels,
@@ -1400,7 +1537,7 @@ mod tests {
 
     /// Inputs, packed weights and per-channel coefficients of a case.
     struct Layer {
-        input: Vec<f32>,
+        input: Tensor,
         packed: PackedMatrix,
         neg_mean: Vec<f32>,
         scale: Vec<f32>,
@@ -1411,7 +1548,10 @@ mod tests {
         fn random(geom: &ConvGeometry, m: usize, batch: usize, seed: u64) -> Layer {
             let k = geom.col_rows();
             Layer {
-                input: random(batch * geom.channels * geom.height * geom.width, seed),
+                input: batch_of(
+                    &random(batch * geom.channels * geom.height * geom.width, seed),
+                    geom,
+                ),
                 packed: PackedMatrix::pack(&random(m * k, seed + 1), m, k).unwrap(),
                 neg_mean: random(m, seed + 2),
                 scale: random(m, seed + 3),
@@ -1464,7 +1604,7 @@ mod tests {
                 for &(name, activation) in &activations {
                     let mut full = vec![f32::NAN; batch * m * oh * ow];
                     conv2d(
-                        &layer.input,
+                        Views::Batch(&layer.input),
                         &geom,
                         &layer.packed,
                         channels,
@@ -1476,7 +1616,7 @@ mod tests {
                     for split in [None, Some(0), Some(1), Some(2), Some(3), Some(7)] {
                         let mut out = vec![f32::NAN; want.len()];
                         conv2d_split(
-                            &layer.input,
+                            Views::Batch(&layer.input),
                             &geom,
                             &layer.packed,
                             channels,
@@ -1518,7 +1658,7 @@ mod tests {
                 for &(name, activation) in &activations {
                     let mut full = vec![f32::NAN; m * oh * ow];
                     conv2d(
-                        &layer.input,
+                        Views::Batch(&layer.input),
                         &geom,
                         &layer.packed,
                         channels,
@@ -1532,7 +1672,7 @@ mod tests {
                         m,
                         n: want.len() / m,
                         k: geom.col_rows(),
-                        b: ImageSource::new(&layer.input, &geom),
+                        b: ImageSource::dense(layer.input.as_slice(), &geom),
                         accumulate: false,
                         epilogue: Fused {
                             channels,
@@ -1580,10 +1720,17 @@ mod tests {
             let mut asked = false;
             let (buffer, flag) = (&mut out[..], &mut asked);
             let act = ops::leaky_relu;
-            let took = conv2d_pooled(&layer.input, &geom, &layer.packed, channels, act, || {
-                *flag = true;
-                buffer
-            })
+            let took = conv2d_pooled(
+                Views::Batch(&layer.input),
+                &geom,
+                &layer.packed,
+                channels,
+                act,
+                || {
+                    *flag = true;
+                    buffer
+                },
+            )
             .unwrap();
             assert_eq!((took, asked), (taken, taken), "{why}");
             if !taken {
@@ -1591,7 +1738,7 @@ mod tests {
             }
             let mut full = vec![f32::NAN; m * oh * ow];
             conv2d(
-                &layer.input,
+                Views::Batch(&layer.input),
                 &geom,
                 &layer.packed,
                 channels,
@@ -1607,12 +1754,15 @@ mod tests {
         let mut short = vec![0.0; m * 88 * 88 - 1];
         let act = ops::leaky_relu;
         let channels = layer.channels(false);
-        assert!(
-            conv2d_pooled(&layer.input, &geom, &layer.packed, channels, act, || {
-                &mut short[..]
-            })
-            .is_err()
-        );
+        assert!(conv2d_pooled(
+            Views::Batch(&layer.input),
+            &geom,
+            &layer.packed,
+            channels,
+            act,
+            || { &mut short[..] }
+        )
+        .is_err());
     }
 
     /// The speed-up of the AVX-512F instantiation and its 8x16 tile, locked
@@ -1640,7 +1790,7 @@ mod tests {
                 m,
                 n,
                 k,
-                b: ImageSource::new(&image, &geom),
+                b: ImageSource::dense(&image, &geom),
                 accumulate: false,
                 epilogue: Fused {
                     channels: ChannelEpilogue {
@@ -1734,7 +1884,7 @@ mod tests {
             });
             start.elapsed().as_secs_f64()
         }
-        let source = ImageSource::new(&layer.input, &geom);
+        let source = ImageSource::dense(layer.input.as_slice(), &geom);
         let (mut out, mut out_per_row) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
         let (mut interior, mut per_row) = (f64::MAX, f64::MAX);
         for round in 0..60 {
@@ -1763,7 +1913,16 @@ mod tests {
             bias: &[0.5],
         };
         let mut out = vec![0.0; NR];
-        conv2d(&image, &geom, &packed, channels, |v| v, &mut out).unwrap();
+        let image = batch_of(&image, &geom);
+        conv2d(
+            Views::Batch(&image),
+            &geom,
+            &packed,
+            channels,
+            |v| v,
+            &mut out,
+        )
+        .unwrap();
         for (j, v) in out.iter().enumerate() {
             assert_eq!(v.is_nan(), j == 2 || j == 5, "column {j}: {v}");
         }
@@ -1778,16 +1937,17 @@ mod tests {
             batch_norm: None,
             bias: &bias,
         };
-        let input = vec![0.0; 2 * 32];
+        let input = Tensor::zeros(Shape::nchw(2, 2, 4, 4));
         let mut out = vec![0.0; 2 * 48];
-        let call = |input: &[f32], geom: &ConvGeometry, channels, out: &mut [f32]| {
-            conv2d(input, geom, &packed, channels, |v| v, out)
+        let call = |input: &Tensor, geom: &ConvGeometry, channels, out: &mut [f32]| {
+            conv2d(Views::Batch(input), geom, &packed, channels, |v| v, out)
         };
+        let one = Tensor::zeros(Shape::nchw(1, 2, 4, 4));
         assert!(call(&input, &geom, channels, &mut out).is_ok());
-        assert!(call(&input[..63], &geom, channels, &mut out).is_err());
+        assert!(call(&Tensor::zeros(Shape::new(&[64])), &geom, channels, &mut out).is_err());
         assert!(call(&input, &geom, channels, &mut out[..95]).is_err());
         assert!(
-            call(&input[..32], &geom, channels, &mut out).is_err(),
+            call(&one, &geom, channels, &mut out).is_err(),
             "batch 1 in, 2 out"
         );
         assert!(call(&input, &geometry(3, 4, 4, 3, 1, 1), channels, &mut out).is_err());
@@ -1808,6 +1968,169 @@ mod tests {
             batch_norm: None,
             bias: &[],
         };
-        assert!(conv2d(&[], &geom, &no_channels, none, |v| v, &mut []).is_err());
+        let empty = Tensor::zeros(Shape::nchw(0, 2, 4, 4));
+        assert!(conv2d(
+            Views::Batch(&empty),
+            &geom,
+            &no_channels,
+            none,
+            |v| v,
+            &mut []
+        )
+        .is_err());
+        // Windows are checked as well: corners inside a [1, c, h, w] frame,
+        // windows of the geometry's size.
+        let frame = Tensor::zeros(Shape::nchw(1, 2, 6, 9));
+        let windows = |frame, size, corners: &[(usize, usize)]| {
+            let views = Views::Windows {
+                frame,
+                size,
+                corners,
+            };
+            conv2d(views, &geom, &packed, channels, |v| v, &mut out.clone())
+        };
+        assert!(windows(&frame, (4, 4), &[(2, 5), (5, 8)]).is_ok());
+        assert!(windows(&frame, (4, 4), &[(2, 5), (6, 0)]).is_err(), "below");
+        assert!(windows(&frame, (4, 4), &[(2, 9), (0, 0)]).is_err(), "right");
+        assert!(windows(&frame, (4, 5), &[(0, 0), (0, 0)]).is_err(), "size");
+        assert!(windows(&frame, (0, 4), &[(0, 0), (0, 0)]).is_err(), "empty");
+        assert!(
+            windows(&input, (4, 4), &[(0, 0), (0, 0)]).is_err(),
+            "batch 2"
+        );
+    }
+
+    /// `size` windows at `corners` of a `[1, c, fh, fw]` frame, copied out
+    /// the way a tile is extracted: zero past the frame's right and bottom
+    /// edges.
+    fn extracted(frame: &Tensor, (h, w): (usize, usize), corners: &[(usize, usize)]) -> Tensor {
+        let s = frame.shape();
+        let (c, fh, fw) = (s.channels(), s.height(), s.width());
+        let mut copies = vec![0.0; corners.len() * c * h * w];
+        for (&(y0, x0), copy) in corners.iter().zip(copies.chunks_exact_mut(c * h * w)) {
+            for ch in 0..c {
+                for y in 0..h.min(fh - y0) {
+                    for x in 0..w.min(fw - x0) {
+                        let pixel = frame.as_slice()[(ch * fh + y0 + y) * fw + x0 + x];
+                        copy[(ch * h + y) * w + x] = pixel;
+                    }
+                }
+            }
+        }
+        Tensor::from_vec(copies, Shape::nchw(corners.len(), c, h, w)).unwrap()
+    }
+
+    /// The view packer against the copy it replaces: `conv2d` and the pooled
+    /// store over windows into a frame — corners off the origin, rows
+    /// further apart than a window is wide, windows hanging over the right
+    /// edge, the bottom edge or both, a frame smaller than a window, batches
+    /// of 1 to 5 — give the bits of the same layer over the windows' copies,
+    /// through `run` with every split and through every instantiation.
+    #[test]
+    fn windows_into_a_frame_compute_the_bits_of_their_copies() {
+        // 10 x 40 windows: 16-wide strips at columns 0, 16 and 32, so a 3x3
+        // kernel takes the interior packer on whole windows and the clipped
+        // one on windows that hang over the right edge.
+        let size = (10, 40);
+        let cases = [
+            ((23, 61), &[(0, 0)][..]),
+            ((23, 61), &[(5, 7), (13, 21)]),
+            ((23, 61), &[(2, 30), (17, 3), (20, 50)]),
+            ((23, 61), &[(1, 1), (22, 60), (0, 45), (9, 0)]),
+            ((23, 61), &[(3, 11), (3, 11), (12, 29), (8, 35), (19, 19)]),
+            ((7, 25), &[(0, 0), (4, 9)]),
+        ];
+        let (m, activation) = (MR + 3, ops::leaky_relu);
+        for (case, ((fh, fw), corners)) in cases.into_iter().enumerate() {
+            let frame = batch_of(
+                &random(3 * fh * fw, 500 + case as u64),
+                &geometry(3, fh, fw, 1, 1, 0),
+            );
+            let views = Views::Windows {
+                frame: &frame,
+                size,
+                corners,
+            };
+            let copies = extracted(&frame, size, corners);
+            for (kernel, stride, pad) in [
+                (3, 1, 1),
+                (3, 1, 0),
+                (5, 1, 2),
+                (3, 2, 1),
+                (1, 1, 0),
+                (2, 2, 0),
+            ] {
+                let geom = geometry(3, size.0, size.1, kernel, stride, pad);
+                let layer = Layer::random(&geom, m, 1, 600 + case as u64);
+                let channels = layer.channels(true);
+                for pooled in [false, true] {
+                    if pooled && !pool_fits_the_store(&geom) {
+                        continue;
+                    }
+                    let name =
+                        format!("{fh}x{fw} frame, corners {corners:?}, {geom:?}, pooled={pooled}");
+                    let n = geom.col_cols() / if pooled { 4 } else { 1 };
+                    let mut want = vec![f32::NAN; corners.len() * m * n];
+                    let dense = Views::Batch(&copies);
+                    conv2d_split(
+                        dense,
+                        &geom,
+                        &layer.packed,
+                        channels,
+                        activation,
+                        &mut want,
+                        None,
+                        pooled,
+                    )
+                    .unwrap();
+                    for split in [None, Some(0), Some(1), Some(2), Some(3), Some(7)] {
+                        let mut out = vec![f32::NAN; want.len()];
+                        conv2d_split(
+                            views,
+                            &geom,
+                            &layer.packed,
+                            channels,
+                            activation,
+                            &mut out,
+                            split,
+                            pooled,
+                        )
+                        .unwrap();
+                        assert_eq!(bits(&out), bits(&want), "{name}, split {split:?}");
+                    }
+                    for (i, want) in want.chunks_exact(m * n).enumerate() {
+                        let product = Product {
+                            a: &layer.packed.panels[..],
+                            m,
+                            n,
+                            k: geom.col_rows(),
+                            b: views.source(i, &geom),
+                            accumulate: false,
+                            epilogue: Fused {
+                                channels,
+                                activation,
+                            },
+                        };
+                        let (garbage, case) = (vec![f32::NAN; m * n], format!("{name}, item {i}"));
+                        if pooled {
+                            every_instantiation_computes(
+                                product,
+                                geom.out_width() / 2,
+                                |instantiation, share| {
+                                    instantiation.run(PooledShare(share)).is_ok()
+                                },
+                                &garbage,
+                                want,
+                                &case,
+                            );
+                        } else {
+                            every_instantiation_computes(
+                                product, 8, plainly, &garbage, want, &case,
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

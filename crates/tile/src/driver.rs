@@ -3,10 +3,12 @@
 //! [`TiledDetector`] owns one [`dronet_detect::Detector`] plus the grid,
 //! selector, merger and tracker, and turns a large frame into frame-space
 //! detections while only spending CNN FLOPs on the selected tiles. The
-//! selected tiles are packed into a single NCHW micro-batch and run
-//! through [`dronet_detect::Detector::detect_batch_frames`] — exactly the
-//! entry point the serve path's micro-batcher uses — so one tiled frame
-//! costs one forward pass regardless of how many tiles fired.
+//! selected tiles run as one micro-batch through
+//! [`dronet_detect::Detector::detect_batch_frames`] — exactly the entry
+//! point the serve path's micro-batcher uses — so one tiled frame costs one
+//! forward pass regardless of how many tiles fired. The batch is a list of
+//! tile corners, not a copy: the first convolution reads each tile in place
+//! from the frame ([`dronet_tensor::packed::Views::Windows`]).
 //!
 //! Tracing mirrors the serve path: `tile.select` and `tile.merge` are
 //! frame spans, `tile.batch` carries the batch size as its aux value, and
@@ -22,7 +24,8 @@ use dronet_detect::{panic_payload_message, Detection, Detector, FaultKind, Fault
 use dronet_metrics::BBox;
 use dronet_nn::cost::network_cost;
 use dronet_obs::Tracer;
-use dronet_tensor::{Shape, Tensor};
+use dronet_tensor::packed::Views;
+use dronet_tensor::Tensor;
 
 /// Configuration for [`TiledDetector`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,11 +74,6 @@ pub struct TiledDetector {
     merger: TileMerger,
     tracker: Tracker,
     tracer: Tracer,
-    /// Cached micro-batch tensors indexed by batch size, so the steady
-    /// state never allocates: a stream that keeps selecting `n` tiles
-    /// reuses the same `[n, c, t, t]` buffer every frame.
-    batch_cache: Vec<Option<Tensor>>,
-    channels: usize,
     per_tile_flops: f64,
     /// Detector-side fault schedule applied per batch forward (chaos/test
     /// knob, same machinery as `detect::fault`). Indexed by forward count.
@@ -100,7 +98,7 @@ impl TiledDetector {
         frame_size: (usize, usize),
         config: TiledDetectorConfig,
     ) -> Result<Self> {
-        let (c, h, w) = detector.input_chw();
+        let (_, h, w) = detector.input_chw();
         if h != w {
             return Err(TileError::BadConfig {
                 param: "detector",
@@ -113,8 +111,6 @@ impl TiledDetector {
         let merger = TileMerger::new(config.merge)?;
         let tracker = Tracker::new(config.tracker);
         let per_tile_flops = network_cost(detector.network()).total_flops();
-        let mut batch_cache = Vec::new();
-        batch_cache.resize_with(grid.len() + 1, || None);
         Ok(TiledDetector {
             detector,
             grid,
@@ -122,8 +118,6 @@ impl TiledDetector {
             merger,
             tracker,
             tracer: Tracer::noop(),
-            batch_cache,
-            channels: c,
             per_tile_flops,
             fault: FaultPlan::none(),
             fault_calls: 0,
@@ -218,18 +212,22 @@ impl TiledDetector {
         } else {
             let span = self.tracer.span_aux("tile.batch", n as i64);
             let t = self.grid.tile_size();
-            let plane = self.channels * t * t;
-            let batch = self.batch_cache[n]
-                .get_or_insert_with(|| Tensor::zeros(Shape::nchw(n, self.channels, t, t)));
-            for (slot, &index) in tiles.iter().enumerate() {
-                let tile = self.grid.tile(index);
-                let dst = &mut batch.as_mut_slice()[slot * plane..(slot + 1) * plane];
-                self.grid.extract_into_slice(frame, &tile, dst);
-            }
+            let corners: Vec<(usize, usize)> = tiles
+                .iter()
+                .map(|&index| {
+                    let tile = self.grid.tile(index);
+                    (tile.y0, tile.x0)
+                })
+                .collect();
+            let batch = Views::Windows {
+                frame,
+                size: (t, t),
+                corners: &corners,
+            };
             let ids = vec![frame_id; n];
             // Panic isolation at the batch boundary: a detector that
             // panics on one poisoned tile batch must not unwind through
-            // the whole-frame pipeline. The driver (grid, caches,
+            // the whole-frame pipeline. The driver (grid, selector,
             // tracker) holds only plain data, so it stays usable after
             // the catch; the caller decides whether to drop the frame or
             // retire the detector.
@@ -276,6 +274,7 @@ impl TiledDetector {
 mod tests {
     use super::*;
     use dronet_detect::DetectorBuilder;
+    use dronet_tensor::Shape;
 
     fn build(frame: (usize, usize), config: TiledDetectorConfig) -> TiledDetector {
         let net = dronet_core::zoo::build(dronet_core::ModelId::DroNet, 96).unwrap();
@@ -339,7 +338,7 @@ mod tests {
             other => panic!("expected BatchPanicked, got {other}"),
         }
         // The poisoned batch is isolated: the very next frame succeeds on
-        // the same driver, same cached batch buffer.
+        // the same driver.
         let out = tiled.run_tiles(&frame, &[0], 1).unwrap();
         assert_eq!(out.tiles_selected, vec![0]);
     }

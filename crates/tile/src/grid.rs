@@ -5,8 +5,8 @@
 //! tile origins advance by `tile - overlap` and the final origin per axis
 //! is clamped so the last tile ends exactly at the frame edge. Any frame
 //! size is accepted — a frame smaller than one tile yields a single tile
-//! and extraction zero-pads the overhang — so the same grid code serves
-//! 352² unit tests and 2816² wide-area frames.
+//! whose overhang reads as zero — so the same grid code serves 352² unit
+//! tests and 2816² wide-area frames.
 
 use crate::{Result, TileError};
 use dronet_metrics::BBox;
@@ -245,8 +245,9 @@ impl TileGrid {
 
     /// Copies `tile`'s pixel window out of `frame` (NCHW, batch 1) into
     /// `out` (`[1, c, tile, tile]`), zero-padding any overhang past the
-    /// frame edge. `out` is a caller-owned scratch buffer: reusing it
-    /// across tiles keeps the hot path allocation-free.
+    /// frame edge. [`crate::TiledDetector`] needs no copy — its first
+    /// convolution reads the tiles in place — so this is for callers that
+    /// want a tile as a tensor of its own.
     ///
     /// # Errors
     ///
@@ -266,21 +267,8 @@ impl TileGrid {
                 msg: format!("scratch shape {os} != [1, {c}, {t}, {t}]", t = self.tile),
             });
         }
-        self.extract_into_slice(frame, tile, out.as_mut_slice());
-        Ok(())
-    }
-
-    /// Like [`TileGrid::extract_into`], but writes into a raw
-    /// `c * tile * tile` destination slice (one batch item of a larger
-    /// batch tensor). Used by the driver to fill the micro-batch without
-    /// an intermediate per-tile tensor.
-    pub(crate) fn extract_into_slice(&self, frame: &Tensor, tile: &Tile, dst: &mut [f32]) {
-        let s = frame.shape();
-        let c = s.channels();
-        let (fh, fw) = (s.height(), s.width());
-        let t = self.tile;
-        debug_assert_eq!(dst.len(), c * t * t);
-        let src = frame.as_slice();
+        let (fh, fw, t) = (self.frame_h, self.frame_w, self.tile);
+        let (src, dst) = (frame.as_slice(), out.as_mut_slice());
         let valid_h = fh.saturating_sub(tile.y0).min(t);
         let valid_w = fw.saturating_sub(tile.x0).min(t);
         if valid_h < t || valid_w < t {
@@ -295,6 +283,7 @@ impl TileGrid {
                 dst[dst_row..dst_row + valid_w].copy_from_slice(&src[src_row..src_row + valid_w]);
             }
         }
+        Ok(())
     }
 
     /// Validates that `frame` is a batch-1 NCHW tensor matching this

@@ -11,8 +11,7 @@
 //! *which parts of the frame to look at*:
 //!
 //! * [`TileGrid`] — deterministic partitioning of any frame size into
-//!   overlapping detector-native tiles, with scratch-buffer tile
-//!   extraction (no per-tile allocation in the steady state),
+//!   overlapping detector-native tiles,
 //! * [`TileSelector`] — a cheap per-tile prior (block variance on the
 //!   first frame, frame differencing afterwards — no CNN involved)
 //!   combined with attention feedback from
@@ -24,8 +23,10 @@
 //!   containment suppression of clipped duplicates in overlap bands, and
 //!   cross-tile NMS reusing [`dronet_detect::nms`],
 //! * [`TiledDetector`] — the driver: selected tiles run through
-//!   [`dronet_detect::Detector::detect_batch_frames`] as one micro-batch,
-//!   with the same frame-id tracing spans as the serve path
+//!   [`dronet_detect::Detector::detect_batch_frames`] as one micro-batch
+//!   that is read in place — the first convolution packs each tile
+//!   straight from the frame, so no tile is ever copied — with the same
+//!   frame-id tracing spans as the serve path
 //!   (`tile.select → tile.batch(n) → tile.merge`).
 //!
 //! Everything is bit-deterministic: the same frame sequence and the same

@@ -20,6 +20,7 @@ use dronet::nn::profile::{alloc_metric_name, forward_metric_name, NetworkProfile
 use dronet::nn::summary::NetworkSummary;
 use dronet::obs::{AllocScope, CountingAlloc, Registry};
 use dronet::tensor::{Shape, Tensor};
+use dronet::tile::{TiledDetector, TiledDetectorConfig};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 #[global_allocator]
@@ -136,6 +137,35 @@ fn repeated_detect_does_not_grow_the_live_heap() {
     assert!(
         grown < 16 * 1024,
         "4096 warm detects left {grown} more bytes live"
+    );
+}
+
+/// The tile driver keeps nothing per tile count: once it has run 8 tiles,
+/// runs of 1 to 8 leave the live heap where it was. (It used to keep one
+/// `[n, 3, 352, 352]` batch tensor, 1.42 MiB a tile, per count it had seen:
+/// about 40 MiB more here.)
+#[test]
+fn tiled_runs_of_varying_tile_counts_do_not_grow_the_live_heap() {
+    let _serial = single_threaded();
+    let net = zoo::build(ModelId::DroNet, 352).unwrap();
+    let detector = DetectorBuilder::new(net).build().unwrap();
+    let mut tiled = TiledDetector::new(detector, (1408, 1408), TiledDetectorConfig::default())
+        .expect("tiled detector builds");
+    let frame = Tensor::zeros(Shape::nchw(1, 3, 1408, 1408));
+    let eight: Vec<usize> = (0..8).collect();
+    for id in 0..2 {
+        tiled.run_tiles(&frame, &eight, id).unwrap();
+    }
+    let before = dronet::obs::alloc::stats().live_bytes;
+    for n in 1..=8 {
+        tiled.run_tiles(&frame, &eight[..n], 2 + n as u64).unwrap();
+    }
+    let grown = dronet::obs::alloc::stats()
+        .live_bytes
+        .saturating_sub(before);
+    assert!(
+        grown < 1 << 20,
+        "runs of 1..=8 tiles left {grown} more bytes live"
     );
 }
 

@@ -11,6 +11,7 @@ use dronet::detect::{Detection, DetectorBuilder};
 use dronet::metrics::matching::{match_detections, MatchResult, DEFAULT_IOU_THRESHOLD};
 use dronet::metrics::BBox;
 use dronet::obs::Tracer;
+use dronet::tensor::packed::Views;
 use dronet::tensor::{Shape, Tensor};
 use dronet::tile::{
     MergeConfig, SelectorConfig, TileGrid, TileMerger, TileSelector, TiledDetector,
@@ -406,5 +407,78 @@ fn selective_tiling_keeps_what_downscale_loses_at_a_quarter_of_the_flops() {
                  expected {want:?}"
             );
         }
+    }
+}
+
+/// The driver reads each tile where it lies in the frame; that is the
+/// copy it replaced, to the bit: `run_tiles` returns what `extract_into` +
+/// `detect_batch` + the merge return, and a forward over the tiles read in
+/// place returns the bits of a forward over their copies — on 1408² and
+/// 1056² frames (edge tiles at clamped origins included) and on a frame
+/// smaller than a tile, whose overhang reads as zero.
+#[test]
+fn tiles_read_in_place_give_the_bits_of_extracted_tiles() {
+    let detector = || {
+        let mut net = dronet::core::zoo::build(dronet::core::ModelId::DroNet, TILE_INPUT)
+            .expect("zoo builds");
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(29);
+        net.init_weights(&mut rng);
+        DetectorBuilder::new(net)
+            .confidence_threshold(0.5)
+            .build()
+            .expect("detector builds")
+    };
+    let config = TiledDetectorConfig::default();
+    for ((width, height), tiles) in [
+        ((1408, 1408), &[0, 4, 12, 20, 24][..]),
+        ((1056, 1056), &[3, 5, 15][..]),
+        ((300, 200), &[0][..]),
+    ] {
+        let scene = LargeSceneConfig {
+            width,
+            height,
+            ..LargeSceneConfig::default()
+        };
+        let frame = LargeSceneGenerator::new(scene, 3)
+            .expect("scene config")
+            .next_frame()
+            .image
+            .to_tensor();
+        let mut tiled =
+            TiledDetector::new(detector(), (width, height), config).expect("tiled detector builds");
+        let in_place = tiled.run_tiles(&frame, tiles, 0).expect("tiles run");
+
+        let grid = tiled.grid().clone();
+        let mut copies = Tensor::zeros(Shape::nchw(tiles.len(), 3, TILE_INPUT, TILE_INPUT));
+        let mut one = Tensor::zeros(Shape::nchw(1, 3, TILE_INPUT, TILE_INPUT));
+        for (copy, &index) in copies.as_mut_slice().chunks_exact_mut(one.len()).zip(tiles) {
+            grid.extract_into(&frame, &grid.tile(index), &mut one)
+                .expect("tile copies out");
+            copy.copy_from_slice(one.as_slice());
+        }
+        let mut reference = detector();
+        let per_tile = reference.detect_batch(&copies).expect("copies run");
+        let per_tile: Vec<(usize, Vec<Detection>)> = tiles.iter().copied().zip(per_tile).collect();
+        let merged = TileMerger::new(config.merge)
+            .expect("merge config")
+            .merge(&grid, &per_tile);
+        let case = format!("{width}x{height} frame, tiles {tiles:?}");
+        assert!(!merged.is_empty(), "{case}: nothing to compare");
+        assert_eq!(in_place.detections, merged, "{case}");
+
+        let corners: Vec<(usize, usize)> = tiles
+            .iter()
+            .map(|&index| (grid.tile(index).y0, grid.tile(index).x0))
+            .collect();
+        let views = Views::Windows {
+            frame: &frame,
+            size: (TILE_INPUT, TILE_INPUT),
+            corners: &corners,
+        };
+        let network = reference.network_mut();
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let read_in_place = network.forward_views(views).expect("views run");
+        let read_from_copies = network.forward(&copies).expect("copies run");
+        assert_eq!(bits(&read_in_place), bits(&read_from_copies), "{case}");
     }
 }
