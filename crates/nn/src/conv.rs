@@ -1,5 +1,5 @@
 use crate::{Activation, ActivationPool, BatchNorm, MaxPool2d, NnError, Result};
-use dronet_tensor::im2col::{col2im, im2col, ConvGeometry};
+use dronet_tensor::im2col::{col2im, im2col_into, ConvGeometry};
 use dronet_tensor::packed::{self, ChannelEpilogue, PackedMatrix, Views};
 use dronet_tensor::{gemm, ops, Shape, Tensor};
 use std::sync::OnceLock;
@@ -7,12 +7,14 @@ use std::sync::OnceLock;
 /// A 2-D convolution layer with optional batch normalisation, bias and
 /// activation — the Darknet `[convolutional]` section.
 ///
-/// Weights are stored as a `[out_c, in_c*k*k]` matrix. Inference multiplies
-/// a packed copy of it against taps read straight from the activation, with
-/// batch norm, bias and activation applied as each value is stored
-/// ([`dronet_tensor::packed::conv2d`]); training runs the same kernel as a
-/// GEMM against the im2col column matrix it keeps for the backward pass,
-/// like Darknet's CPU path. Both produce the same bits.
+/// Weights are stored as a `[out_c, in_c*k*k]` matrix. Every forward
+/// multiplies a packed copy of it against taps read straight from the
+/// activation ([`dronet_tensor::packed::conv2d`]). Inference applies batch
+/// norm, bias and activation as each value is stored; training takes the
+/// raw sums, applies batch norm with batch statistics, bias and activation
+/// after them, and keeps the layer input for the backward pass, which
+/// rebuilds one image's im2col column matrix at a time, like Darknet's CPU
+/// path. Both forwards produce the same bits.
 ///
 /// # Example
 ///
@@ -43,14 +45,16 @@ pub struct Conv2d {
     bias_grad: Vec<f32>,
     cache: Option<ConvCache>,
     /// `weights` in the microkernel's panel order: built by the first
-    /// inference forward, dropped by every `&mut` path to `weights`.
+    /// forward, dropped by every `&mut` path to `weights`.
     packed: OnceLock<PackedMatrix>,
 }
 
+/// What a training forward keeps for [`Conv2d::backward`].
 #[derive(Debug, Clone)]
 struct ConvCache {
-    /// im2col column matrices, one per batch item.
-    cols: Vec<Tensor>,
+    /// The layer input: the backward pass rebuilds each image's column
+    /// matrix from it, one image at a time.
+    input: Tensor,
     /// Pre-activation output (after BN and bias), needed for activation grad.
     pre_activation: Tensor,
     /// Input spatial geometry used in the forward pass.
@@ -267,12 +271,14 @@ impl Conv2d {
         // (its sums start in registers).
         let mut out = Tensor::from_vec(pool.take(shape.len()), shape)?;
         self.cache = None;
-        self.infer_into(x, &geom, false, || out.as_mut_slice())?;
+        self.infer_into(x, &geom, false, out.as_mut_slice())?;
         Ok(out)
     }
 
-    /// Training forward pass: uses batch statistics for BN and records the
-    /// caches needed by [`Conv2d::backward`].
+    /// Training forward pass: the raw sums from the inference kernel, then
+    /// batch norm with batch statistics, bias and activation as separate
+    /// passes. Keeps the input and the pre-activation output for
+    /// [`Conv2d::backward`].
     ///
     /// # Errors
     ///
@@ -280,16 +286,43 @@ impl Conv2d {
     pub fn forward_train(&mut self, x: &Tensor) -> Result<Tensor> {
         let (geom, batch) = self.checked_geometry(&Views::Batch(x))?;
         let mut out = Tensor::zeros(self.output_shape(batch, &geom));
-        self.train_into(x, geom, &mut out)?;
+        // `(v + -0.0) * 1.0 + -0.0` is `v` for every `v`: with no batch
+        // norm, a `-0.0` bias and the identity the store leaves each sum as
+        // it is — the bits of the im2col + GEMM lowering this replaced.
+        let unchanged = vec![-0.0; self.out_channels];
+        let sums = ChannelEpilogue {
+            batch_norm: None,
+            bias: &unchanged,
+        };
+        let weights = self.packed_weights(&geom);
+        packed::conv2d(
+            Views::Batch(x),
+            &geom,
+            weights,
+            sums,
+            |v| v,
+            out.as_mut_slice(),
+        )?;
+        // Darknet order: batch-norm, then bias, then activation.
+        if let Some(bn) = self.batch_norm.as_mut() {
+            bn.forward_train(&mut out)?;
+        }
+        ops::add_channel_bias(&mut out, &self.bias)?;
+        self.cache = Some(ConvCache {
+            input: x.clone(),
+            pre_activation: out.clone(),
+            geom,
+        });
+        self.activation.apply_in_place(out.as_mut_slice());
         Ok(out)
     }
 
     /// Inference through this layer and the max pool `after` it as one
     /// kernel that never writes this layer's own output
     /// ([`packed::conv2d_pooled`]), or `None` — nothing done — when `after`
-    /// is not the plain 2x2 stride-2 downsampling pool or the kernel does
-    /// not take the layer. The bits are those of the two layers run one
-    /// after the other.
+    /// is not the plain 2x2 stride-2 downsampling pool or
+    /// [`packed::pools_in_store`] does not take the layer. The bits are
+    /// those of the two layers run one after the other.
     ///
     /// # Errors
     ///
@@ -302,24 +335,16 @@ impl Conv2d {
     ) -> Result<Option<Tensor>> {
         let (geom, batch) = self.checked_geometry(&x)?;
         let (oh, ow) = (geom.out_height(), geom.out_width());
-        if !after.tiles_2x2(oh, ow) {
+        if !(after.tiles_2x2(oh, ow) && packed::pools_in_store(&geom, self.out_channels)) {
             return Ok(None);
         }
         let shape = Shape::nchw(batch, self.out_channels, oh / 2, ow / 2);
-        // Drawn from the pool only once the kernel has taken the layer.
-        let mut out = None;
-        let slot = &mut out;
-        let taken = self.infer_into(x, &geom, true, move || {
-            let drawn = Tensor::from_vec(pool.take(shape.len()), shape);
-            slot.insert(drawn.expect("as long as its shape"))
-                .as_mut_slice()
-        })?;
-        if taken {
-            // Both layers have run an inference pass.
-            self.cache = None;
-            after.clear_cache();
-        }
-        Ok(out)
+        let mut out = Tensor::from_vec(pool.take(shape.len()), shape)?;
+        self.infer_into(x, &geom, true, out.as_mut_slice())?;
+        // Both layers have run an inference pass.
+        self.cache = None;
+        after.clear_cache();
+        Ok(Some(out))
     }
 
     /// The geometry of this layer over the NCHW batch `x`, and its size.
@@ -346,16 +371,16 @@ impl Conv2d {
     /// Inference: one fused implicit-GEMM call for the whole batch, straight
     /// from the input views into the output tensor. No column matrix, no
     /// separate batch-norm, bias or activation pass, and no scratch beyond
-    /// the kernel's own stack panels. With `pooled`, `out()` is the output of
-    /// the 2x2 stride-2 max pool behind this layer, and `false` comes back
-    /// — `out` not called — when the kernel leaves the pair to two passes.
-    fn infer_into<'o>(
+    /// the kernel's own stack panels. With `pooled`, `out` is the output of
+    /// the 2x2 stride-2 max pool behind this layer, which
+    /// [`packed::pools_in_store`] must take.
+    fn infer_into(
         &self,
         x: Views<'_>,
         geom: &ConvGeometry,
         pooled: bool,
-        out: impl FnOnce() -> &'o mut [f32],
-    ) -> Result<bool> {
+        out: &mut [f32],
+    ) -> Result<()> {
         // One kernel instantiation per activation, each calling `apply` on
         // a constant so the `match` inside it folds away and the store loop
         // carries no per-element dispatch.
@@ -368,65 +393,35 @@ impl Conv2d {
         }
     }
 
-    fn infer_with<'o>(
+    fn infer_with(
         &self,
         x: Views<'_>,
         geom: &ConvGeometry,
         pooled: bool,
-        out: impl FnOnce() -> &'o mut [f32],
+        out: &mut [f32],
         activation: impl Fn(f32) -> f32 + Copy + Send,
-    ) -> Result<bool> {
-        let weights = self.packed.get_or_init(|| {
-            PackedMatrix::pack(self.weights.as_slice(), self.out_channels, geom.col_rows())
-                .expect("the weight matrix is out_c x in_c*k*k")
-        });
+    ) -> Result<()> {
+        let weights = self.packed_weights(geom);
         // Darknet order: batch-norm, then bias, then activation.
         let channels = ChannelEpilogue {
             batch_norm: self.batch_norm.as_ref().map(BatchNorm::infer_coefficients),
             bias: &self.bias,
         };
         if pooled {
-            return Ok(packed::conv2d_pooled(
-                x, geom, weights, channels, activation, out,
-            )?);
+            packed::conv2d_pooled(x, geom, weights, channels, activation, out)?;
+        } else {
+            packed::conv2d(x, geom, weights, channels, activation, out)?;
         }
-        packed::conv2d(x, geom, weights, channels, activation, out())?;
-        Ok(true)
+        Ok(())
     }
 
-    /// Training: keeps one column matrix per image for the backward pass,
-    /// uses batch statistics for BN and records the pre-activation output.
-    fn train_into(&mut self, x: &Tensor, geom: ConvGeometry, out: &mut Tensor) -> Result<()> {
-        let plane = geom.col_cols();
-        let mut cols_cache = Vec::with_capacity(x.shape().batch());
-        for b in 0..x.shape().batch() {
-            let item = x.batch_item(b)?;
-            let cols = im2col(&item, &geom)?;
-            let base = b * self.out_channels * plane;
-            gemm::sgemm_slices(
-                self.out_channels,
-                plane,
-                geom.col_rows(),
-                1.0,
-                self.weights.as_slice(),
-                cols.as_slice(),
-                0.0,
-                &mut out.as_mut_slice()[base..base + self.out_channels * plane],
-            )?;
-            cols_cache.push(cols);
-        }
-        // Darknet order: batch-norm, then bias, then activation.
-        if let Some(bn) = self.batch_norm.as_mut() {
-            bn.forward_train(out)?;
-        }
-        ops::add_channel_bias(out, &self.bias)?;
-        self.cache = Some(ConvCache {
-            cols: cols_cache,
-            pre_activation: out.clone(),
-            geom,
-        });
-        self.activation.apply_in_place(out.as_mut_slice());
-        Ok(())
+    /// The weight matrix in the microkernel's panel order, packed by the
+    /// first forward after a mutation.
+    fn packed_weights(&self, geom: &ConvGeometry) -> &PackedMatrix {
+        self.packed.get_or_init(|| {
+            PackedMatrix::pack(self.weights.as_slice(), self.out_channels, geom.col_rows())
+                .expect("the weight matrix is out_c x in_c*k*k")
+        })
     }
 
     /// Backward pass: accumulates weight/bias/BN gradients and returns the
@@ -480,22 +475,16 @@ impl Conv2d {
             cache.geom.width,
         ));
         let in_plane = cache.geom.height * cache.geom.width;
+        let mut cols = Tensor::zeros(Shape::matrix(cache.geom.col_rows(), plane));
         for b in 0..n {
             let base = b * self.out_channels * plane;
             let dy_mat = Tensor::from_vec(
                 delta.as_slice()[base..base + self.out_channels * plane].to_vec(),
                 Shape::matrix(self.out_channels, plane),
             )?;
-            // dW += dY x colsᵀ
-            gemm::sgemm(
-                false,
-                true,
-                1.0,
-                &dy_mat,
-                &cache.cols[b],
-                1.0,
-                &mut self.weight_grad,
-            )?;
+            // dW += dY x colsᵀ, the columns rebuilt from the saved input.
+            im2col_into(&cache.input, b, &cache.geom, cols.as_mut_slice())?;
+            gemm::sgemm(false, true, 1.0, &dy_mat, &cols, 1.0, &mut self.weight_grad)?;
             // dCols = Wᵀ x dY, then scatter back to image space.
             let mut dcols = Tensor::zeros(Shape::matrix(cache.geom.col_rows(), plane));
             gemm::sgemm(true, false, 1.0, &self.weights, &dy_mat, 0.0, &mut dcols)?;
@@ -849,10 +838,12 @@ mod tests {
         assert_eq!(infer(&mut conv, &x), first, "no repack");
         let _ = conv.weights_mut();
         assert_ne!(infer(&mut conv, &x), first, "repacked after a mutation");
-        // Training never packs: it multiplies the weight matrix itself.
+        // Training packs through the same cache.
         let _ = conv.weights_mut();
-        conv.forward_train(&x).unwrap();
-        assert!(conv.packed.get().is_none());
+        let trained = conv.forward_train(&x).unwrap();
+        assert!(conv.packed.get().is_some(), "training packs");
+        conv.weights.as_mut_slice()[0] += 1.0;
+        assert_eq!(infer(&mut conv, &x), trained, "inference reuses the panels");
     }
 
     #[test]

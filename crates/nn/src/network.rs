@@ -361,13 +361,14 @@ impl Network {
     }
 
     /// Training forward pass: every layer records the caches backward needs.
+    /// The batch counts towards [`Network::seen`] once the last layer has
+    /// run.
     ///
     /// # Errors
     ///
     /// Same as [`Network::forward`].
     pub fn forward_train(&mut self, x: &Tensor) -> Result<Tensor> {
         self.check_input(&Views::Batch(x))?;
-        self.seen += x.shape().batch() as u64;
         let total = self.forward_total.start();
         let mut cur = x.clone();
         for (i, layer) in self.layers.iter_mut().enumerate() {
@@ -376,6 +377,7 @@ impl Network {
             drop(span);
         }
         total.stop();
+        self.seen += x.shape().batch() as u64;
         Ok(cur)
     }
 
@@ -541,6 +543,25 @@ mod tests {
         assert_eq!(dx.shape(), x.shape());
         assert!(dx.as_slice().iter().all(|v| v.is_finite()));
         assert_eq!(net.seen(), 2);
+    }
+
+    /// A forward that fails part-way trained on nothing: `seen`, which is
+    /// written into every weight file, does not count its batch.
+    #[test]
+    fn a_failed_training_forward_is_not_seen() {
+        let mut net = Network::new(3, 8, 8);
+        net.push(Layer::conv(
+            Conv2d::new(3, 4, 3, 1, 1, Activation::Leaky, false).unwrap(),
+        ));
+        net.push(Layer::conv(
+            Conv2d::new(8, 2, 3, 1, 1, Activation::Leaky, false).unwrap(),
+        ));
+        let x = Tensor::ones(Shape::nchw(2, 3, 8, 8));
+        assert!(matches!(
+            net.forward_train(&x),
+            Err(NnError::BadInput { .. })
+        ));
+        assert_eq!(net.seen(), 0);
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Multi-threaded single-precision matrix multiplication: the BLAS-style
 //! entry points over the packed microkernel of [`crate::packed`].
 //!
-//! Training lowers convolution to GEMM via [`crate::im2col`], exactly as
-//! the Darknet framework used by the paper does (inference skips the column
-//! matrix; see [`crate::packed::conv2d`]). This module validates shapes and
-//! turns `trans_a` / `trans_b` into operand strides — the kernel packs both
-//! operands into panels anyway, so the transposes needed by the backward
-//! passes `dW = dY * Xᵀ` and `dX = Wᵀ * dY` cost no copy.
+//! Every convolution forward, training's included, runs
+//! [`crate::packed::conv2d`] and builds no column matrix. The training
+//! backward pass lowers convolution to GEMM via [`crate::im2col`], as the
+//! Darknet framework used by the paper does: `dW += dY * colsᵀ` against one
+//! image's column matrix at a time, and `dX` as `col2im(Wᵀ * dY)`. This
+//! module validates shapes and turns `trans_a` / `trans_b` into operand
+//! strides — the kernel packs both operands into panels anyway, so those
+//! transposes cost no copy.
 
 use crate::{packed, Result, Shape, Tensor, TensorError};
 
@@ -76,45 +78,6 @@ pub fn sgemm(
     let (b_rs, b_cs) = if trans_b { (1, k_a) } else { (n, 1) };
     let (a, b, c) = (a.as_slice(), b.as_slice(), c.as_mut_slice());
     packed::gemm(m, n, k_a, alpha, (a, a_rs, a_cs), (b, b_rs, b_cs), beta, c);
-    Ok(())
-}
-
-/// `C[m x n] = alpha * A[m x k] * B[k x n] + beta * C` over raw row-major
-/// slices (no transposes).
-///
-/// This is the allocation-free entry point for callers that manage their
-/// own buffers — a batched convolution GEMMs straight into its output
-/// tensor's per-image slice instead of staging through a scratch matrix.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when a slice length disagrees
-/// with the stated dimensions.
-#[allow(clippy::too_many_arguments)] // mirrors the BLAS sgemm signature
-pub fn sgemm_slices(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    beta: f32,
-    c: &mut [f32],
-) -> Result<()> {
-    for (op, slice_len, rows, cols) in [
-        ("sgemm_slices a", a.len(), m, k),
-        ("sgemm_slices b", b.len(), k, n),
-        ("sgemm_slices c", c.len(), m, n),
-    ] {
-        if slice_len != rows * cols {
-            return Err(TensorError::ShapeMismatch {
-                op,
-                lhs: vec![rows, cols],
-                rhs: vec![slice_len],
-            });
-        }
-    }
-    packed::gemm(m, n, k, alpha, (a, k, 1), (b, n, 1), beta, c);
     Ok(())
 }
 
@@ -355,29 +318,6 @@ mod tests {
         let b = Tensor::zeros(Shape::matrix(0, 2));
         let c = matmul(&a, &b).unwrap();
         assert_eq!(c.sum(), 0.0);
-    }
-
-    /// The slice entry point runs the identical kernel as the tensor one.
-    #[test]
-    fn sgemm_slices_matches_tensor_sgemm() {
-        let (m, n, k) = (4, 7, 5);
-        let a = random_matrix(m, k, 31);
-        let b = random_matrix(k, n, 32);
-        let mut c = Tensor::zeros(Shape::matrix(m, n));
-        sgemm(false, false, 1.5, &a, &b, 0.0, &mut c).unwrap();
-        let mut c_slices = vec![0.0f32; m * n];
-        sgemm_slices(m, n, k, 1.5, a.as_slice(), b.as_slice(), 0.0, &mut c_slices).unwrap();
-        assert_eq!(c.as_slice(), c_slices.as_slice(), "bit-exact same kernel");
-    }
-
-    #[test]
-    fn sgemm_slices_rejects_bad_lengths() {
-        let a = vec![0.0f32; 6];
-        let b = vec![0.0f32; 6];
-        let mut c = vec![0.0f32; 4];
-        assert!(sgemm_slices(2, 2, 3, 1.0, &a, &b, 0.0, &mut c).is_ok());
-        assert!(sgemm_slices(2, 2, 4, 1.0, &a, &b, 0.0, &mut c).is_err());
-        assert!(sgemm_slices(2, 3, 3, 1.0, &a, &b, 0.0, &mut c).is_err());
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! adjoint (transpose) of that linear map and is used to propagate gradients
 //! back to the input. This mirrors Darknet's `im2col_cpu`/`col2im_cpu`.
 //!
-//! Training uses this lowering (the backward pass needs the column matrix);
-//! inference does not build it — [`crate::packed::conv2d`] reads the same
-//! values straight from the activation.
+//! Only the training backward pass uses this lowering, one image at a time;
+//! no forward builds it — [`crate::packed::conv2d`] reads the same values
+//! straight from the activation.
 
 use crate::{Result, Shape, Tensor, TensorError};
 

@@ -11,10 +11,11 @@
 //! * [`packed`] — the one register-tiled GEMM microkernel, and the
 //!   implicit-GEMM convolution (weights packed once, taps read straight
 //!   from the activation, batch-norm/bias/activation fused into the store)
-//!   that inference runs on,
+//!   that every convolution forward runs on, training's included,
 //! * [`gemm`] — the BLAS-style `sgemm` entry points over that kernel,
 //! * [`im2col`] — image-to-column lowering (and its adjoint
-//!   [`im2col::col2im`]) that training uses to express convolution as GEMM,
+//!   [`im2col::col2im`]) that the training backward pass uses to express
+//!   convolution gradients as GEMMs,
 //! * [`ops`] — element-wise and reduction kernels (activations, softmax,
 //!   batch statistics),
 //! * [`init`] — reproducible random initialisers (uniform, normal, Kaiming).

@@ -64,7 +64,7 @@ const KC: usize = 256;
 /// the hand-off but the smallest layer that two threads finish sooner than
 /// one (EXPERIMENTS.md, "PR 19"); every layer of a 64x64 forward is below.
 const PAR_MIN_MACS: usize = 1 << 21;
-/// Below this many convolution outputs per image [`conv2d_pooled`] leaves
+/// Below this many convolution outputs per image [`pools_in_store`] leaves
 /// the layer to [`conv2d`] and a pooling pass. What the pooled store saves
 /// is writing the activation and reading it back; what it costs is strips
 /// that end with each output row instead of running on into the next.
@@ -970,42 +970,48 @@ where
 }
 
 /// [`conv2d`] and the 2x2 stride-2 max pool behind it (windows aligned at
-/// 0, as Darknet's downsampling pool has them) in one pass: `out()` is the
+/// 0, as Darknet's downsampling pool has them) in one pass: `out` is the
 /// pooling layer's `[batch, out_c, oh / 2, ow / 2]` output, each element the
 /// maximum — taken the way the pooling layer takes it, see the
 /// [module docs](self) — of four values computed exactly as [`conv2d`]
 /// computes them and never written anywhere. The full-resolution
 /// activation does not exist.
 ///
-/// Returns `Ok(false)`, without having asked for the output buffer, for a
-/// layer it does not take; the caller then runs [`conv2d`] and the pool one
-/// after the other, for the same bits. Taken are stride-1 convolutions of
-/// even output height and width whose `c * k * k` taps fit one panel, 1x1
-/// unpadded ones excepted (their rows are not kept apart), from the size at
-/// which not writing the activation is a gain.
+/// Only for a layer [`pools_in_store`] takes; for any other the caller runs
+/// [`conv2d`] and the pool one after the other, for the same bits.
 ///
 /// # Errors
 ///
-/// Those of [`conv2d`].
-pub fn conv2d_pooled<'o, A>(
+/// Those of [`conv2d`], and [`TensorError::InvalidArgument`] for a layer
+/// [`pools_in_store`] does not take.
+pub fn conv2d_pooled<A>(
     input: Views<'_>,
     geom: &ConvGeometry,
     weights: &PackedMatrix,
     channels: ChannelEpilogue<'_>,
     activation: A,
-    out: impl FnOnce() -> &'o mut [f32],
-) -> Result<bool>
+    out: &mut [f32],
+) -> Result<()>
 where
     A: Fn(f32) -> f32 + Copy + Send,
 {
     geom.validate()?;
-    let pays = weights.rows * geom.col_cols() >= POOL_IN_STORE_MIN_OUTPUTS;
-    if !(pays && pool_fits_the_store(geom)) {
-        return Ok(false);
+    if !pools_in_store(geom, weights.rows) {
+        return Err(TensorError::InvalidArgument {
+            op: "conv2d_pooled",
+            msg: format!("no pooled store for {} filters over {geom:?}", weights.rows),
+        });
     }
-    let out = out();
-    conv2d_split(input, geom, weights, channels, activation, out, None, true)?;
-    Ok(true)
+    conv2d_split(input, geom, weights, channels, activation, out, None, true)
+}
+
+/// Whether [`conv2d_pooled`] takes a convolution of `out_channels` filters
+/// over the valid geometry `geom`: a stride-1 convolution of even output
+/// height and width whose `c * k * k` taps fit one panel, 1x1 unpadded ones
+/// excepted (their rows are not kept apart), from the size at which not
+/// writing the activation is a gain.
+pub fn pools_in_store(geom: &ConvGeometry, out_channels: usize) -> bool {
+    pool_fits_the_store(geom) && out_channels * geom.col_cols() >= POOL_IN_STORE_MIN_OUTPUTS
 }
 
 /// Whether [`PooledShare`] can compute the (valid) convolution `geom`: whole
@@ -1694,10 +1700,12 @@ mod tests {
         }
     }
 
-    /// What [`conv2d_pooled`] takes and what it leaves to two passes —
-    /// every layer here is large enough, so each refusal is the geometry's.
+    /// What [`pools_in_store`] takes and what it leaves to two passes —
+    /// every layer here but the last is large enough, so each other refusal
+    /// is the geometry's — and [`conv2d_pooled`] computes exactly what it
+    /// takes.
     #[test]
-    fn conv2d_pooled_takes_what_fits_the_store_and_says_so() {
+    fn pools_in_store_says_what_conv2d_pooled_takes() {
         let m = MR;
         for (geom, taken, why) in [
             (geometry(2, 176, 176, 3, 1, 1), true, "conv2's shape"),
@@ -1713,29 +1721,27 @@ mod tests {
             (geometry(2, 88, 88, 3, 1, 1), false, "too small to pay"),
         ] {
             assert!(m * geom.col_cols() >= POOL_IN_STORE_MIN_OUTPUTS || why == "too small to pay");
+            assert_eq!(pools_in_store(&geom, m), taken, "{why}");
             let layer = Layer::random(&geom, m, 1, 7);
             let channels = layer.channels(true);
             let (oh, ow) = (geom.out_height(), geom.out_width());
             let mut out = vec![f32::NAN; m * (oh / 2) * (ow / 2)];
-            let mut asked = false;
-            let (buffer, flag) = (&mut out[..], &mut asked);
-            let act = ops::leaky_relu;
-            let took = conv2d_pooled(
+            let pooled = conv2d_pooled(
                 Views::Batch(&layer.input),
                 &geom,
                 &layer.packed,
                 channels,
-                act,
-                || {
-                    *flag = true;
-                    buffer
-                },
-            )
-            .unwrap();
-            assert_eq!((took, asked), (taken, taken), "{why}");
+                ops::leaky_relu,
+                &mut out,
+            );
             if !taken {
+                assert!(
+                    matches!(pooled, Err(TensorError::InvalidArgument { .. })),
+                    "{why}"
+                );
                 continue;
             }
+            pooled.unwrap();
             let mut full = vec![f32::NAN; m * oh * ow];
             conv2d(
                 Views::Batch(&layer.input),
@@ -1752,15 +1758,13 @@ mod tests {
         let geom = geometry(2, 176, 176, 3, 1, 1);
         let layer = Layer::random(&geom, m, 1, 7);
         let mut short = vec![0.0; m * 88 * 88 - 1];
-        let act = ops::leaky_relu;
-        let channels = layer.channels(false);
         assert!(conv2d_pooled(
             Views::Batch(&layer.input),
             &geom,
             &layer.packed,
-            channels,
-            act,
-            || { &mut short[..] }
+            layer.channels(false),
+            ops::leaky_relu,
+            &mut short,
         )
         .is_err());
     }

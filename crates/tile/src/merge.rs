@@ -31,26 +31,24 @@ const STITCH_ALIGN: f32 = 0.5;
 /// Drop a box when a higher-scoring same-class box covers at least this
 /// fraction of its area.
 const CONTAINMENT_THRESHOLD: f32 = 0.8;
+/// How close (in frame pixels) a box edge must be to an interior tile seam
+/// to count as "clipped", and the maximum gap bridged between two
+/// fragments.
+const STITCH_GAP_PX: f32 = 4.0;
+/// Upper bound on stitch fixed-point iterations.
+const MAX_STITCH_PASSES: usize = 4;
 
 /// Tuning knobs for [`TileMerger`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MergeConfig {
     /// IoU threshold for the final cross-tile NMS pass.
     pub nms_threshold: f32,
-    /// How close (in frame pixels) a box edge must be to an interior tile
-    /// seam to count as "clipped", and the maximum gap bridged between
-    /// two fragments.
-    pub stitch_gap_px: f32,
-    /// Upper bound on stitch fixed-point iterations.
-    pub max_passes: usize,
 }
 
 impl Default for MergeConfig {
     fn default() -> Self {
         MergeConfig {
             nms_threshold: 0.45,
-            stitch_gap_px: 4.0,
-            max_passes: 4,
         }
     }
 }
@@ -61,18 +59,6 @@ impl MergeConfig {
             return Err(TileError::BadConfig {
                 param: "nms_threshold",
                 msg: format!("{} must be within [0, 1]", self.nms_threshold),
-            });
-        }
-        if !self.stitch_gap_px.is_finite() || self.stitch_gap_px < 0.0 {
-            return Err(TileError::BadConfig {
-                param: "stitch_gap_px",
-                msg: format!("{} must be finite and >= 0", self.stitch_gap_px),
-            });
-        }
-        if self.max_passes == 0 {
-            return Err(TileError::BadConfig {
-                param: "max_passes",
-                msg: "at least one stitch pass is required".to_string(),
             });
         }
         Ok(())
@@ -89,8 +75,8 @@ impl TileMerger {
     ///
     /// # Errors
     ///
-    /// Returns [`TileError::BadConfig`] for thresholds outside `[0, 1]`,
-    /// negative gaps, or a zero pass budget.
+    /// Returns [`TileError::BadConfig`] for an NMS threshold outside
+    /// `[0, 1]`.
     pub fn new(config: MergeConfig) -> Result<Self> {
         config.validate()?;
         Ok(TileMerger { config })
@@ -105,7 +91,7 @@ impl TileMerger {
     /// boxes — into deduplicated frame-space detections.
     pub fn merge(&self, grid: &TileGrid, per_tile: &[(usize, Vec<Detection>)]) -> Vec<Detection> {
         let mut dets = self.reproject(grid, per_tile);
-        for _ in 0..self.config.max_passes {
+        for _ in 0..MAX_STITCH_PASSES {
             let merged_any = self.stitch_pass(grid, &mut dets);
             if !merged_any {
                 break;
@@ -201,14 +187,12 @@ impl TileMerger {
             (b, a)
         };
         let gap_px = (r.bbox.x0() - l.bbox.x1()) * fw;
-        if gap_px > self.config.stitch_gap_px {
+        if gap_px > STITCH_GAP_PX {
             return None; // genuinely separated along x
         }
         // Both clipped edges must sit on interior tile boundaries —
         // otherwise these are just two nearby objects.
-        if !near_seam(l.bbox.x1() * fw, v_seams, self.config.stitch_gap_px)
-            || !near_seam(r.bbox.x0() * fw, v_seams, self.config.stitch_gap_px)
-        {
+        if !near_seam(l.bbox.x1() * fw, v_seams) || !near_seam(r.bbox.x0() * fw, v_seams) {
             return None;
         }
         // `r` must actually extend the object rightward; a contained
@@ -242,12 +226,10 @@ impl TileMerger {
             (b, a)
         };
         let gap_px = (btm.bbox.y0() - t.bbox.y1()) * fh;
-        if gap_px > self.config.stitch_gap_px {
+        if gap_px > STITCH_GAP_PX {
             return None;
         }
-        if !near_seam(t.bbox.y1() * fh, h_seams, self.config.stitch_gap_px)
-            || !near_seam(btm.bbox.y0() * fh, h_seams, self.config.stitch_gap_px)
-        {
+        if !near_seam(t.bbox.y1() * fh, h_seams) || !near_seam(btm.bbox.y0() * fh, h_seams) {
             return None;
         }
         if btm.bbox.y1() <= t.bbox.y1() + 0.5 / fh {
@@ -290,9 +272,9 @@ impl TileMerger {
     }
 }
 
-/// Whether `edge_px` lies within `tol` pixels of any seam.
-fn near_seam(edge_px: f32, seams: &[f32], tol: f32) -> bool {
-    seams.iter().any(|&s| (edge_px - s).abs() <= tol)
+/// Whether `edge_px` lies within [`STITCH_GAP_PX`] of any seam.
+fn near_seam(edge_px: f32, seams: &[f32]) -> bool {
+    seams.iter().any(|&s| (edge_px - s).abs() <= STITCH_GAP_PX)
 }
 
 /// Smallest box covering both inputs.
@@ -411,20 +393,7 @@ mod tests {
 
     #[test]
     fn bad_configs_rejected() {
-        let bad = MergeConfig {
-            nms_threshold: 1.5,
-            ..MergeConfig::default()
-        };
-        assert!(TileMerger::new(bad).is_err());
-        let bad = MergeConfig {
-            stitch_gap_px: -1.0,
-            ..MergeConfig::default()
-        };
-        assert!(TileMerger::new(bad).is_err());
-        let bad = MergeConfig {
-            max_passes: 0,
-            ..MergeConfig::default()
-        };
+        let bad = MergeConfig { nms_threshold: 1.5 };
         assert!(TileMerger::new(bad).is_err());
     }
 }

@@ -23,6 +23,9 @@ use crate::{Result, TileError};
 use dronet_metrics::BBox;
 use dronet_tensor::Tensor;
 
+/// Luma sampling stride in pixels; larger is cheaper but blurrier.
+const SAMPLE_STRIDE: usize = 8;
+
 /// Tuning knobs for [`TileSelector`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SelectorConfig {
@@ -35,8 +38,6 @@ pub struct SelectorConfig {
     pub max_tiles: usize,
     /// Every tile is revisited at least once per this many frames.
     pub revisit_period: u64,
-    /// Luma sampling stride in pixels; larger is cheaper but blurrier.
-    pub sample_stride: usize,
     /// Seeds the revisit cursor's starting tile.
     pub seed: u64,
 }
@@ -48,7 +49,6 @@ impl Default for SelectorConfig {
             diff_threshold: 2e-3,
             max_tiles: 8,
             revisit_period: 8,
-            sample_stride: 8,
             seed: 0,
         }
     }
@@ -56,12 +56,6 @@ impl Default for SelectorConfig {
 
 impl SelectorConfig {
     fn validate(&self) -> Result<()> {
-        if self.sample_stride == 0 {
-            return Err(TileError::BadConfig {
-                param: "sample_stride",
-                msg: "sampling stride must be positive".to_string(),
-            });
-        }
         if self.revisit_period == 0 {
             return Err(TileError::BadConfig {
                 param: "revisit_period",
@@ -118,8 +112,8 @@ impl TileSelector {
     ///
     /// # Errors
     ///
-    /// Returns [`TileError::BadConfig`] for zero strides/periods or
-    /// non-finite thresholds.
+    /// Returns [`TileError::BadConfig`] for a zero revisit period or
+    /// negative or non-finite thresholds.
     pub fn new(config: SelectorConfig) -> Result<Self> {
         config.validate()?;
         Ok(TileSelector {
@@ -159,7 +153,7 @@ impl TileSelector {
             self.prev_luma = None;
             self.luma_geom = geom;
         }
-        let cur = sample_luma(frame, self.config.sample_stride);
+        let cur = sample_luma(frame);
 
         let mut hot: Vec<usize> = hot_boxes
             .iter()
@@ -192,7 +186,6 @@ impl TileSelector {
     /// gated tiles (score descending, index ascending on ties), capped at
     /// `max_tiles`, re-sorted ascending for output stability.
     fn salient_tiles(&self, grid: &TileGrid, cur: &[f32]) -> Vec<usize> {
-        let stride = self.config.sample_stride;
         let threshold = if self.prev_luma.is_some() {
             self.config.diff_threshold
         } else {
@@ -201,8 +194,8 @@ impl TileSelector {
         let mut scored: Vec<(f32, usize)> = Vec::new();
         for tile in grid.tiles() {
             let score = match &self.prev_luma {
-                Some(prev) => tile_diff(grid, &tile, cur, prev, stride),
-                None => tile_variance(grid, &tile, cur, stride),
+                Some(prev) => tile_diff(grid, &tile, cur, prev),
+                None => tile_variance(grid, &tile, cur),
             };
             if score > threshold {
                 scored.push((score, tile.index));
@@ -233,9 +226,10 @@ impl TileSelector {
     }
 }
 
-/// Samples mean-over-channels luma on a `stride`-spaced grid. Returns
-/// `ceil(h/stride) * ceil(w/stride)` values in row-major order.
-fn sample_luma(frame: &Tensor, stride: usize) -> Vec<f32> {
+/// Samples mean-over-channels luma on a [`SAMPLE_STRIDE`]-spaced grid.
+/// Returns `ceil(h/stride) * ceil(w/stride)` values in row-major order.
+fn sample_luma(frame: &Tensor) -> Vec<f32> {
+    let stride = SAMPLE_STRIDE;
     let s = frame.shape();
     let (c, h, w) = (s.channels(), s.height(), s.width());
     let data = frame.as_slice();
@@ -259,12 +253,8 @@ fn sample_luma(frame: &Tensor, stride: usize) -> Vec<f32> {
 
 /// Iterates the sample indices falling inside a tile's pixel window
 /// (clamped to the frame), invoking `f` with each flat sample index.
-fn for_tile_samples(
-    grid: &TileGrid,
-    tile: &crate::grid::Tile,
-    stride: usize,
-    mut f: impl FnMut(usize),
-) -> usize {
+fn for_tile_samples(grid: &TileGrid, tile: &crate::grid::Tile, mut f: impl FnMut(usize)) -> usize {
+    let stride = SAMPLE_STRIDE;
     let (fw, fh) = (grid.frame_width(), grid.frame_height());
     let sw = fw.div_ceil(stride);
     let t = grid.tile_size();
@@ -285,15 +275,15 @@ fn for_tile_samples(
 }
 
 /// Luma variance over a tile's samples (first-frame saliency).
-fn tile_variance(grid: &TileGrid, tile: &crate::grid::Tile, cur: &[f32], stride: usize) -> f32 {
+fn tile_variance(grid: &TileGrid, tile: &crate::grid::Tile, cur: &[f32]) -> f32 {
     let mut sum = 0.0f32;
-    let n = for_tile_samples(grid, tile, stride, |i| sum += cur[i]);
+    let n = for_tile_samples(grid, tile, |i| sum += cur[i]);
     if n == 0 {
         return 0.0;
     }
     let mean = sum / n as f32;
     let mut var = 0.0f32;
-    for_tile_samples(grid, tile, stride, |i| {
+    for_tile_samples(grid, tile, |i| {
         let d = cur[i] - mean;
         var += d * d;
     });
@@ -301,15 +291,9 @@ fn tile_variance(grid: &TileGrid, tile: &crate::grid::Tile, cur: &[f32], stride:
 }
 
 /// Mean absolute luma difference over a tile's samples (motion saliency).
-fn tile_diff(
-    grid: &TileGrid,
-    tile: &crate::grid::Tile,
-    cur: &[f32],
-    prev: &[f32],
-    stride: usize,
-) -> f32 {
+fn tile_diff(grid: &TileGrid, tile: &crate::grid::Tile, cur: &[f32], prev: &[f32]) -> f32 {
     let mut sum = 0.0f32;
-    let n = for_tile_samples(grid, tile, stride, |i| sum += (cur[i] - prev[i]).abs());
+    let n = for_tile_samples(grid, tile, |i| sum += (cur[i] - prev[i]).abs());
     if n == 0 {
         0.0
     } else {
@@ -456,11 +440,6 @@ mod tests {
 
     #[test]
     fn bad_configs_rejected() {
-        let bad = SelectorConfig {
-            sample_stride: 0,
-            ..SelectorConfig::default()
-        };
-        assert!(TileSelector::new(bad).is_err());
         let bad = SelectorConfig {
             revisit_period: 0,
             ..SelectorConfig::default()

@@ -208,6 +208,39 @@ fn inference_takes_no_column_matrix_scratch() {
     );
 }
 
+/// Training runs the inference kernel and keeps each convolution's input for
+/// the backward pass, not the im2col column matrices it once built from it:
+/// after a batch-1 DroNet-352 `forward_train`, everything it left live —
+/// inputs, pre-activations, batch-norm and pool caches, packed weights, the
+/// output — is smaller than those matrices alone (27·352² + 72·176² + …
+/// floats, 26.9 MB).
+#[test]
+fn training_keeps_layer_inputs_not_column_matrices() {
+    let _serial = single_threaded();
+    let mut net = zoo::build(ModelId::DroNet, 352).unwrap();
+    let (mut chw, mut column_floats) = (net.input_chw(), 0);
+    for layer in net.layers() {
+        let (c, h, w) = layer.output_chw(chw.0, chw.1, chw.2);
+        if let Some(conv) = layer.as_conv() {
+            column_floats += conv.in_channels() * conv.kernel() * conv.kernel() * h * w;
+        }
+        chw = (c, h, w);
+    }
+    let column_bytes = (column_floats * std::mem::size_of::<f32>()) as u64;
+    let x = Tensor::zeros(Shape::nchw(1, 3, 352, 352));
+
+    let before = dronet::obs::alloc::stats().live_bytes;
+    let y = net.forward_train(&x).unwrap();
+    let held = dronet::obs::alloc::stats()
+        .live_bytes
+        .saturating_sub(before);
+    drop(y);
+    assert!(
+        held < column_bytes,
+        "a training forward left {held} bytes live; the column matrices alone are {column_bytes}"
+    );
+}
+
 /// With the allocator installed and a live registry, every layer gets
 /// `nn.forward.L{i}.{kind}.allocs` / `.alloc_bytes` counters and the
 /// joined profile grows allocs/f + bytes/f columns.
