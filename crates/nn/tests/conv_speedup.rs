@@ -10,17 +10,26 @@
 //! rebuilt here from public pieces: `im2col_into` a column matrix, multiply
 //! it with the `i-k-j` loop, then batch norm, bias and activation as four
 //! passes over the output. It doubles as a differential oracle at DroNet's
-//! real scale: both paths must produce the same bits.
+//! real scale: both paths must produce the same bits once the loop adds its
+//! taps the way this CPU's rounding family adds them (`rounding().madd`).
+//! It is timed as it ran, multiply and add rounded separately.
 
 use dronet_nn::{Activation, ActivationPool, Conv2d, Layer, MaxPool2d, Network};
 use dronet_tensor::im2col::{im2col_into, ConvGeometry};
 use dronet_tensor::parallel::{par_chunks_mut, worker_count};
-use dronet_tensor::{init, ops, Shape, Tensor};
+use dronet_tensor::{init, ops, rounding, Rounding, Shape, Tensor};
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
 
-/// The retired inference lowering of one batch-1 convolution layer.
-fn column_matrix_lowering(conv: &Conv2d, x: &Tensor, cols: &mut [f32], out: &mut Tensor) {
+/// The retired inference lowering of one batch-1 convolution layer, its
+/// taps added in `family`'s rounding.
+fn column_matrix_lowering(
+    conv: &Conv2d,
+    x: &Tensor,
+    cols: &mut [f32],
+    out: &mut Tensor,
+    family: Rounding,
+) {
     let geom = ConvGeometry {
         channels: conv.in_channels(),
         height: x.shape().height(),
@@ -38,7 +47,7 @@ fn column_matrix_lowering(conv: &Conv2d, x: &Tensor, cols: &mut [f32], out: &mut
         for (p, b_row) in cols.chunks_exact(n).enumerate() {
             let a_ip = weights[i * k + p];
             for (c_val, &b_val) in c_row.iter_mut().zip(b_row) {
-                *c_val += a_ip * b_val;
+                *c_val = family.madd(*c_val, a_ip, b_val);
             }
         }
     }
@@ -59,21 +68,22 @@ fn speedup(cin: usize, cout: usize, hw: usize) -> f64 {
     let x = init::uniform(Shape::nchw(1, cin, hw, hw), 0.0, 1.0, &mut rng);
     let mut cols = vec![0.0f32; cin * 9 * hw * hw];
     let mut old_out = Tensor::zeros(Shape::nchw(1, cout, hw, hw));
+    let mut new_out = old_out.clone();
 
     let (mut old, mut new) = (Duration::MAX, Duration::MAX);
     for _ in 0..7 {
         let start = Instant::now();
-        column_matrix_lowering(&conv, &x, &mut cols, &mut old_out);
+        column_matrix_lowering(&conv, &x, &mut cols, &mut old_out, Rounding::Separate);
         old = old.min(start.elapsed());
 
         let start = Instant::now();
-        let new_out = conv
+        new_out = conv
             .forward_pooled(&x, &mut ActivationPool::default())
             .unwrap();
         new = new.min(start.elapsed());
-
-        assert_eq!(bits(&new_out), bits(&old_out), "{cin}->{cout} @ {hw}");
     }
+    column_matrix_lowering(&conv, &x, &mut cols, &mut old_out, rounding());
+    assert_eq!(bits(&new_out), bits(&old_out), "{cin}->{cout} @ {hw}");
     old.as_secs_f64() / new.as_secs_f64()
 }
 

@@ -5,7 +5,7 @@ use dronet_nn::{
     cfg, weights, Activation, ActivationPool, BatchNorm, Conv2d, Layer, MaxPool2d, Network,
     RegionConfig, RegionLayer,
 };
-use dronet_tensor::{init, Shape, Tensor};
+use dronet_tensor::{init, rounding, Shape, Tensor};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -169,15 +169,17 @@ proptest! {
 }
 
 /// The obvious convolution layer: for each output the sum over `(c, ky, kx)`
-/// ascending from +0.0 in `f32`, multiply and add rounded separately, then
-/// the three epilogue steps in Darknet's order — the numeric contract
-/// written down in `dronet_tensor::packed`.
+/// ascending from +0.0 in `f32`, each tap added the way this CPU's rounding
+/// family adds it (`rounding().madd`), then the three epilogue steps in
+/// Darknet's order, separately rounded — the numeric contract written down
+/// in `dronet_tensor::packed`.
 fn naive_conv_layer(conv: &Conv2d, x: &Tensor) -> Vec<f32> {
     let s = x.shape();
     let (n, cin, h, w) = (s.batch(), s.channels(), s.height(), s.width());
     let (k, stride, pad) = (conv.kernel(), conv.stride(), conv.pad());
     let (oh, ow) = conv.output_hw(h, w);
     let (weights, bias, input) = (conv.weights().as_slice(), conv.bias(), x.as_slice());
+    let rounding = rounding();
     let mut out = Vec::with_capacity(n * conv.out_channels() * oh * ow);
     for b in 0..n {
         for oc in 0..conv.out_channels() {
@@ -194,7 +196,8 @@ fn naive_conv_layer(conv: &Conv2d, x: &Tensor) -> Vec<f32> {
                                 } else {
                                     0.0
                                 };
-                                v += weights[((oc * cin + c) * k + ky) * k + kx] * pixel;
+                                let w = weights[((oc * cin + c) * k + ky) * k + kx];
+                                v = rounding.madd(v, w, pixel);
                             }
                         }
                     }

@@ -109,7 +109,7 @@ fn matrix_dims(op: &'static str, t: &Tensor) -> Result<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::init;
+    use crate::{init, rounding, Rounding};
     use rand::SeedableRng;
 
     /// Naive triple-loop reference used to validate the blocked kernel.
@@ -194,9 +194,9 @@ mod tests {
 
     /// The kernel's contract in the order the retired `i-k-j` loop summed:
     /// `c ← beta·c` (0 for `beta = 0`, untouched for `beta = 1`), then
-    /// `c += (alpha·a_ik)·b_kj` for `k` ascending. Unlike
-    /// [`reference_gemm`]'s `alpha·acc + beta·c` this is what the kernel
-    /// computes to the bit.
+    /// `c ← madd(c, alpha·a_ik, b_kj)` for `k` ascending, rounded the way
+    /// this CPU's family rounds. Unlike [`reference_gemm`]'s
+    /// `alpha·acc + beta·c` this is what the kernel computes to the bit.
     fn contract_gemm(
         trans_a: bool,
         trans_b: bool,
@@ -229,7 +229,7 @@ mod tests {
                     } else {
                         b[p * bc + j]
                     };
-                    sum += (alpha * a_ip) * b_pj;
+                    sum = rounding().madd(sum, alpha * a_ip, b_pj);
                 }
                 c[i * n + j] = sum;
             }
@@ -267,6 +267,33 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// [`rounding`] names the family the kernel runs. A `1 x 1 x 2` product
+    /// whose two families provably differ — the running sum `−(1 + 2⁻¹¹)`
+    /// plus `a·a = 1 + 2⁻¹¹ + 2⁻²⁴`: the rounded product loses the last
+    /// term, the fused one keeps it — equals the fold of `rounding().madd`
+    /// over `k` and not the other family's, so an oracle written with
+    /// `madd` can never match both.
+    #[test]
+    fn rounding_names_the_family_the_kernel_runs() {
+        let a = 1.0 + 2f32.powi(-12);
+        let (lhs, rhs) = ([1.0, a], [-(1.0 + 2f32.powi(-11)), a]);
+        let fold = |family: Rounding| {
+            let taps = lhs.iter().zip(&rhs);
+            taps.fold(0.0f32, |sum, (&l, &r)| family.madd(sum, l, r))
+        };
+        let (separate, fused) = (fold(Rounding::Separate), fold(Rounding::Fused));
+        assert_eq!((separate, fused), (0.0, 2f32.powi(-24)));
+        let lhs = Tensor::from_vec(lhs.to_vec(), Shape::matrix(1, 2)).unwrap();
+        let rhs = Tensor::from_vec(rhs.to_vec(), Shape::matrix(2, 1)).unwrap();
+        let got = matmul(&lhs, &rhs).unwrap().as_slice()[0];
+        let (want, other) = match rounding() {
+            Rounding::Separate => (separate, fused),
+            Rounding::Fused => (fused, separate),
+        };
+        assert_eq!(got.to_bits(), want.to_bits(), "{:?}", rounding());
+        assert_ne!(got.to_bits(), other.to_bits(), "{:?}", rounding());
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! * [`packed`] — the one register-tiled GEMM microkernel, and the
 //!   implicit-GEMM convolution (weights packed once, taps read straight
 //!   from the activation, batch-norm/bias/activation fused into the store)
-//!   that every convolution forward runs on, training's included,
+//!   that every convolution forward runs on, training's included, and its
+//!   numeric contract: two rounding families ([`Rounding`]), the one this
+//!   CPU runs reported by [`rounding`],
 //! * [`gemm`] — the BLAS-style `sgemm` entry points over that kernel,
 //! * [`im2col`] — image-to-column lowering (and its adjoint
 //!   [`im2col::col2im`]) that the training backward pass uses to express
@@ -54,6 +56,7 @@ pub mod packed;
 pub mod parallel;
 
 pub use error::TensorError;
+pub use packed::{rounding, Rounding};
 pub use shape::Shape;
 pub use tensor::Tensor;
 

@@ -25,21 +25,34 @@
 //!
 //! # Numeric contract
 //!
+//! Every sum is taken one tap at a time in ascending order of the shared
+//! dimension, `sum ← madd(sum, w, x)`, where `madd` belongs to one of two
+//! rounding families ([`Rounding`]; [`rounding`] says which one this
+//! process runs, and the CPU decides it):
+//!
+//! * **Separate** — the portable instantiation: `sum + w·x`, multiply and
+//!   add each rounded to `f32`;
+//! * **Fused** — the AVX2 + FMA and the AVX-512F + FMA instantiations:
+//!   `fma(w, x, sum)`, one rounding per tap.
+//!
 //! For finite inputs every convolution output equals, bit for bit,
-//! `act(((Σ w·x) + (−mean))·scale + bias)` with the sum taken in ascending
-//! `(c, ky, kx)` order from `+0.0` in `f32`, multiply and add rounded
-//! separately (no FMA) — the arithmetic of `im2col` followed by a naive
-//! `i-k-j` GEMM followed by the batch-norm, bias and activation passes.
-//! A GEMM computes `c ← beta·c` (`0` for `beta = 0`, untouched for
-//! `beta = 1`) and then `c += (alpha·a_ik)·b_kj` for `k` ascending. Partial
-//! sums that cross a `KC` block travel through the output buffer as `f32`,
-//! which changes nothing. A pooled store ([`conv2d_pooled`]) is the maximum
-//! of four values each computed exactly as above, taken the way the
-//! max-pooling layer takes it: by `v > best` from −∞ over top-left,
-//! top-right, bottom-left, bottom-right, so NaN never wins and of two zeros
-//! the first does, with `0.0` for a window in which nothing beat −∞. The
-//! result is independent of the tile sizes, of how strips are shared
-//! between threads, and of the instruction set (the `dispatch` module).
+//! `act(((Σ w·x) + (−mean))·scale + bias)` with the sum taken that way over
+//! `(c, ky, kx)` ascending from `+0.0` in `f32` — in the Separate family the
+//! arithmetic of `im2col` followed by a naive `i-k-j` GEMM. Batch norm, bias
+//! and activation are separately rounded steps in both families, and so is
+//! the `alpha` scaling of a GEMM's packed operand. A GEMM computes
+//! `c ← beta·c` (`0` for `beta = 0`, untouched for `beta = 1`) and then
+//! `c ← madd(c, alpha·a_ik, b_kj)` for `k` ascending. Partial sums that cross
+//! a `KC` block travel through the output buffer as `f32`, which changes
+//! nothing. A pooled store ([`conv2d_pooled`]) is the maximum of four values
+//! each computed exactly as above, taken the way the max-pooling layer takes
+//! it: by `v > best` from −∞ over top-left, top-right, bottom-left,
+//! bottom-right, so NaN never wins and of two zeros the first does, with
+//! `0.0` for a window in which nothing beat −∞. Within a family the result
+//! is independent of the tile sizes, of how strips are shared between
+//! threads, of the [`Views`] an input is read through, and of the
+//! instantiation (the `dispatch` module); across the families it differs in
+//! the last bits.
 //!
 //! One deliberate difference from the `i-k-j` loop this kernel replaced:
 //! that loop skipped exactly-zero weights, so a zero weight masked a
@@ -74,6 +87,67 @@ const PAR_MIN_MACS: usize = 1 << 21;
 /// 0.19 M and below (conv3 on: activations that stay in L2, rows of 100
 /// columns and fewer) it is 0.88-1.2x on two CPUs and level or behind on one.
 const POOL_IN_STORE_MIN_OUTPUTS: usize = 3 << 16;
+
+/// How a kernel rounds `sum + w·x`: the two families of the
+/// [numeric contract](self).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rounding {
+    /// Multiply, round, add, round: the portable instantiation.
+    Separate,
+    /// One fused multiply-add, rounded once: the AVX2 and AVX-512F
+    /// instantiations.
+    Fused,
+}
+
+impl Rounding {
+    /// `acc + a·b` rounded the way this family rounds it: what the kernel
+    /// does per tap, for oracles that fold it over a sum.
+    ///
+    /// ```
+    /// use dronet_tensor::Rounding;
+    /// let (a, acc) = (1.0 + 2f32.powi(-12), -(1.0 + 2f32.powi(-11)));
+    /// // a·a = 1 + 2⁻¹¹ + 2⁻²⁴: the last term is lost to the rounded product.
+    /// assert_eq!(Rounding::Separate.madd(acc, a, a), 0.0);
+    /// assert_eq!(Rounding::Fused.madd(acc, a, a), 2f32.powi(-24));
+    /// ```
+    pub fn madd(self, acc: f32, a: f32, b: f32) -> f32 {
+        match self {
+            Rounding::Separate => acc + a * b,
+            Rounding::Fused => fused_multiply_add(a, b, acc),
+        }
+    }
+}
+
+/// The rounding family of every kernel in this module on this CPU.
+pub fn rounding() -> Rounding {
+    dispatch::rounding()
+}
+
+/// `a·b + c` rounded once to nearest even, without the `fma` instruction,
+/// so that an oracle does not share the kernel's arithmetic. The product of
+/// two `f32` is exact in `f64`. The sum is rounded to `f64` *to odd* (an
+/// inexact result keeps or takes an odd last bit), and with 53 ≥ 2·24 + 2
+/// bits that value rounds to the correctly rounded `f32` (Boldo and
+/// Melquiond, "Emulation of FMA and correctly rounded sums", 2008).
+fn fused_multiply_add(a: f32, b: f32, c: f32) -> f32 {
+    let (product, c) = (f64::from(a) * f64::from(b), f64::from(c));
+    let sum = product + c;
+    if !sum.is_finite() {
+        return sum as f32;
+    }
+    // What rounding the sum to `f64` lost, exactly (Knuth's two-sum).
+    let c_part = sum - product;
+    let lost = (product - (sum - c_part)) + (c - c_part);
+    let bits = sum.to_bits();
+    let odd = match lost != 0.0 && bits & 1 == 0 {
+        // The exact sum lies between `sum` and its neighbour towards `lost`,
+        // whose last bit is odd.
+        true if (lost > 0.0) == (sum > 0.0) => f64::from_bits(bits + 1),
+        true => f64::from_bits(bits - 1),
+        false => sum,
+    };
+    odd as f32
+}
 
 /// A row-major matrix repacked into `MR`-tall panels for the microkernel.
 ///
@@ -628,7 +702,7 @@ struct Share<'a, B, E> {
 
 impl<B: PanelSource, E: Epilogue> Kernel for Share<'_, B, E> {
     #[inline(always)]
-    fn run<const NR: usize>(self) {
+    fn run<const NR: usize, const FUSED: bool>(self) {
         let Share {
             product:
                 Product {
@@ -662,7 +736,7 @@ impl<B: PanelSource, E: Epilogue> Kernel for Share<'_, B, E> {
                             acc[i][..row.len()].copy_from_slice(row);
                         });
                     }
-                    acc = microkernel(a_block, panel, acc);
+                    acc = microkernel::<NR, FUSED>(a_block, panel, acc);
                     if last {
                         // Every row of the tile, padding rows included (on
                         // the last real row's coefficients): a loop of
@@ -690,7 +764,7 @@ struct PooledShare<'a, E>(Share<'a, ImageSource<'a>, E>);
 
 impl<E: Epilogue> Kernel for PooledShare<'_, E> {
     #[inline(always)]
-    fn run<const NR: usize>(self) {
+    fn run<const NR: usize, const FUSED: bool>(self) {
         let Share {
             product: p,
             cols,
@@ -716,8 +790,8 @@ impl<E: Epilogue> Kernel for PooledShare<'_, E> {
                 for i0 in (0..m).step_by(MR) {
                     let mv = MR.min(m - i0);
                     let a_block = &a[i0 * k..][..k * MR];
-                    let mut upper = microkernel(a_block, top, [[0.0f32; NR]; MR]);
-                    let lower = microkernel(a_block, bottom, [[0.0f32; NR]; MR]);
+                    let mut upper = microkernel::<NR, FUSED>(a_block, top, [[0.0f32; NR]; MR]);
+                    let lower = microkernel::<NR, FUSED>(a_block, bottom, [[0.0f32; NR]; MR]);
                     for (i, (upper, lower)) in upper.iter_mut().zip(lower).enumerate() {
                         let row = (i0 + i).min(m - 1);
                         *upper =
@@ -754,7 +828,11 @@ fn pool_pairs<const NR: usize>(upper: [f32; NR], lower: [f32; NR]) -> [f32; NR] 
     pooled
 }
 
-/// `acc[i][j] += a[p][i] * b[p][j]` for `p` ascending: the register tile.
+/// `acc[i][j] += a[p][i] * b[p][j]` for `p` ascending: the register tile,
+/// and the only place the two rounding families differ. With `FUSED` each
+/// step is one fused multiply-add, `fma(a, b, acc)`; without, a multiply and
+/// an add, each rounded. `dispatch` sets `FUSED` only where the `fma`
+/// feature is enabled: elsewhere `mul_add` is a library call per tap.
 ///
 /// The accumulators are a local array of constant shape, so LLVM keeps them
 /// in vector registers across the `p` loop. The column loop is written
@@ -764,7 +842,7 @@ fn pool_pairs<const NR: usize>(upper: [f32; NR], lower: [f32; NR]) -> [f32; NR] 
 /// other way round, `opt-level = 2` vectorises down the columns and spends
 /// the loop transposing the tile — 13x slower, same bits.
 #[inline(always)]
-fn microkernel<const NR: usize>(
+fn microkernel<const NR: usize, const FUSED: bool>(
     a: &[f32],
     b: &[[f32; NR]],
     mut acc: [[f32; NR]; MR],
@@ -772,7 +850,11 @@ fn microkernel<const NR: usize>(
     for (a, b) in a.chunks_exact(MR).zip(b) {
         for (j, &b) in b.iter().enumerate() {
             for (sums, &a) in acc.iter_mut().zip(a) {
-                sums[j] += a * b;
+                if FUSED {
+                    sums[j] = a.mul_add(b, sums[j]);
+                } else {
+                    sums[j] += a * b;
+                }
             }
         }
     }
@@ -1146,8 +1228,8 @@ mod tests {
         Tensor::from_vec(data.to_vec(), shape).unwrap()
     }
 
-    /// The contract, spelled out the slow way: `c ← beta·c`, then
-    /// `c += (alpha·a_ik)·b_kj` for `k` ascending.
+    /// The contract, spelled out the slow way in `rounding`'s family:
+    /// `c ← beta·c`, then `c ← madd(c, alpha·a_ik, b_kj)` for `k` ascending.
     #[allow(clippy::too_many_arguments)] // mirrors `gemm`
     fn naive_gemm(
         m: usize,
@@ -1158,6 +1240,7 @@ mod tests {
         b: &[f32],
         beta: f32,
         c: &mut [f32],
+        rounding: Rounding,
     ) {
         for i in 0..m {
             for j in 0..n {
@@ -1167,22 +1250,23 @@ mod tests {
                     _ => beta * c[i * n + j],
                 };
                 for p in 0..k {
-                    sum += (alpha * a[i * k + p]) * b[p * n + j];
+                    sum = rounding.madd(sum, alpha * a[i * k + p], b[p * n + j]);
                 }
                 c[i * n + j] = sum;
             }
         }
     }
 
-    /// The convolution contract the slow way: the sum over `(c, ky, kx)`
-    /// ascending from +0.0 (padding taps add `w·0`), then batch norm, bias
-    /// and activation as separately rounded steps.
+    /// The convolution contract the slow way in `rounding`'s family: the
+    /// sum over `(c, ky, kx)` ascending from +0.0 (padding taps add `w·0`),
+    /// then batch norm, bias and activation as separately rounded steps.
     fn naive_conv(
         input: &[f32],
         geom: &ConvGeometry,
         weights: &[f32],
         channels: ChannelEpilogue<'_>,
         activation: impl Fn(f32) -> f32,
+        rounding: Rounding,
     ) -> Vec<f32> {
         let (oh, ow, kk) = (geom.out_height(), geom.out_width(), geom.col_rows());
         let m = weights.len() / kk;
@@ -1204,7 +1288,7 @@ mod tests {
                                         0.0
                                     };
                                     let tap = (c * geom.kernel + ky) * geom.kernel + kx;
-                                    sum += weights[oc * kk + tap] * x;
+                                    sum = rounding.madd(sum, weights[oc * kk + tap], x);
                                 }
                             }
                         }
@@ -1252,7 +1336,7 @@ mod tests {
         let (a, b, c0) = (random(m * k, 1), random(k * n, 2), random(m * n, 3));
         for (alpha, beta) in [(1.0, 0.0), (1.0, 1.0), (0.7, 0.3)] {
             let mut want = c0.clone();
-            naive_gemm(m, n, k, alpha, &a, &b, beta, &mut want);
+            naive_gemm(m, n, k, alpha, &a, &b, beta, &mut want, rounding());
             for split in [0, 1, 2, 3, 7] {
                 let mut c = c0.clone();
                 gemm_split(m, n, k, alpha, (&a, k, 1), (&b, n, 1), beta, &mut c, split);
@@ -1299,7 +1383,14 @@ mod tests {
                 batch_norm: (case % 2 == 0).then_some((&neg_mean[..], &scale[..])),
                 bias: &bias,
             };
-            let want = naive_conv(&input, &geom, &weights, channels, ops::leaky_relu);
+            let want = naive_conv(
+                &input,
+                &geom,
+                &weights,
+                channels,
+                ops::leaky_relu,
+                rounding(),
+            );
             let packed = PackedMatrix::pack(&weights, m, k).unwrap();
             let images = batch_of(&input, &geom);
             for split in [None, Some(0), Some(1), Some(2), Some(3), Some(7)] {
@@ -1327,7 +1418,8 @@ mod tests {
     /// Every way this machine can run a share, called directly — `run`
     /// only ever picks the widest instruction set, so this is the only place
     /// the others execute on an AVX-512 machine: both tile widths compiled
-    /// for the baseline target, then each `dispatch` wrapper.
+    /// for the baseline target, then each `dispatch` wrapper. The first two
+    /// round separately, the wrappers fused.
     #[derive(Debug, Clone, Copy)]
     enum Instantiation {
         Portable8,
@@ -1342,30 +1434,43 @@ mod tests {
         /// Hands the kernel back when the CPU lacks the instruction set.
         fn run<K: Kernel>(self, kernel: K) -> std::result::Result<(), K> {
             match self {
-                Self::Portable8 => kernel.run::<8>(),
-                Self::Portable16 => kernel.run::<16>(),
+                Self::Portable8 => kernel.run::<8, false>(),
+                Self::Portable16 => kernel.run::<16, false>(),
                 Self::Avx2 => return dispatch::run_avx2(kernel),
                 Self::Avx512 => return dispatch::run_avx512(kernel),
             }
             Ok(())
+        }
+
+        /// The rounding family the instantiation belongs to.
+        fn rounding(self) -> Rounding {
+            match self {
+                Self::Portable8 | Self::Portable16 => Rounding::Separate,
+                Self::Avx2 | Self::Avx512 => Rounding::Fused,
+            }
         }
     }
 
     /// Computes `product` into a copy of `c0` once per instantiation and
     /// per split — the columns cut into that many shares at multiples of
     /// `grain`, each handed to `run` with the instantiation to run it in
-    /// (`false`: the CPU lacks it) — and compares each result with `want` on
-    /// bits.
+    /// (`false`: the CPU lacks it) — and compares each result on bits with
+    /// `want` of the instantiation's rounding family.
     fn every_instantiation_computes<B: PanelSource, E: Epilogue>(
         product: Product<'_, B, E>,
         grain: usize,
         run: impl Fn(Instantiation, Share<'_, B, E>) -> bool,
         c0: &[f32],
-        want: &[f32],
+        want: impl Fn(Rounding) -> Vec<f32>,
         case: &str,
     ) {
         let n = product.n;
+        let [separate, fused] = [Rounding::Separate, Rounding::Fused].map(want);
         for instantiation in Instantiation::ALL {
+            let want = match instantiation.rounding() {
+                Rounding::Separate => &separate,
+                Rounding::Fused => &fused,
+            };
             for split in [0, 1, 2, 3, 7] {
                 let mut c = c0.to_vec();
                 let shares: Vec<Range<usize>> = match split {
@@ -1422,8 +1527,11 @@ mod tests {
         };
         let (at, bt) = (transposed(&a, m, k), transposed(&b, k, n));
         for (alpha, beta) in [(1.0, 0.0), (1.0, 1.0), (0.7, 0.3), (-2.0, 0.0)] {
-            let mut want = c0.clone();
-            naive_gemm(m, n, k, alpha, &a, &b, beta, &mut want);
+            let want = |rounding| {
+                let mut want = c0.clone();
+                naive_gemm(m, n, k, alpha, &a, &b, beta, &mut want, rounding);
+                want
+            };
             // What `gemm_split` does ahead of the product.
             let scaled: Vec<f32> = match beta {
                 0.0 => vec![f32::NAN; m * n],
@@ -1446,7 +1554,7 @@ mod tests {
                         epilogue: Plain,
                     };
                     let case = format!("alpha={alpha} beta={beta} a_cs={a_cs} b_cs={b_cs}");
-                    every_instantiation_computes(product, 8, plainly, &scaled, &want, &case);
+                    every_instantiation_computes(product, 8, plainly, &scaled, want, &case);
                 }
             }
         }
@@ -1494,10 +1602,10 @@ mod tests {
                             activation,
                         },
                     };
-                    let want = naive_conv(&image, &geom, &weights, channels, activation);
+                    let want = |r| naive_conv(&image, &geom, &weights, channels, activation, r);
                     let case = format!("{geom:?} m={m} bn={} {name}", batch_norm.is_some());
                     let garbage = vec![f32::NAN; m * n];
-                    every_instantiation_computes(product, 8, plainly, &garbage, &want, &case);
+                    every_instantiation_computes(product, 8, plainly, &garbage, want, &case);
                 }
             }
         }
@@ -1541,9 +1649,11 @@ mod tests {
         ]
     }
 
-    /// Inputs, packed weights and per-channel coefficients of a case.
+    /// Inputs, weights as they are and packed, and per-channel coefficients
+    /// of a case.
     struct Layer {
         input: Tensor,
+        weights: Vec<f32>,
         packed: PackedMatrix,
         neg_mean: Vec<f32>,
         scale: Vec<f32>,
@@ -1553,12 +1663,14 @@ mod tests {
     impl Layer {
         fn random(geom: &ConvGeometry, m: usize, batch: usize, seed: u64) -> Layer {
             let k = geom.col_rows();
+            let weights = random(m * k, seed + 1);
             Layer {
                 input: batch_of(
                     &random(batch * geom.channels * geom.height * geom.width, seed),
                     geom,
                 ),
-                packed: PackedMatrix::pack(&random(m * k, seed + 1), m, k).unwrap(),
+                packed: PackedMatrix::pack(&weights, m, k).unwrap(),
+                weights,
                 neg_mean: random(m, seed + 2),
                 scale: random(m, seed + 3),
                 bias: random(m, seed + 4),
@@ -1569,6 +1681,32 @@ mod tests {
             ChannelEpilogue {
                 batch_norm: batch_norm.then_some((&self.neg_mean[..], &self.scale[..])),
                 bias: &self.bias,
+            }
+        }
+
+        /// [`naive_conv`] over `input`, a batch of this layer's images —
+        /// then [`naive_pool`] if `pooled`.
+        fn naive(
+            &self,
+            input: &Tensor,
+            geom: &ConvGeometry,
+            batch_norm: bool,
+            activation: Activation,
+            pooled: bool,
+            rounding: Rounding,
+        ) -> Vec<f32> {
+            let channels = self.channels(batch_norm);
+            let full = naive_conv(
+                input.as_slice(),
+                geom,
+                &self.weights,
+                channels,
+                activation,
+                rounding,
+            );
+            match pooled {
+                true => naive_pool(&full, geom.out_height(), geom.out_width()),
+                false => full,
             }
         }
     }
@@ -1651,7 +1789,8 @@ mod tests {
         }
     }
 
-    /// The same over every instantiation, shares cut at pooled rows.
+    /// The same over every instantiation, shares cut at pooled rows, against
+    /// the naive convolution of the instantiation's family then the pool.
     #[test]
     fn every_instantiation_pools_in_the_store_the_bits_of_conv_then_pool() {
         let mut activations = ACTIVATIONS.to_vec();
@@ -1662,21 +1801,11 @@ mod tests {
             for batch_norm in [false, true] {
                 let channels = layer.channels(batch_norm);
                 for &(name, activation) in &activations {
-                    let mut full = vec![f32::NAN; m * oh * ow];
-                    conv2d(
-                        Views::Batch(&layer.input),
-                        &geom,
-                        &layer.packed,
-                        channels,
-                        activation,
-                        &mut full,
-                    )
-                    .unwrap();
-                    let want = naive_pool(&full, oh, ow);
+                    let n = (oh / 2) * (ow / 2);
                     let product = Product {
                         a: &layer.packed.panels[..],
                         m,
-                        n: want.len() / m,
+                        n,
                         k: geom.col_rows(),
                         b: ImageSource::dense(layer.input.as_slice(), &geom),
                         accumulate: false,
@@ -1686,13 +1815,13 @@ mod tests {
                         },
                     };
                     let case = format!("{geom:?} m={m} bn={batch_norm} {name}");
-                    let garbage = vec![f32::NAN; want.len()];
+                    let garbage = vec![f32::NAN; m * n];
                     every_instantiation_computes(
                         product,
                         ow / 2,
                         |instantiation, share| instantiation.run(PooledShare(share)).is_ok(),
                         &garbage,
-                        &want,
+                        |r| layer.naive(&layer.input, &geom, batch_norm, activation, true, r),
                         &case,
                     );
                 }
@@ -1932,6 +2061,60 @@ mod tests {
         }
     }
 
+    /// The oracles' fused multiply-add, which never runs the `fma`
+    /// instruction, against the one the standard library provides: ties,
+    /// cancellations, products that lose bits either side of a power of
+    /// two, subnormal and overflowing results, zeros of both signs, and
+    /// random triples over forty binades.
+    #[test]
+    fn the_oracles_fused_multiply_add_rounds_once() {
+        let tiny = f32::from_bits(1);
+        let mut triples = vec![
+            (
+                1.0 + 2f32.powi(-12),
+                1.0 + 2f32.powi(-12),
+                -(1.0 + 2f32.powi(-11)),
+            ),
+            (1.0 + 2f32.powi(-23), 1.0 - 2f32.powi(-24), -1.0),
+            (3.0, 1.0 / 3.0, -1.0),
+            (0.1, 10.0, -1.0),
+            (f32::MAX, 2.0, -f32::MAX),
+            (f32::MAX, 1.0 + f32::EPSILON, 0.0),
+            (tiny, 0.5, 0.0),
+            (tiny, 1.5, tiny),
+            (f32::MIN_POSITIVE, 0.75, -tiny),
+            (0.0, -1.0, 0.0),
+            (-0.0, 1.0, -0.0),
+            (2.0, -0.5, 1.0),
+            (f32::INFINITY, 0.0, 1.0),
+            (f32::INFINITY, 1.0, f32::NEG_INFINITY),
+            (f32::NAN, 1.0, 1.0),
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+        let mut value = || {
+            use rand::Rng;
+            let mantissa: f32 = rng.gen_range(-2.0..2.0);
+            mantissa * 2f32.powi(rng.gen_range(-20..20))
+        };
+        for _ in 0..100_000 {
+            let (a, b) = (value(), value());
+            // Sums that cancel most of the product as well as random ones.
+            let c = match triples.len() % 3 {
+                0 => -(a * b),
+                1 => -(a * b) * (1.0 + value() * 1e-6),
+                _ => value(),
+            };
+            triples.push((a, b, c));
+        }
+        for (a, b, c) in triples {
+            let (got, want) = (Rounding::Fused.madd(c, a, b), a.mul_add(b, c));
+            assert!(
+                got.to_bits() == want.to_bits() || got.is_nan() && want.is_nan(),
+                "fma({a:e}, {b:e}, {c:e}) = {want:e}, not {got:e}"
+            );
+        }
+    }
+
     #[test]
     fn conv2d_rejects_buffers_that_disagree_with_the_geometry() {
         let geom = geometry(2, 4, 4, 3, 1, 1);
@@ -2102,7 +2285,19 @@ mod tests {
                         .unwrap();
                         assert_eq!(bits(&out), bits(&want), "{name}, split {split:?}");
                     }
-                    for (i, want) in want.chunks_exact(m * n).enumerate() {
+                    // The copies' bits through `run` above are the oracle's in
+                    // this CPU's family; each instantiation is held to its own.
+                    let naive = |r| layer.naive(&copies, &geom, true, activation, pooled, r);
+                    assert_eq!(bits(&want), bits(&naive(rounding())), "{name}");
+                    let [separate, fused] = [Rounding::Separate, Rounding::Fused].map(naive);
+                    for i in 0..corners.len() {
+                        let item = |r| {
+                            let want = match r {
+                                Rounding::Separate => &separate,
+                                Rounding::Fused => &fused,
+                            };
+                            want[i * m * n..][..m * n].to_vec()
+                        };
                         let product = Product {
                             a: &layer.packed.panels[..],
                             m,
@@ -2124,12 +2319,12 @@ mod tests {
                                     instantiation.run(PooledShare(share)).is_ok()
                                 },
                                 &garbage,
-                                want,
+                                item,
                                 &case,
                             );
                         } else {
                             every_instantiation_computes(
-                                product, 8, plainly, &garbage, want, &case,
+                                product, 8, plainly, &garbage, item, &case,
                             );
                         }
                     }

@@ -1,14 +1,25 @@
-//! Bit goldens for the compute kernels, captured at the commit *before* the
-//! packed implicit-GEMM convolution replaced the `im2col` + `i-k-j` GEMM
-//! lowering. A kernel change that keeps the numeric contract (sum in
-//! ascending `(c, ky, kx)` order from +0.0, multiply and add rounded
-//! separately, BN → bias → activation in that order) leaves every hash
-//! here unchanged; one that reorders a sum or fuses a multiply-add does
-//! not.
+//! Bit goldens for the compute kernels, one column per rounding family of
+//! the numeric contract (`dronet_tensor::packed`), and each test asserts
+//! the column of the family this CPU runs (`rounding()`):
+//!
+//! * **Separate** (multiply and add rounded apart; the portable build) —
+//!   captured at the commit *before* the packed implicit-GEMM convolution
+//!   replaced the `im2col` + `i-k-j` GEMM lowering, and unchanged since;
+//! * **Fused** (one fused multiply-add per tap; the AVX2 and AVX-512F
+//!   builds, both with FMA) — captured once, on an AVX-512F host, when the
+//!   kernel started fusing.
+//!
+//! A kernel change that keeps the contract (sum in ascending `(c, ky, kx)`
+//! order from +0.0, each tap added in the family's rounding, BN → bias →
+//! activation in that order, separately rounded) leaves every hash here
+//! unchanged; one that reorders a sum or changes a family's rounding does
+//! not. Training's bits differ between the families: the backward's
+//! `dW = dY·colsᵀ` sums, like every product, a fused chain in ascending `k`
+//! in the Fused family.
 
 use dronet::core::{zoo, ModelId};
 use dronet::metrics::BBox;
-use dronet::tensor::{init, Shape, Tensor};
+use dronet::tensor::{init, rounding, Rounding, Shape, Tensor};
 use dronet::train::{Sgd, YoloLoss, YoloLossConfig};
 use rand::SeedableRng;
 
@@ -22,6 +33,42 @@ fn fnv1a(values: &[f32]) -> u64 {
         }
     }
     hash
+}
+
+/// Every golden: its name, then its value in the Separate and in the
+/// Fused family.
+const GOLDENS: [(&str, u64, u64); 5] = [
+    (
+        "DroNet-96, batch 1",
+        0x4cec_71d1_babd_73ab,
+        0xe10f_6cfb_a7f2_db82,
+    ),
+    (
+        "DroNet-96, batch 3",
+        0x7c35_2853_04dc_c7c6,
+        0x1535_c2b6_6c18_6a30,
+    ),
+    (
+        "TinyYoloVoc-96",
+        0xa920_aeef_ae49_aa5c,
+        0x0fee_51ca_271c_dc4c,
+    ),
+    ("MicroDroNet loss after 2 steps", 0x41cc_eece, 0x41cc_eed3),
+    (
+        "MicroDroNet inference after 2 steps",
+        0x1499_492c_91e1_d3ba,
+        0x2a2d_b38c_bb33_ebb0,
+    ),
+];
+
+/// Asserts that `got` is golden `name` in this CPU's rounding family.
+fn assert_golden(name: &str, got: u64) {
+    let &(_, separate, fused) = GOLDENS.iter().find(|g| g.0 == name).unwrap();
+    let want = match rounding() {
+        Rounding::Separate => separate,
+        Rounding::Fused => fused,
+    };
+    assert_eq!(got, want, "{name}, {:?} family", rounding());
 }
 
 fn rng(seed: u64) -> rand::rngs::StdRng {
@@ -39,26 +86,15 @@ fn zoo_forward_hash(id: ModelId, batch: usize) -> u64 {
 
 #[test]
 fn dronet_96_forward_bits_are_unchanged() {
-    assert_eq!(
-        zoo_forward_hash(ModelId::DroNet, 1),
-        0x4cec_71d1_babd_73ab,
-        "batch 1"
-    );
-    assert_eq!(
-        zoo_forward_hash(ModelId::DroNet, 3),
-        0x7c35_2853_04dc_c7c6,
-        "batch 3"
-    );
+    assert_golden("DroNet-96, batch 1", zoo_forward_hash(ModelId::DroNet, 1));
+    assert_golden("DroNet-96, batch 3", zoo_forward_hash(ModelId::DroNet, 3));
 }
 
 /// TinyYoloVoc exercises what DroNet does not: the `size=2 stride=1`
 /// "same" pool and the K = 9216 convolutions.
 #[test]
 fn tiny_yolo_voc_96_forward_bits_are_unchanged() {
-    assert_eq!(
-        zoo_forward_hash(ModelId::TinyYoloVoc, 1),
-        0xa920_aeef_ae49_aa5c
-    );
+    assert_golden("TinyYoloVoc-96", zoo_forward_hash(ModelId::TinyYoloVoc, 1));
 }
 
 /// Two SGD steps of MicroDroNet: `forward_train`, both backward GEMMs
@@ -93,14 +129,12 @@ fn micro_dronet_training_bits_are_unchanged() {
     }
     let out = net.forward_train(&x).unwrap();
     let (value, _) = loss.evaluate(&out, &truths).unwrap();
-    assert_eq!(value.total().to_bits(), 0x41cc_eece, "loss after 2 steps");
+    let loss = u64::from(value.total().to_bits());
+    assert_golden("MicroDroNet loss after 2 steps", loss);
 
     let infer: Tensor = net.forward(&x).unwrap();
-    assert_eq!(
-        fnv1a(infer.as_slice()),
-        0x1499_492c_91e1_d3ba,
-        "inference after 2 steps"
-    );
+    let infer = fnv1a(infer.as_slice());
+    assert_golden("MicroDroNet inference after 2 steps", infer);
 }
 
 /// End to end: a detector whose convolutions have packed their weights
