@@ -27,7 +27,7 @@
 //! `--replica-grid` runs the replica-kill chaos grid (`BENCH_PR10.json`):
 //! the same storm of open-loop load is driven at a single-replica server,
 //! a 3-replica server, and a 3-replica server whose seeded
-//! [`ReplicaChaosPlan`] kills one replica mid-storm (panic or wedge
+//! [`FaultSchedule`] kills one replica mid-storm (panic or stall
 //! injection, healed in the second half). Each row reports goodput, the
 //! hedge and quarantine counters, and the worst service health observed
 //! by an in-process sampler. The grid self-asserts its headline claims —
@@ -44,7 +44,7 @@ use dronet_bench::{input_image, model};
 use dronet_core::ModelId;
 use dronet_detect::DetectorBuilder;
 use dronet_obs::{JsonValue, Registry, Tracer};
-use dronet_serve::{DetectorFactory, ReplicaChaosPlan, ServeConfig, Server};
+use dronet_serve::{DetectorFactory, Fault, FaultEvent, FaultSchedule, ServeConfig, Server};
 use std::fmt::Write as _;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
@@ -406,13 +406,12 @@ struct ReplicaStorm<'a> {
 }
 
 /// Drives one replica-grid scenario: spawns a server (`replicas`
-/// replicas, optional seeded kill schedule), storms it with the open-loop
-/// load generator, and samples service health throughout.
+/// replicas, seeded fault plan), storms it with the open-loop load
+/// generator, and samples service health throughout.
 fn run_replica_row(
     scenario: &'static str,
     replicas: usize,
-    chaos: Option<ReplicaChaosPlan>,
-    canary_chaos_failures: usize,
+    faults: FaultSchedule,
     storm: &ReplicaStorm,
 ) -> ReplicaRow {
     let &ReplicaStorm {
@@ -442,10 +441,8 @@ fn run_replica_row(
         // all complete within a CI-smoke-sized storm.
         watchdog_interval: Duration::from_millis(50),
         wedge_timeout: Duration::from_millis(250),
-        chaos_wedge_hold: Duration::from_secs(2),
         quarantine_faults: 3,
-        canary_chaos_failures,
-        replica_chaos: chaos,
+        faults,
         ..ServeConfig::default()
     };
     let obs = Registry::new();
@@ -522,15 +519,19 @@ fn replica_grid_main(path: &str) {
     );
     let frames = frame_corpus(REPLICA_INPUT);
 
-    // One kill (wedge or panic, seed's choice) in the storm's first half,
-    // healed in the second half — the replica must quarantine, pass the
-    // canary (after one forced failure), and rejoin.
+    // One kill (2 s stall or panic, seed's choice) in the storm's first
+    // half, healed in the second half — the replica must quarantine, pass
+    // the canary (after one forced failure), and rejoin.
     let window = Duration::from_secs_f64(secs * 0.9);
-    let kill_plan = ReplicaChaosPlan::generate(REPLICA_SEED, 3, 1, window);
-    for k in &kill_plan.kills {
+    let hold = Duration::from_secs(2);
+    let kills = FaultSchedule::generate(REPLICA_SEED, 3, 1, window, hold);
+    let killed = kills.events()[0].replica;
+    let canary = FaultEvent::at(Duration::ZERO, killed, Fault::FailCanary(1));
+    let kill_plan = FaultSchedule::new([kills.events(), &[canary]].concat());
+    for e in kill_plan.events() {
         eprintln!(
             "  kill plan: {:?} replica {} at {:?}",
-            k.kind, k.replica, k.at
+            e.fault, e.replica, e.at
         );
     }
 
@@ -542,9 +543,9 @@ fn replica_grid_main(path: &str) {
         seed: REPLICA_SEED,
     };
     let rows = [
-        run_replica_row("single", 1, None, 0, &storm),
-        run_replica_row("baseline", 3, None, 0, &storm),
-        run_replica_row("kill_one", 3, Some(kill_plan), 1, &storm),
+        run_replica_row("single", 1, FaultSchedule::default(), &storm),
+        run_replica_row("baseline", 3, FaultSchedule::default(), &storm),
+        run_replica_row("kill_one", 3, kill_plan, &storm),
     ];
     for r in &rows {
         eprintln!(

@@ -23,6 +23,7 @@
 //! worker instead of panicking; losing the last worker flips health to
 //! Halted and fails the backlog rather than hanging it.
 
+use crate::chaos::Fault;
 use crate::error::ServeError;
 use crate::replica::ReplicaBuilder;
 use dronet_detect::{resize_frame, Detection, Detector};
@@ -304,16 +305,16 @@ impl BatchQueue {
     }
 }
 
-/// Deterministic wedge injection — a chaos/test knob. When armed, the
-/// first batch containing `frame_id` sleeps for `hold` mid-forward,
-/// simulating a stuck kernel so the watchdog path can be exercised
-/// end to end without timing luck.
-#[derive(Debug, Clone)]
-pub struct WedgePlan {
-    /// The frame whose batch wedges.
-    pub frame_id: u64,
-    /// How long the worker holds (should exceed the wedge timeout).
-    pub hold: Duration,
+/// The faults in force on one pool, as the supervisor's tick injected
+/// them from the server's [`crate::chaos::FaultSchedule`]; each worker
+/// reads them before its forward.
+#[derive(Default)]
+pub(crate) struct Injected {
+    stall: Option<Duration>,
+    stall_once: Option<Duration>,
+    panic: bool,
+    /// Heals so far: a hold in progress ends when this moves.
+    heals: u64,
 }
 
 /// A job's reply route plus its hedge coordination, carried through the
@@ -490,8 +491,6 @@ pub(crate) struct WorkerShared {
     /// along the ladder by brownout (workers rebuild when it differs from
     /// the detector they hold).
     pub target_input: AtomicUsize,
-    /// One-shot arming latch for `config.wedge_chaos`.
-    pub wedge_armed: AtomicBool,
     pub batch_size_hist: Histogram,
     pub queue_wait_hist: Histogram,
     /// Wall time of the shared batch forward, recorded once per request in
@@ -504,13 +503,8 @@ pub(crate) struct WorkerShared {
     /// wedges). The supervisor reads deltas to decide quarantine — a
     /// per-pool signal, unlike the name-shared registry counters.
     pub fault_events: AtomicU64,
-    /// Replica-kill chaos: while set, every batch forward wedges for
-    /// `config.chaos_wedge_hold` — the supervisor flips this to simulate a
-    /// replica whose kernels stopped returning.
-    pub chaos_wedge: AtomicBool,
-    /// Replica-kill chaos: while set, every batch forward panics inside
-    /// the catch_unwind boundary.
-    pub chaos_panic: AtomicBool,
+    /// Faults injected by the supervisor (`WorkerShared::inject`).
+    pub injected: Mutex<Injected>,
 }
 
 /// The one way a worker joins the pool (at startup, or replacing a wedged
@@ -554,6 +548,39 @@ pub(crate) fn spawn_worker(shared: &Arc<WorkerShared>, detector: Detector) {
 }
 
 impl WorkerShared {
+    /// Puts `fault` in force on this pool. `FailCanary` is the slot's, not
+    /// the pool's: the replica set counts it, and it is ignored here.
+    pub fn inject(&self, fault: Fault) {
+        let mut f = lock_recover(&self.injected);
+        match fault {
+            Fault::Stall(hold) => f.stall = Some(hold),
+            Fault::StallOnce(hold) => f.stall_once = Some(hold),
+            Fault::Panic => f.panic = true,
+            Fault::Heal => {
+                (f.stall, f.stall_once, f.panic, f.heals) = (None, None, false, f.heals + 1)
+            }
+            Fault::FailCanary(_) => {}
+        }
+    }
+
+    /// Holds the calling worker mid-batch, like a stuck kernel, for the
+    /// stall in force (a one-shot stall is used up here). A heal or the
+    /// queue closing ends the hold early, so neither waits it out.
+    fn hold_if_stalled(&self) {
+        let (hold, heals) = {
+            let mut f = lock_recover(&self.injected);
+            (f.stall_once.take().max(f.stall), f.heals)
+        };
+        let Some(hold) = hold else { return };
+        let held = Instant::now();
+        while let Some(left) = hold.checked_sub(held.elapsed()) {
+            if lock_recover(&self.injected).heals != heals || self.queue.is_closed() {
+                return;
+            }
+            thread::sleep(left.min(Duration::from_millis(5)));
+        }
+    }
+
     /// A fault in this pool (panic, death or wedge): counted under
     /// `counter` and in `fault_events`, and the pool degraded.
     pub fn fault(&self, counter: &Counter) {
@@ -663,27 +690,9 @@ fn run_batch(
         }
     }
 
-    let config = &shared.builder.config;
-    if !config.dispatch_delay.is_zero() {
-        thread::sleep(config.dispatch_delay);
-    }
-    if let Some(plan) = &config.wedge_chaos {
-        if ids.contains(&plan.frame_id) && shared.wedge_armed.swap(false, Ordering::SeqCst) {
-            thread::sleep(plan.hold);
-        }
-    }
-    if shared.chaos_wedge.load(Ordering::SeqCst) {
-        // Replica-kill chaos: hold mid-batch like a stuck kernel. The
-        // watchdog (or, below the wedge timeout, brownout pressure) takes
-        // it from here. Sliced so teardown never waits out the hold.
-        let held = Instant::now();
-        while held.elapsed() < config.chaos_wedge_hold
-            && shared.chaos_wedge.load(Ordering::SeqCst)
-            && !shared.queue.is_closed()
-        {
-            thread::sleep(Duration::from_millis(5));
-        }
-    }
+    // An injected stall: the watchdog (or, below the wedge timeout,
+    // brownout pressure) takes it from here.
+    shared.hold_if_stalled();
 
     // Frames conformed before a resolution shift may not match the
     // detector any more; resample stragglers at the door.
@@ -709,7 +718,7 @@ fn run_batch(
     };
     let forward_started = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        if shared.chaos_panic.load(Ordering::SeqCst) {
+        if lock_recover(&shared.injected).panic {
             panic!("chaos: injected replica panic");
         }
         let result = detector.detect_batch_frames(&stacked, Some(&ids));

@@ -1,9 +1,11 @@
-//! Seeded socket-level chaos: deterministic adversarial client schedules
-//! for hammering a live server over real TCP.
+//! Seeded chaos at both ends of a live server: the faults it injects into
+//! itself, and adversarial client schedules that hammer it over real TCP.
 //!
-//! The unit-level fault machinery (`detect::fault`, the batcher's
-//! `dispatch_delay`, [`crate::batcher::WedgePlan`]) injects failures
-//! *inside* the process; this module attacks from the *wire*, the way a
+//! A [`FaultSchedule`] ([`crate::ServeConfig::faults`]) is the one way a
+//! server fails *inside* the process: one time-ordered list of
+//! [`FaultEvent`]s (stalls, one-shot stuck forwards, panics, forced
+//! canary failures, heals) that the supervisor's tick applies to its
+//! replicas. The rest of this module attacks from the *wire*, the way a
 //! hostile or broken network peer would: byte-at-a-time header drips
 //! (slowloris), torn half-written bodies, mid-body disconnects, garbage
 //! bytes, pipelined request bursts, and clients that send but never
@@ -223,82 +225,97 @@ impl ChaosPlan {
     }
 }
 
-/// What a replica-kill event does to its target.
+/// What one [`FaultEvent`] does to its replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplicaKillKind {
-    /// Every batch forward on the replica wedges (stuck-kernel model);
-    /// the watchdog eventually declares the workers wedged, or — with a
-    /// hold below the wedge timeout — the replica just turns slow and
-    /// brownout pressure builds.
-    Wedge,
-    /// Every batch forward on the replica panics inside the worker's
-    /// `catch_unwind` boundary (poisoned-detector model).
+pub enum Fault {
+    /// Every batch on the replica holds this long before its forward: a
+    /// slow kernel below `wedge_timeout`, a stuck one above it. Lasts
+    /// until a `Heal`.
+    Stall(Duration),
+    /// Only the replica's next batch holds this long: one stuck forward.
+    StallOnce(Duration),
+    /// Every batch forward panics inside the worker's `catch_unwind`
+    /// boundary (poisoned-detector model). Lasts until a `Heal`.
     Panic,
-    /// Clears any active injection on the replica (storm passes).
+    /// The slot's next `n` canary probes fail whatever the rebuild
+    /// produces, proving a bad rebuild cannot slip back into rotation.
+    FailCanary(usize),
+    /// Clears `Stall`, `StallOnce` and `Panic`, and ends a hold in
+    /// progress (the storm passes).
     Heal,
 }
 
-/// One scheduled replica-kill event.
+/// One scheduled fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplicaKill {
-    /// When the event fires, measured from serving start.
+pub struct FaultEvent {
+    /// When the event fires, measured from serving start. Events at
+    /// `Duration::ZERO` are in force before the first request is
+    /// accepted.
     pub at: Duration,
-    /// Which replica it targets.
+    /// Which replica it targets (`0` is the only one of a plain server).
     pub replica: usize,
     /// What it does.
-    pub kind: ReplicaKillKind,
+    pub fault: Fault,
 }
 
-/// A seeded schedule of replica-kill events, applied by the replica
-/// supervisor. Same seed → same schedule, so a failing kill storm
-/// replays exactly.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplicaChaosPlan {
-    /// The events, sorted by fire time.
-    pub kills: Vec<ReplicaKill>,
+impl FaultEvent {
+    /// `fault` on `replica`, `at` after serving start.
+    pub fn at(at: Duration, replica: usize, fault: Fault) -> FaultEvent {
+        FaultEvent { at, replica, fault }
+    }
 }
 
-impl ReplicaChaosPlan {
+/// Every fault a server injects into itself, as one event list sorted by
+/// fire time ([`crate::ServeConfig::faults`]). The supervisor's tick
+/// applies each event once, to its slot's *current* core; a pool fault
+/// aimed at a quarantined slot is dropped. Same seed → same schedule, so
+/// a failing storm replays exactly.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FaultSchedule {
+    /// Sorted by fire time; ties keep their given order.
+    events: Vec<FaultEvent>,
+}
+
+impl FaultSchedule {
     /// A fixed schedule (tests that need precise timing).
-    pub fn from_events(mut kills: Vec<ReplicaKill>) -> ReplicaChaosPlan {
-        kills.sort_by_key(|k| k.at);
-        ReplicaChaosPlan { kills }
+    pub fn new(mut events: Vec<FaultEvent>) -> FaultSchedule {
+        events.sort_by_key(|e| e.at);
+        FaultSchedule { events }
     }
 
-    /// Generates `count` kill events over `window`, targeting replicas
-    /// `0..replicas` uniformly, each Wedge or Panic followed by a Heal
-    /// halfway to the window's end. Deterministic in `seed`.
+    /// Generates `count` replica kills over `window`, targeting replicas
+    /// `0..replicas` uniformly, each a `Stall(hold)` or a `Panic`
+    /// followed by a `Heal` in the window's second half. Deterministic in
+    /// `seed`.
     pub fn generate(
         seed: u64,
         replicas: usize,
         count: usize,
         window: Duration,
-    ) -> ReplicaChaosPlan {
+        hold: Duration,
+    ) -> FaultSchedule {
         let mut rng = SplitMix64::new(seed);
-        let mut kills = Vec::with_capacity(count * 2);
+        let mut events = Vec::with_capacity(count * 2);
         let window_ms = window.as_millis().max(2) as u64;
         for _ in 0..count {
-            let at_ms = below(&mut rng, window_ms / 2);
+            let at = Duration::from_millis(below(&mut rng, window_ms / 2));
             let replica = below(&mut rng, replicas.max(1) as u64) as usize;
-            let kind = if below(&mut rng, 2) == 0 {
-                ReplicaKillKind::Wedge
+            let fault = if below(&mut rng, 2) == 0 {
+                Fault::Stall(hold)
             } else {
-                ReplicaKillKind::Panic
+                Fault::Panic
             };
-            kills.push(ReplicaKill {
-                at: Duration::from_millis(at_ms),
-                replica,
-                kind,
-            });
+            events.push(FaultEvent::at(at, replica, fault));
             // Heal in the second half so the storm always passes.
-            let heal_ms = window_ms / 2 + below(&mut rng, window_ms / 2);
-            kills.push(ReplicaKill {
-                at: Duration::from_millis(heal_ms),
-                replica,
-                kind: ReplicaKillKind::Heal,
-            });
+            let heal = Duration::from_millis(window_ms / 2 + below(&mut rng, window_ms / 2));
+            events.push(FaultEvent::at(heal, replica, Fault::Heal));
         }
-        Self::from_events(kills)
+        Self::new(events)
+    }
+
+    /// The events, sorted by fire time (ties keep their given order).
+    pub fn events(&self) -> &[FaultEvent] {
+        &self.events
     }
 }
 
@@ -499,6 +516,8 @@ fn parse_response_head(head: &[u8]) -> Result<(u16, usize), String> {
 mod tests {
     use super::*;
 
+    const HOLD: Duration = Duration::from_millis(80);
+
     #[test]
     fn plans_are_seed_deterministic() {
         let cfg = ChaosPlanConfig {
@@ -515,20 +534,27 @@ mod tests {
 
     #[test]
     fn replica_kill_plans_are_seed_deterministic_and_sorted() {
-        let a = ReplicaChaosPlan::generate(9, 3, 4, Duration::from_secs(2));
-        let b = ReplicaChaosPlan::generate(9, 3, 4, Duration::from_secs(2));
-        assert_eq!(a, b, "same seed, same schedule");
-        let c = ReplicaChaosPlan::generate(10, 3, 4, Duration::from_secs(2));
-        assert_ne!(a, c, "different seed, different schedule");
-        assert_eq!(a.kills.len(), 8, "each kill pairs with a heal");
-        assert!(a.kills.windows(2).all(|w| w[0].at <= w[1].at), "sorted");
-        assert!(a.kills.iter().all(|k| k.replica < 3));
-        let heals = a
-            .kills
-            .iter()
-            .filter(|k| k.kind == ReplicaKillKind::Heal)
-            .count();
+        let generate = |seed| FaultSchedule::generate(seed, 3, 4, Duration::from_secs(2), HOLD);
+        let a = generate(9);
+        assert_eq!(a, generate(9), "same seed, same schedule");
+        assert_ne!(a, generate(10), "different seed, different schedule");
+        assert_eq!(a.events.len(), 8, "each kill pairs with a heal");
+        assert!(a.events.windows(2).all(|w| w[0].at <= w[1].at), "sorted");
+        assert!(a.events.iter().all(|e| e.replica < 3));
+        let heals = a.events.iter().filter(|e| e.fault == Fault::Heal).count();
         assert_eq!(heals, 4);
+    }
+
+    #[test]
+    fn a_fixed_schedule_sorts_by_time_and_keeps_ties_in_order() {
+        let event = |ms, fault| FaultEvent::at(Duration::from_millis(ms), 0, fault);
+        let schedule = FaultSchedule::new(vec![
+            event(20, Fault::Heal),
+            event(0, Fault::StallOnce(HOLD)),
+            event(0, Fault::Panic),
+        ]);
+        let faults: Vec<Fault> = schedule.events.iter().map(|e| e.fault).collect();
+        assert_eq!(faults, [Fault::StallOnce(HOLD), Fault::Panic, Fault::Heal]);
     }
 
     #[test]
@@ -604,10 +630,10 @@ mod tests {
         );
         assert_eq!(first_send("garbage_1").len(), 93);
 
-        let kills = ReplicaChaosPlan::generate(7, 3, 2, Duration::from_secs(4)).kills;
+        let kills = FaultSchedule::generate(7, 3, 2, Duration::from_secs(4), HOLD).events;
         let at_ms: Vec<u128> = kills.iter().map(|k| k.at.as_millis()).collect();
         assert_eq!(at_ms, [487, 1674, 2203, 3182]);
         assert!(kills.iter().all(|k| k.replica == 0));
-        assert_eq!(kills[1].kind, ReplicaKillKind::Wedge);
+        assert_eq!(kills[1].fault, Fault::Stall(HOLD));
     }
 }

@@ -68,8 +68,10 @@
 //!   sustained queue pressure walks the input-resolution ladder down
 //!   (the paper's 608→352 accuracy-vs-FPS sweep as a runtime knob) and
 //!   back up after calm, tracked by the `serve.input_resolution` gauge.
-//! * **Chaos harness** ([`chaos`]) — seeded, deterministic adversarial
-//!   TCP clients for proving all of the above from the wire.
+//! * **Chaos harness** ([`chaos`]) — one [`FaultSchedule`] in
+//!   [`ServeConfig::faults`] for every fault the server injects into its
+//!   own replicas, and seeded, deterministic adversarial TCP clients for
+//!   proving all of the above from the wire.
 //!
 //! # SLOs and load shedding
 //!
@@ -127,8 +129,8 @@ pub mod json;
 mod replica;
 mod server;
 
-pub use batcher::{HedgeState, WedgePlan, HEDGE_LEG, PRIMARY_LEG};
-pub use chaos::{ReplicaChaosPlan, ReplicaKill, ReplicaKillKind};
+pub use batcher::{HedgeState, HEDGE_LEG, PRIMARY_LEG};
+pub use chaos::{Fault, FaultEvent, FaultSchedule};
 pub use error::ServeError;
 pub use http::{HttpError, HttpLimits, Method, Request, Response, Version};
 pub use server::{DetectorFactory, DrainReport, ServeConfig, Server, SizedDetectorFactory};

@@ -50,7 +50,7 @@
 //! *everything* (with rebuilds exhausted) halts.
 
 use crate::batcher::{lock_recover, spawn_worker, BatchQueue, Pool, WorkerShared, WorkerSlot};
-use crate::chaos::ReplicaKillKind;
+use crate::chaos::Fault;
 use crate::error::ServeError;
 use crate::server::{ServeConfig, SizedDetectorFactory};
 use dronet_detect::canary::{check_canary, golden_detections};
@@ -350,15 +350,13 @@ impl ReplicaBuilder {
             pool: Pool::new(),
             health: HealthCell::new(obs.gauge(&format!("serve.replica.{id}.health"))),
             target_input: AtomicUsize::new(base),
-            wedge_armed: AtomicBool::new(self.config.wedge_chaos.is_some()),
             batch_size_hist: obs.histogram("serve.batch_size"),
             queue_wait_hist: obs.histogram("serve.queue_wait"),
             forward_hist: obs.histogram("serve.forward"),
             panics: obs.counter("serve.worker_panics"),
             worker_deaths: obs.counter("serve.worker_deaths"),
             fault_events: AtomicU64::new(0),
-            chaos_wedge: AtomicBool::new(false),
-            chaos_panic: AtomicBool::new(false),
+            injected: Mutex::default(),
         });
         for det in detectors {
             spawn_worker(&worker, det);
@@ -407,6 +405,8 @@ struct SlotState {
     canary_failures: u64,
     /// Consecutive factory failures since the last successful rebuild.
     rebuild_failures: RestartBudget,
+    /// Canary probes still to fail on purpose (`Fault::FailCanary`).
+    forced_canary_failures: usize,
 }
 
 /// One replica slot: a stable identity whose core is replaced across
@@ -428,10 +428,6 @@ impl ReplicaSlot {
 pub(crate) struct ReplicaSet {
     pub slots: Vec<ReplicaSlot>,
     builder: Arc<ReplicaBuilder>,
-    /// Forced canary failures remaining, counted down from
-    /// `canary_chaos_failures` — a chaos knob proving the canary gate
-    /// actually gates.
-    canary_chaos: AtomicUsize,
     /// The service-level health cell — owns the `serve.health` gauge.
     /// Mirrored from replica states by the supervisor: replica loss
     /// degrades, total loss halts.
@@ -451,17 +447,18 @@ pub(crate) struct ReplicaSet {
     quarantine_readmitted: Counter,
     canary_failed: Counter,
     active_gauge: Gauge,
-    /// Serving start — the replica chaos plan's time origin.
+    /// Serving start — the fault schedule's time origin.
     start: Instant,
-    /// Index of the next unapplied chaos event.
-    chaos_cursor: AtomicUsize,
+    /// Index of the next unapplied `config.faults` event.
+    fault_cursor: AtomicUsize,
 }
 
 impl ReplicaSet {
     /// Builds the full set around `reference`, the factory's build at the
     /// size serving starts at: it gives the golden canary output and every
     /// later build's size, then one core per slot is built (failing fast
-    /// on any broken build).
+    /// on any broken build). Fault events due at serving start are in
+    /// force before this returns.
     pub fn new(
         builder: ReplicaBuilder,
         reference: Detector,
@@ -492,14 +489,14 @@ impl ReplicaSet {
                     generation: 0,
                     canary_failures: 0,
                     rebuild_failures: RestartBudget::new(MAX_REBUILD_FAILURES + 1),
+                    forced_canary_failures: 0,
                 }),
             });
         }
         let active_gauge = obs.gauge("serve.replicas_active");
         active_gauge.set(replicas as f64);
-        Ok(Arc::new(ReplicaSet {
+        let set = Arc::new(ReplicaSet {
             slots,
-            canary_chaos: AtomicUsize::new(builder.config.canary_chaos_failures),
             service_health: HealthCell::new(obs.gauge("serve.health")),
             golden,
             base_chw,
@@ -512,9 +509,11 @@ impl ReplicaSet {
             canary_failed: obs.counter("serve.quarantine.canary_failed"),
             active_gauge,
             start: Instant::now(),
-            chaos_cursor: AtomicUsize::new(0),
+            fault_cursor: AtomicUsize::new(0),
             builder,
-        }))
+        });
+        set.apply_faults(Duration::ZERO);
+        Ok(set)
     }
 
     fn config(&self) -> &ServeConfig {
@@ -595,49 +594,39 @@ impl ReplicaSet {
 
     /// One supervisor tick — every supervisory decision the server makes:
     /// the watchdog pass over each core in rotation and its quarantine
-    /// verdict, then chaos, rebuilds, gauges, and the service-health
-    /// mirror. It never sleeps and nothing else decides any of this, so a
-    /// test can build a set without [`spawn_supervisor`] and drive it tick
-    /// by tick.
+    /// verdict, then due fault events, rebuilds, gauges, and the
+    /// service-health mirror. It never sleeps and nothing else decides any
+    /// of this, so a test can build a set without [`spawn_supervisor`] and
+    /// drive it tick by tick.
     ///
     /// A wedge is noticed within `wedge_timeout` + one `watchdog_interval`,
     /// plus whatever the tick ahead of it spends building detectors on
     /// this thread (wedge replacements, canary probes, core rebuilds).
     fn tick(&self) {
         self.supervise_and_quarantine();
-        self.apply_chaos();
+        self.apply_faults(self.start.elapsed());
         self.try_rebuilds();
         self.publish_gauges();
         self.mirror_health();
     }
 
-    /// Applies every due chaos event to its slot's *current* core.
-    fn apply_chaos(&self) {
-        let Some(plan) = &self.config().replica_chaos else {
-            return;
-        };
-        let elapsed = self.start.elapsed();
-        loop {
-            let i = self.chaos_cursor.load(Ordering::SeqCst);
-            let Some(kill) = plan.kills.get(i) else {
-                return;
-            };
-            if kill.at > elapsed {
-                return;
-            }
-            self.chaos_cursor.store(i + 1, Ordering::SeqCst);
-            let Some(slot) = self.slots.get(kill.replica) else {
-                continue;
-            };
-            let Some(core) = slot.active_core() else {
-                continue;
-            };
-            match kill.kind {
-                ReplicaKillKind::Wedge => core.worker.chaos_wedge.store(true, Ordering::SeqCst),
-                ReplicaKillKind::Panic => core.worker.chaos_panic.store(true, Ordering::SeqCst),
-                ReplicaKillKind::Heal => {
-                    core.worker.chaos_wedge.store(false, Ordering::SeqCst);
-                    core.worker.chaos_panic.store(false, Ordering::SeqCst);
+    /// Applies every `config.faults` event due by `now` (time since
+    /// serving start), once each, in order: `FailCanary` to its slot, any
+    /// other fault to the slot's *current* core (none while quarantined).
+    fn apply_faults(&self, now: Duration) {
+        let events = self.config().faults.events();
+        let from = self.fault_cursor.load(Ordering::SeqCst);
+        let due = from + events[from..].partition_point(|e| e.at <= now);
+        self.fault_cursor.store(due, Ordering::SeqCst);
+        for event in &events[from..due] {
+            // `ServeConfig::validate` keeps every event on an existing slot.
+            let slot = &self.slots[event.replica];
+            match event.fault {
+                Fault::FailCanary(n) => lock_recover(&slot.state).forced_canary_failures += n,
+                fault => {
+                    if let Some(core) = slot.active_core() {
+                        core.worker.inject(fault);
+                    }
                 }
             }
         }
@@ -675,13 +664,22 @@ impl ReplicaSet {
     /// Rebuilds quarantined slots, gating re-admission on the canary.
     fn try_rebuilds(&self) {
         for slot in &self.slots {
-            {
-                let s = lock_recover(&slot.state);
+            let forced_failure = {
+                let mut s = lock_recover(&slot.state);
                 if s.status != SlotStatus::Quarantined || s.rebuild_failures.is_exhausted() {
                     continue;
                 }
-            }
-            let rebuilt = self.rebuild(slot.id);
+                let forced = s.forced_canary_failures > 0;
+                s.forced_canary_failures -= usize::from(forced);
+                forced
+            };
+            // A forced failure (`Fault::FailCanary`) is a canary failure
+            // without the build.
+            let rebuilt = if forced_failure {
+                Ok(None)
+            } else {
+                self.rebuild(slot.id)
+            };
             let mut s = lock_recover(&slot.state);
             match rebuilt {
                 Ok(Some(core)) => {
@@ -706,15 +704,6 @@ impl ReplicaSet {
     /// `Ok(None)` when the probe failed the canary and was dropped on the
     /// spot, `Err` when the factory failed.
     fn rebuild(&self, id: usize) -> Result<Option<Arc<ReplicaCore>>, ServeError> {
-        // Chaos gate: force the next N canary probes to fail,
-        // proving a bad rebuild cannot slip back into rotation.
-        let forced_failure = self
-            .canary_chaos
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-            .is_ok();
-        if forced_failure {
-            return Ok(None);
-        }
         let mut probe = self.builder.build_detector(self.base_chw.1)?;
         if !check_canary(&mut probe, &self.golden).passed {
             return Ok(None);
@@ -848,6 +837,7 @@ pub(crate) fn spawn_supervisor(
 mod tests {
     use super::*;
     use crate::batcher::{Job, PRIMARY_LEG};
+    use crate::chaos::{FaultEvent, FaultSchedule};
     use dronet_core::{zoo, ModelId};
     use dronet_detect::{DegradeConfig, DetectError, DetectorBuilder};
     use dronet_tensor::{Shape, Tensor};
@@ -870,6 +860,9 @@ mod tests {
     fn dronet_32(_size: usize) -> dronet_detect::Result<Detector> {
         DetectorBuilder::new(zoo::build(ModelId::DroNet, 32)?).build()
     }
+
+    /// Longer than any test: only a heal or teardown ends this stall.
+    const FOREVER: Duration = Duration::from_secs(30);
 
     type Answer = mpsc::Receiver<Result<Vec<Detection>, ServeError>>;
 
@@ -932,7 +925,7 @@ mod tests {
         };
         let set = unsupervised(config, Arc::new(dronet_32));
         let core = set.slots[0].active_core().expect("active");
-        core.worker.chaos_wedge.store(true, Ordering::SeqCst);
+        core.worker.inject(Fault::Stall(FOREVER));
         let answer = push(&core, 7);
         let wedged = core.worker.pool.slots_snapshot().remove(0);
         while wedged.busy_for(core.worker.epoch).is_none() {
@@ -961,12 +954,16 @@ mod tests {
         let config = ServeConfig {
             replicas: 2,
             quarantine_faults: 3,
-            canary_chaos_failures: 2,
+            // In force from the start: replica 1 panics on every batch, and
+            // its first two canary probes fail.
+            faults: FaultSchedule::new(vec![
+                FaultEvent::at(Duration::ZERO, 1, Fault::Panic),
+                FaultEvent::at(Duration::ZERO, 1, Fault::FailCanary(2)),
+            ]),
             ..ServeConfig::default()
         };
         let set = unsupervised(config, Arc::new(dronet_32));
         let sick = set.slots[1].active_core().expect("active");
-        sick.worker.chaos_panic.store(true, Ordering::SeqCst);
         for frame_id in 0..3 {
             assert_eq!(slot_state(&set, 1).0, SlotStatus::Active);
             // The fault is counted before the typed error is delivered.
@@ -996,6 +993,35 @@ mod tests {
     }
 
     #[test]
+    fn fault_events_fire_once_each_when_the_schedule_clock_reaches_them() {
+        let at = |ms, fault| FaultEvent::at(Duration::from_millis(ms), 1, fault);
+        let config = ServeConfig {
+            replicas: 2,
+            faults: FaultSchedule::new(vec![
+                at(0, Fault::Panic),
+                at(10, Fault::FailCanary(2)),
+                at(20, Fault::Heal),
+            ]),
+            ..ServeConfig::default()
+        };
+        let set = unsupervised(config, Arc::new(dronet_32));
+        let core = set.slots[1].active_core().expect("active");
+        let forced = || lock_recover(&set.slots[1].state).forced_canary_failures;
+        assert!(
+            matches!(push(&core, 0).recv(), Ok(Err(ServeError::WorkerFailed(_)))),
+            "a start event is in force before the first tick"
+        );
+        set.apply_faults(Duration::from_millis(9));
+        assert_eq!(forced(), 0, "not due yet");
+        set.apply_faults(Duration::from_millis(10));
+        set.apply_faults(Duration::from_millis(15));
+        assert_eq!(forced(), 2, "due once, applied once");
+        set.apply_faults(Duration::from_millis(20));
+        assert!(matches!(push(&core, 1).recv(), Ok(Ok(_))), "healed");
+        set.shutdown();
+    }
+
+    #[test]
     fn a_factory_that_stays_broken_spends_every_rebuild_budget_and_halts() {
         let broken = Arc::new(AtomicBool::new(false));
         let builds = Arc::new(AtomicUsize::new(0));
@@ -1018,7 +1044,7 @@ mod tests {
         // A panic whose rebuild fails kills each replica's only worker.
         for slot in &set.slots {
             let core = slot.active_core().expect("active");
-            core.worker.chaos_panic.store(true, Ordering::SeqCst);
+            core.worker.inject(Fault::Panic);
             let _answer = push(&core, slot.id as u64);
             while core.worker.health.get() != Health::Halted {
                 thread::yield_now();
@@ -1054,7 +1080,7 @@ mod tests {
         let quiet = set.slots[0].active_core().expect("active");
         let sick = set.slots[1].active_core().expect("active");
         quiet.worker.health.degrade(); // an old fault; no traffic since
-        sick.worker.chaos_panic.store(true, Ordering::SeqCst);
+        sick.worker.inject(Fault::Panic);
         for frame_id in 0..3 {
             // The fault is counted before the typed error is delivered.
             let answer = push(&sick, frame_id);
@@ -1088,7 +1114,7 @@ mod tests {
         let set = unsupervised(config, Arc::new(dronet_32));
         let core = set.slots[0].active_core().expect("active");
         // Hold the only worker mid-batch; the next job then sits queued.
-        core.worker.chaos_wedge.store(true, Ordering::SeqCst);
+        core.worker.inject(Fault::Stall(FOREVER));
         let held = push(&core, 0);
         let worker = core.worker.pool.slots_snapshot().remove(0);
         while worker.busy_for(core.worker.epoch).is_none() {
@@ -1104,7 +1130,7 @@ mod tests {
         assert_eq!(walk, [32, 24, 16, 16, 16], "one rung per hot tick");
 
         // Heal: the held batch and the queued job are both answered.
-        core.worker.chaos_wedge.store(false, Ordering::SeqCst);
+        core.worker.inject(Fault::Heal);
         assert!(matches!(held.recv(), Ok(Ok(_))));
         assert!(matches!(queued.recv(), Ok(Ok(_))));
         let mut walk = vec![core.current_input()];

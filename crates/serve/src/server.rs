@@ -12,8 +12,8 @@
 //! header crawl (slowloris), the body read, and keep-alive idleness, and
 //! write timeouts stop a never-reading client from pinning a thread.
 
-use crate::batcher::{HedgeState, Job, WedgePlan, HEDGE_LEG, PRIMARY_LEG};
-use crate::chaos::ReplicaChaosPlan;
+use crate::batcher::{HedgeState, Job, HEDGE_LEG, PRIMARY_LEG};
+use crate::chaos::FaultSchedule;
 use crate::error::ServeError;
 use crate::http::{parse_request, HttpError, HttpLimits, Method, Request, Response};
 use crate::json::detections_json;
@@ -81,9 +81,6 @@ pub struct ServeConfig {
     pub slos: Vec<SloSpec>,
     /// HTTP parser limits.
     pub limits: HttpLimits,
-    /// Artificial pre-forward worker delay — test/chaos knob that holds the
-    /// queue full so `503` paths can be driven deterministically.
-    pub dispatch_delay: Duration,
     /// Upper bound on waiting for in-flight connections during shutdown.
     pub drain_timeout: Duration,
     /// Watchdog tick period.
@@ -105,8 +102,6 @@ pub struct ServeConfig {
     /// each runs its *own* controller — an overloaded replica browns out
     /// alone.
     pub brownout: Option<DegradeConfig>,
-    /// Deterministic wedge injection — chaos/test knob.
-    pub wedge_chaos: Option<WedgePlan>,
     /// Independent detector replicas. `1` (the default) keeps the
     /// original single-pool behaviour exactly; more adds health-aware
     /// dispatch, hedging, and quarantine with canary re-admission.
@@ -118,13 +113,11 @@ pub struct ServeConfig {
     /// Fault events (panics + deaths + wedges) accumulated over
     /// consecutive supervisor ticks at which a replica is quarantined.
     pub quarantine_faults: u64,
-    /// Chaos knob: force this many canary probes to fail before
-    /// re-admission succeeds (proves the canary gate gates).
-    pub canary_chaos_failures: usize,
-    /// Seeded replica-kill schedule — chaos/test knob.
-    pub replica_chaos: Option<ReplicaChaosPlan>,
-    /// How long a chaos-wedged batch holds (replica-kill `Wedge` events).
-    pub chaos_wedge_hold: Duration,
+    /// The faults the server injects into its own replicas, by time since
+    /// start: the one chaos and test plan (stalls that hold the queue or
+    /// wedge a worker, panics, forced canary failures, heals). Empty by
+    /// default.
+    pub faults: FaultSchedule,
 }
 
 impl Default for ServeConfig {
@@ -149,20 +142,16 @@ impl Default for ServeConfig {
                 SloSpec::availability("detect_availability", 0.999),
             ],
             limits: HttpLimits::default(),
-            dispatch_delay: Duration::ZERO,
             drain_timeout: Duration::from_secs(10),
             watchdog_interval: Duration::from_millis(25),
             wedge_timeout: Duration::from_secs(10),
             max_worker_restarts: 4,
             recovery_ticks: 20,
             brownout: None,
-            wedge_chaos: None,
             replicas: 1,
             hedge_delay: None,
             quarantine_faults: 3,
-            canary_chaos_failures: 0,
-            replica_chaos: None,
-            chaos_wedge_hold: Duration::from_secs(30),
+            faults: FaultSchedule::default(),
         }
     }
 }
@@ -186,6 +175,11 @@ impl ServeConfig {
         }
         if let Some(b) = &self.brownout {
             DegradeController::new(b.clone()).map_err(|e| ServeError::Config(e.to_string()))?;
+        }
+        let n = self.replicas;
+        if let Some(e) = self.faults.events().iter().find(|e| e.replica >= n) {
+            let msg = format!("{e:?} targets replica {} of {n}", e.replica);
+            return Err(ServeError::Config(msg));
         }
         Ok(())
     }
@@ -1172,5 +1166,30 @@ fn handle_detect(request: &Request, shared: &Shared) -> Response {
                 "detection did not complete in time\n".to_string(),
             )
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::chaos::{Fault, FaultEvent};
+
+    #[test]
+    fn a_fault_aimed_past_the_last_replica_is_a_config_error() {
+        let config = ServeConfig {
+            replicas: 2,
+            faults: FaultSchedule::new(vec![FaultEvent::at(Duration::ZERO, 2, Fault::Panic)]),
+            ..ServeConfig::default()
+        };
+        let err = config.validate().unwrap_err();
+        assert!(
+            matches!(&err, ServeError::Config(m) if m.contains("replica 2")),
+            "{err}"
+        );
+        let three = ServeConfig {
+            replicas: 3,
+            ..config
+        };
+        assert!(three.validate().is_ok());
     }
 }

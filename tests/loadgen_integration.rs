@@ -6,7 +6,7 @@
 
 use dronet::detect::DetectorBuilder;
 use dronet::obs::{JsonValue, Registry, Tracer};
-use dronet::serve::{DetectorFactory, ServeConfig, Server};
+use dronet::serve::{DetectorFactory, Fault, FaultEvent, FaultSchedule, ServeConfig, Server};
 use dronet_bench::loadgen::{frame_corpus, run_plan, ArrivalPlan, LoadgenConfig, Phase};
 use dronet_core::{zoo, ModelId};
 use std::io::{Read, Write};
@@ -23,12 +23,12 @@ fn factory() -> DetectorFactory {
 
 /// A server tuned for loadgen runs: long-lived connections, no request
 /// budget churn mid-test.
-fn loadgen_server(queue_capacity: usize, dispatch_delay: Duration) -> Server {
+fn loadgen_server(queue_capacity: usize, faults: FaultSchedule) -> Server {
     let config = ServeConfig {
         workers: 1,
         max_batch: 1,
         queue_capacity,
-        dispatch_delay,
+        faults,
         max_requests_per_connection: 1_000_000,
         keep_alive_timeout: Duration::from_secs(30),
         response_timeout: Duration::from_secs(10),
@@ -74,7 +74,7 @@ fn same_seed_reproduces_the_arrival_schedule_exactly() {
 
 #[test]
 fn comfortable_load_completes_cleanly_and_balances_the_books() {
-    let server = loadgen_server(64, Duration::ZERO);
+    let server = loadgen_server(64, FaultSchedule::default());
     let cfg = LoadgenConfig {
         seed: 7,
         connections: 8,
@@ -117,7 +117,8 @@ fn overload_sheds_instead_of_collapsing() {
     // keep serving the admitted stream, and its own availability SLO must
     // flag the outage while the latency SLO (admitted requests only)
     // stays green — queue wait is bounded by the shallow queue.
-    let server = loadgen_server(4, Duration::from_millis(5));
+    let stall = FaultEvent::at(Duration::ZERO, 0, Fault::Stall(Duration::from_millis(5)));
+    let server = loadgen_server(4, FaultSchedule::new(vec![stall]));
     let cfg = LoadgenConfig {
         seed: 21,
         connections: 16,

@@ -12,7 +12,9 @@
 use dronet::detect::{DegradeConfig, DetectorBuilder, Health};
 use dronet::obs::{Registry, Tracer};
 use dronet::serve::chaos::{run_script, ChaosPlan, ChaosPlanConfig, ClientOutcome};
-use dronet::serve::{DetectorFactory, ServeConfig, Server, SizedDetectorFactory, WedgePlan};
+use dronet::serve::{
+    DetectorFactory, Fault, FaultEvent, FaultSchedule, ServeConfig, Server, SizedDetectorFactory,
+};
 use dronet_core::{zoo, ModelId};
 use dronet_data::{ppm, Image};
 use std::io::{Read, Write};
@@ -71,6 +73,12 @@ fn http(addr: SocketAddr, method: &str, path: &str, body: &[u8]) -> (u16, String
 
 fn post_detect(addr: SocketAddr) -> (u16, String) {
     http(addr, "POST", "/detect", &frame_bytes())
+}
+
+/// The only replica's first batch holds for `hold`: one stuck forward.
+fn wedge_first_batch(hold: Duration) -> FaultSchedule {
+    let stuck = FaultEvent::at(Duration::ZERO, 0, Fault::StallOnce(hold));
+    FaultSchedule::new(vec![stuck])
 }
 
 /// Writes chaos evidence where CI can pick it up on failure.
@@ -207,12 +215,9 @@ fn wedged_worker_is_detected_failed_and_replaced() {
         watchdog_interval: Duration::from_millis(20),
         wedge_timeout: Duration::from_millis(150),
         recovery_ticks: 5,
-        // The first frame wedges its worker for far longer than the
+        // The first batch wedges its worker for far longer than the
         // wedge deadline.
-        wedge_chaos: Some(WedgePlan {
-            frame_id: 1,
-            hold: Duration::from_millis(1500),
-        }),
+        faults: wedge_first_batch(Duration::from_millis(1500)),
         ..ServeConfig::default()
     };
     let server = Server::start(factory(32), config, &obs, &tracer).expect("start");
@@ -285,10 +290,7 @@ fn exhausted_restart_budget_halts_instead_of_hanging() {
         wedge_timeout: Duration::from_millis(150),
         // No restart budget: losing the only worker is terminal.
         max_worker_restarts: 0,
-        wedge_chaos: Some(WedgePlan {
-            frame_id: 1,
-            hold: Duration::from_millis(1200),
-        }),
+        faults: wedge_first_batch(Duration::from_millis(1200)),
         ..ServeConfig::default()
     };
     let server = Server::start(factory(32), config, &obs, &Tracer::noop()).expect("start");

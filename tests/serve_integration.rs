@@ -8,7 +8,7 @@
 
 use dronet::detect::DetectorBuilder;
 use dronet::obs::{ChromeTrace, JsonValue, Registry, Tracer};
-use dronet::serve::{DetectorFactory, ServeConfig, Server};
+use dronet::serve::{DetectorFactory, Fault, FaultEvent, FaultSchedule, ServeConfig, Server};
 use dronet_core::{zoo, ModelId};
 use dronet_data::{ppm, Image};
 use std::io::{Read, Write};
@@ -22,6 +22,12 @@ fn factory() -> DetectorFactory {
         let net = zoo::build(ModelId::DroNet, 64)?;
         DetectorBuilder::new(net).confidence_threshold(0.3).build()
     })
+}
+
+/// Holds the only worker 300 ms before every forward.
+fn slow_worker() -> FaultSchedule {
+    let stall = Fault::Stall(Duration::from_millis(300));
+    FaultSchedule::new(vec![FaultEvent::at(Duration::ZERO, 0, stall)])
 }
 
 fn frame_bytes() -> Vec<u8> {
@@ -156,7 +162,7 @@ fn full_queue_sheds_load_with_503_and_retry_after() {
         max_wait: Duration::ZERO,
         queue_capacity: 1,
         // Hold the only worker busy so the queue stays full.
-        dispatch_delay: Duration::from_millis(300),
+        faults: slow_worker(),
         ..ServeConfig::default()
     };
     let server = Server::start(factory(), config, &obs, &Tracer::noop()).expect("start");
@@ -246,7 +252,7 @@ fn graceful_drain_completes_in_flight_requests() {
         workers: 1,
         // Slow the worker so the request is provably in flight when the
         // drain begins.
-        dispatch_delay: Duration::from_millis(300),
+        faults: slow_worker(),
         ..ServeConfig::default()
     };
     let server = Server::start(factory(), config, &obs, &Tracer::noop()).expect("start");
@@ -606,7 +612,7 @@ fn retry_after_hint_tracks_queue_drain_rate() {
         max_batch: 1,
         max_wait: Duration::ZERO,
         queue_capacity: 3,
-        dispatch_delay: Duration::from_millis(300),
+        faults: slow_worker(),
         retry_after_secs: 1,
         retry_after_max_secs: 30,
         ..ServeConfig::default()

@@ -11,8 +11,7 @@
 use dronet::detect::{DegradeConfig, DetectorBuilder, Health};
 use dronet::obs::{JsonValue, Registry, Tracer};
 use dronet::serve::{
-    DetectorFactory, ReplicaChaosPlan, ReplicaKill, ReplicaKillKind, ServeConfig, Server,
-    SizedDetectorFactory, WedgePlan,
+    DetectorFactory, Fault, FaultEvent, FaultSchedule, ServeConfig, Server, SizedDetectorFactory,
 };
 use dronet_core::{zoo, ModelId};
 use dronet_data::{ppm, Image};
@@ -155,11 +154,7 @@ fn hedged_request_rescues_a_frame_stranded_on_a_wedged_replica() {
     // Replica 0's batches hang far past any deadline; the watchdog is
     // configured to never notice (huge wedge timeout) so the only rescue
     // is the hedge leg to replica 1.
-    let chaos = ReplicaChaosPlan::from_events(vec![ReplicaKill {
-        at: Duration::ZERO,
-        replica: 0,
-        kind: ReplicaKillKind::Wedge,
-    }]);
+    let stall = Fault::Stall(Duration::from_secs(120));
     let obs = Registry::new();
     let config = ServeConfig {
         replicas: 2,
@@ -168,16 +163,13 @@ fn hedged_request_rescues_a_frame_stranded_on_a_wedged_replica() {
         hedge_delay: Some(Duration::from_millis(50)),
         watchdog_interval: Duration::from_millis(10),
         wedge_timeout: Duration::from_secs(120),
-        chaos_wedge_hold: Duration::from_secs(120),
         quarantine_faults: u64::MAX,
-        replica_chaos: Some(chaos),
+        faults: FaultSchedule::new(vec![FaultEvent::at(Duration::ZERO, 0, stall)]),
         response_timeout: Duration::from_secs(20),
         ..ServeConfig::default()
     };
     let server = Server::start(factory(32), config, &obs, &Tracer::noop()).expect("start");
     let addr = server.addr();
-    // Let the supervisor apply the kill before the first frame arrives.
-    thread::sleep(Duration::from_millis(60));
 
     let started = Instant::now();
     for _ in 0..3 {
@@ -204,14 +196,13 @@ fn killed_replica_quarantines_and_readmits_through_the_canary_gate() {
     // Replica 1's worker panics on every batch. Faults accumulate, the
     // supervisor quarantines it, the first re-admission canary is forced
     // to fail, and the second rebuild passes and rejoins the fleet. Its
-    // first frame also wedges once, which leaves a black box behind: the
-    // sequential driver's frame 1 lands on replica 0 (all ties), and from
-    // then on replica 1 — no latency sample yet — wins every tie.
-    let chaos = ReplicaChaosPlan::from_events(vec![ReplicaKill {
-        at: Duration::ZERO,
-        replica: 1,
-        kind: ReplicaKillKind::Panic,
-    }]);
+    // first batch also wedges once, which leaves a black box behind.
+    let at_start = |fault| FaultEvent::at(Duration::ZERO, 1, fault);
+    let faults = FaultSchedule::new(vec![
+        at_start(Fault::StallOnce(Duration::from_millis(400))),
+        at_start(Fault::Panic),
+        at_start(Fault::FailCanary(1)),
+    ]);
     let obs = Registry::new();
     let config = ServeConfig {
         replicas: 2,
@@ -219,18 +210,12 @@ fn killed_replica_quarantines_and_readmits_through_the_canary_gate() {
         max_batch: 1,
         watchdog_interval: Duration::from_millis(10),
         wedge_timeout: Duration::from_millis(100),
-        wedge_chaos: Some(WedgePlan {
-            frame_id: 2,
-            hold: Duration::from_millis(400),
-        }),
         quarantine_faults: 3,
-        canary_chaos_failures: 1,
-        replica_chaos: Some(chaos),
+        faults,
         ..ServeConfig::default()
     };
     let server = Server::start(factory(32), config, &obs, &Tracer::noop()).expect("start");
     let addr = server.addr();
-    thread::sleep(Duration::from_millis(40));
 
     // Drive traffic so the poisoned replica keeps batching (and
     // panicking); clients on those frames get typed 500s, never hangs.
@@ -351,17 +336,9 @@ fn asymmetric_load_browns_out_one_replica_while_its_peer_holds_resolution() {
     // bring both back to the top.
     let ladder = vec![32, 64, 96];
     let top = 96.0;
-    let chaos = ReplicaChaosPlan::from_events(vec![
-        ReplicaKill {
-            at: Duration::ZERO,
-            replica: 1,
-            kind: ReplicaKillKind::Wedge,
-        },
-        ReplicaKill {
-            at: Duration::from_millis(1200),
-            replica: 1,
-            kind: ReplicaKillKind::Heal,
-        },
+    let faults = FaultSchedule::new(vec![
+        FaultEvent::at(Duration::ZERO, 1, Fault::Stall(Duration::from_millis(80))),
+        FaultEvent::at(Duration::from_millis(1200), 1, Fault::Heal),
     ]);
     let obs = Registry::new();
     let config = ServeConfig {
@@ -371,9 +348,8 @@ fn asymmetric_load_browns_out_one_replica_while_its_peer_holds_resolution() {
         queue_capacity: 2,
         watchdog_interval: Duration::from_millis(15),
         wedge_timeout: Duration::from_secs(120),
-        chaos_wedge_hold: Duration::from_millis(80),
         quarantine_faults: u64::MAX,
-        replica_chaos: Some(chaos),
+        faults,
         brownout: Some(DegradeConfig {
             ladder: ladder.clone(),
             overload_queue: 1.0,
@@ -387,7 +363,6 @@ fn asymmetric_load_browns_out_one_replica_while_its_peer_holds_resolution() {
     let server =
         Server::start_scalable(sized_factory(), config, &obs, &Tracer::noop()).expect("start");
     let addr = server.addr();
-    thread::sleep(Duration::from_millis(60));
 
     // Sample both per-replica resolution gauges while the storm runs,
     // looking for an instant where the rungs differ.
@@ -462,21 +437,21 @@ fn asymmetric_load_browns_out_one_replica_while_its_peer_holds_resolution() {
 #[test]
 fn replica_kill_schedules_replay_exactly_from_a_seed() {
     let window = Duration::from_secs(4);
-    let a = ReplicaChaosPlan::generate(0xD10, 3, 4, window);
-    let b = ReplicaChaosPlan::generate(0xD10, 3, 4, window);
-    assert_eq!(a, b, "same seed must reproduce the exact kill schedule");
-    assert_ne!(
+    let generate = |seed| FaultSchedule::generate(seed, 3, 4, window, Duration::from_secs(2));
+    let a = generate(0xD10);
+    assert_eq!(
         a,
-        ReplicaChaosPlan::generate(0xD11, 3, 4, window),
-        "different seeds must differ"
+        generate(0xD10),
+        "same seed must reproduce the exact kill schedule"
     );
+    assert_ne!(a, generate(0xD11), "different seeds must differ");
     // Every kill lands in the first half and heals in the second, so a
     // storm always passes.
-    for k in &a.kills {
-        match k.kind {
-            ReplicaKillKind::Heal => assert!(k.at >= window / 2),
-            _ => assert!(k.at < window / 2),
+    for e in a.events() {
+        match e.fault {
+            Fault::Heal => assert!(e.at >= window / 2),
+            _ => assert!(e.at < window / 2),
         }
-        assert!(k.replica < 3);
+        assert!(e.replica < 3);
     }
 }
