@@ -33,6 +33,7 @@
 //! unconditional: the disabled cost is one relaxed atomic load.
 #![allow(unsafe_code)] // the one place in the workspace that implements GlobalAlloc
 
+use crate::json::{to_json, JsonWriter, ToJson};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fmt::Write as _;
@@ -302,36 +303,17 @@ pub fn report() -> String {
     out
 }
 
-/// Allocator counters as a JSON object (in-tree schema, no serde).
-///
-/// `installed` is encoded as `0`/`1` — the in-tree [`crate::JsonValue`]
-/// reader has no boolean grammar, by convention flags are numbers.
+/// [`stats`] as a JSON object, with `installed` as a 0/1 flag.
 pub fn stats_json() -> String {
-    let s = stats();
-    let mut out = String::with_capacity(512);
-    let _ = write!(
-        out,
-        "{{\"installed\": {}, \"allocs\": {}, \"deallocs\": {}, \"reallocs\": {}, \
-         \"total_bytes\": {}, \"live_bytes\": {}, \"peak_bytes\": {}, \"large_allocs\": {}, \
-         \"size_classes\": [",
-        u8::from(installed()),
-        s.allocs,
-        s.deallocs,
-        s.reallocs,
-        s.total_bytes,
-        s.live_bytes,
-        s.peak_bytes,
-        s.large_allocs
-    );
-    for (i, &n) in s.size_classes.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "{n}");
-    }
-    out.push_str("]}");
-    out
+    JsonWriter::render(|w| stats().write_json(w))
 }
+
+// The counters plus the process-wide `installed` flag, which is what makes
+// an all-zero snapshot readable.
+to_json!(AllocStats => |s, w| crate::json_object!(w, "installed" => installed(),
+    "allocs" => s.allocs, "deallocs" => s.deallocs, "reallocs" => s.reallocs,
+    "total_bytes" => s.total_bytes, "live_bytes" => s.live_bytes, "peak_bytes" => s.peak_bytes,
+    "large_allocs" => s.large_allocs, "size_classes" => &s.size_classes[..]));
 
 #[cfg(test)]
 mod tests {
@@ -362,6 +344,7 @@ mod tests {
         let _v: Vec<u8> = Vec::with_capacity(4096);
         assert_eq!(scope.delta(), AllocDelta::default());
         assert!(report().contains("allocator:"));
-        assert!(stats_json().starts_with("{\"installed\": "));
+        let json = crate::JsonValue::parse(&stats_json()).unwrap();
+        assert_eq!(json.get("installed").and_then(|v| v.as_u64()), Some(0));
     }
 }

@@ -1,5 +1,5 @@
-//! Chrome Trace Event Format export for [`TraceSnapshot`]s, plus a reader
-//! for round-trip tests — hand-rolled like the other exporters, no serde.
+//! Chrome Trace Event Format export for [`TraceSnapshot`]s through the
+//! one [`JsonWriter`], plus a reader for round-trip tests.
 //!
 //! The output is a plain JSON array of event objects (the "JSON Array
 //! Format" accepted by `chrome://tracing` and [Perfetto](https://ui.perfetto.dev)):
@@ -18,7 +18,7 @@
 //! decimal places, so the recorder's nanosecond clock survives export →
 //! parse losslessly.
 
-use crate::json::{JsonParseError, JsonValue};
+use crate::json::{to_json, JsonParseError, JsonValue, JsonWriter};
 use crate::trace::{TraceKind, TraceSnapshot, NO_AUX};
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -38,6 +38,11 @@ pub struct ChromeTrace;
 fn write_us(out: &mut String, ns: u64) {
     let _ = write!(out, "{}.{:03}", ns / 1_000, ns % 1_000);
 }
+
+/// A nanosecond time written as exact microseconds ([`write_us`]).
+struct Micros(u64);
+
+to_json!(Micros => |t, w| w.scalar(|out| write_us(out, t.0)));
 
 /// Parses a microsecond decimal with up to three fraction digits back to
 /// exact nanoseconds (the inverse of [`write_us`]).
@@ -72,66 +77,50 @@ impl ChromeTrace {
             .map(|e| e.begin_seq)
             .collect();
         let mut out = String::with_capacity(snapshot.events.len() * 96 + 16);
-        out.push_str("[\n");
-        let mut first = true;
-        // Metadata first: one process_name plus a thread_name per labelled
-        // shard, so viewers resolve names before any slice references a tid.
-        if !snapshot.thread_names.is_empty() {
-            let _ = write!(
-                out,
-                "  {{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {CHROME_TRACE_PID}, \
-                 \"tid\": 0, \"ts\": 0.000, \"args\": {{\"name\": \
-                 \"{CHROME_TRACE_PROCESS_NAME}\"}}}}"
-            );
-            first = false;
-            for (tid, name) in &snapshot.thread_names {
-                out.push_str(",\n  {\"name\": \"thread_name\", \"ph\": \"M\", ");
-                let _ = write!(
-                    out,
-                    "\"pid\": {CHROME_TRACE_PID}, \"tid\": {tid}, \"ts\": 0.000, \
-                     \"args\": {{\"name\": \""
-                );
-                crate::export::escape_json(name, &mut out);
-                out.push_str("\"}}");
-            }
-        }
-        for e in &snapshot.events {
-            let (ph, ts_ns) = match e.kind {
-                TraceKind::End => ("X", e.start_ns()),
-                TraceKind::Begin if !closed.contains(&e.seq) => ("B", e.ts_ns),
-                TraceKind::Begin => continue,
-                TraceKind::Instant => ("i", e.ts_ns),
+        JsonWriter::new(&mut out).array(|w| {
+            // Metadata first: one process_name plus a thread_name per
+            // labelled shard, so viewers resolve names before any slice
+            // references a tid.
+            let mut metadata = |name: &str, tid: u64, label: &str| {
+                w.object(|w| {
+                    w.field("name", name).field("ph", "M");
+                    w.field("pid", CHROME_TRACE_PID).field("tid", tid);
+                    w.field("ts", Micros(0)).key("args");
+                    crate::json_object!(w, "name" => label);
+                });
             };
-            if !first {
-                out.push_str(",\n");
+            if !snapshot.thread_names.is_empty() {
+                metadata("process_name", 0, CHROME_TRACE_PROCESS_NAME);
+                for (tid, name) in &snapshot.thread_names {
+                    metadata("thread_name", *tid, name);
+                }
             }
-            first = false;
-            out.push_str("  {\"name\": \"");
-            crate::export::escape_json(e.name, &mut out);
-            let _ = write!(
-                out,
-                "\", \"ph\": \"{ph}\", \"pid\": {CHROME_TRACE_PID}, \"tid\": {}, \"ts\": ",
-                e.tid
-            );
-            write_us(&mut out, ts_ns);
-            if e.kind == TraceKind::End {
-                out.push_str(", \"dur\": ");
-                write_us(&mut out, e.dur_ns);
+            for e in &snapshot.events {
+                let (ph, ts_ns) = match e.kind {
+                    TraceKind::End => ("X", e.start_ns()),
+                    TraceKind::Begin if !closed.contains(&e.seq) => ("B", e.ts_ns),
+                    TraceKind::Begin => continue,
+                    TraceKind::Instant => ("i", e.ts_ns),
+                };
+                w.object(|w| {
+                    w.field("name", e.name).field("ph", ph);
+                    w.field("pid", CHROME_TRACE_PID).field("tid", e.tid);
+                    w.field("ts", Micros(ts_ns));
+                    if e.kind == TraceKind::End {
+                        w.field("dur", Micros(e.dur_ns));
+                    }
+                    if e.kind == TraceKind::Instant {
+                        w.field("s", "t");
+                    }
+                    w.key("args").object(|w| {
+                        w.field("frame_id", e.frame_id).field("seq", e.seq);
+                        if e.aux != NO_AUX {
+                            w.field("layer", e.aux);
+                        }
+                    });
+                });
             }
-            if e.kind == TraceKind::Instant {
-                out.push_str(", \"s\": \"t\"");
-            }
-            let _ = write!(
-                out,
-                ", \"args\": {{\"frame_id\": {}, \"seq\": {}",
-                e.frame_id, e.seq
-            );
-            if e.aux != NO_AUX {
-                let _ = write!(out, ", \"layer\": {}", e.aux);
-            }
-            out.push_str("}}");
-        }
-        out.push_str("\n]\n");
+        });
         out
     }
 
@@ -183,6 +172,7 @@ impl ChromeTrace {
                 _ if ph == 'M' => 0,
                 _ => return Err(bad("event missing 'ts'")),
             };
+            let arg = |key: &str| item.get("args").and_then(|a| a.get(key));
             let dur_ns = match item.get("dur") {
                 Some(JsonValue::Number(text)) => {
                     parse_us_text(text).ok_or_else(|| bad("unparseable 'dur'"))?
@@ -196,23 +186,10 @@ impl ChromeTrace {
                 tid: item.get("tid").and_then(JsonValue::as_u64).unwrap_or(0),
                 ts_ns,
                 dur_ns,
-                frame_id: item
-                    .get("args")
-                    .and_then(|a| a.get("frame_id"))
-                    .and_then(JsonValue::as_u64),
-                seq: item
-                    .get("args")
-                    .and_then(|a| a.get("seq"))
-                    .and_then(JsonValue::as_u64),
-                layer: item
-                    .get("args")
-                    .and_then(|a| a.get("layer"))
-                    .and_then(JsonValue::as_i64),
-                arg_name: item
-                    .get("args")
-                    .and_then(|a| a.get("name"))
-                    .and_then(JsonValue::as_str)
-                    .map(str::to_string),
+                frame_id: arg("frame_id").and_then(JsonValue::as_u64),
+                seq: arg("seq").and_then(JsonValue::as_u64),
+                layer: arg("layer").and_then(JsonValue::as_i64),
+                arg_name: arg("name").and_then(JsonValue::as_str).map(str::to_string),
             });
         }
         Ok(events)

@@ -13,9 +13,14 @@
 //! * [`ScopedTimer`] — RAII span guard recording its lifetime into a
 //!   histogram on drop; created via [`Registry::timer`] or
 //!   [`Histogram::start`].
-//! * [`Snapshot`] — a point-in-time copy of every metric, exported through
-//!   [`JsonExporter`] / [`PromExporter`] (hand-rolled writers, no serde)
-//!   and re-imported with [`Snapshot::from_json`] for round-trip tests.
+//! * [`Snapshot`] — a point-in-time copy of every metric, exported with
+//!   [`Snapshot::to_json`] or [`PromExporter`] and re-imported with
+//!   [`Snapshot::from_json`] for round-trip tests.
+//! * [`JsonWriter`] / [`JsonValue`] — the workspace's one JSON writer and
+//!   one reader (no serde). Every JSON body in `obs` and `serve` — the
+//!   snapshot, windows, SLO verdicts, allocator stats, Chrome traces,
+//!   `/detect` replies — streams through the writer in one compact
+//!   layout, and the reader parses it back.
 //! * [`Tracer`] — the flight recorder: nested spans and instant events in
 //!   fixed-capacity per-thread ring buffers, each carrying a `frame_id`
 //!   trace context; merged snapshots export to Chrome/Perfetto
@@ -30,7 +35,7 @@
 //! # Example
 //!
 //! ```
-//! use dronet_obs::{JsonExporter, Registry};
+//! use dronet_obs::Registry;
 //! use std::time::Duration;
 //!
 //! let obs = Registry::new();
@@ -42,7 +47,7 @@
 //! obs.histogram("stage.nms").record(Duration::from_micros(250));
 //! let snapshot = obs.snapshot();
 //! assert_eq!(snapshot.counters[0].value, 3);
-//! let json = JsonExporter::to_string(&snapshot);
+//! let json = snapshot.to_json();
 //! assert!(json.contains("stage.nms"));
 //! ```
 
@@ -54,7 +59,6 @@
 
 pub mod alloc;
 mod chrome;
-mod export;
 mod health;
 mod histogram;
 mod json;
@@ -66,10 +70,9 @@ pub mod window;
 
 pub use alloc::{AllocDelta, AllocScope, AllocStats, CountingAlloc};
 pub use chrome::{ChromeEvent, ChromeTrace, CHROME_TRACE_PID};
-pub use export::{format_f64, JsonExporter};
 pub use health::{BlackBox, Health, HealthCell, RecoveryClock, RestartBudget, BLACK_BOX_EVENTS};
 pub use histogram::{Histogram, ScopedTimer, BUCKET_COUNT};
-pub use json::{JsonParseError, JsonValue};
+pub use json::{format_f64, JsonParseError, JsonValue, JsonWriter, ToJson};
 pub use prom::PromExporter;
 pub use registry::{Counter, Gauge, Registry};
 pub use slo::{BurnWindow, SloObjective, SloSet, SloSpec, SloStatus};

@@ -15,7 +15,7 @@
 //! `{name}_window_rate{window="10s"}` plus `_window_p50_seconds` /
 //! `_window_p99_seconds` for histograms.
 
-use crate::export::format_f64;
+use crate::json::format_f64;
 use crate::window::WindowSnapshot;
 use crate::Snapshot;
 use std::collections::BTreeMap;

@@ -37,10 +37,9 @@
 //! assert!(obs.snapshot().gauge("slo.detect_latency.burn_rate_short").is_some());
 //! ```
 
-use crate::export::{escape_json, format_f64};
+use crate::json::{format_f64, to_json, JsonWriter};
 use crate::window::{mono_now_ns, RollingWindow};
 use crate::Registry;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -332,53 +331,31 @@ impl SloSet {
         self.publish_at(registry, mono_now_ns());
     }
 
-    /// Renders every verdict as a JSON object at an explicit timestamp
-    /// (in-tree schema, no serde): `{"slos": [...]}`.
+    /// Renders every verdict as a JSON object at an explicit timestamp:
+    /// `{"slos":[...]}`, one [`SloStatus`] each.
     pub fn to_json_at(&self, now_ns: u64) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"slos\": [");
-        for (i, status) in self.statuses_at(now_ns).iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str("{\"name\": \"");
-            escape_json(&status.name, &mut out);
-            out.push_str("\", \"objective\": \"");
-            escape_json(&status.objective, &mut out);
-            let _ = write!(
-                out,
-                "\", \"target\": {}, \"error_budget\": {}, \"burn_alert\": {}, \
-                 \"short\": {}, \"long\": {}, \"breached\": {}}}",
-                format_f64(status.target),
-                format_f64(status.error_budget),
-                format_f64(status.burn_alert),
-                burn_json(&status.short),
-                burn_json(&status.long),
-                // The in-tree JsonValue reader has no boolean literals, so
-                // verdicts are 0/1 like every other numeric field.
-                u8::from(status.breached)
-            );
-        }
-        out.push_str("]}");
-        out
+        JsonWriter::render(|w| self.write_json_at(w, now_ns))
     }
 
     /// Renders every verdict as a JSON object as of now.
     pub fn to_json(&self) -> String {
         self.to_json_at(mono_now_ns())
     }
+
+    fn write_json_at(&self, w: &mut JsonWriter<'_>, now_ns: u64) {
+        crate::json_object!(w, "slos" => self.statuses_at(now_ns));
+    }
 }
 
-fn burn_json(b: &BurnWindow) -> String {
-    format!(
-        "{{\"window_ns\": {}, \"events\": {}, \"bad\": {}, \"bad_ratio\": {}, \"burn_rate\": {}}}",
-        b.window_ns,
-        b.events,
-        b.bad,
-        format_f64(b.bad_ratio),
-        format_f64(b.burn_rate)
-    )
-}
+// Every verdict as of now, as `SloSet::to_json` writes it.
+to_json!(SloSet => |s, w| s.write_json_at(w, mono_now_ns()));
+to_json!(SloStatus => |s, w| crate::json_object!(w, "name" => &s.name,
+    "objective" => &s.objective, "target" => s.target, "error_budget" => s.error_budget,
+    "burn_alert" => s.burn_alert, "short" => &s.short, "long" => &s.long,
+    "breached" => s.breached));
+to_json!(BurnWindow => |b, w| crate::json_object!(w, "window_ns" => b.window_ns,
+    "events" => b.events, "bad" => b.bad, "bad_ratio" => b.bad_ratio,
+    "burn_rate" => b.burn_rate));
 
 #[cfg(test)]
 mod tests {
@@ -462,7 +439,11 @@ mod tests {
         assert_eq!(s.len(), 0);
         s.record(Duration::from_millis(1), true);
         assert!(s.statuses().is_empty());
-        assert_eq!(s.to_json(), "{\"slos\": []}");
+        let json = JsonValue::parse(&s.to_json()).unwrap();
+        assert_eq!(
+            json.get("slos").and_then(JsonValue::as_array),
+            Some(&[][..])
+        );
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! oracle.
 
 use crate::histogram::{bucket_index, percentile_from_buckets, quantile_from_buckets};
+use crate::json::{to_json, JsonWriter, ToJson};
 use crate::BUCKET_COUNT;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -253,48 +254,23 @@ impl WindowSnapshot {
         self.counters.iter().find(|c| c.name == name)
     }
 
-    /// Renders the snapshot as a JSON object (in-tree schema, no serde).
+    /// Renders the snapshot as a JSON object: `{"counters":[{"name",
+    /// "window_ns","increment","rate_per_sec"}],"histograms":[{"name",
+    /// "window_ns","count","sum_ns","rate_per_sec","p50_ns","p99_ns"}]}`.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\"counters\": [");
-        for (i, c) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str("{\"name\": \"");
-            crate::export::escape_json(&c.name, &mut out);
-            let _ = write!(
-                out,
-                "\", \"window_ns\": {}, \"increment\": {}, \"rate_per_sec\": {}}}",
-                c.window_ns,
-                c.increment,
-                crate::export::format_f64(c.increment_rate_per_sec)
-            );
-        }
-        out.push_str("], \"histograms\": [");
-        for (i, h) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str("{\"name\": \"");
-            crate::export::escape_json(&h.name, &mut out);
-            let _ = write!(
-                out,
-                "\", \"window_ns\": {}, \"count\": {}, \"sum_ns\": {}, \"rate_per_sec\": {}, \
-                 \"p50_ns\": {}, \"p99_ns\": {}}}",
-                h.stats.window_ns,
-                h.stats.count,
-                h.stats.sum,
-                crate::export::format_f64(h.stats.rate_per_sec),
-                h.stats.p50_ns,
-                h.stats.p99_ns
-            );
-        }
-        out.push_str("]}");
-        out
+        JsonWriter::render(|w| self.write_json(w))
     }
 }
+
+to_json!(WindowSnapshot => |s, w| crate::json_object!(w, "counters" => &s.counters,
+    "histograms" => &s.histograms));
+to_json!(WindowedCounter => |c, w| crate::json_object!(w, "name" => &c.name,
+    "window_ns" => c.window_ns, "increment" => c.increment,
+    "rate_per_sec" => c.increment_rate_per_sec));
+to_json!(WindowedHistogram => |h, w| crate::json_object!(w, "name" => &h.name,
+    "window_ns" => h.stats.window_ns, "count" => h.stats.count, "sum_ns" => h.stats.sum,
+    "rate_per_sec" => h.stats.rate_per_sec, "p50_ns" => h.stats.p50_ns,
+    "p99_ns" => h.stats.p99_ns));
 
 /// Nanoseconds on the process-wide monotonic clock all windowed metrics
 /// share (anchored at first use).

@@ -1,9 +1,11 @@
-//! Property tests for the histogram estimator, the JSON exporter and the
-//! flight-recorder ring buffer: the invariants the rest of the workspace
+//! Property tests for the histogram estimator, the JSON writer and reader
+//! and the flight-recorder ring buffer: the invariants the rest of the workspace
 //! leans on (percentile bounds, bucket accounting, lossless export,
 //! newest-events-retained wrap-around) must hold for arbitrary inputs.
 
-use dronet_obs::{ChromeTrace, JsonExporter, Registry, RollingWindow, Snapshot, TraceKind, Tracer};
+use dronet_obs::{
+    ChromeTrace, JsonValue, JsonWriter, Registry, RollingWindow, Snapshot, TraceKind, Tracer,
+};
 use proptest::prelude::*;
 
 /// Names stressing the JSON escaper: quotes, backslashes, control bytes.
@@ -90,7 +92,7 @@ proptest! {
         }
 
         let snap = registry.snapshot();
-        let json = JsonExporter::to_string(&snap);
+        let json = snap.to_json();
         let parsed = Snapshot::from_json(&json)
             .map_err(|e| TestCaseError::Fail(format!("parse failed: {e}\n{json}")))?;
         prop_assert_eq!(parsed, snap);
@@ -146,6 +148,75 @@ proptest! {
         // overwritten (the End carries the duration).
         let ends = snap.events.iter().filter(|e| e.kind == TraceKind::End).count();
         prop_assert_eq!(parsed.iter().filter(|e| e.ph == 'X').count(), ends);
+    }
+}
+
+/// Any `char`, drawn evenly from ASCII control bytes, printable ASCII
+/// (quote and backslash among them), the rest of the BMP and the astral
+/// planes. A surrogate code point, which is no `char`, becomes U+FFFD.
+fn any_char() -> impl Strategy<Value = char> {
+    (0u32..4, any::<u32>()).prop_map(|(range, bits)| {
+        let code = match range {
+            0 => bits % 0x20,
+            1 => 0x20 + bits % 0x60,
+            2 => bits % 0x1_0000,
+            _ => 0x1_0000 + bits % 0x10_0000,
+        };
+        char::from_u32(code).unwrap_or('\u{FFFD}')
+    })
+}
+
+/// The number text of a parsed value.
+fn number(v: &JsonValue) -> Result<&str, TestCaseError> {
+    match v {
+        JsonValue::Number(text) => Ok(text),
+        other => Err(TestCaseError::Fail(format!("not a number: {other:?}"))),
+    }
+}
+
+proptest! {
+    /// The writer↔reader contract: whatever `JsonWriter` emits,
+    /// `JsonValue::parse` reads back to the value written — any string
+    /// (as a value and as a key), any `u64`, any flag, and any `f32` or
+    /// `f64` bit pattern, non-finite ones as `0.0` (`format_f64`'s rule).
+    #[test]
+    fn writer_output_parses_back_to_the_written_values(
+        chars in prop::collection::vec(any_char(), 0..24),
+        int in any::<u64>(),
+        flag in any::<bool>(),
+        single in any::<u32>().prop_map(f32::from_bits),
+        double in any::<u64>().prop_map(f64::from_bits),
+    ) {
+        let text: String = chars.into_iter().collect();
+        let json = JsonWriter::render(|w| {
+            w.array(|w| {
+                w.value(&text[..]).value(int).value(flag).value(single).value(double);
+                w.object(|w| {
+                    w.field(&text, 0u64);
+                });
+            });
+        });
+        let parsed = JsonValue::parse(&json)
+            .map_err(|e| TestCaseError::Fail(format!("parse failed: {e}\n{json}")))?;
+        let items = parsed.as_array().expect("an array");
+        prop_assert_eq!(items.len(), 6);
+        prop_assert_eq!(items[0].as_str(), Some(text.as_str()));
+        prop_assert_eq!(number(&items[1])?.parse::<u64>().ok(), Some(int));
+        prop_assert_eq!(items[2].as_u64(), Some(u64::from(flag)));
+        let single_back: f32 = number(&items[3])?.parse().expect("an f32");
+        let double_back: f64 = number(&items[4])?.parse().expect("an f64");
+        if single.is_finite() {
+            prop_assert_eq!(single_back.to_bits(), single.to_bits());
+        } else {
+            prop_assert_eq!(single_back.to_bits(), 0.0f32.to_bits());
+        }
+        if double.is_finite() {
+            prop_assert_eq!(double_back.to_bits(), double.to_bits());
+        } else {
+            prop_assert_eq!(double_back.to_bits(), 0.0f64.to_bits());
+        }
+        let keys: Vec<&String> = items[5].as_object().expect("an object").keys().collect();
+        prop_assert_eq!(keys, vec![&text]);
     }
 }
 

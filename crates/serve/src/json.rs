@@ -1,39 +1,26 @@
-//! Hand-written JSON rendering for detection responses.
+//! JSON rendering for detection responses.
 //!
-//! The workspace is zero-dependency, so responses are assembled by hand:
-//! obs's number formatter plus string building, self-checked in tests by
-//! round-tripping through `obs::JsonValue::parse`.
+//! The body streams through obs's one [`JsonWriter`] (escaping, number
+//! text, layout), self-checked in tests by round-tripping through
+//! `obs::JsonValue::parse` and locked byte for byte.
 
 use dronet_detect::Detection;
-use dronet_obs::format_f64;
-use std::fmt::Write as _;
+use dronet_obs::{json_object, JsonWriter};
 
 /// Renders the `POST /detect` response body for one frame.
 pub fn detections_json(frame_id: u64, detections: &[Detection]) -> String {
     let mut out = String::with_capacity(64 + detections.len() * 160);
-    let _ = write!(
-        out,
-        "{{\"frame_id\":{frame_id},\"count\":{},\"detections\":[",
-        detections.len()
-    );
-    for (i, d) in detections.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"cx\":{},\"cy\":{},\"w\":{},\"h\":{},\"objectness\":{},\"class\":{},\"class_prob\":{},\"score\":{}}}",
-            format_f64(d.bbox.cx),
-            format_f64(d.bbox.cy),
-            format_f64(d.bbox.w),
-            format_f64(d.bbox.h),
-            format_f64(d.objectness),
-            d.class,
-            format_f64(d.class_prob),
-            format_f64(d.score()),
-        );
-    }
-    out.push_str("]}");
+    JsonWriter::new(&mut out).object(|w| {
+        w.field("frame_id", frame_id)
+            .field("count", detections.len());
+        w.key("detections").array(|w| {
+            for d in detections {
+                json_object!(w, "cx" => d.bbox.cx, "cy" => d.bbox.cy, "w" => d.bbox.w,
+                    "h" => d.bbox.h, "objectness" => d.objectness, "class" => d.class,
+                    "class_prob" => d.class_prob, "score" => d.score());
+            }
+        });
+    });
     out
 }
 
@@ -41,7 +28,7 @@ pub fn detections_json(frame_id: u64, detections: &[Detection]) -> String {
 mod tests {
     use super::*;
     use dronet_metrics::BBox;
-    use dronet_obs::JsonValue;
+    use dronet_obs::{format_f64, JsonValue};
 
     fn det(cx: f32, score: f32) -> Detection {
         Detection {

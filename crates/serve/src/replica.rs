@@ -56,7 +56,8 @@ use crate::server::{ServeConfig, SizedDetectorFactory};
 use dronet_detect::canary::{check_canary, golden_detections};
 use dronet_detect::{DegradeController, Detection, Detector, ShiftMetrics};
 use dronet_obs::{
-    BlackBox, Counter, Gauge, Health, HealthCell, RecoveryClock, Registry, RestartBudget, Tracer,
+    json_object, BlackBox, Counter, Gauge, Health, HealthCell, JsonWriter, RecoveryClock, Registry,
+    RestartBudget, ToJson, Tracer,
 };
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -774,44 +775,42 @@ impl ReplicaSet {
     /// `/debug/replicas` body: per-slot status as JSON (no booleans —
     /// the in-tree parser has no literals).
     pub fn debug_json(&self) -> String {
-        let mut rows = Vec::with_capacity(self.slots.len());
-        for slot in &self.slots {
-            let (status, generation, canary_failures, rebuild_failures) = {
-                let s = lock_recover(&slot.state);
-                (
-                    s.status,
-                    s.generation,
-                    s.canary_failures,
-                    s.rebuild_failures.spent,
-                )
-            };
-            let (health, depth, alive, input, p99_ms) = match slot.active_core() {
-                Some(c) => (
-                    c.worker.health.get().as_metric(),
-                    c.queue.len(),
-                    c.worker.pool.alive_count(),
-                    c.current_input(),
-                    c.latency.p99_ns() as f64 / 1e6,
-                ),
-                None => (Health::Halted.as_metric(), 0, 0, 0, 0.0),
-            };
-            rows.push(format!(
-                "{{\"id\": {}, \"status\": \"{}\", \"generation\": {generation}, \
-                 \"health\": {health}, \"queue_depth\": {depth}, \"workers_alive\": {alive}, \
-                 \"input_resolution\": {input}, \"p99_ms\": {p99_ms:.3}, \
-                 \"canary_failures\": {canary_failures}, \"rebuild_failures\": {rebuild_failures}}}",
-                slot.id,
-                status.as_str(),
-            ));
-        }
-        format!(
-            "{{\"replicas_total\": {}, \"replicas_active\": {}, \"service_health\": {}, \
-             \"replicas\": [{}]}}\n",
-            self.config().replicas,
-            self.active_count(),
-            self.service_health.get().as_metric(),
-            rows.join(", ")
-        )
+        JsonWriter::render(|w| {
+            json_object!(w, "replicas_total" => self.config().replicas,
+                "replicas_active" => self.active_count(),
+                "service_health" => self.service_health.get().as_metric(),
+                "replicas" => &self.slots);
+        })
+    }
+}
+
+/// One `/debug/replicas` row.
+impl ToJson for ReplicaSlot {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        let (status, generation, canary_failures, rebuild_failures) = {
+            let s = lock_recover(&self.state);
+            (
+                s.status,
+                s.generation,
+                s.canary_failures,
+                s.rebuild_failures.spent,
+            )
+        };
+        let (health, depth, alive, input, p99_ms) = match self.active_core() {
+            Some(c) => (
+                c.worker.health.get().as_metric(),
+                c.queue.len(),
+                c.worker.pool.alive_count(),
+                c.current_input(),
+                c.latency.p99_ns() as f64 / 1e6,
+            ),
+            None => (Health::Halted.as_metric(), 0, 0, 0, 0.0),
+        };
+        json_object!(w, "id" => self.id, "status" => status.as_str(),
+            "generation" => generation, "health" => health, "queue_depth" => depth,
+            "workers_alive" => alive, "input_resolution" => input,
+            "p99_ms" => format_args!("{p99_ms:.3}"), "canary_failures" => canary_failures,
+            "rebuild_failures" => rebuild_failures);
     }
 }
 

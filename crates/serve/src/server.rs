@@ -20,7 +20,8 @@ use crate::json::detections_json;
 use crate::replica::{spawn_supervisor, BlackBoxStore, ReplicaBuilder, ReplicaCore, ReplicaSet};
 use dronet_detect::{conform_frame, DegradeConfig, DegradeController, Detection, Detector};
 use dronet_obs::{
-    BlackBox, ChromeTrace, Health, JsonExporter, PromExporter, Registry, SloSet, SloSpec, Tracer,
+    json_object, BlackBox, ChromeTrace, Health, JsonWriter, PromExporter, Registry, SloSet,
+    SloSpec, Tracer,
 };
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -847,17 +848,14 @@ fn handle_healthz(shared: &Shared) -> Response {
         Health::Degraded => (200, "OK", "degraded"),
         Health::Halted => (503, "Service Unavailable", "halted"),
     };
-    let body = format!(
-        "{{\"health\": \"{state}\", \"queue_depth\": {}, \"workers_alive\": {}, \
-         \"input_resolution\": {}, \"black_boxes\": {}, \
-         \"replicas_active\": {}, \"replicas_total\": {}}}\n",
-        shared.replicas.queue_depth_total(),
-        shared.replicas.workers_alive_total(),
-        shared.replicas.current_input(),
-        shared.replicas.black_boxes().len(),
-        shared.replicas.active_count(),
-        shared.config.replicas,
-    );
+    let r = &shared.replicas;
+    let mut body = JsonWriter::render(|w| {
+        json_object!(w, "health" => state, "queue_depth" => r.queue_depth_total(),
+            "workers_alive" => r.workers_alive_total(), "input_resolution" => r.current_input(),
+            "black_boxes" => r.black_boxes().len(), "replicas_active" => r.active_count(),
+            "replicas_total" => shared.config.replicas);
+    });
+    body.push('\n');
     Response::new(status, reason, "application/json", &body)
 }
 
@@ -875,20 +873,19 @@ fn debug_busy(shared: &Shared) -> Response {
 }
 
 /// `GET /debug/vars` — one JSON object with everything the process knows
-/// about itself: the full metric registry, the rolling-window view, and
-/// the allocator report.
+/// about itself: the full metric registry, the rolling-window view, the
+/// SLO verdicts and the allocator report, written in one pass.
 fn handle_debug_vars(shared: &Shared) -> Response {
     let Some(_permit) = acquire_debug(shared) else {
         return debug_busy(shared);
     };
     shared.slo.publish(&shared.obs);
-    let metrics = JsonExporter::to_string(&shared.obs.snapshot());
-    let windows = shared.obs.window_snapshot().to_json();
-    let slo = shared.slo.to_json();
-    let alloc = dronet_obs::alloc::stats_json();
-    let body = format!(
-        "{{\n\"metrics\": {metrics},\n\"windows\": {windows},\n\"slo\": {slo},\n\"alloc\": {alloc}\n}}\n"
-    );
+    let mut body = JsonWriter::render(|w| {
+        json_object!(w, "metrics" => shared.obs.snapshot(),
+            "windows" => shared.obs.window_snapshot(), "slo" => &shared.slo,
+            "alloc" => dronet_obs::alloc::stats());
+    });
+    body.push('\n');
     Response::json(body)
 }
 
@@ -942,7 +939,9 @@ fn handle_debug_replicas(shared: &Shared) -> Response {
     let Some(_permit) = acquire_debug(shared) else {
         return debug_busy(shared);
     };
-    Response::json(shared.replicas.debug_json())
+    let mut body = shared.replicas.debug_json();
+    body.push('\n');
+    Response::json(body)
 }
 
 /// `GET /debug/trace?ms=N` — hold the connection for `N` milliseconds

@@ -17,7 +17,7 @@ use dronet::data::scene::{SceneConfig, SceneGenerator};
 use dronet::detect::{DetectStage, DetectorBuilder, IterSource, Supervisor, SupervisorConfig};
 use dronet::nn::profile::NetworkProfile;
 use dronet::nn::summary::NetworkSummary;
-use dronet::obs::{ChromeTrace, JsonExporter, Registry, Tracer};
+use dronet::obs::{ChromeTrace, Registry, Tracer};
 use dronet::train::{LrSchedule, TrainConfig, Trainer};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -118,7 +118,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let json_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "observe_pipeline.profile.json".to_string());
-    std::fs::write(&json_path, JsonExporter::to_string(&snapshot))?;
+    std::fs::write(&json_path, snapshot.to_json())?;
     println!(
         "\nwrote {} ({} counters, {} gauges, {} histograms)",
         json_path,

@@ -9,7 +9,7 @@ use dronet::detect::{DetectStage, DetectorBuilder, IterSource, Result};
 use dronet::detect::{Supervisor, SupervisorConfig, SupervisorReport};
 use dronet::nn::profile::{forward_metric_name, NetworkProfile};
 use dronet::nn::summary::NetworkSummary;
-use dronet::obs::{ChromeTrace, JsonExporter, Registry, Snapshot, TraceKind, Tracer};
+use dronet::obs::{ChromeTrace, Registry, Snapshot, TraceKind, Tracer};
 use dronet::tensor::{Shape, Tensor};
 use dronet::train::{LrSchedule, TrainConfig, Trainer};
 use std::time::{Duration, Instant};
@@ -79,7 +79,7 @@ fn full_stack_profile_round_trips_through_json() {
     .unwrap();
 
     let snap = obs.snapshot();
-    let json = JsonExporter::to_string(&snap);
+    let json = snap.to_json();
 
     // One forward histogram per DroNet layer, by exact metric name.
     for row in &summary.rows {

@@ -309,7 +309,12 @@ fn exhausted_restart_budget_halts_instead_of_hanging() {
     let (status, text) = http(addr, "GET", "/healthz", b"");
     assert_eq!(status, 503, "halted healthz: {text}");
     assert!(text.contains("\"halted\""));
-    assert!(text.contains("\"workers_alive\": 0"));
+    let (_, body) = text.split_once("\r\n\r\n").expect("a body");
+    let health = dronet::obs::JsonValue::parse(body).expect("healthz JSON");
+    assert_eq!(
+        health.get("workers_alive").and_then(|v| v.as_u64()),
+        Some(0)
+    );
     let (status, text) = post_detect(addr);
     assert_eq!(status, 503, "halted detect is a typed 503: {text}");
     assert!(text.contains("halted"));
