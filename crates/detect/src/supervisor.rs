@@ -40,7 +40,7 @@ use crate::pipeline::{estimated_drops, FrameResult};
 use crate::pump::{CameraPump, Pumped};
 use crate::source::{conform_frame, FrameSource};
 use crate::{DetectError, Detection, Result};
-use dronet_metrics::{Fps, FpsMeter};
+use dronet_metrics::Fps;
 use dronet_obs::{
     BlackBox, Counter, HealthCell, Histogram, RecoveryClock, Registry, RestartBudget, Tracer,
 };
@@ -113,15 +113,11 @@ impl Default for SupervisorConfig {
 pub struct SupervisorReport {
     /// Per-frame results of successfully processed frames.
     pub frames: Vec<FrameResult>,
-    /// Frames dropped at the camera buffer (threaded mode).
-    pub dropped: usize,
-    /// Frame ids of the dropped frames, in drop order; always `dropped`
-    /// entries long.
+    /// Frame ids of the frames dropped at the camera buffer (threaded
+    /// mode), in drop order.
     pub dropped_ids: Vec<u64>,
-    /// Frames consumed but abandoned after faults exhausted their retries.
-    pub skipped: usize,
-    /// Frame ids of the skipped frames, in occurrence order; always
-    /// `skipped` entries long.
+    /// Frame ids of the frames consumed but abandoned after faults
+    /// exhausted their retries, in occurrence order.
     pub skipped_ids: Vec<u64>,
     /// Crash black box: the flight recorder's tail at the most recent stage
     /// failure, watchdog trip, or halt (later captures overwrite earlier
@@ -137,10 +133,6 @@ pub struct SupervisorReport {
     pub retries: u32,
     /// Camera stall events (source watchdog expiries).
     pub stalls: u32,
-    /// Resolution downshifts performed by the degradation controller.
-    pub downshifts: u32,
-    /// Resolution upshifts performed by the degradation controller.
-    pub upshifts: u32,
     /// Input sizes used over the run, starting with the initial one.
     pub resolution_history: Vec<usize>,
     /// Health at the end of the run.
@@ -153,22 +145,38 @@ impl SupervisorReport {
         self.frames.len()
     }
 
-    fn meter(&self) -> FpsMeter {
-        let mut meter = FpsMeter::new();
-        for f in &self.frames {
-            meter.record(f.latency);
-        }
-        meter
+    /// Frames dropped at the camera buffer (threaded mode).
+    pub fn dropped(&self) -> usize {
+        self.dropped_ids.len()
     }
 
-    /// Sustained processing rate.
+    /// Frames consumed but abandoned after faults exhausted their retries.
+    pub fn skipped(&self) -> usize {
+        self.skipped_ids.len()
+    }
+
+    /// Resolution downshifts performed by the degradation controller.
+    pub fn downshifts(&self) -> u32 {
+        let history = &self.resolution_history;
+        history.windows(2).filter(|w| w[1] < w[0]).count() as u32
+    }
+
+    /// Resolution upshifts performed by the degradation controller.
+    pub fn upshifts(&self) -> u32 {
+        let history = &self.resolution_history;
+        history.windows(2).filter(|w| w[1] > w[0]).count() as u32
+    }
+
+    /// Sustained processing rate, implied by the mean latency (infinite
+    /// for an empty run).
     pub fn fps(&self) -> Fps {
-        self.meter().fps()
+        Fps::from_latency(self.mean_latency())
     }
 
-    /// Mean per-frame latency.
+    /// Mean per-frame latency (zero for an empty run).
     pub fn mean_latency(&self) -> Duration {
-        self.meter().mean_latency()
+        let total: Duration = self.frames.iter().map(|f| f.latency).sum();
+        total / self.frames.len().max(1) as u32
     }
 
     /// How many frames a camera producing at `camera_fps` would have
@@ -290,7 +298,6 @@ impl Monitor {
     }
 
     fn skipped(&mut self, index: usize) {
-        self.report.skipped += 1;
         self.report.skipped_ids.push(index as u64);
         self.skipped_counter.inc();
     }
@@ -316,11 +323,7 @@ impl Monitor {
     }
 
     fn finish(mut self) -> SupervisorReport {
-        let r = &mut self.report;
-        r.final_health = self.health.get();
-        let history = &r.resolution_history;
-        r.downshifts = history.windows(2).filter(|w| w[1] < w[0]).count() as u32;
-        r.upshifts = history.len() as u32 - 1 - r.downshifts;
+        self.report.final_health = self.health.get();
         self.report
     }
 }
@@ -791,7 +794,6 @@ impl Supervisor {
         }
         let mut report = monitor.finish();
         report.dropped_ids = exec.finish(report.final_health == Health::Halted);
-        report.dropped = report.dropped_ids.len();
         Ok(report)
     }
 }
@@ -884,11 +886,33 @@ mod tests {
         let report = sup
             .run(IterSource::new(frames(10)), &mut factory, None)
             .unwrap();
-        assert_eq!(report.processed() + report.dropped, 10);
+        assert_eq!(report.processed() + report.dropped(), 10);
         assert_eq!(report.final_health, Health::Healthy);
         assert!(report.faults.is_empty());
-        assert_eq!(report.skipped, 0);
+        assert_eq!(report.skipped(), 0);
         assert_eq!(report.resolution_history, vec![8]);
+    }
+
+    #[test]
+    fn report_latency_math() {
+        let empty = SupervisorReport::default();
+        assert_eq!(empty.mean_latency(), Duration::ZERO);
+        assert_eq!(empty.fps(), Fps(f64::INFINITY));
+        let report = SupervisorReport {
+            frames: [10u64, 20, 30, 40]
+                .iter()
+                .enumerate()
+                .map(|(i, &ms)| FrameResult {
+                    frame_index: i,
+                    frame_id: i as u64,
+                    detections: Vec::new(),
+                    latency: Duration::from_millis(ms),
+                })
+                .collect(),
+            ..SupervisorReport::default()
+        };
+        assert_eq!(report.mean_latency(), Duration::from_millis(25));
+        assert!((report.fps().0 - 40.0).abs() < 1e-9);
     }
 
     #[test]
@@ -904,8 +928,7 @@ mod tests {
         let source = FaultyFrameSource::new(IterSource::new(frames(n)), plan);
         let report = sup.run(source, &mut factory, None).unwrap();
         assert_eq!(report.skipped_ids, vec![0, 1, 2, 3]);
-        assert_eq!(report.skipped, 4);
-        assert_eq!(report.dropped_ids.len(), report.dropped);
+        assert_eq!(report.skipped(), 4);
         // Processed, dropped and skipped ids partition the arrival order.
         let mut all: Vec<u64> = report.frames.iter().map(|f| f.frame_id).collect();
         all.extend(&report.dropped_ids);
@@ -927,7 +950,7 @@ mod tests {
             .run_sync(IterSource::new(frames(10)), &mut factory, None)
             .unwrap();
         assert_eq!(report.processed(), 10);
-        assert_eq!(report.dropped, 0);
+        assert_eq!(report.dropped(), 0);
         assert_eq!(report.final_health, Health::Healthy);
     }
 
@@ -945,7 +968,7 @@ mod tests {
             Box::new(|_| Ok(Box::new(NullStage)));
         let source = FaultyFrameSource::new(IterSource::new(frames(8)), plan);
         let report = sup.run_sync(source, &mut factory, None).unwrap();
-        assert_eq!(report.skipped, 2, "corrupt + NaN frames skipped");
+        assert_eq!(report.skipped(), 2, "corrupt + NaN frames skipped");
         assert_eq!(report.processed(), 6);
         assert_eq!(report.faults.len(), 2);
         assert!(report.faults.iter().all(|f| f.stage == "source"));
@@ -972,7 +995,7 @@ mod tests {
             .run_sync(IterSource::new(frames(4)), &mut factory, None)
             .unwrap();
         assert_eq!(report.processed(), 4, "retry recovered the faulted frame");
-        assert_eq!(report.skipped, 0);
+        assert_eq!(report.skipped(), 0);
         assert_eq!(report.retries, 1);
         assert!(report.faults.is_empty(), "recovered retries are not faults");
     }
@@ -1087,7 +1110,7 @@ mod tests {
             Box::new(|_| Ok(Box::new(NullStage)));
         let source = FaultyFrameSource::new(IterSource::new(frames(6)), plan);
         let report = sup.run_sync(source, &mut factory, None).unwrap();
-        assert_eq!(report.skipped, 2);
+        assert_eq!(report.skipped(), 2);
         assert_eq!(report.skipped_ids, vec![1, 3]);
         assert!(
             report.black_box.is_none(),
@@ -1196,7 +1219,7 @@ mod tests {
 
         let back = run(2);
         assert_eq!(back.resolution_history, vec![8, 4, 8]);
-        assert_eq!((back.downshifts, back.upshifts), (1, 1));
+        assert_eq!((back.downshifts(), back.upshifts()), (1, 1));
         assert_eq!(back.final_health, Health::Healthy);
     }
 
@@ -1256,7 +1279,7 @@ mod tests {
     fn synchronous_mode_processes_everything() {
         let report = detector_run(5, false, &Registry::noop(), &Tracer::noop());
         assert_eq!(report.processed(), 5);
-        assert_eq!(report.dropped, 0);
+        assert_eq!(report.dropped(), 0);
         assert!(report.dropped_ids.is_empty());
         assert!(report.fps().0 > 0.0);
         assert!(report.mean_latency() > Duration::ZERO);
@@ -1318,7 +1341,7 @@ mod tests {
         );
         assert_eq!(
             snap.counter("pipeline.dropped"),
-            Some(report.dropped as u64)
+            Some(report.dropped() as u64)
         );
         assert_eq!(
             snap.histogram("pipeline.preprocess").unwrap().count,

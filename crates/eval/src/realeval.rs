@@ -10,7 +10,8 @@ use dronet_data::dataset::VehicleDataset;
 use dronet_data::scene::Scene;
 use dronet_detect::{DetectError, Detector};
 use dronet_metrics::matching::{match_detections, MatchResult, DEFAULT_IOU_THRESHOLD};
-use dronet_metrics::{BBox, DetectionStats, Fps, FpsMeter};
+use dronet_metrics::{BBox, DetectionStats, Fps};
+use std::time::{Duration, Instant};
 
 /// Outcome of evaluating a detector over a scene set.
 #[derive(Debug, Clone)]
@@ -41,20 +42,20 @@ pub fn evaluate_detector(
     scenes: &[Scene],
 ) -> Result<EvalOutcome, DetectError> {
     let (_, in_h, _) = detector.input_chw();
-    let mut meter = FpsMeter::new();
+    let mut busy = Duration::ZERO;
     let mut total = MatchResult::default();
     for scene in scenes {
         let sample = VehicleDataset::sample(scene, in_h);
-        meter.start();
+        let t0 = Instant::now();
         let detections = detector.detect(&sample.image)?;
-        meter.stop();
+        busy += t0.elapsed();
         let dets: Vec<(BBox, f32)> = detections.iter().map(|d| (d.bbox, d.score())).collect();
         let frame = match_detections(&dets, &sample.boxes, DEFAULT_IOU_THRESHOLD);
         total.merge(&frame);
     }
     Ok(EvalOutcome {
         stats: total.stats(),
-        fps: meter.fps(),
+        fps: Fps::from_latency(busy / scenes.len().max(1) as u32),
         frames: scenes.len(),
     })
 }

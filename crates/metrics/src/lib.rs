@@ -7,7 +7,7 @@
 //! * [`matching`] — greedy IoU matching of detections to ground truth,
 //!   yielding true/false positives and false negatives,
 //! * [`DetectionStats`] — Sensitivity (eq. 1), Precision (eq. 2), mean IoU,
-//! * [`FpsMeter`] — frame-rate measurement,
+//! * [`Fps`] — the frame-rate figure the Score metric weighs,
 //! * [`score`] — the weighted composite Score metric (eq. 3) with its
 //!   simplex-constrained weight vector and the cross-model normalisation
 //!   scheme of Fig. 3,
@@ -42,7 +42,7 @@ pub mod score;
 
 pub use bbox::BBox;
 pub use error::MetricsError;
-pub use fps::{Fps, FpsMeter};
+pub use fps::Fps;
 pub use matching::{match_detections, MatchResult};
 pub use score::{normalize_metrics, MetricVector, ScoreWeights};
 pub use stats::DetectionStats;

@@ -13,7 +13,7 @@
 //! ([`ServeError::Overloaded`] → `503` + `Retry-After`) instead of letting
 //! latency grow without bound.
 //!
-//! Self-healing: every worker owns a [`WorkerSlot`] — a heartbeat cell
+//! Self-healing: every worker owns a `WorkerSlot` — a heartbeat cell
 //! stamped around each batch forward plus a *takeable* record of the
 //! in-flight jobs. The supervisor's tick (`crate::replica`) reads the
 //! heartbeats; when a worker wedges past its deadline the watchdog pass
@@ -417,19 +417,18 @@ impl WorkerSlot {
     }
 
     /// Marks the worker dead; returns `true` exactly once (whoever wins
-    /// the race — worker death path or watchdog — does the pool
-    /// accounting).
+    /// the race — worker death path or watchdog — decides whether the
+    /// pool is left empty).
     pub fn retire(&self) -> bool {
         self.alive.swap(false, Ordering::SeqCst)
     }
 }
 
-/// The live worker registry: slots for the watchdog pass to scan, handles
-/// for shutdown to join, and the count of workers still alive.
+/// The live worker registry: slots for the watchdog pass to scan (and
+/// to count the workers still alive), handles for shutdown to join.
 pub(crate) struct Pool {
     slots: Mutex<Vec<Arc<WorkerSlot>>>,
     handles: Mutex<Vec<thread::JoinHandle<()>>>,
-    alive: AtomicUsize,
     next_index: AtomicUsize,
 }
 
@@ -438,7 +437,6 @@ impl Pool {
         Pool {
             slots: Mutex::new(Vec::new()),
             handles: Mutex::new(Vec::new()),
-            alive: AtomicUsize::new(0),
             next_index: AtomicUsize::new(0),
         }
     }
@@ -452,16 +450,14 @@ impl Pool {
     pub fn register(&self, slot: Arc<WorkerSlot>, handle: thread::JoinHandle<()>) {
         lock_recover(&self.slots).push(slot);
         lock_recover(&self.handles).push(handle);
-        self.alive.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Accounts one worker's death; returns how many remain alive.
-    pub fn worker_gone(&self) -> usize {
-        self.alive.fetch_sub(1, Ordering::SeqCst).saturating_sub(1)
-    }
-
+    /// Registered workers not yet retired.
     pub fn alive_count(&self) -> usize {
-        self.alive.load(Ordering::SeqCst)
+        lock_recover(&self.slots)
+            .iter()
+            .filter(|s| s.is_alive())
+            .count()
     }
 
     /// A point-in-time copy of every slot ever registered (dead slots
@@ -614,7 +610,6 @@ impl WorkerShared {
         if !slot.retire() {
             return;
         }
-        self.pool.worker_gone();
         replace();
         if self.pool.alive_count() == 0 {
             self.health.halt();
@@ -975,8 +970,13 @@ mod tests {
         pool.register(Arc::clone(&slot), thread::spawn(|| {}));
         assert_eq!(pool.alive_count(), 1);
         assert_eq!(pool.slots_snapshot().len(), 1);
-        assert_eq!(pool.worker_gone(), 0);
+        assert!(slot.retire());
         assert_eq!(pool.alive_count(), 0);
+        assert_eq!(
+            pool.slots_snapshot().len(),
+            1,
+            "a retired slot stays listed"
+        );
         for h in pool.take_handles() {
             h.join().unwrap();
         }

@@ -380,27 +380,10 @@ impl ReplicaBuilder {
     }
 }
 
-/// Where a slot currently stands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SlotStatus {
-    /// In rotation, taking traffic.
-    Active,
-    /// Out of rotation; the supervisor is rebuilding it.
-    Quarantined,
-}
-
-impl SlotStatus {
-    fn as_str(self) -> &'static str {
-        match self {
-            SlotStatus::Active => "active",
-            SlotStatus::Quarantined => "quarantined",
-        }
-    }
-}
-
 struct SlotState {
+    /// The core in rotation; `None` while the slot is quarantined and the
+    /// supervisor is rebuilding it.
     core: Option<Arc<ReplicaCore>>,
-    status: SlotStatus,
     generation: u64,
     /// Cumulative canary probes failed on this slot.
     canary_failures: u64,
@@ -486,7 +469,6 @@ impl ReplicaSet {
                 id,
                 state: Mutex::new(SlotState {
                     core: Some(core),
-                    status: SlotStatus::Active,
                     generation: 0,
                     canary_failures: 0,
                     rebuild_failures: RestartBudget::new(MAX_REBUILD_FAILURES + 1),
@@ -652,11 +634,7 @@ impl ReplicaSet {
             if !(halted || (faulting && self.active_count() > 1)) {
                 continue;
             }
-            {
-                let mut s = lock_recover(&slot.state);
-                s.core = None;
-                s.status = SlotStatus::Quarantined;
-            }
+            lock_recover(&slot.state).core = None;
             self.quarantine_entered.inc();
             lock_recover(&self.graveyard).extend(core.tear_down());
         }
@@ -667,7 +645,7 @@ impl ReplicaSet {
         for slot in &self.slots {
             let forced_failure = {
                 let mut s = lock_recover(&slot.state);
-                if s.status != SlotStatus::Quarantined || s.rebuild_failures.is_exhausted() {
+                if s.core.is_some() || s.rebuild_failures.is_exhausted() {
                     continue;
                 }
                 let forced = s.forced_canary_failures > 0;
@@ -685,7 +663,6 @@ impl ReplicaSet {
             match rebuilt {
                 Ok(Some(core)) => {
                     s.core = Some(core);
-                    s.status = SlotStatus::Active;
                     s.generation += 1;
                     s.rebuild_failures.reset();
                     self.quarantine_readmitted.inc();
@@ -787,10 +764,10 @@ impl ReplicaSet {
 /// One `/debug/replicas` row.
 impl ToJson for ReplicaSlot {
     fn write_json(&self, w: &mut JsonWriter<'_>) {
-        let (status, generation, canary_failures, rebuild_failures) = {
+        let (active, generation, canary_failures, rebuild_failures) = {
             let s = lock_recover(&self.state);
             (
-                s.status,
+                s.core.is_some(),
                 s.generation,
                 s.canary_failures,
                 s.rebuild_failures.spent,
@@ -806,7 +783,8 @@ impl ToJson for ReplicaSlot {
             ),
             None => (Health::Halted.as_metric(), 0, 0, 0, 0.0),
         };
-        json_object!(w, "id" => self.id, "status" => status.as_str(),
+        let status = if active { "active" } else { "quarantined" };
+        json_object!(w, "id" => self.id, "status" => status,
             "generation" => generation, "health" => health, "queue_depth" => depth,
             "workers_alive" => alive, "input_resolution" => input,
             "p99_ms" => format_args!("{p99_ms:.3}"), "canary_failures" => canary_failures,
@@ -879,9 +857,10 @@ mod tests {
         answer
     }
 
-    fn slot_state(set: &ReplicaSet, id: usize) -> (SlotStatus, u64, u64) {
+    /// A slot's `(in rotation, generation, canary failures)`.
+    fn slot_state(set: &ReplicaSet, id: usize) -> (bool, u64, u64) {
         let s = lock_recover(&set.slots[id].state);
-        (s.status, s.generation, s.canary_failures)
+        (s.core.is_some(), s.generation, s.canary_failures)
     }
 
     #[test]
@@ -964,7 +943,7 @@ mod tests {
         let set = unsupervised(config, Arc::new(dronet_32));
         let sick = set.slots[1].active_core().expect("active");
         for frame_id in 0..3 {
-            assert_eq!(slot_state(&set, 1).0, SlotStatus::Active);
+            assert!(slot_state(&set, 1).0);
             // The fault is counted before the typed error is delivered.
             let answer = push(&sick, frame_id);
             assert!(matches!(
@@ -975,16 +954,16 @@ mod tests {
         }
         // The third faulting tick quarantines, and its own rebuild attempt
         // already meets the first forced canary failure.
-        assert_eq!(slot_state(&set, 1), (SlotStatus::Quarantined, 0, 1));
+        assert_eq!(slot_state(&set, 1), (false, 0, 1));
         assert_eq!(set.active_count(), 1);
         assert_eq!(set.service_health.get(), Health::Degraded);
 
         set.tick();
-        assert_eq!(slot_state(&set, 1), (SlotStatus::Quarantined, 0, 2));
+        assert_eq!(slot_state(&set, 1), (false, 0, 2));
         assert_eq!(set.canary_failed.get(), 2);
 
         set.tick();
-        assert_eq!(slot_state(&set, 1), (SlotStatus::Active, 1, 2));
+        assert_eq!(slot_state(&set, 1), (true, 1, 2));
         assert_eq!(set.active_count(), 2);
         assert_eq!(set.quarantine_readmitted.get(), 1);
         assert_eq!(set.service_health.get(), Health::Healthy);

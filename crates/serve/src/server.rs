@@ -84,7 +84,7 @@ pub struct ServeConfig {
     pub limits: HttpLimits,
     /// Upper bound on waiting for in-flight connections during shutdown.
     pub drain_timeout: Duration,
-    /// Watchdog tick period.
+    /// Watchdog tick period; must be non-zero.
     pub watchdog_interval: Duration,
     /// A worker busy past this is declared wedged: its jobs fail with
     /// typed `500`s and a replacement is spawned.
@@ -174,6 +174,11 @@ impl ServeConfig {
                 return Err(ServeError::Config(format!("{name} must be >= 1")));
             }
         }
+        if self.watchdog_interval.is_zero() {
+            return Err(ServeError::Config(
+                "watchdog_interval must be > 0".to_string(),
+            ));
+        }
         if let Some(b) = &self.brownout {
             DegradeController::new(b.clone()).map_err(|e| ServeError::Config(e.to_string()))?;
         }
@@ -193,8 +198,6 @@ struct Shared {
     shutdown: Arc<AtomicBool>,
     active_connections: AtomicUsize,
     next_frame_id: AtomicU64,
-    /// The detector's native input `(c, h, w)` at the ladder top.
-    base_chw: (usize, usize, usize),
     obs: Registry,
     tracer: Tracer,
     config: Arc<ServeConfig>,
@@ -474,7 +477,6 @@ impl Server {
             black_box: BlackBoxStore::new(obs.counter("serve.black_box_captures"), tracer.clone()),
         };
         let replicas = ReplicaSet::new(builder, first)?;
-        let base_chw = replicas.base_chw;
 
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
@@ -489,7 +491,6 @@ impl Server {
             shutdown,
             active_connections: AtomicUsize::new(0),
             next_frame_id: AtomicU64::new(0),
-            base_chw,
             obs: obs.clone(),
             tracer: tracer.clone(),
             config,
@@ -975,18 +976,29 @@ fn handle_debug_trace(shared: &Shared, query: &str) -> Response {
     Response::json(ChromeTrace::to_string(&shared.tracer.snapshot()))
 }
 
+/// The one answer to a `/detect` request the server cannot take — no
+/// serviceable replica ([`ServeError::Halted`]), a full admission queue
+/// ([`ServeError::Overloaded`]) or a drain ([`ServeError::Draining`]),
+/// whether dispatch, admission or the reply found it: a
+/// `serve.shed.{halted,queue_full,draining}` count and a `503` with
+/// `Retry-After`, its body the reason's error text.
+fn shed(shared: &Shared, reason: ServeError) -> Response {
+    let counter = match reason {
+        ServeError::Halted => "serve.shed.halted",
+        ServeError::Overloaded => "serve.shed.queue_full",
+        _ => "serve.shed.draining",
+    };
+    shared.obs.counter(counter).inc();
+    let mut r = Response::text(503, "Service Unavailable", format!("{reason}\n"));
+    r.retry_after = Some(shared.retry_after());
+    r
+}
+
 fn handle_detect(request: &Request, shared: &Shared) -> Response {
     // Health-aware dispatch: shallowest active queue, p99 tie-break. No
     // serviceable replica at all means the service is down.
     let Some(primary) = shared.replicas.pick_primary() else {
-        shared.obs.counter("serve.shed.halted").inc();
-        let mut r = Response::text(
-            503,
-            "Service Unavailable",
-            format!("{}\n", ServeError::Halted),
-        );
-        r.retry_after = Some(shared.retry_after());
-        return r;
+        return shed(shared, ServeError::Halted);
     };
     let frame_id = shared.next_frame_id.fetch_add(1, Ordering::SeqCst) + 1;
 
@@ -1002,7 +1014,7 @@ fn handle_detect(request: &Request, shared: &Shared) -> Response {
     // Conform to the primary's brownout rung (workers re-resize
     // stragglers if the ladder moves between here and dispatch).
     let size = primary.current_input();
-    let chw = (shared.base_chw.0, size, size);
+    let chw = (shared.replicas.base_chw.0, size, size);
     let frame = match conform_frame(image.to_tensor(), chw, frame_id as usize) {
         Ok(t) => t,
         Err(e) => {
@@ -1033,24 +1045,9 @@ fn handle_detect(request: &Request, shared: &Shared) -> Response {
         hedge: hedge_state.clone(),
         leg: PRIMARY_LEG,
     };
-    match primary.queue.push(job) {
-        Ok(()) => {}
-        Err(ServeError::Overloaded) => {
-            drop(queue_span);
-            shared.obs.counter("serve.shed.queue_full").inc();
-            return Response::overloaded(shared.retry_after());
-        }
-        Err(_) => {
-            drop(queue_span);
-            shared.obs.counter("serve.shed.draining").inc();
-            let mut r = Response::text(
-                503,
-                "Service Unavailable",
-                "server is draining\n".to_string(),
-            );
-            r.retry_after = Some(shared.retry_after());
-            return r;
-        }
+    if let Err(e) = primary.queue.push(job) {
+        drop(queue_span);
+        return shed(shared, e);
     }
 
     // Wait for the first winning answer, firing at most one hedge when
@@ -1140,15 +1137,7 @@ fn handle_detect(request: &Request, shared: &Shared) -> Response {
             Response::json(detections_json(frame_id, &detections))
         }
         Some(Err(e @ (ServeError::Halted | ServeError::Overloaded | ServeError::Draining))) => {
-            let reason = match e {
-                ServeError::Halted => "halted",
-                ServeError::Overloaded => "queue_full",
-                _ => "draining",
-            };
-            shared.obs.counter(&format!("serve.shed.{reason}")).inc();
-            let mut r = Response::text(503, "Service Unavailable", format!("{e}\n"));
-            r.retry_after = Some(shared.retry_after());
-            r
+            shed(shared, e)
         }
         Some(Err(e)) => {
             shared.obs.counter("serve.error.worker").inc();
@@ -1172,6 +1161,48 @@ fn handle_detect(request: &Request, shared: &Shared) -> Response {
 mod tests {
     use super::*;
     use crate::chaos::{Fault, FaultEvent};
+    use dronet_core::{zoo, ModelId};
+    use dronet_detect::DetectorBuilder;
+
+    fn dronet_32() -> DetectorFactory {
+        Arc::new(|| DetectorBuilder::new(zoo::build(ModelId::DroNet, 32)?).build())
+    }
+
+    #[test]
+    fn a_zero_watchdog_period_is_a_config_error() {
+        let config = ServeConfig {
+            watchdog_interval: Duration::ZERO,
+            ..ServeConfig::default()
+        };
+        match Server::start(dronet_32(), config, &Registry::new(), &Tracer::noop()) {
+            Err(ServeError::Config(m)) => assert!(m.contains("watchdog_interval"), "{m}"),
+            Err(e) => panic!("expected a config error, got {e}"),
+            Ok(server) => {
+                server.shutdown();
+                panic!("a zero watchdog period started a server");
+            }
+        }
+    }
+
+    #[test]
+    fn every_shed_reason_gets_one_response() {
+        let obs = Registry::new();
+        let server = Server::start(dronet_32(), ServeConfig::default(), &obs, &Tracer::noop())
+            .expect("start");
+        for (reason, counter) in [
+            (ServeError::Halted, "serve.shed.halted"),
+            (ServeError::Overloaded, "serve.shed.queue_full"),
+            (ServeError::Draining, "serve.shed.draining"),
+        ] {
+            let body = format!("{reason}\n");
+            let r = shed(&server.shared, reason);
+            assert_eq!((r.status, r.reason), (503, "Service Unavailable"));
+            assert_eq!(r.retry_after, Some(1), "an idle queue hints the base");
+            assert_eq!(String::from_utf8(r.body).unwrap(), body);
+            assert_eq!(obs.snapshot().counter(counter), Some(1), "{counter}");
+        }
+        server.shutdown();
+    }
 
     #[test]
     fn a_fault_aimed_past_the_last_replica_is_a_config_error() {

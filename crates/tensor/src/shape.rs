@@ -13,8 +13,8 @@ pub const MAX_RANK: usize = 4;
 /// A `Shape` is an inexpensive value type describing row-major (C-order)
 /// layout. For CNN feature maps the convention throughout this workspace is
 /// **NCHW**: `[batch, channels, height, width]`. Dimensions are stored in a
-/// fixed inline array (see [`MAX_RANK`]), so creating or cloning a `Shape`
-/// never touches the heap.
+/// fixed inline array of `MAX_RANK` (4) entries, so creating or cloning a
+/// `Shape` never touches the heap.
 ///
 /// # Example
 ///
@@ -40,7 +40,7 @@ impl Shape {
     ///
     /// # Panics
     ///
-    /// Panics if `dims` has more than [`MAX_RANK`] dimensions.
+    /// Panics if `dims` has more than `MAX_RANK` (4) dimensions.
     pub fn new(dims: &[usize]) -> Self {
         assert!(
             dims.len() <= MAX_RANK,

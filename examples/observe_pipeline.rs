@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "threaded pipeline:    {} processed, {} dropped (ids {:?}, single-slot camera buffer)",
         report.processed(),
-        report.dropped,
+        report.dropped(),
         report.dropped_ids
     );
 

@@ -9,9 +9,9 @@
 use dronet::core::{zoo, ModelId};
 use dronet::data::scene::{SceneConfig, SceneGenerator};
 use dronet::detect::DetectorBuilder;
-use dronet::metrics::FpsMeter;
 use dronet::nn::summary::NetworkSummary;
 use dronet::platform::{Platform, PlatformId};
+use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Build DroNet at the paper's selected 512x512 input.
@@ -47,14 +47,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let mut detector = DetectorBuilder::new(zoo::build(ModelId::DroNet, 256)?).build()?;
     let frame = scene.image.resize(256, 256).to_tensor();
-    let mut meter = FpsMeter::new();
-    meter.start();
+    let t0 = Instant::now();
     let detections = detector.detect(&frame)?;
-    meter.stop();
+    let elapsed = t0.elapsed();
     println!(
         "untrained DroNet-256 inference: {} raw detections in {:.1} ms",
         detections.len(),
-        meter.mean_latency().as_secs_f64() * 1e3
+        elapsed.as_secs_f64() * 1e3
     );
     Ok(())
 }

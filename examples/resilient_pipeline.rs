@@ -115,14 +115,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("processed   : {}", report.processed());
     println!(
         "skipped     : {} (frame ids {:?})",
-        report.skipped, report.skipped_ids
+        report.skipped(),
+        report.skipped_ids
     );
     println!("retries     : {}", report.retries);
     println!("restarts    : {}", report.restarts);
     println!("stalls      : {}", report.stalls);
     println!(
         "resolution  : {:?} ({} down / {} up)",
-        report.resolution_history, report.downshifts, report.upshifts
+        report.resolution_history,
+        report.downshifts(),
+        report.upshifts()
     );
     println!("final health: {:?}", report.final_health);
 

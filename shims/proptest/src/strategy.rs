@@ -142,7 +142,7 @@ impl_strategy_for_tuples! {
     (A 0, B 1, C 2, D 3, E 4, F 5, G 6, H 7);
 }
 
-/// Length specifications accepted by [`vec`].
+/// Length specifications accepted by [`vec()`].
 pub trait IntoSizeRange {
     /// Lower/upper (inclusive) length bounds.
     fn bounds(&self) -> (usize, usize);
@@ -167,7 +167,7 @@ impl IntoSizeRange for RangeInclusive<usize> {
     }
 }
 
-/// Strategy returned by [`vec`].
+/// Strategy returned by [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     elem: S,

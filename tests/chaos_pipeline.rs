@@ -67,7 +67,11 @@ fn chaos_corrupt_and_nan_frames_are_survived() {
         Box::new(|_| Ok(micro_stage()));
     let source = FaultyFrameSource::new(IterSource::new(frames(12)), plan);
     let report = sup.run_sync(source, &mut factory, None).unwrap();
-    assert_eq!(report.skipped, injected, "every faulted frame skipped once");
+    assert_eq!(
+        report.skipped(),
+        injected,
+        "every faulted frame skipped once"
+    );
     assert_eq!(report.processed(), 12 - injected);
     assert_eq!(report.faults.len(), injected);
     for fault in &report.faults {
@@ -281,13 +285,13 @@ fn chaos_overload_degrades_to_352_and_recovers() {
         report.resolution_history
     );
     assert_eq!(
-        report.downshifts,
+        report.downshifts(),
         (ladder.len() - 1) as u32,
         "walked every rung down: {:?}",
         report.resolution_history
     );
     assert!(
-        report.upshifts >= 1,
+        report.upshifts() >= 1,
         "recovered at least one rung after the load cleared: {:?}",
         report.resolution_history
     );
@@ -301,11 +305,11 @@ fn chaos_overload_degrades_to_352_and_recovers() {
     let snap = obs.snapshot();
     assert_eq!(
         snap.counter("degrade.downshifts"),
-        Some(report.downshifts as u64)
+        Some(report.downshifts() as u64)
     );
     assert_eq!(
         snap.counter("degrade.upshifts"),
-        Some(report.upshifts as u64)
+        Some(report.upshifts() as u64)
     );
     let final_input = snap.gauge("detect.input_size").unwrap();
     assert_eq!(
@@ -351,7 +355,7 @@ fn chaos_same_seed_same_report() {
     let b = run(1234);
     assert_eq!(a.fault_signature(), b.fault_signature());
     assert_eq!(a.processed(), b.processed());
-    assert_eq!(a.skipped, b.skipped);
+    assert_eq!(a.skipped(), b.skipped());
     assert_eq!(a.retries, b.retries);
     assert_eq!(a.restarts, b.restarts);
     assert_eq!(a.final_health, b.final_health);
@@ -390,9 +394,9 @@ fn chaos_soak_every_fault_class_accounted() {
     let source = FaultyFrameSource::new(IterSource::new(frames(n)), source_plan);
     let report = sup.run_sync(source, &mut factory, None).unwrap();
     // Sync mode is lossless: every frame either processed or typed-skipped.
-    assert_eq!(report.processed() + report.skipped, n);
+    assert_eq!(report.processed() + report.skipped(), n);
     assert!(
-        report.skipped <= injected,
+        report.skipped() <= injected,
         "skips bounded by injected faults"
     );
     assert_ne!(report.final_health, Health::Halted);

@@ -228,6 +228,6 @@ fn threaded_pipeline_handles_flight_stream() {
     let n = tensors.len();
     let net = zoo::micro_dronet(64, vec![(1.0, 1.0)]).unwrap();
     let report = run_pipeline(net, tensors, true);
-    assert_eq!(report.processed() + report.dropped, n);
+    assert_eq!(report.processed() + report.dropped(), n);
     assert!(report.processed() >= 1);
 }
