@@ -1323,7 +1323,7 @@ mod tests {
         assert_eq!(snap.counter("pipeline.frames"), Some(4));
         let frame = snap.histogram("pipeline.frame").unwrap();
         assert_eq!(frame.count, 4);
-        assert!(frame.p99_ns >= frame.p50_ns);
+        assert!(frame.quantile_ns(0.99) >= frame.quantile_ns(0.5));
         // One acquisition per yielded frame (the end-of-stream probe is
         // not recorded).
         assert_eq!(snap.histogram("pipeline.preprocess").unwrap().count, 4);

@@ -123,7 +123,7 @@ impl NetworkProfile {
                 let bwd = snapshot.histogram(&backward_metric_name(row.index, row.kind));
                 let samples = fwd.map_or(0, |h| h.count);
                 let forward_mean = fwd.map_or(Duration::ZERO, |h| h.mean());
-                let forward_p99 = fwd.map_or(Duration::ZERO, |h| Duration::from_nanos(h.p99_ns));
+                let forward_p99 = Duration::from_nanos(fwd.map_or(0, |h| h.quantile_ns(0.99)));
                 let secs = forward_mean.as_secs_f64();
                 let per_forward = |total: Option<u64>| {
                     total

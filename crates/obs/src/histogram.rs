@@ -33,78 +33,43 @@ pub(crate) fn bucket_index(ns: u64) -> usize {
     i.min(BUCKET_COUNT - 1)
 }
 
-/// Estimated value at percentile `p` in `[0, 100]` (clamped) from a merged
-/// bucket array, in nanoseconds.
-///
-/// Shared by the cumulative [`HistogramCell`] and the rolling-window
-/// aggregation so windowed and lifetime percentiles use identical
-/// estimation: the geometric midpoint of the bucket holding the
-/// rank-`ceil(p/100 * count)` sample, clamped into the observed
-/// `[min, max]` support.
-pub(crate) fn percentile_from_buckets(
-    buckets: &[u64; BUCKET_COUNT],
-    count: u64,
-    min: u64,
-    max: u64,
-    p: f64,
-) -> u64 {
-    if count == 0 {
-        return 0;
-    }
-    let p = p.clamp(0.0, 100.0);
-    let rank = ((p / 100.0) * count as f64).ceil().max(1.0) as u64;
-    let mut cumulative = 0u64;
-    for (i, &bucket) in buckets.iter().enumerate() {
-        cumulative += bucket;
-        if cumulative >= rank {
-            let hi = bucket_bound(i).min(max);
-            let lo = if i == 0 { 0 } else { bucket_bound(i - 1) }.max(min);
-            // Geometric midpoint of the bucket (buckets are log-spaced).
-            let mid = (((lo.max(1) as f64) * (hi.max(1) as f64)).sqrt()) as u64;
-            return mid.clamp(min, max);
-        }
-    }
-    max
-}
-
 /// Estimated value at quantile `q` in `[0, 1]` (clamped) from a merged
-/// bucket array, in nanoseconds — with **within-bucket linear
-/// interpolation**.
+/// bucket array, in nanoseconds; 0 when every bucket is empty.
 ///
-/// [`percentile_from_buckets`] answers at bucket granularity (the
-/// geometric midpoint of the rank's bucket), which is fine for p50/p99
-/// dashboards but useless for tail quantiles like p99.9: every estimate
-/// inside one log2 bucket collapses to the same value. Here the bucket
-/// holding the rank-`ceil(q * count)` sample is located the same way,
-/// then the estimate walks linearly from the bucket's lower bound to its
-/// upper bound according to the rank's position among the bucket's own
-/// samples. Bounds are clamped into the observed `[min, max]` support, so
-/// a fully-populated bucket interpolates across exactly the range that
-/// was recorded.
+/// The workspace's one quantile estimator: live histograms, snapshots,
+/// rolling windows and everything that exports them (`/debug/vars`,
+/// `/metrics`, serve's dispatch) answer through it. It finds the bucket
+/// holding the rank-`ceil(q * n)` sample, `n` being the total of
+/// `buckets`, then walks linearly from the bucket's lower bound to its
+/// upper bound by the rank's position among the bucket's own samples, so
+/// p99 and p99.9 stay apart inside one log2 bucket. Bounds are clamped
+/// into the observed `[min, max]`, so a fully populated bucket
+/// interpolates across exactly the range that was recorded. A `min`
+/// above `max`, which a record still in flight can show, yields `max`
+/// rather than a panic.
 pub(crate) fn quantile_from_buckets(
     buckets: &[u64; BUCKET_COUNT],
-    count: u64,
     min: u64,
     max: u64,
     q: f64,
 ) -> u64 {
-    if count == 0 {
+    let total: u64 = buckets.iter().sum();
+    if total == 0 {
         return 0;
     }
-    let q = q.clamp(0.0, 1.0);
-    let rank = (q * count as f64).ceil().max(1.0) as u64;
+    let into_support = |v: u64| v.max(min).min(max);
+    let rank = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
     let mut before = 0u64;
     for (i, &bucket) in buckets.iter().enumerate() {
         if bucket == 0 {
             continue;
         }
         if before + bucket >= rank {
-            let lo = (if i == 0 { 0 } else { bucket_bound(i - 1) }).clamp(min, max);
-            let hi = bucket_bound(i).clamp(lo, max);
+            let lo = into_support(if i == 0 { 0 } else { bucket_bound(i - 1) });
+            let hi = into_support(bucket_bound(i)).max(lo);
             // Rank position among this bucket's samples, in (0, 1].
             let frac = (rank - before) as f64 / bucket as f64;
-            let est = lo as f64 + frac * (hi - lo) as f64;
-            return (est as u64).clamp(min, max);
+            return into_support((lo as f64 + frac * (hi - lo) as f64) as u64);
         }
         before += bucket;
     }
@@ -160,43 +125,13 @@ impl HistogramCell {
         self.window.get().map(|w| w.stats_at(mono_now_ns()))
     }
 
-    pub(crate) fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        self.sum_ns.store(0, Ordering::Relaxed);
-        self.min_ns.store(u64::MAX, Ordering::Relaxed);
-        self.max_ns.store(0, Ordering::Relaxed);
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Estimated value at percentile `p` in `[0, 100]` (clamped), in ns.
-    ///
-    /// The estimate is the geometric midpoint of the bucket holding the
-    /// rank-`ceil(p/100 * count)` sample, clamped into the recorded
-    /// `[min, max]` range so estimates never leave the observed support.
-    fn percentile_ns(&self, p: f64) -> u64 {
-        let count = self.count.load(Ordering::Relaxed);
-        let buckets: [u64; BUCKET_COUNT] =
-            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
-        percentile_from_buckets(
-            &buckets,
-            count,
-            self.min_ns.load(Ordering::Relaxed),
-            self.max_ns.load(Ordering::Relaxed),
-            p,
-        )
-    }
-
-    /// Estimated value at quantile `q` in `[0, 1]` (clamped), in ns, with
-    /// within-bucket linear interpolation — see [`quantile_from_buckets`].
+    /// Estimated value at quantile `q` in `[0, 1]` (clamped), in ns — see
+    /// [`quantile_from_buckets`].
     fn quantile_ns(&self, q: f64) -> u64 {
-        let count = self.count.load(Ordering::Relaxed);
         let buckets: [u64; BUCKET_COUNT] =
             std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
         quantile_from_buckets(
             &buckets,
-            count,
             self.min_ns.load(Ordering::Relaxed),
             self.max_ns.load(Ordering::Relaxed),
             q,
@@ -216,20 +151,15 @@ impl HistogramCell {
                 })
             })
             .collect();
-        let count = self.count.load(Ordering::Relaxed);
+        let max_ns = self.max_ns.load(Ordering::Relaxed);
         HistogramSnapshot {
             name: self.name.clone(),
-            count,
+            count: self.count.load(Ordering::Relaxed),
             sum_ns: self.sum_ns.load(Ordering::Relaxed),
-            min_ns: if count == 0 {
-                0
-            } else {
-                self.min_ns.load(Ordering::Relaxed)
-            },
-            max_ns: self.max_ns.load(Ordering::Relaxed),
-            p50_ns: self.percentile_ns(50.0),
-            p90_ns: self.percentile_ns(90.0),
-            p99_ns: self.percentile_ns(99.0),
+            // `min_ns` is u64::MAX until the first record lands: a snapshot
+            // never carries a minimum above its maximum.
+            min_ns: self.min_ns.load(Ordering::Relaxed).min(max_ns),
+            max_ns,
             buckets,
         }
     }
@@ -289,35 +219,13 @@ impl Histogram {
         }
     }
 
-    /// Estimated duration at percentile `p` in `[0, 100]` (clamped).
-    pub fn percentile(&self, p: f64) -> Duration {
-        self.cell
-            .as_ref()
-            .map_or(Duration::ZERO, |c| Duration::from_nanos(c.percentile_ns(p)))
-    }
-
-    /// Estimated duration at quantile `q` in `[0, 1]` (clamped), using
-    /// within-bucket linear interpolation.
-    ///
-    /// Unlike [`Histogram::percentile`] — which answers at bucket
-    /// granularity and therefore cannot distinguish p99 from p99.9 once
-    /// both ranks land in the same log2 bucket — this walks linearly
-    /// through the target bucket, so deep-tail quantiles move smoothly
-    /// with the data. Returns zero for empty or inert histograms.
+    /// Estimated duration at quantile `q` in `[0, 1]` (clamped), from the
+    /// workspace's one estimator (within-bucket linear interpolation).
+    /// Returns zero for empty or inert histograms.
     pub fn quantile(&self, q: f64) -> Duration {
         self.cell
             .as_ref()
             .map_or(Duration::ZERO, |c| Duration::from_nanos(c.quantile_ns(q)))
-    }
-
-    /// Estimated durations at each quantile in `qs` (each clamped to
-    /// `[0, 1]`), using within-bucket linear interpolation.
-    ///
-    /// The caller picks the quantile set — e.g. `&[0.5, 0.99, 0.999]` for
-    /// an SLO dashboard — instead of being limited to the hard-coded
-    /// p50/p90/p99 of [`HistogramSnapshot`](crate::HistogramSnapshot).
-    pub fn quantiles(&self, qs: &[f64]) -> Vec<Duration> {
-        qs.iter().map(|&q| self.quantile(q)).collect()
     }
 }
 
@@ -383,9 +291,10 @@ mod tests {
         assert_eq!(snap.count, 100);
         assert_eq!(snap.min_ns, 1_000_000);
         assert_eq!(snap.max_ns, 100_000_000);
-        assert!(snap.p50_ns >= snap.min_ns && snap.p50_ns <= snap.max_ns);
-        assert!(snap.p90_ns >= snap.p50_ns);
-        assert!(snap.p99_ns >= snap.p90_ns);
+        let [p50, p90, p99] = [0.5, 0.9, 0.99].map(|q| snap.quantile_ns(q));
+        assert!(p50 >= snap.min_ns && p50 <= snap.max_ns);
+        assert!(p90 >= p50);
+        assert!(p99 >= p90);
     }
 
     /// Exact quantile of a sorted sample set by the same nearest-rank
@@ -437,9 +346,6 @@ mod tests {
             *samples.last().unwrap(),
             "q=1.0 must clamp to the observed max"
         );
-        let multi = h.quantiles(&[0.5, 0.99, 0.999]);
-        assert_eq!(multi.len(), 3);
-        assert!(multi[0] <= multi[1] && multi[1] <= multi[2]);
     }
 
     #[test]
@@ -450,18 +356,51 @@ mod tests {
             cell.record_ns(ns);
         }
         // Exact nearest-rank p50 is sample #512 = 1536. Linear
-        // interpolation lands within rounding of it; the old geometric
-        // bucket midpoint (~1448) cannot.
+        // interpolation lands within rounding of it; a geometric bucket
+        // midpoint (~1448) could not.
         let p50 = cell.quantile_ns(0.5);
         assert!((1534..=1538).contains(&p50), "p50 estimate {p50} off");
         // p99.9: rank 1023 of 1024 → exact 2047; interpolation stays in
         // the top of the bucket instead of collapsing to the midpoint.
         let p999 = cell.quantile_ns(0.999);
         assert!((2045..=2048).contains(&p999), "p99.9 estimate {p999} off");
-        // The bucket-granularity estimator cannot tell p60 from p90 here;
+        // A bucket-granularity estimator could not tell p60 from p90 here;
         // the interpolated one must separate them.
         assert!(cell.quantile_ns(0.9) > cell.quantile_ns(0.6));
-        assert_eq!(cell.percentile_ns(90.0), cell.percentile_ns(60.0));
+    }
+
+    #[test]
+    fn every_reader_reports_one_number_per_quantile() {
+        use crate::{JsonValue, Registry, Snapshot};
+        let r = Registry::new();
+        r.enable_windows(Duration::from_secs(10), 10);
+        let h = r.histogram("h");
+        // Spread over thirteen log2 buckets.
+        for i in 1..=300u64 {
+            h.record_ns(700 + i * i * 37);
+        }
+        let json = r.snapshot().to_json();
+        let fields = JsonValue::parse(&json).unwrap();
+        let fields = &fields
+            .get("histograms")
+            .and_then(JsonValue::as_array)
+            .unwrap()[0];
+        let back = Snapshot::from_json(&json).unwrap();
+        let window = r.window_snapshot().histogram("h").unwrap().stats;
+        for (q, key, windowed) in [
+            (0.5, "p50_ns", Some(window.p50_ns)),
+            (0.9, "p90_ns", None),
+            (0.99, "p99_ns", Some(window.p99_ns)),
+        ] {
+            let live = h.quantile(q).as_nanos() as u64;
+            let parsed = back.histogram("h").unwrap().quantile_ns(q);
+            assert_eq!(parsed, live, "{key}: round-tripped snapshot");
+            let written = fields.get(key).and_then(JsonValue::as_u64);
+            assert_eq!(written, Some(live), "{key}: JSON field");
+            if let Some(windowed) = windowed {
+                assert_eq!(windowed, live, "{key}: rolling window");
+            }
+        }
     }
 
     #[test]
@@ -470,7 +409,6 @@ mod tests {
         assert_eq!(empty.quantile_ns(0.5), 0);
         let h = Histogram::default();
         assert_eq!(h.quantile(0.99), Duration::ZERO);
-        assert!(h.quantiles(&[0.5, 0.999]).iter().all(|d| d.is_zero()));
         let one = HistogramCell::new("t".into());
         one.record_ns(777);
         for q in [0.0, 0.5, 1.0, 7.0, -3.0] {

@@ -499,7 +499,8 @@ to_json!(CounterSnapshot => |c, w| crate::json_object!(w, "name" => &c.name, "va
 to_json!(GaugeSnapshot => |g, w| crate::json_object!(w, "name" => &g.name, "value" => g.value));
 to_json!(HistogramSnapshot => |h, w| crate::json_object!(w, "name" => &h.name,
     "count" => h.count, "sum_ns" => h.sum_ns, "min_ns" => h.min_ns, "max_ns" => h.max_ns,
-    "p50_ns" => h.p50_ns, "p90_ns" => h.p90_ns, "p99_ns" => h.p99_ns, "buckets" => &h.buckets));
+    "p50_ns" => h.quantile_ns(0.5), "p90_ns" => h.quantile_ns(0.9),
+    "p99_ns" => h.quantile_ns(0.99), "buckets" => &h.buckets));
 to_json!(BucketCount => |b, w| crate::json_object!(w, "le_ns" => b.le_ns, "count" => b.count));
 
 impl Snapshot {
@@ -511,11 +512,14 @@ impl Snapshot {
         JsonWriter::render(|w| self.write_json(w))
     }
 
-    /// Parses a snapshot written by [`Snapshot::to_json`].
+    /// Parses a snapshot written by [`Snapshot::to_json`]. The written
+    /// `p50_ns`/`p90_ns`/`p99_ns` are not read back: they are computed from
+    /// the buckets.
     ///
     /// # Errors
     ///
-    /// Returns [`JsonParseError`] on malformed input or a missing field.
+    /// Returns [`JsonParseError`] on malformed input, a missing field, or a
+    /// histogram whose `min_ns` is above its `max_ns`.
     pub fn from_json(input: &str) -> Result<Snapshot, JsonParseError> {
         let root = JsonValue::parse(input)?;
         let name = |v: &JsonValue| field(v, "name", |s| s.as_str().map(str::to_owned));
@@ -545,15 +549,19 @@ impl Snapshot {
                     })
                 })
                 .collect::<Result<_, JsonParseError>>()?;
+            let (min_ns, max_ns) = (int(h, "min_ns")?, int(h, "max_ns")?);
+            if min_ns > max_ns {
+                return Err(JsonParseError {
+                    msg: format!("histogram min_ns {min_ns} above max_ns {max_ns}"),
+                    offset: 0,
+                });
+            }
             snapshot.histograms.push(HistogramSnapshot {
                 name: name(h)?,
                 count: int(h, "count")?,
                 sum_ns: int(h, "sum_ns")?,
-                min_ns: int(h, "min_ns")?,
-                max_ns: int(h, "max_ns")?,
-                p50_ns: int(h, "p50_ns")?,
-                p90_ns: int(h, "p90_ns")?,
-                p99_ns: int(h, "p99_ns")?,
+                min_ns,
+                max_ns,
                 buckets,
             });
         }
@@ -601,6 +609,17 @@ mod tests {
         assert!(
             Snapshot::from_json("{\"counters\":[],\"gauges\":[],\"histograms\":[]} x").is_err()
         );
+    }
+
+    #[test]
+    fn rejects_a_histogram_whose_min_is_above_its_max() {
+        let json = r#"{"counters":[],"gauges":[],"histograms":[{"name":"h","count":1,
+            "sum_ns":9,"min_ns":9,"max_ns":1,"buckets":[{"le_ns":64,"count":1}]}]}"#;
+        let err = Snapshot::from_json(json).unwrap_err();
+        assert!(err.msg.contains("min_ns 9 above max_ns 1"), "{err}");
+        let ordered = json.replace(r#""max_ns":1"#, r#""max_ns":9"#);
+        let back = Snapshot::from_json(&ordered).unwrap();
+        assert_eq!(back.histograms[0].quantile_ns(0.99), 9);
     }
 
     #[test]

@@ -110,7 +110,8 @@ pub struct BucketCount {
     pub count: u64,
 }
 
-/// Point-in-time copy of one histogram, with pre-computed percentiles.
+/// Point-in-time copy of one histogram. Quantiles are computed from the
+/// buckets on demand ([`HistogramSnapshot::quantile_ns`]), never stored.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Metric name.
@@ -123,12 +124,6 @@ pub struct HistogramSnapshot {
     pub min_ns: u64,
     /// Largest recorded value, nanoseconds (0 when empty).
     pub max_ns: u64,
-    /// Estimated 50th-percentile value, nanoseconds.
-    pub p50_ns: u64,
-    /// Estimated 90th-percentile value, nanoseconds.
-    pub p90_ns: u64,
-    /// Estimated 99th-percentile value, nanoseconds.
-    pub p99_ns: u64,
     /// Occupied buckets in ascending bound order.
     pub buckets: Vec<BucketCount>,
 }
@@ -141,16 +136,16 @@ impl HistogramSnapshot {
             .map_or(Duration::ZERO, Duration::from_nanos)
     }
 
-    /// Estimated value at quantile `q` in `[0, 1]` (clamped), nanoseconds,
-    /// with within-bucket linear interpolation — the snapshot-side
-    /// counterpart of [`Histogram::quantile`], usable on parsed or
+    /// Estimated value at quantile `q` in `[0, 1]` (clamped), nanoseconds:
+    /// the same estimator, and so the same number, as
+    /// [`Histogram::quantile`] on the live histogram, usable on parsed or
     /// round-tripped snapshots where the live cell is gone.
     pub fn quantile_ns(&self, q: f64) -> u64 {
         let mut dense = [0u64; BUCKET_COUNT];
         for b in &self.buckets {
             dense[histogram::bucket_index(b.le_ns)] += b.count;
         }
-        histogram::quantile_from_buckets(&dense, self.count, self.min_ns, self.max_ns, q)
+        histogram::quantile_from_buckets(&dense, self.min_ns, self.max_ns, q)
     }
 }
 

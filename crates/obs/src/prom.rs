@@ -218,9 +218,11 @@ detect_nms_seconds_count 3
         h.record(Duration::from_nanos(100));
         h.record(Duration::from_nanos(200)); // bucket le=256ns
         let text = PromExporter::render(&r.snapshot(), &r.descriptions(), &r.window_snapshot());
-        // Windowed percentiles are geometric bucket midpoints clamped to the
-        // observed range: p50 = sqrt(100*128) = 113 ns, p99 = sqrt(128*200)
-        // = 160 ns. Rates are per-second over the 10 s window.
+        // Windowed percentiles interpolate within the rank's bucket, whose
+        // bounds are clamped to the observed [100, 200] ns: p50 is rank 2,
+        // the last of the 2 samples in (100, 128] -> 128 ns; p99 is rank 3,
+        // the only sample in (128, 200] -> 200 ns. Rates are per-second
+        // over the 10 s window.
         let expected = "\
 # HELP pipeline_frames Frames entering the pipeline
 # TYPE pipeline_frames counter
@@ -239,9 +241,9 @@ detect_nms_seconds_count 3
 # TYPE detect_nms_window_rate gauge
 detect_nms_window_rate{window=\"10s\"} 0.3
 # TYPE detect_nms_window_p50_seconds gauge
-detect_nms_window_p50_seconds{window=\"10s\"} 0.000000113
+detect_nms_window_p50_seconds{window=\"10s\"} 0.000000128
 # TYPE detect_nms_window_p99_seconds gauge
-detect_nms_window_p99_seconds{window=\"10s\"} 0.00000016
+detect_nms_window_p99_seconds{window=\"10s\"} 0.0000002
 ";
         assert_eq!(text, expected);
     }

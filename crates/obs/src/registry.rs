@@ -345,35 +345,6 @@ impl Registry {
                 .clone()
         })
     }
-
-    /// Zeroes every metric, keeping registrations (handles stay valid).
-    pub fn reset(&self) {
-        let Some(inner) = &self.inner else { return };
-        for cell in inner
-            .counters
-            .read()
-            .expect("obs registry lock poisoned")
-            .values()
-        {
-            cell.value.store(0, Ordering::Relaxed);
-        }
-        for cell in inner
-            .gauges
-            .read()
-            .expect("obs registry lock poisoned")
-            .values()
-        {
-            cell.store(0, Ordering::Relaxed);
-        }
-        for cell in inner
-            .histograms
-            .read()
-            .expect("obs registry lock poisoned")
-            .values()
-        {
-            cell.reset();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -427,20 +398,6 @@ mod tests {
         assert_eq!(snap.gauges.len(), 1);
         assert_eq!(snap.histograms.len(), 1);
         assert_eq!(snap.histograms[0].count, 1);
-    }
-
-    #[test]
-    fn reset_zeroes_but_keeps_handles() {
-        let r = Registry::new();
-        let c = r.counter("c");
-        let h = r.histogram("h");
-        c.add(3);
-        h.record(Duration::from_millis(2));
-        r.reset();
-        assert_eq!(c.get(), 0);
-        assert_eq!(h.count(), 0);
-        c.inc();
-        assert_eq!(r.counter("c").get(), 1);
     }
 
     #[test]

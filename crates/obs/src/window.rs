@@ -18,7 +18,7 @@
 //! skips and out-of-order writers, and compare against a brute-force
 //! oracle.
 
-use crate::histogram::{bucket_index, percentile_from_buckets, quantile_from_buckets};
+use crate::histogram::{bucket_index, quantile_from_buckets};
 use crate::json::{to_json, JsonWriter, ToJson};
 use crate::BUCKET_COUNT;
 use std::sync::Mutex;
@@ -80,9 +80,10 @@ pub struct WindowStats {
     /// Samples (for histograms) or summed increments (for counters) per
     /// second over the window.
     pub rate_per_sec: f64,
-    /// Estimated windowed 50th percentile (0 when empty).
+    /// Estimated windowed 50th percentile (0 when empty), from the one
+    /// quantile estimator every histogram reader shares.
     pub p50_ns: u64,
-    /// Estimated windowed 99th percentile (0 when empty).
+    /// Estimated windowed 99th percentile (0 when empty), likewise.
     pub p99_ns: u64,
 }
 
@@ -150,58 +151,40 @@ impl RollingWindow {
         bucket.record(value);
     }
 
-    /// Merges every bucket whose epoch is inside
-    /// `(now_epoch - sub_buckets, now_epoch]` into one aggregate.
-    fn merge_at(&self, now_ns: u64) -> (u64, u64, u64, u64, [u64; BUCKET_COUNT]) {
+    /// Windowed aggregate as of `now_ns`: merges every bucket whose epoch is
+    /// inside `(now_epoch - sub_buckets, now_epoch]`.
+    pub fn stats_at(&self, now_ns: u64) -> WindowStats {
         let now_epoch = now_ns / self.bucket_ns;
         let ring = self.ring.lock().expect("rolling window lock poisoned");
-        let n = ring.len() as u64;
-        let oldest = now_epoch.saturating_sub(n - 1);
-        let mut count = 0u64;
-        let mut sum = 0u64;
-        let mut min = u64::MAX;
-        let mut max = 0u64;
-        let mut hist = [0u64; BUCKET_COUNT];
+        let oldest = now_epoch.saturating_sub(ring.len() as u64 - 1);
+        let mut merged = WinBucket::empty();
         for bucket in ring.iter() {
             if bucket.epoch == u64::MAX || bucket.epoch < oldest || bucket.epoch > now_epoch {
                 continue;
             }
-            count += bucket.count;
-            sum += bucket.sum;
-            min = min.min(bucket.min);
-            max = max.max(bucket.max);
-            for (acc, b) in hist.iter_mut().zip(bucket.hist.iter()) {
+            merged.count += bucket.count;
+            merged.sum += bucket.sum;
+            merged.min = merged.min.min(bucket.min);
+            merged.max = merged.max.max(bucket.max);
+            for (acc, b) in merged.hist.iter_mut().zip(bucket.hist.iter()) {
                 *acc += *b;
             }
         }
-        (count, sum, min, max, hist)
-    }
-
-    /// Windowed aggregate as of `now_ns`: merges every bucket whose epoch is
-    /// inside `(now_epoch - sub_buckets, now_epoch]`.
-    pub fn stats_at(&self, now_ns: u64) -> WindowStats {
-        let (count, sum, min, max, hist) = self.merge_at(now_ns);
+        drop(ring);
         let secs = self.window_ns as f64 / 1e9;
+        let quantile = |q| quantile_from_buckets(&merged.hist, merged.min, merged.max, q);
         WindowStats {
             window_ns: self.window_ns,
-            count,
-            sum,
-            rate_per_sec: if secs > 0.0 { count as f64 / secs } else { 0.0 },
-            p50_ns: percentile_from_buckets(&hist, count, min, max, 50.0),
-            p99_ns: percentile_from_buckets(&hist, count, min, max, 99.0),
+            count: merged.count,
+            sum: merged.sum,
+            rate_per_sec: if secs > 0.0 {
+                merged.count as f64 / secs
+            } else {
+                0.0
+            },
+            p50_ns: quantile(0.5),
+            p99_ns: quantile(0.99),
         }
-    }
-
-    /// Windowed quantile estimates as of `now_ns`, one per `q ∈ [0, 1]` in
-    /// `qs`, nanoseconds, with within-bucket linear interpolation (see
-    /// [`Histogram::quantile`](crate::Histogram::quantile)). Unlike the
-    /// fixed p50/p99 of [`WindowStats`] the quantile set is caller-chosen,
-    /// so deep-tail objectives (p99.9) can be evaluated over the window.
-    pub fn quantiles_at(&self, now_ns: u64, qs: &[f64]) -> Vec<u64> {
-        let (count, _sum, min, max, hist) = self.merge_at(now_ns);
-        qs.iter()
-            .map(|&q| quantile_from_buckets(&hist, count, min, max, q))
-            .collect()
     }
 
     /// Sub-bucket width, nanoseconds (exposed for tests).
@@ -390,7 +373,6 @@ mod tests {
         assert_eq!(s.rate_per_sec, 0.0);
         assert_eq!(s.p50_ns, 0);
         assert_eq!(s.p99_ns, 0);
-        assert_eq!(w.quantiles_at(idle, &[0.5, 0.999]), vec![0, 0]);
         // The ring must accept fresh records immediately after the idle
         // rotation.
         w.record_at(idle, 7);
@@ -421,17 +403,14 @@ mod tests {
         for ns in 1025..=2048u64 {
             w.record_at(b, ns);
         }
-        let qs = w.quantiles_at(b, &[0.5, 0.9, 0.999]);
-        assert!((1534..=1538).contains(&qs[0]), "windowed p50 {} off", qs[0]);
+        let s = w.stats_at(b);
         assert!(
-            qs[1] > qs[0] && qs[2] > qs[1],
-            "tail quantiles must resolve"
+            (1534..=1538).contains(&s.p50_ns),
+            "windowed p50 {} off",
+            s.p50_ns
         );
-        assert!(
-            (2045..=2048).contains(&qs[2]),
-            "windowed p99.9 {} off",
-            qs[2]
-        );
+        // Rank 1014 of 1024 interpolates to 2038, the exact order statistic.
+        assert_eq!(s.p99_ns, 2038, "windowed p99");
     }
 
     #[test]

@@ -38,9 +38,10 @@ proptest! {
         prop_assert_eq!(h.min_ns, min);
         prop_assert_eq!(h.max_ns, max);
 
-        prop_assert!(h.p50_ns >= min && h.p50_ns <= max);
-        prop_assert!(h.p50_ns <= h.p90_ns && h.p90_ns <= h.p99_ns);
-        prop_assert!(h.p99_ns <= max);
+        let [p50, p90, p99] = [0.5, 0.9, 0.99].map(|q| h.quantile_ns(q));
+        prop_assert!(p50 >= min && p50 <= max);
+        prop_assert!(p50 <= p90 && p90 <= p99);
+        prop_assert!(p99 <= max);
 
         let bucket_total: u64 = h.buckets.iter().map(|b| b.count).sum();
         prop_assert_eq!(bucket_total, ns.len() as u64);
@@ -63,8 +64,8 @@ proptest! {
         }
         let min = *ns.iter().min().unwrap();
         let max = *ns.iter().max().unwrap();
-        for q in [p, f64::NAN] {
-            let v = hist.percentile(q).as_nanos() as u64;
+        for q in [p / 100.0, f64::NAN] {
+            let v = hist.quantile(q).as_nanos() as u64;
             prop_assert!(v >= min && v <= max, "p={} gave {} outside [{}, {}]", q, v, min, max);
         }
     }

@@ -52,21 +52,18 @@
 use crate::batcher::{lock_recover, spawn_worker, BatchQueue, Pool, WorkerShared, WorkerSlot};
 use crate::chaos::Fault;
 use crate::error::ServeError;
-use crate::server::{ServeConfig, SizedDetectorFactory};
+use crate::server::{ServeConfig, SizedDetectorFactory, ROLLING_SUB_BUCKETS, ROLLING_WINDOW};
 use dronet_detect::canary::{check_canary, golden_detections};
 use dronet_detect::{DegradeController, Detection, Detector, ShiftMetrics};
+use dronet_obs::window::mono_now_ns;
 use dronet_obs::{
     json_object, BlackBox, Counter, Gauge, Health, HealthCell, JsonWriter, RecoveryClock, Registry,
-    RestartBudget, ToJson, Tracer,
+    RestartBudget, RollingWindow, ToJson, Tracer,
 };
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// Latency samples retained per replica for the rolling p99 estimate.
-const LATENCY_RING: usize = 256;
 
 /// Most black boxes retained per server; older captures are dropped first.
 const MAX_BLACK_BOXES: usize = 16;
@@ -74,42 +71,6 @@ const MAX_BLACK_BOXES: usize = 16;
 /// Factory failures tolerated per quarantined slot; one more abandons the
 /// slot, and all slots abandoned ⇒ service Halted.
 const MAX_REBUILD_FAILURES: u64 = 8;
-
-/// A small ring of recent end-to-end latencies, one per replica. Feeds
-/// the dispatcher's p99 tie-break — cheap, approximate, and local.
-pub(crate) struct LatencyRing {
-    samples: Mutex<VecDeque<u64>>,
-}
-
-impl LatencyRing {
-    pub fn new() -> Self {
-        LatencyRing {
-            samples: Mutex::new(VecDeque::with_capacity(LATENCY_RING)),
-        }
-    }
-
-    /// Records one request latency served by (or charged to) this replica.
-    pub fn record(&self, latency: Duration) {
-        let mut s = lock_recover(&self.samples);
-        if s.len() >= LATENCY_RING {
-            s.pop_front();
-        }
-        s.push_back(latency.as_nanos() as u64);
-    }
-
-    /// The 99th-percentile latency over the ring, in nanoseconds
-    /// (0 when no samples exist yet — a fresh replica looks fast, which
-    /// is exactly the bias re-admission wants).
-    pub fn p99_ns(&self) -> u64 {
-        let s = lock_recover(&self.samples);
-        if s.is_empty() {
-            return 0;
-        }
-        let mut v: Vec<u64> = s.iter().copied().collect();
-        v.sort_unstable();
-        v[(v.len() - 1) * 99 / 100]
-    }
-}
 
 /// The server's crash black boxes — one store for every replica, so a
 /// capture outlives the core it explains: bounded retention
@@ -176,7 +137,9 @@ pub(crate) struct ReplicaCore {
     pub id: usize,
     pub queue: Arc<BatchQueue>,
     pub worker: Arc<WorkerShared>,
-    pub latency: LatencyRing,
+    /// End-to-end latencies served by (or charged to) this replica over
+    /// the registry's rolling window: the dispatcher's p99 tie-break.
+    latency: RollingWindow,
     watch: Mutex<Watch>,
     wedges: Counter,
     restarts: Counter,
@@ -187,6 +150,19 @@ impl ReplicaCore {
     /// The input size this replica currently conforms frames to.
     pub fn current_input(&self) -> usize {
         self.worker.target_input.load(Ordering::SeqCst)
+    }
+
+    /// Records one request latency served by (or charged to) this replica.
+    pub fn record_latency(&self, latency: Duration) {
+        let ns = u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX);
+        self.latency.record_at(mono_now_ns(), ns);
+    }
+
+    /// This replica's p99 latency over the rolling window, nanoseconds: 0
+    /// when it answered nothing in the window, so a fresh or idle replica
+    /// looks fast, which is the bias re-admission wants.
+    pub fn p99_ns(&self) -> u64 {
+        self.latency.stats_at(mono_now_ns()).p99_ns
     }
 
     /// One watchdog pass: wedge scan, brownout step, fault clock.
@@ -366,7 +342,7 @@ impl ReplicaBuilder {
             id,
             queue,
             worker,
-            latency: LatencyRing::new(),
+            latency: RollingWindow::new(ROLLING_WINDOW, ROLLING_SUB_BUCKETS),
             watch: Mutex::new(Watch {
                 brownout,
                 restarts: RestartBudget::new(self.config.max_worker_restarts as u64),
@@ -523,7 +499,7 @@ impl ReplicaSet {
     pub fn pick_primary(&self) -> Option<Arc<ReplicaCore>> {
         self.active_cores()
             .into_iter()
-            .min_by_key(|c| (c.queue.len(), c.latency.p99_ns(), c.id))
+            .min_by_key(|c| (c.queue.len(), c.p99_ns(), c.id))
     }
 
     /// The best serviceable replica other than `exclude` — the hedge
@@ -532,7 +508,7 @@ impl ReplicaSet {
         self.active_cores()
             .into_iter()
             .filter(|c| c.id != exclude)
-            .min_by_key(|c| (c.queue.len(), c.latency.p99_ns(), c.id))
+            .min_by_key(|c| (c.queue.len(), c.p99_ns(), c.id))
     }
 
     /// The largest input size any active replica currently serves at
@@ -701,7 +677,7 @@ impl ReplicaSet {
                     obs.gauge(&format!("{prefix}.input_resolution"))
                         .set(core.current_input() as f64);
                     obs.gauge(&format!("{prefix}.p99_ms"))
-                        .set(core.latency.p99_ns() as f64 / 1e6);
+                        .set(core.p99_ns() as f64 / 1e6);
                 }
                 None => {
                     obs.gauge(&format!("{prefix}.queue_depth")).set(0.0);
@@ -779,7 +755,7 @@ impl ToJson for ReplicaSlot {
                 c.queue.len(),
                 c.worker.pool.alive_count(),
                 c.current_input(),
-                c.latency.p99_ns() as f64 / 1e6,
+                c.p99_ns() as f64 / 1e6,
             ),
             None => (Health::Halted.as_metric(), 0, 0, 0, 0.0),
         };
@@ -864,21 +840,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_ring_p99_and_bounded_retention() {
-        let ring = LatencyRing::new();
-        assert_eq!(ring.p99_ns(), 0, "empty ring reads fast");
-        for i in 1..=100u64 {
-            ring.record(Duration::from_nanos(i));
-        }
-        assert_eq!(ring.p99_ns(), 99);
-        // Overflow the ring: old (small) samples fall out.
-        for _ in 0..LATENCY_RING {
-            ring.record(Duration::from_nanos(1_000));
-        }
-        assert_eq!(ring.p99_ns(), 1_000);
-    }
-
-    #[test]
     fn black_box_store_caps_retention_and_counts_captures() {
         let obs = Registry::new();
         let store = BlackBoxStore::new(obs.counter("serve.black_box_captures"), Tracer::noop());
@@ -893,6 +854,31 @@ mod tests {
             obs.snapshot().counter("serve.black_box_captures"),
             Some((MAX_BLACK_BOXES + 3) as u64)
         );
+    }
+
+    #[test]
+    fn equal_queue_depths_break_ties_on_the_rolling_p99() {
+        let config = ServeConfig {
+            replicas: 2,
+            ..ServeConfig::default()
+        };
+        let set = unsupervised(config, Arc::new(dronet_32));
+        let core = |id: usize| set.slots[id].active_core().expect("active");
+        assert_eq!(
+            set.pick_primary().unwrap().id,
+            0,
+            "no latency yet: id decides"
+        );
+        // Both queues are empty. Replica 0 has answered slower than 1.
+        core(0).record_latency(Duration::from_millis(40));
+        core(1).record_latency(Duration::from_millis(5));
+        assert_eq!(set.pick_primary().unwrap().id, 1);
+        assert_eq!(set.pick_hedge(1).unwrap().id, 0);
+        // One slow answer lifts replica 1's p99 above replica 0's.
+        core(1).record_latency(Duration::from_millis(400));
+        assert_eq!(set.pick_primary().unwrap().id, 0);
+        assert_eq!(set.pick_hedge(0).unwrap().id, 1);
+        set.shutdown();
     }
 
     #[test]

@@ -218,6 +218,11 @@ impl Shared {
     }
 }
 
+/// The rolling window behind the `/metrics` `_window_*` gauges and each
+/// replica's dispatch p99: 10 s, in 10 sub-buckets.
+pub(crate) const ROLLING_WINDOW: Duration = Duration::from_secs(10);
+pub(crate) const ROLLING_SUB_BUCKETS: usize = 10;
+
 /// Most `/debug/*` requests served concurrently; the rest are shed with
 /// `503` + `Retry-After` like any other overload.
 const DEBUG_MAX_INFLIGHT: usize = 2;
@@ -327,7 +332,7 @@ impl Server {
             // Rolling 10-second windows next to every cumulative series
             // (`/metrics` gains `_window_rate` / `_window_p99_seconds`
             // gauges), and `# HELP` text for the scrape-facing metrics.
-            obs.enable_windows(Duration::from_secs(10), 10);
+            obs.enable_windows(ROLLING_WINDOW, ROLLING_SUB_BUCKETS);
             for (name, help) in [
                 ("serve.requests", "HTTP requests accepted since start"),
                 ("serve.request", "End-to-end request latency"),
@@ -1133,7 +1138,7 @@ fn handle_detect(request: &Request, shared: &Shared) -> Response {
                 (Some(hs), Some(peer)) if hs.winner() == HEDGE_LEG => peer,
                 _ => &primary,
             };
-            winner.latency.record(elapsed);
+            winner.record_latency(elapsed);
             Response::json(detections_json(frame_id, &detections))
         }
         Some(Err(e @ (ServeError::Halted | ServeError::Overloaded | ServeError::Draining))) => {
@@ -1146,7 +1151,7 @@ fn handle_detect(request: &Request, shared: &Shared) -> Response {
         None => {
             // Deadline passed with no answer: charge the timeout to the
             // primary so routing steers away from it.
-            primary.latency.record(elapsed);
+            primary.record_latency(elapsed);
             shared.obs.counter("serve.timeout.response").inc();
             Response::text(
                 504,

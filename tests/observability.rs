@@ -12,7 +12,16 @@ use dronet::nn::summary::NetworkSummary;
 use dronet::obs::{ChromeTrace, Registry, Snapshot, TraceKind, Tracer};
 use dronet::tensor::{Shape, Tensor};
 use dronet::train::{LrSchedule, TrainConfig, Trainer};
-use std::time::{Duration, Instant};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
+
+/// The tests in this binary run one at a time: a forward running beside
+/// an overhead measurement takes a core from one side of it at random, and
+/// on a two-core machine that swamps a 2 % bound.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Runs `frames` through the supervisor's synchronous loop over a detector
 /// on `net`, with `obs` and `tracer` on both the detector and the loop.
@@ -44,6 +53,7 @@ fn observed_run(
 /// to JSON and re-parsed: every expected metric family must be present.
 #[test]
 fn full_stack_profile_round_trips_through_json() {
+    let _serial = serial();
     let obs = Registry::new();
 
     // Observed detection pipeline over a small DroNet.
@@ -103,11 +113,9 @@ fn full_stack_profile_round_trips_through_json() {
             .histogram(stage)
             .unwrap_or_else(|| panic!("missing stage histogram {stage}"));
         assert_eq!(hist.count, 3, "stage {stage}");
-        assert!(
-            hist.p50_ns > 0 && hist.p50_ns <= hist.p99_ns,
-            "stage {stage}"
-        );
-        assert!(hist.p99_ns <= hist.max_ns, "stage {stage}");
+        let (p50, p99) = (hist.quantile_ns(0.5), hist.quantile_ns(0.99));
+        assert!(p50 > 0 && p50 <= p99, "stage {stage}");
+        assert!(p99 <= hist.max_ns, "stage {stage}");
     }
 
     // Training step metrics.
@@ -136,50 +144,76 @@ fn full_stack_profile_round_trips_through_json() {
     assert!(profile.achieved_gflops().unwrap() > 0.0);
 }
 
-fn min_forward(net: &mut dronet::nn::Network, x: &Tensor, reps: usize) -> Duration {
-    (0..reps)
+/// Blocks of four runs behind each overhead measurement.
+const OVERHEAD_BLOCKS: usize = 101;
+
+/// The overhead bar: the observed side may take at most 2 % longer.
+const MAX_TIME_RATIO: f64 = 1.02;
+
+/// Wall time of `f`, seconds.
+fn seconds(f: impl FnOnce()) -> f64 {
+    let t0 = Instant::now();
+    f();
+    t0.elapsed().as_secs_f64()
+}
+
+/// Median over [`OVERHEAD_BLOCKS`] blocks of four back-to-back runs of the
+/// time ratio of the side under test to the base. `timed(side)` prepares
+/// one side (`true`: under test) and returns the seconds its run took.
+///
+/// A block runs base, side, side, base: each side runs once first and
+/// once second, so a cost that falls on whichever runs first cancels
+/// inside the block; a drift in machine speed lands on both sides of a
+/// block; and the median drops the blocks a preemption split. The callers
+/// time both sides on one network, so neither side keeps a luckier
+/// placement of its buffers in memory for the whole measurement.
+fn median_time_ratio(mut timed: impl FnMut(bool) -> f64) -> f64 {
+    let mut ratios: Vec<f64> = (0..OVERHEAD_BLOCKS)
         .map(|_| {
-            let t0 = Instant::now();
-            net.forward(x).unwrap();
-            t0.elapsed()
+            let base = timed(false);
+            let side = timed(true) + timed(true);
+            side / (base + timed(false))
         })
-        .min()
-        .unwrap()
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[OVERHEAD_BLOCKS / 2]
+}
+
+/// The overhead verdict: the median of three [`median_time_ratio`]
+/// measurements, taking the third only when the first two fall on opposite
+/// sides of [`MAX_TIME_RATIO`]. Load from outside the process comes in
+/// bursts that can skew one measurement either way, rarely two.
+fn overhead_ratio(mut timed: impl FnMut(bool) -> f64) -> f64 {
+    let mut ratios = vec![median_time_ratio(&mut timed), median_time_ratio(&mut timed)];
+    if (ratios[0] <= MAX_TIME_RATIO) != (ratios[1] <= MAX_TIME_RATIO) {
+        ratios.push(median_time_ratio(&mut timed));
+    }
+    ratios.sort_by(f64::total_cmp);
+    ratios[ratios.len() / 2]
 }
 
 /// The acceptance bar from the issue: observing a DroNet 352x352 forward
-/// pass must cost < 2% over the uninstrumented network. Minimum-of-N with
-/// interleaved measurement and a few attempts keeps scheduler noise out.
+/// pass must cost < 2% over the uninstrumented network, judged on the
+/// median of many interleaved single-forward blocks.
 #[test]
 fn instrumented_forward_overhead_under_two_percent() {
+    let _serial = serial();
     let x = Tensor::zeros(Shape::nchw(1, 3, 352, 352));
-    let mut plain = zoo::build(ModelId::DroNet, 352).unwrap();
-    let mut observed = zoo::build(ModelId::DroNet, 352).unwrap();
-    let obs = Registry::new();
-    observed.set_observability(&obs);
+    let mut net = zoo::build(ModelId::DroNet, 352).unwrap();
+    let (plain, obs) = (Registry::noop(), Registry::new());
 
-    // Warm caches and the allocator on both networks.
-    plain.forward(&x).unwrap();
-    observed.forward(&x).unwrap();
+    // Warm caches and the allocator.
+    net.forward(&x).unwrap();
 
-    let mut last = (Duration::ZERO, Duration::ZERO);
-    for _ in 0..3 {
-        let mut plain_min = Duration::MAX;
-        let mut observed_min = Duration::MAX;
-        for _ in 0..4 {
-            plain_min = plain_min.min(min_forward(&mut plain, &x, 1));
-            observed_min = observed_min.min(min_forward(&mut observed, &x, 1));
-        }
-        last = (plain_min, observed_min);
-        if observed_min.as_secs_f64() <= plain_min.as_secs_f64() * 1.02 {
-            assert!(obs.snapshot().histogram("nn.forward.total").unwrap().count > 0);
-            return;
-        }
-    }
-    panic!(
-        "instrumented forward {:?} is more than 2% over uninstrumented {:?}",
-        last.1, last.0
+    let ratio = overhead_ratio(|observed| {
+        net.set_observability(if observed { &obs } else { &plain });
+        seconds(|| drop(net.forward(&x).unwrap()))
+    });
+    assert!(
+        ratio <= MAX_TIME_RATIO,
+        "instrumented forward takes {ratio:.4}x the uninstrumented one"
     );
+    assert!(obs.snapshot().histogram("nn.forward.total").unwrap().count > 0);
 }
 
 /// The allocator-disabled path must be free: this binary does not install
@@ -190,6 +224,7 @@ fn instrumented_forward_overhead_under_two_percent() {
 /// network includes the allocator gating.)
 #[test]
 fn uninstrumented_allocator_creates_no_alloc_counters() {
+    let _serial = serial();
     assert!(
         !dronet::obs::alloc::installed(),
         "this binary must NOT install the counting allocator"
@@ -215,31 +250,39 @@ fn uninstrumented_allocator_creates_no_alloc_counters() {
 /// one that never heard of tracing.
 #[test]
 fn disabled_tracer_overhead_under_two_percent() {
+    let _serial = serial();
     let x = Tensor::zeros(Shape::nchw(1, 3, 352, 352));
-    let mut plain = zoo::build(ModelId::DroNet, 352).unwrap();
-    let mut traced = zoo::build(ModelId::DroNet, 352).unwrap();
-    traced.set_tracing(&Tracer::noop());
+    let mut net = zoo::build(ModelId::DroNet, 352).unwrap();
+    let (plain, noop) = (net.tracing().clone(), Tracer::noop());
 
-    plain.forward(&x).unwrap();
-    traced.forward(&x).unwrap();
+    net.forward(&x).unwrap();
 
-    let mut last = (Duration::ZERO, Duration::ZERO);
-    for _ in 0..3 {
-        let mut plain_min = Duration::MAX;
-        let mut traced_min = Duration::MAX;
-        for _ in 0..4 {
-            plain_min = plain_min.min(min_forward(&mut plain, &x, 1));
-            traced_min = traced_min.min(min_forward(&mut traced, &x, 1));
-        }
-        last = (plain_min, traced_min);
-        if traced_min.as_secs_f64() <= plain_min.as_secs_f64() * 1.02 {
-            return;
-        }
-    }
-    panic!(
-        "noop-traced forward {:?} is more than 2% over untraced {:?}",
-        last.1, last.0
+    let ratio = overhead_ratio(|traced| {
+        net.set_tracing(if traced { &noop } else { &plain });
+        seconds(|| drop(net.forward(&x).unwrap()))
+    });
+    assert!(
+        ratio <= MAX_TIME_RATIO,
+        "noop-traced forward takes {ratio:.4}x the untraced one"
     );
+}
+
+/// The overhead check itself rejects a side doing 5 % more work than its
+/// base.
+#[test]
+fn overhead_check_rejects_five_percent_more_work() {
+    let _serial = serial();
+    fn spin(rounds: u64) {
+        let mut acc = 0u64;
+        for i in 0..std::hint::black_box(rounds) {
+            acc = std::hint::black_box(acc.wrapping_mul(6364136223846793005).wrapping_add(i));
+        }
+        std::hint::black_box(acc);
+    }
+    const ROUNDS: u64 = 1_000_000;
+    let more =
+        overhead_ratio(|more| seconds(|| spin(if more { ROUNDS * 105 / 100 } else { ROUNDS })));
+    assert!(more > MAX_TIME_RATIO, "5% more work judged {more:.4}x");
 }
 
 /// End-to-end flight recording: a traced pipeline run yields a Chrome
@@ -247,6 +290,7 @@ fn disabled_tracer_overhead_under_two_percent() {
 /// frame id, and the export round-trips through the in-tree parser.
 #[test]
 fn traced_pipeline_chrome_trace_round_trips() {
+    let _serial = serial();
     let obs = Registry::new();
     let tracer = Tracer::new();
     let frames: Vec<_> = (0..3)
