@@ -166,6 +166,50 @@ mod tests {
         assert!(!verdict.passed, "wrong rung must fail the canary");
     }
 
+    /// The premise of both brownout ladders: a detector built at the top
+    /// of a ladder and fed the canary frame at each rung, down and back
+    /// up, answers bit for bit what a fresh build at that rung does.
+    #[test]
+    fn one_detector_walks_a_ladder_bit_equal_to_fresh_builds() {
+        type Build = fn(usize) -> dronet_nn::Result<dronet_nn::Network>;
+        let dronet: Build = |s| dronet_core::zoo::build(dronet_core::ModelId::DroNet, s);
+        let micro: Build = |s| dronet_core::zoo::micro_dronet(s, vec![(1.5, 1.5)]);
+        let walks: [(Build, &[usize]); 2] = [
+            (dronet, &[160, 128, 96, 64, 96, 128, 160]),
+            (micro, &[64, 48, 32, 48, 64]),
+        ];
+        let build = |net| {
+            DetectorBuilder::new(net)
+                .confidence_threshold(0.3)
+                .build()
+                .unwrap()
+        };
+        for (net, walk) in walks {
+            let mut walker = build(net(walk[0]).unwrap());
+            for &s in walk {
+                let frame = canary_frame((3, s, s));
+                let walked = walker.detect(&frame).unwrap();
+                assert_eq!(walker.input_chw(), (3, s, s));
+                let fresh = build(net(s).unwrap()).detect(&frame).unwrap();
+                assert!(!fresh.is_empty(), "rung {s} of {walk:?} detects nothing");
+                assert!(
+                    detections_bit_equal(&walked, &fresh),
+                    "rung {s} of {walk:?}: {} vs {} detections",
+                    walked.len(),
+                    fresh.len()
+                );
+            }
+            // The size follows the frame; the channel count does not.
+            let gray = canary_frame((1, walk[0], walk[0]));
+            assert!(matches!(
+                walker.detect(&gray),
+                Err(crate::DetectError::Network(
+                    dronet_nn::NnError::BadInput { .. }
+                ))
+            ));
+        }
+    }
+
     #[test]
     fn bit_equality_is_stricter_than_partial_eq() {
         let mut reference = detector(96);

@@ -10,8 +10,10 @@
 //! deterministic state machine over per-frame load observations, and
 //! [`DegradeController::step`] is the workspace's one brownout step: both
 //! `detect::Supervisor` (queue depth + camera drops per frame) and serve's
-//! replicas (queue depth + admission drops per tick) call it, then rebuild
-//! their detector at the size it returns.
+//! replicas (queue depth + admission drops per tick) call it, then conform
+//! later frames to the size it returns. A rung is a frame size: the
+//! network is fully convolutional, and [`crate::Detector`] runs at the
+//! size of the frames it is given, so a shift builds no detector.
 
 use crate::{DetectError, Result};
 use dronet_obs::{Counter, Gauge, HealthCell};
@@ -54,9 +56,9 @@ impl DegradeConfig {
 /// A resolution change requested by the controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradeAction {
-    /// Overload: rebuild the detector at this smaller input size.
+    /// Overload: run at this smaller input size.
     Downshift(usize),
-    /// Recovered: rebuild the detector at this larger input size.
+    /// Recovered: run at this larger input size.
     Upshift(usize),
 }
 
@@ -83,7 +85,7 @@ pub struct ShiftMetrics {
 }
 
 /// The degradation state machine: consumes load observations, emits
-/// actions; the caller owns detector rebuilding.
+/// actions; the caller conforms its frames to the rung.
 #[derive(Debug, Clone)]
 pub struct DegradeController {
     config: DegradeConfig,
@@ -145,8 +147,8 @@ impl DegradeController {
     /// Feeds one processed frame's load observation: the queue depth at
     /// dequeue time and how many frames were dropped since the previous
     /// observation. Returns a shift request at window boundaries when the
-    /// hysteresis thresholds are met; the caller must then rebuild the
-    /// detector at [`DegradeAction::target`].
+    /// hysteresis thresholds are met; the caller then runs at
+    /// [`DegradeAction::target`].
     ///
     /// The "frame" need not be a camera frame: the serving layer feeds one
     /// observation per supervisor tick (queue depth + admission-shed delta),
@@ -167,8 +169,8 @@ impl DegradeController {
     /// The one brownout step: feeds one observation (see
     /// [`DegradeController::observe_frame`]) and applies the shift it asks
     /// for — counts it, publishes the new input size, and degrades `health`
-    /// on a downshift. Returns the new input size, at which the caller must
-    /// rebuild its detector.
+    /// on a downshift. Returns the new input size, to which the caller
+    /// conforms the frames it runs.
     pub fn step(
         &mut self,
         queue_depth: f64,

@@ -181,15 +181,18 @@ impl DetectorBuilder {
 /// so the supervisor can run the stage on a watchdog-monitored worker
 /// thread and abandon it when it hangs.
 pub trait DetectStage: Send {
-    /// Runs detection on a `[1, c, h, w]` frame.
+    /// Runs detection on a `[1, c, h, w]` frame, at the frame's size: with
+    /// a degradation controller the supervisor conforms each frame to the
+    /// current ladder rung, and the stage runs at that rung.
     ///
     /// # Errors
     ///
     /// Propagates network and decode errors; see [`Detector::detect`].
     fn detect_frame(&mut self, frame: &Tensor) -> Result<Vec<Detection>>;
 
-    /// The stage's nominal input `(c, h, w)`; frames are conformed to this
-    /// before dispatch.
+    /// The stage's own input `(c, h, w)`. Without a degradation controller
+    /// frames are conformed to it before dispatch; with one, only its
+    /// channel count is kept and the rung sets the size.
     fn input_chw(&self) -> (usize, usize, usize);
 }
 
@@ -230,7 +233,8 @@ pub struct Detector {
 }
 
 impl Detector {
-    /// The wrapped network's nominal input `(c, h, w)`.
+    /// The wrapped network's input `(c, h, w)`: the size it was built at,
+    /// until a frame of another size sets its own.
     pub fn input_chw(&self) -> (usize, usize, usize) {
         self.network.input_chw()
     }
@@ -284,7 +288,7 @@ impl Detector {
         self.network.set_tracing(tracer);
     }
 
-    /// Runs detection on a `[1, c, h, w]` image tensor.
+    /// Runs detection on a `[1, c, h, w]` image tensor, at its `h × w`.
     ///
     /// Detections are returned in descending score order, after NMS and
     /// (when configured) altitude gating.
@@ -328,9 +332,17 @@ impl Detector {
     /// read in place from a large frame, say, with no copy
     /// ([`Network::forward_views`]).
     ///
+    /// This is the one path under [`Detector::detect`] and
+    /// [`Detector::detect_batch`]. A batch whose `h × w` differs from the
+    /// network's input size first sets the network to it
+    /// ([`Network::set_input_size`]): the network is fully convolutional,
+    /// so one detector serves every rung of a resolution ladder, with the
+    /// outputs of a fresh build at that size.
+    ///
     /// # Errors
     ///
-    /// Propagates network and decode errors; returns
+    /// Propagates network and decode errors (a channel count other than
+    /// the network's is [`NnError::BadInput`]); returns
     /// [`DetectError::BadConfig`] when `frames` is present but its length
     /// differs from the batch size.
     pub fn detect_batch_frames<'a>(
@@ -339,7 +351,15 @@ impl Detector {
         frames: Option<&[u64]>,
     ) -> Result<Vec<Vec<Detection>>> {
         let images = images.into();
-        let n = images.shape().map_err(NnError::from)?.batch();
+        let shape = images.shape().map_err(NnError::from)?;
+        let n = shape.batch();
+        // The network is fully convolutional: it runs at the size it is
+        // given. Only the channel count stays fixed (`Network::forward`
+        // checks it).
+        let (_, h, w) = self.network.input_chw();
+        if shape.rank() == 4 && (shape.height(), shape.width()) != (h, w) {
+            self.network.set_input_size(shape.height(), shape.width())?;
+        }
         if let Some(ids) = frames {
             if ids.len() != n {
                 return Err(DetectError::BadConfig {

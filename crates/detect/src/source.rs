@@ -45,10 +45,10 @@ impl<I: Iterator<Item = Tensor>> FrameSource for IterSource<I> {
 /// Nearest-neighbour resize of an NCHW frame to `out_h` × `out_w`.
 ///
 /// This is the runtime half of the paper's resolution knob: the
-/// degradation controller rebuilds the detector at a smaller input size
-/// and incoming camera frames are resampled to match. Nearest-neighbour
-/// matches what a camera ISP downscaler would do cheaply and keeps the
-/// pipeline dependency-free.
+/// degradation controller picks a smaller input size, incoming camera
+/// frames are resampled to it, and the detector runs at their size.
+/// Nearest-neighbour matches what a camera ISP downscaler would do cheaply
+/// and keeps the pipeline dependency-free.
 pub fn resize_frame(frame: &Tensor, out_h: usize, out_w: usize) -> Tensor {
     let s = frame.shape();
     let (n, c, in_h, in_w) = (s.batch(), s.channels(), s.height(), s.width());

@@ -23,8 +23,10 @@
 //!   of `recovery_frames` frames, with the ladder back at its top,
 //! * **graceful degradation** — an optional [`DegradeController`]
 //!   watches the queue-depth gauge and drop counter and walks the
-//!   detector down (and back up) the paper's 352–608 resolution ladder.
-//!   A run that ends below the top of its ladder reports `Degraded`.
+//!   detector down (and back up) the paper's 352–608 resolution ladder:
+//!   frames are conformed to the current rung and the stage runs at the
+//!   size it is given, so a shift builds nothing. A run that ends below
+//!   the top of its ladder reports `Degraded`.
 //!
 //! There is one implementation of that policy (the private `supervise`)
 //! and two executors under it, which differ only in how a frame is fetched
@@ -45,7 +47,6 @@ use dronet_obs::{
     BlackBox, Counter, HealthCell, Histogram, RecoveryClock, Registry, RestartBudget, Tracer,
 };
 use dronet_tensor::Tensor;
-use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::time::{Duration, Instant};
@@ -83,8 +84,6 @@ pub struct SupervisorConfig {
     /// Clean frames required to recover from `Degraded` to `Healthy` (with
     /// the ladder at its top).
     pub recovery_frames: u32,
-    /// Detector input size used when no degradation controller is given.
-    pub initial_input: usize,
     /// Synchronous mode only: nominal camera rate used to *estimate*
     /// overload (drops) from per-frame latency, since a synchronous run
     /// never physically drops frames.
@@ -101,7 +100,6 @@ impl Default for SupervisorConfig {
             max_restarts: 5,
             max_consecutive_stalls: 8,
             recovery_frames: 8,
-            initial_input: 416,
             camera_fps: None,
         }
     }
@@ -202,10 +200,10 @@ impl SupervisorReport {
     }
 }
 
-/// Factory rebuilding the detection stage, given an input resolution.
-/// Called once at startup and again after every crash, hang, or
-/// resolution shift.
-pub type StageFactory<'a> = dyn FnMut(usize) -> Result<Box<dyn DetectStage>> + 'a;
+/// Factory building the detection stage: called once at startup and again
+/// after every crash or hang. A resolution shift builds nothing: the stage
+/// runs at the size of the frames it is given.
+pub type StageFactory<'a> = dyn FnMut() -> Result<Box<dyn DetectStage>> + 'a;
 
 /// The supervised pipeline runner. See the module docs for the full
 /// behaviour; construct with [`Supervisor::new`], attach telemetry with
@@ -233,10 +231,10 @@ struct Monitor {
 }
 
 impl Monitor {
-    fn new(obs: &Registry, recovery_frames: u32, initial_input: usize, tracer: &Tracer) -> Self {
+    fn new(obs: &Registry, recovery_frames: u32, first_rung: usize, tracer: &Tracer) -> Self {
         Monitor {
             report: SupervisorReport {
-                resolution_history: vec![initial_input],
+                resolution_history: vec![first_rung],
                 ..SupervisorReport::default()
             },
             health: HealthCell::new(obs.gauge("supervisor.health")),
@@ -382,8 +380,8 @@ trait Executor {
         monitor: &mut Monitor,
     ) -> Option<(usize, Result<Tensor>)>;
 
-    /// Replaces the detector stage (after a crash, hang, or resolution
-    /// shift); the previous one is dropped or abandoned.
+    /// Replaces the detector stage (after a crash or hang); the previous
+    /// one is dropped or abandoned.
     fn install(&mut self, stage: Box<dyn DetectStage>);
 
     /// Runs the installed stage on one conformed frame.
@@ -604,10 +602,11 @@ impl Supervisor {
     /// Runs the supervised pipeline with the camera on the pump thread
     /// and the detector stage on a watchdog-monitored worker thread.
     ///
-    /// `factory` builds (and rebuilds, after crashes or resolution shifts)
-    /// the detection stage for a given input size. `controller`, when
-    /// given, drives resolution degradation; its current rung overrides
-    /// [`SupervisorConfig::initial_input`].
+    /// `factory` builds the detection stage, and rebuilds it after a crash
+    /// or hang. `controller`, when given, drives resolution degradation:
+    /// frames are conformed to its current rung, and the stage runs at
+    /// that size. Without one, frames are conformed to the stage's own
+    /// [`DetectStage::input_chw`].
     ///
     /// The run survives every recoverable fault and returns a report; the
     /// report's [`SupervisorReport::final_health`] is [`Health::Halted`]
@@ -672,11 +671,12 @@ impl Supervisor {
     ) -> Result<SupervisorReport> {
         let cfg = &self.config;
         let obs = &self.obs;
-        let mut current_input = controller
-            .as_ref()
-            .map_or(cfg.initial_input, DegradeController::current);
-        let stage = factory(current_input)?;
-        let stage_chw = Cell::new(stage.input_chw());
+        let stage = factory()?;
+        // Frames are conformed to the current rung, or to the stage's own
+        // size without a controller; the stage runs at whatever it is given.
+        let stage_chw = stage.input_chw();
+        let rung = |size| (stage_chw.0, size, size);
+        let mut frame_chw = controller.as_ref().map_or(stage_chw, |c| rung(c.current()));
         let mut exec = make_executor(stage);
 
         let frame_hist = obs.histogram("pipeline.frame");
@@ -686,30 +686,16 @@ impl Supervisor {
             upshifts: obs.counter("degrade.upshifts"),
             input_size: obs.gauge("detect.input_size"),
         };
-        shifts.input_size.set(current_input as f64);
+        shifts.input_size.set(frame_chw.1 as f64);
 
-        let mut monitor = Monitor::new(obs, cfg.recovery_frames, current_input, &self.tracer);
+        let mut monitor = Monitor::new(obs, cfg.recovery_frames, frame_chw.1, &self.tracer);
         let mut restarts = RestartBudget::new(u64::from(cfg.max_restarts));
-        // Builds a stage at `input` and installs it; a factory failure
-        // halts the run.
-        let mut rebuild =
-            |exec: &mut E, monitor: &mut Monitor, input: usize, what: &str| match factory(input) {
-                Ok(stage) => {
-                    stage_chw.set(stage.input_chw());
-                    exec.install(stage);
-                    true
-                }
-                Err(e) => {
-                    monitor.halt(format!("{what} rebuild failed: {e}"));
-                    false
-                }
-            };
 
         // Every exit from this loop other than the end of the stream goes
         // through `monitor.halt`.
         'stream: while let Some((index, item)) = exec.fetch(cfg, &mut monitor) {
             let mut latency = None;
-            match item.and_then(|frame| conform_frame(frame, stage_chw.get(), index)) {
+            match item.and_then(|frame| conform_frame(frame, frame_chw, index)) {
                 Err(e) => {
                     monitor.fault(Some(index), "source", e.to_string());
                     monitor.skipped(index);
@@ -765,8 +751,12 @@ impl Supervisor {
                             monitor.halt("detector stage restart budget exhausted".to_string());
                             break 'stream;
                         }
-                        if !rebuild(&mut exec, &mut monitor, current_input, "detector stage") {
-                            break 'stream;
+                        match factory() {
+                            Ok(stage) => exec.install(stage),
+                            Err(e) => {
+                                monitor.halt(format!("detector stage rebuild failed: {e}"));
+                                break 'stream;
+                            }
                         }
                         if retries.spend() {
                             monitor.retry();
@@ -778,18 +768,15 @@ impl Supervisor {
                 }
             }
             // Feed the degradation controller one observation per consumed
-            // item, then apply any resolution shift it requests (policy,
-            // not failure: it does not consume the restart budget).
+            // item; a shift it requests only moves the size later frames
+            // are conformed to.
             let Some(ctrl) = controller.as_mut() else {
                 continue;
             };
             let (queue_depth, drops) = exec.load(cfg, latency);
             if let Some(size) = ctrl.step(queue_depth, drops, &shifts, &monitor.health) {
-                current_input = size;
+                frame_chw = rung(size);
                 monitor.report.resolution_history.push(size);
-                if !rebuild(&mut exec, &mut monitor, size, "resolution-shift") {
-                    break;
-                }
             }
         }
         let mut report = monitor.finish();
@@ -805,7 +792,7 @@ mod tests {
     use crate::source::IterSource;
     use dronet_tensor::Shape;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     /// A trivial stage: constant latency, no detections.
     struct NullStage;
@@ -815,6 +802,28 @@ mod tests {
         }
         fn input_chw(&self) -> (usize, usize, usize) {
             (3, 8, 8)
+        }
+    }
+
+    /// A `size`² stage that computes nothing and records the height of
+    /// every frame it is given.
+    struct SizeProbe {
+        size: usize,
+        seen: Arc<Mutex<Vec<usize>>>,
+    }
+    impl SizeProbe {
+        fn new(size: usize, seen: &Arc<Mutex<Vec<usize>>>) -> Self {
+            let seen = Arc::clone(seen);
+            SizeProbe { size, seen }
+        }
+    }
+    impl DetectStage for SizeProbe {
+        fn detect_frame(&mut self, frame: &Tensor) -> Result<Vec<Detection>> {
+            self.seen.lock().unwrap().push(frame.shape().height());
+            Ok(Vec::new())
+        }
+        fn input_chw(&self) -> (usize, usize, usize) {
+            (3, self.size, self.size)
         }
     }
 
@@ -830,7 +839,6 @@ mod tests {
             stage_timeout: Duration::from_millis(500),
             backoff_base: Duration::from_micros(100),
             recovery_frames: 2,
-            initial_input: 8,
             ..SupervisorConfig::default()
         }
     }
@@ -865,7 +873,7 @@ mod tests {
             })
             .unwrap(),
         ));
-        let mut factory = |_: usize| -> Result<Box<dyn DetectStage>> {
+        let mut factory = || -> Result<Box<dyn DetectStage>> {
             let detector = crate::DetectorBuilder::new(net.clone())
                 .observability(obs)
                 .tracing(tracer)
@@ -881,8 +889,8 @@ mod tests {
     #[test]
     fn clean_run_processes_everything_and_stays_healthy() {
         let sup = Supervisor::new(quick_config());
-        let mut factory: Box<dyn FnMut(usize) -> Result<Box<dyn DetectStage>>> =
-            Box::new(|_| Ok(Box::new(NullStage)));
+        let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> =
+            Box::new(|| Ok(Box::new(NullStage)));
         let report = sup
             .run(IterSource::new(frames(10)), &mut factory, None)
             .unwrap();
@@ -923,8 +931,8 @@ mod tests {
         let n = 24;
         let plan = FaultPlan::from_schedule(vec![Some(FaultKind::CorruptFrame); 4]);
         let sup = Supervisor::new(quick_config());
-        let mut factory: Box<dyn FnMut(usize) -> Result<Box<dyn DetectStage>>> =
-            Box::new(|_| Ok(Box::new(NullStage)));
+        let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> =
+            Box::new(|| Ok(Box::new(NullStage)));
         let source = FaultyFrameSource::new(IterSource::new(frames(n)), plan);
         let report = sup.run(source, &mut factory, None).unwrap();
         assert_eq!(report.skipped_ids, vec![0, 1, 2, 3]);
@@ -944,8 +952,8 @@ mod tests {
     #[test]
     fn sync_run_is_lossless() {
         let sup = Supervisor::new(quick_config());
-        let mut factory: Box<dyn FnMut(usize) -> Result<Box<dyn DetectStage>>> =
-            Box::new(|_| Ok(Box::new(NullStage)));
+        let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> =
+            Box::new(|| Ok(Box::new(NullStage)));
         let report = sup
             .run_sync(IterSource::new(frames(10)), &mut factory, None)
             .unwrap();
@@ -964,8 +972,8 @@ mod tests {
             None,
         ]);
         let sup = Supervisor::new(quick_config());
-        let mut factory: Box<dyn FnMut(usize) -> Result<Box<dyn DetectStage>>> =
-            Box::new(|_| Ok(Box::new(NullStage)));
+        let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> =
+            Box::new(|| Ok(Box::new(NullStage)));
         let source = FaultyFrameSource::new(IterSource::new(frames(8)), plan);
         let report = sup.run_sync(source, &mut factory, None).unwrap();
         assert_eq!(report.skipped(), 2, "corrupt + NaN frames skipped");
@@ -984,7 +992,7 @@ mod tests {
         let plan = FaultPlan::from_schedule(vec![None, Some(FaultKind::TransientDetect)]);
         let sup = Supervisor::new(quick_config());
         let calls = Arc::new(AtomicUsize::new(0));
-        let mut factory: Box<dyn FnMut(usize) -> Result<Box<dyn DetectStage>>> = Box::new(|_| {
+        let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> = Box::new(|| {
             Ok(Box::new(FaultyDetector::with_counter(
                 NullStage,
                 plan.clone(),
@@ -1010,15 +1018,14 @@ mod tests {
         let calls = Arc::new(AtomicUsize::new(0));
         let builds = Arc::new(AtomicUsize::new(0));
         let builds_in = Arc::clone(&builds);
-        let mut factory: Box<dyn FnMut(usize) -> Result<Box<dyn DetectStage>>> =
-            Box::new(move |_| {
-                builds_in.fetch_add(1, Ordering::Relaxed);
-                Ok(Box::new(FaultyDetector::with_counter(
-                    NullStage,
-                    plan.clone(),
-                    Arc::clone(&calls),
-                )))
-            });
+        let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> = Box::new(move || {
+            builds_in.fetch_add(1, Ordering::Relaxed);
+            Ok(Box::new(FaultyDetector::with_counter(
+                NullStage,
+                plan.clone(),
+                Arc::clone(&calls),
+            )))
+        });
         let report = sup
             .run(IterSource::new(frames(12)), &mut factory, None)
             .unwrap();
@@ -1051,7 +1058,7 @@ mod tests {
             ..quick_config()
         });
         let calls = Arc::new(AtomicUsize::new(0));
-        let mut factory: Box<dyn FnMut(usize) -> Result<Box<dyn DetectStage>>> = Box::new(|_| {
+        let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> = Box::new(|| {
             Ok(Box::new(FaultyDetector::with_counter(
                 NullStage,
                 plan.clone(),
@@ -1072,7 +1079,7 @@ mod tests {
         let plan = FaultPlan::from_schedule(vec![None, None, Some(FaultKind::DetectorPanic), None]);
         let sup = Supervisor::new(quick_config()).tracing(&tracer);
         let calls = Arc::new(AtomicUsize::new(0));
-        let mut factory: Box<dyn FnMut(usize) -> Result<Box<dyn DetectStage>>> = Box::new(|_| {
+        let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> = Box::new(|| {
             Ok(Box::new(FaultyDetector::with_counter(
                 NullStage,
                 plan.clone(),
@@ -1106,8 +1113,8 @@ mod tests {
             Some(FaultKind::NanFrame),
         ]);
         let sup = Supervisor::new(quick_config());
-        let mut factory: Box<dyn FnMut(usize) -> Result<Box<dyn DetectStage>>> =
-            Box::new(|_| Ok(Box::new(NullStage)));
+        let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> =
+            Box::new(|| Ok(Box::new(NullStage)));
         let source = FaultyFrameSource::new(IterSource::new(frames(6)), plan);
         let report = sup.run_sync(source, &mut factory, None).unwrap();
         assert_eq!(report.skipped(), 2);
@@ -1129,7 +1136,7 @@ mod tests {
         })
         .tracing(&tracer);
         let calls = Arc::new(AtomicUsize::new(0));
-        let mut factory: Box<dyn FnMut(usize) -> Result<Box<dyn DetectStage>>> = Box::new(|_| {
+        let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> = Box::new(|| {
             Ok(Box::new(FaultyDetector::with_counter(
                 NullStage,
                 plan.clone(),
@@ -1152,7 +1159,7 @@ mod tests {
         let plan = FaultPlan::from_schedule(vec![Some(FaultKind::DetectorPanic)]);
         let sup = Supervisor::new(quick_config()).tracing(&tracer);
         let calls = Arc::new(AtomicUsize::new(0));
-        let mut factory: Box<dyn FnMut(usize) -> Result<Box<dyn DetectStage>>> = Box::new(|_| {
+        let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> = Box::new(|| {
             Ok(Box::new(FaultyDetector::with_counter(
                 NullStage,
                 plan.clone(),
@@ -1182,6 +1189,7 @@ mod tests {
     /// One 2 ms frame at a 1 kHz camera overloads a 1-frame window; the
     /// rest are calm. A run that stays on the lower rung ends Degraded
     /// however long its clean streak; one that walks back up ends Healthy.
+    /// Either walk builds the stage once: a shift only resizes the frames.
     #[test]
     fn final_health_is_degraded_below_the_top_of_the_ladder() {
         let run = |calm_windows| {
@@ -1201,26 +1209,53 @@ mod tests {
             })
             .unwrap();
             let calls = Arc::new(AtomicUsize::new(0));
-            let mut factory: Box<dyn FnMut(usize) -> Result<Box<dyn DetectStage>>> =
-                Box::new(|_| {
-                    Ok(Box::new(FaultyDetector::with_counter(
-                        NullStage,
-                        plan.clone(),
-                        Arc::clone(&calls),
-                    )))
-                });
-            sup.run_sync(IterSource::new(frames(10)), &mut factory, Some(controller))
-                .unwrap()
+            let seen = Arc::default();
+            let mut builds = 0;
+            let mut factory = || -> Result<Box<dyn DetectStage>> {
+                builds += 1;
+                Ok(Box::new(FaultyDetector::with_counter(
+                    SizeProbe::new(8, &seen),
+                    plan.clone(),
+                    Arc::clone(&calls),
+                )))
+            };
+            let report = sup
+                .run_sync(IterSource::new(frames(10)), &mut factory, Some(controller))
+                .unwrap();
+            let seen = seen.lock().unwrap().clone();
+            (report, builds, seen)
         };
-        let stuck = run(100);
+        let (stuck, builds, seen) = run(100);
         assert_eq!(stuck.resolution_history, vec![8, 4]);
         assert!(stuck.faults.is_empty(), "a brownout is not a fault");
         assert_eq!(stuck.final_health, Health::Degraded);
+        assert_eq!(builds, 1);
+        assert_eq!(seen, [8, 4, 4, 4, 4, 4, 4, 4, 4, 4]);
 
-        let back = run(2);
+        let (back, builds, seen) = run(2);
         assert_eq!(back.resolution_history, vec![8, 4, 8]);
         assert_eq!((back.downshifts(), back.upshifts()), (1, 1));
         assert_eq!(back.final_health, Health::Healthy);
+        assert_eq!(builds, 1, "down and back up, and the factory ran once");
+        assert_eq!(seen, [8, 4, 4, 8, 8, 8, 8, 8, 8, 8]);
+    }
+
+    /// With no controller the one rung is the stage's own size, whatever
+    /// the default config says: frames run at it and the report and the
+    /// `detect.input_size` gauge name it.
+    #[test]
+    fn without_a_controller_the_rung_is_the_stage_size() {
+        let obs = Registry::new();
+        let sup = Supervisor::new(SupervisorConfig::default()).observability(&obs);
+        let seen = Arc::default();
+        let mut factory =
+            || -> Result<Box<dyn DetectStage>> { Ok(Box::new(SizeProbe::new(32, &seen))) };
+        let report = sup
+            .run_sync(IterSource::new(frames(3)), &mut factory, None)
+            .unwrap();
+        assert_eq!(report.resolution_history, [32]);
+        assert_eq!(obs.snapshot().gauge("detect.input_size"), Some(32.0));
+        assert_eq!(*seen.lock().unwrap(), [32, 32, 32]);
     }
 
     #[test]
@@ -1228,8 +1263,8 @@ mod tests {
         let obs = Registry::new();
         let plan = FaultPlan::from_schedule(vec![Some(FaultKind::CorruptFrame)]);
         let sup = Supervisor::new(quick_config()).observability(&obs);
-        let mut factory: Box<dyn FnMut(usize) -> Result<Box<dyn DetectStage>>> =
-            Box::new(|_| Ok(Box::new(NullStage)));
+        let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> =
+            Box::new(|| Ok(Box::new(NullStage)));
         let source = FaultyFrameSource::new(IterSource::new(frames(6)), plan);
         let report = sup.run_sync(source, &mut factory, None).unwrap();
         assert_eq!(report.final_health, Health::Healthy);
@@ -1256,8 +1291,8 @@ mod tests {
     fn source_crash_is_one_fault_after_the_frames_it_delivered() {
         let sup = Supervisor::new(quick_config());
         for threaded in [false, true] {
-            let mut factory: Box<dyn FnMut(usize) -> Result<Box<dyn DetectStage>>> =
-                Box::new(|_| Ok(Box::new(NullStage)));
+            let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> =
+                Box::new(|| Ok(Box::new(NullStage)));
             let report = run_either(&sup, CrashAfterTwo(0), &mut factory, threaded);
             assert_eq!(report.faults.len(), 1, "threaded {threaded}");
             assert_eq!(report.faults[0].stage, "source");

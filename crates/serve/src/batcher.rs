@@ -483,9 +483,9 @@ pub(crate) struct WorkerShared {
     pub epoch: Instant,
     pub pool: Pool,
     pub health: HealthCell,
-    /// The input size workers serve at: the detector's own size, moved
-    /// along the ladder by brownout (workers rebuild when it differs from
-    /// the detector they hold).
+    /// The input size workers serve at, moved along the ladder by
+    /// brownout. Frames are conformed to it; the detector runs at the size
+    /// of the frames it is given.
     pub target_input: AtomicUsize,
     pub batch_size_hist: Histogram,
     pub queue_wait_hist: Histogram,
@@ -675,27 +675,18 @@ fn run_batch(
         },
     );
 
-    // Brownout: the controller moved the ladder since our last batch —
-    // rebuild at the new rung before forwarding.
-    let target = shared.target_input.load(Ordering::SeqCst);
-    if detector.input_chw().1 != target {
-        match shared.builder.build_detector(target) {
-            Ok(fresh) => detector = fresh,
-            Err(e) => return worker_dies(shared, slot, &format!("brownout rebuild failed: {e}")),
-        }
-    }
-
     // An injected stall: the watchdog (or, below the wedge timeout,
     // brownout pressure) takes it from here.
     shared.hold_if_stalled();
 
-    // Frames conformed before a resolution shift may not match the
-    // detector any more; resample stragglers at the door.
-    let (_, want_h, want_w) = detector.input_chw();
+    // Frames conformed before a brownout shift are not at the current
+    // rung; resample stragglers at the door, so a batch stacks at one size
+    // and the detector runs at the rung.
+    let target = shared.target_input.load(Ordering::SeqCst);
     for frame in &mut frames {
         let s = frame.shape();
-        if s.height() != want_h || s.width() != want_w {
-            *frame = resize_frame(frame, want_h, want_w);
+        if s.height() != target || s.width() != target {
+            *frame = resize_frame(frame, target, target);
         }
     }
 
@@ -751,8 +742,7 @@ fn run_batch(
             // the blast radius, mark the server degraded, rebuild.
             shared.fault(&shared.panics);
             inflight.fail(|| ServeError::WorkerFailed("worker panicked during batch".to_string()));
-            let target = shared.target_input.load(Ordering::SeqCst);
-            match shared.builder.build_detector(target) {
+            match shared.builder.build_detector() {
                 Ok(fresh) => Some(fresh),
                 Err(e) => worker_dies(shared, slot, &format!("post-panic rebuild failed: {e}")),
             }

@@ -63,11 +63,13 @@
 //!   `GET /debug/blackbox`), and a replacement spawned under a bounded
 //!   restart budget. Losing the last worker flips health to Halted and
 //!   fails the backlog — never a hang, never a panic.
-//! * **Brownout** ([`Server::start_scalable`] +
-//!   [`dronet_detect::DegradeConfig`] in [`ServeConfig::brownout`]) —
-//!   sustained queue pressure walks the input-resolution ladder down
-//!   (the paper's 608→352 accuracy-vs-FPS sweep as a runtime knob) and
-//!   back up after calm, tracked by the `serve.input_resolution` gauge.
+//! * **Brownout** ([`dronet_detect::DegradeConfig`] in
+//!   [`ServeConfig::brownout`]) — sustained queue pressure walks the
+//!   input-resolution ladder down (the paper's 608→352 accuracy-vs-FPS
+//!   sweep as a runtime knob) and back up after calm, tracked by the
+//!   `serve.input_resolution` gauge. A shift rebuilds nothing: frames are
+//!   conformed to the new rung, and the fully convolutional detector runs
+//!   at the size it is given.
 //! * **Chaos harness** ([`chaos`]) — one [`FaultSchedule`] in
 //!   [`ServeConfig::faults`] for every fault the server injects into its
 //!   own replicas, and seeded, deterministic adversarial TCP clients for
@@ -133,7 +135,7 @@ pub use batcher::{HedgeState, HEDGE_LEG, PRIMARY_LEG};
 pub use chaos::{Fault, FaultEvent, FaultSchedule};
 pub use error::ServeError;
 pub use http::{HttpError, HttpLimits, Method, Request, Response, Version};
-pub use server::{DetectorFactory, DrainReport, ServeConfig, Server, SizedDetectorFactory};
+pub use server::{DetectorFactory, DrainReport, ServeConfig, Server};
 
 /// Convenience alias for results returned by this crate.
 pub type Result<T> = std::result::Result<T, ServeError>;

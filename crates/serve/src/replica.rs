@@ -52,7 +52,7 @@
 use crate::batcher::{lock_recover, spawn_worker, BatchQueue, Pool, WorkerShared, WorkerSlot};
 use crate::chaos::Fault;
 use crate::error::ServeError;
-use crate::server::{ServeConfig, SizedDetectorFactory, ROLLING_SUB_BUCKETS, ROLLING_WINDOW};
+use crate::server::{DetectorFactory, ServeConfig, ROLLING_SUB_BUCKETS, ROLLING_WINDOW};
 use dronet_detect::canary::{check_canary, golden_detections};
 use dronet_detect::{DegradeController, Detection, Detector, ShiftMetrics};
 use dronet_obs::window::mono_now_ns;
@@ -235,7 +235,7 @@ impl ReplicaCore {
             if restarts.is_exhausted() {
                 return;
             }
-            match builder.build_detector(self.current_input()) {
+            match builder.build_detector() {
                 Ok(det) => {
                     restarts.spend();
                     self.restarts.inc();
@@ -264,11 +264,8 @@ impl ReplicaCore {
 /// The server-wide parts every core is built (and rebuilt) from, shared
 /// with the workers for their own detector rebuilds.
 pub(crate) struct ReplicaBuilder {
-    /// The one detector factory, by input size — always the size of a
-    /// detector it built before (serving's first one, or a ladder rung),
-    /// so a fixed-size factory ([`crate::Server::start`]) is only ever
-    /// asked for the size it builds anyway.
-    pub factory: SizedDetectorFactory,
+    /// The one detector factory.
+    pub factory: DetectorFactory,
     pub config: Arc<ServeConfig>,
     pub obs: Registry,
     pub tracer: Tracer,
@@ -276,11 +273,12 @@ pub(crate) struct ReplicaBuilder {
 }
 
 impl ReplicaBuilder {
-    /// Builds a detector at `size`, instrumented — the one way serve makes
-    /// a detector once it is running (further workers and replicas, canary
-    /// probes, post-panic and brownout rebuilds, wedge replacements).
-    pub fn build_detector(&self, size: usize) -> dronet_detect::Result<Detector> {
-        Ok(self.instrument((self.factory)(size)?))
+    /// Builds a detector, instrumented — the one way serve makes a
+    /// detector once it is running (further workers and replicas, canary
+    /// probes, post-panic rebuilds, wedge replacements). It runs at the
+    /// size of the frames it is given, whatever size it is built at.
+    pub fn build_detector(&self) -> dronet_detect::Result<Detector> {
+        Ok(self.instrument((self.factory)()?))
     }
 
     /// Attaches the server's registry and tracer to a factory build.
@@ -297,7 +295,7 @@ impl ReplicaBuilder {
     /// Builds one complete replica around `first` (worker 0's detector —
     /// the reference build at startup, the canary-verified one on
     /// re-admission): queue, worker pool, and a watchdog state starting
-    /// at the top of the ladder.
+    /// at the top of the ladder, or without brownout at `first`'s size.
     fn build_core(
         self: &Arc<Self>,
         id: usize,
@@ -305,10 +303,12 @@ impl ReplicaBuilder {
     ) -> Result<Arc<ReplicaCore>, ServeError> {
         let brownout = self.config.brownout.clone();
         let brownout = brownout.map(DegradeController::new).transpose()?;
-        let base = first.input_chw().1;
+        let base = brownout
+            .as_ref()
+            .map_or(first.input_chw().1, DegradeController::current);
         let mut detectors = vec![first];
         while detectors.len() < self.config.workers {
-            detectors.push(self.build_detector(base)?);
+            detectors.push(self.build_detector()?);
         }
 
         let obs = &self.obs;
@@ -395,7 +395,8 @@ pub(crate) struct ReplicaSet {
     /// Reference canary detections, computed once from a trusted build
     /// at startup; every re-admitted replica must reproduce them.
     golden: Vec<Detection>,
-    /// The detector's native input `(c, h, w)` at the ladder top.
+    /// The reference build's input `(c, h, w)`: every frame keeps its
+    /// channel count.
     pub base_chw: (usize, usize, usize),
     /// Worker threads of quarantined cores — possibly mid-wedge-sleep,
     /// joined only at server shutdown.
@@ -414,11 +415,11 @@ pub(crate) struct ReplicaSet {
 }
 
 impl ReplicaSet {
-    /// Builds the full set around `reference`, the factory's build at the
-    /// size serving starts at: it gives the golden canary output and every
-    /// later build's size, then one core per slot is built (failing fast
-    /// on any broken build). Fault events due at serving start are in
-    /// force before this returns.
+    /// Builds the full set around `reference`, the factory's first build:
+    /// it gives the golden canary output (at its own size, as every later
+    /// build is) and the channel count; then one core per slot is built
+    /// (failing fast on any broken build). Fault events due at serving
+    /// start are in force before this returns.
     pub fn new(
         builder: ReplicaBuilder,
         reference: Detector,
@@ -438,7 +439,7 @@ impl ReplicaSet {
         for id in 0..replicas {
             let first = match first.take() {
                 Some(det) => det,
-                None => builder.build_detector(base_chw.1)?,
+                None => builder.build_detector()?,
             };
             let core = builder.build_core(id, first)?;
             slots.push(ReplicaSlot {
@@ -658,7 +659,7 @@ impl ReplicaSet {
     /// `Ok(None)` when the probe failed the canary and was dropped on the
     /// spot, `Err` when the factory failed.
     fn rebuild(&self, id: usize) -> Result<Option<Arc<ReplicaCore>>, ServeError> {
-        let mut probe = self.builder.build_detector(self.base_chw.1)?;
+        let mut probe = self.builder.build_detector()?;
         if !check_canary(&mut probe, &self.golden).passed {
             return Ok(None);
         }
@@ -797,9 +798,9 @@ mod tests {
     use std::sync::mpsc;
 
     /// A set with no supervisor thread: the tests below are its clock.
-    fn unsupervised(config: ServeConfig, factory: SizedDetectorFactory) -> Arc<ReplicaSet> {
+    fn unsupervised(config: ServeConfig, factory: DetectorFactory) -> Arc<ReplicaSet> {
         let obs = Registry::new();
-        let first = factory(32).expect("first detector");
+        let first = factory().expect("first detector");
         let builder = ReplicaBuilder {
             factory,
             config: Arc::new(config),
@@ -810,8 +811,17 @@ mod tests {
         ReplicaSet::new(builder, first).expect("build the replica set")
     }
 
-    fn dronet_32(_size: usize) -> dronet_detect::Result<Detector> {
+    fn dronet_32() -> dronet_detect::Result<Detector> {
         DetectorBuilder::new(zoo::build(ModelId::DroNet, 32)?).build()
+    }
+
+    /// [`dronet_32`], counting its builds in `builds`.
+    fn counted_dronet_32(builds: &Arc<AtomicUsize>) -> DetectorFactory {
+        let builds = Arc::clone(builds);
+        Arc::new(move || {
+            builds.fetch_add(1, Ordering::SeqCst);
+            dronet_32()
+        })
     }
 
     /// Longer than any test: only a heal or teardown ends this stall.
@@ -989,14 +999,14 @@ mod tests {
     fn a_factory_that_stays_broken_spends_every_rebuild_budget_and_halts() {
         let broken = Arc::new(AtomicBool::new(false));
         let builds = Arc::new(AtomicUsize::new(0));
-        let factory: SizedDetectorFactory = {
+        let factory: DetectorFactory = {
             let (broken, builds) = (Arc::clone(&broken), Arc::clone(&builds));
-            Arc::new(move |size| {
+            Arc::new(move || {
                 builds.fetch_add(1, Ordering::SeqCst);
                 if broken.load(Ordering::SeqCst) {
                     return Err(DetectError::MissingRegionHead);
                 }
-                dronet_32(size)
+                dronet_32()
             })
         };
         let config = ServeConfig {
@@ -1063,6 +1073,21 @@ mod tests {
     }
 
     #[test]
+    fn brownout_serves_from_the_ladder_top_whatever_size_the_factory_builds() {
+        let config = ServeConfig {
+            brownout: Some(DegradeConfig::over_ladder(vec![16, 48])),
+            ..ServeConfig::default()
+        };
+        let set = unsupervised(config, Arc::new(dronet_32));
+        let core = set.slots[0].active_core().expect("active");
+        assert_eq!(core.current_input(), 48);
+        // A 32² frame is resized to the rung at the door, and the 32² build
+        // runs at it.
+        assert!(matches!(push(&core, 0).recv(), Ok(Ok(_))));
+        set.shutdown();
+    }
+
+    #[test]
     fn a_held_queue_walks_the_ladder_down_and_recovery_waits_for_the_top() {
         let config = ServeConfig {
             brownout: Some(DegradeConfig {
@@ -1075,7 +1100,9 @@ mod tests {
             recovery_ticks: 1,
             ..ServeConfig::default()
         };
-        let set = unsupervised(config, Arc::new(dronet_32));
+        let builds = Arc::new(AtomicUsize::new(0));
+        let set = unsupervised(config, counted_dronet_32(&builds));
+        assert_eq!(builds.load(Ordering::SeqCst), 1, "the one worker's build");
         let core = set.slots[0].active_core().expect("active");
         // Hold the only worker mid-batch; the next job then sits queued.
         core.worker.inject(Fault::Stall(FOREVER));
@@ -1107,6 +1134,9 @@ mod tests {
         }
         assert_eq!(walk, [16, 16, 24, 24, 32], "two calm ticks per rung");
         assert_eq!(set.service_health.get(), Health::Healthy);
+        // Both 32² frames were answered at the 16² rung by the worker's
+        // first detector: no shift built one.
+        assert_eq!(builds.load(Ordering::SeqCst), 1);
         set.shutdown();
     }
 }

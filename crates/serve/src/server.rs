@@ -31,13 +31,9 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 /// A detector constructor: each worker builds (and after a panic, rebuilds)
-/// its own [`Detector`] from this.
+/// its own [`Detector`] from this. A brownout shift builds nothing: the
+/// detector runs at the size of the frames it is given.
 pub type DetectorFactory = Arc<dyn Fn() -> dronet_detect::Result<Detector> + Send + Sync>;
-
-/// A resolution-aware detector constructor: builds a detector at the given
-/// square input size. Required for brownout, which rebuilds workers at
-/// smaller ladder rungs under sustained load.
-pub type SizedDetectorFactory = Arc<dyn Fn(usize) -> dronet_detect::Result<Detector> + Send + Sync>;
 
 /// Server tuning knobs. The defaults favour a small embedded host: tight
 /// limits, a short coalescing window, shallow queue.
@@ -94,11 +90,12 @@ pub struct ServeConfig {
     pub max_worker_restarts: usize,
     /// Quiet watchdog ticks before Degraded health recovers to Healthy.
     pub recovery_ticks: u32,
-    /// Adaptive-resolution brownout; requires [`Server::start_scalable`].
-    /// The ladder is the paper's 352–608 sweep: under sustained queue
-    /// pressure a replica walks down one rung at a time — answering every
-    /// request a little coarser beats shedding them — and back up after a
-    /// calm cooldown. One observation is one supervisor tick, so
+    /// Adaptive-resolution brownout. The ladder is the paper's 352–608
+    /// sweep, and serving starts at its top rung whatever size the factory
+    /// builds: frames are conformed to the current rung and the detectors
+    /// run at it. Under sustained queue pressure a replica walks down one
+    /// rung at a time — answering every request a little coarser beats
+    /// shedding them — and back up after a calm cooldown. One observation is one supervisor tick, so
     /// `window_frames` counts ticks per window. With multiple replicas,
     /// each runs its *own* controller — an overloaded replica browns out
     /// alone.
@@ -272,62 +269,18 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Config`] for nonsensical knobs (including a brownout
-    /// config, which needs [`Server::start_scalable`]),
-    /// [`ServeError::Detect`] when the factory cannot build a detector, and
-    /// [`ServeError::Io`] when the address cannot be bound.
+    /// [`ServeError::Config`] for nonsensical knobs (an invalid brownout
+    /// ladder included), [`ServeError::Detect`] when the factory cannot
+    /// build a detector, and [`ServeError::Io`] when the address cannot be
+    /// bound.
     pub fn start(
         factory: DetectorFactory,
         config: ServeConfig,
         obs: &Registry,
         tracer: &Tracer,
     ) -> Result<Server, ServeError> {
-        if config.brownout.is_some() {
-            return Err(ServeError::Config(
-                "brownout requires a resolution-aware factory; start the server with \
-                 Server::start_scalable"
-                    .to_string(),
-            ));
-        }
         config.validate()?;
         let first = factory()?;
-        Server::start_inner(Arc::new(move |_| factory()), first, config, obs, tracer)
-    }
-
-    /// Like [`Server::start`], but with a resolution-aware factory so the
-    /// brownout controller can rebuild workers at smaller ladder rungs
-    /// under load. Requires `config.brownout`; serving starts at the
-    /// ladder's top rung.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Server::start`] returns, plus [`ServeError::Config`]
-    /// when `config.brownout` is missing or its ladder is invalid.
-    pub fn start_scalable(
-        sized: SizedDetectorFactory,
-        config: ServeConfig,
-        obs: &Registry,
-        tracer: &Tracer,
-    ) -> Result<Server, ServeError> {
-        config.validate()?;
-        let top = config.brownout.as_ref().and_then(|b| b.ladder.last());
-        let Some(&top) = top else {
-            return Err(ServeError::Config(
-                "start_scalable requires ServeConfig::brownout".to_string(),
-            ));
-        };
-        let first = sized(top)?;
-        Server::start_inner(sized, first, config, obs, tracer)
-    }
-
-    /// `first` is the factory's build at the size serving starts at.
-    fn start_inner(
-        factory: SizedDetectorFactory,
-        first: Detector,
-        config: ServeConfig,
-        obs: &Registry,
-        tracer: &Tracer,
-    ) -> Result<Server, ServeError> {
         if obs.is_enabled() {
             // Rolling 10-second windows next to every cumulative series
             // (`/metrics` gains `_window_rate` / `_window_p99_seconds`

@@ -75,43 +75,12 @@ const fn crc32_table() -> [u32; 256] {
 
 static CRC_TABLE: [u32; 256] = crc32_table();
 
-/// Incremental CRC32 (IEEE 802.3, the zlib/PNG polynomial).
-#[derive(Debug, Clone)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Crc32 {
-    /// A fresh hasher.
-    pub fn new() -> Self {
-        Crc32 { state: 0xFFFF_FFFF }
-    }
-
-    /// Folds `bytes` into the running checksum.
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            let idx = ((self.state ^ u32::from(b)) & 0xFF) as usize;
-            self.state = CRC_TABLE[idx] ^ (self.state >> 8);
-        }
-    }
-
-    /// The finished checksum.
-    pub fn finish(&self) -> u32 {
-        self.state ^ 0xFFFF_FFFF
-    }
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Crc32::new()
-    }
-}
-
-/// One-shot CRC32 of `bytes`.
+/// CRC32 of `bytes` (IEEE 802.3, the zlib/PNG polynomial).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update(bytes);
-    c.finish()
+    let state = bytes.iter().fold(0xFFFF_FFFF, |state: u32, &b| {
+        CRC_TABLE[((state ^ u32::from(b)) & 0xFF) as usize] ^ (state >> 8)
+    });
+    state ^ 0xFFFF_FFFF
 }
 
 // ---------------------------------------------------------------------------

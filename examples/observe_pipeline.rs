@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    for every stage under the current frame id.
     let net = zoo::build(ModelId::DroNet, input)?;
     let summary = NetworkSummary::of("DroNet-352", &net);
-    let mut factory = |_: usize| -> dronet::detect::Result<Box<dyn DetectStage>> {
+    let mut factory = || -> dronet::detect::Result<Box<dyn DetectStage>> {
         let detector = DetectorBuilder::new(net.clone())
             .observability(&obs)
             .tracing(&tracer)
@@ -41,12 +41,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Stream synthetic camera frames through both supervisor modes; the
     //    loop records camera, queue and per-frame telemetry into the same
     //    registry and tracer.
-    let supervisor = Supervisor::new(SupervisorConfig {
-        initial_input: input,
-        ..SupervisorConfig::default()
-    })
-    .observability(&obs)
-    .tracing(&tracer);
+    let supervisor = Supervisor::new(SupervisorConfig::default())
+        .observability(&obs)
+        .tracing(&tracer);
     let frames: Vec<_> = (0..6)
         .map(|i| {
             SceneGenerator::new(SceneConfig::default(), 100 + i)

@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         plan.injected()
     );
 
-    // Synthetic camera frames at the degradation ladder's smallest rung.
+    // Synthetic camera frames at the degradation ladder's top rung.
     let input = 64;
     let frames: Vec<_> = (0..n)
         .map(|i| {
@@ -72,14 +72,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..DegradeConfig::over_ladder(ladder)
     })?;
 
-    // The stage factory: called at startup, after every crash or hang, and
-    // at every resolution shift. The shared call counter keeps the fault
-    // schedule marching forward across restarts.
+    // The stage factory: called at startup and after every crash or hang.
+    // A resolution shift builds nothing: frames are conformed to the new
+    // rung and the detector runs at their size. The shared call counter
+    // keeps the fault schedule marching forward across restarts.
     let calls = Arc::new(AtomicUsize::new(0));
     let stage_plan = plan.clone();
-    let mut factory = move |size: usize| {
-        println!("  [factory] building MicroDroNet at {size}x{size}");
-        let net = zoo::micro_dronet(size, vec![(1.5, 1.5)])?;
+    let mut factory = move || {
+        println!("  [factory] building MicroDroNet at {input}x{input}");
+        let net = zoo::micro_dronet(input, vec![(1.5, 1.5)])?;
         let detector = DetectorBuilder::new(net).build()?;
         let stage: Box<dyn DetectStage> = Box::new(FaultyDetector::with_counter(
             detector,
@@ -95,7 +96,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stage_timeout: Duration::from_millis(500),
         camera_fps: Some(30.0),
         recovery_frames: 4,
-        initial_input: input,
         ..SupervisorConfig::default()
     })
     .observability(&obs);

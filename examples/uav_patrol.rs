@@ -125,7 +125,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 3. Detector with altitude gating (paper section III-D). ---
     let camera = CameraModel::new(60f32.to_radians(), INPUT);
     let filter = AltitudeFilter::new(camera, altitude, (3.5, 5.5), 0.45)?;
-    let mut factory = |_: usize| -> dronet::detect::Result<Box<dyn DetectStage>> {
+    let mut factory = || -> dronet::detect::Result<Box<dyn DetectStage>> {
         let detector = DetectorBuilder::new(net.clone())
             .confidence_threshold(0.4)
             .nms_threshold(0.45)
@@ -141,10 +141,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut tracker = Tracker::new(TrackerConfig::default());
     let frames: Vec<_> = flight.collect();
     let tensors: Vec<_> = frames.iter().map(|f| f.image.to_tensor()).collect();
-    let supervisor = Supervisor::new(SupervisorConfig {
-        initial_input: INPUT,
-        ..SupervisorConfig::default()
-    });
+    let supervisor = Supervisor::new(SupervisorConfig::default());
     let report = supervisor.run_sync(IterSource::new(tensors), &mut factory, None)?;
 
     let mut tp = 0usize;

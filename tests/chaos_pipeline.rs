@@ -7,8 +7,8 @@
 use dronet::core::zoo;
 use dronet::detect::supervisor::{Health, Supervisor, SupervisorConfig};
 use dronet::detect::{
-    DegradeConfig, DegradeController, DetectStage, DetectorBuilder, FaultConfig, FaultKind,
-    FaultPlan, FaultyDetector, FaultyFrameSource, IterSource, Result as DetectResult,
+    DegradeConfig, DegradeController, DetectStage, Detection, DetectorBuilder, FaultConfig,
+    FaultKind, FaultPlan, FaultyDetector, FaultyFrameSource, IterSource, Result as DetectResult,
 };
 use dronet::obs::{Registry, TraceKind, Tracer};
 use dronet::tensor::{Shape, Tensor};
@@ -17,11 +17,28 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// A real (micro-DroNet) detection stage, kept at a fixed tiny input so a
-/// chaos run costs milliseconds per frame; the supervisor resizes incoming
-/// frames to whatever the stage reports via `input_chw`.
+/// chaos run costs milliseconds per frame; without a degradation
+/// controller the supervisor resizes incoming frames to what the stage
+/// reports via `input_chw`.
 fn micro_stage() -> Box<dyn DetectStage> {
     let net = zoo::micro_dronet(32, vec![(1.5, 1.5)]).unwrap();
     Box::new(DetectorBuilder::new(net).build().unwrap())
+}
+
+/// A stage that computes nothing and records the `h × w` of every frame it
+/// is given: with a controller, frames arrive at the current rung.
+struct SizeProbe(Arc<Mutex<Vec<(usize, usize)>>>);
+
+impl DetectStage for SizeProbe {
+    fn detect_frame(&mut self, frame: &Tensor) -> DetectResult<Vec<Detection>> {
+        let s = frame.shape();
+        self.0.lock().unwrap().push((s.height(), s.width()));
+        Ok(Vec::new())
+    }
+
+    fn input_chw(&self) -> (usize, usize, usize) {
+        (3, 32, 32)
+    }
 }
 
 fn frames(n: usize) -> Vec<Tensor> {
@@ -43,7 +60,6 @@ fn patient_config() -> SupervisorConfig {
         stage_timeout: Duration::from_secs(5),
         backoff_base: Duration::from_micros(200),
         recovery_frames: 3,
-        initial_input: 32,
         ..SupervisorConfig::default()
     }
 }
@@ -63,8 +79,8 @@ fn chaos_corrupt_and_nan_frames_are_survived() {
     ]);
     let injected = plan.injected();
     let sup = Supervisor::new(patient_config());
-    let mut factory: Box<dyn FnMut(usize) -> DetectResult<Box<dyn DetectStage>>> =
-        Box::new(|_| Ok(micro_stage()));
+    let mut factory: Box<dyn FnMut() -> DetectResult<Box<dyn DetectStage>>> =
+        Box::new(|| Ok(micro_stage()));
     let source = FaultyFrameSource::new(IterSource::new(frames(12)), plan);
     let report = sup.run_sync(source, &mut factory, None).unwrap();
     assert_eq!(
@@ -104,14 +120,13 @@ fn chaos_detector_panics_are_isolated_and_recovered() {
     let tracer = Tracer::new();
     let sup = Supervisor::new(patient_config()).tracing(&tracer);
     let calls = Arc::new(AtomicUsize::new(0));
-    let mut factory: Box<dyn FnMut(usize) -> DetectResult<Box<dyn DetectStage>>> =
-        Box::new(move |_| {
-            Ok(Box::new(FaultyDetector::with_counter(
-                micro_stage(),
-                plan.clone(),
-                Arc::clone(&calls),
-            )))
-        });
+    let mut factory: Box<dyn FnMut() -> DetectResult<Box<dyn DetectStage>>> = Box::new(move || {
+        Ok(Box::new(FaultyDetector::with_counter(
+            micro_stage(),
+            plan.clone(),
+            Arc::clone(&calls),
+        )))
+    });
     let report = sup
         .run_sync(IterSource::new(frames(10)), &mut factory, None)
         .unwrap();
@@ -170,8 +185,8 @@ fn chaos_camera_stalls_trip_the_watchdog_but_not_the_run() {
     });
     let obs = Registry::new();
     let sup = sup.observability(&obs);
-    let mut factory: Box<dyn FnMut(usize) -> DetectResult<Box<dyn DetectStage>>> =
-        Box::new(|_| Ok(micro_stage()));
+    let mut factory: Box<dyn FnMut() -> DetectResult<Box<dyn DetectStage>>> =
+        Box::new(|| Ok(micro_stage()));
     let source = FaultyFrameSource::new(IterSource::new(frames(10)), plan);
     let report = sup.run(source, &mut factory, None).unwrap();
     assert!(report.stalls >= 2, "two 80ms stalls vs a 20ms watchdog");
@@ -202,14 +217,13 @@ fn chaos_hung_stage_is_abandoned_and_restarted() {
         ..patient_config()
     });
     let calls = Arc::new(AtomicUsize::new(0));
-    let mut factory: Box<dyn FnMut(usize) -> DetectResult<Box<dyn DetectStage>>> =
-        Box::new(move |_| {
-            Ok(Box::new(FaultyDetector::with_counter(
-                micro_stage(),
-                plan.clone(),
-                Arc::clone(&calls),
-            )))
-        });
+    let mut factory: Box<dyn FnMut() -> DetectResult<Box<dyn DetectStage>>> = Box::new(move || {
+        Ok(Box::new(FaultyDetector::with_counter(
+            micro_stage(),
+            plan.clone(),
+            Arc::clone(&calls),
+        )))
+    });
     let report = sup
         .run(IterSource::new(frames(6)), &mut factory, None)
         .unwrap();
@@ -251,7 +265,7 @@ fn chaos_overload_degrades_to_352_and_recovers() {
 
     let sup = Supervisor::new(SupervisorConfig {
         // 40ms latency at a 60 FPS camera ≈ 2 estimated drops per frame;
-        // clean micro-net frames stay well under one camera interval.
+        // clean frames compute nothing and stay well under one interval.
         camera_fps: Some(60.0),
         recovery_frames: 2,
         ..patient_config()
@@ -259,21 +273,19 @@ fn chaos_overload_degrades_to_352_and_recovers() {
     let obs = Registry::new();
     let sup = sup.observability(&obs);
 
-    // The factory records every resolution it is asked to build. The
-    // compute stage stays micro-sized so the ladder walk costs nothing;
-    // the requested sizes are what the ladder contract is about.
-    let requested = Arc::new(Mutex::new(Vec::new()));
+    // The stage records the size of every frame it is given and computes
+    // nothing, so the ladder walk costs no forward at 608²; the frame
+    // sizes are what the ladder contract is about.
+    let received = Arc::new(Mutex::new(Vec::new()));
     let calls = Arc::new(AtomicUsize::new(0));
-    let requested_in = Arc::clone(&requested);
-    let mut factory: Box<dyn FnMut(usize) -> DetectResult<Box<dyn DetectStage>>> =
-        Box::new(move |input| {
-            requested_in.lock().unwrap().push(input);
-            Ok(Box::new(FaultyDetector::with_counter(
-                micro_stage(),
-                plan.clone(),
-                Arc::clone(&calls),
-            )))
-        });
+    let received_in = Arc::clone(&received);
+    let mut factory: Box<dyn FnMut() -> DetectResult<Box<dyn DetectStage>>> = Box::new(move || {
+        Ok(Box::new(FaultyDetector::with_counter(
+            SizeProbe(Arc::clone(&received_in)),
+            plan.clone(),
+            Arc::clone(&calls),
+        )))
+    });
 
     let report = sup
         .run_sync(IterSource::new(frames(50)), &mut factory, Some(controller))
@@ -295,9 +307,9 @@ fn chaos_overload_degrades_to_352_and_recovers() {
         "recovered at least one rung after the load cleared: {:?}",
         report.resolution_history
     );
-    // The factory was really asked to rebuild at the shifted resolutions.
-    let requested = requested.lock().unwrap();
-    assert!(requested.contains(&352) && requested.contains(&608));
+    // The stage really ran at the shifted resolutions.
+    let received = received.lock().unwrap();
+    assert!(received.contains(&(352, 352)) && received.contains(&(608, 608)));
     assert_eq!(report.processed(), 50, "overload degraded, never dropped");
     assert_eq!(report.final_health, Health::Healthy);
 
@@ -340,8 +352,8 @@ fn chaos_same_seed_same_report() {
         let sup = Supervisor::new(patient_config());
         let calls = Arc::new(AtomicUsize::new(0));
         let source_plan = plan.clone();
-        let mut factory: Box<dyn FnMut(usize) -> DetectResult<Box<dyn DetectStage>>> =
-            Box::new(move |_| {
+        let mut factory: Box<dyn FnMut() -> DetectResult<Box<dyn DetectStage>>> =
+            Box::new(move || {
                 Ok(Box::new(FaultyDetector::with_counter(
                     micro_stage(),
                     plan.clone(),
@@ -383,14 +395,13 @@ fn chaos_soak_every_fault_class_accounted() {
     let sup = Supervisor::new(patient_config());
     let calls = Arc::new(AtomicUsize::new(0));
     let source_plan = plan.clone();
-    let mut factory: Box<dyn FnMut(usize) -> DetectResult<Box<dyn DetectStage>>> =
-        Box::new(move |_| {
-            Ok(Box::new(FaultyDetector::with_counter(
-                micro_stage(),
-                plan.clone(),
-                Arc::clone(&calls),
-            )))
-        });
+    let mut factory: Box<dyn FnMut() -> DetectResult<Box<dyn DetectStage>>> = Box::new(move || {
+        Ok(Box::new(FaultyDetector::with_counter(
+            micro_stage(),
+            plan.clone(),
+            Arc::clone(&calls),
+        )))
+    });
     let source = FaultyFrameSource::new(IterSource::new(frames(n)), source_plan);
     let report = sup.run_sync(source, &mut factory, None).unwrap();
     // Sync mode is lossless: every frame either processed or typed-skipped.

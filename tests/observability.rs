@@ -31,22 +31,18 @@ fn observed_run(
     obs: &Registry,
     tracer: &Tracer,
 ) -> SupervisorReport {
-    let initial_input = net.input_chw().2;
-    let mut factory = |_: usize| -> Result<Box<dyn DetectStage>> {
+    let mut factory = || -> Result<Box<dyn DetectStage>> {
         let detector = DetectorBuilder::new(net.clone())
             .observability(obs)
             .tracing(tracer)
             .build()?;
         Ok(Box::new(detector))
     };
-    Supervisor::new(SupervisorConfig {
-        initial_input,
-        ..SupervisorConfig::default()
-    })
-    .observability(obs)
-    .tracing(tracer)
-    .run_sync(IterSource::new(frames), &mut factory, None)
-    .unwrap()
+    Supervisor::new(SupervisorConfig::default())
+        .observability(obs)
+        .tracing(tracer)
+        .run_sync(IterSource::new(frames), &mut factory, None)
+        .unwrap()
 }
 
 /// Detector + pipeline + trainer all recording into one registry, exported

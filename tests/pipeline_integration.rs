@@ -18,11 +18,8 @@ use rand::{Rng, SeedableRng};
 /// Runs `frames` through the supervisor over a default detector on `net`,
 /// inline or with the camera on its own thread.
 fn run_pipeline(net: Network, frames: Vec<Tensor>, threaded: bool) -> SupervisorReport {
-    let sup = Supervisor::new(SupervisorConfig {
-        initial_input: net.input_chw().2,
-        ..SupervisorConfig::default()
-    });
-    let mut factory = |_: usize| -> Result<Box<dyn DetectStage>> {
+    let sup = Supervisor::new(SupervisorConfig::default());
+    let mut factory = || -> Result<Box<dyn DetectStage>> {
         Ok(Box::new(DetectorBuilder::new(net.clone()).build()?))
     };
     let report = if threaded {

@@ -12,9 +12,7 @@
 use dronet::detect::{DegradeConfig, DetectorBuilder, Health};
 use dronet::obs::{Registry, Tracer};
 use dronet::serve::chaos::{run_script, ChaosPlan, ChaosPlanConfig, ClientOutcome};
-use dronet::serve::{
-    DetectorFactory, Fault, FaultEvent, FaultSchedule, ServeConfig, Server, SizedDetectorFactory,
-};
+use dronet::serve::{DetectorFactory, Fault, FaultEvent, FaultSchedule, ServeConfig, Server};
 use dronet_core::{zoo, ModelId};
 use dronet_data::{ppm, Image};
 use std::io::{Read, Write};
@@ -27,13 +25,6 @@ use std::time::{Duration, Instant};
 
 fn factory(input: usize) -> DetectorFactory {
     Arc::new(move || {
-        let net = zoo::build(ModelId::DroNet, input)?;
-        DetectorBuilder::new(net).confidence_threshold(0.3).build()
-    })
-}
-
-fn sized_factory() -> SizedDetectorFactory {
-    Arc::new(|input| {
         let net = zoo::build(ModelId::DroNet, input)?;
         DetectorBuilder::new(net).confidence_threshold(0.3).build()
     })
@@ -371,8 +362,8 @@ fn brownout_walks_the_ladder_down_under_load_and_recovers() {
 
     // Brownout: same knobs plus the ladder.
     let obs = Registry::new();
-    let server = Server::start_scalable(
-        sized_factory(),
+    let server = Server::start(
+        factory(96),
         brownout_cfg(Some(DegradeConfig {
             ladder: ladder.clone(),
             overload_queue: 1.0,

@@ -10,9 +10,7 @@
 
 use dronet::detect::{DegradeConfig, DetectorBuilder, Health};
 use dronet::obs::{JsonValue, Registry, Tracer};
-use dronet::serve::{
-    DetectorFactory, Fault, FaultEvent, FaultSchedule, ServeConfig, Server, SizedDetectorFactory,
-};
+use dronet::serve::{DetectorFactory, Fault, FaultEvent, FaultSchedule, ServeConfig, Server};
 use dronet_core::{zoo, ModelId};
 use dronet_data::{ppm, Image};
 use std::io::{Read, Write};
@@ -24,13 +22,6 @@ use std::time::{Duration, Instant};
 
 fn factory(input: usize) -> DetectorFactory {
     Arc::new(move || {
-        let net = zoo::build(ModelId::DroNet, input)?;
-        DetectorBuilder::new(net).confidence_threshold(0.3).build()
-    })
-}
-
-fn sized_factory() -> SizedDetectorFactory {
-    Arc::new(|input| {
         let net = zoo::build(ModelId::DroNet, input)?;
         DetectorBuilder::new(net).confidence_threshold(0.3).build()
     })
@@ -360,8 +351,7 @@ fn asymmetric_load_browns_out_one_replica_while_its_peer_holds_resolution() {
         }),
         ..ServeConfig::default()
     };
-    let server =
-        Server::start_scalable(sized_factory(), config, &obs, &Tracer::noop()).expect("start");
+    let server = Server::start(factory(96), config, &obs, &Tracer::noop()).expect("start");
     let addr = server.addr();
 
     // Sample both per-replica resolution gauges while the storm runs,
