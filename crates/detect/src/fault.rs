@@ -9,11 +9,14 @@
 //! source-side faults to any [`FrameSource`]; [`FaultyDetector`] applies
 //! the detector-side faults to any [`DetectStage`]. Both consume the same
 //! plan, so one seed describes one complete chaos scenario and the same
-//! seed always reproduces the same fault sequence.
+//! seed always reproduces the same fault sequence. A stall or a latency
+//! spike is spent on the plan's [`Clock`]: on a manual clock it moves time
+//! forward by exactly its length and blocks nothing.
 
 use crate::detector::DetectStage;
 use crate::source::FrameSource;
 use crate::{DetectError, Detection, Result};
+use dronet_obs::Clock;
 use dronet_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,7 +27,8 @@ use std::time::Duration;
 /// One injectable fault class.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultKind {
-    /// The camera stalls: the source sleeps before yielding the frame.
+    /// The camera stalls: the source sleeps on the plan's clock before
+    /// yielding the frame.
     SourceStall(Duration),
     /// The readout is truncated: the source yields a typed
     /// [`DetectError::CorruptFrame`] instead of the frame.
@@ -35,7 +39,8 @@ pub enum FaultKind {
     /// The detector reports a transient, recoverable error for this call
     /// (succeeds again on retry).
     TransientDetect,
-    /// The detector suffers a latency spike: it sleeps before processing.
+    /// The detector suffers a latency spike: it sleeps on the plan's clock
+    /// before processing.
     SlowDetect(Duration),
     /// The detector panics outright (e.g. a poisoned weight buffer hitting
     /// an unchecked kernel); exercises `catch_unwind` isolation.
@@ -78,15 +83,22 @@ impl Default for FaultConfig {
     }
 }
 
-/// A deterministic, per-frame fault schedule.
+/// A deterministic, per-frame fault schedule, with the clock its stalls
+/// and latency spikes spend their time on (real unless
+/// [`FaultPlan::clock`] says otherwise).
 ///
-/// Cheap to clone (the schedule is shared); all clones observe the same
-/// slots, so a frame source and a detector wrapper driven by the same plan
-/// stay in sync, and a detector rebuilt after a crash resumes the plan
-/// where its predecessor left off (see [`FaultyDetector::call_counter`]).
+/// Cheap to clone, and every clone shares the schedule, the clock and the
+/// detector's call cursor: a frame source and a detector wrapper driven by
+/// the same plan stay in sync, and a [`FaultyDetector`] rebuilt after a
+/// crash from a clone resumes the schedule where its predecessor left off
+/// instead of replaying the fault that killed it.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     slots: Arc<Vec<Option<FaultKind>>>,
+    /// Detector calls made so far, across every [`FaultyDetector`] on this
+    /// plan.
+    calls: Arc<AtomicUsize>,
+    clock: Clock,
 }
 
 impl FaultPlan {
@@ -118,9 +130,7 @@ impl FaultPlan {
                 None
             })
             .collect();
-        FaultPlan {
-            slots: Arc::new(slots),
-        }
+        FaultPlan::from_schedule(slots)
     }
 
     /// A hand-written schedule: `slots[i]` is the fault (if any) for frame
@@ -128,7 +138,16 @@ impl FaultPlan {
     pub fn from_schedule(slots: Vec<Option<FaultKind>>) -> Self {
         FaultPlan {
             slots: Arc::new(slots),
+            calls: Arc::default(),
+            clock: Clock::default(),
         }
+    }
+
+    /// Spends stalls and latency spikes on `clock` (the supervisor's, so
+    /// a spike is exactly the latency it measures).
+    pub fn clock(mut self, clock: &Clock) -> Self {
+        self.clock = clock.clone();
+        self
     }
 
     /// A plan that never injects anything.
@@ -179,7 +198,7 @@ impl<S: FrameSource> FrameSource for FaultyFrameSource<S> {
         self.index += 1;
         match self.plan.fault_for(idx) {
             Some(FaultKind::SourceStall(d)) => {
-                std::thread::sleep(*d);
+                self.plan.clock.sleep(*d);
                 self.inner.next_frame()
             }
             Some(FaultKind::CorruptFrame) => {
@@ -206,46 +225,29 @@ impl<S: FrameSource> FrameSource for FaultyFrameSource<S> {
 }
 
 /// Wraps a [`DetectStage`], injecting the detector-side faults of a plan
-/// (transient errors, latency spikes, panics). The call counter is shared
-/// through an `Arc`, so a replacement wrapper built after a crash (give it
-/// the same plan and [`FaultyDetector::call_counter`]) resumes the
-/// schedule instead of replaying the fault that killed its predecessor.
+/// (transient errors, latency spikes, panics) by the plan's shared call
+/// cursor: a supervisor factory that wraps every build with
+/// `FaultyDetector::new(inner, plan.clone())` walks one schedule across
+/// restarts.
 #[derive(Debug)]
 pub struct FaultyDetector<D> {
     inner: D,
     plan: FaultPlan,
-    calls: Arc<AtomicUsize>,
 }
 
 impl<D: DetectStage> FaultyDetector<D> {
-    /// Wraps `inner` with the detector-side faults of `plan`, starting a
-    /// fresh call counter.
+    /// Wraps `inner` with the detector-side faults of `plan`, from the
+    /// plan's next call on.
     pub fn new(inner: D, plan: FaultPlan) -> Self {
-        FaultyDetector {
-            inner,
-            plan,
-            calls: Arc::new(AtomicUsize::new(0)),
-        }
-    }
-
-    /// Like [`FaultyDetector::new`] but continuing an existing counter —
-    /// used by supervisor factories to rebuild a crashed stage without
-    /// rewinding the schedule.
-    pub fn with_counter(inner: D, plan: FaultPlan, calls: Arc<AtomicUsize>) -> Self {
-        FaultyDetector { inner, plan, calls }
-    }
-
-    /// The shared call counter, for handing to a replacement wrapper.
-    pub fn call_counter(&self) -> Arc<AtomicUsize> {
-        Arc::clone(&self.calls)
+        FaultyDetector { inner, plan }
     }
 }
 
 impl<D: DetectStage> DetectStage for FaultyDetector<D> {
     fn detect_frame(&mut self, frame: &Tensor) -> Result<Vec<Detection>> {
-        let idx = self.calls.fetch_add(1, Ordering::Relaxed);
+        let idx = self.plan.calls.fetch_add(1, Ordering::Relaxed);
         match self.plan.fault_for(idx) {
-            Some(FaultKind::SlowDetect(d)) => std::thread::sleep(*d),
+            Some(FaultKind::SlowDetect(d)) => self.plan.clock.sleep(*d),
             Some(FaultKind::DetectorPanic) => {
                 panic!("injected detector fault at call {idx}")
             }
@@ -275,6 +277,17 @@ mod tests {
         (0..n)
             .map(|_| Tensor::zeros(Shape::nchw(1, 3, 8, 8)))
             .collect()
+    }
+
+    /// A stage that always succeeds with no detections.
+    struct Always;
+    impl DetectStage for Always {
+        fn detect_frame(&mut self, _: &Tensor) -> Result<Vec<Detection>> {
+            Ok(Vec::new())
+        }
+        fn input_chw(&self) -> (usize, usize, usize) {
+            (3, 8, 8)
+        }
     }
 
     #[test]
@@ -341,23 +354,32 @@ mod tests {
 
     #[test]
     fn faulty_detector_injects_transient_then_recovers() {
-        struct Always;
-        impl DetectStage for Always {
-            fn detect_frame(&mut self, _: &Tensor) -> Result<Vec<Detection>> {
-                Ok(Vec::new())
-            }
-            fn input_chw(&self) -> (usize, usize, usize) {
-                (3, 8, 8)
-            }
-        }
         let plan = FaultPlan::from_schedule(vec![Some(FaultKind::TransientDetect), None]);
         let mut det = FaultyDetector::new(Always, plan.clone());
         let x = Tensor::zeros(Shape::nchw(1, 3, 8, 8));
         assert!(det.detect_frame(&x).unwrap_err().is_recoverable());
         assert!(det.detect_frame(&x).is_ok(), "retry succeeds");
-        // A replacement sharing the counter does not replay slot 0.
-        let counter = det.call_counter();
-        let mut rebuilt = FaultyDetector::with_counter(Always, plan, counter);
+        // A replacement on a clone of the plan does not replay slot 0.
+        let mut rebuilt = FaultyDetector::new(Always, plan);
         assert!(rebuilt.detect_frame(&x).is_ok());
+    }
+
+    #[test]
+    fn stalls_and_spikes_spend_exactly_their_length_on_the_plan_clock() {
+        let clock = Clock::manual();
+        let ms = Duration::from_millis;
+        let plan = FaultPlan::from_schedule(vec![
+            Some(FaultKind::SourceStall(ms(30))),
+            Some(FaultKind::SlowDetect(ms(40))),
+        ])
+        .clock(&clock);
+        let mut src = FaultyFrameSource::new(IterSource::new(frames(2)), plan.clone());
+        assert!(matches!(src.next_frame(), Some(Ok(_))));
+        assert_eq!(clock.now(), ms(30));
+        let mut det = FaultyDetector::new(Always, plan);
+        let x = Tensor::zeros(Shape::nchw(1, 3, 8, 8));
+        det.detect_frame(&x).unwrap(); // call 0: the stall slot, ignored here
+        det.detect_frame(&x).unwrap();
+        assert_eq!(clock.now(), ms(70));
     }
 }

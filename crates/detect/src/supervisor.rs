@@ -34,6 +34,12 @@
 //! the camera pump and calls the stage on a worker thread it can abandon
 //! at the deadline; [`Supervisor::run_sync`] does both inline, so nothing
 //! is pre-empted and the fault ledger is deterministic.
+//!
+//! Every duration the policy judges — a stage call's latency, an inline
+//! frame acquisition, the retry backoff — is read from, or spent on, the
+//! supervisor's [`Clock`] ([`Supervisor::clock`], real by default). On a
+//! manual clock whose only movement is a fault plan's stalls and spikes,
+//! a `run_sync` is exact, overload verdicts included.
 
 use crate::degrade::{DegradeController, ShiftMetrics};
 use crate::detector::DetectStage;
@@ -44,12 +50,12 @@ use crate::source::{conform_frame, FrameSource};
 use crate::{DetectError, Detection, Result};
 use dronet_metrics::Fps;
 use dronet_obs::{
-    BlackBox, Counter, HealthCell, Histogram, RecoveryClock, Registry, RestartBudget, Tracer,
+    BlackBox, Clock, Counter, HealthCell, Histogram, RecoveryClock, Registry, RestartBudget, Tracer,
 };
 use dronet_tensor::Tensor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, SyncSender};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 pub use dronet_obs::Health;
 
@@ -65,18 +71,24 @@ pub struct FaultEvent {
 }
 
 /// Tunables of the supervised pipeline.
+///
+/// The two deadlines are judged two ways. [`Supervisor::run`] waits for
+/// the camera and the stage with wall-clock timeouts, since it must
+/// pre-empt real threads. [`Supervisor::run_sync`] compares the latency it
+/// read from the supervisor's [`Clock`] with them after the fact, as it
+/// does the latency behind its [`SupervisorConfig::camera_fps`] overload
+/// estimate.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
-    /// Watchdog deadline for frame acquisition; exceeding it records a
-    /// camera stall.
+    /// Deadline for frame acquisition; exceeding it records a camera
+    /// stall.
     pub source_timeout: Duration,
-    /// Watchdog deadline for one detector pass; exceeding it abandons and
-    /// restarts the stage (threaded mode) or flags the frame (sync mode).
+    /// Deadline for one detector pass; exceeding it abandons and restarts
+    /// the stage (threaded mode) or flags the frame (sync mode).
     pub stage_timeout: Duration,
-    /// Retries per frame for recoverable errors before skipping it.
+    /// Retries per frame for recoverable errors before skipping it; the
+    /// `n`th waits [`BACKOFF_BASE`] × 2ⁿ⁻¹ on the clock first.
     pub max_retries: u32,
-    /// First retry backoff; doubles per attempt.
-    pub backoff_base: Duration,
     /// Detector stage restarts (after panics/hangs) before halting.
     pub max_restarts: u32,
     /// Consecutive source watchdog expiries before halting (threaded mode).
@@ -96,7 +108,6 @@ impl Default for SupervisorConfig {
             source_timeout: Duration::from_millis(250),
             stage_timeout: Duration::from_secs(1),
             max_retries: 2,
-            backoff_base: Duration::from_millis(2),
             max_restarts: 5,
             max_consecutive_stalls: 8,
             recovery_frames: 8,
@@ -215,6 +226,7 @@ pub struct Supervisor {
     config: SupervisorConfig,
     obs: Registry,
     tracer: Tracer,
+    clock: Clock,
 }
 
 /// Health/fault bookkeeping of one run.
@@ -326,8 +338,11 @@ impl Monitor {
     }
 }
 
-fn backoff(base: Duration, attempt: u64) -> Duration {
-    base.saturating_mul(1u32 << attempt.saturating_sub(1).min(10))
+/// The first retry's backoff; it doubles per attempt.
+pub const BACKOFF_BASE: Duration = Duration::from_millis(2);
+
+fn backoff(attempt: u64) -> Duration {
+    BACKOFF_BASE.saturating_mul(1u32 << attempt.saturating_sub(1).min(10))
 }
 
 /// How one attempt at running the detector stage on a frame ended.
@@ -339,21 +354,22 @@ enum StageCall {
     Lost(DetectError),
 }
 
-/// Runs `stage` on one frame inside a `frame` span, under `catch_unwind`.
-/// A panic leaves the span's begin dangling in the ring: it is the black
-/// box's crash evidence.
+/// Runs `stage` on one frame inside a `frame` span, under `catch_unwind`,
+/// timing it on `clock`. A panic leaves the span's begin dangling in the
+/// ring: it is the black box's crash evidence.
 fn call_stage(
     stage: &mut dyn DetectStage,
     tracer: &Tracer,
+    clock: &Clock,
     index: usize,
     frame: &Tensor,
 ) -> StageCall {
     tracer.set_frame(index as u64);
     let span = tracer.frame_span("frame", index as u64);
-    let t0 = Instant::now();
+    let t0 = clock.now();
     match catch_unwind(AssertUnwindSafe(|| stage.detect_frame(frame))) {
         Ok(result) => {
-            let elapsed = t0.elapsed();
+            let elapsed = clock.now() - t0;
             drop(span);
             StageCall::Returned(result, elapsed)
         }
@@ -368,29 +384,27 @@ fn call_stage(
 }
 
 /// The two things [`Supervisor::run`] and [`Supervisor::run_sync`] do
-/// differently: fetching a frame and executing a stage call.
+/// differently: fetching a frame and executing a stage call. Each method
+/// reads the supervisor's config, tracer and clock from `sup`.
 trait Executor {
     /// Pulls the next camera item with its arrival index, recording any
     /// stall it sat through. `None` ends the run: the stream is over, the
     /// source crashed (recorded as a fault), or the stall budget ran out
     /// (recorded as a halt).
-    fn fetch(
-        &mut self,
-        cfg: &SupervisorConfig,
-        monitor: &mut Monitor,
-    ) -> Option<(usize, Result<Tensor>)>;
+    fn fetch(&mut self, sup: &Supervisor, monitor: &mut Monitor)
+        -> Option<(usize, Result<Tensor>)>;
 
     /// Replaces the detector stage (after a crash or hang); the previous
     /// one is dropped or abandoned.
-    fn install(&mut self, stage: Box<dyn DetectStage>);
+    fn install(&mut self, stage: Box<dyn DetectStage>, sup: &Supervisor);
 
     /// Runs the installed stage on one conformed frame.
-    fn call(&mut self, index: usize, frame: &Tensor, cfg: &SupervisorConfig) -> StageCall;
+    fn call(&mut self, index: usize, frame: &Tensor, sup: &Supervisor) -> StageCall;
 
     /// The overload observation for the degradation controller after one
     /// consumed item: buffer depth and frames lost since the last call.
     /// `latency` is the item's detector latency when it was processed.
-    fn load(&mut self, cfg: &SupervisorConfig, latency: Option<Duration>) -> (f64, u64);
+    fn load(&mut self, sup: &Supervisor, latency: Option<Duration>) -> (f64, u64);
 
     /// Ends the run, returning the ids of frames dropped at the camera
     /// buffer.
@@ -407,12 +421,13 @@ struct Worker {
 }
 
 impl Worker {
-    fn spawn(mut stage: Box<dyn DetectStage>, tracer: Tracer) -> Worker {
+    fn spawn(mut stage: Box<dyn DetectStage>, sup: &Supervisor) -> Worker {
+        let (tracer, clock) = (sup.tracer.clone(), sup.clock.clone());
         let (work_tx, work_rx) = sync_channel::<(usize, Tensor)>(1);
         let (reply_tx, reply_rx) = channel();
         std::thread::spawn(move || {
             while let Ok((index, frame)) = work_rx.recv() {
-                let reply = call_stage(stage.as_mut(), &tracer, index, &frame);
+                let reply = call_stage(stage.as_mut(), &tracer, &clock, index, &frame);
                 let lost = matches!(reply, StageCall::Lost(_));
                 // A failed send means the supervisor abandoned this worker.
                 if reply_tx.send(reply).is_err() || lost {
@@ -425,11 +440,10 @@ impl Worker {
 }
 
 /// [`Supervisor::run`]'s executor: camera on the pump thread, detector on
-/// a worker thread, both watched against pre-emptive deadlines.
+/// a worker thread, both watched against pre-emptive wall-clock deadlines.
 struct Threaded {
     pump: CameraPump,
     worker: Worker,
-    tracer: Tracer,
     /// Consecutive source watchdog expiries, against
     /// `max_consecutive_stalls`.
     stalls: RestartBudget,
@@ -439,9 +453,10 @@ struct Threaded {
 impl Executor for Threaded {
     fn fetch(
         &mut self,
-        cfg: &SupervisorConfig,
+        sup: &Supervisor,
         monitor: &mut Monitor,
     ) -> Option<(usize, Result<Tensor>)> {
+        let cfg = &sup.config;
         loop {
             match self.pump.recv(cfg.source_timeout) {
                 Ok(Pumped::Item(index, item)) => {
@@ -467,11 +482,12 @@ impl Executor for Threaded {
         }
     }
 
-    fn install(&mut self, stage: Box<dyn DetectStage>) {
-        self.worker = Worker::spawn(stage, self.tracer.clone());
+    fn install(&mut self, stage: Box<dyn DetectStage>, sup: &Supervisor) {
+        self.worker = Worker::spawn(stage, sup);
     }
 
-    fn call(&mut self, index: usize, frame: &Tensor, cfg: &SupervisorConfig) -> StageCall {
+    fn call(&mut self, index: usize, frame: &Tensor, sup: &Supervisor) -> StageCall {
+        let cfg = &sup.config;
         let gone = || {
             StageCall::Lost(DetectError::StageFailed {
                 stage: "detect",
@@ -492,7 +508,7 @@ impl Executor for Threaded {
         }
     }
 
-    fn load(&mut self, _: &SupervisorConfig, _: Option<Duration>) -> (f64, u64) {
+    fn load(&mut self, _: &Supervisor, _: Option<Duration>) -> (f64, u64) {
         let drops = self.pump.drops();
         let delta = drops - self.last_drops;
         self.last_drops = drops;
@@ -508,26 +524,26 @@ impl Executor for Threaded {
 }
 
 /// [`Supervisor::run_sync`]'s executor: everything on the calling thread.
-/// Deadlines are checked against measured latency after the fact, so
-/// stalls and slow stages are *recorded* but nothing is abandoned.
+/// Deadlines are checked against latency read from the clock after the
+/// fact, so stalls and slow stages are *recorded* but nothing is
+/// abandoned.
 struct Inline<S> {
     source: S,
     stage: Box<dyn DetectStage>,
     next_index: usize,
     preprocess: Histogram,
-    tracer: Tracer,
 }
 
 impl<S: FrameSource> Executor for Inline<S> {
     fn fetch(
         &mut self,
-        cfg: &SupervisorConfig,
+        sup: &Supervisor,
         monitor: &mut Monitor,
     ) -> Option<(usize, Result<Tensor>)> {
         let index = self.next_index;
         self.next_index += 1;
-        self.tracer.set_frame(index as u64);
-        let t0 = Instant::now();
+        sup.tracer.set_frame(index as u64);
+        let t0 = sup.clock.now();
         let item = match catch_unwind(AssertUnwindSafe(|| self.source.next_frame())) {
             Ok(item) => item?,
             Err(payload) => {
@@ -535,27 +551,28 @@ impl<S: FrameSource> Executor for Inline<S> {
                 return None;
             }
         };
-        let acquisition = t0.elapsed();
-        self.tracer.instant("camera.frame");
+        let acquisition = sup.clock.now() - t0;
+        sup.tracer.instant("camera.frame");
         self.preprocess.record(acquisition);
-        if acquisition > cfg.source_timeout {
-            monitor.stall(acquisition, cfg.source_timeout);
+        if acquisition > sup.config.source_timeout {
+            monitor.stall(acquisition, sup.config.source_timeout);
         }
         Some((index, item))
     }
 
-    fn install(&mut self, stage: Box<dyn DetectStage>) {
+    fn install(&mut self, stage: Box<dyn DetectStage>, _: &Supervisor) {
         self.stage = stage;
     }
 
-    fn call(&mut self, index: usize, frame: &Tensor, _: &SupervisorConfig) -> StageCall {
-        call_stage(self.stage.as_mut(), &self.tracer, index, frame)
+    fn call(&mut self, index: usize, frame: &Tensor, sup: &Supervisor) -> StageCall {
+        call_stage(self.stage.as_mut(), &sup.tracer, &sup.clock, index, frame)
     }
 
-    fn load(&mut self, cfg: &SupervisorConfig, latency: Option<Duration>) -> (f64, u64) {
+    fn load(&mut self, sup: &Supervisor, latency: Option<Duration>) -> (f64, u64) {
         // A synchronous run never drops frames; estimate the overload a
         // camera at the nominal rate would have caused.
-        let drops = cfg
+        let drops = sup
+            .config
             .camera_fps
             .zip(latency)
             .map_or(0, |(fps, latency)| estimated_drops(latency, fps));
@@ -572,9 +589,17 @@ impl Supervisor {
     pub fn new(config: SupervisorConfig) -> Self {
         Supervisor {
             config,
-            obs: Registry::noop(),
-            tracer: Tracer::noop(),
+            ..Supervisor::default()
         }
+    }
+
+    /// Times stage calls and inline frame acquisitions on `clock`, and
+    /// spends retry backoffs on it. A test passes a manual clock, and the
+    /// same clock to its [`crate::FaultPlan::clock`], so the latencies the
+    /// verdicts read are exactly the injected ones.
+    pub fn clock(mut self, clock: &Clock) -> Self {
+        self.clock = clock.clone();
+        self
     }
 
     /// Attaches a flight recorder: every acquired frame gets a
@@ -612,6 +637,10 @@ impl Supervisor {
     /// report's [`SupervisorReport::final_health`] is [`Health::Halted`]
     /// when a fault budget was exhausted.
     ///
+    /// The source and stage deadlines are wall-clock `recv_timeout`s, since
+    /// they pre-empt real threads; a stage call's latency and the retry
+    /// backoff read the supervisor's [`Clock`].
+    ///
     /// # Errors
     ///
     /// Returns an error only when the *initial* stage construction fails;
@@ -627,8 +656,7 @@ impl Supervisor {
     {
         self.supervise(factory, controller, |stage| Threaded {
             pump: CameraPump::spawn(source, &self.obs, &self.tracer),
-            worker: Worker::spawn(stage, self.tracer.clone()),
-            tracer: self.tracer.clone(),
+            worker: Worker::spawn(stage, self),
             stalls: RestartBudget::new(u64::from(self.config.max_consecutive_stalls)),
             last_drops: 0,
         })
@@ -638,11 +666,15 @@ impl Supervisor {
     /// isolation, retries, restarts, degradation) without watchdog
     /// preemption, so the fault ledger is fully deterministic for a given
     /// fault schedule. Stalls and slow stages are *recorded* when their
-    /// measured latency exceeds the deadlines, but nothing is abandoned.
+    /// latency on the supervisor's [`Clock`] exceeds the deadlines, but
+    /// nothing is abandoned.
     ///
-    /// Overload is estimated from per-frame latency against
+    /// Overload is estimated from that per-frame latency against
     /// [`SupervisorConfig::camera_fps`], as
     /// [`SupervisorReport::estimated_drops_at`] estimates it after the run.
+    /// Every verdict of the run reads the clock, so on a manual clock moved
+    /// only by a fault plan's stalls and spikes the whole report, ladder
+    /// walk included, is a function of the schedule.
     ///
     /// # Errors
     ///
@@ -658,7 +690,6 @@ impl Supervisor {
             stage,
             next_index: 0,
             preprocess: self.obs.histogram("pipeline.preprocess"),
-            tracer: self.tracer.clone(),
         })
     }
 
@@ -693,7 +724,7 @@ impl Supervisor {
 
         // Every exit from this loop other than the end of the stream goes
         // through `monitor.halt`.
-        'stream: while let Some((index, item)) = exec.fetch(cfg, &mut monitor) {
+        'stream: while let Some((index, item)) = exec.fetch(self, &mut monitor) {
             let mut latency = None;
             match item.and_then(|frame| conform_frame(frame, frame_chw, index)) {
                 Err(e) => {
@@ -703,7 +734,7 @@ impl Supervisor {
                 Ok(frame) => {
                     let mut retries = RestartBudget::new(u64::from(cfg.max_retries));
                     loop {
-                        let lost = match exec.call(index, &frame, cfg) {
+                        let lost = match exec.call(index, &frame, self) {
                             StageCall::Returned(Ok(detections), elapsed) => {
                                 if elapsed > cfg.stage_timeout {
                                     let slow = DetectError::Timeout {
@@ -730,7 +761,7 @@ impl Supervisor {
                             StageCall::Returned(Err(e), _) => {
                                 if e.is_recoverable() && retries.spend() {
                                     monitor.retry();
-                                    std::thread::sleep(backoff(cfg.backoff_base, retries.spent));
+                                    self.clock.sleep(backoff(retries.spent));
                                     continue;
                                 }
                                 monitor.fault(Some(index), "detect", e.to_string());
@@ -752,7 +783,7 @@ impl Supervisor {
                             break 'stream;
                         }
                         match factory() {
-                            Ok(stage) => exec.install(stage),
+                            Ok(stage) => exec.install(stage, self),
                             Err(e) => {
                                 monitor.halt(format!("detector stage rebuild failed: {e}"));
                                 break 'stream;
@@ -773,7 +804,7 @@ impl Supervisor {
             let Some(ctrl) = controller.as_mut() else {
                 continue;
             };
-            let (queue_depth, drops) = exec.load(cfg, latency);
+            let (queue_depth, drops) = exec.load(self, latency);
             if let Some(size) = ctrl.step(queue_depth, drops, &shifts, &monitor.health) {
                 frame_chw = rung(size);
                 monitor.report.resolution_history.push(size);
@@ -837,7 +868,6 @@ mod tests {
         SupervisorConfig {
             source_timeout: Duration::from_millis(200),
             stage_timeout: Duration::from_millis(500),
-            backoff_base: Duration::from_micros(100),
             recovery_frames: 2,
             ..SupervisorConfig::default()
         }
@@ -991,14 +1021,8 @@ mod tests {
     fn transient_errors_are_retried_to_success() {
         let plan = FaultPlan::from_schedule(vec![None, Some(FaultKind::TransientDetect)]);
         let sup = Supervisor::new(quick_config());
-        let calls = Arc::new(AtomicUsize::new(0));
-        let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> = Box::new(|| {
-            Ok(Box::new(FaultyDetector::with_counter(
-                NullStage,
-                plan.clone(),
-                Arc::clone(&calls),
-            )))
-        });
+        let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> =
+            Box::new(|| Ok(Box::new(FaultyDetector::new(NullStage, plan.clone()))));
         let report = sup
             .run_sync(IterSource::new(frames(4)), &mut factory, None)
             .unwrap();
@@ -1015,16 +1039,11 @@ mod tests {
         // channel when the host scheduler stalls the consumer.
         let plan = FaultPlan::from_schedule(vec![Some(FaultKind::DetectorPanic)]);
         let sup = Supervisor::new(quick_config());
-        let calls = Arc::new(AtomicUsize::new(0));
         let builds = Arc::new(AtomicUsize::new(0));
         let builds_in = Arc::clone(&builds);
         let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> = Box::new(move || {
             builds_in.fetch_add(1, Ordering::Relaxed);
-            Ok(Box::new(FaultyDetector::with_counter(
-                NullStage,
-                plan.clone(),
-                Arc::clone(&calls),
-            )))
+            Ok(Box::new(FaultyDetector::new(NullStage, plan.clone())))
         });
         let report = sup
             .run(IterSource::new(frames(12)), &mut factory, None)
@@ -1057,14 +1076,8 @@ mod tests {
             max_retries: 1,
             ..quick_config()
         });
-        let calls = Arc::new(AtomicUsize::new(0));
-        let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> = Box::new(|| {
-            Ok(Box::new(FaultyDetector::with_counter(
-                NullStage,
-                plan.clone(),
-                Arc::clone(&calls),
-            )))
-        });
+        let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> =
+            Box::new(|| Ok(Box::new(FaultyDetector::new(NullStage, plan.clone()))));
         let report = sup
             .run_sync(IterSource::new(frames(32)), &mut factory, None)
             .unwrap();
@@ -1078,14 +1091,8 @@ mod tests {
         let tracer = Tracer::new();
         let plan = FaultPlan::from_schedule(vec![None, None, Some(FaultKind::DetectorPanic), None]);
         let sup = Supervisor::new(quick_config()).tracing(&tracer);
-        let calls = Arc::new(AtomicUsize::new(0));
-        let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> = Box::new(|| {
-            Ok(Box::new(FaultyDetector::with_counter(
-                NullStage,
-                plan.clone(),
-                Arc::clone(&calls),
-            )))
-        });
+        let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> =
+            Box::new(|| Ok(Box::new(FaultyDetector::new(NullStage, plan.clone()))));
         let report = sup
             .run_sync(IterSource::new(frames(5)), &mut factory, None)
             .unwrap();
@@ -1135,14 +1142,8 @@ mod tests {
             ..quick_config()
         })
         .tracing(&tracer);
-        let calls = Arc::new(AtomicUsize::new(0));
-        let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> = Box::new(|| {
-            Ok(Box::new(FaultyDetector::with_counter(
-                NullStage,
-                plan.clone(),
-                Arc::clone(&calls),
-            )))
-        });
+        let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> =
+            Box::new(|| Ok(Box::new(FaultyDetector::new(NullStage, plan.clone()))));
         let report = sup
             .run_sync(IterSource::new(frames(8)), &mut factory, None)
             .unwrap();
@@ -1158,14 +1159,8 @@ mod tests {
         let tracer = Tracer::new();
         let plan = FaultPlan::from_schedule(vec![Some(FaultKind::DetectorPanic)]);
         let sup = Supervisor::new(quick_config()).tracing(&tracer);
-        let calls = Arc::new(AtomicUsize::new(0));
-        let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> = Box::new(|| {
-            Ok(Box::new(FaultyDetector::with_counter(
-                NullStage,
-                plan.clone(),
-                Arc::clone(&calls),
-            )))
-        });
+        let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> =
+            Box::new(|| Ok(Box::new(FaultyDetector::new(NullStage, plan.clone()))));
         let report = sup
             .run(IterSource::new(frames(12)), &mut factory, None)
             .unwrap();
@@ -1187,19 +1182,22 @@ mod tests {
     }
 
     /// One 2 ms frame at a 1 kHz camera overloads a 1-frame window; the
-    /// rest are calm. A run that stays on the lower rung ends Degraded
+    /// rest take no time on the manual clock, so they are calm. A run that stays on the lower rung ends Degraded
     /// however long its clean streak; one that walks back up ends Healthy.
     /// Either walk builds the stage once: a shift only resizes the frames.
     #[test]
     fn final_health_is_degraded_below_the_top_of_the_ladder() {
         let run = |calm_windows| {
+            let clock = Clock::manual();
             let plan = FaultPlan::from_schedule(vec![Some(FaultKind::SlowDetect(
                 Duration::from_millis(2),
-            ))]);
+            ))])
+            .clock(&clock);
             let sup = Supervisor::new(SupervisorConfig {
                 camera_fps: Some(1000.0),
                 ..quick_config()
-            });
+            })
+            .clock(&clock);
             let controller = DegradeController::new(crate::DegradeConfig {
                 overload_windows: 1,
                 calm_windows,
@@ -1208,15 +1206,13 @@ mod tests {
                 ..crate::DegradeConfig::over_ladder(vec![4, 8])
             })
             .unwrap();
-            let calls = Arc::new(AtomicUsize::new(0));
             let seen = Arc::default();
             let mut builds = 0;
             let mut factory = || -> Result<Box<dyn DetectStage>> {
                 builds += 1;
-                Ok(Box::new(FaultyDetector::with_counter(
+                Ok(Box::new(FaultyDetector::new(
                     SizeProbe::new(8, &seen),
                     plan.clone(),
-                    Arc::clone(&calls),
                 )))
             };
             let report = sup

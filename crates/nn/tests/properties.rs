@@ -405,3 +405,104 @@ fn stale_pool_contents_never_reach_an_output() {
         assert_eq!(bits(&got), bits(&want), "{side} px");
     }
 }
+
+/// The hostile-bytes fixture: a small detector (conv + BN, pool, conv,
+/// 1×1 head, region) as `.cfg` text and as a DRNW weight file.
+fn hostile_fixture() -> (String, Vec<u8>) {
+    let mut net = Network::new(3, 32, 32);
+    net.push(Layer::conv(
+        Conv2d::new(3, 8, 3, 1, 1, Activation::Leaky, true).unwrap(),
+    ));
+    net.push(Layer::max_pool(MaxPool2d::new(2, 2).unwrap()));
+    net.push(Layer::conv(
+        Conv2d::new(8, 16, 3, 1, 1, Activation::Leaky, false).unwrap(),
+    ));
+    net.push(Layer::conv(
+        Conv2d::new(16, 6, 1, 1, 0, Activation::Linear, false).unwrap(),
+    ));
+    net.push(Layer::region(
+        RegionLayer::new(RegionConfig {
+            anchors: vec![(1.0, 1.0)],
+            classes: 1,
+        })
+        .unwrap(),
+    ));
+    net.init_weights(&mut rng(6));
+    let mut drnw = Vec::new();
+    weights::save(&net, &mut drnw).unwrap();
+    (cfg::emit(&net), drnw)
+}
+
+/// A cfg input gives a typed error, or a network whose own emitted cfg
+/// parses back to the same architecture; never a panic.
+fn check_cfg(text: &str) {
+    if let Ok(net) = cfg::parse(text) {
+        let back = cfg::parse(&cfg::emit(&net)).expect("an accepted network re-parses");
+        assert_eq!(
+            (back.len(), back.param_count(), back.output_chw()),
+            (net.len(), net.param_count(), net.output_chw()),
+            "{text:?}"
+        );
+    }
+}
+
+/// A DRNW input loaded into the fixture's architecture gives a typed
+/// error, or a network that saves back to exactly those bytes (it read
+/// the whole file, and every value it holds is the file's); never a
+/// panic. Returns whether it loaded.
+fn check_drnw(text: &str, bytes: &[u8]) -> bool {
+    let mut net = cfg::parse(text).unwrap();
+    if weights::load(&mut net, bytes).is_err() {
+        return false;
+    }
+    let mut again = Vec::new();
+    weights::save(&net, &mut again).unwrap();
+    assert_eq!(again, bytes, "a loaded file saves back unchanged");
+    true
+}
+
+#[test]
+fn every_cfg_prefix_parses_or_is_a_typed_error() {
+    let (text, _) = hostile_fixture();
+    check_cfg(&text);
+    assert!(cfg::parse(&text).is_ok());
+    for cut in 0..text.len() {
+        check_cfg(&text[..cut]);
+    }
+}
+
+#[test]
+fn every_strict_drnw_prefix_is_rejected() {
+    let (text, drnw) = hostile_fixture();
+    assert!(check_drnw(&text, &drnw));
+    for cut in 0..drnw.len() {
+        assert!(
+            !check_drnw(&text, &drnw[..cut]),
+            "a {cut}-byte prefix loaded"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One byte of a valid cfg replaced by any value (invalid UTF-8 is
+    /// read lossily, as a caller decoding a file would).
+    #[test]
+    fn cfg_survives_any_single_byte_mutation(pos in any::<u16>(), byte in any::<u8>()) {
+        let (text, _) = hostile_fixture();
+        let mut bytes = text.into_bytes();
+        let at = pos as usize % bytes.len();
+        bytes[at] = byte;
+        check_cfg(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// One byte of a valid DRNW file replaced by any value.
+    #[test]
+    fn drnw_survives_any_single_byte_mutation(pos in any::<u16>(), byte in any::<u8>()) {
+        let (text, mut drnw) = hostile_fixture();
+        let at = pos as usize % drnw.len();
+        drnw[at] = byte;
+        check_drnw(&text, &drnw);
+    }
+}

@@ -1,6 +1,7 @@
 //! The workspace's one supervision policy: the `Healthy → Degraded →
 //! Halted` state, the gauge-mirrored ratchet cell that holds it, the one
-//! restart budget, the one recovery clock, and the crash black box.
+//! restart budget, the one recovery clock, the crash black box, and the
+//! one [`Clock`] every timed verdict reads.
 //!
 //! Three supervisors follow it — `detect::Supervisor` (per-frame faults),
 //! `serve`'s watchdog/batcher/replica pool (worker wedges and deaths) and
@@ -8,10 +9,16 @@
 //! triggers and in their unit of time (a frame, a tick, a step): when a
 //! restart is spent ([`RestartBudget`]), when Degraded recovers
 //! ([`RecoveryClock`]), what those words mean, how they are exported, and
-//! what a post-mortem capture looks like is defined once, here.
+//! what a post-mortem capture looks like is defined once, here. A verdict
+//! that compares time with a deadline (a slow stage, a stalled camera, a
+//! wedged worker, a due fault) reads the [`Clock`] it was given, so a test
+//! on a manual clock decides it exactly.
 
+use crate::window::mono_now_ns;
 use crate::{Gauge, TraceSnapshot, Tracer};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Trailing flight-recorder events a [`BlackBox`] keeps.
 pub const BLACK_BOX_EVENTS: usize = 64;
@@ -201,6 +208,40 @@ impl BlackBox {
     }
 }
 
+/// The one supervision clock, passed in at construction. The default is
+/// the real clock: it reads the monotonic anchor [`mono_now_ns`] reads, so
+/// the process keeps one time origin. A [`Clock::manual`] one stands still
+/// until a [`Clock::sleep`] on it moves it forward. Clones share one time.
+#[derive(Debug, Clone, Default)]
+pub struct Clock {
+    manual: Option<Arc<AtomicU64>>,
+}
+
+impl Clock {
+    /// A clock at zero that only [`Clock::sleep`] moves.
+    pub fn manual() -> Clock {
+        Clock {
+            manual: Some(Arc::default()),
+        }
+    }
+
+    /// Time since the clock's origin.
+    pub fn now(&self) -> Duration {
+        let manual = self.manual.as_ref().map(|ns| ns.load(Ordering::SeqCst));
+        Duration::from_nanos(manual.unwrap_or_else(mono_now_ns))
+    }
+
+    /// Blocks for `d` on the real clock; moves a manual one forward by
+    /// exactly `d`, at once.
+    pub fn sleep(&self, d: Duration) {
+        let Some(ns) = &self.manual else {
+            return std::thread::sleep(d);
+        };
+        let d = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+        ns.fetch_add(d, Ordering::SeqCst);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,6 +311,21 @@ mod tests {
             .tail
             .events
             .is_empty());
+    }
+
+    #[test]
+    fn a_manual_clock_moves_only_by_its_sleeps_and_clones_share_it() {
+        let clock = Clock::manual();
+        let shared = clock.clone();
+        assert_eq!(clock.now(), Duration::ZERO);
+        shared.sleep(Duration::from_secs(10) - Duration::from_nanos(1));
+        clock.sleep(Duration::from_nanos(1));
+        assert_eq!(clock.now(), Duration::from_secs(10));
+        assert_eq!(shared.now(), clock.now());
+        let real = Clock::default();
+        let t0 = real.now();
+        real.sleep(Duration::from_millis(1));
+        assert!(real.now() >= t0 + Duration::from_millis(1));
     }
 
     proptest! {

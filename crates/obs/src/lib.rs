@@ -70,7 +70,9 @@ pub mod window;
 
 pub use alloc::{AllocDelta, AllocScope, AllocStats, CountingAlloc};
 pub use chrome::{ChromeEvent, ChromeTrace, CHROME_TRACE_PID};
-pub use health::{BlackBox, Health, HealthCell, RecoveryClock, RestartBudget, BLACK_BOX_EVENTS};
+pub use health::{
+    BlackBox, Clock, Health, HealthCell, RecoveryClock, RestartBudget, BLACK_BOX_EVENTS,
+};
 pub use histogram::{Histogram, ScopedTimer, BUCKET_COUNT};
 pub use json::{format_f64, JsonParseError, JsonValue, JsonWriter, ToJson};
 pub use prom::PromExporter;

@@ -13,13 +13,15 @@
 //! ([`ServeError::Overloaded`] → `503` + `Retry-After`) instead of letting
 //! latency grow without bound.
 //!
-//! Self-healing: every worker owns a `WorkerSlot` — a heartbeat cell
-//! stamped around each batch forward plus a *takeable* record of the
-//! in-flight jobs. The supervisor's tick (`crate::replica`) reads the
-//! heartbeats; when a worker wedges past its deadline the watchdog pass
-//! steals the in-flight record, fails those jobs with typed errors, and
-//! spawns a replacement — the wedged thread, whenever it wakes, finds its
-//! slot abandoned and exits quietly. A failed detector rebuild retires the
+//! Self-healing: every worker owns a `WorkerSlot` holding a *takeable*
+//! record of its in-flight jobs, stamped on the replica's clock when the
+//! batch began — the worker's heartbeat. The supervisor's tick
+//! (`crate::replica`) takes a record whose batch has run past the wedge
+//! deadline, in one step under the slot's lock, fails those jobs with
+//! typed errors, retires the slot and spawns a replacement — the wedged
+//! thread, whenever it wakes, finds the record gone and exits quietly.
+//! Only the side that takes the record retires the slot, so a worker that
+//! finished first keeps serving. A failed detector rebuild retires the
 //! worker instead of panicking; losing the last worker flips health to
 //! Halted and fails the backlog rather than hanging it.
 
@@ -345,6 +347,8 @@ impl Reply {
 /// the worker wedges, reclaimed by the worker itself on completion —
 /// whoever takes it owns replying to the clients.
 pub(crate) struct InFlight {
+    /// When the batch began on the replica's clock: the heartbeat.
+    pub began: Duration,
     pub frame_ids: Vec<u64>,
     pub replies: Vec<Reply>,
 }
@@ -358,18 +362,10 @@ impl InFlight {
     }
 }
 
-/// Per-worker heartbeat + in-flight record, shared with the watchdog.
+/// Per-worker in-flight record, shared with the watchdog.
 pub(crate) struct WorkerSlot {
     /// Stable worker index (thread name, black-box triggers).
     pub index: usize,
-    /// Nanoseconds since the pool epoch when the current batch began;
-    /// `0` means idle. Clamped to at least 1 so an instant start is
-    /// never mistaken for idleness.
-    busy_since_ns: AtomicU64,
-    /// Set by the watchdog after declaring this worker wedged; the
-    /// worker exits at the next opportunity instead of touching the
-    /// queue again.
-    pub abandoned: AtomicBool,
     alive: AtomicBool,
     inflight: Mutex<Option<InFlight>>,
 }
@@ -378,18 +374,14 @@ impl WorkerSlot {
     pub fn new(index: usize) -> Arc<Self> {
         Arc::new(WorkerSlot {
             index,
-            busy_since_ns: AtomicU64::new(0),
-            abandoned: AtomicBool::new(false),
             alive: AtomicBool::new(true),
             inflight: Mutex::new(None),
         })
     }
 
-    /// Stamps the heartbeat and deposits the in-flight record.
-    pub fn begin_batch(&self, epoch: Instant, inflight: InFlight) {
+    /// Deposits the in-flight record: the batch is running.
+    pub fn begin_batch(&self, inflight: InFlight) {
         *lock_recover(&self.inflight) = Some(inflight);
-        let ns = epoch.elapsed().as_nanos() as u64;
-        self.busy_since_ns.store(ns.max(1), Ordering::SeqCst);
     }
 
     /// Takes the in-flight record — `None` means the other side (worker
@@ -398,18 +390,11 @@ impl WorkerSlot {
         lock_recover(&self.inflight).take()
     }
 
-    /// Clears the heartbeat (batch finished or failed).
-    pub fn finish_batch(&self) {
-        self.busy_since_ns.store(0, Ordering::SeqCst);
-    }
-
-    /// How long the current batch has been running, or `None` when idle.
-    pub fn busy_for(&self, epoch: Instant) -> Option<Duration> {
-        let ns = self.busy_since_ns.load(Ordering::SeqCst);
-        if ns == 0 {
-            return None;
-        }
-        Some(epoch.elapsed().saturating_sub(Duration::from_nanos(ns)))
+    /// The watchdog's wedge verdict and steal as one step: takes the
+    /// in-flight record when its batch has run for `limit` or longer at
+    /// `now`.
+    pub fn take_wedged(&self, now: Duration, limit: Duration) -> Option<InFlight> {
+        lock_recover(&self.inflight).take_if(|i| now.saturating_sub(i.began) >= limit)
     }
 
     pub fn is_alive(&self) -> bool {
@@ -477,10 +462,9 @@ impl Pool {
 pub(crate) struct WorkerShared {
     pub queue: Arc<BatchQueue>,
     /// The server-wide parts: the detector factory, the configuration
-    /// (read where it is used), registry, tracer and black-box store.
+    /// (read where it is used), registry, tracer, black-box store and the
+    /// clock heartbeats and stall holds read.
     pub builder: Arc<ReplicaBuilder>,
-    /// Pool-wide monotonic origin for heartbeat timestamps.
-    pub epoch: Instant,
     pub pool: Pool,
     pub health: HealthCell,
     /// The input size workers serve at, moved along the ladder by
@@ -522,20 +506,17 @@ pub(crate) fn spawn_worker(shared: &Arc<WorkerShared>, detector: Detector) {
                 .name_thread(&format!("serve-worker-{index}"));
             let mut detector = detector;
             loop {
-                if slot.abandoned.load(Ordering::SeqCst) {
-                    // The watchdog already declared us wedged, failed our
-                    // jobs, and spawned a replacement: vanish quietly.
-                    return;
-                }
                 let config = &shared.builder.config;
                 let Some(batch) = shared.queue.pop_batch(config.max_batch, config.max_wait) else {
                     // Clean shutdown: the queue closed and drained.
                     slot.retire();
                     return;
                 };
+                // `None` when the watchdog took the batch's record and
+                // retired the slot, or the worker died: vanish quietly.
                 match run_batch(detector, batch, &shared, &slot) {
                     Some(d) => detector = d,
-                    None => return, // superseded by the watchdog, or dead
+                    None => return,
                 }
             }
         })
@@ -560,17 +541,21 @@ impl WorkerShared {
     }
 
     /// Holds the calling worker mid-batch, like a stuck kernel, for the
-    /// stall in force (a one-shot stall is used up here). A heal or the
-    /// queue closing ends the hold early, so neither waits it out.
+    /// stall in force (a one-shot stall is used up here), until the clock
+    /// reaches the hold's end. A heal or the queue closing ends the hold
+    /// early, so neither waits it out; the poll for them is a real sleep.
     fn hold_if_stalled(&self) {
         let (hold, heals) = {
             let mut f = lock_recover(&self.injected);
             (f.stall_once.take().max(f.stall), f.heals)
         };
         let Some(hold) = hold else { return };
-        let held = Instant::now();
-        while let Some(left) = hold.checked_sub(held.elapsed()) {
-            if lock_recover(&self.injected).heals != heals || self.queue.is_closed() {
+        let clock = &self.builder.clock;
+        let until = clock.now() + hold;
+        loop {
+            let left = until.saturating_sub(clock.now());
+            let healed = lock_recover(&self.injected).heals != heals;
+            if left.is_zero() || healed || self.queue.is_closed() {
                 return;
             }
             thread::sleep(left.min(Duration::from_millis(5)));
@@ -606,7 +591,6 @@ impl WorkerShared {
         if let Some(inflight) = &inflight {
             inflight.fail(failed);
         }
-        slot.finish_batch();
         if !slot.retire() {
             return;
         }
@@ -646,12 +630,6 @@ fn run_batch(
         return Some(detector);
     }
     let n = batch.len();
-    // The batch-size histogram encodes *counts* as nanoseconds: the log2
-    // buckets keep 1/2/4/8 distinct and `max_ns` records the exact largest
-    // batch, which is what the coalescing tests assert on.
-    shared
-        .batch_size_hist
-        .record(Duration::from_nanos(n as u64));
     let mut frames = Vec::with_capacity(n);
     let mut ids = Vec::with_capacity(n);
     let mut replies = Vec::with_capacity(n);
@@ -667,13 +645,19 @@ fn run_batch(
     }
     // From here the watchdog co-owns the jobs: if this thread wedges, the
     // watchdog takes the record and replies on our behalf.
-    slot.begin_batch(
-        shared.epoch,
-        InFlight {
-            frame_ids: ids.clone(),
-            replies,
-        },
-    );
+    slot.begin_batch(InFlight {
+        began: shared.builder.clock.now(),
+        frame_ids: ids.clone(),
+        replies,
+    });
+    // The batch-size histogram encodes *counts* as nanoseconds: the log2
+    // buckets keep 1/2/4/8 distinct and `max_ns` records the exact largest
+    // batch, which is what the coalescing tests assert on. It counts a
+    // batch once its record is deposited, so a counted batch is one the
+    // watchdog can see.
+    shared
+        .batch_size_hist
+        .record(Duration::from_nanos(n as u64));
 
     // An injected stall: the watchdog (or, below the wedge timeout,
     // brownout pressure) takes it from here.
@@ -695,10 +679,9 @@ fn run_batch(
         Ok(t) => t,
         Err(e) => {
             drop(trace);
-            if let Some(inflight) = slot.take_inflight() {
-                inflight.fail(|| ServeError::WorkerFailed(format!("stacking batch failed: {e}")));
-            }
-            slot.finish_batch();
+            // Lost the record: the watchdog failed the jobs and retired us.
+            let inflight = slot.take_inflight()?;
+            inflight.fail(|| ServeError::WorkerFailed(format!("stacking batch failed: {e}")));
             return Some(detector);
         }
     };
@@ -713,12 +696,9 @@ fn run_batch(
     let forward_elapsed = forward_started.elapsed();
     drop(trace);
 
-    let inflight = slot.take_inflight();
-    slot.finish_batch();
-    let Some(inflight) = inflight else {
-        // The watchdog declared us wedged while we ran and already
-        // failed the jobs and spawned a successor. It also did the pool
-        // accounting; just disappear.
+    let Some(inflight) = slot.take_inflight() else {
+        // The watchdog declared us wedged while we ran, failed the jobs,
+        // retired our slot and spawned a successor: just disappear.
         return None;
     };
 
@@ -976,26 +956,24 @@ mod tests {
     #[test]
     fn worker_slot_heartbeat_and_single_retirement() {
         let slot = WorkerSlot::new(3);
-        let epoch = Instant::now() - Duration::from_secs(1);
-        assert!(slot.busy_for(epoch).is_none(), "idle at birth");
+        let s = Duration::from_secs;
+        assert!(slot.take_wedged(s(60), s(10)).is_none(), "idle at birth");
         let (tx, _rx) = mpsc::channel::<Result<Vec<Detection>, ServeError>>();
-        slot.begin_batch(
-            epoch,
-            InFlight {
-                frame_ids: vec![7],
-                replies: vec![Reply {
-                    sender: tx,
-                    hedge: None,
-                    leg: PRIMARY_LEG,
-                }],
-            },
-        );
-        assert!(slot.busy_for(epoch).is_some(), "heartbeat stamped");
-        let taken = slot.take_inflight().expect("first take wins");
+        slot.begin_batch(InFlight {
+            began: s(5),
+            frame_ids: vec![7],
+            replies: vec![Reply {
+                sender: tx,
+                hedge: None,
+                leg: PRIMARY_LEG,
+            }],
+        });
+        let short = s(15) - Duration::from_nanos(1);
+        assert!(slot.take_wedged(short, s(10)).is_none(), "not yet wedged");
+        let taken = slot.take_wedged(s(15), s(10)).expect("wedged at the limit");
         assert_eq!(taken.frame_ids, vec![7]);
-        assert!(slot.take_inflight().is_none(), "second take loses");
-        slot.finish_batch();
-        assert!(slot.busy_for(epoch).is_none(), "idle again");
+        assert!(slot.take_inflight().is_none(), "a second take loses");
+        assert!(slot.take_wedged(s(60), s(10)).is_none(), "idle again");
         assert!(slot.retire(), "first retire reports prior liveness");
         assert!(!slot.retire(), "second retire is a no-op");
         assert!(!slot.is_alive());

@@ -12,18 +12,22 @@
 //! breaking ties by rolling p99 then id; `pick_hedge` picks the best
 //! *other* replica when a request is at deadline risk) runs on the
 //! connection threads; every supervisory decision happens on one thread,
-//! in one method, [`ReplicaSet::tick`], once per `watchdog_interval`:
+//! in one method, [`ReplicaSet::tick`], once per `watchdog_interval` of
+//! the builder's [`Clock`] — the one clock heartbeats, stall holds and the
+//! fault schedule read, so a test on a manual clock decides every wedge
+//! and due fault exactly:
 //!
 //! 1. **Watchdog pass** ([`ReplicaCore::supervise`], per active core) —
-//!    each worker stamps a heartbeat around its batch forward
-//!    ([`crate::batcher::WorkerSlot`]). A worker busy past `wedge_timeout`
-//!    is declared wedged: its in-flight job record is *stolen*, those
-//!    requests fail with [`ServeError::WorkerWedged`] (typed `500`s
-//!    instead of hung connections), the flight-recorder tail is captured
-//!    as a [`BlackBox`], and — under a bounded restart budget — a
-//!    replacement worker is spawned with a fresh detector. The wedged
-//!    thread finds its slot abandoned whenever it wakes and exits
-//!    silently. Then one brownout step (queue depth + admission-shed
+//!    each worker's in-flight record carries the clock time its batch
+//!    began ([`crate::batcher::WorkerSlot`]). A worker busy past
+//!    `wedge_timeout` is declared wedged: its record is *stolen* in the
+//!    same step, those requests fail with [`ServeError::WorkerWedged`]
+//!    (typed `500`s instead of hung connections), the flight-recorder tail
+//!    is captured as a [`BlackBox`], the slot is retired, and — under a
+//!    bounded restart budget — a replacement worker is spawned with a
+//!    fresh detector. The wedged thread finds its record gone whenever it
+//!    wakes and exits silently; a worker that finished first keeps its
+//!    slot. Then one brownout step (queue depth + admission-shed
 //!    delta, [`DegradeController::step`]): sustained pressure walks the
 //!    input-resolution ladder down (the paper's 608→352 accuracy-vs-FPS
 //!    knob, applied as load shedding that still answers), sustained calm
@@ -49,7 +53,9 @@
 //! Service health is a ratchet: losing replicas degrades, only losing
 //! *everything* (with rebuilds exhausted) halts.
 
-use crate::batcher::{lock_recover, spawn_worker, BatchQueue, Pool, WorkerShared, WorkerSlot};
+use crate::batcher::{
+    lock_recover, spawn_worker, BatchQueue, InFlight, Pool, WorkerShared, WorkerSlot,
+};
 use crate::chaos::Fault;
 use crate::error::ServeError;
 use crate::server::{DetectorFactory, ServeConfig, ROLLING_SUB_BUCKETS, ROLLING_WINDOW};
@@ -57,13 +63,13 @@ use dronet_detect::canary::{check_canary, golden_detections};
 use dronet_detect::{DegradeController, Detection, Detector, ShiftMetrics};
 use dronet_obs::window::mono_now_ns;
 use dronet_obs::{
-    json_object, BlackBox, Counter, Gauge, Health, HealthCell, JsonWriter, RecoveryClock, Registry,
-    RestartBudget, RollingWindow, ToJson, Tracer,
+    json_object, BlackBox, Clock, Counter, Gauge, Health, HealthCell, JsonWriter, RecoveryClock,
+    Registry, RestartBudget, RollingWindow, ToJson, Tracer,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Most black boxes retained per server; older captures are dropped first.
 const MAX_BLACK_BOXES: usize = 16;
@@ -173,14 +179,10 @@ impl ReplicaCore {
         let shared = &self.worker;
         let watch = &mut *lock_recover(&self.watch);
 
+        let now = shared.builder.clock.now();
         for slot in shared.pool.slots_snapshot() {
-            if !slot.is_alive() || slot.abandoned.load(Ordering::SeqCst) {
-                continue;
-            }
-            if let Some(busy) = slot.busy_for(shared.epoch) {
-                if busy >= shared.builder.config.wedge_timeout {
-                    self.handle_wedge(&slot, busy, &mut watch.restarts);
-                }
+            if let Some(held) = slot.take_wedged(now, shared.builder.config.wedge_timeout) {
+                self.handle_wedge(&slot, held, &mut watch.restarts);
             }
         }
 
@@ -210,18 +212,13 @@ impl ReplicaCore {
         watch.fault_streak
     }
 
-    /// Declares `slot` wedged: steal its jobs and retire it (typed errors,
-    /// black box), spawning a replacement under the restart budget.
-    fn handle_wedge(&self, slot: &WorkerSlot, busy: Duration, restarts: &mut RestartBudget) {
+    /// Retires `slot`, wedged in the batch whose record the watchdog took
+    /// (typed errors, black box), spawning a replacement under the
+    /// restart budget.
+    fn handle_wedge(&self, slot: &WorkerSlot, inflight: InFlight, restarts: &mut RestartBudget) {
         let shared = &self.worker;
         let builder = &shared.builder;
-        slot.abandoned.store(true, Ordering::SeqCst);
-        let Some(inflight) = slot.take_inflight() else {
-            // The worker finished between our busy check and the steal: it
-            // holds the replies and will keep looping — un-abandon it.
-            slot.abandoned.store(false, Ordering::SeqCst);
-            return;
-        };
+        let busy = builder.clock.now().saturating_sub(inflight.began);
         let trigger = format!(
             "worker {} wedged after {busy:.0?} holding {} job(s)",
             slot.index,
@@ -270,6 +267,9 @@ pub(crate) struct ReplicaBuilder {
     pub obs: Registry,
     pub tracer: Tracer,
     pub black_box: BlackBoxStore,
+    /// The supervision clock: heartbeats, stall holds, the fault
+    /// schedule and the supervisor's pacing.
+    pub clock: Clock,
 }
 
 impl ReplicaBuilder {
@@ -323,7 +323,6 @@ impl ReplicaBuilder {
         let worker = Arc::new(WorkerShared {
             queue: Arc::clone(&queue),
             builder: Arc::clone(self),
-            epoch: Instant::now(),
             pool: Pool::new(),
             health: HealthCell::new(obs.gauge(&format!("serve.replica.{id}.health"))),
             target_input: AtomicUsize::new(base),
@@ -408,8 +407,9 @@ pub(crate) struct ReplicaSet {
     quarantine_readmitted: Counter,
     canary_failed: Counter,
     active_gauge: Gauge,
-    /// Serving start — the fault schedule's time origin.
-    start: Instant,
+    /// When serving started on the builder's clock: the fault schedule's
+    /// time origin.
+    serving_start: Duration,
     /// Index of the next unapplied `config.faults` event.
     fault_cursor: AtomicUsize,
 }
@@ -468,7 +468,7 @@ impl ReplicaSet {
             quarantine_readmitted: obs.counter("serve.quarantine.readmitted"),
             canary_failed: obs.counter("serve.quarantine.canary_failed"),
             active_gauge,
-            start: Instant::now(),
+            serving_start: builder.clock.now(),
             fault_cursor: AtomicUsize::new(0),
             builder,
         });
@@ -564,7 +564,7 @@ impl ReplicaSet {
     /// this thread (wedge replacements, canary probes, core rebuilds).
     fn tick(&self) {
         self.supervise_and_quarantine();
-        self.apply_faults(self.start.elapsed());
+        self.apply_faults(self.builder.clock.now() - self.serving_start);
         self.try_rebuilds();
         self.publish_gauges();
         self.mirror_health();
@@ -770,7 +770,7 @@ impl ToJson for ReplicaSlot {
 }
 
 /// Spawns the replica supervisor thread: one [`ReplicaSet::tick`] per
-/// `watchdog_interval` until `shutdown`.
+/// `watchdog_interval` on the builder's clock until `shutdown`.
 pub(crate) fn spawn_supervisor(
     set: Arc<ReplicaSet>,
     shutdown: Arc<AtomicBool>,
@@ -778,7 +778,7 @@ pub(crate) fn spawn_supervisor(
     thread::Builder::new()
         .name("serve-replicas".to_string())
         .spawn(move || loop {
-            thread::sleep(set.config().watchdog_interval);
+            set.builder.clock.sleep(set.config().watchdog_interval);
             if shutdown.load(Ordering::SeqCst) {
                 return;
             }
@@ -796,8 +796,10 @@ mod tests {
     use dronet_detect::{DegradeConfig, DetectError, DetectorBuilder};
     use dronet_tensor::{Shape, Tensor};
     use std::sync::mpsc;
+    use std::time::Instant;
 
-    /// A set with no supervisor thread: the tests below are its clock.
+    /// A set with no supervisor thread, on a manual clock: the tests below
+    /// tick it and move its clock.
     fn unsupervised(config: ServeConfig, factory: DetectorFactory) -> Arc<ReplicaSet> {
         let obs = Registry::new();
         let first = factory().expect("first detector");
@@ -807,8 +809,23 @@ mod tests {
             black_box: BlackBoxStore::new(obs.counter("serve.black_box_captures"), Tracer::noop()),
             obs,
             tracer: Tracer::noop(),
+            clock: Clock::manual(),
         };
         ReplicaSet::new(builder, first).expect("build the replica set")
+    }
+
+    /// Waits until `set`'s workers have begun `n` batches: a counted batch
+    /// has its in-flight record, and so its heartbeat, in place.
+    fn wait_for_batches(set: &ReplicaSet, n: u64) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let begun = || {
+            let snap = set.builder.obs.snapshot();
+            snap.histogram("serve.batch_size").map_or(0, |h| h.count)
+        };
+        while begun() < n {
+            assert!(Instant::now() < deadline, "no worker began batch {n}");
+            thread::sleep(Duration::from_millis(1));
+        }
     }
 
     fn dronet_32() -> dronet_detect::Result<Detector> {
@@ -891,21 +908,28 @@ mod tests {
         set.shutdown();
     }
 
+    /// The default 10 s `wedge_timeout` on a manual clock: the held batch
+    /// began at zero, so a tick 1 ns short of the deadline wedges nothing
+    /// and the tick at it fails the batch.
     #[test]
     fn one_tick_fails_a_wedged_batch_and_registers_a_replacement() {
-        let config = ServeConfig {
-            wedge_timeout: Duration::ZERO,
-            ..ServeConfig::default()
-        };
-        let set = unsupervised(config, Arc::new(dronet_32));
+        let set = unsupervised(ServeConfig::default(), Arc::new(dronet_32));
+        let clock = &set.builder.clock;
+        let wedge_timeout = set.config().wedge_timeout;
+        assert_eq!(wedge_timeout, Duration::from_secs(10));
         let core = set.slots[0].active_core().expect("active");
         core.worker.inject(Fault::Stall(FOREVER));
         let answer = push(&core, 7);
         let wedged = core.worker.pool.slots_snapshot().remove(0);
-        while wedged.busy_for(core.worker.epoch).is_none() {
-            thread::yield_now();
-        }
+        wait_for_batches(&set, 1);
 
+        clock.sleep(wedge_timeout - Duration::from_nanos(1));
+        set.tick();
+        assert!(answer.try_recv().is_err(), "1 ns short of the deadline");
+        assert!(wedged.is_alive());
+        assert_eq!(core.worker.fault_events.load(Ordering::SeqCst), 0);
+
+        clock.sleep(Duration::from_nanos(1));
         set.tick();
 
         assert!(matches!(
@@ -920,6 +944,27 @@ mod tests {
         assert_eq!(core.worker.fault_events.load(Ordering::SeqCst), 1);
         assert_eq!(set.black_boxes().len(), 1);
         assert_eq!(set.service_health.get(), Health::Degraded);
+        set.shutdown();
+    }
+
+    /// A batch that finished before the wedge deadline leaves nothing to
+    /// steal: a tick past the deadline keeps its worker in the pool,
+    /// serving its next job, with no fault, black box or replacement.
+    #[test]
+    fn a_steal_that_loses_to_a_finishing_worker_leaves_it_serving() {
+        let set = unsupervised(ServeConfig::default(), Arc::new(dronet_32));
+        let core = set.slots[0].active_core().expect("active");
+        assert!(matches!(push(&core, 0).recv(), Ok(Ok(_))));
+        set.builder.clock.sleep(set.config().wedge_timeout);
+        set.tick();
+
+        assert!(matches!(push(&core, 1).recv(), Ok(Ok(_))));
+        let workers = core.worker.pool.slots_snapshot();
+        assert_eq!(workers.len(), 1, "no replacement");
+        assert!(workers[0].is_alive());
+        assert_eq!(core.worker.fault_events.load(Ordering::SeqCst), 0);
+        assert!(set.black_boxes().is_empty());
+        assert_eq!(set.service_health.get(), Health::Healthy);
         set.shutdown();
     }
 
@@ -1107,10 +1152,7 @@ mod tests {
         // Hold the only worker mid-batch; the next job then sits queued.
         core.worker.inject(Fault::Stall(FOREVER));
         let held = push(&core, 0);
-        let worker = core.worker.pool.slots_snapshot().remove(0);
-        while worker.busy_for(core.worker.epoch).is_none() {
-            thread::yield_now();
-        }
+        wait_for_batches(&set, 1);
         let queued = push(&core, 1);
         let mut walk = vec![core.current_input()];
         for _ in 0..4 {

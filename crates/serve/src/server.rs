@@ -20,7 +20,7 @@ use crate::json::detections_json;
 use crate::replica::{spawn_supervisor, BlackBoxStore, ReplicaBuilder, ReplicaCore, ReplicaSet};
 use dronet_detect::{conform_frame, DegradeConfig, DegradeController, Detection, Detector};
 use dronet_obs::{
-    json_object, BlackBox, ChromeTrace, Health, JsonWriter, PromExporter, Registry, SloSet,
+    json_object, BlackBox, ChromeTrace, Clock, Health, JsonWriter, PromExporter, Registry, SloSet,
     SloSpec, Tracer,
 };
 use std::io::{ErrorKind, Read, Write};
@@ -433,6 +433,7 @@ impl Server {
             obs: obs.clone(),
             tracer: tracer.clone(),
             black_box: BlackBoxStore::new(obs.counter("serve.black_box_captures"), tracer.clone()),
+            clock: Clock::default(),
         };
         let replicas = ReplicaSet::new(builder, first)?;
 

@@ -16,8 +16,6 @@ use dronet::detect::{
     FaultyDetector, FaultyFrameSource, IterSource,
 };
 use dronet::obs::Registry;
-use std::sync::atomic::AtomicUsize;
-use std::sync::Arc;
 use std::time::Duration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -74,19 +72,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The stage factory: called at startup and after every crash or hang.
     // A resolution shift builds nothing: frames are conformed to the new
-    // rung and the detector runs at their size. The shared call counter
-    // keeps the fault schedule marching forward across restarts.
-    let calls = Arc::new(AtomicUsize::new(0));
+    // rung and the detector runs at their size. Every clone of the plan
+    // shares its call cursor, so the schedule marches forward across
+    // restarts.
     let stage_plan = plan.clone();
     let mut factory = move || {
         println!("  [factory] building MicroDroNet at {input}x{input}");
         let net = zoo::micro_dronet(input, vec![(1.5, 1.5)])?;
         let detector = DetectorBuilder::new(net).build()?;
-        let stage: Box<dyn DetectStage> = Box::new(FaultyDetector::with_counter(
-            detector,
-            stage_plan.clone(),
-            Arc::clone(&calls),
-        ));
+        let stage: Box<dyn DetectStage> =
+            Box::new(FaultyDetector::new(detector, stage_plan.clone()));
         Ok(stage)
     };
 

@@ -10,9 +10,8 @@ use dronet::detect::{
     DegradeConfig, DegradeController, DetectStage, Detection, DetectorBuilder, FaultConfig,
     FaultKind, FaultPlan, FaultyDetector, FaultyFrameSource, IterSource, Result as DetectResult,
 };
-use dronet::obs::{Registry, TraceKind, Tracer};
+use dronet::obs::{Clock, Registry, TraceKind, Tracer};
 use dronet::tensor::{Shape, Tensor};
-use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -58,7 +57,6 @@ fn patient_config() -> SupervisorConfig {
     SupervisorConfig {
         source_timeout: Duration::from_secs(2),
         stage_timeout: Duration::from_secs(5),
-        backoff_base: Duration::from_micros(200),
         recovery_frames: 3,
         ..SupervisorConfig::default()
     }
@@ -119,14 +117,8 @@ fn chaos_detector_panics_are_isolated_and_recovered() {
     ]);
     let tracer = Tracer::new();
     let sup = Supervisor::new(patient_config()).tracing(&tracer);
-    let calls = Arc::new(AtomicUsize::new(0));
-    let mut factory: Box<dyn FnMut() -> DetectResult<Box<dyn DetectStage>>> = Box::new(move || {
-        Ok(Box::new(FaultyDetector::with_counter(
-            micro_stage(),
-            plan.clone(),
-            Arc::clone(&calls),
-        )))
-    });
+    let mut factory: Box<dyn FnMut() -> DetectResult<Box<dyn DetectStage>>> =
+        Box::new(move || Ok(Box::new(FaultyDetector::new(micro_stage(), plan.clone()))));
     let report = sup
         .run_sync(IterSource::new(frames(10)), &mut factory, None)
         .unwrap();
@@ -216,14 +208,8 @@ fn chaos_hung_stage_is_abandoned_and_restarted() {
         stage_timeout: Duration::from_millis(60),
         ..patient_config()
     });
-    let calls = Arc::new(AtomicUsize::new(0));
-    let mut factory: Box<dyn FnMut() -> DetectResult<Box<dyn DetectStage>>> = Box::new(move || {
-        Ok(Box::new(FaultyDetector::with_counter(
-            micro_stage(),
-            plan.clone(),
-            Arc::clone(&calls),
-        )))
-    });
+    let mut factory: Box<dyn FnMut() -> DetectResult<Box<dyn DetectStage>>> =
+        Box::new(move || Ok(Box::new(FaultyDetector::new(micro_stage(), plan.clone()))));
     let report = sup
         .run(IterSource::new(frames(6)), &mut factory, None)
         .unwrap();
@@ -242,13 +228,15 @@ fn chaos_hung_stage_is_abandoned_and_restarted() {
 /// The headline acceptance scenario: sustained overload walks the detector
 /// down the paper's full 608 → 352 ladder (asserted through the obs
 /// gauges), and the controller upshifts again once the load clears —
-/// ending Healthy.
+/// ending Healthy. On a manual clock the spikes are the only latency, so
+/// the walk is exact: one rung per 2-frame window.
 #[test]
 fn chaos_overload_degrades_to_352_and_recovers() {
     // 20 latency-spiked detector calls, then a clean tail.
     let mut schedule = vec![Some(FaultKind::SlowDetect(Duration::from_millis(40))); 20];
     schedule.extend(std::iter::repeat_n(None, 30));
-    let plan = FaultPlan::from_schedule(schedule);
+    let clock = Clock::manual();
+    let plan = FaultPlan::from_schedule(schedule).clock(&clock);
 
     let ladder = zoo::resolution_ladder();
     assert_eq!(ladder.first(), Some(&352));
@@ -264,12 +252,13 @@ fn chaos_overload_degrades_to_352_and_recovers() {
     assert_eq!(controller.current(), 608);
 
     let sup = Supervisor::new(SupervisorConfig {
-        // 40ms latency at a 60 FPS camera ≈ 2 estimated drops per frame;
-        // clean frames compute nothing and stay well under one interval.
+        // 40ms latency at a 60 FPS camera is 2 estimated drops per frame;
+        // clean frames take no time on the manual clock.
         camera_fps: Some(60.0),
         recovery_frames: 2,
         ..patient_config()
-    });
+    })
+    .clock(&clock);
     let obs = Registry::new();
     let sup = sup.observability(&obs);
 
@@ -277,13 +266,11 @@ fn chaos_overload_degrades_to_352_and_recovers() {
     // nothing, so the ladder walk costs no forward at 608²; the frame
     // sizes are what the ladder contract is about.
     let received = Arc::new(Mutex::new(Vec::new()));
-    let calls = Arc::new(AtomicUsize::new(0));
     let received_in = Arc::clone(&received);
     let mut factory: Box<dyn FnMut() -> DetectResult<Box<dyn DetectStage>>> = Box::new(move || {
-        Ok(Box::new(FaultyDetector::with_counter(
+        Ok(Box::new(FaultyDetector::new(
             SizeProbe(Arc::clone(&received_in)),
             plan.clone(),
-            Arc::clone(&calls),
         )))
     });
 
@@ -291,6 +278,12 @@ fn chaos_overload_degrades_to_352_and_recovers() {
         .run_sync(IterSource::new(frames(50)), &mut factory, Some(controller))
         .unwrap();
 
+    assert_eq!(
+        report.resolution_history,
+        [608, 576, 544, 512, 480, 448, 416, 384, 352, 384, 416, 448, 480, 512, 544, 576, 608],
+        "ten hot windows walk down to the floor, fifteen calm ones back up"
+    );
+    assert_eq!(clock.now(), Duration::from_millis(20 * 40));
     assert!(
         report.resolution_history.contains(&352),
         "overload reached the bottom of the ladder: {:?}",
@@ -350,16 +343,9 @@ fn chaos_same_seed_same_report() {
     let run = |seed: u64| {
         let plan = FaultPlan::generate(seed, 40, &config);
         let sup = Supervisor::new(patient_config());
-        let calls = Arc::new(AtomicUsize::new(0));
         let source_plan = plan.clone();
         let mut factory: Box<dyn FnMut() -> DetectResult<Box<dyn DetectStage>>> =
-            Box::new(move || {
-                Ok(Box::new(FaultyDetector::with_counter(
-                    micro_stage(),
-                    plan.clone(),
-                    Arc::clone(&calls),
-                )))
-            });
+            Box::new(move || Ok(Box::new(FaultyDetector::new(micro_stage(), plan.clone()))));
         let source = FaultyFrameSource::new(IterSource::new(frames(40)), source_plan);
         sup.run_sync(source, &mut factory, None).unwrap()
     };
@@ -393,15 +379,9 @@ fn chaos_soak_every_fault_class_accounted() {
     let plan = FaultPlan::generate(99, n, &config);
     let injected = plan.injected();
     let sup = Supervisor::new(patient_config());
-    let calls = Arc::new(AtomicUsize::new(0));
     let source_plan = plan.clone();
-    let mut factory: Box<dyn FnMut() -> DetectResult<Box<dyn DetectStage>>> = Box::new(move || {
-        Ok(Box::new(FaultyDetector::with_counter(
-            micro_stage(),
-            plan.clone(),
-            Arc::clone(&calls),
-        )))
-    });
+    let mut factory: Box<dyn FnMut() -> DetectResult<Box<dyn DetectStage>>> =
+        Box::new(move || Ok(Box::new(FaultyDetector::new(micro_stage(), plan.clone()))));
     let source = FaultyFrameSource::new(IterSource::new(frames(n)), source_plan);
     let report = sup.run_sync(source, &mut factory, None).unwrap();
     // Sync mode is lossless: every frame either processed or typed-skipped.

@@ -7,7 +7,7 @@
 //! valid Prometheus text, and graceful drain completes in-flight requests.
 
 use dronet::detect::DetectorBuilder;
-use dronet::obs::{ChromeTrace, JsonValue, Registry, Tracer};
+use dronet::obs::{ChromeTrace, JsonValue, Registry, Snapshot, Tracer};
 use dronet::serve::{DetectorFactory, Fault, FaultEvent, FaultSchedule, ServeConfig, Server};
 use dronet_core::{zoo, ModelId};
 use dronet_data::{ppm, Image};
@@ -15,7 +15,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn factory() -> DetectorFactory {
     Arc::new(|| {
@@ -28,6 +28,16 @@ fn factory() -> DetectorFactory {
 fn slow_worker() -> FaultSchedule {
     let stall = Fault::Stall(Duration::from_millis(300));
     FaultSchedule::new(vec![FaultEvent::at(Duration::ZERO, 0, stall)])
+}
+
+/// Polls `obs` until `witness` holds on its snapshot, for at most 10 s: the
+/// metric that witnesses the event a test orders itself after.
+fn wait_for(obs: &Registry, what: &str, witness: impl Fn(&Snapshot) -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !witness(&obs.snapshot()) {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        thread::sleep(Duration::from_millis(1));
+    }
 }
 
 fn frame_bytes() -> Vec<u8> {
@@ -259,8 +269,11 @@ fn graceful_drain_completes_in_flight_requests() {
     let addr = server.addr();
 
     let inflight = thread::spawn(move || post_detect(addr));
-    // Let the request reach the queue before draining.
-    thread::sleep(Duration::from_millis(100));
+    // Drain once the worker holds the request's batch.
+    wait_for(&obs, "the request's batch", |s| {
+        s.histogram("serve.batch_size")
+            .is_some_and(|h| h.count == 1)
+    });
     let report = server.shutdown();
     let (status, _, body) = inflight.join().expect("client thread");
     assert_eq!(status, 200, "in-flight request must complete during drain");
@@ -450,8 +463,9 @@ fn connection_cap_sheds_at_accept_with_503_and_retry_after() {
     // Two idle connections occupy the whole budget.
     let _idle_a = TcpStream::connect(addr).expect("connect a");
     let _idle_b = TcpStream::connect(addr).expect("connect b");
-    // Give the accept loop time to register both.
-    thread::sleep(Duration::from_millis(150));
+    wait_for(&obs, "both connections", |s| {
+        s.gauge("serve.connections") == Some(2.0)
+    });
 
     // The third is shed at accept time: 503 + Retry-After, then close.
     let mut third = TcpStream::connect(addr).expect("connect c");
@@ -472,7 +486,9 @@ fn connection_cap_sheds_at_accept_with_503_and_retry_after() {
 
     // Freeing a slot restores service.
     drop(_idle_a);
-    thread::sleep(Duration::from_millis(100));
+    wait_for(&obs, "the freed slot", |s| {
+        s.gauge("serve.connections") == Some(1.0)
+    });
     let (status, _, _) = http(addr, "GET", "/healthz", b"");
     assert_eq!(status, 200);
 
