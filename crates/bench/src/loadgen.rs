@@ -12,8 +12,8 @@
 //!
 //! Determinism: the schedule comes from the same SplitMix64 generator
 //! ([`SplitMix64`]) the chaos harness uses, so a seed fully reproduces the
-//! arrival process — `BENCH_PR8.json` rows are replayable, and the
-//! integration tests assert same-seed schedules are identical.
+//! arrival process, and the integration tests assert same-seed schedules
+//! are identical.
 //!
 //! The wire protocol is plain HTTP/1.1 keep-alive with pipelining:
 //! requests go out on schedule even while earlier responses are pending,
@@ -157,17 +157,14 @@ pub struct LoadgenReport {
     /// Requests lost to a *mid-stream* connection reset: a hard read error
     /// (ECONNRESET and friends) or an EOF that tore a partially received
     /// response. Replica kills produce exactly these; keeping them apart
-    /// from `dropped` lets the grids tell a killed backend from an
-    /// orderly keep-alive reap or parse bug.
+    /// from `dropped` tells a killed backend from an orderly keep-alive
+    /// reap or parse bug.
     pub reset: u64,
-    /// Reconnections performed across all connections.
-    pub reconnects: u64,
     /// Wall-clock run duration, seconds.
     pub duration_secs: f64,
     /// Coordinated-omission-corrected latencies (completion − *intended*
-    /// send time) for every completed request, sorted ascending, ns.
-    pub latencies_ns: Vec<u64>,
-    /// Same, restricted to 2xx responses (the "admitted" latency curve).
+    /// send time) of the 2xx responses (the "admitted" latency curve),
+    /// sorted ascending, ns.
     pub ok_latencies_ns: Vec<u64>,
 }
 
@@ -195,35 +192,6 @@ impl LoadgenReport {
         }
         self.ok as f64 / self.duration_secs
     }
-
-    /// The report as a JSON object. No boolean literals — the in-tree
-    /// parser accepts only numbers/strings, so flags are 0/1.
-    pub fn to_json(&self) -> String {
-        let ms = |ns: u64| ns as f64 / 1e6;
-        format!(
-            concat!(
-                "{{\"offered\": {}, \"completed\": {}, \"ok\": {}, \"shed\": {}, ",
-                "\"errors\": {}, \"timeouts\": {}, \"dropped\": {}, \"reset\": {}, ",
-                "\"reconnects\": {}, ",
-                "\"duration_secs\": {:.3}, \"goodput_rps\": {:.2}, ",
-                "\"ok_p50_ms\": {:.3}, \"ok_p99_ms\": {:.3}, \"ok_p999_ms\": {:.3}}}"
-            ),
-            self.offered,
-            self.completed,
-            self.ok,
-            self.shed,
-            self.errors,
-            self.timeouts,
-            self.dropped,
-            self.reset,
-            self.reconnects,
-            self.duration_secs,
-            self.goodput(),
-            ms(self.ok_quantile_ns(0.50)),
-            ms(self.ok_quantile_ns(0.99)),
-            ms(self.ok_quantile_ns(0.999)),
-        )
-    }
 }
 
 /// Per-connection tallies, merged into the report at the end.
@@ -233,7 +201,6 @@ struct ConnStats {
     timeouts: u64,
     dropped: u64,
     reset: u64,
-    reconnects: u64,
 }
 
 /// Runs the configured load against `addr` and reports what happened.
@@ -300,10 +267,8 @@ pub fn run_plan(addr: SocketAddr, cfg: &LoadgenConfig, plan: &ArrivalPlan) -> Lo
         report.timeouts += s.timeouts;
         report.dropped += s.dropped;
         report.reset += s.reset;
-        report.reconnects += s.reconnects;
         for (status, latency_ns) in s.completed {
             report.completed += 1;
-            report.latencies_ns.push(latency_ns);
             match status {
                 200..=299 => {
                     report.ok += 1;
@@ -314,7 +279,6 @@ pub fn run_plan(addr: SocketAddr, cfg: &LoadgenConfig, plan: &ArrivalPlan) -> Lo
             }
         }
     }
-    report.latencies_ns.sort_unstable();
     report.ok_latencies_ns.sort_unstable();
     debug_assert_eq!(
         report.completed + report.timeouts + report.dropped + report.reset,
@@ -391,7 +355,6 @@ fn drive_connection(
                 buf.clear();
                 if let Some(s) = connect(addr) {
                     stream = s;
-                    stats.reconnects += 1;
                     wrote = stream.write_all(&requests[frame_idx]).is_ok();
                 }
             }
@@ -434,10 +397,7 @@ fn drive_connection(
                     return stats;
                 }
                 match connect(addr) {
-                    Some(s) => {
-                        stream = s;
-                        stats.reconnects += 1;
-                    }
+                    Some(s) => stream = s,
                     None => {
                         stats.dropped += (schedule.len() - next) as u64;
                         return stats;
@@ -466,7 +426,6 @@ fn drive_connection(
                             buf.clear();
                             if let Some(s) = connect(addr) {
                                 stream = s;
-                                stats.reconnects += 1;
                             }
                             break;
                         }
@@ -481,10 +440,7 @@ fn drive_connection(
                 pending.clear();
                 buf.clear();
                 match connect(addr) {
-                    Some(s) => {
-                        stream = s;
-                        stats.reconnects += 1;
-                    }
+                    Some(s) => stream = s,
                     None => {
                         stats.dropped += (schedule.len() - next) as u64;
                         return stats;
@@ -508,7 +464,7 @@ mod tests {
         let c = ArrivalPlan::generate(8, &phases);
         assert_ne!(a, c, "different seeds must give different schedules");
         // Golden captured before the generator moved to the shared
-        // `rand::rngs::SplitMix64`: BENCH_PR8 rows stay replayable.
+        // `rand::rngs::SplitMix64`: an old seed still names its schedule.
         assert_eq!(
             ArrivalPlan::generate(7, &[Phase::new(100.0, 0.1)]).offsets_ns,
             [9420451, 50291185, 51336342, 56733219, 64664178, 78549886, 86143761, 97288838]
@@ -561,28 +517,6 @@ mod tests {
         assert_eq!(quantile_sorted(&sorted, 1.0), 100);
         assert_eq!(quantile_sorted(&sorted, 0.0), 1);
         assert_eq!(quantile_sorted(&[], 0.5), 0);
-    }
-
-    #[test]
-    fn report_json_is_parseable_without_booleans() {
-        let report = LoadgenReport {
-            offered: 10,
-            completed: 8,
-            ok: 6,
-            shed: 2,
-            timeouts: 1,
-            dropped: 1,
-            reset: 1,
-            duration_secs: 2.0,
-            ok_latencies_ns: vec![1_000_000, 2_000_000, 3_000_000],
-            ..LoadgenReport::default()
-        };
-        let json = report.to_json();
-        let v = dronet_obs::JsonValue::parse(&json).expect("report JSON parses");
-        assert_eq!(v.get("offered").and_then(|x| x.as_u64()), Some(10));
-        assert_eq!(v.get("shed").and_then(|x| x.as_u64()), Some(2));
-        assert_eq!(v.get("reset").and_then(|x| x.as_u64()), Some(1));
-        assert!(v.get("goodput_rps").and_then(|x| x.as_f64()).unwrap() > 0.0);
     }
 
     #[test]

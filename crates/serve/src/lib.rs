@@ -77,22 +77,21 @@
 //!
 //! # SLOs and load shedding
 //!
-//! Every `POST /detect` outcome feeds a set of declared objectives
-//! ([`ServeConfig::slos`], a [`dronet_obs::SloSet`]): a latency SLO
-//! (p-fraction of successful requests under a threshold) and an
-//! availability SLO (non-5xx fraction). Burn rates over a short and a
-//! long rolling window are exported as `slo.*` gauges on `/metrics`, and
-//! `GET /debug/slo` returns the full verdicts as JSON. Breach requires
-//! *both* windows to burn, so a one-second blip doesn't page anyone and
-//! a sustained burn can't hide behind an old, healthy average.
+//! Every `POST /detect` outcome feeds two declared objectives (a
+//! [`dronet_obs::SloSet`]): a latency SLO (99 % of successful requests
+//! under 250 ms) and an availability SLO (99.9 % non-5xx). Burn rates
+//! over a short and a long rolling window are exported as `slo.*` gauges
+//! on `/metrics`, and `GET /debug/slo` returns the full verdicts as JSON.
+//! Breach requires *both* windows to burn, so a one-second blip doesn't
+//! page anyone and a sustained burn can't hide behind an old, healthy
+//! average.
 //!
 //! Sheds are taxonomized (`serve.shed.queue_full` / `.draining` /
 //! `.halted` / `.debug_busy`, plus `serve.timeout.*` and
 //! `serve.error.worker`), and every `503` carries a *load-aware*
 //! `Retry-After`: backlog depth over the queue's recent drain rate,
-//! clamped to `[retry_after_secs, retry_after_max_secs]` — clients are
-//! told to come back when the queue will plausibly have space, not after
-//! a constant guess.
+//! clamped to 1–30 s — clients are told to come back when the queue will
+//! plausibly have space, not after a constant guess.
 //!
 //! # Example
 //!

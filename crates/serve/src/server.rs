@@ -65,25 +65,12 @@ pub struct ServeConfig {
     pub max_connections: usize,
     /// How long a connection waits for its detections before giving up.
     pub response_timeout: Duration,
-    /// Floor (and cold-start fallback) for the `Retry-After` advertised
-    /// when shedding load. The actual hint is load-aware: derived from the
-    /// queue's recent drain rate and backlog depth, clamped to
-    /// `[retry_after_secs, retry_after_max_secs]`.
-    pub retry_after_secs: u64,
-    /// Upper bound for the load-aware `Retry-After` hint.
-    pub retry_after_max_secs: u64,
-    /// Service-level objectives evaluated over `POST /detect` outcomes and
-    /// surfaced on `/metrics` (burn-rate gauges) and `GET /debug/slo`.
-    /// Empty disables the SLO layer.
-    pub slos: Vec<SloSpec>,
     /// HTTP parser limits.
     pub limits: HttpLimits,
-    /// Upper bound on waiting for in-flight connections during shutdown.
-    pub drain_timeout: Duration,
     /// Watchdog tick period; must be non-zero.
     pub watchdog_interval: Duration,
     /// A worker busy past this is declared wedged: its jobs fail with
-    /// typed `500`s and a replacement is spawned.
+    /// typed `500`s and a replacement is spawned. Must be non-zero.
     pub wedge_timeout: Duration,
     /// Replacement workers the watchdog may spawn over the server's life;
     /// exhausting the budget with no worker left halts the server.
@@ -133,14 +120,7 @@ impl Default for ServeConfig {
             max_requests_per_connection: 64,
             max_connections: 256,
             response_timeout: Duration::from_secs(30),
-            retry_after_secs: 1,
-            retry_after_max_secs: 30,
-            slos: vec![
-                SloSpec::latency("detect_latency", Duration::from_millis(250), 0.99),
-                SloSpec::availability("detect_availability", 0.999),
-            ],
             limits: HttpLimits::default(),
-            drain_timeout: Duration::from_secs(10),
             watchdog_interval: Duration::from_millis(25),
             wedge_timeout: Duration::from_secs(10),
             max_worker_restarts: 4,
@@ -171,10 +151,13 @@ impl ServeConfig {
                 return Err(ServeError::Config(format!("{name} must be >= 1")));
             }
         }
-        if self.watchdog_interval.is_zero() {
-            return Err(ServeError::Config(
-                "watchdog_interval must be > 0".to_string(),
-            ));
+        for (name, d) in [
+            ("watchdog_interval", self.watchdog_interval),
+            ("wedge_timeout", self.wedge_timeout),
+        ] {
+            if d.is_zero() {
+                return Err(ServeError::Config(format!("{name} must be > 0")));
+            }
         }
         if let Some(b) = &self.brownout {
             DegradeController::new(b.clone()).map_err(|e| ServeError::Config(e.to_string()))?;
@@ -208,12 +191,22 @@ struct Shared {
 impl Shared {
     /// Load-aware `Retry-After` for every 503 this server hands out.
     fn retry_after(&self) -> u64 {
-        self.replicas.retry_after_hint(
-            self.config.retry_after_secs,
-            self.config.retry_after_max_secs,
-        )
+        self.replicas
+            .retry_after_hint(RETRY_AFTER_MIN_SECS, RETRY_AFTER_MAX_SECS)
     }
 }
+
+/// Floor (and cold-start fallback) for the `Retry-After` advertised when
+/// shedding load. The hint itself is load-aware: the backlog depth over
+/// the queue's recent drain rate, clamped to
+/// `[RETRY_AFTER_MIN_SECS, RETRY_AFTER_MAX_SECS]`.
+const RETRY_AFTER_MIN_SECS: u64 = 1;
+
+/// Upper bound for the load-aware `Retry-After` hint.
+const RETRY_AFTER_MAX_SECS: u64 = 30;
+
+/// Upper bound on waiting for in-flight connections during shutdown.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// The rolling window behind the `/metrics` `_window_*` gauges and each
 /// replica's dispatch p99: 10 s, in 10 sub-buckets.
@@ -444,7 +437,12 @@ impl Server {
         let shutdown = Arc::new(AtomicBool::new(false));
         let supervisor_handle = spawn_supervisor(Arc::clone(&replicas), Arc::clone(&shutdown));
 
-        let slo = SloSet::new(config.slos.clone());
+        // Every `POST /detect` outcome feeds these, surfaced on `/metrics`
+        // (burn-rate gauges) and `GET /debug/slo`.
+        let slo = SloSet::new(vec![
+            SloSpec::latency("detect_latency", Duration::from_millis(250), 0.99),
+            SloSpec::availability("detect_availability", 0.999),
+        ]);
         let shared = Arc::new(Shared {
             replicas,
             shutdown,
@@ -490,7 +488,7 @@ impl Server {
     }
 
     /// Graceful drain: stop accepting, let every in-flight connection
-    /// finish (bounded by `drain_timeout`), flush the queue through the
+    /// finish (within a 10 s drain timeout), flush the queue through the
     /// workers, then join them.
     pub fn shutdown(self) -> DrainReport {
         self.shared.shutdown.store(true, Ordering::SeqCst);
@@ -498,7 +496,7 @@ impl Server {
 
         // In-flight connections may still be enqueueing; keep the queue
         // open for them and wait for the connection count to hit zero.
-        let deadline = Instant::now() + self.shared.config.drain_timeout;
+        let deadline = Instant::now() + DRAIN_TIMEOUT;
         while self.shared.active_connections.load(Ordering::SeqCst) > 0 && Instant::now() < deadline
         {
             thread::sleep(Duration::from_millis(1));
@@ -1129,16 +1127,28 @@ mod tests {
 
     #[test]
     fn a_zero_watchdog_period_is_a_config_error() {
-        let config = ServeConfig {
+        // A zero wedge timeout would declare every in-flight batch wedged
+        // on each tick, failing healthy work until the restart budget ran
+        // out and the service halted.
+        let zero_watchdog = ServeConfig {
             watchdog_interval: Duration::ZERO,
             ..ServeConfig::default()
         };
-        match Server::start(dronet_32(), config, &Registry::new(), &Tracer::noop()) {
-            Err(ServeError::Config(m)) => assert!(m.contains("watchdog_interval"), "{m}"),
-            Err(e) => panic!("expected a config error, got {e}"),
-            Ok(server) => {
-                server.shutdown();
-                panic!("a zero watchdog period started a server");
+        let zero_wedge = ServeConfig {
+            wedge_timeout: Duration::ZERO,
+            ..ServeConfig::default()
+        };
+        for (name, config) in [
+            ("watchdog_interval", zero_watchdog),
+            ("wedge_timeout", zero_wedge),
+        ] {
+            match Server::start(dronet_32(), config, &Registry::new(), &Tracer::noop()) {
+                Err(ServeError::Config(m)) => assert!(m.contains(name), "{m}"),
+                Err(e) => panic!("expected a config error for {name}, got {e}"),
+                Ok(server) => {
+                    server.shutdown();
+                    panic!("a zero {name} started a server");
+                }
             }
         }
     }

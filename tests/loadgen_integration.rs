@@ -2,7 +2,7 @@
 //! server: the arrival schedule is seed-deterministic, a comfortable
 //! load completes cleanly with every request accounted for, and an
 //! overloaded server sheds with `503`s (breaching its availability SLO)
-//! instead of silently queueing — the behaviour `BENCH_PR8.json` grids.
+//! instead of silently queueing.
 
 use dronet::detect::DetectorBuilder;
 use dronet::obs::{JsonValue, Registry, Tracer};
@@ -102,12 +102,6 @@ fn comfortable_load_completes_cleanly_and_balances_the_books() {
         "one CO-corrected sample per success"
     );
     assert!(report.ok_quantile_ns(0.99) >= report.ok_quantile_ns(0.50));
-    // The report JSON round-trips through the in-tree reader.
-    let v = JsonValue::parse(&report.to_json()).expect("report JSON parses");
-    assert_eq!(
-        v.get("offered").and_then(|x| x.as_u64()),
-        Some(report.offered)
-    );
 }
 
 #[test]
