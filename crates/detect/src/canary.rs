@@ -67,7 +67,7 @@ pub fn detections_bit_equal(a: &[Detection], b: &[Detection]) -> bool {
         })
 }
 
-/// The outcome of one canary probe, for logs and `/debug/replicas`.
+/// The outcome of one canary probe, for logs and `/debug/vars`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CanaryVerdict {
     /// Whether the candidate reproduced the golden output bit-exactly.

@@ -6,10 +6,10 @@
 //! reproduce the direction but not the magnitude — each divergence is
 //! explained in `EXPERIMENTS.md`).
 
+use crate::platform::{Platform, PlatformId};
 use crate::response;
 use crate::sweep::{best_per_model, cpu_sweep, find, SweepConfig};
 use dronet_core::{zoo, ModelId};
-use dronet_platform::{Platform, PlatformId};
 use std::fmt;
 
 /// Verification status of one claim.

@@ -1,12 +1,12 @@
 //! Regeneration of every figure/table in the paper's evaluation section
 //! as text tables (and CSV via [`dronet_metrics::report::Table::to_csv`]).
 
+use crate::platform::{Platform, PlatformId};
 use crate::response;
 use crate::sweep::{best_per_model, SweepResult};
 use dronet_core::{zoo, ModelId};
 use dronet_metrics::report::{fmt3, Table};
 use dronet_nn::summary::NetworkSummary;
-use dronet_platform::{Platform, PlatformId};
 
 /// Fig. 1 — "Baseline Network Structures": one architecture summary per
 /// model at the canonical 416 input.

@@ -4,6 +4,9 @@
 //! paper's evaluation section (tables, figures, and headline claims) from
 //! this workspace's own components.
 //!
+//! * [`platform`] — analytic roofline models of the paper's embedded
+//!   platforms (i5-2520M, Odroid-XU4, Raspberry Pi 3, Titan Xp), standing
+//!   in for hardware we do not have,
 //! * [`response`] — the detection-accuracy response model: per-model
 //!   accuracy anchors (calibrated once against the paper's reported
 //!   deltas, see `DESIGN.md` §4.2) combined with resolution response
@@ -44,6 +47,7 @@
 pub mod claims;
 pub mod experiments;
 pub mod figures;
+pub mod platform;
 pub mod realeval;
 pub mod response;
 pub mod sweep;

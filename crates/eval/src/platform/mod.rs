@@ -1,5 +1,3 @@
-//! # dronet-platform
-//!
 //! Analytic performance models of the embedded platforms the DroNet paper
 //! evaluates on — the substitution for hardware we do not have (see
 //! `DESIGN.md` §4):
@@ -27,7 +25,7 @@
 //! # Example
 //!
 //! ```
-//! use dronet_platform::{Platform, PlatformId};
+//! use dronet_eval::platform::{Platform, PlatformId};
 //!
 //! # fn main() -> Result<(), dronet_nn::NnError> {
 //! let net = dronet_core::zoo::build(dronet_core::ModelId::DroNet, 512)?;
@@ -38,9 +36,6 @@
 //! # Ok(())
 //! # }
 //! ```
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 mod project;
 mod spec;

@@ -1,4 +1,4 @@
-use crate::Platform;
+use crate::platform::Platform;
 use dronet_metrics::Fps;
 use dronet_nn::cost::{network_cost, CostReport, LayerCost};
 use dronet_nn::Network;
@@ -97,7 +97,7 @@ impl Platform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PlatformId;
+    use crate::platform::PlatformId;
     use dronet_core::{zoo, ModelId};
 
     fn project(id: PlatformId, model: ModelId, input: usize) -> Projection {

@@ -19,11 +19,11 @@
 //!   as §IV-A states. We reproduce Fig. 4 under this response and record
 //!   the discrepancy in `EXPERIMENTS.md`.
 
+use crate::platform::{Platform, PlatformId};
 use crate::response;
 use dronet_core::{zoo, ModelId};
 use dronet_metrics::score::score_candidates;
 use dronet_metrics::{normalize_metrics, MetricVector, ScoreWeights};
-use dronet_platform::{Platform, PlatformId};
 
 /// Exponent of the paper's measured FPS-vs-size response:
 /// `fps(r) = fps(416) * (416/r)^p` with `p = ln(0.81)/ln(352/608)`.

@@ -1,10 +1,11 @@
 //! Per-layer and whole-network compute/memory cost accounting.
 //!
-//! The platform performance models in `dronet-platform` project frame rates
-//! from these counts, so the definitions follow the usual embedded-vision
-//! conventions: one multiply-accumulate = 2 FLOPs, and memory traffic is
-//! the sum of the input activations, output activations and weights a layer
-//! must move (a reasonable proxy for a cache-poor embedded core).
+//! The platform performance models in `dronet_eval::platform` project
+//! frame rates from these counts, so the definitions follow the usual
+//! embedded-vision conventions: one multiply-accumulate = 2 FLOPs, and
+//! memory traffic is the sum of the input activations, output activations
+//! and weights a layer must move (a reasonable proxy for a cache-poor
+//! embedded core).
 
 use crate::{Layer, Network};
 

@@ -25,8 +25,8 @@
 //!   used by `nn::profile` for per-layer allocs/bytes-per-forward and by
 //!   the detector stage spans. Scopes nest: each sees its own deltas plus
 //!   those of any inner scope, because the counters are monotonic.
-//! * [`stats`] / [`report`] / [`stats_json`] — process-wide totals for the
-//!   `/debug/alloc` endpoint.
+//! * [`stats`] / [`stats_json`] — process-wide totals, the `alloc` member
+//!   of the server's `/debug/vars`.
 //!
 //! When no `CountingAlloc` is installed every query returns zeros and
 //! [`installed`] is `false`, so instrumented call sites can stay
@@ -36,7 +36,6 @@
 use crate::json::{to_json, JsonWriter, ToJson};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Number of power-of-two size classes tracked by the allocator histogram.
@@ -267,42 +266,6 @@ impl Default for AllocScope {
     }
 }
 
-/// Human-readable allocator report for the `/debug/alloc` endpoint.
-pub fn report() -> String {
-    let s = stats();
-    let mut out = String::with_capacity(1024);
-    let _ = writeln!(
-        out,
-        "allocator: {}",
-        if installed() {
-            "counting"
-        } else {
-            "system (CountingAlloc not installed)"
-        }
-    );
-    let _ = writeln!(out, "allocs:       {}", s.allocs);
-    let _ = writeln!(out, "deallocs:     {}", s.deallocs);
-    let _ = writeln!(out, "reallocs:     {}", s.reallocs);
-    let _ = writeln!(out, "total_bytes:  {}", s.total_bytes);
-    let _ = writeln!(out, "live_bytes:   {}", s.live_bytes);
-    let _ = writeln!(out, "peak_bytes:   {}", s.peak_bytes);
-    let _ = writeln!(
-        out,
-        "large_allocs: {} (>= {} MiB mmap threshold)",
-        s.large_allocs,
-        MMAP_THRESHOLD_BYTES / (1024 * 1024)
-    );
-    out.push_str("size_classes:\n");
-    for (i, &n) in s.size_classes.iter().enumerate() {
-        if n == 0 {
-            continue;
-        }
-        let bound = 1u64.checked_shl(i as u32).unwrap_or(u64::MAX);
-        let _ = writeln!(out, "  <= {bound:>12} B: {n}");
-    }
-    out
-}
-
 /// [`stats`] as a JSON object, with `installed` as a 0/1 flag.
 pub fn stats_json() -> String {
     JsonWriter::render(|w| stats().write_json(w))
@@ -343,7 +306,6 @@ mod tests {
         let scope = AllocScope::begin();
         let _v: Vec<u8> = Vec::with_capacity(4096);
         assert_eq!(scope.delta(), AllocDelta::default());
-        assert!(report().contains("allocator:"));
         let json = crate::JsonValue::parse(&stats_json()).unwrap();
         assert_eq!(json.get("installed").and_then(|v| v.as_u64()), Some(0));
     }

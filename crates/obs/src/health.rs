@@ -14,6 +14,7 @@
 //! wedged worker, a due fault) reads the [`Clock`] it was given, so a test
 //! on a manual clock decides it exactly.
 
+use crate::json::to_json;
 use crate::window::mono_now_ns;
 use crate::{Gauge, TraceSnapshot, Tracer};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -207,6 +208,10 @@ impl BlackBox {
         )
     }
 }
+
+// The tail as its plain-text timeline, one event a line.
+to_json!(BlackBox => |b, w| crate::json_object!(w, "trigger" => &b.trigger,
+    "frame_ids" => &b.frame_ids, "tail" => b.tail.to_text()));
 
 /// The one supervision clock, passed in at construction. The default is
 /// the real clock: it reads the monotonic anchor [`mono_now_ns`] reads, so

@@ -1,6 +1,6 @@
 //! Fixed-bucket latency histogram and the RAII span timer.
 
-use crate::window::{mono_now_ns, RollingWindow, WindowStats};
+use crate::window::{mono_now_ns, RollingWindow};
 use crate::{BucketCount, HistogramSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -120,11 +120,6 @@ impl HistogramCell {
         let _ = self.window.set(RollingWindow::new(window, sub_buckets));
     }
 
-    /// Windowed aggregate as of now, if a window is attached.
-    pub(crate) fn window_stats(&self) -> Option<WindowStats> {
-        self.window.get().map(|w| w.stats_at(mono_now_ns()))
-    }
-
     /// Estimated value at quantile `q` in `[0, 1]` (clamped), in ns — see
     /// [`quantile_from_buckets`].
     fn quantile_ns(&self, q: f64) -> u64 {
@@ -161,6 +156,7 @@ impl HistogramCell {
             min_ns: self.min_ns.load(Ordering::Relaxed).min(max_ns),
             max_ns,
             buckets,
+            window: self.window.get().map(|w| w.stats_at(mono_now_ns())),
         }
     }
 }
@@ -386,7 +382,7 @@ mod tests {
             .and_then(JsonValue::as_array)
             .unwrap()[0];
         let back = Snapshot::from_json(&json).unwrap();
-        let window = r.window_snapshot().histogram("h").unwrap().stats;
+        let window = r.snapshot().histogram("h").unwrap().window.unwrap();
         for (q, key, windowed) in [
             (0.5, "p50_ns", Some(window.p50_ns)),
             (0.9, "p90_ns", None),

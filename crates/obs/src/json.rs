@@ -10,8 +10,8 @@
 //! [`JsonValue::parse`] reads that grammar back — objects, arrays, strings
 //! with every JSON escape, and numbers; no `true`/`false`/`null` — into a
 //! tree, nested at most 128 deep. [`Snapshot::from_json`] maps
-//! the tree back onto [`Snapshot`]; the Chrome-trace reader and the
-//! bench-report schema checks read the tree directly.
+//! the tree back onto [`Snapshot`]; the Chrome-trace reader and the tests
+//! of the server's JSON bodies read the tree directly.
 
 use crate::{BucketCount, CounterSnapshot, GaugeSnapshot, HistogramSnapshot, Snapshot};
 use std::collections::BTreeMap;
@@ -495,26 +495,43 @@ fn field<'v, T>(
 
 to_json!(Snapshot => |s, w| crate::json_object!(w, "counters" => &s.counters,
     "gauges" => &s.gauges, "histograms" => &s.histograms));
-to_json!(CounterSnapshot => |c, w| crate::json_object!(w, "name" => &c.name, "value" => c.value));
+// A metric's `window` member is written only when it has one.
+to_json!(CounterSnapshot => |c, w| w.object(|w| {
+    w.field("name", &c.name).field("value", c.value);
+    if let Some(win) = &c.window {
+        crate::json_object!(w.key("window"), "window_ns" => win.window_ns,
+            "increment" => win.sum, "rate_per_sec" => win.rate_per_sec);
+    }
+}));
 to_json!(GaugeSnapshot => |g, w| crate::json_object!(w, "name" => &g.name, "value" => g.value));
-to_json!(HistogramSnapshot => |h, w| crate::json_object!(w, "name" => &h.name,
-    "count" => h.count, "sum_ns" => h.sum_ns, "min_ns" => h.min_ns, "max_ns" => h.max_ns,
-    "p50_ns" => h.quantile_ns(0.5), "p90_ns" => h.quantile_ns(0.9),
-    "p99_ns" => h.quantile_ns(0.99), "buckets" => &h.buckets));
+to_json!(HistogramSnapshot => |h, w| w.object(|w| {
+    w.field("name", &h.name).field("count", h.count).field("sum_ns", h.sum_ns)
+        .field("min_ns", h.min_ns).field("max_ns", h.max_ns)
+        .field("p50_ns", h.quantile_ns(0.5)).field("p90_ns", h.quantile_ns(0.9))
+        .field("p99_ns", h.quantile_ns(0.99)).field("buckets", &h.buckets);
+    if let Some(win) = &h.window {
+        crate::json_object!(w.key("window"), "window_ns" => win.window_ns,
+            "count" => win.count, "sum_ns" => win.sum, "rate_per_sec" => win.rate_per_sec,
+            "p50_ns" => win.p50_ns, "p99_ns" => win.p99_ns);
+    }
+}));
 to_json!(BucketCount => |b, w| crate::json_object!(w, "le_ns" => b.le_ns, "count" => b.count));
 
 impl Snapshot {
     /// Renders the snapshot as one JSON document:
-    /// `{"counters":[{"name","value"}],"gauges":[{"name","value"}],
+    /// `{"counters":[{"name","value","window"?:{"window_ns","increment",
+    /// "rate_per_sec"}}],"gauges":[{"name","value"}],
     /// "histograms":[{"name","count","sum_ns","min_ns","max_ns","p50_ns",
-    /// "p90_ns","p99_ns","buckets":[{"le_ns","count"}]}]}`.
+    /// "p90_ns","p99_ns","buckets":[{"le_ns","count"}],"window"?:{
+    /// "window_ns","count","sum_ns","rate_per_sec","p50_ns","p99_ns"}}]}`,
+    /// where `window` is present only for a windowed metric.
     pub fn to_json(&self) -> String {
         JsonWriter::render(|w| self.write_json(w))
     }
 
     /// Parses a snapshot written by [`Snapshot::to_json`]. The written
     /// `p50_ns`/`p90_ns`/`p99_ns` are not read back: they are computed from
-    /// the buckets.
+    /// the buckets. Nor are the windows: a parsed metric has none.
     ///
     /// # Errors
     ///
@@ -531,6 +548,7 @@ impl Snapshot {
             snapshot.counters.push(CounterSnapshot {
                 name: name(c)?,
                 value: int(c, "value")?,
+                window: None,
             });
         }
         for g in field(&root, "gauges", JsonValue::as_array)? {
@@ -563,6 +581,7 @@ impl Snapshot {
                 min_ns,
                 max_ns,
                 buckets,
+                window: None,
             });
         }
         Ok(snapshot)
@@ -589,6 +608,30 @@ mod tests {
         let json = snap.to_json();
         let back = Snapshot::from_json(&json).expect("parses own output");
         assert_eq!(back, snap);
+    }
+
+    #[test]
+    fn windows_are_written_but_not_read_back() {
+        let r = Registry::new();
+        r.enable_windows(Duration::from_secs(10), 10);
+        r.counter("frames").add(7);
+        r.histogram("stage").record(Duration::from_micros(3));
+        let snap = r.snapshot();
+        let json = JsonValue::parse(&snap.to_json()).unwrap();
+        let member = |kind: &str| {
+            let metric = &json.get(kind).and_then(JsonValue::as_array).unwrap()[0];
+            metric.get("window").cloned().expect("window member")
+        };
+        assert_eq!(
+            member("counters").get("increment").unwrap().as_u64(),
+            Some(7)
+        );
+        assert_eq!(member("histograms").get("count").unwrap().as_u64(), Some(1));
+        let mut back = Snapshot::from_json(&snap.to_json()).unwrap();
+        assert!(back.counters[0].window.is_none() && back.histograms[0].window.is_none());
+        back.counters[0].window = snap.counters[0].window;
+        back.histograms[0].window = snap.histograms[0].window;
+        assert_eq!(back, snap, "everything but the windows round-trips");
     }
 
     #[test]

@@ -13,12 +13,13 @@
 //! * [`ScopedTimer`] — RAII span guard recording its lifetime into a
 //!   histogram on drop; created via [`Registry::timer`] or
 //!   [`Histogram::start`].
-//! * [`Snapshot`] — a point-in-time copy of every metric, exported with
-//!   [`Snapshot::to_json`] or [`PromExporter`] and re-imported with
+//! * [`Snapshot`] — a point-in-time copy of every metric, each counter and
+//!   histogram with its rolling window when windows are enabled, exported
+//!   with [`Snapshot::to_json`] or [`PromExporter`] and re-imported with
 //!   [`Snapshot::from_json`] for round-trip tests.
 //! * [`JsonWriter`] / [`JsonValue`] — the workspace's one JSON writer and
 //!   one reader (no serde). Every JSON body in `obs` and `serve` — the
-//!   snapshot, windows, SLO verdicts, allocator stats, Chrome traces,
+//!   snapshot and its windows, SLO verdicts, allocator stats, Chrome traces,
 //!   `/detect` replies — streams through the writer in one compact
 //!   layout, and the reader parses it back.
 //! * [`Tracer`] — the flight recorder: nested spans and instant events in
@@ -81,17 +82,21 @@ pub use slo::{BurnWindow, SloObjective, SloSet, SloSpec, SloStatus};
 pub use trace::{
     TraceEvent, TraceKind, TraceSnapshot, TraceSpan, Tracer, DEFAULT_TRACE_CAPACITY, NO_AUX,
 };
-pub use window::{RollingWindow, WindowSnapshot, WindowStats, WindowedCounter, WindowedHistogram};
+pub use window::{RollingWindow, WindowStats};
 
 use std::time::Duration;
 
 /// Point-in-time copy of one counter.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CounterSnapshot {
     /// Metric name.
     pub name: String,
     /// Accumulated value.
     pub value: u64,
+    /// The rolling window as of the snapshot, when
+    /// [`Registry::enable_windows`] attached one: `sum` is the increment
+    /// inside the window and `rate_per_sec` its per-second rate.
+    pub window: Option<WindowStats>,
 }
 
 /// Point-in-time copy of one gauge.
@@ -114,7 +119,7 @@ pub struct BucketCount {
 
 /// Point-in-time copy of one histogram. Quantiles are computed from the
 /// buckets on demand ([`HistogramSnapshot::quantile_ns`]), never stored.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     /// Metric name.
     pub name: String,
@@ -128,6 +133,9 @@ pub struct HistogramSnapshot {
     pub max_ns: u64,
     /// Occupied buckets in ascending bound order.
     pub buckets: Vec<BucketCount>,
+    /// The rolling window as of the snapshot, when
+    /// [`Registry::enable_windows`] attached one.
+    pub window: Option<WindowStats>,
 }
 
 impl HistogramSnapshot {

@@ -8,15 +8,15 @@
 //! underscores), and histogram nanoseconds are converted to seconds, the
 //! Prometheus base unit.
 //!
-//! [`PromExporter::render`] additionally emits `# HELP` lines for metrics
-//! with a registered description (see
-//! [`Registry::describe`](crate::Registry::describe)) and, for windowed
-//! metrics, per-window gauges next to the cumulative series:
+//! A metric whose snapshot carries a window (see
+//! [`Registry::enable_windows`](crate::Registry::enable_windows)) gets
+//! per-window gauges next to its cumulative series:
 //! `{name}_window_rate{window="10s"}` plus `_window_p50_seconds` /
-//! `_window_p99_seconds` for histograms.
+//! `_window_p99_seconds` for histograms. [`PromExporter::render`]
+//! additionally emits `# HELP` lines for metrics with a registered
+//! description (see [`Registry::describe`](crate::Registry::describe)).
 
 use crate::json::format_f64;
-use crate::window::WindowSnapshot;
 use crate::Snapshot;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -71,16 +71,15 @@ impl PromExporter {
     /// format (Prometheus text exposition v0.0.4).
     pub const CONTENT_TYPE: &'static str = "text/plain; version=0.0.4";
 
-    /// Renders the snapshot as exposition-format text without help text or
-    /// windowed series (the registry-free path; see
-    /// [`PromExporter::render`]).
+    /// Renders the snapshot as exposition-format text without help text
+    /// (the registry-free path; see [`PromExporter::render`]).
     pub fn to_string(snapshot: &Snapshot) -> String {
-        Self::render(snapshot, &BTreeMap::new(), &WindowSnapshot::default())
+        Self::render(snapshot, &BTreeMap::new())
     }
 
     /// Renders the snapshot with `# HELP` lines (keyed by the *internal*
-    /// metric name, pre-sanitization) and windowed gauges interleaved next
-    /// to their cumulative series.
+    /// metric name, pre-sanitization), and each metric's window gauges
+    /// next to its cumulative series.
     ///
     /// Typical use:
     ///
@@ -89,31 +88,23 @@ impl PromExporter {
     /// let obs = Registry::new();
     /// obs.describe("frames", "Frames processed since start");
     /// obs.counter("frames").inc();
-    /// let text = PromExporter::render(
-    ///     &obs.snapshot(),
-    ///     &obs.descriptions(),
-    ///     &obs.window_snapshot(),
-    /// );
+    /// let text = PromExporter::render(&obs.snapshot(), &obs.descriptions());
     /// assert!(text.starts_with("# HELP frames Frames processed since start\n"));
     /// ```
-    pub fn render(
-        snapshot: &Snapshot,
-        help: &BTreeMap<String, String>,
-        windows: &WindowSnapshot,
-    ) -> String {
+    pub fn render(snapshot: &Snapshot, help: &BTreeMap<String, String>) -> String {
         let mut out = String::new();
         for c in &snapshot.counters {
             let name = sanitize(&c.name);
             write_help(&mut out, help, &c.name, &name);
             let _ = writeln!(out, "# TYPE {name} counter");
             let _ = writeln!(out, "{name} {}", c.value);
-            if let Some(w) = windows.counter(&c.name) {
+            if let Some(w) = &c.window {
                 let label = window_label(w.window_ns);
                 let _ = writeln!(out, "# TYPE {name}_window_rate gauge");
                 let _ = writeln!(
                     out,
                     "{name}_window_rate{{window=\"{label}\"}} {}",
-                    format_f64(w.increment_rate_per_sec)
+                    format_f64(w.rate_per_sec)
                 );
             }
         }
@@ -139,25 +130,25 @@ impl PromExporter {
             let _ = writeln!(out, "{name}_seconds_bucket{{le=\"+Inf\"}} {}", h.count);
             let _ = writeln!(out, "{name}_seconds_sum {}", seconds(h.sum_ns));
             let _ = writeln!(out, "{name}_seconds_count {}", h.count);
-            if let Some(w) = windows.histogram(&h.name) {
-                let label = window_label(w.stats.window_ns);
+            if let Some(w) = &h.window {
+                let label = window_label(w.window_ns);
                 let _ = writeln!(out, "# TYPE {name}_window_rate gauge");
                 let _ = writeln!(
                     out,
                     "{name}_window_rate{{window=\"{label}\"}} {}",
-                    format_f64(w.stats.rate_per_sec)
+                    format_f64(w.rate_per_sec)
                 );
                 let _ = writeln!(out, "# TYPE {name}_window_p50_seconds gauge");
                 let _ = writeln!(
                     out,
                     "{name}_window_p50_seconds{{window=\"{label}\"}} {}",
-                    seconds(w.stats.p50_ns)
+                    seconds(w.p50_ns)
                 );
                 let _ = writeln!(out, "# TYPE {name}_window_p99_seconds gauge");
                 let _ = writeln!(
                     out,
                     "{name}_window_p99_seconds{{window=\"{label}\"}} {}",
-                    seconds(w.stats.p99_ns)
+                    seconds(w.p99_ns)
                 );
             }
         }
@@ -217,7 +208,7 @@ detect_nms_seconds_count 3
         h.record(Duration::from_nanos(100)); // bucket le=128ns
         h.record(Duration::from_nanos(100));
         h.record(Duration::from_nanos(200)); // bucket le=256ns
-        let text = PromExporter::render(&r.snapshot(), &r.descriptions(), &r.window_snapshot());
+        let text = PromExporter::render(&r.snapshot(), &r.descriptions());
         // Windowed percentiles interpolate within the rank's bucket, whose
         // bounds are clamped to the observed [100, 200] ns: p50 is rank 2,
         // the last of the 2 samples in (100, 128] -> 128 ns; p99 is rank 3,

@@ -1,9 +1,7 @@
 //! The metric registry and the counter/gauge handle types.
 
 use crate::histogram::{Histogram, HistogramCell, ScopedTimer};
-use crate::window::{
-    mono_now_ns, RollingWindow, WindowSnapshot, WindowedCounter, WindowedHistogram,
-};
+use crate::window::{mono_now_ns, RollingWindow, WindowStats};
 use crate::{CounterSnapshot, GaugeSnapshot, Snapshot};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,6 +26,17 @@ impl CounterCell {
 
     fn attach_window(&self, window: Duration, sub_buckets: usize) {
         let _ = self.window.set(RollingWindow::new(window, sub_buckets));
+    }
+
+    /// The window as of now, its rate that of the summed increments rather
+    /// than of the `add` calls.
+    fn window_stats(&self) -> Option<WindowStats> {
+        let stats = self.window.get()?.stats_at(mono_now_ns());
+        let rate_per_sec = stats.sum as f64 / (stats.window_ns as f64 / 1e9);
+        Some(WindowStats {
+            rate_per_sec,
+            ..stats
+        })
     }
 }
 
@@ -208,7 +217,9 @@ impl Registry {
         }
     }
 
-    /// Point-in-time copy of every metric, sorted by name.
+    /// Point-in-time copy of every metric, sorted by name, each counter and
+    /// histogram with its rolling window as of now when
+    /// [`Registry::enable_windows`] attached one.
     pub fn snapshot(&self) -> Snapshot {
         let Some(inner) = &self.inner else {
             return Snapshot::default();
@@ -221,6 +232,7 @@ impl Registry {
             .map(|(name, cell)| CounterSnapshot {
                 name: name.clone(),
                 value: cell.value.load(Ordering::Relaxed),
+                window: cell.window_stats(),
             })
             .collect();
         let gauges = inner
@@ -251,8 +263,8 @@ impl Registry {
     /// `sub_buckets` ring buckets) to every existing and future counter and
     /// histogram in this registry.
     ///
-    /// Windowed aggregates are read back via [`Registry::window_snapshot`]
-    /// and exported next to the cumulative values by
+    /// Each window is read back in its metric's [`Registry::snapshot`]
+    /// entry and exported next to the cumulative values by
     /// [`PromExporter`](crate::PromExporter). The first call wins; later
     /// calls (and calls on a noop registry) are no-ops. Metrics record into
     /// their window on the same code path as the cumulative cells, so the
@@ -277,48 +289,6 @@ impl Registry {
             .values()
         {
             cell.attach_window(window, sub_buckets);
-        }
-    }
-
-    /// Point-in-time windowed aggregates for every windowed metric, sorted
-    /// by name. Empty when windows were never enabled.
-    pub fn window_snapshot(&self) -> WindowSnapshot {
-        let Some(inner) = &self.inner else {
-            return WindowSnapshot::default();
-        };
-        let now = mono_now_ns();
-        let counters = inner
-            .counters
-            .read()
-            .expect("obs registry lock poisoned")
-            .iter()
-            .filter_map(|(name, cell)| {
-                let w = cell.window.get()?;
-                let stats = w.stats_at(now);
-                Some(WindowedCounter {
-                    name: name.clone(),
-                    increment: stats.sum,
-                    increment_rate_per_sec: stats.sum as f64 / (stats.window_ns as f64 / 1e9),
-                    window_ns: stats.window_ns,
-                })
-            })
-            .collect();
-        let histograms = inner
-            .histograms
-            .read()
-            .expect("obs registry lock poisoned")
-            .iter()
-            .filter_map(|(name, cell)| {
-                let stats = cell.window_stats()?;
-                Some(WindowedHistogram {
-                    name: name.clone(),
-                    stats,
-                })
-            })
-            .collect();
-        WindowSnapshot {
-            counters,
-            histograms,
         }
     }
 

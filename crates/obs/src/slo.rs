@@ -115,7 +115,7 @@ const BURN_ALERT: f64 = 2.0;
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloSpec {
     /// Objective name; lives in gauge names (`slo.<name>.burn_rate_short`)
-    /// and the `/debug/slo` JSON.
+    /// and the `slo` member of `/debug/vars`.
     pub name: String,
     /// The promise itself.
     pub objective: SloObjective,
@@ -331,23 +331,14 @@ impl SloSet {
         self.publish_at(registry, mono_now_ns());
     }
 
-    /// Renders every verdict as a JSON object at an explicit timestamp:
+    /// Writes every verdict at an explicit timestamp as one JSON object:
     /// `{"slos":[...]}`, one [`SloStatus`] each.
-    pub fn to_json_at(&self, now_ns: u64) -> String {
-        JsonWriter::render(|w| self.write_json_at(w, now_ns))
-    }
-
-    /// Renders every verdict as a JSON object as of now.
-    pub fn to_json(&self) -> String {
-        self.to_json_at(mono_now_ns())
-    }
-
     fn write_json_at(&self, w: &mut JsonWriter<'_>, now_ns: u64) {
         crate::json_object!(w, "slos" => self.statuses_at(now_ns));
     }
 }
 
-// Every verdict as of now, as `SloSet::to_json` writes it.
+// Every verdict as of now: the `slo` member of the server's `/debug/vars`.
 to_json!(SloSet => |s, w| s.write_json_at(w, mono_now_ns()));
 to_json!(SloStatus => |s, w| crate::json_object!(w, "name" => &s.name,
     "objective" => &s.objective, "target" => s.target, "error_budget" => s.error_budget,
@@ -360,7 +351,7 @@ to_json!(BurnWindow => |b, w| crate::json_object!(w, "window_ns" => b.window_ns,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{JsonValue, PromExporter};
+    use crate::{JsonValue, PromExporter, ToJson};
     use std::collections::BTreeMap;
 
     fn set() -> SloSet {
@@ -439,7 +430,7 @@ mod tests {
         assert_eq!(s.len(), 0);
         s.record(Duration::from_millis(1), true);
         assert!(s.statuses().is_empty());
-        let json = JsonValue::parse(&s.to_json()).unwrap();
+        let json = JsonValue::parse(&JsonWriter::render(|w| s.write_json(w))).unwrap();
         assert_eq!(
             json.get("slos").and_then(JsonValue::as_array),
             Some(&[][..])
@@ -452,7 +443,7 @@ mod tests {
         for i in 0..10u64 {
             s.record_at(i * MS, 2 * MS, i != 3);
         }
-        let json = s.to_json_at(10 * MS);
+        let json = JsonWriter::render(|w| s.write_json_at(w, 10 * MS));
         let v = JsonValue::parse(&json).expect("slo json must parse");
         let slos = v.get("slos").and_then(JsonValue::as_array).unwrap();
         assert_eq!(slos.len(), 2);
@@ -493,11 +484,7 @@ mod tests {
         }
         let r = Registry::new();
         s.publish_at(&r, 64 * MS);
-        let text = PromExporter::render(
-            &r.snapshot(),
-            &BTreeMap::new(),
-            &crate::WindowSnapshot::default(),
-        );
+        let text = PromExporter::render(&r.snapshot(), &BTreeMap::new());
         let expected = "\
 # TYPE slo_avail_breached gauge
 slo_avail_breached 1.0

@@ -10,7 +10,9 @@
 //! Windows attach lazily to existing registry cells via
 //! [`Registry::enable_windows`](crate::Registry::enable_windows) — the
 //! record path when windows are *off* is a single `OnceLock` load, keeping
-//! the <2% instrumentation-overhead budget intact.
+//! the <2% instrumentation-overhead budget intact — and
+//! [`Registry::snapshot`](crate::Registry::snapshot) reads each one into
+//! its metric's snapshot.
 //!
 //! Time is passed in explicitly (nanoseconds on the registry's monotonic
 //! clock) so the rotation logic is deterministic under test: the proptests
@@ -19,7 +21,6 @@
 //! oracle.
 
 use crate::histogram::{bucket_index, quantile_from_buckets};
-use crate::json::{to_json, JsonWriter, ToJson};
 use crate::BUCKET_COUNT;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -68,14 +69,17 @@ impl WinBucket {
     }
 }
 
-/// Aggregate over the live portion of a [`RollingWindow`].
+/// Aggregate over the live portion of a [`RollingWindow`]; the `window` of
+/// a [`CounterSnapshot`](crate::CounterSnapshot) or
+/// [`HistogramSnapshot`](crate::HistogramSnapshot).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WindowStats {
     /// Window length this aggregate covers, nanoseconds.
     pub window_ns: u64,
-    /// Samples recorded inside the window.
+    /// Samples recorded inside the window (for counters, `add` calls).
     pub count: u64,
-    /// Sum of sample values inside the window.
+    /// Sum of sample values inside the window (for counters, the total
+    /// increment).
     pub sum: u64,
     /// Samples (for histograms) or summed increments (for counters) per
     /// second over the window.
@@ -192,68 +196,6 @@ impl RollingWindow {
         self.bucket_ns
     }
 }
-
-/// Windowed view of one histogram.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowedHistogram {
-    /// Metric name (matches the cumulative histogram).
-    pub name: String,
-    /// Aggregate over the window.
-    pub stats: WindowStats,
-}
-
-/// Windowed view of one counter: `stats.sum` is the total increment inside
-/// the window and `increment_rate_per_sec` its per-second rate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowedCounter {
-    /// Metric name (matches the cumulative counter).
-    pub name: String,
-    /// Total counter increment inside the window.
-    pub increment: u64,
-    /// Increment per second over the window.
-    pub increment_rate_per_sec: f64,
-    /// Window length, nanoseconds.
-    pub window_ns: u64,
-}
-
-/// Point-in-time windowed aggregates for every windowed metric in a
-/// registry, sorted by name.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct WindowSnapshot {
-    /// Windowed counters.
-    pub counters: Vec<WindowedCounter>,
-    /// Windowed histograms.
-    pub histograms: Vec<WindowedHistogram>,
-}
-
-impl WindowSnapshot {
-    /// Looks up a windowed histogram by name.
-    pub fn histogram(&self, name: &str) -> Option<&WindowedHistogram> {
-        self.histograms.iter().find(|h| h.name == name)
-    }
-
-    /// Looks up a windowed counter by name.
-    pub fn counter(&self, name: &str) -> Option<&WindowedCounter> {
-        self.counters.iter().find(|c| c.name == name)
-    }
-
-    /// Renders the snapshot as a JSON object: `{"counters":[{"name",
-    /// "window_ns","increment","rate_per_sec"}],"histograms":[{"name",
-    /// "window_ns","count","sum_ns","rate_per_sec","p50_ns","p99_ns"}]}`.
-    pub fn to_json(&self) -> String {
-        JsonWriter::render(|w| self.write_json(w))
-    }
-}
-
-to_json!(WindowSnapshot => |s, w| crate::json_object!(w, "counters" => &s.counters,
-    "histograms" => &s.histograms));
-to_json!(WindowedCounter => |c, w| crate::json_object!(w, "name" => &c.name,
-    "window_ns" => c.window_ns, "increment" => c.increment,
-    "rate_per_sec" => c.increment_rate_per_sec));
-to_json!(WindowedHistogram => |h, w| crate::json_object!(w, "name" => &h.name,
-    "window_ns" => h.stats.window_ns, "count" => h.stats.count, "sum_ns" => h.stats.sum,
-    "rate_per_sec" => h.stats.rate_per_sec, "p50_ns" => h.stats.p50_ns,
-    "p99_ns" => h.stats.p99_ns));
 
 /// Nanoseconds on the process-wide monotonic clock all windowed metrics
 /// share (anchored at first use).

@@ -30,15 +30,14 @@
 //! A live debug surface rides alongside, bounded by its own admission
 //! budget (at most 2 in flight, excess shed with `503` + `Retry-After`):
 //!
-//! * `GET /debug/vars` — one JSON object holding the full metric
-//!   registry, the rolling-window view, the SLO verdicts, and
-//!   instrumented-allocator stats.
-//! * `GET /debug/slo` — the declared service-level objectives (default:
-//!   p99 detect latency and detect availability) with multi-window burn
-//!   rates and breach verdicts, computed over the same rolling windows
-//!   that feed `/metrics`.
-//! * `GET /debug/alloc` — the allocator's human-readable report
-//!   (live/peak bytes, size-class histogram, mmap-threshold count).
+//! * `GET /debug/vars` — the server's one debug document, written in one
+//!   pass: `metrics` (the full registry, each counter and histogram with
+//!   its rolling 10-second window), `slo` (the declared service-level
+//!   objectives — default: p99 detect latency and detect availability —
+//!   with multi-window burn rates and breach verdicts), `alloc`
+//!   (instrumented-allocator totals: live/peak bytes, size classes,
+//!   mmap-threshold count), `replicas` (one row per replica slot) and
+//!   `black_boxes` (every retained crash capture, oldest first).
 //! * `GET /debug/trace?ms=N` — arm the flight recorder for `N` ms
 //!   (default 100, capped at 2000) and return Chrome `trace.json`,
 //!   ready for Perfetto / `chrome://tracing`. Worker threads are
@@ -52,15 +51,17 @@
 //!
 //! The serve path supervises itself the way the detect pipeline does:
 //!
-//! * **Connection hardening** — keep-alive with idle reaping, a header
-//!   deadline (slowloris defense), a body deadline, write timeouts, and
-//!   a global connection cap shedding `503` + `Retry-After` at accept.
+//! * **Connection hardening** — keep-alive with idle reaping (a request's
+//!   first byte, a connection's first request's included, is waited for
+//!   on the idle deadline), a header deadline from that first byte
+//!   (slowloris defense), a body deadline, write timeouts, and a global
+//!   connection cap shedding `503` + `Retry-After` at accept.
 //! * **One supervisor tick** — a single thread, whatever the replica
 //!   count, makes every supervisory decision once per `watchdog_interval`.
 //!   Workers stamp heartbeats around each batch; a worker stuck past
 //!   `wedge_timeout` has its jobs failed with typed `500`s, its trace tail
-//!   captured as a [`dronet_obs::BlackBox`] (also served at
-//!   `GET /debug/blackbox`), and a replacement spawned under a bounded
+//!   captured as a [`dronet_obs::BlackBox`] (also served in
+//!   `GET /debug/vars`), and a replacement spawned under a bounded
 //!   restart budget. Losing the last worker flips health to Halted and
 //!   fails the backlog — never a hang, never a panic.
 //! * **Brownout** ([`dronet_detect::DegradeConfig`] in
@@ -81,7 +82,8 @@
 //! [`dronet_obs::SloSet`]): a latency SLO (99 % of successful requests
 //! under 250 ms) and an availability SLO (99.9 % non-5xx). Burn rates
 //! over a short and a long rolling window are exported as `slo.*` gauges
-//! on `/metrics`, and `GET /debug/slo` returns the full verdicts as JSON.
+//! on `/metrics`, and the `slo` member of `GET /debug/vars` holds the full
+//! verdicts as JSON.
 //! Breach requires *both* windows to burn, so a one-second blip doesn't
 //! page anyone and a sustained burn can't hide behind an old, healthy
 //! average.

@@ -112,6 +112,18 @@ impl BlackBoxStore {
     pub fn all(&self) -> Vec<BlackBox> {
         lock_recover(&self.boxes).clone()
     }
+
+    /// How many captures are retained, counted without copying them.
+    pub fn len(&self) -> usize {
+        lock_recover(&self.boxes).len()
+    }
+}
+
+/// Every retained capture, oldest first, written under the store's lock.
+impl ToJson for BlackBoxStore {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        lock_recover(&self.boxes).write_json(w);
+    }
 }
 
 /// What one core's watchdog pass carries from tick to tick.
@@ -546,10 +558,10 @@ impl ReplicaSet {
             .sum()
     }
 
-    /// Every retained crash black box, oldest first — those of cores
+    /// The server's crash black boxes, oldest first — those of cores
     /// since quarantined or replaced included.
-    pub fn black_boxes(&self) -> Vec<BlackBox> {
-        self.builder.black_box.all()
+    pub fn black_boxes(&self) -> &BlackBoxStore {
+        &self.builder.black_box
     }
 
     /// One supervisor tick — every supervisory decision the server makes:
@@ -725,20 +737,10 @@ impl ReplicaSet {
         }
         self.service_health.halt();
     }
-
-    /// `/debug/replicas` body: per-slot status as JSON (no booleans —
-    /// the in-tree parser has no literals).
-    pub fn debug_json(&self) -> String {
-        JsonWriter::render(|w| {
-            json_object!(w, "replicas_total" => self.config().replicas,
-                "replicas_active" => self.active_count(),
-                "service_health" => self.service_health.get().as_metric(),
-                "replicas" => &self.slots);
-        })
-    }
 }
 
-/// One `/debug/replicas` row.
+/// One row of the `replicas` member of `/debug/vars` (no booleans — the
+/// in-tree parser has no literals).
 impl ToJson for ReplicaSlot {
     fn write_json(&self, w: &mut JsonWriter<'_>) {
         let (active, generation, canary_failures, rebuild_failures) = {
@@ -963,7 +965,7 @@ mod tests {
         assert_eq!(workers.len(), 1, "no replacement");
         assert!(workers[0].is_alive());
         assert_eq!(core.worker.fault_events.load(Ordering::SeqCst), 0);
-        assert!(set.black_boxes().is_empty());
+        assert_eq!(set.black_boxes().len(), 0);
         assert_eq!(set.service_health.get(), Health::Healthy);
         set.shutdown();
     }

@@ -53,10 +53,12 @@ pub struct ServeConfig {
     pub read_timeout: Duration,
     /// Per-connection socket write deadline (slow-reader defense).
     pub write_timeout: Duration,
-    /// Deadline for receiving a complete request *header* (slowloris
-    /// defense: a drip-feeding client gets `408`, not a parked thread).
+    /// Deadline for receiving a complete request *header*, counted from
+    /// its first byte (slowloris defense: a drip-feeding client gets
+    /// `408`, not a parked thread).
     pub header_timeout: Duration,
-    /// How long an idle keep-alive connection is held before reaping.
+    /// How long a connection waits idle for a request's first byte, its
+    /// first request's included, before it is reaped without a reply.
     pub keep_alive_timeout: Duration,
     /// Requests served per connection before `Connection: close`.
     pub max_requests_per_connection: usize,
@@ -438,7 +440,7 @@ impl Server {
         let supervisor_handle = spawn_supervisor(Arc::clone(&replicas), Arc::clone(&shutdown));
 
         // Every `POST /detect` outcome feeds these, surfaced on `/metrics`
-        // (burn-rate gauges) and `GET /debug/slo`.
+        // (burn-rate gauges) and `GET /debug/vars`.
         let slo = SloSet::new(vec![
             SloSpec::latency("detect_latency", Duration::from_millis(250), 0.99),
             SloSpec::availability("detect_availability", 0.999),
@@ -484,7 +486,7 @@ impl Server {
     /// Crash black boxes captured so far by any replica, oldest first
     /// (the newest 16 per server; a quarantined replica's stay).
     pub fn black_boxes(&self) -> Vec<BlackBox> {
-        self.shared.replicas.black_boxes()
+        self.shared.replicas.black_boxes().all()
     }
 
     /// Graceful drain: stop accepting, let every in-flight connection
@@ -591,7 +593,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     let mut buf: Vec<u8> = Vec::with_capacity(4096);
     let mut served = 0usize;
     loop {
-        let request = match read_request(&mut stream, shared, &mut buf, served == 0) {
+        let request = match read_request(&mut stream, shared, &mut buf) {
             ReadOutcome::Request(req) => req,
             ReadOutcome::Closed => return,
             ReadOutcome::IdleReaped => {
@@ -675,19 +677,17 @@ fn endpoint_label(target: &str) -> &'static str {
 /// Drives the incremental parser against the socket under the deadline
 /// ladder: keep-alive idle → reap; header crawl → `408` after
 /// `header_timeout`; body crawl → `408` after `read_timeout` past the
-/// header. Reads poll in short slices so shutdown is noticed promptly.
-fn read_request(
-    stream: &mut TcpStream,
-    shared: &Shared,
-    buf: &mut Vec<u8>,
-    first: bool,
-) -> ReadOutcome {
+/// header. Every request, a connection's first included, waits for its
+/// first byte on the idle deadline, so a client that connects and sends
+/// later is not answered `408`. Reads poll in short slices so shutdown is
+/// noticed promptly.
+fn read_request(stream: &mut TcpStream, shared: &Shared, buf: &mut Vec<u8>) -> ReadOutcome {
     let cfg = &shared.config;
-    let conn_start = Instant::now();
+    let read_start = Instant::now();
     let mut first_byte_at: Option<Instant> = if buf.is_empty() {
         None
     } else {
-        Some(conn_start)
+        Some(read_start)
     };
     let mut head_done_at: Option<Instant> = None;
     let mut chunk = [0u8; 16 * 1024];
@@ -723,10 +723,8 @@ fn read_request(
             (t + cfg.read_timeout, false)
         } else if let Some(t) = first_byte_at {
             (t + cfg.header_timeout, false)
-        } else if first {
-            (conn_start + cfg.header_timeout, false)
         } else {
-            (conn_start + cfg.keep_alive_timeout, true)
+            (read_start + cfg.keep_alive_timeout, true)
         };
         let now = Instant::now();
         if now >= deadline {
@@ -773,29 +771,19 @@ fn route(request: &Request, shared: &Shared) -> Response {
             // Burn-rate gauges are computed on demand: a scrape sees the
             // rolling windows as of this instant, not a stale publish.
             shared.slo.publish(&shared.obs);
-            let text = PromExporter::render(
-                &shared.obs.snapshot(),
-                &shared.obs.descriptions(),
-                &shared.obs.window_snapshot(),
-            );
+            let text = PromExporter::render(&shared.obs.snapshot(), &shared.obs.descriptions());
             Response::new(200, "OK", PromExporter::CONTENT_TYPE, &text)
         }
         (Method::Get, "/healthz") => handle_healthz(shared),
         (Method::Get, "/debug/vars") => handle_debug_vars(shared),
-        (Method::Get, "/debug/slo") => handle_debug_slo(shared),
-        (Method::Get, "/debug/alloc") => handle_debug_alloc(shared),
         (Method::Get, "/debug/trace") => handle_debug_trace(shared, query),
-        (Method::Get, "/debug/blackbox") => handle_debug_blackbox(shared),
-        (Method::Get, "/debug/replicas") => handle_debug_replicas(shared),
-        (
-            _,
-            "/detect" | "/metrics" | "/healthz" | "/debug/vars" | "/debug/slo" | "/debug/alloc"
-            | "/debug/trace" | "/debug/blackbox" | "/debug/replicas",
-        ) => Response::text(
-            405,
-            "Method Not Allowed",
-            "method not allowed\n".to_string(),
-        ),
+        (_, "/detect" | "/metrics" | "/healthz" | "/debug/vars" | "/debug/trace") => {
+            Response::text(
+                405,
+                "Method Not Allowed",
+                "method not allowed\n".to_string(),
+            )
+        }
         _ => Response::text(404, "Not Found", "no such endpoint\n".to_string()),
     }
 }
@@ -830,74 +818,23 @@ fn debug_busy(shared: &Shared) -> Response {
     r
 }
 
-/// `GET /debug/vars` — one JSON object with everything the process knows
-/// about itself: the full metric registry, the rolling-window view, the
-/// SLO verdicts and the allocator report, written in one pass.
+/// `GET /debug/vars` — the server's one debug document: everything the
+/// process knows about itself, written in one pass. `metrics` is the full
+/// registry, each counter and histogram with its rolling window; `slo`
+/// every objective's burn windows and breach verdict; `alloc` the
+/// allocator's totals; `replicas` one row per replica slot (status,
+/// generation, health, queue depth, p99, canary and rebuild failures);
+/// `black_boxes` every retained crash capture, oldest first.
 fn handle_debug_vars(shared: &Shared) -> Response {
     let Some(_permit) = acquire_debug(shared) else {
         return debug_busy(shared);
     };
     shared.slo.publish(&shared.obs);
     let mut body = JsonWriter::render(|w| {
-        json_object!(w, "metrics" => shared.obs.snapshot(),
-            "windows" => shared.obs.window_snapshot(), "slo" => &shared.slo,
-            "alloc" => dronet_obs::alloc::stats());
+        json_object!(w, "metrics" => shared.obs.snapshot(), "slo" => &shared.slo,
+            "alloc" => dronet_obs::alloc::stats(), "replicas" => &shared.replicas.slots,
+            "black_boxes" => shared.replicas.black_boxes());
     });
-    body.push('\n');
-    Response::json(body)
-}
-
-/// `GET /debug/slo` — every declared objective with its target, error
-/// budget, short/long burn-rate windows, and breach verdict as JSON
-/// (booleans encoded as `0`/`1` — the in-tree parser has no literals).
-/// Also refreshes the `slo.*` gauges so a scrape right after sees the
-/// same numbers.
-fn handle_debug_slo(shared: &Shared) -> Response {
-    let Some(_permit) = acquire_debug(shared) else {
-        return debug_busy(shared);
-    };
-    shared.slo.publish(&shared.obs);
-    let mut body = shared.slo.to_json();
-    body.push('\n');
-    Response::json(body)
-}
-
-/// `GET /debug/alloc` — the instrumented allocator's human-readable
-/// report (or a one-line note when the counting allocator is not
-/// installed in this binary).
-fn handle_debug_alloc(shared: &Shared) -> Response {
-    let Some(_permit) = acquire_debug(shared) else {
-        return debug_busy(shared);
-    };
-    Response::text(200, "OK", dronet_obs::alloc::report())
-}
-
-/// `GET /debug/blackbox` — every crash black box the watchdog has
-/// captured, rendered as plain text (`404` when none exist — the happy
-/// case).
-fn handle_debug_blackbox(shared: &Shared) -> Response {
-    let Some(_permit) = acquire_debug(shared) else {
-        return debug_busy(shared);
-    };
-    let boxes = shared.replicas.black_boxes();
-    if boxes.is_empty() {
-        return Response::text(404, "Not Found", "no black boxes captured\n".to_string());
-    }
-    let mut body = String::new();
-    for b in &boxes {
-        body.push_str(&b.to_text());
-        body.push('\n');
-    }
-    Response::text(200, "OK", body)
-}
-
-/// `GET /debug/replicas` — per-replica rotation status, health, queue
-/// depth, rolling p99, and quarantine history as JSON.
-fn handle_debug_replicas(shared: &Shared) -> Response {
-    let Some(_permit) = acquire_debug(shared) else {
-        return debug_busy(shared);
-    };
-    let mut body = shared.replicas.debug_json();
     body.push('\n');
     Response::json(body)
 }

@@ -1,14 +1,14 @@
 //! Load-test tour: spawn the detection server in-process, drive it with
 //! the seeded open-loop generator (steady phase, then a burst), and print
 //! the coordinated-omission-corrected report next to the server's own
-//! SLO verdicts from `GET /debug/slo`.
+//! SLO verdicts, the `slo` member of `GET /debug/vars`.
 //!
 //! ```text
 //! cargo run --release --example load_test [steady_hz [burst_hz]]
 //! ```
 
 use dronet::detect::DetectorBuilder;
-use dronet::obs::{Registry, Tracer};
+use dronet::obs::{JsonValue, Registry, Tracer};
 use dronet::serve::{DetectorFactory, ServeConfig, Server};
 use dronet_bench::loadgen::{frame_corpus, run, LoadgenConfig, Phase};
 use std::io::{Read, Write};
@@ -70,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The server's own view: declared objectives + burn rates.
     let mut stream = TcpStream::connect(server.addr())?;
-    stream.write_all(b"GET /debug/slo HTTP/1.1\r\nHost: demo\r\nConnection: close\r\n\r\n")?;
+    stream.write_all(b"GET /debug/vars HTTP/1.1\r\nHost: demo\r\nConnection: close\r\n\r\n")?;
     let mut response = Vec::new();
     stream.read_to_end(&mut response)?;
     let body = response
@@ -78,7 +78,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .position(|w| w == b"\r\n\r\n")
         .map(|i| String::from_utf8_lossy(&response[i + 4..]).into_owned())
         .unwrap_or_default();
-    println!("\n=== GET /debug/slo ===\n\n{body}");
+    let vars = JsonValue::parse(&body)?;
+    println!("\n=== SLO verdicts (GET /debug/vars) ===\n");
+    let slos = vars.get("slo").and_then(|s| s.get("slos"));
+    for slo in slos.and_then(JsonValue::as_array).unwrap_or_default() {
+        let field = |path: &[&str]| {
+            let v = path.iter().try_fold(slo, |v, key| v.get(key));
+            v.and_then(JsonValue::as_f64).unwrap_or(f64::NAN)
+        };
+        println!(
+            "{:<20} burn short {:.2}  long {:.2}  breached {}",
+            slo.get("name").and_then(JsonValue::as_str).unwrap_or("?"),
+            field(&["short", "burn_rate"]),
+            field(&["long", "burn_rate"]),
+            field(&["breached"]),
+        );
+    }
 
     let drain = server.shutdown();
     println!("drained: {}", drain.drained);

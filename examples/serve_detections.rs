@@ -10,7 +10,7 @@
 //! ```
 
 use dronet::detect::DetectorBuilder;
-use dronet::obs::{Registry, Tracer};
+use dronet::obs::{JsonValue, Registry, Tracer};
 use dronet::serve::{DetectorFactory, ServeConfig, Server};
 use dronet_core::{zoo, ModelId};
 use dronet_data::{ppm, Image};
@@ -115,15 +115,22 @@ fn main() {
     println!("\n/healthz ({status}): {}", health.trim());
     println!("server health: {:?}", server.health());
 
-    // The live debug surface: full registry JSON, allocator report, and a
-    // short Chrome-trace capture ready for https://ui.perfetto.dev.
+    // The live debug surface: the one debug document (registry with its
+    // windows, SLO verdicts, allocator, replicas, black boxes) and a short
+    // Chrome-trace capture ready for https://ui.perfetto.dev.
     let (status, vars) = request(addr, "GET", "/debug/vars", &[]);
     let snippet: String = vars.chars().take(96).collect();
     println!("/debug/vars ({status}): {snippet}...");
-    let (status, alloc) = request(addr, "GET", "/debug/alloc", &[]);
+    let vars = JsonValue::parse(&vars).expect("parse /debug/vars");
+    let alloc = |key: &str| {
+        let value = vars.get("alloc").and_then(|a| a.get(key));
+        value.and_then(JsonValue::as_u64).unwrap_or_default()
+    };
     println!(
-        "/debug/alloc ({status}): {}",
-        alloc.lines().next().unwrap_or_default()
+        "/debug/vars alloc: installed {}  live {} B  peak {} B",
+        alloc("installed"),
+        alloc("live_bytes"),
+        alloc("peak_bytes")
     );
     let (status, trace) = request(addr, "GET", "/debug/trace?ms=50", &[]);
     let events = dronet::obs::ChromeTrace::parse(&trace).expect("parse trace");

@@ -43,6 +43,8 @@ pub use dronet_data as data;
 pub use dronet_detect as detect;
 /// Experiment harness: sweeps, figures, claims (`dronet-eval`).
 pub use dronet_eval as eval;
+/// Embedded platform performance models (`dronet-eval`'s `platform`).
+pub use dronet_eval::platform;
 /// Detection metrics and the weighted Score (`dronet-metrics`).
 pub use dronet_metrics as metrics;
 /// The CNN engine (`dronet-nn`).
@@ -50,8 +52,6 @@ pub use dronet_nn as nn;
 /// Telemetry: counters, gauges, latency histograms, JSON/Prometheus exporters
 /// (`dronet-obs`).
 pub use dronet_obs as obs;
-/// Embedded platform performance models (`dronet-platform`).
-pub use dronet_platform as platform;
 /// HTTP detection server with dynamic micro-batching and admission
 /// control (`dronet-serve`).
 pub use dronet_serve as serve;

@@ -343,7 +343,7 @@ fn global_stats_are_consistent() {
     assert!(s.peak_bytes >= s.live_bytes);
     assert!(s.total_bytes >= s.peak_bytes);
     assert!(s.size_classes.iter().any(|&n| n > 0));
-    assert!(dronet::obs::alloc::report().starts_with("allocator: counting"));
+    assert!(dronet::obs::alloc::installed());
     let json = dronet::obs::JsonValue::parse(&dronet::obs::alloc::stats_json()).unwrap();
     assert_eq!(json.get("installed").and_then(|v| v.as_u64()), Some(1));
 }

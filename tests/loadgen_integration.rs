@@ -122,7 +122,7 @@ fn overload_sheds_instead_of_collapsing() {
     };
     let plan = ArrivalPlan::generate(cfg.seed, &cfg.phases);
     let report = run_plan(server.addr(), &cfg, &plan);
-    let slo_body = http_get(server.addr(), "/debug/slo");
+    let vars_body = http_get(server.addr(), "/debug/vars");
     let _ = server.shutdown();
 
     assert_eq!(
@@ -133,9 +133,10 @@ fn overload_sheds_instead_of_collapsing() {
     assert!(report.ok > 0, "the admitted stream must keep flowing");
     assert_eq!(report.errors, 0, "sheds are 503s, not 5xx chaos");
 
-    let slo = JsonValue::parse(&slo_body).expect("/debug/slo parses");
+    let vars = JsonValue::parse(&vars_body).expect("/debug/vars parses");
     let breached = |name: &str| -> u64 {
-        slo.get("slos")
+        vars.get("slo")
+            .and_then(|slo| slo.get("slos"))
             .and_then(JsonValue::as_array)
             .and_then(|slos| {
                 slos.iter()

@@ -300,11 +300,25 @@ fn routing_health_and_error_paths() {
     let (status, _, _) = http(addr, "GET", "/nope", b"");
     assert_eq!(status, 404);
 
+    // The 405 list names the live paths and only them: the retired debug
+    // endpoints are gone whatever the method.
     let (status, _, _) = http(addr, "GET", "/detect", b"");
     assert_eq!(status, 405);
-
-    let (status, _, _) = http(addr, "POST", "/debug/vars", b"");
-    assert_eq!(status, 405);
+    for path in ["/metrics", "/healthz", "/debug/vars", "/debug/trace"] {
+        let (status, _, _) = http(addr, "POST", path, b"");
+        assert_eq!(status, 405, "POST {path}");
+    }
+    for path in [
+        "/debug/slo",
+        "/debug/alloc",
+        "/debug/replicas",
+        "/debug/blackbox",
+    ] {
+        for method in ["GET", "POST"] {
+            let (status, _, _) = http(addr, method, path, b"");
+            assert_eq!(status, 404, "{method} {path} is retired");
+        }
+    }
 
     // A non-PPM body is a typed 400, not a hang or a crash.
     let (status, _, body) = http(addr, "POST", "/detect", b"this is not a ppm");
@@ -330,7 +344,8 @@ fn debug_vars_and_alloc_expose_registry_and_allocator() {
     let (status, _, _) = post_detect(addr);
     assert_eq!(status, 200);
 
-    // /debug/vars: one JSON object holding metrics + windows + allocator.
+    // /debug/vars: the one debug document — metrics with their windows,
+    // SLO verdicts, allocator, replica rows and black boxes.
     let (status, head, body) = http(addr, "GET", "/debug/vars", b"");
     assert_eq!(status, 200);
     assert!(head.contains("Content-Type: application/json"));
@@ -346,8 +361,61 @@ fn debug_vars_and_alloc_expose_registry_and_allocator() {
             .any(|c| { c.get("name").and_then(JsonValue::as_str) == Some("serve.requests") }),
         "serve.requests missing from /debug/vars metrics"
     );
-    let windows = v.get("windows").expect("windows key");
-    assert!(windows.get("histograms").is_some());
+    let histograms = metrics
+        .get("histograms")
+        .and_then(JsonValue::as_array)
+        .expect("histograms array");
+    assert!(!histograms.is_empty());
+    // The server windows every counter and histogram, so each carries its
+    // window in the one snapshot.
+    for (metric, keys) in [
+        (counters, &["window_ns", "increment", "rate_per_sec"][..]),
+        (
+            histograms,
+            &[
+                "window_ns",
+                "count",
+                "sum_ns",
+                "rate_per_sec",
+                "p50_ns",
+                "p99_ns",
+            ][..],
+        ),
+    ] {
+        for m in metric {
+            let name = m.get("name").and_then(JsonValue::as_str).unwrap();
+            let window = m
+                .get("window")
+                .unwrap_or_else(|| panic!("{name}: no window"));
+            assert_eq!(
+                window.get("window_ns").and_then(JsonValue::as_u64),
+                Some(10_000_000_000),
+                "{name}: 10 s window"
+            );
+            for key in keys {
+                assert!(window.get(key).is_some(), "{name}: window lacks {key}");
+            }
+        }
+    }
+    let requests = counters
+        .iter()
+        .find(|c| c.get("name").and_then(JsonValue::as_str) == Some("serve.requests"))
+        .unwrap();
+    assert!(
+        requests
+            .get("window")
+            .and_then(|w| w.get("increment"))
+            .and_then(JsonValue::as_u64)
+            .unwrap()
+            >= 1,
+        "the POST just served lies inside the window"
+    );
+    let slos = v
+        .get("slo")
+        .and_then(|s| s.get("slos"))
+        .and_then(JsonValue::as_array)
+        .expect("slo.slos array");
+    assert_eq!(slos.len(), 2);
     let alloc = v.get("alloc").expect("alloc key");
     // This test binary does not install the counting allocator, so the
     // stats must say so (installed = 0) rather than invent numbers.
@@ -355,11 +423,20 @@ fn debug_vars_and_alloc_expose_registry_and_allocator() {
         alloc.get("installed").and_then(JsonValue::as_f64),
         Some(0.0)
     );
-
-    // /debug/alloc: the human-readable report.
-    let (status, _, body) = http(addr, "GET", "/debug/alloc", b"");
-    assert_eq!(status, 200);
-    assert!(String::from_utf8_lossy(&body).starts_with("allocator:"));
+    let replicas = v
+        .get("replicas")
+        .and_then(JsonValue::as_array)
+        .expect("replicas array");
+    assert_eq!(replicas.len(), 1);
+    assert_eq!(
+        replicas[0].get("status").and_then(JsonValue::as_str),
+        Some("active")
+    );
+    let black_boxes = v
+        .get("black_boxes")
+        .and_then(JsonValue::as_array)
+        .expect("black_boxes array");
+    assert!(black_boxes.is_empty(), "a healthy server captured nothing");
 
     server.shutdown();
 }
@@ -447,6 +524,34 @@ fn keep_alive_serves_many_requests_then_reaps_idle_connections() {
     assert_eq!(status, 200);
     assert!(head.contains("Connection: close"));
 
+    assert!(server.shutdown().drained);
+}
+
+#[test]
+fn a_first_request_sent_after_the_header_timeout_is_still_served() {
+    // Until its first byte, a request waits on the keep-alive idle
+    // deadline, a connection's first request included: the header
+    // deadline runs from the first byte, not from accept.
+    let obs = Registry::new();
+    let config = ServeConfig {
+        header_timeout: Duration::from_millis(200),
+        keep_alive_timeout: Duration::from_secs(2),
+        ..ServeConfig::default()
+    };
+    let server = Server::start(factory(), config, &obs, &Tracer::noop()).expect("start");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    thread::sleep(Duration::from_millis(500));
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+        .expect("write request");
+    let (status, _, _) = read_one_response(&mut stream);
+    assert_eq!(status, 200, "a late first request is served, not timed out");
+    let timeouts = obs.snapshot().counter("serve.timeout.request");
+    assert_eq!(timeouts.unwrap_or(0), 0);
+    drop(stream);
     assert!(server.shutdown().drained);
 }
 
@@ -551,11 +656,15 @@ fn debug_slo_and_metrics_expose_burn_rate_gauges() {
         assert_eq!(status, 200);
     }
 
-    // GET /debug/slo: both default objectives, healthy, with burn windows.
-    let (status, _, body) = http(addr, "GET", "/debug/slo", b"");
+    // GET /debug/vars: both default objectives, healthy, with burn windows.
+    let (status, _, body) = http(addr, "GET", "/debug/vars", b"");
     assert_eq!(status, 200);
-    let v = JsonValue::parse(&String::from_utf8_lossy(&body)).expect("/debug/slo JSON");
-    let slos = v.get("slos").and_then(JsonValue::as_array).expect("slos");
+    let v = JsonValue::parse(&String::from_utf8_lossy(&body)).expect("/debug/vars JSON");
+    let slos = v
+        .get("slo")
+        .and_then(|s| s.get("slos"))
+        .and_then(JsonValue::as_array)
+        .expect("slos");
     assert_eq!(slos.len(), 2);
     for slo in slos {
         let name = slo.get("name").and_then(JsonValue::as_str).unwrap();

@@ -107,18 +107,14 @@ fn replicated_server_serves_and_reports_every_replica() {
         Some(2)
     );
 
-    let (status, text) = http(addr, "GET", "/debug/replicas", b"");
+    let (status, text) = http(addr, "GET", "/debug/vars", b"");
     assert_eq!(status, 200);
     let debug = body_json(&text);
-    assert_eq!(
-        debug.get("replicas_total").and_then(JsonValue::as_u64),
-        Some(2)
-    );
     let rows = debug
         .get("replicas")
         .and_then(JsonValue::as_array)
         .expect("replicas array");
-    assert_eq!(rows.len(), 2);
+    assert_eq!(rows.len(), 2, "one row per replica of replicas_total");
     for row in rows {
         assert_eq!(
             row.get("status").and_then(JsonValue::as_str),
@@ -270,16 +266,17 @@ fn killed_replica_quarantines_and_readmits_through_the_canary_gate() {
         poll_until(10.0, || server.health() == Health::Healthy),
         "service must recover once the replica rejoins"
     );
-    let (_, text) = http(addr, "GET", "/debug/replicas", b"");
+    let (_, text) = http(addr, "GET", "/debug/vars", b"");
     let debug = body_json(&text);
-    assert_eq!(
-        debug.get("replicas_active").and_then(JsonValue::as_u64),
-        Some(2)
-    );
     let rows = debug
         .get("replicas")
         .and_then(JsonValue::as_array)
         .expect("replicas array");
+    let active = rows
+        .iter()
+        .filter(|r| r.get("status").and_then(JsonValue::as_str) == Some("active"))
+        .count();
+    assert_eq!(active, 2, "both replicas active");
     let readmitted = rows
         .iter()
         .find(|r| r.get("id").and_then(JsonValue::as_u64) == Some(1))
@@ -308,8 +305,17 @@ fn killed_replica_quarantines_and_readmits_through_the_canary_gate() {
             .any(|b| b.trigger.contains("wedged")),
         "quarantine must not throw away the replica's black boxes"
     );
-    let (status, text) = http(addr, "GET", "/debug/blackbox", b"");
-    assert_eq!(status, 200, "black boxes are still served: {text}");
+    let black_boxes = debug
+        .get("black_boxes")
+        .and_then(JsonValue::as_array)
+        .expect("black_boxes array");
+    assert!(
+        black_boxes.iter().any(|b| b
+            .get("trigger")
+            .and_then(JsonValue::as_str)
+            .is_some_and(|t| t.contains("wedged"))),
+        "black boxes are still served: {text}"
+    );
 
     // A rejoined fleet still serves.
     let (status, _) = post_detect(addr);
