@@ -3,48 +3,9 @@ use crate::decode::{decode, Detection};
 use crate::nms::non_max_suppression;
 use crate::{DetectError, Result};
 use dronet_nn::{Network, NnError, RegionConfig};
-use dronet_obs::{AllocScope, Counter, Histogram, Registry, Tracer};
+use dronet_obs::{Histogram, Registry, Tracer};
 use dronet_tensor::packed::Views;
 use dronet_tensor::Tensor;
-
-/// Per-stage (allocation count, allocated bytes) counters, present only
-/// when observability is enabled *and* the instrumented global allocator is
-/// installed (see [`dronet_obs::alloc`]); uninstrumented builds carry
-/// `None` and pay a single branch per stage.
-#[derive(Debug)]
-struct StageAllocSpans {
-    forward: (Counter, Counter),
-    decode: (Counter, Counter),
-    nms: (Counter, Counter),
-}
-
-impl StageAllocSpans {
-    fn build(obs: &Registry) -> Option<Self> {
-        if !obs.is_enabled() || !dronet_obs::alloc::installed() {
-            return None;
-        }
-        let pair = |stage: &str| {
-            (
-                obs.counter(&format!("detect.{stage}.allocs")),
-                obs.counter(&format!("detect.{stage}.alloc_bytes")),
-            )
-        };
-        Some(StageAllocSpans {
-            forward: pair("forward"),
-            decode: pair("decode"),
-            nms: pair("nms"),
-        })
-    }
-}
-
-/// Folds a finished scope's delta into a stage's counters.
-fn record_alloc(scope: Option<AllocScope>, counters: Option<&(Counter, Counter)>) {
-    if let (Some(scope), Some((allocs, bytes))) = (scope, counters) {
-        let delta = scope.delta();
-        allocs.add(delta.allocs);
-        bytes.add(delta.bytes);
-    }
-}
 
 /// Builder for [`Detector`] (thresholds, optional altitude gating).
 ///
@@ -166,7 +127,6 @@ impl DetectorBuilder {
             forward_hist: self.obs.histogram("detect.forward"),
             decode_hist: self.obs.histogram("detect.decode"),
             nms_hist: self.obs.histogram("detect.nms"),
-            alloc_spans: StageAllocSpans::build(&self.obs),
             tracer: self.tracer,
         })
     }
@@ -228,7 +188,6 @@ pub struct Detector {
     forward_hist: Histogram,
     decode_hist: Histogram,
     nms_hist: Histogram,
-    alloc_spans: Option<StageAllocSpans>,
     tracer: Tracer,
 }
 
@@ -277,7 +236,6 @@ impl Detector {
         self.forward_hist = obs.histogram("detect.forward");
         self.decode_hist = obs.histogram("detect.decode");
         self.nms_hist = obs.histogram("detect.nms");
-        self.alloc_spans = StageAllocSpans::build(obs);
         self.network.set_observability(obs);
     }
 
@@ -370,9 +328,7 @@ impl Detector {
         }
         let span = self.forward_hist.start();
         let trace = self.tracer.span_aux("detect.forward", n as i64);
-        let scope = self.alloc_spans.as_ref().map(|_| AllocScope::begin());
         let output = self.network.forward_views(images)?;
-        record_alloc(scope, self.alloc_spans.as_ref().map(|a| &a.forward));
         drop(trace);
         span.stop();
         let mut all = Vec::with_capacity(n);
@@ -380,19 +336,15 @@ impl Detector {
             let frame_id = frames.map_or_else(|| self.tracer.current_frame(), |ids| ids[b]);
             let span = self.decode_hist.start();
             let trace = self.tracer.frame_span("detect.decode", frame_id);
-            let scope = self.alloc_spans.as_ref().map(|_| AllocScope::begin());
             let candidates = decode(&output, &self.region, b, self.confidence_threshold)?;
-            record_alloc(scope, self.alloc_spans.as_ref().map(|a| &a.decode));
             drop(trace);
             span.stop();
             let span = self.nms_hist.start();
             let trace = self.tracer.frame_span("detect.nms", frame_id);
-            let scope = self.alloc_spans.as_ref().map(|_| AllocScope::begin());
             let mut kept = non_max_suppression(candidates, self.nms_threshold);
             if let Some(filter) = &self.altitude_filter {
                 kept.retain(|d| filter.is_feasible(&d.bbox));
             }
-            record_alloc(scope, self.alloc_spans.as_ref().map(|a| &a.nms));
             drop(trace);
             span.stop();
             all.push(kept);

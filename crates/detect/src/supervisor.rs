@@ -86,11 +86,6 @@ pub struct SupervisorConfig {
     /// Deadline for one detector pass; exceeding it abandons and restarts
     /// the stage (threaded mode) or flags the frame (sync mode).
     pub stage_timeout: Duration,
-    /// Retries per frame for recoverable errors before skipping it; the
-    /// `n`th waits [`BACKOFF_BASE`] × 2ⁿ⁻¹ on the clock first.
-    pub max_retries: u32,
-    /// Detector stage restarts (after panics/hangs) before halting.
-    pub max_restarts: u32,
     /// Consecutive source watchdog expiries before halting (threaded mode).
     pub max_consecutive_stalls: u32,
     /// Clean frames required to recover from `Degraded` to `Healthy` (with
@@ -107,8 +102,6 @@ impl Default for SupervisorConfig {
         SupervisorConfig {
             source_timeout: Duration::from_millis(250),
             stage_timeout: Duration::from_secs(1),
-            max_retries: 2,
-            max_restarts: 5,
             max_consecutive_stalls: 8,
             recovery_frames: 8,
             camera_fps: None,
@@ -340,6 +333,13 @@ impl Monitor {
 
 /// The first retry's backoff; it doubles per attempt.
 pub const BACKOFF_BASE: Duration = Duration::from_millis(2);
+
+/// Retries per frame before skipping it; the `n`th waits
+/// [`BACKOFF_BASE`] × 2ⁿ⁻¹ on the clock first.
+const MAX_RETRIES: u64 = 2;
+
+/// Detector stage restarts (after panics/hangs) before halting.
+const MAX_RESTARTS: u64 = 5;
 
 fn backoff(attempt: u64) -> Duration {
     BACKOFF_BASE.saturating_mul(1u32 << attempt.saturating_sub(1).min(10))
@@ -720,7 +720,7 @@ impl Supervisor {
         shifts.input_size.set(frame_chw.1 as f64);
 
         let mut monitor = Monitor::new(obs, cfg.recovery_frames, frame_chw.1, &self.tracer);
-        let mut restarts = RestartBudget::new(u64::from(cfg.max_restarts));
+        let mut restarts = RestartBudget::new(MAX_RESTARTS);
 
         // Every exit from this loop other than the end of the stream goes
         // through `monitor.halt`.
@@ -732,7 +732,7 @@ impl Supervisor {
                     monitor.skipped(index);
                 }
                 Ok(frame) => {
-                    let mut retries = RestartBudget::new(u64::from(cfg.max_retries));
+                    let mut retries = RestartBudget::new(MAX_RETRIES);
                     loop {
                         let lost = match exec.call(index, &frame, self) {
                             StageCall::Returned(Ok(detections), elapsed) => {
@@ -1068,21 +1068,20 @@ mod tests {
 
     #[test]
     fn restart_budget_exhaustion_halts() {
-        // Every call panics; the budget (2) runs out and the run halts
-        // instead of looping forever.
+        // Every call panics; the budget (5) runs out and the run halts
+        // instead of looping forever. Frame 0 spends three restarts (its
+        // first call and both retries) and is skipped; frame 1 spends the
+        // last two and halts on its third.
         let plan = FaultPlan::from_schedule(vec![Some(FaultKind::DetectorPanic); 64]);
-        let sup = Supervisor::new(SupervisorConfig {
-            max_restarts: 2,
-            max_retries: 1,
-            ..quick_config()
-        });
+        let sup = Supervisor::new(quick_config());
         let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> =
             Box::new(|| Ok(Box::new(FaultyDetector::new(NullStage, plan.clone()))));
         let report = sup
             .run_sync(IterSource::new(frames(32)), &mut factory, None)
             .unwrap();
         assert_eq!(report.final_health, Health::Halted);
-        assert_eq!(report.restarts, 3, "initial budget 2 + the halting attempt");
+        assert_eq!(report.restarts, 6, "budget 5 + the halting attempt");
+        assert_eq!(report.skipped_ids, [0]);
         assert_eq!(report.processed(), 0);
     }
 
@@ -1136,12 +1135,7 @@ mod tests {
     fn halt_preserves_black_box_frame_attribution() {
         let tracer = Tracer::new();
         let plan = FaultPlan::from_schedule(vec![Some(FaultKind::DetectorPanic); 64]);
-        let sup = Supervisor::new(SupervisorConfig {
-            max_restarts: 1,
-            max_retries: 1,
-            ..quick_config()
-        })
-        .tracing(&tracer);
+        let sup = Supervisor::new(quick_config()).tracing(&tracer);
         let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> =
             Box::new(|| Ok(Box::new(FaultyDetector::new(NullStage, plan.clone()))));
         let report = sup
@@ -1150,7 +1144,9 @@ mod tests {
         assert_eq!(report.final_health, Health::Halted);
         let bb = report.black_box.as_ref().expect("halt captured black box");
         assert!(bb.trigger.contains("restart budget exhausted"));
-        assert_eq!(bb.frame_ids, [0], "kept the failing frame's id");
+        // Frame 0 is skipped after its retries; the budget runs out on
+        // frame 1.
+        assert_eq!(bb.frame_ids, [1], "kept the failing frame's id");
         assert!(!bb.tail.events.is_empty());
     }
 

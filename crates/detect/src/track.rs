@@ -27,6 +27,9 @@ pub struct Track {
 /// Hits needed before a track is reported.
 const MIN_HITS: usize = 2;
 
+/// A track is dropped after this many consecutive missed frames.
+const MAX_MISSED: usize = 3;
+
 impl Track {
     /// A track is *confirmed* once it has been seen twice; unconfirmed
     /// tracks are not reported (suppresses one-frame flickers/false
@@ -41,8 +44,6 @@ impl Track {
 pub struct TrackerConfig {
     /// Minimum IoU to associate a detection with an existing track.
     pub iou_threshold: f32,
-    /// Track is dropped after this many consecutive missed frames.
-    pub max_missed: usize,
     /// Detections smaller than this (normalised area) do not *spawn* new
     /// tracks — they can still extend existing ones. Clipped slivers at a
     /// tile or frame boundary otherwise birth a fresh ID every time an
@@ -60,7 +61,6 @@ impl Default for TrackerConfig {
     fn default() -> Self {
         TrackerConfig {
             iou_threshold: 0.3,
-            max_missed: 3,
             min_box_area: 0.0,
             boundary_slack: 0.0,
         }
@@ -164,8 +164,7 @@ impl Tracker {
                 track.missed += 1;
             }
         }
-        let max_missed = self.config.max_missed;
-        self.tracks.retain(|t| t.missed <= max_missed);
+        self.tracks.retain(|t| t.missed <= MAX_MISSED);
 
         // Spawn new tracks for unmatched detections. Boxes below the
         // area floor are assumed to be boundary-clipped fragments of an
@@ -246,15 +245,13 @@ mod tests {
 
     #[test]
     fn track_survives_brief_occlusion() {
-        let mut tracker = Tracker::new(TrackerConfig {
-            max_missed: 2,
-            ..TrackerConfig::default()
-        });
+        let mut tracker = Tracker::new(TrackerConfig::default());
         tracker.update(&[det(0.5, 0.5)]);
         tracker.update(&[det(0.5, 0.5)]);
-        // two empty frames: still alive
-        tracker.update(&[]);
-        tracker.update(&[]);
+        // MAX_MISSED empty frames: still alive
+        for _ in 0..MAX_MISSED {
+            tracker.update(&[]);
+        }
         let confirmed = tracker.update(&[det(0.52, 0.5)]);
         assert_eq!(confirmed.len(), 1);
         assert_eq!(confirmed[0].id, 0);
@@ -263,14 +260,12 @@ mod tests {
 
     #[test]
     fn track_dies_after_max_missed() {
-        let mut tracker = Tracker::new(TrackerConfig {
-            max_missed: 1,
-            ..TrackerConfig::default()
-        });
+        let mut tracker = Tracker::new(TrackerConfig::default());
         tracker.update(&[det(0.5, 0.5)]);
         tracker.update(&[det(0.5, 0.5)]);
-        tracker.update(&[]);
-        tracker.update(&[]);
+        for _ in 0..=MAX_MISSED {
+            tracker.update(&[]);
+        }
         // Re-appearing now is a NEW track.
         tracker.update(&[det(0.5, 0.5)]);
         let confirmed = tracker.update(&[det(0.5, 0.5)]);

@@ -1,9 +1,6 @@
-use crate::profile::{
-    alloc_bytes_metric_name, alloc_metric_name, backward_metric_name, forward_metric_name,
-    kind_slug,
-};
+use crate::profile::{backward_metric_name, forward_metric_name, kind_slug};
 use crate::{ActivationPool, Layer, NnError, Result};
-use dronet_obs::{AllocScope, Counter, Histogram, Registry, Tracer};
+use dronet_obs::{Histogram, Registry, Tracer};
 use dronet_tensor::packed::Views;
 use dronet_tensor::{Shape, Tensor, TensorError};
 
@@ -43,11 +40,6 @@ pub struct Network {
     forward_spans: Vec<Histogram>,
     /// Per-layer backward-pass histograms.
     backward_spans: Vec<Histogram>,
-    /// Per-layer (allocation count, allocated bytes) counters for the
-    /// forward pass. Populated only when observability is enabled *and*
-    /// the instrumented global allocator is installed, so uninstrumented
-    /// builds pay nothing.
-    alloc_spans: Vec<(Counter, Counter)>,
     forward_total: Histogram,
     backward_total: Histogram,
     /// Flight recorder; inert unless [`Network::set_tracing`] is called
@@ -70,7 +62,6 @@ impl Network {
             obs: Registry::noop(),
             forward_spans: Vec::new(),
             backward_spans: Vec::new(),
-            alloc_spans: Vec::new(),
             forward_total: Histogram::default(),
             backward_total: Histogram::default(),
             tracer: Tracer::noop(),
@@ -127,7 +118,6 @@ impl Network {
         if !self.obs.is_enabled() {
             self.forward_spans.clear();
             self.backward_spans.clear();
-            self.alloc_spans.clear();
             self.forward_total = Histogram::default();
             self.backward_total = Histogram::default();
             return;
@@ -146,23 +136,6 @@ impl Network {
             .enumerate()
             .map(|(i, l)| self.obs.histogram(&backward_metric_name(i, l.kind())))
             .collect();
-        // Allocation telemetry is meaningful only under the instrumented
-        // global allocator; without it the deltas would all read zero, so
-        // skip creating the counters at all.
-        self.alloc_spans = if dronet_obs::alloc::installed() {
-            self.layers
-                .iter()
-                .enumerate()
-                .map(|(i, l)| {
-                    (
-                        self.obs.counter(&alloc_metric_name(i, l.kind())),
-                        self.obs.counter(&alloc_bytes_metric_name(i, l.kind())),
-                    )
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
     }
 
     /// The layers in execution order.
@@ -293,7 +266,6 @@ impl Network {
             // the convolution's covers the pair.
             let span = self.forward_spans.get(i).map(Histogram::start);
             let trace_span = self.tracer.span_aux(kind_slug(layer.kind()), i as i64);
-            let alloc_scope = (!self.alloc_spans.is_empty()).then(AllocScope::begin);
             // The first layer reads the caller's views directly — no input
             // copy.
             let input = cur.as_ref().map_or(x, Views::Batch);
@@ -325,11 +297,6 @@ impl Network {
                 Err(e) => {
                     failed = Some(at_layer(e, i));
                 }
-            }
-            if let (Some(scope), Some((allocs, bytes))) = (alloc_scope, self.alloc_spans.get(i)) {
-                let delta = scope.delta();
-                allocs.add(delta.allocs);
-                bytes.add(delta.bytes);
             }
             drop(trace_span);
             drop(span);

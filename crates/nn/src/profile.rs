@@ -52,19 +52,6 @@ pub fn backward_metric_name(index: usize, kind: LayerKind) -> String {
     format!("nn.backward.L{index:02}.{}", kind_slug(kind))
 }
 
-/// Counter name an observed network accumulates layer `index`'s forward
-/// heap-allocation count into (e.g. `nn.forward.L03.conv.allocs`).
-/// Only recorded when the instrumented allocator is installed.
-pub fn alloc_metric_name(index: usize, kind: LayerKind) -> String {
-    format!("nn.forward.L{index:02}.{}.allocs", kind_slug(kind))
-}
-
-/// Counter name an observed network accumulates layer `index`'s forward
-/// allocated-byte total into (e.g. `nn.forward.L03.conv.alloc_bytes`).
-pub fn alloc_bytes_metric_name(index: usize, kind: LayerKind) -> String {
-    format!("nn.forward.L{index:02}.{}.alloc_bytes", kind_slug(kind))
-}
-
 /// One layer's joined static cost and measured runtime.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerProfile {
@@ -84,12 +71,6 @@ pub struct LayerProfile {
     pub backward_mean: Option<Duration>,
     /// Achieved forward throughput, GFLOP/s (zero without samples).
     pub gflops_per_sec: f64,
-    /// Mean heap allocations per forward pass on this layer, when the
-    /// instrumented allocator recorded any (see
-    /// [`dronet_obs::alloc`]); `None` without allocator telemetry.
-    pub allocs_per_forward: Option<f64>,
-    /// Mean heap bytes allocated per forward pass on this layer.
-    pub alloc_bytes_per_forward: Option<f64>,
 }
 
 /// A whole-network runtime profile.
@@ -125,11 +106,6 @@ impl NetworkProfile {
                 let forward_mean = fwd.map_or(Duration::ZERO, |h| h.mean());
                 let forward_p99 = Duration::from_nanos(fwd.map_or(0, |h| h.quantile_ns(0.99)));
                 let secs = forward_mean.as_secs_f64();
-                let per_forward = |total: Option<u64>| {
-                    total
-                        .filter(|_| samples > 0)
-                        .map(|t| t as f64 / samples as f64)
-                };
                 LayerProfile {
                     index: row.index,
                     kind: row.kind,
@@ -143,12 +119,6 @@ impl NetworkProfile {
                     } else {
                         0.0
                     },
-                    allocs_per_forward: per_forward(
-                        snapshot.counter(&alloc_metric_name(row.index, row.kind)),
-                    ),
-                    alloc_bytes_per_forward: per_forward(
-                        snapshot.counter(&alloc_bytes_metric_name(row.index, row.kind)),
-                    ),
                 }
             })
             .collect();
@@ -204,35 +174,16 @@ fn fmt_duration(d: Duration) -> String {
     }
 }
 
-/// Renders a byte count with a unit fitting its magnitude.
-fn fmt_bytes(bytes: f64) -> String {
-    if bytes < 1024.0 {
-        format!("{bytes:.0} B")
-    } else if bytes < 1024.0 * 1024.0 {
-        format!("{:.1} KiB", bytes / 1024.0)
-    } else {
-        format!("{:.1} MiB", bytes / (1024.0 * 1024.0))
-    }
-}
-
 impl fmt::Display for NetworkProfile {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{} runtime profile", self.name)?;
-        // Allocation columns only appear when the instrumented allocator
-        // recorded anything (see dronet_obs::alloc) — keeps the table
-        // narrow in the common uninstrumented case.
-        let with_allocs = self.rows.iter().any(|r| r.allocs_per_forward.is_some());
-        write!(
+        writeln!(
             f,
             "{:>3}  {:<14} {:>10} {:>12} {:>12} {:>9} {:>12}",
             "#", "layer", "MFLOPs", "fwd mean", "fwd p99", "GFLOP/s", "bwd mean"
         )?;
-        if with_allocs {
-            write!(f, " {:>9} {:>11}", "allocs/f", "bytes/f")?;
-        }
-        writeln!(f)?;
         for row in &self.rows {
-            write!(
+            writeln!(
                 f,
                 "{:>3}  {:<14} {:>10.2} {:>12} {:>12} {:>9.2} {:>12}",
                 row.index,
@@ -244,17 +195,6 @@ impl fmt::Display for NetworkProfile {
                 row.backward_mean
                     .map_or_else(|| "-".to_string(), fmt_duration),
             )?;
-            if with_allocs {
-                write!(
-                    f,
-                    " {:>9} {:>11}",
-                    row.allocs_per_forward
-                        .map_or_else(|| "-".to_string(), |a| format!("{a:.1}")),
-                    row.alloc_bytes_per_forward
-                        .map_or_else(|| "-".to_string(), fmt_bytes),
-                )?;
-            }
-            writeln!(f)?;
         }
         match (self.forward_total, self.achieved_gflops()) {
             (Some(total), Some(gflops)) => writeln!(

@@ -1,67 +1,37 @@
-//! Instrumented global allocator: process-wide heap telemetry with
-//! per-region attribution.
-//!
-//! PR 4's `ActivationPool` fix for the >32 MiB glibc mmap pathology was
-//! found by *manual* diagnosis; this module makes allocator behaviour a
-//! first-class observable so the next pathology — and the "zero
-//! steady-state allocation" contract of the planned arena executor — can be
-//! watched and regression-gated.
+//! Instrumented global allocator: counts every heap allocation of the
+//! binary that installs it, so a "zero steady-state allocation" claim can
+//! be asserted live rather than read from a report.
 //!
 //! * [`CountingAlloc`] — a zero-dependency [`GlobalAlloc`] wrapper around
-//!   the system allocator. Installing it is opt-in per binary:
+//!   the system allocator. Installing it is opt-in per binary, and the one
+//!   binary that does is the `alloc_steadystate` test suite:
 //!
 //!   ```ignore
 //!   #[global_allocator]
 //!   static ALLOC: dronet_obs::CountingAlloc = dronet_obs::CountingAlloc::new();
 //!   ```
 //!
-//!   It maintains atomic alloc/dealloc/realloc counts, live and peak bytes,
-//!   a power-of-two size-class histogram and a counter for allocations at or
-//!   above the 32 MiB glibc dynamic mmap threshold (each of those is a
-//!   fresh `mmap`/page-fault storm — exactly the pathology the
-//!   `ActivationPool` exists to prevent).
+//!   It keeps atomic totals of allocations and allocated bytes, and the
+//!   live and peak byte counts.
 //! * [`AllocScope`] — an RAII region marker that snapshots the *current
-//!   thread's* allocation counters at construction and reports the delta,
-//!   used by `nn::profile` for per-layer allocs/bytes-per-forward and by
-//!   the detector stage spans. Scopes nest: each sees its own deltas plus
-//!   those of any inner scope, because the counters are monotonic.
-//! * [`stats`] / [`stats_json`] — process-wide totals, the `alloc` member
-//!   of the server's `/debug/vars`.
+//!   thread's* allocation counters at construction and reports the delta.
+//!   Scopes nest: each sees its own deltas plus those of any inner scope,
+//!   because the counters are monotonic.
+//! * [`stats`] — the process-wide totals.
 //!
 //! When no `CountingAlloc` is installed every query returns zeros and
-//! [`installed`] is `false`, so instrumented call sites can stay
-//! unconditional: the disabled cost is one relaxed atomic load.
+//! [`installed`] is `false`.
 #![allow(unsafe_code)] // the one place in the workspace that implements GlobalAlloc
 
-use crate::json::{to_json, JsonWriter, ToJson};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Number of power-of-two size classes tracked by the allocator histogram.
-///
-/// Class `i` counts allocations with `size <= 2^i` bytes (and larger than
-/// `2^(i-1)`); the last class is an overflow bucket for anything bigger.
-pub const SIZE_CLASS_COUNT: usize = 33;
-
-/// Allocation size at which glibc's dynamic mmap threshold tops out: requests
-/// at or above this come from fresh `mmap` regions that are unmapped on free,
-/// so every allocation pays a page-fault storm on first touch.
-pub const MMAP_THRESHOLD_BYTES: usize = 32 * 1024 * 1024;
-
 static INSTALLED: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static DEALLOCS: AtomicU64 = AtomicU64::new(0);
-static REALLOCS: AtomicU64 = AtomicU64::new(0);
 static TOTAL_BYTES: AtomicU64 = AtomicU64::new(0);
 static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
-static LARGE_ALLOCS: AtomicU64 = AtomicU64::new(0);
-static SIZE_CLASSES: [AtomicU64; SIZE_CLASS_COUNT] = {
-    #[allow(clippy::declare_interior_mutable_const)] // template for array init
-    const ZERO: AtomicU64 = AtomicU64::new(0);
-    [ZERO; SIZE_CLASS_COUNT]
-};
 
 thread_local! {
     // Const-initialised Cells: accessing them never allocates, which makes
@@ -71,15 +41,6 @@ thread_local! {
     static TL_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Size class index for an allocation of `size` bytes.
-pub fn size_class(size: usize) -> usize {
-    if size <= 1 {
-        return 0;
-    }
-    let class = (usize::BITS - (size - 1).leading_zeros()) as usize;
-    class.min(SIZE_CLASS_COUNT - 1)
-}
-
 fn note_alloc(size: usize) {
     INSTALLED.store(true, Ordering::Relaxed);
     let bytes = size as u64;
@@ -87,19 +48,10 @@ fn note_alloc(size: usize) {
     TOTAL_BYTES.fetch_add(bytes, Ordering::Relaxed);
     let live = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
     PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-    SIZE_CLASSES[size_class(size)].fetch_add(1, Ordering::Relaxed);
-    if size >= MMAP_THRESHOLD_BYTES {
-        LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
-    }
     // try_with: during thread teardown the TLS slot is gone; global totals
     // above still see the event.
     let _ = TL_ALLOCS.try_with(|c| c.set(c.get() + 1));
     let _ = TL_BYTES.try_with(|c| c.set(c.get() + bytes));
-}
-
-fn note_dealloc(size: usize) {
-    DEALLOCS.fetch_add(1, Ordering::Relaxed);
-    LIVE_BYTES.fetch_sub(size as u64, Ordering::Relaxed);
 }
 
 /// Instrumented [`GlobalAlloc`] delegating to [`System`].
@@ -139,13 +91,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
-        note_dealloc(layout.size());
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let p = System.realloc(ptr, layout, new_size);
         if !p.is_null() {
-            REALLOCS.fetch_add(1, Ordering::Relaxed);
             let old = layout.size() as u64;
             let new = new_size as u64;
             if new > old {
@@ -157,10 +108,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
             } else {
                 LIVE_BYTES.fetch_sub(old - new, Ordering::Relaxed);
             }
-            if new_size >= MMAP_THRESHOLD_BYTES && layout.size() < MMAP_THRESHOLD_BYTES {
-                LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
-            }
-            // A realloc that moved is an allocation event for attribution.
+            // Every successful realloc is one allocation event for the
+            // calling thread, moved or grown in place or shrunk: a scope
+            // that must see zero allocations sees none of them either.
             let _ = TL_ALLOCS.try_with(|c| c.set(c.get() + 1));
         }
         p
@@ -178,21 +128,12 @@ pub fn installed() -> bool {
 pub struct AllocStats {
     /// Total successful allocations (`alloc` + `alloc_zeroed`).
     pub allocs: u64,
-    /// Total deallocations.
-    pub deallocs: u64,
-    /// Total reallocations.
-    pub reallocs: u64,
     /// Cumulative bytes ever allocated (realloc growth included).
     pub total_bytes: u64,
     /// Bytes currently live.
     pub live_bytes: u64,
     /// High-water mark of live bytes.
     pub peak_bytes: u64,
-    /// Allocations at or above [`MMAP_THRESHOLD_BYTES`].
-    pub large_allocs: u64,
-    /// Allocation counts per power-of-two size class; class `i` holds
-    /// allocations of `2^(i-1) < size <= 2^i` bytes.
-    pub size_classes: [u64; SIZE_CLASS_COUNT],
 }
 
 /// Snapshots the process-wide allocator counters (all zero when no
@@ -200,13 +141,9 @@ pub struct AllocStats {
 pub fn stats() -> AllocStats {
     AllocStats {
         allocs: ALLOCS.load(Ordering::Relaxed),
-        deallocs: DEALLOCS.load(Ordering::Relaxed),
-        reallocs: REALLOCS.load(Ordering::Relaxed),
         total_bytes: TOTAL_BYTES.load(Ordering::Relaxed),
         live_bytes: LIVE_BYTES.load(Ordering::Relaxed),
         peak_bytes: PEAK_BYTES.load(Ordering::Relaxed),
-        large_allocs: LARGE_ALLOCS.load(Ordering::Relaxed),
-        size_classes: std::array::from_fn(|i| SIZE_CLASSES[i].load(Ordering::Relaxed)),
     }
 }
 
@@ -260,42 +197,9 @@ impl AllocScope {
     }
 }
 
-impl Default for AllocScope {
-    fn default() -> Self {
-        Self::begin()
-    }
-}
-
-/// [`stats`] as a JSON object, with `installed` as a 0/1 flag.
-pub fn stats_json() -> String {
-    JsonWriter::render(|w| stats().write_json(w))
-}
-
-// The counters plus the process-wide `installed` flag, which is what makes
-// an all-zero snapshot readable.
-to_json!(AllocStats => |s, w| crate::json_object!(w, "installed" => installed(),
-    "allocs" => s.allocs, "deallocs" => s.deallocs, "reallocs" => s.reallocs,
-    "total_bytes" => s.total_bytes, "live_bytes" => s.live_bytes, "peak_bytes" => s.peak_bytes,
-    "large_allocs" => s.large_allocs, "size_classes" => &s.size_classes[..]));
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn size_class_is_monotone_and_bounded() {
-        let mut prev = 0usize;
-        for size in [0usize, 1, 2, 3, 4, 1023, 1024, 1025, 1 << 20, usize::MAX] {
-            let c = size_class(size);
-            assert!(c >= prev, "class not monotone at {size}");
-            assert!(c < SIZE_CLASS_COUNT);
-            prev = c;
-        }
-        assert_eq!(size_class(1), 0);
-        assert_eq!(size_class(2), 1);
-        assert_eq!(size_class(1024), 10);
-        assert_eq!(size_class(1025), 11);
-    }
 
     #[test]
     fn uninstalled_allocator_reports_zero_deltas() {
@@ -306,7 +210,7 @@ mod tests {
         let scope = AllocScope::begin();
         let _v: Vec<u8> = Vec::with_capacity(4096);
         assert_eq!(scope.delta(), AllocDelta::default());
-        let json = crate::JsonValue::parse(&stats_json()).unwrap();
-        assert_eq!(json.get("installed").and_then(|v| v.as_u64()), Some(0));
+        assert!(!installed());
+        assert_eq!(stats().allocs, 0);
     }
 }

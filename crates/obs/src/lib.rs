@@ -19,9 +19,9 @@
 //!   [`Snapshot::from_json`] for round-trip tests.
 //! * [`JsonWriter`] / [`JsonValue`] — the workspace's one JSON writer and
 //!   one reader (no serde). Every JSON body in `obs` and `serve` — the
-//!   snapshot and its windows, SLO verdicts, allocator stats, Chrome traces,
-//!   `/detect` replies — streams through the writer in one compact
-//!   layout, and the reader parses it back.
+//!   snapshot and its windows, SLO verdicts, Chrome traces, `/detect`
+//!   replies — streams through the writer in one compact layout, and the
+//!   reader parses it back.
 //! * [`Tracer`] — the flight recorder: nested spans and instant events in
 //!   fixed-capacity per-thread ring buffers, each carrying a `frame_id`
 //!   trace context; merged snapshots export to Chrome/Perfetto

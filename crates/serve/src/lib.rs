@@ -34,10 +34,9 @@
 //!   pass: `metrics` (the full registry, each counter and histogram with
 //!   its rolling 10-second window), `slo` (the declared service-level
 //!   objectives — default: p99 detect latency and detect availability —
-//!   with multi-window burn rates and breach verdicts), `alloc`
-//!   (instrumented-allocator totals: live/peak bytes, size classes,
-//!   mmap-threshold count), `replicas` (one row per replica slot) and
-//!   `black_boxes` (every retained crash capture, oldest first).
+//!   with multi-window burn rates and breach verdicts), `replicas` (one
+//!   row per replica slot) and `black_boxes` (every retained crash
+//!   capture, oldest first).
 //! * `GET /debug/trace?ms=N` — arm the flight recorder for `N` ms
 //!   (default 100, capped at 2000) and return Chrome `trace.json`,
 //!   ready for Perfetto / `chrome://tracing`. Worker threads are

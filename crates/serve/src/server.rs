@@ -821,10 +821,10 @@ fn debug_busy(shared: &Shared) -> Response {
 /// `GET /debug/vars` — the server's one debug document: everything the
 /// process knows about itself, written in one pass. `metrics` is the full
 /// registry, each counter and histogram with its rolling window; `slo`
-/// every objective's burn windows and breach verdict; `alloc` the
-/// allocator's totals; `replicas` one row per replica slot (status,
-/// generation, health, queue depth, p99, canary and rebuild failures);
-/// `black_boxes` every retained crash capture, oldest first.
+/// every objective's burn windows and breach verdict; `replicas` one row
+/// per replica slot (status, generation, health, queue depth, p99, canary
+/// and rebuild failures); `black_boxes` every retained crash capture,
+/// oldest first.
 fn handle_debug_vars(shared: &Shared) -> Response {
     let Some(_permit) = acquire_debug(shared) else {
         return debug_busy(shared);
@@ -832,8 +832,7 @@ fn handle_debug_vars(shared: &Shared) -> Response {
     shared.slo.publish(&shared.obs);
     let mut body = JsonWriter::render(|w| {
         json_object!(w, "metrics" => shared.obs.snapshot(), "slo" => &shared.slo,
-            "alloc" => dronet_obs::alloc::stats(), "replicas" => &shared.replicas.slots,
-            "black_boxes" => shared.replicas.black_boxes());
+            "replicas" => &shared.replicas.slots, "black_boxes" => shared.replicas.black_boxes());
     });
     body.push('\n');
     Response::json(body)

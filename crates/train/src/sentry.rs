@@ -45,14 +45,16 @@ impl fmt::Display for TripReason {
 /// EWMA smoothing factor in `(0, 1]`; higher = faster tracking.
 const EWMA_ALPHA: f32 = 0.2;
 
-/// Sentry thresholds and the recovery policy.
+/// Trip when `loss > SPIKE_FACTOR * ewma` (after warm-up).
+const SPIKE_FACTOR: f32 = 4.0;
+
+/// Global steps before the spike detector arms (the first batches of a run
+/// are legitimately noisy).
+const WARMUP_STEPS: u64 = 8;
+
+/// The recovery policy.
 #[derive(Debug, Clone)]
 pub struct SentryConfig {
-    /// Trip when `loss > spike_factor * ewma` (after warm-up).
-    pub spike_factor: f32,
-    /// Global steps before the spike detector arms (the first batches of a
-    /// run are legitimately noisy).
-    pub warmup_steps: u64,
     /// Rollbacks allowed before the run halts.
     pub max_rollbacks: u32,
     /// Consecutive clean steps required to recover `Degraded → Healthy`.
@@ -62,21 +64,9 @@ pub struct SentryConfig {
 impl Default for SentryConfig {
     fn default() -> Self {
         SentryConfig {
-            spike_factor: 4.0,
-            warmup_steps: 8,
             max_rollbacks: 3,
             recover_after: 16,
         }
-    }
-}
-
-impl SentryConfig {
-    fn validate(&self) {
-        assert!(
-            self.spike_factor > 1.0,
-            "spike_factor {} must exceed 1",
-            self.spike_factor
-        );
     }
 }
 
@@ -95,12 +85,7 @@ pub struct DivergenceSentry {
 
 impl DivergenceSentry {
     /// Creates a sentry.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the spike factor is ≤ 1.
     pub fn new(config: SentryConfig) -> Self {
-        config.validate();
         DivergenceSentry { config, ewma: None }
     }
 
@@ -137,9 +122,9 @@ impl DivergenceSentry {
         if !loss.is_finite() {
             return Some(TripReason::NonFiniteLoss { loss });
         }
-        if step >= self.config.warmup_steps {
+        if step >= WARMUP_STEPS {
             if let Some(ewma) = self.ewma {
-                if ewma > 0.0 && loss > self.config.spike_factor * ewma {
+                if ewma > 0.0 && loss > SPIKE_FACTOR * ewma {
                     return Some(TripReason::LossSpike { loss, ewma });
                 }
             }
@@ -186,28 +171,21 @@ mod tests {
 
     #[test]
     fn spike_detector_arms_after_warmup() {
-        let mut s = DivergenceSentry::new(SentryConfig {
-            warmup_steps: 4,
-            spike_factor: 3.0,
-            ..SentryConfig::default()
-        });
-        // During warm-up even huge jumps pass (and feed the EWMA).
+        let mut s = DivergenceSentry::new(SentryConfig::default());
+        // During warm-up even huge jumps pass (and feed the EWMA), up to
+        // its last step.
         assert!(s.check_loss(0, 1.0).is_none());
-        assert!(s.check_loss(1, 100.0).is_none());
+        assert!(s.check_loss(WARMUP_STEPS - 1, 100.0).is_none());
         // Settle the EWMA back down.
-        let mut s = DivergenceSentry::new(SentryConfig {
-            warmup_steps: 4,
-            spike_factor: 3.0,
-            ..SentryConfig::default()
-        });
-        for step in 0..8 {
+        let mut s = DivergenceSentry::new(SentryConfig::default());
+        for step in 0..WARMUP_STEPS {
             assert!(s.check_loss(step, 2.0).is_none());
         }
         let ewma = s.ewma().unwrap();
         assert!((ewma - 2.0).abs() < 1e-6);
-        // 3x the EWMA trips; slightly below does not.
-        assert!(s.check_loss(8, 5.9).is_none());
-        let trip = s.check_loss(9, 30.0);
+        // 4x the EWMA trips; slightly below does not.
+        assert!(s.check_loss(WARMUP_STEPS, 7.9).is_none());
+        let trip = s.check_loss(WARMUP_STEPS + 1, 30.0);
         assert!(
             matches!(trip, Some(TripReason::LossSpike { .. })),
             "{trip:?}"
@@ -240,14 +218,5 @@ mod tests {
         }
         .to_string()
         .contains("spike"));
-    }
-
-    #[test]
-    #[should_panic(expected = "spike_factor")]
-    fn bad_spike_factor_rejected() {
-        DivergenceSentry::new(SentryConfig {
-            spike_factor: 0.5,
-            ..SentryConfig::default()
-        });
     }
 }

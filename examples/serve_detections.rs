@@ -116,22 +116,12 @@ fn main() {
     println!("server health: {:?}", server.health());
 
     // The live debug surface: the one debug document (registry with its
-    // windows, SLO verdicts, allocator, replicas, black boxes) and a short
+    // windows, SLO verdicts, replicas, black boxes) and a short
     // Chrome-trace capture ready for https://ui.perfetto.dev.
     let (status, vars) = request(addr, "GET", "/debug/vars", &[]);
     let snippet: String = vars.chars().take(96).collect();
     println!("/debug/vars ({status}): {snippet}...");
-    let vars = JsonValue::parse(&vars).expect("parse /debug/vars");
-    let alloc = |key: &str| {
-        let value = vars.get("alloc").and_then(|a| a.get(key));
-        value.and_then(JsonValue::as_u64).unwrap_or_default()
-    };
-    println!(
-        "/debug/vars alloc: installed {}  live {} B  peak {} B",
-        alloc("installed"),
-        alloc("live_bytes"),
-        alloc("peak_bytes")
-    );
+    JsonValue::parse(&vars).expect("parse /debug/vars");
     let (status, trace) = request(addr, "GET", "/debug/trace?ms=50", &[]);
     let events = dronet::obs::ChromeTrace::parse(&trace).expect("parse trace");
     println!(

@@ -2,12 +2,13 @@
 //! allocator: this binary installs [`CountingAlloc`] as its global
 //! allocator, so every heap allocation in the process is counted.
 //!
-//! The headline guarantee: after warmup, a pooled DroNet-352 forward
-//! pass performs **zero** heap allocations, at batch 1 and at the serving
-//! batch of 8 — activations and the returned output all cycle through the
-//! recycled `ActivationPool` — and so does the forward stage of the
-//! product's own loop, `Detector::detect`. This is the only place the
-//! claim is checked: live, not from a committed report.
+//! The headline guarantee: after warmup, a pooled DroNet forward pass
+//! performs **zero** heap allocations, at 352² with batch 1 and with the
+//! serving batch of 8, and at 96² — activations and the returned output
+//! all cycle through the recycled `ActivationPool` — and so does the
+//! forward stage of the product's own loop, `Detector::detect`. This is
+//! the only place the claim is checked: live, with the [`AllocScope`]s
+//! written here, not from a committed report or a product counter.
 //! `DRONET_THREADS=1` keeps every kernel on the calling thread, where it
 //! indexes its output directly: with more workers a layer that is shared
 //! out builds its queue of shares and their row tables on the heap, once
@@ -15,9 +16,7 @@
 //! thread).
 
 use dronet::core::{zoo, ModelId};
-use dronet::detect::DetectorBuilder;
-use dronet::nn::profile::{alloc_metric_name, forward_metric_name, NetworkProfile};
-use dronet::nn::summary::NetworkSummary;
+use dronet::detect::{Detection, DetectorBuilder};
 use dronet::obs::{AllocScope, CountingAlloc, Registry};
 use dronet::tensor::{Shape, Tensor};
 use dronet::tile::{TiledDetector, TiledDetectorConfig};
@@ -38,10 +37,12 @@ fn single_threaded() -> MutexGuard<'static, ()> {
     guard
 }
 
-/// The acceptance bar for the pooled inference path: a warm DroNet-352
-/// forward performs no heap allocation at all, at batch 1 and at the
-/// serving batch of 8. A regressing pool (or a layer quietly growing a
-/// per-forward `Vec`) shows up here as a nonzero delta.
+/// The acceptance bar for the pooled inference path: a warm DroNet
+/// forward performs no heap allocation at all, at 352² with batch 1 and
+/// with the serving batch of 8, and at 96². A regressing pool (or a layer
+/// quietly growing a per-forward `Vec`) shows up here as a nonzero delta:
+/// the whole forward's delta is the sum of every layer's, and a sum of
+/// counts is zero only when each of them is.
 #[test]
 fn steady_state_dronet_forward_is_allocation_free() {
     let _serial = single_threaded();
@@ -49,9 +50,9 @@ fn steady_state_dronet_forward_is_allocation_free() {
         dronet::obs::alloc::installed(),
         "this binary must run under CountingAlloc"
     );
-    for batch in [1, 8] {
-        let mut net = zoo::build(ModelId::DroNet, 352).unwrap();
-        let x = Tensor::zeros(Shape::nchw(batch, 3, 352, 352));
+    for (size, batch) in [(352, 1), (352, 8), (96, 1)] {
+        let mut net = zoo::build(ModelId::DroNet, size).unwrap();
+        let x = Tensor::zeros(Shape::nchw(batch, 3, size, size));
 
         // Warmup: populate the activation pool, fold batch-norm
         // coefficients, size conv scratch. Recycling each output hands the
@@ -68,10 +69,10 @@ fn steady_state_dronet_forward_is_allocation_free() {
         net.recycle(y);
         assert_eq!(
             delta.allocs, 0,
-            "batch-{batch} steady-state forward allocated {} times ({} bytes)",
+            "{size}² batch-{batch} steady-state forward allocated {} times ({} bytes)",
             delta.allocs, delta.bytes
         );
-        assert_eq!(delta.bytes, 0, "batch-{batch}");
+        assert_eq!(delta.bytes, 0, "{size}² batch-{batch}");
     }
 }
 
@@ -80,39 +81,56 @@ fn steady_state_dronet_forward_is_allocation_free() {
 /// each decoded output back to the network's pool. (Before it did, every
 /// frame took the pool's smallest fitting buffer out of circulation for
 /// good and a later layer allocated its replacement.)
+///
+/// A confidence threshold of 1 is one no sigmoid objectness reaches, so
+/// decode and NMS find nothing and allocate nothing: a warm call then
+/// allocates exactly its result, one `Vec` of a `Vec<Detection>` per image,
+/// and every other allocation would be the forward's.
 #[test]
 fn steady_state_detect_allocates_nothing_in_its_forward_stage() {
     let _serial = single_threaded();
     let obs = Registry::new();
     let net = zoo::build(ModelId::DroNet, 352).unwrap();
     let mut detector = DetectorBuilder::new(net)
+        .confidence_threshold(1.0)
         .observability(&obs)
         .build()
         .unwrap();
+    const PER_IMAGE: u64 = std::mem::size_of::<Vec<Detection>>() as u64;
     let x = Tensor::zeros(Shape::nchw(1, 3, 352, 352));
     for _ in 0..3 {
         detector.detect(&x).unwrap();
     }
-    let forward_allocs = || {
-        obs.snapshot()
-            .counter("detect.forward.allocs")
-            .expect("stage counters exist under CountingAlloc")
-    };
-    let warm = forward_allocs();
     for _ in 0..4 {
-        detector.detect(&x).unwrap();
+        let scope = AllocScope::begin();
+        let detections = detector.detect(&x).unwrap();
+        let delta = scope.delta();
+        assert!(detections.is_empty(), "no objectness reaches 1");
+        assert_eq!(
+            (delta.allocs, delta.bytes),
+            (1, PER_IMAGE),
+            "a warm detect allocates its result list and nothing else"
+        );
     }
-    assert_eq!(forward_allocs(), warm, "a warm detect allocated in forward");
     // Batches go the same way.
     let batch = Tensor::zeros(Shape::nchw(2, 3, 352, 352));
     for _ in 0..3 {
         detector.detect_batch(&batch).unwrap();
     }
-    let warm = forward_allocs();
     for _ in 0..4 {
-        detector.detect_batch(&batch).unwrap();
+        let scope = AllocScope::begin();
+        let detections = detector.detect_batch(&batch).unwrap();
+        let delta = scope.delta();
+        assert!(
+            detections.iter().all(Vec::is_empty),
+            "no objectness reaches 1"
+        );
+        assert_eq!(
+            (delta.allocs, delta.bytes),
+            (1, 2 * PER_IMAGE),
+            "a warm detect_batch allocates its result list and nothing else"
+        );
     }
-    assert_eq!(forward_allocs(), warm, "a warm detect_batch allocated");
 }
 
 /// A detector keeps no per-call history: after warm-up, thousands of
@@ -241,71 +259,6 @@ fn training_keeps_layer_inputs_not_column_matrices() {
     );
 }
 
-/// With the allocator installed and a live registry, every layer gets
-/// `nn.forward.L{i}.{kind}.allocs` / `.alloc_bytes` counters and the
-/// joined profile grows allocs/f + bytes/f columns.
-#[test]
-fn per_layer_alloc_telemetry_joins_into_profile() {
-    let _serial = single_threaded();
-    let obs = Registry::new();
-    let mut net = zoo::build(ModelId::DroNet, 96).unwrap();
-    net.set_observability(&obs);
-    let summary = NetworkSummary::of("DroNet-96", &net);
-    let x = Tensor::zeros(Shape::nchw(1, 3, 96, 96));
-
-    for _ in 0..3 {
-        let y = net.forward(&x).unwrap();
-        net.recycle(y);
-    }
-
-    let snap = obs.snapshot();
-    // The cold first forward allocated; the counters must exist for every
-    // layer (they are cumulative totals, divided by samples in the join).
-    for row in &summary.rows {
-        let name = alloc_metric_name(row.index, row.kind);
-        assert!(
-            snap.counter(&name).is_some(),
-            "missing alloc counter {name}"
-        );
-        assert!(snap
-            .histogram(&forward_metric_name(row.index, row.kind))
-            .is_some());
-    }
-
-    let profile = NetworkProfile::new(&summary, &snap);
-    assert!(
-        profile
-            .rows
-            .iter()
-            .all(|r| r.allocs_per_forward.is_some() && r.alloc_bytes_per_forward.is_some()),
-        "every profile row must carry allocation columns"
-    );
-    let table = profile.to_string();
-    assert!(
-        table.contains("allocs/f"),
-        "profile table missing allocs/f column:\n{table}"
-    );
-    assert!(
-        table.contains("bytes/f"),
-        "profile table missing bytes/f column:\n{table}"
-    );
-
-    // And once warm, another forward adds nothing to the conv layers'
-    // allocation counters — the per-layer view agrees with the global one.
-    let before = obs.snapshot();
-    let y = net.forward(&x).unwrap();
-    net.recycle(y);
-    let after = obs.snapshot();
-    for row in &summary.rows {
-        let name = alloc_metric_name(row.index, row.kind);
-        assert_eq!(
-            after.counter(&name),
-            before.counter(&name),
-            "warm forward allocated in {name}"
-        );
-    }
-}
-
 /// Nested scopes observe disjoint tails of the same thread-local
 /// counters: the inner scope sees only what happened after it began,
 /// the outer scope sees everything.
@@ -342,8 +295,5 @@ fn global_stats_are_consistent() {
     assert!(s.allocs > 0);
     assert!(s.peak_bytes >= s.live_bytes);
     assert!(s.total_bytes >= s.peak_bytes);
-    assert!(s.size_classes.iter().any(|&n| n > 0));
     assert!(dronet::obs::alloc::installed());
-    let json = dronet::obs::JsonValue::parse(&dronet::obs::alloc::stats_json()).unwrap();
-    assert_eq!(json.get("installed").and_then(|v| v.as_u64()), Some(1));
 }

@@ -212,35 +212,6 @@ fn instrumented_forward_overhead_under_two_percent() {
     assert!(obs.snapshot().histogram("nn.forward.total").unwrap().count > 0);
 }
 
-/// The allocator-disabled path must be free: this binary does not install
-/// [`dronet::obs::CountingAlloc`], so even a fully observed network must
-/// create no per-layer `.allocs` counters and pay only a branch per
-/// forward. (The <2% overhead bar for this configuration is enforced by
-/// [`instrumented_forward_overhead_under_two_percent`], whose observed
-/// network includes the allocator gating.)
-#[test]
-fn uninstrumented_allocator_creates_no_alloc_counters() {
-    let _serial = serial();
-    assert!(
-        !dronet::obs::alloc::installed(),
-        "this binary must NOT install the counting allocator"
-    );
-    let obs = Registry::new();
-    let mut net = zoo::build(ModelId::DroNet, 96).unwrap();
-    net.set_observability(&obs);
-    let x = Tensor::zeros(Shape::nchw(1, 3, 96, 96));
-    net.forward(&x).unwrap();
-    let snap = obs.snapshot();
-    assert!(
-        snap.counters
-            .iter()
-            .all(|c| !c.name.ends_with(".allocs") && !c.name.ends_with(".alloc_bytes")),
-        "alloc counters must not exist without the counting allocator"
-    );
-    // The timing telemetry is unaffected.
-    assert!(snap.histogram("nn.forward.total").unwrap().count > 0);
-}
-
 /// Same bar for the flight recorder's disabled path: a network carrying a
 /// noop [`Tracer`] (one branch per would-be event) must stay within 2% of
 /// one that never heard of tracing.

@@ -345,7 +345,7 @@ fn debug_vars_and_alloc_expose_registry_and_allocator() {
     assert_eq!(status, 200);
 
     // /debug/vars: the one debug document — metrics with their windows,
-    // SLO verdicts, allocator, replica rows and black boxes.
+    // SLO verdicts, replica rows and black boxes.
     let (status, head, body) = http(addr, "GET", "/debug/vars", b"");
     assert_eq!(status, 200);
     assert!(head.contains("Content-Type: application/json"));
@@ -416,13 +416,9 @@ fn debug_vars_and_alloc_expose_registry_and_allocator() {
         .and_then(JsonValue::as_array)
         .expect("slo.slos array");
     assert_eq!(slos.len(), 2);
-    let alloc = v.get("alloc").expect("alloc key");
-    // This test binary does not install the counting allocator, so the
-    // stats must say so (installed = 0) rather than invent numbers.
-    assert_eq!(
-        alloc.get("installed").and_then(JsonValue::as_f64),
-        Some(0.0)
-    );
+    // Allocation counting belongs to the test binary that installs the
+    // counting allocator; a server has no allocator member to report.
+    assert!(v.get("alloc").is_none(), "/debug/vars has no alloc member");
     let replicas = v
         .get("replicas")
         .and_then(JsonValue::as_array)
