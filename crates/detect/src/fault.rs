@@ -160,6 +160,37 @@ impl FaultPlan {
         self.slots.get(i).and_then(|slot| slot.as_ref())
     }
 
+    /// One detector call: advances the shared call cursor and applies the
+    /// detector-side fault scheduled at it. A latency spike sleeps on the
+    /// plan's clock; source-side kinds are ignored. [`FaultyDetector`] and
+    /// `dronet-tile`'s tiled batch forward both step through here.
+    ///
+    /// # Errors
+    ///
+    /// [`DetectError::BadNetworkOutput`] for a scheduled
+    /// [`FaultKind::TransientDetect`].
+    ///
+    /// # Panics
+    ///
+    /// On a scheduled [`FaultKind::DetectorPanic`], by design.
+    pub fn detector_step(&self) -> Result<()> {
+        let idx = self.calls.fetch_add(1, Ordering::Relaxed);
+        match self.fault_for(idx) {
+            Some(FaultKind::SlowDetect(d)) => self.clock.sleep(*d),
+            Some(FaultKind::DetectorPanic) => {
+                panic!("injected detector fault at call {idx}")
+            }
+            Some(FaultKind::TransientDetect) => {
+                return Err(DetectError::BadNetworkOutput {
+                    expected: "finite activations".to_string(),
+                    actual: format!("injected transient fault at call {idx}"),
+                });
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
     /// The raw schedule.
     pub fn slots(&self) -> &[Option<FaultKind>] {
         &self.slots
@@ -245,20 +276,7 @@ impl<D: DetectStage> FaultyDetector<D> {
 
 impl<D: DetectStage> DetectStage for FaultyDetector<D> {
     fn detect_frame(&mut self, frame: &Tensor) -> Result<Vec<Detection>> {
-        let idx = self.plan.calls.fetch_add(1, Ordering::Relaxed);
-        match self.plan.fault_for(idx) {
-            Some(FaultKind::SlowDetect(d)) => self.plan.clock.sleep(*d),
-            Some(FaultKind::DetectorPanic) => {
-                panic!("injected detector fault at call {idx}")
-            }
-            Some(FaultKind::TransientDetect) => {
-                return Err(DetectError::BadNetworkOutput {
-                    expected: "finite activations".to_string(),
-                    actual: format!("injected transient fault at call {idx}"),
-                });
-            }
-            _ => {}
-        }
+        self.plan.detector_step()?;
         self.inner.detect_frame(frame)
     }
 

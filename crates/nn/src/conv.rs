@@ -334,10 +334,10 @@ impl Conv2d {
         pool: &mut ActivationPool,
     ) -> Result<Option<Tensor>> {
         let (geom, batch) = self.checked_geometry(&x)?;
-        let (oh, ow) = (geom.out_height(), geom.out_width());
-        if !(after.tiles_2x2(oh, ow) && packed::pools_in_store(&geom, self.out_channels)) {
+        if !self.pools_through(after, geom.height, geom.width) {
             return Ok(None);
         }
+        let (oh, ow) = (geom.out_height(), geom.out_width());
         let shape = Shape::nchw(batch, self.out_channels, oh / 2, ow / 2);
         let mut out = Tensor::from_vec(pool.take(shape.len()), shape)?;
         self.infer_into(x, &geom, true, out.as_mut_slice())?;
@@ -345,6 +345,17 @@ impl Conv2d {
         self.cache = None;
         after.clear_cache();
         Ok(Some(out))
+    }
+
+    /// Whether inference takes the max pool `after` this layer in this
+    /// layer's store over an `h x w` input: `after` is the plain 2x2
+    /// stride-2 downsampling pool and [`packed::pools_in_store`] takes the
+    /// layer. [`Conv2d::forward_pooled_through`] runs by this rule and
+    /// [`NetworkSummary`](crate::summary::NetworkSummary) reports it.
+    pub(crate) fn pools_through(&self, after: &MaxPool2d, h: usize, w: usize) -> bool {
+        let geom = self.geometry(h, w);
+        after.tiles_2x2(geom.out_height(), geom.out_width())
+            && packed::pools_in_store(&geom, self.out_channels)
     }
 
     /// The geometry of this layer over the NCHW batch `x`, and its size.

@@ -421,6 +421,8 @@ fn at_layer(e: NnError, index: usize) -> NnError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::NetworkProfile;
+    use crate::summary::NetworkSummary;
     use crate::{Activation, Conv2d, MaxPool2d, RegionConfig, RegionLayer};
     use dronet_tensor::init;
     use rand::SeedableRng;
@@ -710,6 +712,24 @@ mod tests {
         ];
         assert_eq!(ends[..5], want);
         assert_eq!(ends.len(), 6, "{ends:?}");
+    }
+
+    /// The profile of the same forward: the absorbed pool's sample times
+    /// no work of its own, so its row has no throughput, while the pool
+    /// that runs as its own layer is timed like any other.
+    #[test]
+    fn the_profile_gives_an_absorbed_pool_no_throughput() {
+        let (mut net, x) = front_end(MaxPool2d::new(2, 2).unwrap());
+        let obs = Registry::new();
+        net.set_observability(&obs);
+        net.forward(&x).unwrap();
+        let summary = NetworkSummary::of("front end", &net);
+        let absorbed: Vec<bool> = summary.rows.iter().map(|r| r.absorbed).collect();
+        assert_eq!(absorbed, [false, true, false, false, false]);
+        let profile = NetworkProfile::new(&summary, &obs.snapshot());
+        assert_eq!(profile.rows[1].gflops_per_sec, None);
+        let own = profile.rows[3].gflops_per_sec;
+        assert!(own.is_some_and(|g| g > 0.0), "{own:?}");
     }
 
     #[test]

@@ -69,8 +69,11 @@ pub struct LayerProfile {
     pub forward_p99: Duration,
     /// Mean backward latency, when any backward pass was recorded.
     pub backward_mean: Option<Duration>,
-    /// Achieved forward throughput, GFLOP/s (zero without samples).
-    pub gflops_per_sec: f64,
+    /// Achieved forward throughput, GFLOP/s: `None` without samples, and
+    /// for a layer the summary marks
+    /// [`absorbed`](crate::summary::SummaryRow::absorbed), whose samples
+    /// time no work of its own.
+    pub gflops_per_sec: Option<f64>,
 }
 
 /// A whole-network runtime profile.
@@ -114,11 +117,8 @@ impl NetworkProfile {
                     forward_mean,
                     forward_p99,
                     backward_mean: bwd.filter(|h| h.count > 0).map(|h| h.mean()),
-                    gflops_per_sec: if secs > 0.0 {
-                        row.cost.flops / secs / 1e9
-                    } else {
-                        0.0
-                    },
+                    gflops_per_sec: (secs > 0.0 && !row.absorbed)
+                        .then(|| row.cost.flops / secs / 1e9),
                 }
             })
             .collect();
@@ -185,13 +185,14 @@ impl fmt::Display for NetworkProfile {
         for row in &self.rows {
             writeln!(
                 f,
-                "{:>3}  {:<14} {:>10.2} {:>12} {:>12} {:>9.2} {:>12}",
+                "{:>3}  {:<14} {:>10.2} {:>12} {:>12} {:>9} {:>12}",
                 row.index,
                 row.kind.as_str(),
                 row.flops / 1e6,
                 fmt_duration(row.forward_mean),
                 fmt_duration(row.forward_p99),
-                row.gflops_per_sec,
+                row.gflops_per_sec
+                    .map_or_else(|| "-".to_string(), |g| format!("{g:.2}")),
                 row.backward_mean
                     .map_or_else(|| "-".to_string(), fmt_duration),
             )?;
@@ -261,7 +262,7 @@ mod tests {
             assert!(row.forward_mean > Duration::ZERO);
         }
         // Conv layers do the FLOPs, so they report achieved throughput.
-        assert!(profile.rows[0].gflops_per_sec > 0.0);
+        assert!(profile.rows[0].gflops_per_sec.unwrap() > 0.0);
         assert!(profile.forward_total.is_some());
         assert!(profile.achieved_gflops().unwrap() > 0.0);
         assert!(profile.backward_total.is_none(), "no backward pass ran");

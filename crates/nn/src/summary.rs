@@ -3,7 +3,7 @@
 //! layer tables.
 
 use crate::cost::{layer_cost, LayerCost};
-use crate::{Layer, LayerKind, Network};
+use crate::{Conv2d, Layer, LayerKind, Network};
 use std::fmt;
 
 /// One row of a network summary table.
@@ -23,6 +23,10 @@ pub struct SummaryRow {
     pub output: (usize, usize, usize),
     /// Compute/memory cost at this input size.
     pub cost: LayerCost,
+    /// Whether inference runs this layer, a downsampling max pool, in the
+    /// store of the convolution ahead of it at this input size, so that
+    /// the convolution's time covers both.
+    pub absorbed: bool,
 }
 
 /// A whole-network summary: rows plus totals.
@@ -41,7 +45,16 @@ impl NetworkSummary {
     pub fn of(name: impl Into<String>, net: &Network) -> Self {
         let (mut c, mut h, mut w) = net.input_chw();
         let mut rows = Vec::with_capacity(net.len());
+        let mut ahead: Option<(&Conv2d, usize, usize)> = None;
         for (index, layer) in net.layers().iter().enumerate() {
+            let absorbed = match (ahead, layer) {
+                (Some((conv, h, w)), Layer::MaxPool(pool)) => conv.pools_through(pool, h, w),
+                _ => false,
+            };
+            ahead = match layer {
+                Layer::Conv(conv) => Some((conv, h, w)),
+                _ => None,
+            };
             let cost = layer_cost(layer, c, h, w);
             let output = layer.output_chw(c, h, w);
             let (filters, size_stride) = match layer {
@@ -60,6 +73,7 @@ impl NetworkSummary {
                 input: (c, h, w),
                 output,
                 cost,
+                absorbed,
             });
             c = output.0;
             h = output.1;

@@ -19,9 +19,9 @@
 //!   [`Snapshot::from_json`] for round-trip tests.
 //! * [`JsonWriter`] / [`JsonValue`] — the workspace's one JSON writer and
 //!   one reader (no serde). Every JSON body in `obs` and `serve` — the
-//!   snapshot and its windows, SLO verdicts, Chrome traces, `/detect`
-//!   replies — streams through the writer in one compact layout, and the
-//!   reader parses it back.
+//!   snapshot and its windows, Chrome traces, `/detect` replies —
+//!   streams through the writer in one compact layout, and the reader
+//!   parses it back.
 //! * [`Tracer`] — the flight recorder: nested spans and instant events in
 //!   fixed-capacity per-thread ring buffers, each carrying a `frame_id`
 //!   trace context; merged snapshots export to Chrome/Perfetto
@@ -65,7 +65,6 @@ mod histogram;
 mod json;
 mod prom;
 mod registry;
-pub mod slo;
 mod trace;
 pub mod window;
 
@@ -78,7 +77,6 @@ pub use histogram::{Histogram, ScopedTimer, BUCKET_COUNT};
 pub use json::{format_f64, JsonParseError, JsonValue, JsonWriter, ToJson};
 pub use prom::PromExporter;
 pub use registry::{Counter, Gauge, Registry};
-pub use slo::{BurnWindow, SloObjective, SloSet, SloSpec, SloStatus};
 pub use trace::{
     TraceEvent, TraceKind, TraceSnapshot, TraceSpan, Tracer, DEFAULT_TRACE_CAPACITY, NO_AUX,
 };

@@ -32,11 +32,9 @@
 //!
 //! * `GET /debug/vars` — the server's one debug document, written in one
 //!   pass: `metrics` (the full registry, each counter and histogram with
-//!   its rolling 10-second window), `slo` (the declared service-level
-//!   objectives — default: p99 detect latency and detect availability —
-//!   with multi-window burn rates and breach verdicts), `replicas` (one
-//!   row per replica slot) and `black_boxes` (every retained crash
-//!   capture, oldest first).
+//!   its rolling 10-second window), `replicas` (one row per replica
+//!   slot) and `black_boxes` (every retained crash capture, oldest
+//!   first).
 //! * `GET /debug/trace?ms=N` — arm the flight recorder for `N` ms
 //!   (default 100, capped at 2000) and return Chrome `trace.json`,
 //!   ready for Perfetto / `chrome://tracing`. Worker threads are
@@ -75,17 +73,15 @@
 //!   own replicas, and seeded, deterministic adversarial TCP clients for
 //!   proving all of the above from the wire.
 //!
-//! # SLOs and load shedding
+//! # Load shedding
 //!
-//! Every `POST /detect` outcome feeds two declared objectives (a
-//! [`dronet_obs::SloSet`]): a latency SLO (99 % of successful requests
-//! under 250 ms) and an availability SLO (99.9 % non-5xx). Burn rates
-//! over a short and a long rolling window are exported as `slo.*` gauges
-//! on `/metrics`, and the `slo` member of `GET /debug/vars` holds the full
-//! verdicts as JSON.
-//! Breach requires *both* windows to burn, so a one-second blip doesn't
-//! page anyone and a sustained burn can't hide behind an old, healthy
-//! average.
+//! Every response is counted once, by the registry, under its endpoint
+//! and status class (`serve.endpoint.detect.2xx`, `.5xx`, …, beside
+//! `serve.responses.<class>`), each counter with its rolling 10-second
+//! window. `serve.request` times every request end to end and
+//! `serve.queue_wait` each admitted frame's wait for a worker, both with
+//! the same window. A shed share or an error-budget burn rate over that
+//! window is a ratio of those counters, for a scraper to compute.
 //!
 //! Sheds are taxonomized (`serve.shed.queue_full` / `.draining` /
 //! `.halted` / `.debug_busy`, plus `serve.timeout.*` and

@@ -20,8 +20,7 @@ use crate::json::detections_json;
 use crate::replica::{spawn_supervisor, BlackBoxStore, ReplicaBuilder, ReplicaCore, ReplicaSet};
 use dronet_detect::{conform_frame, DegradeConfig, DegradeController, Detection, Detector};
 use dronet_obs::{
-    json_object, BlackBox, ChromeTrace, Clock, Health, JsonWriter, PromExporter, Registry, SloSet,
-    SloSpec, Tracer,
+    json_object, BlackBox, ChromeTrace, Clock, Health, JsonWriter, PromExporter, Registry, Tracer,
 };
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -183,8 +182,6 @@ struct Shared {
     obs: Registry,
     tracer: Tracer,
     config: Arc<ServeConfig>,
-    /// Declared objectives, fed from `POST /detect` outcomes.
-    slo: SloSet,
     /// In-flight `/debug/*` requests; bounded so a slow trace capture
     /// cannot pile up connection threads.
     debug_inflight: AtomicUsize,
@@ -439,12 +436,6 @@ impl Server {
         let shutdown = Arc::new(AtomicBool::new(false));
         let supervisor_handle = spawn_supervisor(Arc::clone(&replicas), Arc::clone(&shutdown));
 
-        // Every `POST /detect` outcome feeds these, surfaced on `/metrics`
-        // (burn-rate gauges) and `GET /debug/vars`.
-        let slo = SloSet::new(vec![
-            SloSpec::latency("detect_latency", Duration::from_millis(250), 0.99),
-            SloSpec::availability("detect_availability", 0.999),
-        ]);
         let shared = Arc::new(Shared {
             replicas,
             shutdown,
@@ -453,7 +444,6 @@ impl Server {
             obs: obs.clone(),
             tracer: tracer.clone(),
             config,
-            slo,
             debug_inflight: AtomicUsize::new(0),
         });
 
@@ -629,18 +619,17 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
             .record(write_started.elapsed());
         let latency = started.elapsed();
         shared.obs.histogram("serve.request").record(latency);
-        record_outcome(shared, &request.target, status, latency);
+        record_outcome(shared, &request.target, status);
         if close {
             return;
         }
     }
 }
 
-/// Per-endpoint and per-status-class response accounting, plus the SLO
-/// feed. Only `/detect` outcomes count against the declared objectives;
-/// a shed (`503`) or worker failure burns availability budget, while
-/// client errors (`4xx`) do not — a malformed PPM is not our outage.
-fn record_outcome(shared: &Shared, target: &str, status: u16, latency: Duration) {
+/// Per-endpoint and per-status-class response accounting: one counter
+/// pair per response, each with its rolling window, so a scraper derives
+/// `/detect`'s shed share or error rate from `serve.endpoint.detect.*`.
+fn record_outcome(shared: &Shared, target: &str, status: u16) {
     let class = match status {
         200..=299 => "2xx",
         300..=399 => "3xx",
@@ -656,9 +645,6 @@ fn record_outcome(shared: &Shared, target: &str, status: u16, latency: Duration)
         .obs
         .counter(&format!("serve.endpoint.{endpoint}.{class}"))
         .inc();
-    if endpoint == "detect" {
-        shared.slo.record(latency, status < 500);
-    }
 }
 
 /// Collapses a request target into a bounded endpoint label so the
@@ -768,9 +754,6 @@ fn route(request: &Request, shared: &Shared) -> Response {
     match (&request.method, path) {
         (Method::Post, "/detect") => handle_detect(request, shared),
         (Method::Get, "/metrics") => {
-            // Burn-rate gauges are computed on demand: a scrape sees the
-            // rolling windows as of this instant, not a stale publish.
-            shared.slo.publish(&shared.obs);
             let text = PromExporter::render(&shared.obs.snapshot(), &shared.obs.descriptions());
             Response::new(200, "OK", PromExporter::CONTENT_TYPE, &text)
         }
@@ -820,19 +803,17 @@ fn debug_busy(shared: &Shared) -> Response {
 
 /// `GET /debug/vars` — the server's one debug document: everything the
 /// process knows about itself, written in one pass. `metrics` is the full
-/// registry, each counter and histogram with its rolling window; `slo`
-/// every objective's burn windows and breach verdict; `replicas` one row
-/// per replica slot (status, generation, health, queue depth, p99, canary
-/// and rebuild failures); `black_boxes` every retained crash capture,
-/// oldest first.
+/// registry, each counter and histogram with its rolling window;
+/// `replicas` one row per replica slot (status, generation, health, queue
+/// depth, p99, canary and rebuild failures); `black_boxes` every retained
+/// crash capture, oldest first.
 fn handle_debug_vars(shared: &Shared) -> Response {
     let Some(_permit) = acquire_debug(shared) else {
         return debug_busy(shared);
     };
-    shared.slo.publish(&shared.obs);
     let mut body = JsonWriter::render(|w| {
-        json_object!(w, "metrics" => shared.obs.snapshot(), "slo" => &shared.slo,
-            "replicas" => &shared.replicas.slots, "black_boxes" => shared.replicas.black_boxes());
+        json_object!(w, "metrics" => shared.obs.snapshot(), "replicas" => &shared.replicas.slots,
+            "black_boxes" => shared.replicas.black_boxes());
     });
     body.push('\n');
     Response::json(body)

@@ -20,7 +20,7 @@ use crate::merge::{MergeConfig, TileMerger};
 use crate::selector::{SelectorConfig, TileSelector};
 use crate::{Result, TileError};
 use dronet_detect::track::{Tracker, TrackerConfig};
-use dronet_detect::{panic_payload_message, Detection, Detector, FaultKind, FaultPlan};
+use dronet_detect::{panic_payload_message, Detection, Detector, FaultPlan};
 use dronet_metrics::BBox;
 use dronet_nn::cost::network_cost;
 use dronet_obs::Tracer;
@@ -76,9 +76,9 @@ pub struct TiledDetector {
     tracer: Tracer,
     per_tile_flops: f64,
     /// Detector-side fault schedule applied per batch forward (chaos/test
-    /// knob, same machinery as `detect::fault`). Indexed by forward count.
+    /// knob, the step [`FaultyDetector`](dronet_detect::FaultyDetector)
+    /// takes). Indexed by the plan's shared call cursor.
     fault: FaultPlan,
-    fault_calls: usize,
 }
 
 impl TiledDetector {
@@ -120,7 +120,6 @@ impl TiledDetector {
             tracer: Tracer::noop(),
             per_tile_flops,
             fault: FaultPlan::none(),
-            fault_calls: 0,
         })
     }
 
@@ -146,13 +145,18 @@ impl TiledDetector {
         self.detector.set_tracing(tracer);
     }
 
-    /// Arms a detector-side fault schedule, applied once per tile batch
-    /// forward in call order ([`FaultKind::DetectorPanic`] panics inside
-    /// the batch, [`FaultKind::SlowDetect`] stalls it; source-side kinds
-    /// are ignored). Deterministic: same plan, same faults.
+    /// Arms a detector-side fault schedule, one [`FaultPlan::detector_step`]
+    /// per tile batch forward: [`FaultKind::DetectorPanic`] panics inside
+    /// the batch, [`FaultKind::SlowDetect`] stalls it on the plan's clock,
+    /// [`FaultKind::TransientDetect`] fails it with [`TileError::Detect`];
+    /// source-side kinds are ignored. Deterministic: same plan, same
+    /// faults.
+    ///
+    /// [`FaultKind::DetectorPanic`]: dronet_detect::FaultKind::DetectorPanic
+    /// [`FaultKind::SlowDetect`]: dronet_detect::FaultKind::SlowDetect
+    /// [`FaultKind::TransientDetect`]: dronet_detect::FaultKind::TransientDetect
     pub fn set_batch_faults(&mut self, plan: FaultPlan) {
         self.fault = plan;
-        self.fault_calls = 0;
     }
 
     /// Runs one frame through select → batch → merge → track.
@@ -231,17 +235,9 @@ impl TiledDetector {
             // tracker) holds only plain data, so it stays usable after
             // the catch; the caller decides whether to drop the frame or
             // retire the detector.
-            let injected = self.fault.fault_for(self.fault_calls).cloned();
-            self.fault_calls += 1;
-            let detector = &mut self.detector;
+            let (fault, detector) = (&self.fault, &mut self.detector);
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                match injected {
-                    Some(FaultKind::DetectorPanic) => {
-                        panic!("injected detector fault on tile batch")
-                    }
-                    Some(FaultKind::SlowDetect(d)) => std::thread::sleep(d),
-                    _ => {}
-                }
+                fault.detector_step()?;
                 detector.detect_batch_frames(batch, Some(&ids))
             }));
             drop(span);
@@ -273,8 +269,10 @@ impl TiledDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dronet_detect::DetectorBuilder;
+    use dronet_detect::{DetectorBuilder, FaultKind};
+    use dronet_obs::Clock;
     use dronet_tensor::Shape;
+    use std::time::{Duration, Instant};
 
     fn build(frame: (usize, usize), config: TiledDetectorConfig) -> TiledDetector {
         let net = dronet_core::zoo::build(dronet_core::ModelId::DroNet, 96).unwrap();
@@ -341,6 +339,24 @@ mod tests {
         // the same driver.
         let out = tiled.run_tiles(&frame, &[0], 1).unwrap();
         assert_eq!(out.tiles_selected, vec![0]);
+    }
+
+    #[test]
+    fn a_slow_batch_spends_its_spike_on_the_plan_clock() {
+        let mut tiled = build((256, 256), TiledDetectorConfig::default());
+        let clock = Clock::manual();
+        let spike = Duration::from_secs(10);
+        tiled.set_batch_faults(
+            FaultPlan::from_schedule(vec![Some(FaultKind::SlowDetect(spike))]).clock(&clock),
+        );
+        let frame = Tensor::zeros(Shape::nchw(1, 3, 256, 256));
+        let started = Instant::now();
+        tiled.run_tiles(&frame, &[0], 0).unwrap();
+        assert!(started.elapsed() < spike, "the spike blocked the batch");
+        assert_eq!(clock.now(), spike);
+        // The spike was one call's: the next batch spends nothing.
+        tiled.run_tiles(&frame, &[0], 1).unwrap();
+        assert_eq!(clock.now(), spike);
     }
 
     #[test]

@@ -1,18 +1,16 @@
 //! Load-test tour: spawn the detection server in-process, drive it with
 //! the seeded open-loop generator (steady phase, then a burst), and print
-//! the coordinated-omission-corrected report next to the server's own
-//! SLO verdicts, the `slo` member of `GET /debug/vars`.
+//! the coordinated-omission-corrected report: what was offered, what was
+//! shed, and how fast the admitted requests were served.
 //!
 //! ```text
 //! cargo run --release --example load_test [steady_hz [burst_hz]]
 //! ```
 
 use dronet::detect::DetectorBuilder;
-use dronet::obs::{JsonValue, Registry, Tracer};
+use dronet::obs::{Registry, Tracer};
 use dronet::serve::{DetectorFactory, ServeConfig, Server};
 use dronet_bench::loadgen::{frame_corpus, run, LoadgenConfig, Phase};
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -60,40 +58,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "offered {}  ok {}  shed {}  errors {}  timeouts {}  dropped {}",
         report.offered, report.ok, report.shed, report.errors, report.timeouts, report.dropped
     );
+    let shed_share = report.shed as f64 / report.completed.max(1) as f64;
     println!(
-        "goodput {:.1}/s  p50 {:.1} ms  p99 {:.1} ms  p99.9 {:.1} ms",
-        report.goodput(),
+        "shed share {:.2} %  goodput {:.1}/s",
+        shed_share * 100.0,
+        report.goodput()
+    );
+    println!(
+        "admitted p50 {:.1} ms  p99 {:.1} ms  p99.9 {:.1} ms",
         report.ok_quantile_ns(0.50) as f64 / 1e6,
         report.ok_quantile_ns(0.99) as f64 / 1e6,
         report.ok_quantile_ns(0.999) as f64 / 1e6,
     );
-
-    // The server's own view: declared objectives + burn rates.
-    let mut stream = TcpStream::connect(server.addr())?;
-    stream.write_all(b"GET /debug/vars HTTP/1.1\r\nHost: demo\r\nConnection: close\r\n\r\n")?;
-    let mut response = Vec::new();
-    stream.read_to_end(&mut response)?;
-    let body = response
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .map(|i| String::from_utf8_lossy(&response[i + 4..]).into_owned())
-        .unwrap_or_default();
-    let vars = JsonValue::parse(&body)?;
-    println!("\n=== SLO verdicts (GET /debug/vars) ===\n");
-    let slos = vars.get("slo").and_then(|s| s.get("slos"));
-    for slo in slos.and_then(JsonValue::as_array).unwrap_or_default() {
-        let field = |path: &[&str]| {
-            let v = path.iter().try_fold(slo, |v, key| v.get(key));
-            v.and_then(JsonValue::as_f64).unwrap_or(f64::NAN)
-        };
-        println!(
-            "{:<20} burn short {:.2}  long {:.2}  breached {}",
-            slo.get("name").and_then(JsonValue::as_str).unwrap_or("?"),
-            field(&["short", "burn_rate"]),
-            field(&["long", "burn_rate"]),
-            field(&["breached"]),
-        );
-    }
 
     let drain = server.shutdown();
     println!("drained: {}", drain.drained);

@@ -116,8 +116,8 @@ fn main() {
     println!("server health: {:?}", server.health());
 
     // The live debug surface: the one debug document (registry with its
-    // windows, SLO verdicts, replicas, black boxes) and a short
-    // Chrome-trace capture ready for https://ui.perfetto.dev.
+    // windows, replicas, black boxes) and a short Chrome-trace capture
+    // ready for https://ui.perfetto.dev.
     let (status, vars) = request(addr, "GET", "/debug/vars", &[]);
     let snippet: String = vars.chars().take(96).collect();
     println!("/debug/vars ({status}): {snippet}...");

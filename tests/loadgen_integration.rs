@@ -1,16 +1,14 @@
 //! End-to-end tests for the open-loop load generator against a real
 //! server: the arrival schedule is seed-deterministic, a comfortable
 //! load completes cleanly with every request accounted for, and an
-//! overloaded server sheds with `503`s (breaching its availability SLO)
-//! instead of silently queueing.
+//! overloaded server sheds with `503`s instead of silently queueing,
+//! while the requests it admits stay fast.
 
 use dronet::detect::DetectorBuilder;
-use dronet::obs::{JsonValue, Registry, Tracer};
+use dronet::obs::{Registry, Tracer};
 use dronet::serve::{DetectorFactory, Fault, FaultEvent, FaultSchedule, ServeConfig, Server};
 use dronet_bench::loadgen::{frame_corpus, run_plan, ArrivalPlan, LoadgenConfig, Phase};
 use dronet_core::{zoo, ModelId};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -35,22 +33,6 @@ fn loadgen_server(queue_capacity: usize, faults: FaultSchedule) -> Server {
         ..ServeConfig::default()
     };
     Server::start(factory(), config, &Registry::new(), &Tracer::noop()).expect("server starts")
-}
-
-fn http_get(addr: SocketAddr, path: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let head = format!("GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n");
-    stream.write_all(head.as_bytes()).expect("write GET");
-    let mut response = Vec::new();
-    stream.read_to_end(&mut response).expect("read response");
-    let split = response
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("head terminator");
-    String::from_utf8_lossy(&response[split + 4..]).into_owned()
 }
 
 #[test]
@@ -108,9 +90,9 @@ fn comfortable_load_completes_cleanly_and_balances_the_books() {
 fn overload_sheds_instead_of_collapsing() {
     // One worker, a 5 ms artificial service floor (≈ ≤200/s capacity) and
     // a shallow queue, offered ~600 Hz: the server must answer with 503s,
-    // keep serving the admitted stream, and its own availability SLO must
-    // flag the outage while the latency SLO (admitted requests only)
-    // stays green — queue wait is bounded by the shallow queue.
+    // keep serving the admitted stream, shed well past a 99.9 %
+    // availability budget, and keep admitted requests fast — queue wait
+    // is bounded by the shallow queue.
     let stall = FaultEvent::at(Duration::ZERO, 0, Fault::Stall(Duration::from_millis(5)));
     let server = loadgen_server(4, FaultSchedule::new(vec![stall]));
     let cfg = LoadgenConfig {
@@ -122,7 +104,6 @@ fn overload_sheds_instead_of_collapsing() {
     };
     let plan = ArrivalPlan::generate(cfg.seed, &cfg.phases);
     let report = run_plan(server.addr(), &cfg, &plan);
-    let vars_body = http_get(server.addr(), "/debug/vars");
     let _ = server.shutdown();
 
     assert_eq!(
@@ -133,27 +114,23 @@ fn overload_sheds_instead_of_collapsing() {
     assert!(report.ok > 0, "the admitted stream must keep flowing");
     assert_eq!(report.errors, 0, "sheds are 503s, not 5xx chaos");
 
-    let vars = JsonValue::parse(&vars_body).expect("/debug/vars parses");
-    let breached = |name: &str| -> u64 {
-        vars.get("slo")
-            .and_then(|slo| slo.get("slos"))
-            .and_then(JsonValue::as_array)
-            .and_then(|slos| {
-                slos.iter()
-                    .find(|s| s.get("name").and_then(JsonValue::as_str) == Some(name))
-            })
-            .and_then(|s| s.get("breached"))
-            .and_then(JsonValue::as_u64)
-            .expect("breached flag")
-    };
-    assert_eq!(
-        breached("detect_availability"),
-        1,
-        "sustained 503s must burn the availability budget in both windows"
+    // Availability: a 99.9 % objective leaves a 0.1 % error budget, and an
+    // outage worth flagging burns it at least twice as fast, so at least
+    // 0.2 % of completed requests must be 503s.
+    let shed_share = report.shed as f64 / report.completed as f64;
+    assert!(
+        shed_share >= 2.0 * 0.001,
+        "sustained overload must shed ≥ 0.2 % of requests, shed {shed_share:.4}"
     );
-    assert_eq!(
-        breached("detect_latency"),
-        0,
-        "admitted requests stay fast — shedding protected the latency SLO"
+    // Latency: the report's p99 of admitted (2xx) requests. It is measured
+    // at the client from each request's intended send time, so it charges
+    // the server for queueing, the write path and head-of-line waits on
+    // the pipelined connection alike: the strictest admitted latency
+    // either side reports, where `serve.queue_wait` would see only the
+    // queue and `serve.request` mixes in the fast 503s.
+    let p99 = Duration::from_nanos(report.ok_quantile_ns(0.99));
+    assert!(
+        p99 < Duration::from_millis(250),
+        "admitted requests stay fast — shedding protected their latency, p99 {p99:?}"
     );
 }
