@@ -1,13 +1,16 @@
 //! Bounded admission queue and the dynamic micro-batching worker pool.
 //!
-//! Connections push one [`Job`] per `POST /detect`; workers pop *batches*:
-//! once a job arrives, a worker waits up to `max_wait` (measured from the
-//! head job's enqueue time) for the batch to fill to `max_batch`, then
+//! Connections push one [`Job`] per `POST /detect`; workers pop *batches*.
+//! The batcher is work-conserving: a free worker takes every queued job,
+//! up to `max_batch`, the moment one is there, and never waits for more.
+//! A batch is whatever queued up while the workers were busy. The worker
 //! stacks the frames into one NCHW tensor, runs a single shared
 //! `Network::forward`, and de-multiplexes per-image decode + NMS results
-//! back to each waiting connection over its reply channel. This amortizes
-//! im2col/GEMM setup across concurrent requests — the same cost-amortizing
-//! move the paper makes per-frame, applied across the wire.
+//! back to each waiting connection over its reply channel. At 352² the
+//! forward's per-image cost is flat in batch size (the repo benchmark's
+//! `nn.batch_ms_per_image` on `tile_1408` against `stream_352`), so
+//! waiting for stragglers would only add latency; what a batch buys is
+//! fewer forwards when a backlog has formed.
 //!
 //! The queue is strictly bounded: a full queue rejects at push time
 //! ([`ServeError::Overloaded`] → `503` + `Retry-After`) instead of letting
@@ -206,49 +209,26 @@ impl BatchQueue {
         self.len() == 0
     }
 
-    /// Blocks until at least one job is available, then keeps waiting — up
-    /// to `max_wait` past the head job's arrival — for the batch to fill to
-    /// `max_batch`. Returns `None` only when the queue is closed and empty.
-    pub fn pop_batch(&self, max_batch: usize, max_wait: Duration) -> Option<Vec<Job>> {
+    /// Blocks until at least one job is queued, then takes up to
+    /// `max_batch` of them, FIFO, at once: it never waits for more.
+    /// Returns `None` only when the queue is closed and empty.
+    pub fn pop_batch(&self, max_batch: usize) -> Option<Vec<Job>> {
         let mut s = lock_recover(&self.state);
-        loop {
-            while s.jobs.is_empty() {
-                if s.closed {
-                    return None;
-                }
-                s = self.cond.wait(s).unwrap_or_else(PoisonError::into_inner);
+        while s.jobs.is_empty() {
+            if s.closed {
+                return None;
             }
-            // A batch head exists; linger for stragglers to coalesce.
-            let deadline = s.jobs.front().map(|j| j.enqueued + max_wait);
-            while s.jobs.len() < max_batch && !s.closed {
-                let Some(deadline) = deadline else { break };
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, _) = self
-                    .cond
-                    .wait_timeout(s, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                s = guard;
-                if s.jobs.is_empty() {
-                    // Another worker took the whole batch; start over.
-                    break;
-                }
-            }
-            if s.jobs.is_empty() {
-                continue;
-            }
-            let n = s.jobs.len().min(max_batch);
-            let batch: Vec<Job> = s.jobs.drain(..n).collect();
-            self.drained.record_at(mono_now_ns(), n as u64);
-            self.depth.set(s.jobs.len() as f64);
-            if !s.jobs.is_empty() {
-                // Leftovers form the next batch head; wake another worker.
-                self.cond.notify_one();
-            }
-            return Some(batch);
+            s = self.cond.wait(s).unwrap_or_else(PoisonError::into_inner);
         }
+        let n = s.jobs.len().min(max_batch);
+        let batch: Vec<Job> = s.jobs.drain(..n).collect();
+        self.drained.record_at(mono_now_ns(), n as u64);
+        self.depth.set(s.jobs.len() as f64);
+        if !s.jobs.is_empty() {
+            // Leftovers form the next batch; wake another worker.
+            self.cond.notify_one();
+        }
+        Some(batch)
     }
 
     /// Jobs per second handed to workers over the recent drain window
@@ -506,8 +486,7 @@ pub(crate) fn spawn_worker(shared: &Arc<WorkerShared>, detector: Detector) {
                 .name_thread(&format!("serve-worker-{index}"));
             let mut detector = detector;
             loop {
-                let config = &shared.builder.config;
-                let Some(batch) = shared.queue.pop_batch(config.max_batch, config.max_wait) else {
+                let Some(batch) = shared.queue.pop_batch(shared.builder.config.max_batch) else {
                     // Clean shutdown: the queue closed and drained.
                     slot.retire();
                     return;
@@ -768,44 +747,81 @@ mod tests {
         assert!(matches!(q.push(job(2, &tx)), Err(ServeError::Draining)));
         assert_eq!(q.len(), 1);
         // A worker still drains the backlog…
-        let batch = q.pop_batch(8, Duration::ZERO).expect("backlog");
+        let batch = q.pop_batch(8).expect("backlog");
         assert_eq!(batch.len(), 1);
         // …and only then signals exit.
-        assert!(q.pop_batch(8, Duration::ZERO).is_none());
+        assert!(q.pop_batch(8).is_none());
+    }
+
+    /// A consumer thread standing in for a worker: each `go` lets it pop
+    /// one batch, whose frame ids it sends back.
+    fn worker_stand_in(
+        q: &Arc<BatchQueue>,
+        max_batch: usize,
+    ) -> (mpsc::Sender<()>, mpsc::Receiver<Vec<u64>>) {
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        let (ids_tx, ids_rx) = mpsc::channel();
+        let q = Arc::clone(q);
+        thread::spawn(move || {
+            while go_rx.recv().is_ok() {
+                let Some(batch) = q.pop_batch(max_batch) else {
+                    return;
+                };
+                let ids = batch.iter().map(|j| j.frame_id).collect();
+                if ids_tx.send(ids).is_err() {
+                    return;
+                }
+            }
+        });
+        (go_tx, ids_rx)
+    }
+
+    /// The stand-in's next batch; a batcher that holds a batch back fails
+    /// here instead of hanging the test.
+    fn next_batch(batches: &mpsc::Receiver<Vec<u64>>) -> Vec<u64> {
+        batches
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a queued job is handed out")
     }
 
     #[test]
-    fn pop_batch_coalesces_up_to_max_batch() {
+    fn a_lone_job_is_returned_at_once() {
         let obs = Registry::new();
         let q = BatchQueue::new(16, &obs);
         let (tx, _rx) = mpsc::channel();
-        for i in 0..5 {
+        let (go, batches) = worker_stand_in(&q, 8);
+        go.send(()).unwrap();
+        go.send(()).unwrap();
+        q.push(job(0, &tx)).unwrap();
+        // Job 1 is pushed only once job 0's batch is out: a batcher that
+        // waited for a second job would never return the first.
+        assert_eq!(next_batch(&batches), vec![0]);
+        q.push(job(1, &tx)).unwrap();
+        assert_eq!(next_batch(&batches), vec![1]);
+    }
+
+    #[test]
+    fn jobs_queued_behind_a_busy_worker_ride_the_next_batch_together() {
+        let obs = Registry::new();
+        let q = BatchQueue::new(16, &obs);
+        let (tx, _rx) = mpsc::channel();
+        let (go, batches) = worker_stand_in(&q, 3);
+        q.push(job(0, &tx)).unwrap();
+        go.send(()).unwrap();
+        assert_eq!(next_batch(&batches), vec![0]);
+        // The worker is busy with job 0's batch while four more arrive.
+        for i in 1..=4 {
             q.push(job(i, &tx)).unwrap();
         }
-        let batch = q.pop_batch(4, Duration::ZERO).expect("batch");
-        assert_eq!(batch.len(), 4, "capped at max_batch");
-        assert_eq!(batch[0].frame_id, 0, "FIFO order");
-        let rest = q.pop_batch(4, Duration::ZERO).expect("leftover");
-        assert_eq!(rest.len(), 1);
+        go.send(()).unwrap();
+        assert_eq!(
+            next_batch(&batches),
+            vec![1, 2, 3],
+            "FIFO, capped at max_batch"
+        );
+        go.send(()).unwrap();
+        assert_eq!(next_batch(&batches), vec![4]);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn pop_batch_lingers_for_stragglers() {
-        let obs = Registry::new();
-        let q = BatchQueue::new(16, &obs);
-        let (tx, _rx) = mpsc::channel();
-        q.push(job(0, &tx)).unwrap();
-        let q2 = Arc::clone(&q);
-        let tx2 = tx.clone();
-        let pusher = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(10));
-            q2.push(job(1, &tx2)).unwrap();
-        });
-        // max_wait far beyond the straggler's arrival: both coalesce.
-        let batch = q.pop_batch(2, Duration::from_secs(5)).expect("batch");
-        assert_eq!(batch.len(), 2);
-        pusher.join().unwrap();
     }
 
     #[test]
@@ -825,10 +841,10 @@ mod tests {
         // Every operation still works on the inherited state.
         q.push(job(2, &tx)).unwrap();
         assert_eq!(q.len(), 2);
-        let batch = q.pop_batch(8, Duration::ZERO).expect("batch");
+        let batch = q.pop_batch(8).expect("batch");
         assert_eq!(batch.len(), 2);
         q.close();
-        assert!(q.pop_batch(8, Duration::ZERO).is_none());
+        assert!(q.pop_batch(8).is_none());
     }
 
     #[test]
@@ -857,7 +873,7 @@ mod tests {
         // One job drains; the window now knows the rate is ~0.2/s (1 job
         // per 5 s window). Six queued jobs at that rate need ~30 s.
         q.push(job(0, &tx)).unwrap();
-        q.pop_batch(1, Duration::ZERO).unwrap();
+        q.pop_batch(1).unwrap();
         assert!(q.drain_rate_per_sec() > 0.0);
         for i in 1..=6 {
             q.push(job(i, &tx)).unwrap();
@@ -871,7 +887,7 @@ mod tests {
         assert_eq!(q.retry_after_hint(1, 3), 3);
         // Draining the backlog raises the observed rate and the hint
         // falls back to the floor once the queue is empty.
-        q.pop_batch(16, Duration::ZERO).unwrap();
+        q.pop_batch(16).unwrap();
         assert_eq!(q.retry_after_hint(1, 120), 1, "empty queue needs no wait");
     }
 

@@ -13,13 +13,15 @@
 //!   when it is full the server sheds load with `503` + `Retry-After`
 //!   instead of queueing unbounded latency, and every connection carries
 //!   read/write deadlines.
-//! * dynamic micro-batching — workers coalesce queued frames into one NCHW
-//!   batch (dispatch when `max_batch` fills or `max_wait` expires,
-//!   whichever first), run a single shared `Network::forward`, and
-//!   de-multiplex per-image decode + NMS back to each waiting connection.
-//!   Batch-1 traffic pays full per-request setup; coalesced traffic
-//!   amortizes it — the repo benchmark's `nn.batch_ms_per_image` and
-//!   `serve.batch_size_mean` measure by how much.
+//! * dynamic micro-batching — a free worker takes every queued frame, up
+//!   to `max_batch`, as one NCHW batch the moment one is there (it never
+//!   waits for stragglers), runs a single shared `Network::forward`, and
+//!   de-multiplexes per-image decode + NMS back to each waiting
+//!   connection. At 352² the forward's per-image cost is flat in batch
+//!   size (the repo benchmark's `nn.batch_ms_per_image` on `tile_1408`
+//!   against `stream_352`): a batch saves no per-image work, it only
+//!   means fewer forwards once a backlog has formed
+//!   (`serve.batch_size_mean`).
 //! * endpoints — `POST /detect` (binary P6 PPM body → JSON detections),
 //!   `GET /metrics` (Prometheus text exposition — `# HELP`/`# TYPE`,
 //!   cumulative series, and rolling 10-second `_window_rate` /

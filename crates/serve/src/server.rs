@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 pub type DetectorFactory = Arc<dyn Fn() -> dronet_detect::Result<Detector> + Send + Sync>;
 
 /// Server tuning knobs. The defaults favour a small embedded host: tight
-/// limits, a short coalescing window, shallow queue.
+/// limits, small batches, shallow queue.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address; port `0` picks an ephemeral port.
@@ -44,8 +44,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Largest batch a single forward pass may carry.
     pub max_batch: usize,
-    /// How long a batch head waits for stragglers before dispatch.
-    pub max_wait: Duration,
     /// Admission queue capacity; beyond it requests are shed with `503`.
     pub queue_capacity: usize,
     /// Deadline for completing a request's body once its header is in.
@@ -112,7 +110,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 1,
             max_batch: 8,
-            max_wait: Duration::from_millis(2),
             queue_capacity: 64,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),

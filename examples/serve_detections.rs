@@ -2,8 +2,9 @@
 //!
 //! Starts the zero-dependency detection server on an ephemeral port, fires
 //! eight concurrent `POST /detect` requests (PPM frames in, JSON detections
-//! out), shows how they coalesce into shared forward batches, scrapes the
-//! live `/metrics` endpoint, and drains gracefully.
+//! out), shows how the frames that queue while the worker is busy share
+//! forward batches, scrapes the live `/metrics` endpoint, and drains
+//! gracefully.
 //!
 //! ```text
 //! cargo run --release --example serve_detections
@@ -62,8 +63,6 @@ fn main() {
     let tracer = Tracer::new();
     let config = ServeConfig {
         max_batch: 8,
-        // Linger briefly so concurrent requests share one forward pass.
-        max_wait: Duration::from_millis(50),
         ..ServeConfig::default()
     };
     let server = Server::start(factory, config, &obs, &tracer).expect("start server");

@@ -116,11 +116,13 @@ fn post_detect(addr: SocketAddr) -> (u16, String, Vec<u8>) {
 fn concurrent_requests_coalesce_into_batches() {
     let obs = Registry::new();
     let tracer = Tracer::new();
+    // The batcher never waits for stragglers, so hold the only worker on
+    // its first batch: the other clients' frames queue up behind it and
+    // ride the next batch together, even on a loaded CI box.
+    let hold = Fault::StallOnce(Duration::from_millis(500));
     let config = ServeConfig {
         max_batch: 8,
-        // Generous linger so all eight clients land in the first batch even
-        // on a loaded CI box.
-        max_wait: Duration::from_millis(250),
+        faults: FaultSchedule::new(vec![FaultEvent::at(Duration::ZERO, 0, hold)]),
         ..ServeConfig::default()
     };
     let server = Server::start(factory(), config, &obs, &tracer).expect("start");
@@ -169,7 +171,6 @@ fn full_queue_sheds_load_with_503_and_retry_after() {
     let config = ServeConfig {
         workers: 1,
         max_batch: 1,
-        max_wait: Duration::ZERO,
         queue_capacity: 1,
         // Hold the only worker busy so the queue stays full.
         faults: slow_worker(),
@@ -694,7 +695,6 @@ fn retry_after_hint_tracks_queue_drain_rate() {
     let config = ServeConfig {
         workers: 1,
         max_batch: 1,
-        max_wait: Duration::ZERO,
         queue_capacity: 3,
         faults: slow_worker(),
         ..ServeConfig::default()
