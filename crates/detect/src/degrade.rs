@@ -9,7 +9,7 @@
 //! upshift back. [`DegradeController`] implements that hysteresis as a
 //! deterministic state machine over per-frame load observations, and
 //! [`DegradeController::step`] is the workspace's one brownout step: both
-//! `detect::Supervisor` (queue depth + camera drops per frame) and serve's
+//! `detect::Supervisor` (estimated camera drops per frame) and serve's
 //! replicas (queue depth + admission drops per tick) call it, then conform
 //! later frames to the size it returns. A rung is a frame size: the
 //! network is fully convolutional, and [`crate::Detector`] runs at the

@@ -137,10 +137,8 @@ impl DetectorBuilder {
 ///
 /// [`Detector`] is the real implementation;
 /// [`crate::fault::FaultyDetector`] wraps any stage with an injected fault
-/// schedule, and tests substitute hand-written stages. `Send` is required
-/// so the supervisor can run the stage on a watchdog-monitored worker
-/// thread and abandon it when it hangs.
-pub trait DetectStage: Send {
+/// schedule, and tests substitute hand-written stages.
+pub trait DetectStage {
     /// Runs detection on a `[1, c, h, w]` frame, at the frame's size: with
     /// a degradation controller the supervisor conforms each frame to the
     /// current ladder rung, and the stage runs at that rung.

@@ -42,11 +42,11 @@ pub enum DetectError {
         /// The panic payload or failure description.
         msg: String,
     },
-    /// A pipeline stage exceeded its watchdog deadline.
+    /// A pipeline stage exceeded its deadline.
     Timeout {
         /// Name of the stage, e.g. `"detect"` or `"source"`.
         stage: &'static str,
-        /// How long the stage actually ran (or has been waited on).
+        /// How long the stage actually ran.
         elapsed: Duration,
         /// The configured per-stage deadline.
         limit: Duration,

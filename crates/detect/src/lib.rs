@@ -18,7 +18,7 @@
 //!   consumes frames through,
 //! * [`fault`] — a deterministic, seeded fault-injection harness (stalls,
 //!   corrupt/NaN frames, transient errors, latency spikes, panics),
-//! * [`supervisor`] — the self-healing runner: watchdog timeouts, panic
+//! * [`supervisor`] — the self-healing runner: per-stage deadlines, panic
 //!   isolation with stage restarts, bounded retry with backoff, and a
 //!   `Healthy → Degraded → Halted` health-state machine,
 //! * [`degrade`] — graceful degradation along the paper's 352–608
@@ -55,7 +55,6 @@ pub mod degrade;
 pub mod fault;
 pub mod nms;
 pub mod pipeline;
-mod pump;
 pub mod source;
 pub mod supervisor;
 pub mod track;

@@ -1,9 +1,9 @@
 //! Per-frame results of the on-board loop of the paper's Fig. 5 deployment
 //! ("we use the on-board camera to retrieve real-time video feed and pass
 //! it frame by frame to the processing board where the vehicles are
-//! detected"). The loop itself is [`crate::Supervisor`]: `run_sync`
-//! processes every frame inline, `run` drains the camera through a
-//! single-slot buffer and drops what arrives while the detector is busy.
+//! detected"). The loop itself is [`crate::Supervisor::run_sync`], which
+//! processes every frame inline; the frames a camera at a nominal rate
+//! would have lost meanwhile are estimated, not dropped.
 
 use crate::Detection;
 use std::time::Duration;

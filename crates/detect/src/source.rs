@@ -79,15 +79,16 @@ pub fn resize_frame(frame: &Tensor, out_h: usize, out_w: usize) -> Tensor {
 ///
 /// # Errors
 ///
-/// Returns [`DetectError::CorruptFrame`] for a non-4D tensor, a channel
-/// mismatch, or non-finite pixel values (a NaN-poisoned readout).
+/// Returns [`DetectError::CorruptFrame`] for a non-4D tensor, a batch of
+/// other than one image, a channel mismatch, or non-finite pixel values (a
+/// NaN-poisoned readout).
 pub fn conform_frame(
     frame: Tensor,
     chw: (usize, usize, usize),
     frame_index: usize,
 ) -> Result<Tensor> {
     let s = frame.shape();
-    if s.rank() != 4 || s.channels() != chw.0 {
+    if s.rank() != 4 || s.batch() != 1 || s.channels() != chw.0 {
         return Err(DetectError::CorruptFrame {
             frame_index,
             msg: format!("shape {s} incompatible with detector input {chw:?}"),
@@ -162,6 +163,13 @@ mod tests {
         assert!(matches!(
             conform_frame(bad_c, (3, 8, 8), 7),
             Err(DetectError::CorruptFrame { frame_index: 7, .. })
+        ));
+        // A frame is one image: a batch from the camera is corrupt, not
+        // the detector's fault.
+        let batch = Tensor::zeros(Shape::nchw(2, 3, 8, 8));
+        assert!(matches!(
+            conform_frame(batch, (3, 8, 8), 1),
+            Err(DetectError::CorruptFrame { frame_index: 1, .. })
         ));
         // NaN poisoning is corrupt.
         let mut nan = Tensor::zeros(Shape::nchw(1, 3, 8, 8));

@@ -1,15 +1,16 @@
-//! The self-healing pipeline: runs a detection stage under a watchdog,
-//! isolates crashes, retries transient failures, and degrades resolution
-//! instead of dying.
+//! The self-healing pipeline: runs a detection stage against per-stage
+//! deadlines, isolates crashes, retries transient failures, and degrades
+//! resolution instead of dying.
 //!
 //! The paper's deployment (Fig. 5) is an *unattended* loop on an
 //! Odroid-XU4/RPi3: the camera's frames go one by one to the detector, and
 //! a fault mid-flight must cost a frame, not the flight. [`Supervisor`] is
 //! the workspace's one frame loop, with:
 //!
-//! * **per-stage watchdogs** — the frame source and the detector each get
-//!   a deadline; a stalled camera is reported (and eventually halts the
-//!   run), a hung detector stage is abandoned and restarted,
+//! * **per-stage deadlines** — the frame source and the detector each get
+//!   one; a frame acquisition or a detector pass that ran past it is
+//!   recorded as a fault against its frame once it returns (a stage that
+//!   never returns blocks the loop: nothing is pre-empted),
 //! * **panic isolation** — the detector runs under `catch_unwind`; a
 //!   crash becomes a typed [`DetectError::StageFailed`] and the stage is
 //!   rebuilt from its factory instead of unwinding across the pipeline,
@@ -22,39 +23,35 @@
 //!   to `Healthy` by the workspace's one [`RecoveryClock`] — a clean streak
 //!   of `recovery_frames` frames, with the ladder back at its top,
 //! * **graceful degradation** — an optional [`DegradeController`]
-//!   watches the queue-depth gauge and drop counter and walks the
-//!   detector down (and back up) the paper's 352–608 resolution ladder:
-//!   frames are conformed to the current rung and the stage runs at the
-//!   size it is given, so a shift builds nothing. A run that ends below
-//!   the top of its ladder reports `Degraded`.
+//!   watches the drops a camera at [`SupervisorConfig::camera_fps`] would
+//!   have suffered and walks the detector down (and back up) the paper's
+//!   352–608 resolution ladder: frames are conformed to the current rung
+//!   and the stage runs at the size it is given, so a shift builds
+//!   nothing. A run that ends below the top of its ladder reports
+//!   `Degraded`.
 //!
-//! There is one implementation of that policy (the private `supervise`)
-//! and two executors under it, which differ only in how a frame is fetched
-//! and how a stage call is executed: [`Supervisor::run`] fetches through
-//! the camera pump and calls the stage on a worker thread it can abandon
-//! at the deadline; [`Supervisor::run_sync`] does both inline, so nothing
-//! is pre-empted and the fault ledger is deterministic.
+//! [`Supervisor::run_sync`] is the one executor: it fetches each frame and
+//! calls the stage on the calling thread, so the fault ledger is
+//! deterministic for a given fault schedule.
 //!
-//! Every duration the policy judges — a stage call's latency, an inline
-//! frame acquisition, the retry backoff — is read from, or spent on, the
+//! Every duration the policy judges — a stage call's latency, a frame
+//! acquisition, the retry backoff — is read from, or spent on, the
 //! supervisor's [`Clock`] ([`Supervisor::clock`], real by default). On a
 //! manual clock whose only movement is a fault plan's stalls and spikes,
-//! a `run_sync` is exact, overload verdicts included.
+//! a run is exact, overload verdicts included.
 
 use crate::degrade::{DegradeController, ShiftMetrics};
 use crate::detector::DetectStage;
 use crate::error::panic_payload_message;
 use crate::pipeline::{estimated_drops, FrameResult};
-use crate::pump::{CameraPump, Pumped};
 use crate::source::{conform_frame, FrameSource};
 use crate::{DetectError, Detection, Result};
 use dronet_metrics::Fps;
 use dronet_obs::{
-    BlackBox, Clock, Counter, HealthCell, Histogram, RecoveryClock, Registry, RestartBudget, Tracer,
+    BlackBox, Clock, Counter, HealthCell, RecoveryClock, Registry, RestartBudget, Tracer,
 };
 use dronet_tensor::Tensor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::time::Duration;
 
 pub use dronet_obs::Health;
@@ -72,28 +69,23 @@ pub struct FaultEvent {
 
 /// Tunables of the supervised pipeline.
 ///
-/// The two deadlines are judged two ways. [`Supervisor::run`] waits for
-/// the camera and the stage with wall-clock timeouts, since it must
-/// pre-empt real threads. [`Supervisor::run_sync`] compares the latency it
-/// read from the supervisor's [`Clock`] with them after the fact, as it
-/// does the latency behind its [`SupervisorConfig::camera_fps`] overload
-/// estimate.
+/// The two deadlines are verdicts, not pre-emption: [`Supervisor::run_sync`]
+/// compares the latency it read from the supervisor's [`Clock`] with them
+/// after the call returns, as it does the latency behind its
+/// [`SupervisorConfig::camera_fps`] overload estimate.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
     /// Deadline for frame acquisition; exceeding it records a camera
-    /// stall.
+    /// stall against the frame.
     pub source_timeout: Duration,
-    /// Deadline for one detector pass; exceeding it abandons and restarts
-    /// the stage (threaded mode) or flags the frame (sync mode).
+    /// Deadline for one detector pass; exceeding it records a `detect`
+    /// fault against the frame, whose detections are kept.
     pub stage_timeout: Duration,
-    /// Consecutive source watchdog expiries before halting (threaded mode).
-    pub max_consecutive_stalls: u32,
     /// Clean frames required to recover from `Degraded` to `Healthy` (with
     /// the ladder at its top).
     pub recovery_frames: u32,
-    /// Synchronous mode only: nominal camera rate used to *estimate*
-    /// overload (drops) from per-frame latency, since a synchronous run
-    /// never physically drops frames.
+    /// Nominal camera rate used to *estimate* overload (drops) from
+    /// per-frame latency, since the loop never physically drops a frame.
     pub camera_fps: Option<f64>,
 }
 
@@ -102,7 +94,6 @@ impl Default for SupervisorConfig {
         SupervisorConfig {
             source_timeout: Duration::from_millis(250),
             stage_timeout: Duration::from_secs(1),
-            max_consecutive_stalls: 8,
             recovery_frames: 8,
             camera_fps: None,
         }
@@ -115,25 +106,22 @@ impl Default for SupervisorConfig {
 pub struct SupervisorReport {
     /// Per-frame results of successfully processed frames.
     pub frames: Vec<FrameResult>,
-    /// Frame ids of the frames dropped at the camera buffer (threaded
-    /// mode), in drop order.
-    pub dropped_ids: Vec<u64>,
     /// Frame ids of the frames consumed but abandoned after faults
     /// exhausted their retries, in occurrence order.
     pub skipped_ids: Vec<u64>,
     /// Crash black box: the flight recorder's tail at the most recent stage
-    /// failure, watchdog trip, or halt (later captures overwrite earlier
-    /// ones — the events leading up to the *final* failure are the ones a
-    /// post-mortem reads). `None` when the run was clean or no tracer was
-    /// attached via [`Supervisor::tracing`].
+    /// failure or halt (later captures overwrite earlier ones — the events
+    /// leading up to the *final* failure are the ones a post-mortem reads).
+    /// `None` when the run was clean or no tracer was attached via
+    /// [`Supervisor::tracing`].
     pub black_box: Option<BlackBox>,
     /// Every fault observed, in occurrence order.
     pub faults: Vec<FaultEvent>,
-    /// Detector stage restarts (panics, hangs, unexpected exits).
+    /// Detector stage restarts (after panics).
     pub restarts: u32,
     /// Frame-level retry attempts.
     pub retries: u32,
-    /// Camera stall events (source watchdog expiries).
+    /// Camera stalls: acquisitions that ran past `source_timeout`.
     pub stalls: u32,
     /// Input sizes used over the run, starting with the initial one.
     pub resolution_history: Vec<usize>,
@@ -145,11 +133,6 @@ impl SupervisorReport {
     /// Number of frames actually processed.
     pub fn processed(&self) -> usize {
         self.frames.len()
-    }
-
-    /// Frames dropped at the camera buffer (threaded mode).
-    pub fn dropped(&self) -> usize {
-        self.dropped_ids.len()
     }
 
     /// Frames consumed but abandoned after faults exhausted their retries.
@@ -182,8 +165,8 @@ impl SupervisorReport {
     }
 
     /// How many frames a camera producing at `camera_fps` would have
-    /// dropped while each processed frame was being computed (synchronous
-    /// mode's analytic equivalent of the threaded drop counter).
+    /// dropped while each processed frame was being computed: the loop's
+    /// one drop model.
     ///
     /// Non-positive or non-finite `camera_fps` (a camera that never
     /// produces a frame) and empty runs both estimate zero drops.
@@ -205,15 +188,13 @@ impl SupervisorReport {
 }
 
 /// Factory building the detection stage: called once at startup and again
-/// after every crash or hang. A resolution shift builds nothing: the stage
+/// after every crash. A resolution shift builds nothing: the stage
 /// runs at the size of the frames it is given.
 pub type StageFactory<'a> = dyn FnMut() -> Result<Box<dyn DetectStage>> + 'a;
 
 /// The supervised pipeline runner. See the module docs for the full
 /// behaviour; construct with [`Supervisor::new`], attach telemetry with
-/// [`Supervisor::observability`], then call [`Supervisor::run`] (threaded,
-/// watchdog-enforced) or [`Supervisor::run_sync`] (single-threaded,
-/// deterministic).
+/// [`Supervisor::observability`], then call [`Supervisor::run_sync`].
 #[derive(Debug, Default)]
 pub struct Supervisor {
     config: SupervisorConfig,
@@ -263,11 +244,11 @@ impl Monitor {
         self.recovery.fault(&self.health);
     }
 
-    fn stall(&mut self, elapsed: Duration, limit: Duration) {
+    fn stall(&mut self, index: usize, elapsed: Duration, limit: Duration) {
         self.report.stalls += 1;
         self.stalls_counter.inc();
         self.fault(
-            None,
+            Some(index),
             "source",
             DetectError::Timeout {
                 stage: "source",
@@ -338,7 +319,7 @@ pub const BACKOFF_BASE: Duration = Duration::from_millis(2);
 /// [`BACKOFF_BASE`] × 2ⁿ⁻¹ on the clock first.
 const MAX_RETRIES: u64 = 2;
 
-/// Detector stage restarts (after panics/hangs) before halting.
+/// Detector stage restarts (after panics) before halting.
 const MAX_RESTARTS: u64 = 5;
 
 fn backoff(attempt: u64) -> Duration {
@@ -349,8 +330,8 @@ fn backoff(attempt: u64) -> Duration {
 enum StageCall {
     /// The stage returned — detections or a typed error — after this long.
     Returned(Result<Vec<Detection>>, Duration),
-    /// The stage is lost (panicked, hung past its deadline, or gone) and
-    /// must be rebuilt before anything else is dispatched.
+    /// The stage panicked and must be rebuilt before anything else is
+    /// dispatched.
     Lost(DetectError),
 }
 
@@ -364,7 +345,6 @@ fn call_stage(
     index: usize,
     frame: &Tensor,
 ) -> StageCall {
-    tracer.set_frame(index as u64);
     let span = tracer.frame_span("frame", index as u64);
     let t0 = clock.now();
     match catch_unwind(AssertUnwindSafe(|| stage.detect_frame(frame))) {
@@ -383,207 +363,6 @@ fn call_stage(
     }
 }
 
-/// The two things [`Supervisor::run`] and [`Supervisor::run_sync`] do
-/// differently: fetching a frame and executing a stage call. Each method
-/// reads the supervisor's config, tracer and clock from `sup`.
-trait Executor {
-    /// Pulls the next camera item with its arrival index, recording any
-    /// stall it sat through. `None` ends the run: the stream is over, the
-    /// source crashed (recorded as a fault), or the stall budget ran out
-    /// (recorded as a halt).
-    fn fetch(&mut self, sup: &Supervisor, monitor: &mut Monitor)
-        -> Option<(usize, Result<Tensor>)>;
-
-    /// Replaces the detector stage (after a crash or hang); the previous
-    /// one is dropped or abandoned.
-    fn install(&mut self, stage: Box<dyn DetectStage>, sup: &Supervisor);
-
-    /// Runs the installed stage on one conformed frame.
-    fn call(&mut self, index: usize, frame: &Tensor, sup: &Supervisor) -> StageCall;
-
-    /// The overload observation for the degradation controller after one
-    /// consumed item: buffer depth and frames lost since the last call.
-    /// `latency` is the item's detector latency when it was processed.
-    fn load(&mut self, sup: &Supervisor, latency: Option<Duration>) -> (f64, u64);
-
-    /// Ends the run, returning the ids of frames dropped at the camera
-    /// buffer.
-    fn finish(self, halted: bool) -> Vec<u64>;
-}
-
-/// A stage moved onto its own thread. The thread exits when the work
-/// channel closes (orderly shutdown or abandonment after a hang) or after
-/// reporting a panic, since a stage that unwound mid-frame cannot be
-/// trusted with another one.
-struct Worker {
-    work_tx: SyncSender<(usize, Tensor)>,
-    reply_rx: Receiver<StageCall>,
-}
-
-impl Worker {
-    fn spawn(mut stage: Box<dyn DetectStage>, sup: &Supervisor) -> Worker {
-        let (tracer, clock) = (sup.tracer.clone(), sup.clock.clone());
-        let (work_tx, work_rx) = sync_channel::<(usize, Tensor)>(1);
-        let (reply_tx, reply_rx) = channel();
-        std::thread::spawn(move || {
-            while let Ok((index, frame)) = work_rx.recv() {
-                let reply = call_stage(stage.as_mut(), &tracer, &clock, index, &frame);
-                let lost = matches!(reply, StageCall::Lost(_));
-                // A failed send means the supervisor abandoned this worker.
-                if reply_tx.send(reply).is_err() || lost {
-                    return;
-                }
-            }
-        });
-        Worker { work_tx, reply_rx }
-    }
-}
-
-/// [`Supervisor::run`]'s executor: camera on the pump thread, detector on
-/// a worker thread, both watched against pre-emptive wall-clock deadlines.
-struct Threaded {
-    pump: CameraPump,
-    worker: Worker,
-    /// Consecutive source watchdog expiries, against
-    /// `max_consecutive_stalls`.
-    stalls: RestartBudget,
-    last_drops: usize,
-}
-
-impl Executor for Threaded {
-    fn fetch(
-        &mut self,
-        sup: &Supervisor,
-        monitor: &mut Monitor,
-    ) -> Option<(usize, Result<Tensor>)> {
-        let cfg = &sup.config;
-        loop {
-            match self.pump.recv(cfg.source_timeout) {
-                Ok(Pumped::Item(index, item)) => {
-                    self.stalls.reset();
-                    return Some((index, item));
-                }
-                Ok(Pumped::Crashed(msg)) => {
-                    monitor.source_crashed(msg);
-                    return None;
-                }
-                Err(RecvTimeoutError::Disconnected) => return None,
-                Err(RecvTimeoutError::Timeout) => {
-                    monitor.stall(cfg.source_timeout, cfg.source_timeout);
-                    if !self.stalls.spend() {
-                        monitor.halt(format!(
-                            "camera stalled for {} consecutive watchdog periods",
-                            self.stalls.spent + 1
-                        ));
-                        return None;
-                    }
-                }
-            }
-        }
-    }
-
-    fn install(&mut self, stage: Box<dyn DetectStage>, sup: &Supervisor) {
-        self.worker = Worker::spawn(stage, sup);
-    }
-
-    fn call(&mut self, index: usize, frame: &Tensor, sup: &Supervisor) -> StageCall {
-        let cfg = &sup.config;
-        let gone = || {
-            StageCall::Lost(DetectError::StageFailed {
-                stage: "detect",
-                msg: "detector stage terminated without replying".to_string(),
-            })
-        };
-        if self.worker.work_tx.send((index, frame.clone())).is_err() {
-            return gone();
-        }
-        match self.worker.reply_rx.recv_timeout(cfg.stage_timeout) {
-            Ok(reply) => reply,
-            Err(RecvTimeoutError::Timeout) => StageCall::Lost(DetectError::Timeout {
-                stage: "detect",
-                elapsed: cfg.stage_timeout,
-                limit: cfg.stage_timeout,
-            }),
-            Err(RecvTimeoutError::Disconnected) => gone(),
-        }
-    }
-
-    fn load(&mut self, _: &Supervisor, _: Option<Duration>) -> (f64, u64) {
-        let drops = self.pump.drops();
-        let delta = drops - self.last_drops;
-        self.last_drops = drops;
-        (self.pump.queue_depth(), delta as u64)
-    }
-
-    fn finish(self, halted: bool) -> Vec<u64> {
-        // After a clean end the producer already ran to completion: reclaim
-        // it so the drop list is exact. On halt it may be wedged inside the
-        // camera, so it is abandoned instead.
-        self.pump.finish(!halted)
-    }
-}
-
-/// [`Supervisor::run_sync`]'s executor: everything on the calling thread.
-/// Deadlines are checked against latency read from the clock after the
-/// fact, so stalls and slow stages are *recorded* but nothing is
-/// abandoned.
-struct Inline<S> {
-    source: S,
-    stage: Box<dyn DetectStage>,
-    next_index: usize,
-    preprocess: Histogram,
-}
-
-impl<S: FrameSource> Executor for Inline<S> {
-    fn fetch(
-        &mut self,
-        sup: &Supervisor,
-        monitor: &mut Monitor,
-    ) -> Option<(usize, Result<Tensor>)> {
-        let index = self.next_index;
-        self.next_index += 1;
-        sup.tracer.set_frame(index as u64);
-        let t0 = sup.clock.now();
-        let item = match catch_unwind(AssertUnwindSafe(|| self.source.next_frame())) {
-            Ok(item) => item?,
-            Err(payload) => {
-                monitor.source_crashed(panic_payload_message(payload));
-                return None;
-            }
-        };
-        let acquisition = sup.clock.now() - t0;
-        sup.tracer.instant("camera.frame");
-        self.preprocess.record(acquisition);
-        if acquisition > sup.config.source_timeout {
-            monitor.stall(acquisition, sup.config.source_timeout);
-        }
-        Some((index, item))
-    }
-
-    fn install(&mut self, stage: Box<dyn DetectStage>, _: &Supervisor) {
-        self.stage = stage;
-    }
-
-    fn call(&mut self, index: usize, frame: &Tensor, sup: &Supervisor) -> StageCall {
-        call_stage(self.stage.as_mut(), &sup.tracer, &sup.clock, index, frame)
-    }
-
-    fn load(&mut self, sup: &Supervisor, latency: Option<Duration>) -> (f64, u64) {
-        // A synchronous run never drops frames; estimate the overload a
-        // camera at the nominal rate would have caused.
-        let drops = sup
-            .config
-            .camera_fps
-            .zip(latency)
-            .map_or(0, |(fps, latency)| estimated_drops(latency, fps));
-        (0.0, drops as u64)
-    }
-
-    fn finish(self, _: bool) -> Vec<u64> {
-        Vec::new()
-    }
-}
-
 impl Supervisor {
     /// A supervisor with the given tunables and no telemetry.
     pub fn new(config: SupervisorConfig) -> Self {
@@ -593,9 +372,9 @@ impl Supervisor {
         }
     }
 
-    /// Times stage calls and inline frame acquisitions on `clock`, and
-    /// spends retry backoffs on it. A test passes a manual clock, and the
-    /// same clock to its [`crate::FaultPlan::clock`], so the latencies the
+    /// Times stage calls and frame acquisitions on `clock`, and spends
+    /// retry backoffs on it. A test passes a manual clock, and the same
+    /// clock to its [`crate::FaultPlan::clock`], so the latencies the
     /// verdicts read are exactly the injected ones.
     pub fn clock(mut self, clock: &Clock) -> Self {
         self.clock = clock.clone();
@@ -603,12 +382,10 @@ impl Supervisor {
     }
 
     /// Attaches a flight recorder: every acquired frame gets a
-    /// `camera.frame` instant (a dropped one `camera.drop`), every
-    /// processed frame a `frame` span (on the worker thread in threaded
-    /// mode) around the stage's own spans, and on stage
-    /// failures, watchdog trips, and halts the recorder's last
-    /// [`dronet_obs::BLACK_BOX_EVENTS`] events are dumped into
-    /// [`SupervisorReport::black_box`].
+    /// `camera.frame` instant, every processed frame a `frame` span around
+    /// the stage's own spans, and on stage failures and halts the
+    /// recorder's last [`dronet_obs::BLACK_BOX_EVENTS`] events are dumped
+    /// into [`SupervisorReport::black_box`].
     pub fn tracing(mut self, tracer: &Tracer) -> Self {
         self.tracer = tracer.clone();
         self
@@ -618,56 +395,29 @@ impl Supervisor {
     /// `supervisor.health` (gauge), `supervisor.{faults,retries,restarts,
     /// stalls,skipped}` (counters), `detect.input_size` (gauge),
     /// `degrade.{downshifts,upshifts}` (counters) and the pipeline's
-    /// `pipeline.*` metrics.
+    /// `pipeline.{preprocess,frame}` (histograms) and `pipeline.frames`
+    /// (counter).
     pub fn observability(mut self, obs: &Registry) -> Self {
         self.obs = obs.clone();
         self
     }
 
-    /// Runs the supervised pipeline with the camera on the pump thread
-    /// and the detector stage on a watchdog-monitored worker thread.
+    /// Runs the supervised pipeline on the calling thread: each frame is
+    /// pulled from `source`, conformed, and passed to the stage.
     ///
-    /// `factory` builds the detection stage, and rebuilds it after a crash
-    /// or hang. `controller`, when given, drives resolution degradation:
+    /// `factory` builds the detection stage, and rebuilds it after a
+    /// crash. `controller`, when given, drives resolution degradation:
     /// frames are conformed to its current rung, and the stage runs at
     /// that size. Without one, frames are conformed to the stage's own
     /// [`DetectStage::input_chw`].
     ///
-    /// The run survives every recoverable fault and returns a report; the
-    /// report's [`SupervisorReport::final_health`] is [`Health::Halted`]
-    /// when a fault budget was exhausted.
-    ///
-    /// The source and stage deadlines are wall-clock `recv_timeout`s, since
-    /// they pre-empt real threads; a stage call's latency and the retry
-    /// backoff read the supervisor's [`Clock`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error only when the *initial* stage construction fails;
-    /// everything after that is handled in-band.
-    pub fn run<S>(
-        &self,
-        source: S,
-        factory: &mut StageFactory<'_>,
-        controller: Option<DegradeController>,
-    ) -> Result<SupervisorReport>
-    where
-        S: FrameSource + Send + 'static,
-    {
-        self.supervise(factory, controller, |stage| Threaded {
-            pump: CameraPump::spawn(source, &self.obs, &self.tracer),
-            worker: Worker::spawn(stage, self),
-            stalls: RestartBudget::new(u64::from(self.config.max_consecutive_stalls)),
-            last_drops: 0,
-        })
-    }
-
-    /// Single-threaded supervised run: same fault handling (panic
-    /// isolation, retries, restarts, degradation) without watchdog
-    /// preemption, so the fault ledger is fully deterministic for a given
-    /// fault schedule. Stalls and slow stages are *recorded* when their
-    /// latency on the supervisor's [`Clock`] exceeds the deadlines, but
-    /// nothing is abandoned.
+    /// The run survives every recoverable fault (panic isolation, retries,
+    /// restarts, degradation) and returns a report; the report's
+    /// [`SupervisorReport::final_health`] is [`Health::Halted`] when a
+    /// fault budget was exhausted. Stalls and slow stages are *recorded*
+    /// when their latency on the supervisor's [`Clock`] exceeds the
+    /// deadlines, but nothing is pre-empted: a source or stage that never
+    /// returns blocks the loop.
     ///
     /// Overload is estimated from that per-frame latency against
     /// [`SupervisorConfig::camera_fps`], as
@@ -678,38 +428,24 @@ impl Supervisor {
     ///
     /// # Errors
     ///
-    /// Returns an error only when the initial stage construction fails.
+    /// Returns an error only when the *initial* stage construction fails;
+    /// everything after that is handled in-band.
     pub fn run_sync(
         &self,
-        source: impl FrameSource,
-        factory: &mut StageFactory<'_>,
-        controller: Option<DegradeController>,
-    ) -> Result<SupervisorReport> {
-        self.supervise(factory, controller, |stage| Inline {
-            source,
-            stage,
-            next_index: 0,
-            preprocess: self.obs.histogram("pipeline.preprocess"),
-        })
-    }
-
-    /// The frame loop and its fault policy, over either executor.
-    fn supervise<E: Executor>(
-        &self,
+        mut source: impl FrameSource,
         factory: &mut StageFactory<'_>,
         mut controller: Option<DegradeController>,
-        make_executor: impl FnOnce(Box<dyn DetectStage>) -> E,
     ) -> Result<SupervisorReport> {
         let cfg = &self.config;
         let obs = &self.obs;
-        let stage = factory()?;
+        let mut stage = factory()?;
         // Frames are conformed to the current rung, or to the stage's own
         // size without a controller; the stage runs at whatever it is given.
         let stage_chw = stage.input_chw();
         let rung = |size| (stage_chw.0, size, size);
         let mut frame_chw = controller.as_ref().map_or(stage_chw, |c| rung(c.current()));
-        let mut exec = make_executor(stage);
 
+        let preprocess = obs.histogram("pipeline.preprocess");
         let frame_hist = obs.histogram("pipeline.frame");
         let frames_counter = obs.counter("pipeline.frames");
         let shifts = ShiftMetrics {
@@ -722,9 +458,26 @@ impl Supervisor {
         let mut monitor = Monitor::new(obs, cfg.recovery_frames, frame_chw.1, &self.tracer);
         let mut restarts = RestartBudget::new(MAX_RESTARTS);
 
-        // Every exit from this loop other than the end of the stream goes
-        // through `monitor.halt`.
-        'stream: while let Some((index, item)) = exec.fetch(self, &mut monitor) {
+        // Every exit from this loop other than the end of the stream or a
+        // source crash goes through `monitor.halt`.
+        'stream: for index in 0.. {
+            self.tracer.set_frame(index as u64);
+            let t0 = self.clock.now();
+            let item = match catch_unwind(AssertUnwindSafe(|| source.next_frame())) {
+                Ok(Some(item)) => item,
+                Ok(None) => break,
+                Err(payload) => {
+                    monitor.source_crashed(panic_payload_message(payload));
+                    break;
+                }
+            };
+            let acquisition = self.clock.now() - t0;
+            self.tracer.instant("camera.frame");
+            preprocess.record(acquisition);
+            if acquisition > cfg.source_timeout {
+                monitor.stall(index, acquisition, cfg.source_timeout);
+            }
+
             let mut latency = None;
             match item.and_then(|frame| conform_frame(frame, frame_chw, index)) {
                 Err(e) => {
@@ -734,7 +487,9 @@ impl Supervisor {
                 Ok(frame) => {
                     let mut retries = RestartBudget::new(MAX_RETRIES);
                     loop {
-                        let lost = match exec.call(index, &frame, self) {
+                        let call =
+                            call_stage(stage.as_mut(), &self.tracer, &self.clock, index, &frame);
+                        let lost = match call {
                             StageCall::Returned(Ok(detections), elapsed) => {
                                 if elapsed > cfg.stage_timeout {
                                     let slow = DetectError::Timeout {
@@ -770,10 +525,9 @@ impl Supervisor {
                             }
                             StageCall::Lost(e) => e,
                         };
-                        // Panic / hang / unexpected exit: isolate, restart,
-                        // maybe retry. The black box is captured before the
-                        // restart so the dump ends at the failing frame's
-                        // events.
+                        // Panic: isolate, restart, maybe retry. The black box
+                        // is captured before the restart so the dump ends at
+                        // the failing frame's events.
                         let description = lost.to_string();
                         monitor.fault(Some(index), "detect", description.clone());
                         monitor.black_box(&description, &[index as u64]);
@@ -783,7 +537,7 @@ impl Supervisor {
                             break 'stream;
                         }
                         match factory() {
-                            Ok(stage) => exec.install(stage, self),
+                            Ok(rebuilt) => stage = rebuilt,
                             Err(e) => {
                                 monitor.halt(format!("detector stage rebuild failed: {e}"));
                                 break 'stream;
@@ -800,19 +554,22 @@ impl Supervisor {
             }
             // Feed the degradation controller one observation per consumed
             // item; a shift it requests only moves the size later frames
-            // are conformed to.
+            // are conformed to. The loop never drops a frame, so the
+            // observation is the drops a camera at the nominal rate would
+            // have suffered meanwhile.
             let Some(ctrl) = controller.as_mut() else {
                 continue;
             };
-            let (queue_depth, drops) = exec.load(self, latency);
-            if let Some(size) = ctrl.step(queue_depth, drops, &shifts, &monitor.health) {
+            let drops = cfg
+                .camera_fps
+                .zip(latency)
+                .map_or(0, |(fps, latency)| estimated_drops(latency, fps));
+            if let Some(size) = ctrl.step(0.0, drops as u64, &shifts, &monitor.health) {
                 frame_chw = rung(size);
                 monitor.report.resolution_history.push(size);
             }
         }
-        let mut report = monitor.finish();
-        report.dropped_ids = exec.finish(report.final_health == Health::Halted);
-        Ok(report)
+        Ok(monitor.finish())
     }
 }
 
@@ -873,24 +630,10 @@ mod tests {
         }
     }
 
-    fn run_either<S: FrameSource + Send + 'static>(
-        sup: &Supervisor,
-        source: S,
-        factory: &mut StageFactory<'_>,
-        threaded: bool,
-    ) -> SupervisorReport {
-        let report = if threaded {
-            sup.run(source, factory, None)
-        } else {
-            sup.run_sync(source, factory, None)
-        };
-        report.unwrap()
-    }
-
     /// `n` blank frames through a real one-conv [`crate::Detector`] over
     /// 8x8 frames, with `obs` and `tracer` on both the detector and the
     /// supervisor.
-    fn detector_run(n: usize, threaded: bool, obs: &Registry, tracer: &Tracer) -> SupervisorReport {
+    fn detector_run(n: usize, obs: &Registry, tracer: &Tracer) -> SupervisorReport {
         use dronet_nn::{Activation, Conv2d, Layer, Network, RegionConfig, RegionLayer};
         let mut net = Network::new(3, 8, 8);
         net.push(Layer::conv(
@@ -913,7 +656,8 @@ mod tests {
         let sup = Supervisor::new(quick_config())
             .observability(obs)
             .tracing(tracer);
-        run_either(&sup, IterSource::new(frames(n)), &mut factory, threaded)
+        sup.run_sync(IterSource::new(frames(n)), &mut factory, None)
+            .unwrap()
     }
 
     #[test]
@@ -922,9 +666,9 @@ mod tests {
         let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> =
             Box::new(|| Ok(Box::new(NullStage)));
         let report = sup
-            .run(IterSource::new(frames(10)), &mut factory, None)
+            .run_sync(IterSource::new(frames(10)), &mut factory, None)
             .unwrap();
-        assert_eq!(report.processed() + report.dropped(), 10);
+        assert_eq!(report.processed(), 10, "the loop drops no frame");
         assert_eq!(report.final_health, Health::Healthy);
         assert!(report.faults.is_empty());
         assert_eq!(report.skipped(), 0);
@@ -954,42 +698,25 @@ mod tests {
     }
 
     #[test]
-    fn threaded_run_lists_dropped_and_skipped_ids() {
-        // Acquisition errors are never dropped at the buffer, so corrupting
-        // the first four frames pins the skip list regardless of scheduling;
-        // whatever the buffer then drops of the rest must be listed by id.
+    fn run_lists_processed_and_skipped_ids() {
         let n = 24;
         let plan = FaultPlan::from_schedule(vec![Some(FaultKind::CorruptFrame); 4]);
         let sup = Supervisor::new(quick_config());
         let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> =
             Box::new(|| Ok(Box::new(NullStage)));
         let source = FaultyFrameSource::new(IterSource::new(frames(n)), plan);
-        let report = sup.run(source, &mut factory, None).unwrap();
+        let report = sup.run_sync(source, &mut factory, None).unwrap();
         assert_eq!(report.skipped_ids, vec![0, 1, 2, 3]);
         assert_eq!(report.skipped(), 4);
-        // Processed, dropped and skipped ids partition the arrival order.
+        // Processed and skipped ids partition the arrival order.
         let mut all: Vec<u64> = report.frames.iter().map(|f| f.frame_id).collect();
-        all.extend(&report.dropped_ids);
         all.extend(&report.skipped_ids);
         all.sort_unstable();
         assert_eq!(all, (0..n as u64).collect::<Vec<_>>());
-        // Latest-frame semantics never reorders.
+        // The loop never reorders.
         for pair in report.frames.windows(2) {
             assert!(pair[1].frame_index > pair[0].frame_index);
         }
-    }
-
-    #[test]
-    fn sync_run_is_lossless() {
-        let sup = Supervisor::new(quick_config());
-        let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> =
-            Box::new(|| Ok(Box::new(NullStage)));
-        let report = sup
-            .run_sync(IterSource::new(frames(10)), &mut factory, None)
-            .unwrap();
-        assert_eq!(report.processed(), 10);
-        assert_eq!(report.dropped(), 0);
-        assert_eq!(report.final_health, Health::Healthy);
     }
 
     #[test]
@@ -1034,9 +761,6 @@ mod tests {
 
     #[test]
     fn detector_panic_is_isolated_and_stage_restarted() {
-        // Panic on the very first detect call: frame 0 always reaches the
-        // worker, whereas later frames can be dropped by the lossy camera
-        // channel when the host scheduler stalls the consumer.
         let plan = FaultPlan::from_schedule(vec![Some(FaultKind::DetectorPanic)]);
         let sup = Supervisor::new(quick_config());
         let builds = Arc::new(AtomicUsize::new(0));
@@ -1046,24 +770,16 @@ mod tests {
             Ok(Box::new(FaultyDetector::new(NullStage, plan.clone())))
         });
         let report = sup
-            .run(IterSource::new(frames(12)), &mut factory, None)
+            .run_sync(IterSource::new(frames(12)), &mut factory, None)
             .unwrap();
-        // At least one restart from the injected panic; a slow host can add
-        // more via watchdog timeouts, so this is a lower bound.
-        assert!(report.restarts >= 1, "panic triggered a stage restart");
-        assert!(
-            builds.load(Ordering::Relaxed) >= 2,
-            "factory rebuilt the stage"
-        );
+        assert_eq!(report.restarts, 1, "the panic restarted the stage once");
+        assert_eq!(builds.load(Ordering::Relaxed), 2, "startup + one rebuild");
         assert!(report
             .faults
             .iter()
             .any(|f| f.description.contains("injected detector fault")));
-        // Recovery-to-Healthy timing depends on how many frames survive the
-        // restart window (the producer keeps dropping meanwhile); the
-        // deterministic sync tests pin the exact transition.
-        assert_ne!(report.final_health, Health::Halted, "survived the panic");
-        assert!(report.processed() >= 1);
+        assert_eq!(report.processed(), 12, "the retry recovered frame 0");
+        assert_eq!(report.final_health, Health::Healthy);
     }
 
     #[test]
@@ -1148,33 +864,6 @@ mod tests {
         // frame 1.
         assert_eq!(bb.frame_ids, [1], "kept the failing frame's id");
         assert!(!bb.tail.events.is_empty());
-    }
-
-    #[test]
-    fn threaded_panic_dumps_black_box() {
-        let tracer = Tracer::new();
-        let plan = FaultPlan::from_schedule(vec![Some(FaultKind::DetectorPanic)]);
-        let sup = Supervisor::new(quick_config()).tracing(&tracer);
-        let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> =
-            Box::new(|| Ok(Box::new(FaultyDetector::new(NullStage, plan.clone()))));
-        let report = sup
-            .run(IterSource::new(frames(12)), &mut factory, None)
-            .unwrap();
-        let bb = report.black_box.as_ref().expect("panic captured black box");
-        // The injected panic hits frame 0, but a slow host can overwrite
-        // the capture with a later watchdog trip; either way the dump is
-        // attributed to a concrete frame whose span begin it contains.
-        let fid = *bb
-            .frame_ids
-            .first()
-            .expect("stage failures carry a frame id");
-        assert!(bb
-            .tail
-            .events
-            .iter()
-            .any(|e| e.kind == dronet_obs::TraceKind::Begin
-                && e.name == "frame"
-                && e.frame_id == fid));
     }
 
     /// One 2 ms frame at a 1 kHz camera overloads a 1-frame window; the
@@ -1282,32 +971,23 @@ mod tests {
     #[test]
     fn source_crash_is_one_fault_after_the_frames_it_delivered() {
         let sup = Supervisor::new(quick_config());
-        for threaded in [false, true] {
-            let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> =
-                Box::new(|| Ok(Box::new(NullStage)));
-            let report = run_either(&sup, CrashAfterTwo(0), &mut factory, threaded);
-            assert_eq!(report.faults.len(), 1, "threaded {threaded}");
-            assert_eq!(report.faults[0].stage, "source");
-            assert!(report.faults[0]
-                .description
-                .contains("camera readout wedged"));
-            assert_eq!(report.final_health, Health::Degraded, "threaded {threaded}");
-            let mut ids: Vec<u64> = report.frames.iter().map(|f| f.frame_id).collect();
-            if threaded {
-                // The single-slot buffer may drop frame 1.
-                ids.extend(&report.dropped_ids);
-                ids.sort_unstable();
-            }
-            assert_eq!(ids, [0, 1], "threaded {threaded}");
-        }
+        let mut factory: Box<dyn FnMut() -> Result<Box<dyn DetectStage>>> =
+            Box::new(|| Ok(Box::new(NullStage)));
+        let report = sup.run_sync(CrashAfterTwo(0), &mut factory, None).unwrap();
+        assert_eq!(report.faults.len(), 1);
+        assert_eq!(report.faults[0].stage, "source");
+        assert!(report.faults[0]
+            .description
+            .contains("camera readout wedged"));
+        assert_eq!(report.final_health, Health::Degraded);
+        let ids: Vec<u64> = report.frames.iter().map(|f| f.frame_id).collect();
+        assert_eq!(ids, [0, 1]);
     }
 
     #[test]
     fn synchronous_mode_processes_everything() {
-        let report = detector_run(5, false, &Registry::noop(), &Tracer::noop());
+        let report = detector_run(5, &Registry::noop(), &Tracer::noop());
         assert_eq!(report.processed(), 5);
-        assert_eq!(report.dropped(), 0);
-        assert!(report.dropped_ids.is_empty());
         assert!(report.fps().0 > 0.0);
         assert!(report.mean_latency() > Duration::ZERO);
         for (i, f) in report.frames.iter().enumerate() {
@@ -1317,7 +997,7 @@ mod tests {
 
     #[test]
     fn drop_estimation_scales_with_camera_rate() {
-        let report = detector_run(4, false, &Registry::noop(), &Tracer::noop());
+        let report = detector_run(4, &Registry::noop(), &Tracer::noop());
         // An implausibly fast camera forces drops; a slow one doesn't.
         assert!(report.estimated_drops_at(1e7) > 0);
         assert_eq!(report.estimated_drops_at(0.001), 0);
@@ -1325,7 +1005,7 @@ mod tests {
 
     #[test]
     fn drop_estimation_handles_degenerate_camera_rates() {
-        let report = detector_run(2, false, &Registry::noop(), &Tracer::noop());
+        let report = detector_run(2, &Registry::noop(), &Tracer::noop());
         for fps in [0.0, -30.0, f64::NAN, f64::INFINITY] {
             assert_eq!(report.estimated_drops_at(fps), 0, "{fps}");
         }
@@ -1334,17 +1014,15 @@ mod tests {
 
     #[test]
     fn empty_stream_is_fine() {
-        for threaded in [false, true] {
-            let report = detector_run(0, threaded, &Registry::noop(), &Tracer::noop());
-            assert_eq!(report.processed(), 0);
-            assert_eq!(report.final_health, Health::Healthy);
-        }
+        let report = detector_run(0, &Registry::noop(), &Tracer::noop());
+        assert_eq!(report.processed(), 0);
+        assert_eq!(report.final_health, Health::Healthy);
     }
 
     #[test]
     fn observed_sync_run_records_stage_metrics() {
         let obs = Registry::new();
-        let report = detector_run(4, false, &obs, &Tracer::noop());
+        let report = detector_run(4, &obs, &Tracer::noop());
         assert_eq!(report.processed(), 4);
         let snap = obs.snapshot();
         assert_eq!(snap.counter("pipeline.frames"), Some(4));
@@ -1357,31 +1035,9 @@ mod tests {
     }
 
     #[test]
-    fn observed_threaded_run_accounts_for_drops() {
-        let obs = Registry::new();
-        let n = 30;
-        let report = detector_run(n, true, &obs, &Tracer::noop());
-        let snap = obs.snapshot();
-        assert_eq!(
-            snap.counter("pipeline.frames"),
-            Some(report.processed() as u64)
-        );
-        assert_eq!(
-            snap.counter("pipeline.dropped"),
-            Some(report.dropped() as u64)
-        );
-        assert_eq!(
-            snap.histogram("pipeline.preprocess").unwrap().count,
-            n as u64
-        );
-        // Buffer fully drained at the end of the run.
-        assert_eq!(snap.gauge("pipeline.queue_depth"), Some(0.0));
-    }
-
-    #[test]
     fn traced_sync_run_nests_frame_stage_layer() {
         let tracer = Tracer::new();
-        let report = detector_run(3, false, &Registry::noop(), &tracer);
+        let report = detector_run(3, &Registry::noop(), &tracer);
         assert_eq!(report.processed(), 3);
         let snap = tracer.snapshot();
         for id in 0..3u64 {
@@ -1409,26 +1065,5 @@ mod tests {
                 assert!(stage.ts_ns >= frame_begin.ts_ns && stage.ts_ns <= frame_end.ts_ns);
             }
         }
-    }
-
-    #[test]
-    fn traced_threaded_run_records_camera_instants() {
-        let tracer = Tracer::new();
-        let n = 25;
-        let report = detector_run(n, true, &Registry::noop(), &tracer);
-        let snap = tracer.snapshot();
-        let drops: Vec<u64> = snap
-            .events
-            .iter()
-            .filter(|e| e.name == "camera.drop")
-            .map(|e| e.frame_id)
-            .collect();
-        assert_eq!(drops, report.dropped_ids, "trace and report agree on drops");
-        let camera_frames = snap
-            .events
-            .iter()
-            .filter(|e| e.name == "camera.frame")
-            .count();
-        assert_eq!(camera_frames + drops.len(), n);
     }
 }

@@ -38,9 +38,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Ok(Box::new(detector))
     };
 
-    // 2. Stream synthetic camera frames through both supervisor modes; the
-    //    loop records camera, queue and per-frame telemetry into the same
-    //    registry and tracer.
+    // 2. Stream synthetic camera frames through the supervised loop; it
+    //    records camera and per-frame telemetry into the same registry and
+    //    tracer.
     let supervisor = Supervisor::new(SupervisorConfig::default())
         .observability(&obs)
         .tracing(&tracer);
@@ -53,19 +53,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .to_tensor()
         })
         .collect();
-    let report = supervisor.run_sync(IterSource::new(frames.clone()), &mut factory, None)?;
+    let report = supervisor.run_sync(IterSource::new(frames), &mut factory, None)?;
     println!(
         "synchronous pipeline: {} frames at {} ({:.1} ms mean)",
         report.processed(),
         report.fps(),
         report.mean_latency().as_secs_f64() * 1e3
-    );
-    let report = supervisor.run(IterSource::new(frames), &mut factory, None)?;
-    println!(
-        "threaded pipeline:    {} processed, {} dropped (ids {:?}, single-slot camera buffer)",
-        report.processed(),
-        report.dropped(),
-        report.dropped_ids
     );
 
     // 3. Where do the milliseconds go? Join the recorded timings with the

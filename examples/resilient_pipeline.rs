@@ -91,7 +91,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stage_timeout: Duration::from_millis(500),
         camera_fps: Some(30.0),
         recovery_frames: 4,
-        ..SupervisorConfig::default()
     })
     .observability(&obs);
 

@@ -158,10 +158,13 @@ fn chaos_detector_panics_are_isolated_and_recovered() {
     assert!(bb.to_text().contains("B frame"));
 }
 
-/// Camera stalls under the threaded watchdog: recorded as stall faults
-/// without halting, and the run still drains the stream.
+/// Camera stalls past the source deadline: each is recorded as a stall
+/// fault against the frame it delayed, without halting, and the run still
+/// drains the stream. On a manual clock the stalls are the only time that
+/// passes, so the ledger is exact.
 #[test]
 fn chaos_camera_stalls_trip_the_watchdog_but_not_the_run() {
+    let clock = Clock::manual();
     let plan = FaultPlan::from_schedule(vec![
         None,
         Some(FaultKind::SourceStall(Duration::from_millis(80))),
@@ -169,60 +172,75 @@ fn chaos_camera_stalls_trip_the_watchdog_but_not_the_run() {
         None,
         Some(FaultKind::SourceStall(Duration::from_millis(80))),
         None,
-    ]);
+    ])
+    .clock(&clock);
+    let obs = Registry::new();
     let sup = Supervisor::new(SupervisorConfig {
         source_timeout: Duration::from_millis(20),
-        max_consecutive_stalls: 50,
         ..patient_config()
-    });
-    let obs = Registry::new();
-    let sup = sup.observability(&obs);
+    })
+    .clock(&clock)
+    .observability(&obs);
     let mut factory: Box<dyn FnMut() -> DetectResult<Box<dyn DetectStage>>> =
         Box::new(|| Ok(micro_stage()));
     let source = FaultyFrameSource::new(IterSource::new(frames(10)), plan);
-    let report = sup.run(source, &mut factory, None).unwrap();
-    assert!(report.stalls >= 2, "two 80ms stalls vs a 20ms watchdog");
-    assert_ne!(report.final_health, Health::Halted);
-    assert!(report.processed() >= 1);
-    let snap = obs.snapshot();
+    let report = sup.run_sync(source, &mut factory, None).unwrap();
+    assert_eq!(report.stalls, 2, "two 80ms stalls vs a 20ms deadline");
+    let stall = "source stage exceeded its 20ms deadline (ran 80ms)".to_string();
     assert_eq!(
-        snap.counter("supervisor.stalls"),
-        Some(report.stalls as u64)
+        report.fault_signature(),
+        [
+            (Some(1), "source", stall.clone()),
+            (Some(4), "source", stall)
+        ],
+        "each stall names the frame it delayed"
     );
+    assert_eq!(report.processed(), 10);
+    assert_ne!(report.final_health, Health::Halted);
+    let snap = obs.snapshot();
+    assert_eq!(snap.counter("supervisor.stalls"), Some(2));
     assert!(snap.gauge("supervisor.health").unwrap() < Health::Halted.as_metric());
 }
 
-/// A hung detector stage: the watchdog abandons it, restarts the stage,
-/// and the retried frame goes through. The hang sits on the very first
-/// detector call: frame 0 always reaches the worker, whereas any later
-/// frame can be dropped at the single-slot camera buffer.
+/// A slow detector stage: a pass that returns after its deadline is a
+/// `detect` fault against its frame, whose detections are kept. Nothing
+/// is abandoned or rebuilt, so the stage is built once and every frame is
+/// processed.
 #[test]
-fn chaos_hung_stage_is_abandoned_and_restarted() {
+fn chaos_slow_stage_is_a_deadline_fault_not_a_restart() {
+    let clock = Clock::manual();
     let plan = FaultPlan::from_schedule(vec![
         Some(FaultKind::SlowDetect(Duration::from_millis(400))),
         None,
         None,
         None,
-    ]);
+    ])
+    .clock(&clock);
     let sup = Supervisor::new(SupervisorConfig {
         stage_timeout: Duration::from_millis(60),
         ..patient_config()
-    });
-    let mut factory: Box<dyn FnMut() -> DetectResult<Box<dyn DetectStage>>> =
-        Box::new(move || Ok(Box::new(FaultyDetector::new(micro_stage(), plan.clone()))));
+    })
+    .clock(&clock);
+    let mut builds = 0;
+    let mut factory = || -> DetectResult<Box<dyn DetectStage>> {
+        builds += 1;
+        Ok(Box::new(FaultyDetector::new(micro_stage(), plan.clone())))
+    };
     let report = sup
-        .run(IterSource::new(frames(6)), &mut factory, None)
+        .run_sync(IterSource::new(frames(6)), &mut factory, None)
         .unwrap();
-    assert!(report.restarts >= 1, "hung stage restarted");
-    assert!(
-        report
-            .faults
-            .iter()
-            .any(|f| f.description.contains("deadline")),
-        "timeout fault recorded: {:?}",
-        report.faults
+    assert_eq!(
+        report.fault_signature(),
+        [(
+            Some(0),
+            "detect",
+            "detect stage exceeded its 60ms deadline (ran 400ms)".to_string()
+        )]
     );
-    assert_ne!(report.final_health, Health::Halted);
+    assert_eq!(report.restarts, 0, "a slow stage is not restarted");
+    assert_eq!(builds, 1);
+    assert_eq!(report.processed(), 6);
+    assert_eq!(report.frames[0].latency, Duration::from_millis(400));
 }
 
 /// The headline acceptance scenario: sustained overload walks the detector
@@ -325,9 +343,8 @@ fn chaos_overload_degrades_to_352_and_recovers() {
     assert_eq!(snap.gauge("supervisor.health"), Some(0.0));
 }
 
-/// Determinism: the same seed yields the same fault schedule and —
-/// in synchronous mode, where no watchdog races exist — the same fault
-/// ledger, frame for frame.
+/// Determinism: the same seed yields the same fault schedule and the
+/// same fault ledger, frame for frame.
 #[test]
 fn chaos_same_seed_same_report() {
     // Timing-free fault classes only, so the ledger is exactly comparable.
@@ -384,7 +401,7 @@ fn chaos_soak_every_fault_class_accounted() {
         Box::new(move || Ok(Box::new(FaultyDetector::new(micro_stage(), plan.clone()))));
     let source = FaultyFrameSource::new(IterSource::new(frames(n)), source_plan);
     let report = sup.run_sync(source, &mut factory, None).unwrap();
-    // Sync mode is lossless: every frame either processed or typed-skipped.
+    // The loop is lossless: every frame either processed or typed-skipped.
     assert_eq!(report.processed() + report.skipped(), n);
     assert!(
         report.skipped() <= injected,

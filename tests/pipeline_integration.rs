@@ -15,19 +15,14 @@ use dronet::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Runs `frames` through the supervisor over a default detector on `net`,
-/// inline or with the camera on its own thread.
-fn run_pipeline(net: Network, frames: Vec<Tensor>, threaded: bool) -> SupervisorReport {
+/// Runs `frames` through the supervisor over a default detector on `net`.
+fn run_pipeline(net: Network, frames: Vec<Tensor>) -> SupervisorReport {
     let sup = Supervisor::new(SupervisorConfig::default());
     let mut factory = || -> Result<Box<dyn DetectStage>> {
         Ok(Box::new(DetectorBuilder::new(net.clone()).build()?))
     };
-    let report = if threaded {
-        sup.run(IterSource::new(frames), &mut factory, None)
-    } else {
-        sup.run_sync(IterSource::new(frames), &mut factory, None)
-    };
-    report.unwrap()
+    sup.run_sync(IterSource::new(frames), &mut factory, None)
+        .unwrap()
 }
 
 fn flight(world_seed: u64, altitude: f32, px: usize) -> FlightSimulator {
@@ -57,7 +52,7 @@ fn flight_frames_flow_through_the_pipeline() {
     assert!(frames.len() > 20);
     let tensors: Vec<_> = frames.iter().map(|f| f.image.to_tensor()).collect();
     let net = zoo::micro_dronet(64, vec![(1.0, 1.0), (2.0, 2.0)]).unwrap();
-    let report = run_pipeline(net, tensors, false);
+    let report = run_pipeline(net, tensors);
     assert_eq!(report.processed(), frames.len());
     assert!(report.fps().0 > 0.0);
 }
@@ -214,17 +209,4 @@ fn ground_sampling_scales_inversely_with_altitude() {
     };
     let ratio = base.expected_pixel_size(4.5) / double.expected_pixel_size(4.5);
     assert!((ratio - 2.0).abs() < 1e-4);
-}
-
-#[test]
-fn threaded_pipeline_handles_flight_stream() {
-    let tensors: Vec<_> = flight(5, 60.0, 64)
-        .take(20)
-        .map(|f| f.image.to_tensor())
-        .collect();
-    let n = tensors.len();
-    let net = zoo::micro_dronet(64, vec![(1.0, 1.0)]).unwrap();
-    let report = run_pipeline(net, tensors, true);
-    assert_eq!(report.processed() + report.dropped(), n);
-    assert!(report.processed() >= 1);
 }
