@@ -126,15 +126,6 @@ pub fn build(id: ModelId, input: usize) -> Result<Network> {
     Ok(net)
 }
 
-/// Builds a model at its paper-selected default input size.
-///
-/// # Errors
-///
-/// See [`build`].
-pub fn build_default(id: ModelId) -> Result<Network> {
-    build(id, id.default_input())
-}
-
 /// Builds **MicroDroNet**: a proportionally scaled-down DroNet for
 /// laptop-scale end-to-end training on the synthetic dataset.
 ///
@@ -291,18 +282,6 @@ pub fn resolution_ladder() -> Vec<usize> {
     input_sizes_sorted()
 }
 
-/// The next rung *below* `input` on the paper ladder, or `None` when
-/// already at (or below) the 352-pixel floor.
-pub fn step_down(input: usize) -> Option<usize> {
-    resolution_ladder().into_iter().rev().find(|&s| s < input)
-}
-
-/// The next rung *above* `input` on the paper ladder, or `None` when
-/// already at (or above) the 608-pixel ceiling.
-pub fn step_up(input: usize) -> Option<usize> {
-    resolution_ladder().into_iter().find(|&s| s > input)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,10 +303,8 @@ mod tests {
 
     #[test]
     fn flop_ratios_match_paper_shape() {
-        let gflops = |id: ModelId| {
-            let net = build(id, 416).unwrap();
-            dronet_nn::cost::network_cost(&net).total_gflops()
-        };
+        let gflops =
+            |id: ModelId| NetworkSummary::of(id.name(), &build(id, 416).unwrap()).total_gflops();
         let voc = gflops(ModelId::TinyYoloVoc);
         let net = gflops(ModelId::TinyYoloNet);
         let small = gflops(ModelId::SmallYoloV3);
@@ -363,10 +340,10 @@ mod tests {
 
     #[test]
     fn input_size_sweep_changes_cost_quadratically() {
-        let g352 =
-            dronet_nn::cost::network_cost(&build(ModelId::DroNet, 352).unwrap()).total_gflops();
-        let g608 =
-            dronet_nn::cost::network_cost(&build(ModelId::DroNet, 608).unwrap()).total_gflops();
+        let gflops = |input| {
+            NetworkSummary::of("DroNet", &build(ModelId::DroNet, input).unwrap()).total_gflops()
+        };
+        let (g352, g608) = (gflops(352), gflops(608));
         let ratio = g608 / g352;
         let expected = (608.0f64 / 352.0).powi(2);
         assert!(
@@ -390,7 +367,7 @@ mod tests {
     #[test]
     fn defaults_match_paper_selection() {
         assert_eq!(ModelId::DroNet.default_input(), 512);
-        let net = build_default(ModelId::DroNet).unwrap();
+        let net = build(ModelId::DroNet, ModelId::DroNet.default_input()).unwrap();
         assert_eq!(net.input_chw(), (3, 512, 512));
     }
 
@@ -410,23 +387,6 @@ mod tests {
     #[test]
     fn ladder_steps_walk_the_sweep() {
         assert_eq!(resolution_ladder(), input_sizes_sorted());
-        assert_eq!(step_down(608), Some(576));
-        assert_eq!(step_down(416), Some(384));
-        assert_eq!(step_down(352), None, "floor of the ladder");
-        assert_eq!(step_up(352), Some(384));
-        assert_eq!(step_up(608), None, "ceiling of the ladder");
-        // Off-ladder sizes snap to the nearest rung in the step direction.
-        assert_eq!(step_down(500), Some(480));
-        assert_eq!(step_up(500), Some(512));
-        // Walking down from the top visits every rung exactly once.
-        let mut s = 608;
-        let mut visited = vec![s];
-        while let Some(next) = step_down(s) {
-            visited.push(next);
-            s = next;
-        }
-        visited.reverse();
-        assert_eq!(visited, resolution_ladder());
     }
 
     #[test]

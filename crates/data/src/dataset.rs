@@ -99,16 +99,6 @@ impl VehicleDataset {
             boxes: scene.annotations.iter().map(|a| a.bbox).collect(),
         }
     }
-
-    /// Iterates the training split as samples at the given input size.
-    pub fn train_samples(&self, input: usize) -> impl Iterator<Item = Sample> + '_ {
-        self.train().iter().map(move |s| Self::sample(s, input))
-    }
-
-    /// Iterates the test split as samples at the given input size.
-    pub fn test_samples(&self, input: usize) -> impl Iterator<Item = Sample> + '_ {
-        self.test().iter().map(move |s| Self::sample(s, input))
-    }
 }
 
 #[cfg(test)]
@@ -167,8 +157,8 @@ mod tests {
     #[test]
     fn iterators_cover_the_splits() {
         let ds = VehicleDataset::generate(config(), 5, 0.6, 4);
-        assert_eq!(ds.train_samples(32).count(), 3);
-        assert_eq!(ds.test_samples(32).count(), 2);
+        assert_eq!(ds.train().len(), 3);
+        assert_eq!(ds.test().len(), 2);
     }
 
     #[test]

@@ -234,40 +234,6 @@ impl Image {
         out
     }
 
-    /// Aspect-preserving resize onto a `target x target` canvas with grey
-    /// padding bars — Darknet's `letterbox_image`. Returns the canvas and
-    /// the transform needed to map normalised boxes between the original
-    /// and letterboxed frames.
-    pub fn letterbox(&self, target: usize) -> (Image, LetterboxTransform) {
-        assert!(target > 0, "letterbox target must be positive");
-        let (w, h) = (self.width as f32, self.height as f32);
-        let scale = (target as f32 / w).min(target as f32 / h);
-        let new_w = ((w * scale).round() as usize).max(1);
-        let new_h = ((h * scale).round() as usize).max(1);
-        let resized = self.resize(new_w, new_h);
-        let mut canvas = Image::new(target, target, [0.5, 0.5, 0.5]);
-        let off_x = (target - new_w) / 2;
-        let off_y = (target - new_h) / 2;
-        for y in 0..new_h {
-            for x in 0..new_w {
-                canvas.set_pixel(
-                    (x + off_x) as isize,
-                    (y + off_y) as isize,
-                    resized.pixel(x, y),
-                );
-            }
-        }
-        (
-            canvas,
-            LetterboxTransform {
-                scale_x: new_w as f32 / target as f32,
-                scale_y: new_h as f32 / target as f32,
-                offset_x: off_x as f32 / target as f32,
-                offset_y: off_y as f32 / target as f32,
-            },
-        )
-    }
-
     /// Converts to a `[1, 3, h, w]` NCHW tensor (values stay in `[0, 1]`,
     /// matching Darknet's input convention).
     pub fn to_tensor(&self) -> Tensor {
@@ -304,44 +270,6 @@ impl Image {
             }
         }
         img
-    }
-}
-
-/// Mapping between normalised coordinates of an original image and its
-/// letterboxed canvas (see [`Image::letterbox`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LetterboxTransform {
-    /// Fraction of the canvas width covered by image content.
-    pub scale_x: f32,
-    /// Fraction of the canvas height covered by image content.
-    pub scale_y: f32,
-    /// Left padding as a fraction of the canvas width.
-    pub offset_x: f32,
-    /// Top padding as a fraction of the canvas height.
-    pub offset_y: f32,
-}
-
-impl LetterboxTransform {
-    /// Maps a normalised box from original-image coordinates to canvas
-    /// coordinates.
-    pub fn to_canvas(&self, bbox: &dronet_metrics::BBox) -> dronet_metrics::BBox {
-        dronet_metrics::BBox::new(
-            bbox.cx * self.scale_x + self.offset_x,
-            bbox.cy * self.scale_y + self.offset_y,
-            bbox.w * self.scale_x,
-            bbox.h * self.scale_y,
-        )
-    }
-
-    /// Maps a normalised box from canvas coordinates back to the original
-    /// image (the inverse of [`LetterboxTransform::to_canvas`]).
-    pub fn to_original(&self, bbox: &dronet_metrics::BBox) -> dronet_metrics::BBox {
-        dronet_metrics::BBox::new(
-            (bbox.cx - self.offset_x) / self.scale_x,
-            (bbox.cy - self.offset_y) / self.scale_y,
-            bbox.w / self.scale_x,
-            bbox.h / self.scale_y,
-        )
     }
 }
 
@@ -456,49 +384,5 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn pixel_oob_panics() {
         Image::new(2, 2, [0.0; 3]).pixel(2, 0);
-    }
-
-    #[test]
-    fn letterbox_wide_image_pads_vertically() {
-        let img = Image::new(8, 4, [1.0, 0.0, 0.0]);
-        let (canvas, t) = img.letterbox(8);
-        assert_eq!(canvas.width(), 8);
-        assert_eq!(canvas.height(), 8);
-        // Top and bottom bars are grey; the middle band is the image.
-        assert_eq!(canvas.pixel(0, 0), [0.5, 0.5, 0.5]);
-        assert_eq!(canvas.pixel(0, 7), [0.5, 0.5, 0.5]);
-        assert_eq!(canvas.pixel(4, 4), [1.0, 0.0, 0.0]);
-        assert!((t.scale_x - 1.0).abs() < 1e-6);
-        assert!((t.scale_y - 0.5).abs() < 1e-6);
-        assert!((t.offset_y - 0.25).abs() < 1e-6);
-    }
-
-    #[test]
-    fn letterbox_transform_roundtrips_boxes() {
-        let img = Image::new(10, 6, [0.0; 3]);
-        let (_, t) = img.letterbox(16);
-        let original = dronet_metrics::BBox::new(0.3, 0.7, 0.2, 0.4);
-        let canvas = t.to_canvas(&original);
-        let back = t.to_original(&canvas);
-        assert!((back.cx - original.cx).abs() < 1e-5);
-        assert!((back.cy - original.cy).abs() < 1e-5);
-        assert!((back.w - original.w).abs() < 1e-5);
-        assert!((back.h - original.h).abs() < 1e-5);
-        // Canvas box stays inside the content band.
-        assert!(canvas.cy > t.offset_y && canvas.cy < 1.0 - t.offset_y);
-    }
-
-    #[test]
-    fn letterbox_square_image_is_plain_resize() {
-        let img = Image::new(4, 4, [0.2, 0.4, 0.6]);
-        let (canvas, t) = img.letterbox(8);
-        assert_eq!(t.offset_x, 0.0);
-        assert_eq!(t.offset_y, 0.0);
-        for y in 0..8 {
-            for x in 0..8 {
-                let p = canvas.pixel(x, y);
-                assert!((p[0] - 0.2).abs() < 1e-5);
-            }
-        }
     }
 }

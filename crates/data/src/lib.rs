@@ -14,8 +14,8 @@
 //!   grass, buildings, and structured vehicle sprites (body, cabin,
 //!   windshield, shadow) under randomised illumination, scale, orientation
 //!   and occlusion,
-//! * [`Annotation`] — ground-truth boxes following the paper's "annotate
-//!   vehicles with at least 50% visible" rule,
+//! * [`Annotation`] — ground-truth boxes following the paper's rule of
+//!   annotating vehicles that are at least 50% visible,
 //! * [`dataset`] — seeded train/test dataset generation,
 //! * [`augment`] — training-time augmentation (flips, photometric jitter,
 //!   translation),
@@ -50,4 +50,4 @@ pub mod ppm;
 pub mod scene;
 
 pub use annotation::Annotation;
-pub use image::{Color, Image, LetterboxTransform};
+pub use image::{Color, Image};

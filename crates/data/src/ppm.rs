@@ -127,16 +127,6 @@ pub fn read<R: Read>(mut reader: R) -> io::Result<Image> {
     Ok(img)
 }
 
-/// Convenience wrapper reading from a file path.
-///
-/// # Errors
-///
-/// Returns any underlying I/O error.
-pub fn read_from_path(path: impl AsRef<std::path::Path>) -> io::Result<Image> {
-    let file = std::fs::File::open(path)?;
-    read(io::BufReader::new(file))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,7 +197,7 @@ mod tests {
         let path = dir.join("img.ppm");
         let img = Image::new(2, 2, [0.2, 0.4, 0.6]);
         write_to_path(&img, &path).unwrap();
-        let back = read_from_path(&path).unwrap();
+        let back = read(io::BufReader::new(std::fs::File::open(&path).unwrap())).unwrap();
         assert_eq!(back.width(), 2);
         std::fs::remove_file(&path).ok();
     }

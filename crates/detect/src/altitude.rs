@@ -89,16 +89,6 @@ impl AltitudeFilter {
         })
     }
 
-    /// Updates the altitude (the UAV's flight controller feeds this).
-    pub fn set_altitude(&mut self, altitude_m: f32) {
-        self.altitude_m = altitude_m.max(0.1);
-    }
-
-    /// Current altitude in metres.
-    pub fn altitude_m(&self) -> f32 {
-        self.altitude_m
-    }
-
     /// The feasible normalised box-dimension range at the current altitude.
     pub fn feasible_range(&self) -> (f32, f32) {
         let mpp = self.camera.meters_per_pixel(self.altitude_m);
@@ -173,15 +163,6 @@ mod tests {
         let car = BBox::new(0.5, 0.5, 0.065, 0.03);
         assert!(filter(60.0).is_feasible(&car));
         assert!(!filter(400.0).is_feasible(&car));
-    }
-
-    #[test]
-    fn set_altitude_updates_range() {
-        let mut f = filter(60.0);
-        let before = f.feasible_range();
-        f.set_altitude(120.0);
-        assert!(f.feasible_range().0 < before.0);
-        assert!((f.altitude_m() - 120.0).abs() < 1e-6);
     }
 
     #[test]

@@ -211,11 +211,6 @@ impl Detector {
         self.nms_threshold
     }
 
-    /// Replaces the altitude filter (e.g. as the UAV climbs).
-    pub fn set_altitude_filter(&mut self, filter: Option<AltitudeFilter>) {
-        self.altitude_filter = filter;
-    }
-
     /// Mutable access to the wrapped network (weight loading).
     pub fn network_mut(&mut self) -> &mut Network {
         &mut self.network
@@ -469,20 +464,24 @@ mod tests {
     #[test]
     fn altitude_filter_is_applied() {
         // Untrained nets emit arbitrary detections; instead verify wiring
-        // by toggling an impossible filter and checking output shrinks to
-        // infeasible-free.
+        // by building the same net with an impossible filter and checking
+        // the output shrinks to infeasible-free.
+        let x = Tensor::zeros(Shape::nchw(1, 3, 32, 32));
         let mut det = DetectorBuilder::new(tiny_detector_net())
             .confidence_threshold(0.0)
             .build()
             .unwrap();
-        let x = Tensor::zeros(Shape::nchw(1, 3, 32, 32));
         let unfiltered = det.detect(&x).unwrap();
         // A filter that rejects everything (expected size range far away).
         let camera = CameraModel::new(60f32.to_radians(), 32);
         let filter = AltitudeFilter::new(camera, 1_000_000.0, (4.0, 5.0), 0.5).unwrap();
-        det.set_altitude_filter(Some(filter));
+        let mut det = DetectorBuilder::new(tiny_detector_net())
+            .confidence_threshold(0.0)
+            .altitude_filter(filter)
+            .build()
+            .unwrap();
         let filtered = det.detect(&x).unwrap();
-        assert!(filtered.len() <= unfiltered.len());
+        assert!(!unfiltered.is_empty(), "a zero threshold keeps candidates");
         assert!(filtered.is_empty(), "million-metre altitude keeps nothing");
     }
 }

@@ -61,7 +61,7 @@ pub mod track;
 
 pub use canary::{canary_frame, check_canary, detections_bit_equal, CanaryVerdict};
 pub use decode::Detection;
-pub use degrade::{DegradeAction, DegradeConfig, DegradeController, ShiftMetrics};
+pub use degrade::{DegradeConfig, DegradeController, ShiftMetrics};
 pub use detector::{DetectStage, Detector, DetectorBuilder};
 pub use error::{panic_payload_message, DetectError};
 pub use fault::{FaultConfig, FaultKind, FaultPlan, FaultyDetector, FaultyFrameSource};

@@ -552,11 +552,11 @@ impl Supervisor {
                     }
                 }
             }
-            // Feed the degradation controller one observation per consumed
+            // Feed the degradation controller one verdict per consumed
             // item; a shift it requests only moves the size later frames
-            // are conformed to. The loop never drops a frame, so the
-            // observation is the drops a camera at the nominal rate would
-            // have suffered meanwhile.
+            // are conformed to. The loop never drops a frame, so an item
+            // is hot when a camera at the nominal rate would have dropped
+            // frames meanwhile.
             let Some(ctrl) = controller.as_mut() else {
                 continue;
             };
@@ -564,7 +564,7 @@ impl Supervisor {
                 .camera_fps
                 .zip(latency)
                 .map_or(0, |(fps, latency)| estimated_drops(latency, fps));
-            if let Some(size) = ctrl.step(0.0, drops as u64, &shifts, &monitor.health) {
+            if let Some(size) = ctrl.step(drops > 0, &shifts, &monitor.health) {
                 frame_chw = rung(size);
                 monitor.report.resolution_history.push(size);
             }

@@ -20,10 +20,11 @@ pub fn fig1_architectures() -> Vec<NetworkSummary> {
         .collect()
 }
 
-/// Fig. 2 — the DroNet architecture at its selected 512 input.
+/// Fig. 2 — the DroNet architecture at its selected input (512).
 pub fn fig2_dronet() -> NetworkSummary {
-    let net = zoo::build(ModelId::DroNet, 512).expect("embedded cfg");
-    NetworkSummary::of("DroNet (Fig. 2, input 512)", &net)
+    let input = ModelId::DroNet.default_input();
+    let net = zoo::build(ModelId::DroNet, input).expect("embedded cfg");
+    NetworkSummary::of(format!("DroNet (Fig. 2, input {input})"), &net)
 }
 
 /// Fig. 3 — normalised metrics for every (model, input size) point of a

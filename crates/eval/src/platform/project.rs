@@ -1,6 +1,7 @@
 use crate::platform::Platform;
 use dronet_metrics::Fps;
-use dronet_nn::cost::{network_cost, CostReport, LayerCost};
+use dronet_nn::cost::LayerCost;
+use dronet_nn::summary::NetworkSummary;
 use dronet_nn::Network;
 use std::time::Duration;
 
@@ -21,11 +22,6 @@ impl LayerTime {
     pub fn seconds(&self) -> f64 {
         self.compute_s.max(self.memory_s)
     }
-
-    /// Whether the layer is memory-bound under the model.
-    pub fn memory_bound(&self) -> bool {
-        self.memory_s > self.compute_s
-    }
 }
 
 /// Projected performance of a network on a platform.
@@ -37,23 +33,6 @@ pub struct Projection {
     pub latency: Duration,
     /// Projected frame rate.
     pub fps: Fps,
-}
-
-impl Projection {
-    /// Fraction of the total latency spent in cache-spilling layers.
-    pub fn spill_fraction(&self) -> f64 {
-        let total: f64 = self.layers.iter().map(LayerTime::seconds).sum();
-        if total <= 0.0 {
-            return 0.0;
-        }
-        let spill: f64 = self
-            .layers
-            .iter()
-            .filter(|l| l.cache_spill)
-            .map(LayerTime::seconds)
-            .sum();
-        spill / total
-    }
 }
 
 impl Platform {
@@ -72,9 +51,13 @@ impl Platform {
         }
     }
 
-    /// Projects a whole cost report.
-    pub fn project_cost(&self, cost: &CostReport) -> Projection {
-        let layers: Vec<LayerTime> = cost.layers.iter().map(|c| self.layer_time(c)).collect();
+    /// Projects a network at its configured input size.
+    pub fn project(&self, net: &Network) -> Projection {
+        let layers: Vec<LayerTime> = NetworkSummary::of("", net)
+            .rows
+            .iter()
+            .map(|row| self.layer_time(&row.cost))
+            .collect();
         let total: f64 = layers.iter().map(LayerTime::seconds).sum::<f64>()
             + self.per_layer_overhead_s * layers.len() as f64;
         Projection {
@@ -86,11 +69,6 @@ impl Platform {
                 f64::INFINITY
             }),
         }
-    }
-
-    /// Projects a network at its configured input size.
-    pub fn project(&self, net: &Network) -> Projection {
-        self.project_cost(&network_cost(net))
     }
 }
 
@@ -191,10 +169,15 @@ mod tests {
 
     #[test]
     fn tiny_yolo_voc_spills_cache_dronet_does_not() {
-        let voc = project(PlatformId::OdroidXu4, ModelId::TinyYoloVoc, 416);
-        assert!(voc.spill_fraction() > 0.5, "spill {}", voc.spill_fraction());
-        let dronet = project(PlatformId::OdroidXu4, ModelId::DroNet, 416);
-        assert_eq!(dronet.spill_fraction(), 0.0);
+        let spills = |model| {
+            project(PlatformId::OdroidXu4, model, 416)
+                .layers
+                .iter()
+                .filter(|l| l.cache_spill)
+                .count()
+        };
+        assert!(spills(ModelId::TinyYoloVoc) > 0);
+        assert_eq!(spills(ModelId::DroNet), 0);
     }
 
     #[test]
@@ -206,13 +189,12 @@ mod tests {
 
     #[test]
     fn maxpool_layers_are_memory_bound() {
-        let net = zoo::build(ModelId::DroNet, 512).unwrap();
-        let platform = Platform::preset(PlatformId::OdroidXu4);
-        let projection = platform.project(&net);
+        let projection = project(PlatformId::OdroidXu4, ModelId::DroNet, 512);
         // Layer 1 is the first maxpool in the DroNet cfg.
         let pool_time = &projection.layers[1];
-        assert!(pool_time.memory_bound());
+        assert!(pool_time.memory_s > pool_time.compute_s);
         // Layer 0 (the first conv) is compute-bound.
-        assert!(!projection.layers[0].memory_bound());
+        let conv_time = &projection.layers[0];
+        assert!(conv_time.memory_s <= conv_time.compute_s);
     }
 }

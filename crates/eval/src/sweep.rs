@@ -24,6 +24,7 @@ use crate::response;
 use dronet_core::{zoo, ModelId};
 use dronet_metrics::score::score_candidates;
 use dronet_metrics::{normalize_metrics, MetricVector, ScoreWeights};
+use dronet_nn::summary::NetworkSummary;
 
 /// Exponent of the paper's measured FPS-vs-size response:
 /// `fps(r) = fps(416) * (416/r)^p` with `p = ln(0.81)/ln(352/608)`.
@@ -131,8 +132,8 @@ pub fn cpu_sweep(config: &SweepConfig) -> Vec<SweepResult> {
         for &input in &config.inputs {
             net.set_input_size(input, input)
                 .expect("sweep sizes are positive");
-            let cost = dronet_nn::cost::network_cost(&net);
-            let projection = platform.project_cost(&cost);
+            let gflops = NetworkSummary::of(model.name(), &net).total_gflops();
+            let projection = platform.project(&net);
             let fps = match config.fps_response {
                 FpsResponse::Roofline => projection.fps.0,
                 FpsResponse::PaperFlat => {
@@ -146,7 +147,7 @@ pub fn cpu_sweep(config: &SweepConfig) -> Vec<SweepResult> {
                 model,
                 input,
                 metrics,
-                cost.total_gflops(),
+                gflops,
                 projection.latency.as_secs_f64() * 1e3,
             ));
         }

@@ -1,4 +1,5 @@
-//! Per-layer and whole-network compute/memory cost accounting.
+//! Per-layer compute/memory cost accounting; whole-network totals are
+//! [`crate::summary::NetworkSummary`]'s, over the same per-layer costs.
 //!
 //! The platform performance models in `dronet_eval::platform` project
 //! frame rates from these counts, so the definitions follow the usual
@@ -7,7 +8,7 @@
 //! and weights a layer must move (a reasonable proxy for a cache-poor
 //! embedded core).
 
-use crate::{Layer, Network};
+use crate::Layer;
 
 /// Compute and memory cost of a single layer at a specific input size.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,51 +29,6 @@ impl LayerCost {
     /// Total bytes moved by the layer.
     pub fn total_bytes(&self) -> f64 {
         self.input_bytes + self.output_bytes + self.weight_bytes
-    }
-
-    /// Arithmetic intensity in FLOPs per byte.
-    pub fn intensity(&self) -> f64 {
-        let bytes = self.total_bytes();
-        if bytes > 0.0 {
-            self.flops / bytes
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Cost report for a whole network at its configured input size.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CostReport {
-    /// One entry per layer, in execution order.
-    pub layers: Vec<LayerCost>,
-}
-
-impl CostReport {
-    /// Total forward-pass FLOPs.
-    pub fn total_flops(&self) -> f64 {
-        self.layers.iter().map(|l| l.flops).sum()
-    }
-
-    /// Total forward-pass FLOPs expressed in GFLOPs (what Darknet prints
-    /// as "BFLOPs").
-    pub fn total_gflops(&self) -> f64 {
-        self.total_flops() / 1e9
-    }
-
-    /// Total trainable parameters.
-    pub fn total_params(&self) -> usize {
-        self.layers.iter().map(|l| l.params).sum()
-    }
-
-    /// Total bytes moved per forward pass.
-    pub fn total_bytes(&self) -> f64 {
-        self.layers.iter().map(|l| l.total_bytes()).sum()
-    }
-
-    /// Model weight footprint in bytes (fp32).
-    pub fn weight_bytes(&self) -> f64 {
-        self.layers.iter().map(|l| l.weight_bytes).sum()
     }
 }
 
@@ -119,20 +75,6 @@ pub fn layer_cost(layer: &Layer, c: usize, h: usize, w: usize) -> LayerCost {
     }
 }
 
-/// Computes the full cost report for `net` at its configured input size.
-pub fn network_cost(net: &Network) -> CostReport {
-    let (mut c, mut h, mut w) = net.input_chw();
-    let mut layers = Vec::with_capacity(net.len());
-    for layer in net.layers() {
-        layers.push(layer_cost(layer, c, h, w));
-        let (nc, nh, nw) = layer.output_chw(c, h, w);
-        c = nc;
-        h = nh;
-        w = nw;
-    }
-    CostReport { layers }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,7 +88,6 @@ mod tests {
         let out_elems = 16.0 * 64.0;
         assert_eq!(cost.flops, 2.0 * 9.0 * 3.0 * out_elems + 3.0 * out_elems);
         assert_eq!(cost.params, 3 * 16 * 9 + 16);
-        assert!(cost.intensity() > 0.0);
     }
 
     #[test]
@@ -155,7 +96,6 @@ mod tests {
         let cost = layer_cost(&pool, 16, 8, 8);
         assert_eq!(cost.params, 0);
         assert_eq!(cost.weight_bytes, 0.0);
-        assert!(cost.intensity() < 2.0);
 
         let region = Layer::region(RegionLayer::new(RegionConfig::vehicle()).unwrap());
         let cost = layer_cost(&region, 30, 13, 13);
@@ -164,34 +104,9 @@ mod tests {
     }
 
     #[test]
-    fn report_totals_sum_layers() {
-        let mut net = Network::new(3, 16, 16);
-        net.push(Layer::conv(
-            Conv2d::new(3, 4, 3, 1, 1, Activation::Leaky, false).unwrap(),
-        ));
-        net.push(Layer::max_pool(MaxPool2d::new(2, 2).unwrap()));
-        let report = network_cost(&net);
-        assert_eq!(report.layers.len(), 2);
-        assert_eq!(
-            report.total_flops(),
-            report.layers[0].flops + report.layers[1].flops
-        );
-        assert_eq!(report.total_params(), 3 * 4 * 9 + 4);
-        assert!(report.total_gflops() > 0.0);
-        assert!(report.total_bytes() > report.weight_bytes());
-    }
-
-    #[test]
     fn doubling_input_quadruples_conv_flops() {
-        let make = |hw: usize| {
-            let mut net = Network::new(3, hw, hw);
-            net.push(Layer::conv(
-                Conv2d::new(3, 8, 3, 1, 1, Activation::Leaky, false).unwrap(),
-            ));
-            network_cost(&net).total_flops()
-        };
-        let small = make(64);
-        let big = make(128);
-        assert!((big / small - 4.0).abs() < 0.01);
+        let layer = Layer::conv(Conv2d::new(3, 8, 3, 1, 1, Activation::Leaky, false).unwrap());
+        let flops = |hw: usize| layer_cost(&layer, 3, hw, hw).flops;
+        assert!((flops(128) / flops(64) - 4.0).abs() < 0.01);
     }
 }

@@ -10,8 +10,9 @@
 //! * [`RegionLayer`] — the YOLOv2-style detection head: per-anchor logistic
 //!   x/y/objectness and per-cell class softmax,
 //! * [`Network`] — a sequential container with inference, training
-//!   (forward/backward), per-layer cost accounting ([`cost::CostReport`])
-//!   and human-readable summaries ([`summary::NetworkSummary`]),
+//!   (forward/backward), per-layer cost accounting ([`cost::LayerCost`])
+//!   and human-readable summaries with the whole-network totals
+//!   ([`summary::NetworkSummary`]),
 //! * [`mod@cfg`] — a Darknet-style `.cfg` model description parser and emitter,
 //! * [`weights`] — Darknet-style binary weight serialisation.
 //!

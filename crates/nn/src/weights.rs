@@ -150,67 +150,6 @@ pub fn atomic_write(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()>
     result
 }
 
-/// Loads weights from a file path. Both the legacy raw format and files
-/// written by [`save_to_path`] load here (they are byte-identical).
-///
-/// # Errors
-///
-/// See [`load`]; format and I/O errors are annotated with the offending
-/// path and the byte offset at which the read failed.
-pub fn load_from_path(net: &mut Network, path: impl AsRef<std::path::Path>) -> Result<()> {
-    let path = path.as_ref();
-    let file = std::fs::File::open(path).map_err(|e| annotate_io(e, path, 0))?;
-    let mut reader = CountingReader::new(std::io::BufReader::new(file));
-    load(net, &mut reader).map_err(|e| annotate(e, path, reader.position()))
-}
-
-/// Byte-counting reader so load errors can report how far into the file
-/// the parse got.
-struct CountingReader<R> {
-    inner: R,
-    pos: u64,
-}
-
-impl<R: Read> CountingReader<R> {
-    fn new(inner: R) -> Self {
-        CountingReader { inner, pos: 0 }
-    }
-
-    fn position(&self) -> u64 {
-        self.pos
-    }
-}
-
-impl<R: Read> Read for CountingReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.pos += n as u64;
-        Ok(n)
-    }
-}
-
-fn annotate(e: NnError, path: &std::path::Path, offset: u64) -> NnError {
-    match e {
-        NnError::WeightsFormat(msg) => NnError::WeightsFormat(format!(
-            "{}: at byte offset {offset}: {msg}",
-            path.display()
-        )),
-        NnError::Io(io) => NnError::Io(annotate_io_raw(io, path, offset)),
-        other => other,
-    }
-}
-
-fn annotate_io(e: std::io::Error, path: &std::path::Path, offset: u64) -> NnError {
-    NnError::Io(annotate_io_raw(e, path, offset))
-}
-
-fn annotate_io_raw(e: std::io::Error, path: &std::path::Path, offset: u64) -> std::io::Error {
-    std::io::Error::new(
-        e.kind(),
-        format!("{}: at byte offset {offset}: {e}", path.display()),
-    )
-}
-
 fn write_f32s<W: Write>(w: &mut W, values: &[f32]) -> Result<()> {
     // Buffer per slice to avoid per-value syscalls.
     let mut buf = Vec::with_capacity(values.len() * 4);
@@ -399,7 +338,7 @@ mod tests {
         let src = make_net(7);
         save_to_path(&src, &path).unwrap();
         let mut dst = make_net(8);
-        load_from_path(&mut dst, &path).unwrap();
+        load(&mut dst, std::fs::File::open(&path).unwrap()).unwrap();
         assert_eq!(weights_fingerprint(&src), weights_fingerprint(&dst));
         std::fs::remove_file(&path).ok();
     }
@@ -415,7 +354,7 @@ mod tests {
         let src = make_net(2);
         save_to_path(&src, &path).unwrap();
         let mut dst = make_net(3);
-        load_from_path(&mut dst, &path).unwrap();
+        load(&mut dst, std::fs::File::open(&path).unwrap()).unwrap();
         assert_eq!(weights_fingerprint(&src), weights_fingerprint(&dst));
         let debris: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
@@ -438,41 +377,8 @@ mod tests {
         save(&src, &mut buf).unwrap();
         std::fs::write(&path, &buf).unwrap();
         let mut dst = make_net(6);
-        load_from_path(&mut dst, &path).unwrap();
+        load(&mut dst, std::fs::File::open(&path).unwrap()).unwrap();
         assert_eq!(weights_fingerprint(&src), weights_fingerprint(&dst));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn load_errors_carry_path_and_byte_offset() {
-        let dir = std::env::temp_dir().join("dronet-weights-context-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("torn.drnw");
-        let mut buf = Vec::new();
-        save(&make_net(1), &mut buf).unwrap();
-        buf.truncate(buf.len() - 8); // torn tail
-        std::fs::write(&path, &buf).unwrap();
-        let err = load_from_path(&mut make_net(1), &path).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("torn.drnw"), "missing path: {msg}");
-        assert!(msg.contains("byte offset"), "missing offset: {msg}");
-        // The reported offset is within the truncated file's size.
-        let offset: u64 = msg
-            .split("byte offset ")
-            .nth(1)
-            .and_then(|s| s.split(':').next())
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or_else(|| panic!("unparsable offset in {msg}"));
-        assert!(
-            offset <= buf.len() as u64,
-            "offset {offset} > {}",
-            buf.len()
-        );
-
-        // A missing file names the path too.
-        let missing = dir.join("does-not-exist.drnw");
-        let err = load_from_path(&mut make_net(1), &missing).unwrap_err();
-        assert!(err.to_string().contains("does-not-exist.drnw"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 }

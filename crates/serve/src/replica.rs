@@ -27,11 +27,11 @@
 //!    bounded restart budget — a replacement worker is spawned with a
 //!    fresh detector. The wedged thread finds its record gone whenever it
 //!    wakes and exits silently; a worker that finished first keeps its
-//!    slot. Then one brownout step (queue depth + admission-shed
-//!    delta, [`DegradeController::step`]): sustained pressure walks the
-//!    input-resolution ladder down (the paper's 608→352 accuracy-vs-FPS
-//!    knob, applied as load shedding that still answers), sustained calm
-//!    walks it back up. Then the core's one fault clock — its own pool's
+//!    slot. Then one brownout step ([`DegradeController::step`], hot
+//!    when a job is still queued at the tick or one was shed since the
+//!    last): sustained pressure walks the input-resolution ladder down
+//!    (the paper's 608→352 accuracy-vs-FPS knob, applied as load shedding
+//!    that still answers), sustained calm walks it back up. Then the core's one fault clock — its own pool's
 //!    fault count, never a peer's — feeds both the quarantine streak and
 //!    the [`RecoveryClock`]: after `recovery_ticks` ticks with no new
 //!    fault and the ladder back at the top, the core's health returns
@@ -202,8 +202,8 @@ impl ReplicaCore {
             let now_drops = self.queue.local_drops();
             let delta = now_drops.saturating_sub(watch.last_drops);
             watch.last_drops = now_drops;
-            let depth = self.queue.len() as f64;
-            if let Some(size) = ctrl.step(depth, delta, &self.shifts, &shared.health) {
+            let hot = !self.queue.is_empty() || delta > 0;
+            if let Some(size) = ctrl.step(hot, &self.shifts, &shared.health) {
                 shared.target_input.store(size, Ordering::SeqCst);
             }
         }

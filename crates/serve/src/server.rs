@@ -663,7 +663,9 @@ fn endpoint_label(target: &str) -> &'static str {
 /// header. Every request, a connection's first included, waits for its
 /// first byte on the idle deadline, so a client that connects and sends
 /// later is not answered `408`. Reads poll in short slices so shutdown is
-/// noticed promptly.
+/// noticed promptly. Every wait on the ladder is a real socket read
+/// timeout, which a manual `Clock` could not cut short, so the ladder
+/// reads `Instant` rather than the server's `Clock`.
 fn read_request(stream: &mut TcpStream, shared: &Shared, buf: &mut Vec<u8>) -> ReadOutcome {
     let cfg = &shared.config;
     let read_start = Instant::now();

@@ -236,15 +236,6 @@ impl Tensor {
         self.zip_map(other, |a, b| a - b)
     }
 
-    /// Element-wise `self * other` (Hadamard product).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when the shapes differ.
-    pub fn mul(&self, other: &Tensor) -> Result<Tensor> {
-        self.zip_map(other, |a, b| a * b)
-    }
-
     /// In-place `self += alpha * other` (SAXPY).
     ///
     /// # Errors
@@ -504,7 +495,6 @@ mod tests {
         let b = Tensor::from_slice(&[4.0, 5.0, 6.0]);
         assert_eq!(a.add(&b).unwrap().as_slice(), &[5.0, 7.0, 9.0]);
         assert_eq!(b.sub(&a).unwrap().as_slice(), &[3.0, 3.0, 3.0]);
-        assert_eq!(a.mul(&b).unwrap().as_slice(), &[4.0, 10.0, 18.0]);
         assert_eq!(a.dot(&b).unwrap(), 32.0);
     }
 

@@ -22,7 +22,7 @@ use crate::{Result, TileError};
 use dronet_detect::track::{Tracker, TrackerConfig};
 use dronet_detect::{panic_payload_message, Detection, Detector, FaultPlan};
 use dronet_metrics::BBox;
-use dronet_nn::cost::network_cost;
+use dronet_nn::summary::NetworkSummary;
 use dronet_obs::Tracer;
 use dronet_tensor::packed::Views;
 use dronet_tensor::Tensor;
@@ -110,7 +110,11 @@ impl TiledDetector {
         let selector = TileSelector::new(config.selector)?;
         let merger = TileMerger::new(config.merge)?;
         let tracker = Tracker::new(config.tracker);
-        let per_tile_flops = network_cost(detector.network()).total_flops();
+        let per_tile_flops = NetworkSummary::of("tile", detector.network())
+            .rows
+            .iter()
+            .map(|row| row.cost.flops)
+            .sum();
         Ok(TiledDetector {
             detector,
             grid,

@@ -2,15 +2,13 @@
 //! modeled on `detect::fault`: deterministic, typed, and aimed at proving
 //! the recovery paths rather than hoping for them.
 //!
-//! Three fault families:
+//! Two fault families:
 //!
 //! * [`WriteFault`] — kills a checkpoint write at an arbitrary byte offset
 //!   (the temp file is left torn, exactly like a power loss), writes a
 //!   torn file *directly at the final name* (modelling a legacy non-atomic
 //!   writer or post-rename sector loss), or flips a bit in a finished
 //!   file. Driven through [`write_checkpoint_with_fault`].
-//! * [`CrashingWriter`] — an `io::Write` adapter that dies after N bytes,
-//!   for harnessing any writer-based serialisation path.
 //! * [`TrainFault`]/[`TrainFaultPlan`] — per-step-attempt poisoning of the
 //!   observed loss or the accumulated gradients inside
 //!   [`crate::Trainer`], to trip the divergence sentry on demand. The plan
@@ -21,7 +19,6 @@
 
 use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointStore};
 use dronet_nn::weights::atomic_write;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -116,51 +113,6 @@ pub fn flip_bit_in_file(path: &Path, byte: u64, bit: u8) -> Result<(), Checkpoin
     Ok(())
 }
 
-/// An `io::Write` adapter that succeeds for the first `kill_at` bytes and
-/// then fails every further write with `ErrorKind::Other` — the writer-
-/// level analogue of a power loss.
-#[derive(Debug)]
-pub struct CrashingWriter<W> {
-    inner: W,
-    kill_at: u64,
-    written: u64,
-}
-
-impl<W: Write> CrashingWriter<W> {
-    /// Wraps `inner`, allowing exactly `kill_at` bytes through.
-    pub fn new(inner: W, kill_at: u64) -> Self {
-        CrashingWriter {
-            inner,
-            kill_at,
-            written: 0,
-        }
-    }
-
-    /// Bytes that made it to the inner writer before (or up to) the crash.
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-}
-
-impl<W: Write> Write for CrashingWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        if self.written >= self.kill_at {
-            return Err(std::io::Error::other(format!(
-                "injected crash after {} bytes",
-                self.written
-            )));
-        }
-        let allowed = ((self.kill_at - self.written) as usize).min(buf.len());
-        let n = self.inner.write(&buf[..allowed])?;
-        self.written += n as u64;
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 /// One injectable training-step fault.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TrainFault {
@@ -218,28 +170,6 @@ impl TrainFaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crashing_writer_cuts_at_exact_offset() {
-        let mut sink = Vec::new();
-        {
-            let mut w = CrashingWriter::new(&mut sink, 10);
-            assert_eq!(w.write(b"0123456").unwrap(), 7);
-            // Second write crosses the budget: partial then error.
-            assert_eq!(w.write(b"789abc").unwrap(), 3);
-            assert!(w.write(b"x").is_err());
-            assert_eq!(w.written(), 10);
-        }
-        assert_eq!(sink, b"0123456789");
-    }
-
-    #[test]
-    fn zero_budget_writer_fails_immediately() {
-        let mut sink = Vec::new();
-        let mut w = CrashingWriter::new(&mut sink, 0);
-        assert!(w.write(b"a").is_err());
-        assert!(sink.is_empty());
-    }
 
     #[test]
     fn fault_plan_indexes_by_attempt() {

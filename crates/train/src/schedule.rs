@@ -28,15 +28,6 @@ pub enum LrSchedule {
 }
 
 impl LrSchedule {
-    /// Darknet's Tiny-YOLO training default: 1e-3 with a 100-batch burn-in
-    /// and 10x decays late in training.
-    pub fn darknet_default(total_batches: usize) -> Self {
-        LrSchedule::Steps {
-            lr: 1e-3,
-            steps: vec![(total_batches * 8 / 10, 0.1), (total_batches * 9 / 10, 0.1)],
-        }
-    }
-
     /// Learning rate at (0-based) batch index `batch`.
     pub fn lr_at(&self, batch: usize) -> f32 {
         match self {
@@ -111,13 +102,5 @@ mod tests {
         assert!((s.lr_at(10) - 0.1).abs() < 1e-7);
         assert!((s.lr_at(19) - 0.1).abs() < 1e-7);
         assert!((s.lr_at(20) - 0.05).abs() < 1e-7);
-    }
-
-    #[test]
-    fn darknet_default_decays_late() {
-        let s = LrSchedule::darknet_default(1000);
-        assert_eq!(s.lr_at(0), 1e-3);
-        assert!(s.lr_at(850) < 1e-3);
-        assert!(s.lr_at(950) < s.lr_at(850));
     }
 }

@@ -8,7 +8,7 @@
 
 use dronet::core::{zoo, ModelId};
 use dronet::eval::figures;
-use dronet::nn::cost::network_cost;
+use dronet::nn::summary::NetworkSummary;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("=== Fig. 1: baseline network structures (input 416) ===\n");
@@ -24,20 +24,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<14} {:>10} {:>12} {:>14} {:>12}",
         "model", "GFLOPs", "params", "weights (MB)", "vs DroNet"
     );
-    let dronet_flops = {
-        let net = zoo::build(ModelId::DroNet, 416)?;
-        network_cost(&net).total_flops()
-    };
+    let flops = |s: &NetworkSummary| s.rows.iter().map(|r| r.cost.flops).sum::<f64>();
+    let dronet_flops = flops(&NetworkSummary::of(
+        "DroNet",
+        &zoo::build(ModelId::DroNet, 416)?,
+    ));
     for id in ModelId::ALL {
-        let net = zoo::build(id, 416)?;
-        let cost = network_cost(&net);
+        let s = NetworkSummary::of(id.name(), &zoo::build(id, 416)?);
+        let weight_bytes: f64 = s.rows.iter().map(|r| r.cost.weight_bytes).sum();
         println!(
             "{:<14} {:>10.3} {:>12} {:>14.2} {:>11.1}x",
             id.name(),
-            cost.total_gflops(),
-            cost.total_params(),
-            cost.weight_bytes() / (1024.0 * 1024.0),
-            cost.total_flops() / dronet_flops
+            s.total_gflops(),
+            s.total_params(),
+            weight_bytes / (1024.0 * 1024.0),
+            flops(&s) / dronet_flops
         );
     }
     Ok(())

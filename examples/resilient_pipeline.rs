@@ -28,13 +28,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A chaos plan over 40 frames: every fault class enabled.
     let n = 40;
     let config = FaultConfig {
-        stall_prob: 0.05,
+        stall_prob: 0.08,
         corrupt_prob: 0.08,
         nan_prob: 0.08,
         transient_prob: 0.08,
         slow_prob: 0.08,
         panic_prob: 0.04,
-        stall: Duration::from_millis(10),
+        stall: Duration::from_millis(300),
         slow: Duration::from_millis(30),
     };
     let plan = FaultPlan::generate(seed, n, &config);

@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "MicroDroNet: {} parameters, {:.1} MFLOPs per frame",
         net.param_count(),
-        dronet::nn::cost::network_cost(&net).total_flops() / 1e6
+        dronet::nn::summary::NetworkSummary::of("MicroDroNet", &net).total_gflops() * 1e3
     );
     let t0 = Instant::now();
     let train_config = TrainConfig {

@@ -2,7 +2,7 @@
 //! forward determinism and cross-crate consistency of the cost model.
 
 use dronet::core::{zoo, ModelId};
-use dronet::nn::{cfg, weights};
+use dronet::nn::{cfg, summary::NetworkSummary, weights};
 use dronet::platform::{Platform, PlatformId};
 use dronet::tensor::{init, Shape, Tensor};
 use rand::SeedableRng;
@@ -111,9 +111,8 @@ fn cost_model_is_consistent_with_projection() {
     let platform = Platform::preset(PlatformId::RaspberryPi3);
     let dronet = zoo::build(ModelId::DroNet, 416).unwrap();
     let small = zoo::build(ModelId::SmallYoloV3, 416).unwrap();
-    let c_dronet = dronet::nn::cost::network_cost(&dronet);
-    let c_small = dronet::nn::cost::network_cost(&small);
-    assert!(c_dronet.total_flops() > c_small.total_flops());
+    let gflops = |net| NetworkSummary::of("", net).total_gflops();
+    assert!(gflops(&dronet) > gflops(&small));
     assert!(platform.project(&dronet).latency > platform.project(&small).latency);
 }
 

@@ -366,7 +366,6 @@ fn brownout_walks_the_ladder_down_under_load_and_recovers() {
         factory(96),
         brownout_cfg(Some(DegradeConfig {
             ladder: ladder.clone(),
-            overload_queue: 1.0,
             window_frames: 2,
             overload_windows: 1,
             calm_windows: 3,

@@ -525,7 +525,9 @@ fn keep_alive_serves_many_requests_then_reaps_idle_connections() {
 fn a_first_request_sent_after_the_header_timeout_is_still_served() {
     // Until its first byte, a request waits on the keep-alive idle
     // deadline, a connection's first request included: the header
-    // deadline runs from the first byte, not from accept.
+    // deadline runs from the first byte, not from accept. The sleep is
+    // real time: each wait on the server's deadline ladder is a socket
+    // read timeout, so the ladder reads `Instant`, not a manual clock.
     let obs = Registry::new();
     let config = ServeConfig {
         header_timeout: Duration::from_millis(200),

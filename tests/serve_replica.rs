@@ -349,7 +349,6 @@ fn asymmetric_load_browns_out_one_replica_while_its_peer_holds_resolution() {
         faults,
         brownout: Some(DegradeConfig {
             ladder: ladder.clone(),
-            overload_queue: 1.0,
             window_frames: 2,
             overload_windows: 1,
             calm_windows: 3,
